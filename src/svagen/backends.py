@@ -21,9 +21,6 @@ class BackendError(RuntimeError):
 
 
 class ChatBackend(Protocol):
-    supports_files: bool
-    supports_images: bool
-
     def complete(self, messages: list[Message]) -> str: ...
 
 
@@ -42,9 +39,6 @@ class ScriptedBackend:
     entry is eligible (script exhausted or mismatched).
     """
 
-    supports_files = False
-    supports_images = False
-
     def __init__(self, entries: list[ScriptEntry]) -> None:
         self._entries = list(entries)
         self._lock = threading.Lock()
@@ -60,9 +54,6 @@ class ScriptedBackend:
             raw = json.load(f)
         entries = [ScriptEntry(response=e["response"], match=e.get("match")) for e in raw]
         return cls(entries)
-
-    def remaining(self) -> int:
-        return len(self._entries)
 
     def complete(self, messages: list[Message]) -> str:
         prompt_text = "\n".join(m["content"] for m in messages)
@@ -83,23 +74,18 @@ class HttpBackendConfig:
     model: str
     api_key_env: str = "SVAGEN_API_KEY"
     timeout_s: float = 120.0
-    temperature: float | None = None
-    supports_images: bool = False
 
 
 class HttpChatBackend:
     """OpenAI-style chat-completions client.
 
     The API key is read from the environment variable named in the config;
-    it never appears in config files. Request body: {model, messages[,
-    temperature]}; response: choices[0].message.content.
+    it never appears in config files. Request body: {model, messages};
+    response: choices[0].message.content.
     """
-
-    supports_files = False
 
     def __init__(self, config: HttpBackendConfig, session=None) -> None:
         self.config = config
-        self.supports_images = config.supports_images
         if session is None:
             import requests
 
@@ -112,13 +98,10 @@ class HttpChatBackend:
             raise BackendError(
                 f"API key environment variable {self.config.api_key_env} is not set"
             )
-        body: dict = {"model": self.config.model, "messages": messages}
-        if self.config.temperature is not None:
-            body["temperature"] = self.config.temperature
         try:
             resp = self._session.post(
                 self.config.endpoint,
-                json=body,
+                json={"model": self.config.model, "messages": messages},
                 headers={"Authorization": f"Bearer {key}"},
                 timeout=self.config.timeout_s,
             )

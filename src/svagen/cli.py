@@ -12,7 +12,13 @@ import sys
 
 from svagen.agents import split_assertion_units
 from svagen.bank import BankLoadError, StageError
-from svagen.config import ConfigError, RunConfig, load_config
+from svagen.config import (
+    ConfigError,
+    RunConfig,
+    default_call_budget,
+    load_config,
+    replace_search,
+)
 from svagen.pipeline import CallLedger, run_all, run_stage1
 from svagen.rag import HashedBowEmbedder, build_index_from_dir
 from svagen.sva.checker import AssertionRecord, BuiltinChecker, format_log
@@ -69,16 +75,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_run_overrides(config: RunConfig, args: argparse.Namespace) -> None:
-    search = config.search
+    search_overrides = {
+        name: value
+        for name, value in (
+            ("n_rollouts", args.rollouts),
+            ("c", args.c_value),
+            ("epsilon", args.epsilon),
+            ("score_cap", args.score_cap),
+        )
+        if value is not None
+    }
+    config.search = replace_search(config.search, **search_overrides)
     if args.rollouts is not None:
-        search.n_rollouts = args.rollouts
-        config.max_api_calls_per_signal = 2 + 4 * args.rollouts + 2
-    if args.c_value is not None:
-        search.c = args.c_value
-    if args.epsilon is not None:
-        search.epsilon = args.epsilon
-    if args.score_cap is not None:
-        search.score_cap = args.score_cap
+        config.max_api_calls_per_signal = default_call_budget(args.rollouts)
     if args.checker is not None:
         config.checker.kind = args.checker
     if args.parallel is not None:

@@ -7,6 +7,7 @@ variable that holds them does.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
@@ -29,6 +30,20 @@ from svagen.tree import SearchParams
 
 class ConfigError(ValueError):
     pass
+
+
+def default_call_budget(n_rollouts: int) -> int:
+    """Per-signal LLM call budget: 2 for the initial node, 4 per rollout,
+    2 for combination."""
+    return 2 + 4 * n_rollouts + 2
+
+
+def replace_search(search: SearchParams, **changes) -> SearchParams:
+    """`search` with `changes` applied; ConfigError when a value is invalid."""
+    try:
+        return dataclasses.replace(search, **changes)
+    except ValueError as err:
+        raise ConfigError(f"invalid search parameters: {err}") from err
 
 
 @dataclass
@@ -83,8 +98,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.max_api_calls_per_signal is None:
-            # 2 for the initial node, 4 per rollout, 2 for combination
-            self.max_api_calls_per_signal = 2 + 4 * self.search.n_rollouts + 2
+            self.max_api_calls_per_signal = default_call_budget(self.search.n_rollouts)
         if self.max_api_calls_per_signal < 1:
             raise ConfigError("max_api_calls_per_signal must be positive")
         if self.parallel < 1:
@@ -153,7 +167,7 @@ def config_from_dict(data: dict) -> RunConfig:
     config = RunConfig()
     for section, value in data.items():
         if section == "search":
-            config.search = SearchParams(**value)
+            config.search = replace_search(SearchParams(), **value)
         elif section == "backend":
             _update_dataclass(config.backend, value, "backend")
         elif section == "checker":
@@ -175,7 +189,7 @@ def config_from_dict(data: dict) -> RunConfig:
             raise ConfigError(f"unknown config section {section!r}")
     # re-derive the default budget when rollouts were configured
     if "max_api_calls_per_signal" not in data:
-        config.max_api_calls_per_signal = 2 + 4 * config.search.n_rollouts + 2
+        config.max_api_calls_per_signal = default_call_budget(config.search.n_rollouts)
     return config
 
 

@@ -258,12 +258,6 @@ def run_stage2(
     critiques: list[dict] = []
     embedder = embedder or HashedBowEmbedder()
 
-    def syntax_log_for(answer: AnswerContent) -> str:
-        records = [AssertionRecord(text=t, signal=signal_name) for t in answer.assertions]
-        for record in records:
-            record.apply_check(checker.check(record.text))
-        return format_log(records)
-
     def scored_critique(node_id: int, phase: str, answer: AnswerContent, syntax_log: str):
         def one_call():
             ledger.charge(signal_name, "critic")
@@ -295,9 +289,11 @@ def run_stage2(
 
     def evaluate(node_id: int, phase: str) -> None:
         node = tree.node(node_id)
-        log = syntax_log_for(node.answer)
-        node.answer.syntax_log = log
-        result = scored_critique(node_id, phase, node.answer, log)
+        records = [AssertionRecord(text=t, signal=signal_name) for t in node.answer.assertions]
+        for record in records:
+            record.apply_check(checker.check(record.text))
+        node.answer.syntax_log = format_log(records)
+        result = scored_critique(node_id, phase, node.answer, node.answer.syntax_log)
         tree.record_reward(node_id, result.suppressed_score, params)
         tree.backpropagate(node_id)
 
@@ -316,17 +312,15 @@ def run_stage2(
             # phase 1: selection + reward re-sampling
             selected_id = tree.select_node(params)
             selected = tree.node(selected_id)
+            # set by evaluate() before its critic call, so every node has one
             selected_log = selected.answer.syntax_log
-            if selected_log is None:
-                selected_log = syntax_log_for(selected.answer)
             resample = scored_critique(selected_id, "resample", selected.answer, selected_log)
             tree.record_reward(selected_id, resample.suppressed_score, params)
             tree.backpropagate(selected_id)
 
-            # phase 2: expansion: fresh syntax log + critic feedback, then refine
-            expansion_log = syntax_log_for(selected.answer)
+            # phase 2: expansion: critic feedback on the stored syntax log, then refine
             feedback = scored_critique(
-                selected_id, "expansion-feedback", selected.answer, expansion_log
+                selected_id, "expansion-feedback", selected.answer, selected_log
             )
             rag_context = ""
             if rag_index is not None:
@@ -345,7 +339,7 @@ def run_stage2(
                 signal,
                 selected.answer,
                 feedback.feedback,
-                expansion_log,
+                selected_log,
                 rag_context,
                 workflow,
                 templates,

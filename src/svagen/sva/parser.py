@@ -1,10 +1,16 @@
-"""Recursive-descent parser for the SVA subset.
+"""Parser for the SVA subset.
 
 Covers property declarations with clocking events and `disable iff`,
 implication (|->, |=>), sequence and/or/not, bounded and unbounded delays
 (##N, ##[m:n], ##[m:$]), repetition ([*n], [*m:n]), the usual boolean,
-relational, shift and arithmetic operator ladder, concatenation and
-replication, indexing and part-selects, and system-function calls.
+relational, shift and arithmetic operators, concatenation and replication,
+indexing and part-selects, and system-function calls.
+
+Declarations, statements and operands are parsed by recursive descent.
+Operator expressions are parsed by one precedence-climbing loop (Pratt's
+top-down operator precedence) driven by the table in `operators.py`, which
+holds every operator's lexeme, binding power, associativity and AST shape:
+adding an operator means adding one row there.
 
 The parser is permissive where RTL context would be needed: identifier
 references are never resolved, so unknown names lint as warnings rather
@@ -16,9 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from svagen.sva.operators import INFIX, PREFIX
 from svagen.sva.tokens import Token, tokenize
-
-DIAGNOSTIC_VERSION = 1
 
 KNOWN_SYSTEM_FUNCTIONS = frozenset(
     {
@@ -368,6 +373,12 @@ class PropertyDecl:
 
 SvaAst = PropertyDecl | AssertStmt
 
+# Minimum binding powers of the two expression contexts: a property body
+# admits every operator; a boolean operand (clocking event, disable
+# condition, call argument, index, delay operand) starts at the level of ?:.
+_PROPERTY_BP = 0
+_EXPRESSION_BP = INFIX["?"].bp
+
 
 # --------------------------------------------------------------------------
 # Parser
@@ -463,12 +474,7 @@ class _Parser:
     def parse_unit(self) -> SvaAst:
         if self.at("keyword", "property"):
             return self.parse_property_decl()
-        if (
-            self.at("keyword", "assert")
-            or self.at("keyword", "assume")
-            or self.at("keyword", "cover")
-            or (self.at("identifier") and self.at("operator", ":", 1))
-        ):
+        if self._at_assert():
             return self.parse_assert_stmt()
         t = self.peek()
         raise self.error(
@@ -512,11 +518,12 @@ class _Parser:
         self.expect("punctuation", ";", "';' after the property body")
         self.expect("keyword", "endproperty")
         decl = PropertyDecl(name=name_tok.lexeme, spec=spec)
-        if self._at_assert_for():
+        if self._at_assert():
             decl.attached_assert = self.parse_assert_stmt()
         return decl
 
-    def _at_assert_for(self) -> bool:
+    def _at_assert(self) -> bool:
+        """At an assert statement: a verb, or a label followed by ':'."""
         if self.at("keyword", "assert") or self.at("keyword", "assume") or self.at("keyword", "cover"):
             return True
         return self.at("identifier") and self.at("operator", ":", 1)
@@ -562,10 +569,10 @@ class _Parser:
             parenthesized = True
             self.take()
             if not self.at("punctuation", ")"):
-                args.append(self.parse_expr())
+                args.append(self.parse_expression())
                 while self.at("punctuation", ","):
                     self.take()
-                    args.append(self.parse_expr())
+                    args.append(self.parse_expression())
             self.expect("punctuation", ")")
         return Call(name=t.lexeme, args=args, parenthesized=parenthesized)
 
@@ -578,9 +585,9 @@ class _Parser:
             self.take()
             self.expect("keyword", "iff", "'iff' after 'disable'")
             self.expect("punctuation", "(")
-            disable_expr = self.parse_expr()
+            disable_expr = self.parse_expression()
             self.expect("punctuation", ")")
-        body = self.parse_property_expr()
+        body = self.parse_expression(_PROPERTY_BP)
         return PropertySpec(clocking=clocking, disable_expr=disable_expr, body=body)
 
     def parse_clocking(self) -> Clocking:
@@ -591,22 +598,51 @@ class _Parser:
                 "parse-expected", "expected 'posedge' or 'negedge' in clocking event"
             )
         edge = self.take().lexeme
-        expr = self.parse_expr()
+        expr = self.parse_expression()
         self.expect("punctuation", ")", "')' closing the clocking event")
         return Clocking(edge=edge, expr=expr)
 
-    # -- property / sequence expression ladder (lowest precedence first)
+    # -- operator expressions: precedence climbing over the operator table
 
-    def parse_property_expr(self):
-        lhs = self.parse_prop_or()
+    def parse_expression(self, min_bp: int = _EXPRESSION_BP):
+        """Parse an operand, then fold in every infix operator that binds at
+        least as tightly as `min_bp`. A prefix operator starts the operand
+        only where `min_bp` admits its level. At `_PROPERTY_BP` this parses
+        a property expression; at the default, a boolean expression."""
         t = self.peek()
-        if t is not None and t.kind == "operator" and t.lexeme in ("|->", "|=>"):
+        op = PREFIX.get(t.lexeme) if t is not None else None
+        if op is None or op.bp < min_bp:
+            node = self.parse_postfix()
+        elif op.shape == "delay":
             self.take()
-            before = self.pos
-            try:
-                rhs = self.parse_property_expr()  # right associative
-            except _ParseError as err:
-                if self.pos == before:
+            bounds = self.parse_delay_bounds()
+            node = Delay(lhs=None, bounds=bounds, rhs=self.parse_expression(op.operand_bp))
+        else:
+            self.take()
+            node = Unary(op=op.lexeme, operand=self.parse_expression(op.operand_bp))
+        while True:
+            t = self.peek()
+            op = INFIX.get(t.lexeme) if t is not None else None
+            if op is None or op.bp < min_bp:
+                return node
+            self.take()
+            if op.shape == "binary":
+                node = Binary(op=op.lexeme, left=node, right=self.parse_expression(op.operand_bp))
+            elif op.shape == "delay":
+                bounds = self.parse_delay_bounds()
+                node = Delay(lhs=node, bounds=bounds, rhs=self.parse_expression(op.operand_bp))
+            elif op.shape == "ternary":
+                if_true = self.parse_expression(op.operand_bp)
+                self.expect("operator", ":", "':' in conditional expression")
+                if_false = self.parse_expression(op.operand_bp)
+                node = Ternary(cond=node, if_true=if_true, if_false=if_false)
+            else:
+                before = self.pos
+                try:
+                    rhs = self.parse_expression(op.operand_bp)
+                except _ParseError as err:
+                    if self.pos != before:
+                        raise
                     # nothing consumable followed the implication operator
                     d = err.diagnostic
                     raise _ParseError(
@@ -615,45 +651,10 @@ class _Parser:
                             d.line,
                             d.column,
                             "parse-expected",
-                            f"expected expression after {t.lexeme}",
+                            f"expected expression after {op.lexeme}",
                         )
                     ) from err
-                raise
-            return Implication(op=t.lexeme, antecedent=lhs, consequent=rhs)
-        return lhs
-
-    def parse_prop_or(self):
-        node = self.parse_prop_and()
-        while self.at("keyword", "or"):
-            self.take()
-            node = Binary(op="or", left=node, right=self.parse_prop_and())
-        return node
-
-    def parse_prop_and(self):
-        node = self.parse_prop_not()
-        while self.at("keyword", "and"):
-            self.take()
-            node = Binary(op="and", left=node, right=self.parse_prop_not())
-        return node
-
-    def parse_prop_not(self):
-        if self.at("keyword", "not"):
-            self.take()
-            return Unary(op="not", operand=self.parse_prop_not())
-        return self.parse_delay_seq()
-
-    def parse_delay_seq(self):
-        if self.at("operator", "##"):
-            self.take()
-            bounds = self.parse_delay_bounds()
-            node = Delay(lhs=None, bounds=bounds, rhs=self.parse_expr())
-        else:
-            node = self.parse_expr()
-        while self.at("operator", "##"):
-            self.take()
-            bounds = self.parse_delay_bounds()
-            node = Delay(lhs=node, bounds=bounds, rhs=self.parse_expr())
-        return node
+                node = Implication(op=op.lexeme, antecedent=node, consequent=rhs)
 
     def parse_delay_bounds(self) -> DelayBounds:
         if self.at("number"):
@@ -665,75 +666,19 @@ class _Parser:
                 raise self.error("parse-expected", "expected lower delay bound")
             self.take()
             self.expect("operator", ":", "':' in delay range")
-            high_tok = self.peek()
-            if high_tok is not None and high_tok.kind == "number":
-                high = self.take().lexeme
-            elif high_tok is not None and high_tok.kind == "identifier" and high_tok.lexeme == "$":
-                self.take()
-                high = "$"
-            else:
-                raise self.error("parse-expected", "expected upper delay bound or '$'")
+            high = self.parse_upper_bound("upper delay bound")
             self.expect("punctuation", "]")
             return DelayBounds(low=low_tok.lexeme, high=high, ranged=True)
         raise self.error("parse-expected", "expected delay count or '[' after '##'")
 
-    # -- boolean expression ladder
-
-    def parse_expr(self):
-        cond = self.parse_lor()
-        if self.at("operator", "?"):
+    def parse_upper_bound(self, what: str) -> str:
+        """The upper bound of a delay or repetition range: a number or `$`."""
+        if self.at("number"):
+            return self.take().lexeme
+        if self.at("identifier", "$"):
             self.take()
-            if_true = self.parse_expr()
-            self.expect("operator", ":", "':' in conditional expression")
-            if_false = self.parse_expr()
-            return Ternary(cond=cond, if_true=if_true, if_false=if_false)
-        return cond
-
-    def _binary_level(self, sub, ops: tuple[str, ...]):
-        node = sub()
-        while True:
-            t = self.peek()
-            if t is None or t.kind != "operator" or t.lexeme not in ops:
-                return node
-            self.take()
-            node = Binary(op=t.lexeme, left=node, right=sub())
-
-    def parse_lor(self):
-        return self._binary_level(self.parse_land, ("||",))
-
-    def parse_land(self):
-        return self._binary_level(self.parse_bor, ("&&",))
-
-    def parse_bor(self):
-        return self._binary_level(self.parse_bxor, ("|",))
-
-    def parse_bxor(self):
-        return self._binary_level(self.parse_band, ("^", "~^", "^~"))
-
-    def parse_band(self):
-        return self._binary_level(self.parse_eq, ("&",))
-
-    def parse_eq(self):
-        return self._binary_level(self.parse_rel, ("==", "!=", "===", "!=="))
-
-    def parse_rel(self):
-        return self._binary_level(self.parse_shift, ("<", "<=", ">", ">="))
-
-    def parse_shift(self):
-        return self._binary_level(self.parse_add, ("<<", ">>", "<<<", ">>>"))
-
-    def parse_add(self):
-        return self._binary_level(self.parse_mul, ("+", "-"))
-
-    def parse_mul(self):
-        return self._binary_level(self.parse_unary, ("*", "/", "%"))
-
-    def parse_unary(self):
-        t = self.peek()
-        if t is not None and t.kind == "operator" and t.lexeme in ("!", "~", "-", "+", "&", "|", "^"):
-            self.take()
-            return Unary(op=t.lexeme, operand=self.parse_unary())
-        return self.parse_postfix()
+            return "$"
+        raise self.error("parse-expected", f"expected {what} or '$'")
 
     def parse_postfix(self):
         node = self.parse_primary()
@@ -742,11 +687,11 @@ class _Parser:
                 node = self.parse_repetition(node)
                 continue
             self.take()
-            low = self.parse_expr()
+            low = self.parse_expression()
             high = None
             if self.at("operator", ":"):
                 self.take()
-                high = self.parse_expr()
+                high = self.parse_expression()
             self.expect("punctuation", "]", "']' closing the index")
             node = Index(base=node, low=low, high=high)
         return node
@@ -760,14 +705,7 @@ class _Parser:
             low = self.take().lexeme
             if self.at("operator", ":"):
                 self.take()
-                t = self.peek()
-                if t is not None and t.kind == "number":
-                    high = self.take().lexeme
-                elif t is not None and t.kind == "identifier" and t.lexeme == "$":
-                    self.take()
-                    high = "$"
-                else:
-                    raise self.error("parse-expected", "expected repetition upper bound or '$'")
+                high = self.parse_upper_bound("repetition upper bound")
         self.expect("punctuation", "]", "']' closing the repetition")
         return Repetition(operand=operand, low=low, high=high)
 
@@ -780,7 +718,7 @@ class _Parser:
             raise _ParseError(Diagnostic("error", t.line, t.column, "lex-error", t.lexeme))
         if t.kind == "punctuation" and t.lexeme == "(":
             self.take()
-            inner = self.parse_property_expr()
+            inner = self.parse_expression(_PROPERTY_BP)
             self.expect("punctuation", ")", "')' closing the parenthesized expression")
             return Paren(inner=inner)
         if t.kind == "punctuation" and t.lexeme == "{":
@@ -811,10 +749,10 @@ class _Parser:
                 self.take()
                 args: list = []
                 if not self.at("punctuation", ")"):
-                    args.append(self.parse_expr())
+                    args.append(self.parse_expression())
                     while self.at("punctuation", ","):
                         self.take()
-                        args.append(self.parse_expr())
+                        args.append(self.parse_expression())
                 self.expect("punctuation", ")", "')' closing the call")
                 if len(args) < _MIN_CALL_ARITY.get(t.lexeme, 0):
                     raise self.error(
@@ -830,7 +768,7 @@ class _Parser:
 
     def parse_concat(self):
         self.expect("punctuation", "{")
-        first = self.parse_expr()
+        first = self.parse_expression()
         if self.at("punctuation", "{"):
             inner = self.parse_concat()
             self.expect("punctuation", "}", "'}' closing the replication")
@@ -838,7 +776,7 @@ class _Parser:
         parts = [first]
         while self.at("punctuation", ","):
             self.take()
-            parts.append(self.parse_expr())
+            parts.append(self.parse_expression())
         self.expect("punctuation", "}", "'}' closing the concatenation")
         return Concat(parts=parts)
 

@@ -10,6 +10,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from svagen.sva.operators import OPERATORS
+
+# Word operators (and, or, not) lex as keywords; the symbol operators form
+# one alternation, longest first so e.g. "|=>" never lexes as "|" "=" ">".
 KEYWORDS = frozenset(
     {
         "property",
@@ -21,62 +25,47 @@ KEYWORDS = frozenset(
         "iff",
         "posedge",
         "negedge",
-        "and",
-        "or",
-        "not",
         "else",
     }
+    | {op.lexeme for op in OPERATORS if op.lexeme.isidentifier()}
+)
+_SYMBOLS = sorted(
+    {op.lexeme for op in OPERATORS if not op.lexeme.isidentifier()},
+    key=lambda lexeme: (-len(lexeme), lexeme),
 )
 
-# Longest operators first so e.g. "|=>" never lexes as "|" "=" ">".
-_OPERATORS = (
-    "|=>",
-    "|->",
-    "===",
-    "!==",
-    "<<<",
-    ">>>",
-    "##",
-    "&&",
-    "||",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "<<",
-    ">>",
-    "~^",
-    "^~",
-    "->",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "<",
-    ">",
-    "!",
-    "~",
-    "&",
-    "|",
-    "^",
-    "?",
-    ":",
-    "=",
+# One named group per token class, tried in this order at each position.
+# Verilog integer literals: optional size, base marker, digits; or plain
+# decimal, or unbased unsized ('0, '1, 'x, 'z). The last group takes any
+# character no other group does.
+_TOKEN_RE = re.compile(
+    "|".join(
+        f"(?P<{name}>{pattern})"
+        for name, pattern in (
+            ("space", r"[ \t\r\n]+"),
+            ("comment", r"//[^\n]*|/\*[\s\S]*?\*/"),
+            ("open_comment", r"/\*"),
+            ("string", r'"(?:\\.|[^"\\\n])*"'),
+            ("open_string", '"'),
+            (
+                "number",
+                r"[0-9][0-9_]*\s*'\s*[sS]?[bodhBODH][0-9a-fA-FxzXZ_?]+"
+                r"|'[sS]?[bodhBODH][0-9a-fA-FxzXZ_?]+"
+                r"|'[01xzXZ]"
+                r"|[0-9][0-9_]*(?:\.[0-9][0-9_]*)?",
+            ),
+            ("identifier", r"\$?[A-Za-z_][A-Za-z0-9_$]*|\$"),
+            ("operator", "|".join(map(re.escape, _SYMBOLS))),
+            ("punctuation", r"[()\[\]{};,@.]"),
+            ("error", r"[\s\S]"),
+        )
+    )
 )
-
-_PUNCT = "()[]{};,@."
-
-# Verilog integer literal: optional size, base marker, digits; or plain
-# decimal, or unbased unsized ('0, '1, 'x, 'z).
-_NUMBER_RE = re.compile(
-    r"[0-9][0-9_]*\s*'\s*[sS]?[bodhBODH][0-9a-fA-FxzXZ_?]+"
-    r"|'[sS]?[bodhBODH][0-9a-fA-FxzXZ_?]+"
-    r"|'[01xzXZ]"
-    r"|[0-9][0-9_]*(\.[0-9][0-9_]*)?"
-)
-_IDENT_RE = re.compile(r"\$?[A-Za-z_][A-Za-z0-9_$]*|\$")
-_STRING_RE = re.compile(r'"(\\.|[^"\\\n])*"')
+_SKIPPED = ("space", "comment")
+_UNTERMINATED = {
+    "open_comment": "unterminated block comment",
+    "open_string": "unterminated string literal",
+}
 
 
 @dataclass(frozen=True)
@@ -97,84 +86,24 @@ def tokenize(source: str) -> list[Token]:
     subset alphabet, become `error` tokens positioned at the offending text.
     """
     tokens: list[Token] = []
-    i = 0
     line = 1
-    col = 1
-    n = len(source)
-
-    def advance(text: str) -> None:
-        nonlocal line, col
+    line_start = 0  # offset of the first character of `line`
+    for m in _TOKEN_RE.finditer(source):
+        kind, text, start = m.lastgroup, m.group(), m.start()
+        column = start - line_start + 1
+        if kind in _UNTERMINATED:
+            tokens.append(Token("error", _UNTERMINATED[kind], line, column))
+            break
+        if kind == "identifier" and text in KEYWORDS:
+            tokens.append(Token("keyword", text, line, column))
+        elif kind == "error":
+            tokens.append(Token("error", f"unexpected character {text!r}", line, column))
+        elif kind not in _SKIPPED:
+            tokens.append(Token(kind, text, line, column))
         newlines = text.count("\n")
         if newlines:
             line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            j = i
-            while j < n and source[j] in " \t\r\n":
-                j += 1
-            advance(source[i:j])
-            i = j
-            continue
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            j = n if j == -1 else j
-            advance(source[i:j])
-            i = j
-            continue
-        if source.startswith("/*", i):
-            j = source.find("*/", i + 2)
-            if j == -1:
-                tokens.append(Token("error", "unterminated block comment", line, col))
-                break
-            advance(source[i : j + 2])
-            i = j + 2
-            continue
-        if ch == '"':
-            m = _STRING_RE.match(source, i)
-            if not m:
-                tokens.append(Token("error", "unterminated string literal", line, col))
-                break
-            tokens.append(Token("string", m.group(0), line, col))
-            advance(m.group(0))
-            i = m.end()
-            continue
-        m = _NUMBER_RE.match(source, i)
-        if m:
-            tokens.append(Token("number", m.group(0), line, col))
-            advance(m.group(0))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            text = m.group(0)
-            kind = "keyword" if text in KEYWORDS else "identifier"
-            tokens.append(Token(kind, text, line, col))
-            advance(text)
-            i = m.end()
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("operator", op, line, col))
-                advance(op)
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punctuation", ch, line, col))
-            advance(ch)
-            i += 1
-            continue
-        tokens.append(Token("error", f"unexpected character {ch!r}", line, col))
-        advance(ch)
-        i += 1
+            line_start = start + text.rfind("\n") + 1
     return tokens
 
 

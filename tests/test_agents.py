@@ -49,9 +49,6 @@ assert property (mtime_intr_p);"""
 class RecordingBackend:
     """Wraps a scripted backend and keeps every prompt it saw."""
 
-    supports_files = False
-    supports_images = False
-
     def __init__(self, responses: list[str]) -> None:
         self._inner = ScriptedBackend.from_responses(responses)
         self.prompts: list[str] = []

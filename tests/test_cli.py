@@ -6,6 +6,9 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
+from svagen.backends import ScriptedBackend
 from svagen.bank import save_bank
 from svagen.cli import main
 
@@ -56,6 +59,28 @@ def one_signal_entries(signal="ack_o"):
     ]
 
 
+def record_backend_calls(monkeypatch) -> list:
+    """Make every scripted backend append the prompts it is sent to a list."""
+    calls: list = []
+    complete = ScriptedBackend.complete
+
+    def recording_complete(self, messages):
+        calls.append(messages)
+        return complete(self, messages)
+
+    monkeypatch.setattr(ScriptedBackend, "complete", recording_complete)
+    return calls
+
+
+INVALID_SEARCH = [{"n_rollouts": 0}, {"c": -5}, {"epsilon": 0}, {"score_cap": 500}]
+INVALID_SEARCH_FLAGS = [
+    ["--rollouts", "0"],
+    ["--c", "-5"],
+    ["--epsilon", "0"],
+    ["--score-cap", "500"],
+]
+
+
 class TestCheck:
     def test_passing_file(self, tmp_path, capsys):
         path = tmp_path / "ok.sv"
@@ -104,6 +129,24 @@ class TestRun:
 
     def test_missing_config_exit_two(self):
         assert main(["run", "--config", "/no/such/config.json"]) == 2
+
+    @pytest.mark.parametrize("search", INVALID_SEARCH)
+    def test_invalid_search_config_exit_two(self, tmp_path, monkeypatch, capsys, search):
+        calls = record_backend_calls(monkeypatch)
+        save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
+        config = write_config(tmp_path, one_signal_entries(), extra={"search": search})
+        assert main(["run", "--config", config]) == 2
+        assert calls == []
+        assert "invalid search parameters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", INVALID_SEARCH_FLAGS)
+    def test_invalid_search_override_exit_two(self, tmp_path, monkeypatch, capsys, flags):
+        calls = record_backend_calls(monkeypatch)
+        save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
+        config = write_config(tmp_path, one_signal_entries())
+        assert main(["run", "--config", config, *flags]) == 2
+        assert calls == []
+        assert "invalid search parameters" in capsys.readouterr().err
 
     def test_signal_filter(self, tmp_path, capsys):
         save_bank(make_bank(["ack_o", "req_i"]), str(tmp_path / "bank.json"))
