@@ -120,6 +120,11 @@ class InformationBank:
         for i, s in enumerate(self.signals):
             if not s.verilog_name:
                 raise BankLoadError(f"signals[{i}].verilog_name: must be non-empty")
+            # the name becomes a directory under output_dir
+            if s.verilog_name in (".", "..") or any(c in s.verilog_name for c in "/\\"):
+                raise BankLoadError(
+                    f"signals[{i}].verilog_name: {s.verilog_name!r} is not a file name"
+                )
             if s.verilog_name in seen:
                 raise BankLoadError(
                     f"signals[{i}].verilog_name: duplicate {s.verilog_name!r}"

@@ -71,6 +71,14 @@ class RagSettings:
     chunk_size: int = 1200
     chunk_overlap: int = 200
 
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ConfigError("rag.k must be at least 1")
+        if self.chunk_size < 1:
+            raise ConfigError("rag.chunk_size must be at least 1")
+        if not 0 <= self.chunk_overlap < self.chunk_size:
+            raise ConfigError("rag.chunk_overlap must be >= 0 and < rag.chunk_size")
+
 
 @dataclass
 class PathSettings:
@@ -174,6 +182,7 @@ def config_from_dict(data: dict) -> RunConfig:
             _update_dataclass(config.checker, value, "checker")
         elif section == "rag":
             _update_dataclass(config.rag, value, "rag")
+            config.rag.__post_init__()  # range-check the updated fields
         elif section == "paths":
             _update_dataclass(config.paths, value, "paths")
         elif section in (

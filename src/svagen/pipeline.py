@@ -48,6 +48,7 @@ from svagen.prompts import PromptTemplate
 from svagen.rag import HashedBowEmbedder, VectorIndex, format_context
 from svagen.sva.checker import (
     AssertionRecord,
+    MemoChecker,
     SyntaxChecker,
     format_log,
     partition,
@@ -246,6 +247,10 @@ def run_stage2(
     Plus 2 calls up front for the weak root and its evaluation. A score
     parse failure is retried once (budget permitting), then the rollout is
     aborted and the partial tree kept.
+
+    Retrieval runs once per signal: its query text depends only on the
+    signal, so the first rollout to reach the refine step queries
+    `rag_index` and later rollouts reuse the context.
     """
     try:
         signal = bank.signal(signal_name)
@@ -257,6 +262,7 @@ def run_stage2(
     warnings: list[str] = []
     critiques: list[dict] = []
     embedder = embedder or HashedBowEmbedder()
+    rag_context: str | None = None  # set at the first refine step
 
     def scored_critique(node_id: int, phase: str, answer: AnswerContent, syntax_log: str):
         def one_call():
@@ -322,17 +328,15 @@ def run_stage2(
             feedback = scored_critique(
                 selected_id, "expansion-feedback", selected.answer, selected_log
             )
-            rag_context = ""
-            if rag_index is not None:
-                hits = rag_index.query(
-                    f"{signal.verilog_name} {signal.description}", config.rag.k, embedder
-                )
-                if hits:
-                    rag_context = format_context(hits)
-                else:
-                    message = "rag index is empty; refining without reference context"
-                    if message not in warnings:
-                        warnings.append(message)
+            if rag_context is None:
+                hits = []
+                if rag_index is not None:
+                    hits = rag_index.query(
+                        f"{signal.verilog_name} {signal.description}", config.rag.k, embedder
+                    )
+                    if not hits:
+                        warnings.append("rag index is empty; refining without reference context")
+                rag_context = format_context(hits)
             ledger.charge(signal_name, "sva")
             new_answer = refine(
                 backend,
@@ -571,10 +575,11 @@ def run_all(
     Stage 1 is skipped when the configured bank file already exists
     (resumability); stages 2-3 run per signal, in parallel up to
     config.parallel. Per-signal failures are isolated and reported in the
-    summary.
+    summary. The checker is memoized for this run only: each distinct
+    assertion text is checked once.
     """
     backend = backend if backend is not None else config.make_backend()
-    checker = checker if checker is not None else config.make_checker()
+    checker = MemoChecker(checker if checker is not None else config.make_checker())
     templates = config.load_templates()
     ledger = CallLedger(config.max_api_calls_per_signal)
 

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
@@ -68,13 +68,18 @@ class RagChunk:
     chunk_index: int
     text: str
     vector: np.ndarray
+    # computed once here, by add and by load alike, and read by every query
+    norm: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.norm = np.linalg.norm(self.vector)
 
     def to_dict(self) -> dict:
         return {
             "doc_id": self.doc_id,
             "chunk_index": self.chunk_index,
             "text": self.text,
-            "vector": [float(x) for x in self.vector],
+            "vector": self.vector.tolist(),
         }
 
 
@@ -157,8 +162,10 @@ class VectorIndex:
         q = embedder.embed(query_text)
         qn = np.linalg.norm(q)
         scored = []
+        # one np.dot per chunk, not one matrix product: BLAS may round a
+        # product differently in the last bits, and near-ties must stay exact
         for c in self.chunks:
-            cn = np.linalg.norm(c.vector)
+            cn = c.norm
             sim = float(np.dot(q, c.vector) / (qn * cn)) if qn > 0 and cn > 0 else 0.0
             scored.append((c, sim))
         scored.sort(key=lambda item: (-item[1], item[0].doc_id, item[0].chunk_index))
@@ -167,14 +174,15 @@ class VectorIndex:
     # -- persistence
 
     def save(self, path: str) -> None:
+        """Write the index as compact JSON: `json.dumps` without `indent`
+        runs in the C encoder. `load` reads any whitespace."""
         payload = {
             "dimension": self.dimension,
             "count": len(self.chunks),
             "chunks": [c.to_dict() for c in self.chunks],
         }
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(json.dumps(payload, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str) -> VectorIndex:

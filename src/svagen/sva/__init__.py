@@ -8,6 +8,7 @@ from svagen.sva.checker import (
     CheckerUnavailableError,
     Diagnostic,
     ExternalChecker,
+    MemoChecker,
     SyntaxChecker,
     format_log,
     partition,
@@ -23,6 +24,7 @@ __all__ = [
     "CheckerUnavailableError",
     "Diagnostic",
     "ExternalChecker",
+    "MemoChecker",
     "SyntaxChecker",
     "format_log",
     "partition",

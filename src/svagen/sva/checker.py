@@ -1,10 +1,12 @@
 """Syntax checking behind one interface: the built-in subset parser and an
 adapter that shells out to an external verification tool.
 
-The built-in checker is pure (same text, same diagnostics) so scripted runs
-replay byte-identically. The external adapter writes the assertion to a temp
-file, runs a configurable command, and maps tool output to diagnostics via a
-configurable regex profile.
+A checker must be pure (same text, same diagnostics): scripted runs replay
+byte-identically, and the pipeline wraps its checker in a MemoChecker for the
+length of one run, so each distinct text is checked once per run. The
+external adapter writes the assertion to a temp file, runs a configurable
+command, and maps tool output to diagnostics via a configurable regex
+profile.
 """
 
 from __future__ import annotations
@@ -49,6 +51,27 @@ class BuiltinChecker:
     def check(self, assertion_text: str) -> list[Diagnostic]:
         _, diagnostics = parse_assertion(assertion_text)
         return diagnostics
+
+
+class MemoChecker:
+    """Checks each distinct text once with `inner` and answers repeats from
+    a memo; every call returns a fresh list. A CheckerUnavailableError is
+    not remembered, so the next check of that text runs `inner` again.
+
+    The memo is unbounded: make one per run, not one per process. Worker
+    threads may each check a text the memo does not hold yet; a pure
+    checker gives them equal results.
+    """
+
+    def __init__(self, inner: SyntaxChecker) -> None:
+        self.inner = inner
+        self._memo: dict[str, list[Diagnostic]] = {}
+
+    def check(self, assertion_text: str) -> list[Diagnostic]:
+        diagnostics = self._memo.get(assertion_text)
+        if diagnostics is None:
+            diagnostics = self._memo[assertion_text] = self.inner.check(assertion_text)
+        return list(diagnostics)
 
 
 @dataclass

@@ -112,6 +112,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"backend": {"script": "typo"}})
 
+    @pytest.mark.parametrize(
+        "rag",
+        [{"k": 0}, {"chunk_size": 0}, {"chunk_overlap": -1}, {"chunk_overlap": 1200}],
+    )
+    def test_invalid_rag_rejected(self, rag):
+        with pytest.raises(ConfigError, match="rag"):
+            config_from_dict({"rag": rag})
+
+    def test_valid_rag_kept(self):
+        config = config_from_dict({"rag": {"k": 1, "chunk_size": 10, "chunk_overlap": 0}})
+        assert (config.rag.k, config.rag.chunk_size, config.rag.chunk_overlap) == (1, 10, 0)
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"design_name": "i2c", "parallel": 3}))

@@ -236,6 +236,16 @@ class TestPersistence:
         with pytest.raises(BankLoadError):
             load_bank(path)
 
+    @pytest.mark.parametrize("name", ["../../escape", "a/b", "a\\b", ".", ".."])
+    def test_path_like_name_fails_load(self, tmp_path, name):
+        path = str(tmp_path / "bank.json")
+        bank_dict = self._bank().to_dict()
+        bank_dict["signals"][0]["verilog_name"] = name
+        with open(path, "w") as f:
+            json.dump(bank_dict, f)
+        with pytest.raises(BankLoadError, match=r"signals\[0\]\.verilog_name: .* not a file name"):
+            load_bank(path)
+
     def test_invalid_json(self, tmp_path):
         path = str(tmp_path / "bank.json")
         with open(path, "w") as f:

@@ -1,5 +1,6 @@
-"""Syntax-checker tests: the builtin checker's purity, partition laws,
-log formatting, and the external-tool adapter against stub scripts."""
+"""Syntax-checker tests: the builtin checker's purity, the per-run memo,
+partition laws, log formatting, and the external-tool adapter against stub
+scripts."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from svagen.sva.checker import (
     CheckerUnavailableError,
     DiagnosticPattern,
     ExternalChecker,
+    MemoChecker,
     format_log,
     partition,
 )
@@ -52,6 +54,55 @@ class TestBuiltinChecker:
         checker = BuiltinChecker()
         assert checker.check(VALID_BARE_ASSERT) == checker.check(VALID_BARE_ASSERT)
         assert checker.check(INVALID_ASSERT) == checker.check(INVALID_ASSERT)
+
+
+class FlakyChecker(StubChecker):
+    """Unavailable on its first call, then a StubChecker."""
+
+    def check(self, assertion_text):
+        if self.calls == 0:
+            self.calls += 1
+            raise CheckerUnavailableError("tool busy")
+        return super().check(assertion_text)
+
+
+class TestMemoChecker:
+    def test_each_text_checked_once(self):
+        expected = StubChecker().check("BAD")
+        inner = StubChecker()
+        memo = MemoChecker(inner)
+        for _ in range(3):
+            assert memo.check("ok") == []
+            assert memo.check("BAD") == expected
+        assert inner.calls == 2
+
+    def test_unavailable_is_not_remembered(self):
+        inner = FlakyChecker()
+        memo = MemoChecker(inner)
+        with pytest.raises(CheckerUnavailableError):
+            memo.check("BAD")
+        assert [d.code for d in memo.check("BAD")] == ["stub"]
+        assert [d.code for d in memo.check("BAD")] == ["stub"]
+        assert inner.calls == 2
+
+    def test_returned_list_is_fresh(self):
+        memo = MemoChecker(StubChecker())
+        first = memo.check("BAD")
+        expected = list(first)
+        first.clear()
+        first.append("junk")
+        assert memo.check("BAD") == expected
+        assert memo.check("BAD") is not memo.check("BAD")
+
+    def test_partition_through_memo(self):
+        inner = StubChecker()
+        memo = MemoChecker(inner)
+        for _ in range(2):
+            records = [AssertionRecord(text="ok"), AssertionRecord(text="BAD")]
+            passing, failing = partition(records, memo)
+            assert [r.text for r in passing] == ["ok"]
+            assert [r.text for r in failing] == ["BAD"]
+        assert inner.calls == 2
 
 
 class TestPartition:

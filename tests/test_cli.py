@@ -80,6 +80,13 @@ INVALID_SEARCH_FLAGS = [
     ["--score-cap", "500"],
 ]
 
+INVALID_RAG = [
+    {"k": 0},
+    {"chunk_size": 0},
+    {"chunk_overlap": -1},
+    {"chunk_size": 200, "chunk_overlap": 200},
+]
+
 
 class TestCheck:
     def test_passing_file(self, tmp_path, capsys):
@@ -147,6 +154,34 @@ class TestRun:
         assert main(["run", "--config", config, *flags]) == 2
         assert calls == []
         assert "invalid search parameters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rag", INVALID_RAG)
+    def test_invalid_rag_config_exit_two(self, tmp_path, monkeypatch, capsys, rag):
+        from svagen.rag import HashedBowEmbedder, VectorIndex
+
+        calls = record_backend_calls(monkeypatch)
+        save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
+        index_path = str(tmp_path / "index.json")
+        index = VectorIndex()
+        index.add("guide.txt", ["ack_o acknowledges requests"], HashedBowEmbedder())
+        index.save(index_path)
+        config = write_config(
+            tmp_path, one_signal_entries(), extra={"rag": {"index_path": index_path, **rag}}
+        )
+        assert main(["run", "--config", config]) == 2
+        assert calls == []
+        assert "rag." in capsys.readouterr().err
+
+    def test_path_like_signal_name_exit_two(self, tmp_path, monkeypatch):
+        calls = record_backend_calls(monkeypatch)
+        bank = make_bank(["ack_o"]).to_dict()
+        bank["signals"][0]["verilog_name"] = "../../escape"
+        with open(tmp_path / "bank.json", "w") as f:
+            json.dump(bank, f)
+        config = write_config(tmp_path, one_signal_entries())
+        assert main(["run", "--config", config]) == 2
+        assert calls == []
+        assert not os.path.exists(tmp_path / "out")
 
     def test_signal_filter(self, tmp_path, capsys):
         save_bank(make_bank(["ack_o", "req_i"]), str(tmp_path / "bank.json"))

@@ -1,17 +1,19 @@
 """Pipeline tests: the call schedule and budget accounting, early stop,
-rollout failure policy, stage-3 set laws, isolation, and artifact replay."""
+rollout failure policy, stage-3 set laws, isolation, artifact replay, and
+the once-per-signal retrieval and once-per-run checks."""
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svagen.backends import ScriptedBackend, ScriptEntry
-from svagen.bank import StageError
+from svagen.bank import BankLoadError, StageError
 from svagen.pipeline import (
     BudgetExceededError,
     CallLedger,
@@ -20,6 +22,7 @@ from svagen.pipeline import (
     run_stage2,
     run_stage3,
 )
+from svagen.rag import HashedBowEmbedder, VectorIndex
 from svagen.sva.checker import BuiltinChecker
 from svagen.sva.parser import Diagnostic
 
@@ -578,3 +581,175 @@ def test_budget_law_under_random_early_stop(tmp_path_factory, stop_after):
     assert result.total_calls <= 20
     expected_rollouts = stop_after if stop_after else 4
     assert result.tree.rollouts_completed == expected_rollouts
+
+
+class CountingIndex(VectorIndex):
+    def __init__(self) -> None:
+        super().__init__()
+        self.queries: list[str] = []
+
+    def query(self, query_text, k, embedder):
+        self.queries.append(query_text)
+        return super().query(query_text, k, embedder)
+
+
+class PromptRecordingBackend(ScriptedBackend):
+    def __init__(self, entries) -> None:
+        super().__init__(entries)
+        self.prompts: list[str] = []
+
+    def complete(self, messages):
+        self.prompts.append("\n".join(m["content"] for m in messages))
+        return super().complete(messages)
+
+
+EMPTY_INDEX_WARNING = "rag index is empty; refining without reference context"
+
+
+class TestRetrievalOncePerSignal:
+    REFERENCE = "use disable iff around the ack_o handshake"
+
+    def _index(self) -> CountingIndex:
+        index = CountingIndex()
+        index.add("guide.txt", [self.REFERENCE], HashedBowEmbedder())
+        return index
+
+    def _stage2(self, tmp_path, bank, script, index, n_rollouts=4):
+        config = config_for(tmp_path, n_rollouts=n_rollouts, early_stop=False)
+        backend = PromptRecordingBackend(script)
+        ledger = CallLedger(config.max_api_calls_per_signal)
+        stage2 = run_stage2(config, backend, bank, "ack_o", ledger, BuiltinChecker(), index)
+        return stage2, backend
+
+    def test_one_query_across_four_rollouts(self, tmp_path, bank):
+        index = self._index()
+        stage2, backend = self._stage2(tmp_path, bank, full_signal_script("ack_o"), index)
+        assert stage2.tree.rollouts_completed == 4
+        assert index.queries == ["ack_o ack_o handshake output"]
+        # every refine prompt still carries the retrieved context
+        assert sum(self.REFERENCE in p for p in backend.prompts) == 4
+
+    def test_no_query_when_root_evaluation_aborts(self, tmp_path, bank):
+        index = self._index()
+        script = [
+            ScriptEntry(response=fenced(VALID_BARE_ASSERT)),
+            ScriptEntry(response="no marker"),
+            ScriptEntry(response="still no marker"),
+        ]
+        stage2, _ = self._stage2(tmp_path, bank, script, index)
+        assert any("search skipped" in w for w in stage2.warnings)
+        assert index.queries == []
+
+    def test_no_query_when_first_rollout_aborts_before_refine(self, tmp_path, bank):
+        index = CountingIndex()  # empty: a query would also warn
+        script = [
+            ScriptEntry(response=fenced(VALID_BARE_ASSERT)),
+            ScriptEntry(response=critic_reply(30)),
+            ScriptEntry(response="garbled"),
+            ScriptEntry(response="garbled again"),
+        ]
+        stage2, _ = self._stage2(tmp_path, bank, script, index)
+        assert stage2.warnings[0].startswith("rollout 1 aborted")
+        assert index.queries == []
+        assert EMPTY_INDEX_WARNING not in stage2.warnings
+
+    def test_empty_index_warns_exactly_once(self, tmp_path, bank):
+        index = CountingIndex()
+        stage2, _ = self._stage2(tmp_path, bank, full_signal_script("ack_o"), index)
+        assert stage2.tree.rollouts_completed == 4
+        assert stage2.warnings.count(EMPTY_INDEX_WARNING) == 1
+        assert len(index.queries) == 1
+
+    def test_run_all_queries_once_per_signal(self, tmp_path, monkeypatch):
+        from svagen.bank import save_bank
+
+        config = config_for(tmp_path, n_rollouts=4, early_stop=False)
+        config.rag.index_path = str(tmp_path / "index.json")
+        self._index().save(config.rag.index_path)
+        names = ["sig_a", "sig_b"]
+        save_bank(make_bank(names), config.paths.bank_file)
+        queries: list[str] = []
+        query = VectorIndex.query
+
+        def counting_query(self, query_text, k, embedder):
+            queries.append(query_text)
+            return query(self, query_text, k, embedder)
+
+        monkeypatch.setattr(VectorIndex, "query", counting_query)
+        entries = []
+        for name in names:
+            entries += full_signal_script(name, keyed=True)
+        summary = run_all(config, backend=ScriptedBackend(entries))
+        assert not summary.failed_signals
+        assert sorted(queries) == ["sig_a sig_a handshake output", "sig_b sig_b handshake output"]
+
+
+class CountingChecker:
+    def __init__(self) -> None:
+        self.texts: Counter[str] = Counter()
+
+    def check(self, text):
+        self.texts[text] += 1
+        return BuiltinChecker().check(text)
+
+
+class TestCheckMemoPerRun:
+    def _run(self, tmp_path, checker, early_stop=False):
+        from svagen.bank import save_bank
+
+        config = config_for(tmp_path, n_rollouts=4, early_stop=early_stop)
+        names = ["sig_a", "sig_b"]
+        save_bank(make_bank(names), config.paths.bank_file)
+        entries = []
+        for name in names:
+            entries += full_signal_script(name, keyed=True)
+        summary = run_all(config, backend=ScriptedBackend(entries), checker=checker)
+        assert not summary.failed_signals
+        return summary
+
+    def test_each_distinct_text_checked_once_per_run(self, tmp_path):
+        checker = CountingChecker()
+        summary = self._run(tmp_path, checker)
+        # stage 3 corrected the invalid assertion and re-checked the fix
+        assert all(r.a2_prime == [CORRECTED_ASSERT] for r in summary.results)
+        assert set(checker.texts) == {
+            VALID_PROPERTY_UNIT, VALID_BARE_ASSERT, INVALID_ASSERT, CORRECTED_ASSERT
+        }
+        assert set(checker.texts.values()) == {1}
+
+    def test_early_stop_check_is_a_memo_hit(self, tmp_path):
+        from svagen.bank import save_bank
+
+        config = config_for(tmp_path, n_rollouts=4, early_stop=True)
+        save_bank(make_bank(["sig_a"]), config.paths.bank_file)
+        weak = fenced(VALID_BARE_ASSERT)
+        answers = [fenced(VALID_PROPERTY_UNIT, VALID_BARE_ASSERT)] * 4
+        scores = [30.0, 35.0, 36.0, 95.0] + [35.0, 36.0, 40.0] * 3
+        script = stage2_script("sig_a", weak, answers, scores)
+        script.append(ScriptEntry(response=fenced(VALID_BARE_ASSERT, VALID_PROPERTY_UNIT)))
+        checker = CountingChecker()
+        summary = run_all(config, backend=ScriptedBackend(script), checker=checker)
+        assert any("early stop" in w for w in summary.results[0].warnings)
+        assert checker.texts == Counter({VALID_BARE_ASSERT: 1, VALID_PROPERTY_UNIT: 1})
+
+    def test_memo_does_not_outlive_the_run(self, tmp_path):
+        checker = CountingChecker()
+        self._run(tmp_path / "run1", checker)
+        self._run(tmp_path / "run2", checker)
+        assert set(checker.texts.values()) == {2}
+
+
+class TestSignalNamesStayInOutputDir:
+    @pytest.mark.parametrize("name", ["../../escape", "../escape", "a/b", "a\\b", ".", ".."])
+    def test_run_all_rejects_before_writing(self, tmp_path, name):
+        config = config_for(tmp_path / "run", n_rollouts=1, early_stop=False)
+        bank = make_bank(["ack_o"]).to_dict()
+        bank["signals"][0]["verilog_name"] = name
+        with open(config.paths.bank_file, "w") as f:
+            json.dump(bank, f)
+        backend = ScriptedBackend([])
+        with pytest.raises(BankLoadError):
+            run_all(config, backend=backend, checker=BuiltinChecker())
+        assert backend.calls == 0
+        assert sorted(os.listdir(tmp_path)) == ["run"]
+        assert os.listdir(tmp_path / "run") == ["bank.json"]

@@ -3,6 +3,8 @@ determinism, and index queries checked against a brute-force scan."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +206,40 @@ class TestPersistence:
         assert loaded.dimension == 48
         assert len(loaded) == 2
         assert np.array_equal(loaded.chunks[0].vector, index.chunks[0].vector)
+
+    def test_compact_round_trip_keeps_vectors_and_norms(self, tmp_path):
+        e = HashedBowEmbedder(dimension=64)
+        index = VectorIndex()
+        index.add("doc", ["alpha beta", "gamma", "delta delta epsilon"], e)
+        path = tmp_path / "index.json"
+        index.save(str(path))
+        assert path.read_text().count("\n") == 1  # one compact line
+        loaded = VectorIndex.load(str(path))
+        for got, want in zip(loaded.chunks, index.chunks, strict=True):
+            assert np.array_equal(got.vector, want.vector)
+            assert got.norm == want.norm == np.linalg.norm(want.vector)
+
+    def test_loads_indented_file(self, tmp_path):
+        e = HashedBowEmbedder(dimension=32)
+        index = VectorIndex()
+        index.add("doc", ["alpha", "beta"], e)
+        payload = {
+            "dimension": index.dimension,
+            "count": len(index),
+            "chunks": [c.to_dict() for c in index.chunks],
+        }
+        path = tmp_path / "index.json"
+        with open(path, "w") as f:
+            json.dump(payload, f, indent=2, sort_keys=True)
+            f.write("\n")
+        loaded = VectorIndex.load(str(path))
+        assert [c.text for c in loaded.chunks] == ["alpha", "beta"]
+        for got, want in zip(loaded.chunks, index.chunks, strict=True):
+            assert np.array_equal(got.vector, want.vector)
+            assert got.norm == want.norm
+        assert [(c.text, s) for c, s in loaded.query("beta", 2, e)] == [
+            (c.text, s) for c, s in index.query("beta", 2, e)
+        ]
 
     def test_build_from_dir(self, tmp_path):
         (tmp_path / "a.txt").write_text("assertion writing guide " * 50)
