@@ -12,14 +12,8 @@ import sys
 
 from svagen.agents import split_assertion_units
 from svagen.bank import BankLoadError, StageError
-from svagen.config import (
-    ConfigError,
-    RunConfig,
-    default_call_budget,
-    load_config,
-    replace_search,
-)
-from svagen.pipeline import CallLedger, run_all, run_stage1
+from svagen.config import ConfigError, RagSettings, config_from_dict, load_config
+from svagen.pipeline import CallLedger, build_bank, run_all
 from svagen.rag import HashedBowEmbedder, build_index_from_dir
 from svagen.sva.checker import AssertionRecord, BuiltinChecker, format_log
 from svagen.tree import ReasoningTree
@@ -38,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bank_build.add_argument("--config", help="JSON config file")
     bank_build.add_argument("--spec", help="specification text file")
     bank_build.add_argument("--verilog", help="Verilog declarations file")
-    bank_build.add_argument("--waveform", action="append", default=[], help="waveform text file (repeatable)")
+    bank_build.add_argument("--waveform", action="append", help="waveform text file (repeatable)")
     bank_build.add_argument("--design-summary", help="architecture/design summary text file")
     bank_build.add_argument("--out", help="bank file path (overrides config)")
 
@@ -47,9 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rag_build = rag_sub.add_parser("build", help="index a directory of reference texts")
     rag_build.add_argument("directory", help="directory of .txt/.md reference files")
     rag_build.add_argument("--out", required=True, help="index file to write")
-    rag_build.add_argument("--chunk-size", type=int, default=1200)
-    rag_build.add_argument("--chunk-overlap", type=int, default=200)
-    rag_build.add_argument("--dimension", type=int, default=512)
+    rag_build.add_argument("--chunk-size", type=int, help="characters per chunk")
+    rag_build.add_argument("--chunk-overlap", type=int, help="characters shared by adjacent chunks")
+    rag_build.add_argument("--dimension", type=int, help="embedding dimension")
 
     run = sub.add_parser("run", help="run the full pipeline")
     run.add_argument("--config", required=True, help="JSON config file")
@@ -74,84 +68,52 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_run_overrides(config: RunConfig, args: argparse.Namespace) -> None:
-    search_overrides = {
-        name: value
-        for name, value in (
-            ("n_rollouts", args.rollouts),
-            ("c", args.c_value),
-            ("epsilon", args.epsilon),
-            ("score_cap", args.score_cap),
-        )
-        if value is not None
-    }
-    config.search = replace_search(config.search, **search_overrides)
-    if args.rollouts is not None:
-        config.max_api_calls_per_signal = default_call_budget(args.rollouts)
-    if args.checker is not None:
-        config.checker.kind = args.checker
-    if args.parallel is not None:
-        config.parallel = args.parallel
-    if args.no_early_stop:
-        config.early_stop = False
-    if args.output is not None:
-        config.paths.output_dir = args.output
+def _set(**flags) -> dict:
+    """The flags given on the command line, as config keys."""
+    return {key: value for key, value in flags.items() if value is not None}
 
 
 def _cmd_bank_build(args: argparse.Namespace) -> int:
-    config = load_config(args.config) if args.config else RunConfig()
-    if args.spec:
-        config.paths.spec_file = args.spec
-    if args.verilog:
-        config.paths.verilog_file = args.verilog
-    if args.waveform:
-        config.paths.waveform_files = args.waveform
-    if args.design_summary:
-        config.paths.design_summary_file = args.design_summary
-    if args.out:
-        config.paths.bank_file = args.out
-    paths = config.paths
-    if not paths.spec_file or not paths.verilog_file:
-        raise ConfigError("bank build needs --spec and --verilog (or config paths)")
-
-    def read(path: str) -> str:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
-
+    paths = _set(
+        spec_file=args.spec,
+        verilog_file=args.verilog,
+        waveform_files=args.waveform,
+        design_summary_file=args.design_summary,
+        bank_file=args.out,
+    )
+    config = config_from_dict({"paths": paths}, load_config(args.config) if args.config else None)
     backend = config.make_backend()
     ledger = CallLedger(config.max_api_calls_per_signal)
-    bank, warnings = run_stage1(
-        config,
-        backend,
-        read(paths.spec_file),
-        read(paths.verilog_file),
-        [read(p) for p in paths.waveform_files],
-        ledger,
-        read(paths.design_summary_file) if paths.design_summary_file else "",
-        config.load_templates(),
-    )
+    bank, warnings = build_bank(config, backend, ledger, config.load_templates())
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(
-        f"bank written to {paths.bank_file}: {len(bank.signals)} signals, "
+        f"bank written to {config.paths.bank_file}: {len(bank.signals)} signals, "
         f"{len(bank.waveforms)} waveforms, {ledger.stage1_total()} calls"
     )
     return 0
 
 
 def _cmd_rag_build(args: argparse.Namespace) -> int:
-    embedder = HashedBowEmbedder(dimension=args.dimension)
-    index = build_index_from_dir(
-        args.directory, embedder, args.chunk_size, args.chunk_overlap
-    )
+    rag = RagSettings(**_set(chunk_size=args.chunk_size, chunk_overlap=args.chunk_overlap))
+    embedder = HashedBowEmbedder(**_set(dimension=args.dimension))
+    index = build_index_from_dir(args.directory, embedder, rag.chunk_size, rag.chunk_overlap)
     index.save(args.out)
     print(f"index written to {args.out}: {len(index)} chunks, dimension {index.dimension}")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    _apply_run_overrides(config, args)
+    flags = _set(
+        search=_set(
+            n_rollouts=args.rollouts, c=args.c_value, epsilon=args.epsilon, score_cap=args.score_cap
+        ),
+        checker=_set(kind=args.checker),
+        paths=_set(output_dir=args.output),
+        parallel=args.parallel,
+        early_stop=False if args.no_early_stop else None,
+    )
+    config = config_from_dict(flags, load_config(args.config))
     summary = run_all(config, only_signal=args.signal)
     totals = summary.to_dict()["totals"]
     print(

@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
+import typing
 from dataclasses import dataclass, field
 
 from svagen.backends import (
@@ -19,6 +21,7 @@ from svagen.backends import (
     ScriptedBackend,
 )
 from svagen.prompts import DEFAULT_TEMPLATES, PromptTemplate, load_template
+from svagen.rag import DEFAULT_CHUNK_OVERLAP, DEFAULT_CHUNK_SIZE, DEFAULT_TOP_K
 from svagen.sva.checker import (
     BuiltinChecker,
     DiagnosticPattern,
@@ -38,14 +41,6 @@ def default_call_budget(n_rollouts: int) -> int:
     return 2 + 4 * n_rollouts + 2
 
 
-def replace_search(search: SearchParams, **changes) -> SearchParams:
-    """`search` with `changes` applied; ConfigError when a value is invalid."""
-    try:
-        return dataclasses.replace(search, **changes)
-    except ValueError as err:
-        raise ConfigError(f"invalid search parameters: {err}") from err
-
-
 @dataclass
 class BackendSettings:
     type: str = "scripted"  # scripted | http
@@ -55,6 +50,10 @@ class BackendSettings:
     api_key_env: str = "SVAGEN_API_KEY"
     timeout_s: float = 120.0
 
+    def __post_init__(self) -> None:
+        if self.timeout_s <= 0:
+            raise ConfigError("backend.timeout_s must be positive")
+
 
 @dataclass
 class CheckerSettings:
@@ -63,13 +62,25 @@ class CheckerSettings:
     patterns: list[dict] = field(default_factory=list)
     timeout_s: float = 30.0
 
+    def __post_init__(self) -> None:
+        if self.timeout_s <= 0:
+            raise ConfigError("checker.timeout_s must be positive")
+        for p in self.patterns:  # DiagnosticPattern fields: pattern, optional severity, code
+            keys_ok = p.keys() - {"severity", "code"} == {"pattern"}
+            if not keys_ok or any(type(v) is not str for v in p.values()):
+                raise ConfigError(f"malformed checker.patterns entry {json.dumps(p)}")
+            try:
+                re.compile(p["pattern"])
+            except re.error as err:
+                raise ConfigError(f"checker.patterns regex {p['pattern']!r}: {err}") from err
+
 
 @dataclass
 class RagSettings:
     index_path: str | None = None
-    k: int = 4
-    chunk_size: int = 1200
-    chunk_overlap: int = 200
+    k: int = DEFAULT_TOP_K
+    chunk_size: int = DEFAULT_CHUNK_SIZE
+    chunk_overlap: int = DEFAULT_CHUNK_OVERLAP
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -123,14 +134,7 @@ class RunConfig:
         if b.type == "http":
             if not b.endpoint or not b.model:
                 raise ConfigError("http backend requires backend.endpoint and backend.model")
-            return HttpChatBackend(
-                HttpBackendConfig(
-                    endpoint=b.endpoint,
-                    model=b.model,
-                    api_key_env=b.api_key_env,
-                    timeout_s=b.timeout_s,
-                )
-            )
+            return HttpChatBackend(HttpBackendConfig(b.endpoint, b.model, b.api_key_env, b.timeout_s))
         raise ConfigError(f"unknown backend type {b.type!r}")
 
     def make_checker(self) -> SyntaxChecker:
@@ -140,14 +144,7 @@ class RunConfig:
         if c.kind == "external":
             if not c.command_template:
                 raise ConfigError("external checker requires checker.command_template")
-            patterns = [
-                DiagnosticPattern(
-                    pattern=p["pattern"],
-                    severity=p.get("severity", "error"),
-                    code=p.get("code", "external-tool"),
-                )
-                for p in c.patterns
-            ] or None
+            patterns = [DiagnosticPattern(**p) for p in c.patterns] or None
             return ExternalChecker(c.command_template, patterns, c.timeout_s)
         raise ConfigError(f"unknown checker kind {c.kind!r}")
 
@@ -164,41 +161,78 @@ class RunConfig:
         return templates
 
 
-def _update_dataclass(obj, data: dict, path: str) -> None:
+def _accepted(hint) -> tuple[tuple[type, ...], tuple[type, ...] | None]:
+    """(value types, list item types or None) that a field annotation
+    accepts, matched by exact type: a bool is never an int, an int is
+    accepted for a float and `X | None` accepts null."""
+    origin = typing.get_origin(hint)
+    if origin is list:
+        return (list,), _accepted(typing.get_args(hint)[0])[0]
+    if origin is not None:  # X | None
+        return tuple(t for arg in typing.get_args(hint) for t in _accepted(arg)[0]), None
+    return ((int, float) if hint is float else (hint,)), None
+
+
+def _field_table(cls) -> dict:
+    """Field name -> a section's own table, or (value types, list item
+    types, declared type)."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: _field_table(hints[f.name])
+        if dataclasses.is_dataclass(hints[f.name])
+        else (*_accepted(hints[f.name]), f.type)
+        for f in dataclasses.fields(cls)
+    }
+
+
+def _check(obj, name: str) -> None:
+    """Re-run the range checks of `obj` after its fields were set."""
+    post_init = getattr(obj, "__post_init__", None)
+    try:
+        if post_init is not None:
+            post_init()
+    except ConfigError:
+        raise
+    except ValueError as err:  # SearchParams lives outside config
+        raise ConfigError(f"invalid {name} parameters: {err}") from err
+
+
+def _apply(obj, data, table: dict, path: str) -> None:
+    """Set the fields of `obj` in place from the JSON object `data`,
+    checking every key and value type against `table`."""
+    if type(data) is not dict:
+        raise ConfigError(f"{path or 'config'} must be a JSON object, not {json.dumps(data)}")
+    prefix = f"{path}." if path else ""
     for key, value in data.items():
-        if not hasattr(obj, key):
-            raise ConfigError(f"unknown config key {path}.{key}")
+        spec = table.get(key)
+        if spec is None:
+            raise ConfigError(f"unknown config key {prefix}{key}")
+        if type(spec) is dict:
+            section = getattr(obj, key)
+            _apply(section, value, spec, key)
+            _check(section, key)
+            continue
+        accepted, item_types, declared = spec
+        if type(value) not in accepted or (
+            item_types and any(type(item) not in item_types for item in value)
+        ):
+            raise ConfigError(f"{prefix}{key} must be {declared}, not {json.dumps(value)}")
         setattr(obj, key, value)
 
 
-def config_from_dict(data: dict) -> RunConfig:
-    config = RunConfig()
-    for section, value in data.items():
-        if section == "search":
-            config.search = replace_search(SearchParams(), **value)
-        elif section == "backend":
-            _update_dataclass(config.backend, value, "backend")
-        elif section == "checker":
-            _update_dataclass(config.checker, value, "checker")
-        elif section == "rag":
-            _update_dataclass(config.rag, value, "rag")
-            config.rag.__post_init__()  # range-check the updated fields
-        elif section == "paths":
-            _update_dataclass(config.paths, value, "paths")
-        elif section in (
-            "design_name",
-            "early_stop",
-            "early_stop_score",
-            "max_api_calls_per_signal",
-            "parallel",
-            "templates_dir",
-        ):
-            setattr(config, section, value)
-        else:
-            raise ConfigError(f"unknown config section {section!r}")
-    # re-derive the default budget when rollouts were configured
-    if "max_api_calls_per_signal" not in data:
-        config.max_api_calls_per_signal = default_call_budget(config.search.n_rollouts)
+_RUN_FIELDS = _field_table(RunConfig)  # resolved once, so loading stays cheap
+
+
+def config_from_dict(data: dict, config: RunConfig | None = None) -> RunConfig:
+    """Apply one layer of settings onto `config` (default: a fresh
+    RunConfig) in place; ConfigError on an unknown key, a wrong type or a
+    value out of range. A layer that sets search.n_rollouts but not
+    max_api_calls_per_signal re-derives the budget."""
+    config = config if config is not None else RunConfig()
+    _apply(config, data, _RUN_FIELDS, "")
+    if "n_rollouts" in data.get("search", ()) and "max_api_calls_per_signal" not in data:
+        config.max_api_calls_per_signal = None  # __post_init__ derives it again
+    _check(config, "run")
     return config
 
 
@@ -210,9 +244,4 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config file: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file is not valid JSON: {err}") from err
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
-    try:
-        return config_from_dict(data)
-    except TypeError as err:
-        raise ConfigError(str(err)) from err
+    return config_from_dict(data)

@@ -529,6 +529,30 @@ def _read(path: str, what: str) -> str:
         raise StageError(f"cannot read {what} file {path!r}: {err}") from err
 
 
+def build_bank(
+    config: RunConfig,
+    backend: ChatBackend,
+    ledger: CallLedger,
+    templates: dict[str, PromptTemplate] | None = None,
+) -> tuple[InformationBank, list[str]]:
+    """Stage 1 from the input files named in config.paths (specification,
+    Verilog declarations, waveforms, design summary); StageError before any
+    call when a required path is unset or a file cannot be read."""
+    paths = config.paths
+    if not paths.spec_file or not paths.verilog_file:
+        raise StageError("stage 1 needs paths.spec_file and paths.verilog_file")
+    spec_text = _read(paths.spec_file, "specification")
+    verilog_decls = _read(paths.verilog_file, "Verilog declarations")
+    waveform_texts = [_read(p, "waveform") for p in paths.waveform_files]
+    design_summary = (
+        _read(paths.design_summary_file, "design summary") if paths.design_summary_file else ""
+    )
+    return run_stage1(
+        config, backend, spec_text, verilog_decls, waveform_texts, ledger,
+        design_summary, templates,
+    )
+
+
 def run_signal(
     config: RunConfig,
     backend: ChatBackend,
@@ -587,23 +611,7 @@ def run_all(
     if os.path.exists(config.paths.bank_file):
         bank = load_bank(config.paths.bank_file)
     else:
-        paths = config.paths
-        if not paths.spec_file or not paths.verilog_file:
-            raise StageError(
-                "no existing bank file; paths.spec_file and paths.verilog_file are required"
-            )
-        spec_text = _read(paths.spec_file, "specification")
-        verilog_decls = _read(paths.verilog_file, "Verilog declarations")
-        waveform_texts = [_read(p, "waveform") for p in paths.waveform_files]
-        design_summary = (
-            _read(paths.design_summary_file, "design summary")
-            if paths.design_summary_file
-            else ""
-        )
-        bank, stage1_warnings = run_stage1(
-            config, backend, spec_text, verilog_decls, waveform_texts, ledger,
-            design_summary, templates,
-        )
+        bank, stage1_warnings = build_bank(config, backend, ledger, templates)
 
     rag_index = None
     if config.rag.index_path and os.path.exists(config.rag.index_path):

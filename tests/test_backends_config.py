@@ -3,7 +3,9 @@ loading, overrides, and factory tests."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 
 import pytest
 
@@ -11,6 +13,8 @@ from svagen.backends import BackendError, HttpBackendConfig, HttpChatBackend
 from svagen.config import ConfigError, RunConfig, config_from_dict, load_config
 from svagen.prompts import DEFAULT_TEMPLATES, load_template
 from svagen.sva.checker import BuiltinChecker, ExternalChecker
+
+DOCS_FORMATS = os.path.join(os.path.dirname(__file__), "..", "docs", "formats.md")
 
 
 class _FakeResponse:
@@ -119,6 +123,72 @@ class TestRunConfig:
     def test_invalid_rag_rejected(self, rag):
         with pytest.raises(ConfigError, match="rag"):
             config_from_dict({"rag": rag})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"parallel": "4"},
+            {"parallel": 0},
+            {"early_stop": "false"},
+            {"early_stop_score": "high"},
+            {"max_api_calls_per_signal": 0},
+            {"paths": {"waveform_files": "wave.txt"}},
+            {"paths": {"waveform_files": [1]}},
+            {"search": {"n_rollouts": 2.5}},
+            {"search": {"n_rollouts": True}},
+            {"rag": {"k": True}},
+            {"rag": {"k": "3"}},
+            {"design_name": None},
+            {"search": "x"},
+            {"backend": {"timeout_s": -1}},
+            {"checker": {"timeout_s": 0}},
+            {"checker": {"patterns": [{"severity": "error"}]}},
+            {"checker": {"patterns": [{"pattern": "x", "severty": "error"}]}},
+            {"checker": {"patterns": [{"pattern": "("}]}},
+        ],
+    )
+    def test_invalid_value_rejected(self, data):
+        with pytest.raises(ConfigError):
+            config_from_dict(data)
+
+    def test_non_object_config_rejected(self):
+        with pytest.raises(ConfigError):
+            config_from_dict([])
+
+    def test_number_types(self):
+        config = config_from_dict(
+            {"search": {"c": 2, "score_cap": 90}, "early_stop_score": 80, "max_api_calls_per_signal": None}
+        )
+        # an int is accepted for a float and kept as given
+        assert (config.search.c, config.search.score_cap, config.early_stop_score) == (2, 90, 80)
+        assert type(config.search.c) is int
+        assert config.max_api_calls_per_signal == 20  # null: derived
+
+    def test_layer_with_rollouts_rederives_budget(self):
+        base = config_from_dict({"search": {"c": 2.0}, "max_api_calls_per_signal": 99})
+        config = config_from_dict({"search": {"n_rollouts": 1}}, base)
+        assert config.max_api_calls_per_signal == 8  # 2 + 4*1 + 2
+        assert config.search.c == 2.0  # the base layer's other values stay
+
+    def test_layer_without_rollouts_keeps_budget(self):
+        base = config_from_dict({"max_api_calls_per_signal": 99})
+        config = config_from_dict({"parallel": 2}, base)
+        assert (config.max_api_calls_per_signal, config.parallel) == (99, 2)
+
+    def test_docs_example_names_every_field_and_loads(self):
+        """The example under "Run configuration" in docs/formats.md loads
+        and names every config field, so a new field must be documented."""
+        with open(DOCS_FORMATS, encoding="utf-8") as f:
+            docs = f.read()
+        section = docs[docs.index("## Run configuration") :]
+        example = json.loads(section[section.index("```json") + 7 : section.index("```\n")])
+        config = config_from_dict(example)
+        assert config.backend.type in ("scripted", "http")
+        assert config.checker.kind in ("builtin", "external")
+        for name, value in vars(config).items():
+            assert name in example, name
+            if dataclasses.is_dataclass(value):
+                assert set(example[name]) == {f.name for f in dataclasses.fields(value)}, name
 
     def test_valid_rag_kept(self):
         config = config_from_dict({"rag": {"k": 1, "chunk_size": 10, "chunk_overlap": 0}})

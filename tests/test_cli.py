@@ -172,6 +172,35 @@ class TestRun:
         assert calls == []
         assert "rag." in capsys.readouterr().err
 
+    def test_parallel_zero_override_exit_two(self, tmp_path, monkeypatch, capsys):
+        calls = record_backend_calls(monkeypatch)
+        save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
+        config = write_config(tmp_path, one_signal_entries())
+        assert main(["run", "--config", config, "--parallel", "0"]) == 2
+        assert calls == []
+        assert "parallel" in capsys.readouterr().err
+
+    def test_string_parallel_fails_before_stage_one(self, tmp_path, monkeypatch, capsys):
+        calls = record_backend_calls(monkeypatch)
+        (tmp_path / "spec.txt").write_text("ack_o acknowledges req_i requests")
+        (tmp_path / "design.v").write_text("module m(input req_i, output ack_o); endmodule")
+        paths = {
+            "spec_file": str(tmp_path / "spec.txt"),
+            "verilog_file": str(tmp_path / "design.v"),
+            "bank_file": str(tmp_path / "bank.json"),
+            "output_dir": str(tmp_path / "out"),
+        }
+        entries = [
+            {"response": "req_i: request\nack_o: acknowledge"},
+            {"response": "[Signal Name]: req_i\n[Description]: request"},
+            {"response": "[Signal Name]: ack_o\n[Description]: acknowledge"},
+        ]
+        config = write_config(tmp_path, entries, extra={"paths": paths, "parallel": "4"})
+        assert main(["run", "--config", config]) == 2
+        assert calls == []
+        assert not os.path.exists(tmp_path / "bank.json")
+        assert "parallel" in capsys.readouterr().err
+
     def test_path_like_signal_name_exit_two(self, tmp_path, monkeypatch):
         calls = record_backend_calls(monkeypatch)
         bank = make_bank(["ack_o"]).to_dict()
@@ -243,6 +272,20 @@ class TestRagBuild:
         assert main(["rag", "build", str(docs), "--out", str(out_path)]) == 0
         assert out_path.exists()
         assert "chunks" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags", [["--chunk-size", "0"], ["--chunk-size", "100", "--chunk-overlap", "100"]]
+    )
+    def test_invalid_chunking_exit_two(self, tmp_path, monkeypatch, capsys, flags):
+        calls = record_backend_calls(monkeypatch)
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "guide.txt").write_text("how to write assertions " * 100)
+        out_path = tmp_path / "index.json"
+        assert main(["rag", "build", str(docs), "--out", str(out_path), *flags]) == 2
+        assert calls == []
+        assert not out_path.exists()
+        assert "rag." in capsys.readouterr().err
 
 
 class TestTreeShow:
