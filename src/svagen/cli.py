@@ -96,7 +96,10 @@ def _cmd_bank_build(args: argparse.Namespace) -> int:
 
 def _cmd_rag_build(args: argparse.Namespace) -> int:
     rag = RagSettings(**_set(chunk_size=args.chunk_size, chunk_overlap=args.chunk_overlap))
-    embedder = HashedBowEmbedder(**_set(dimension=args.dimension))
+    try:
+        embedder = HashedBowEmbedder(**_set(dimension=args.dimension))
+    except ValueError as err:
+        raise ConfigError(f"--dimension: {err}") from err
     index = build_index_from_dir(args.directory, embedder, rag.chunk_size, rag.chunk_overlap)
     index.save(args.out)
     print(f"index written to {args.out}: {len(index)} chunks, dimension {index.dimension}")

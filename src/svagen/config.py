@@ -65,6 +65,8 @@ class CheckerSettings:
     def __post_init__(self) -> None:
         if self.timeout_s <= 0:
             raise ConfigError("checker.timeout_s must be positive")
+        if self.command_template and "{file}" not in self.command_template:
+            raise ConfigError("checker.command_template must contain a {file} placeholder")
         for p in self.patterns:  # DiagnosticPattern fields: pattern, optional severity, code
             keys_ok = p.keys() - {"severity", "code"} == {"pattern"}
             if not keys_ok or any(type(v) is not str for v in p.values()):

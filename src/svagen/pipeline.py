@@ -43,9 +43,9 @@ from svagen.bank import (
     map_signals,
     save_bank,
 )
-from svagen.config import RunConfig
+from svagen.config import ConfigError, RunConfig
 from svagen.prompts import PromptTemplate
-from svagen.rag import HashedBowEmbedder, VectorIndex, format_context
+from svagen.rag import DEFAULT_DIMENSION, HashedBowEmbedder, VectorIndex, format_context
 from svagen.sva.checker import (
     AssertionRecord,
     MemoChecker,
@@ -261,7 +261,9 @@ def run_stage2(
     excerpt = signal.describe()
     warnings: list[str] = []
     critiques: list[dict] = []
-    embedder = embedder or HashedBowEmbedder()
+    if embedder is None and rag_index is not None:
+        # queries embed in the index's dimension; an index with no chunks has none yet
+        embedder = HashedBowEmbedder(rag_index.dimension or DEFAULT_DIMENSION)
     rag_context: str | None = None  # set at the first refine step
 
     def scored_critique(node_id: int, phase: str, answer: AnswerContent, syntax_log: str):
@@ -600,22 +602,29 @@ def run_all(
     (resumability); stages 2-3 run per signal, in parallel up to
     config.parallel. Per-signal failures are isolated and reported in the
     summary. The checker is memoized for this run only: each distinct
-    assertion text is checked once.
+    assertion text is checked once. The retrieval index is loaded first: a
+    file that `VectorIndex.load` rejects raises ConfigError before any call.
     """
     backend = backend if backend is not None else config.make_backend()
     checker = MemoChecker(checker if checker is not None else config.make_checker())
     templates = config.load_templates()
     ledger = CallLedger(config.max_api_calls_per_signal)
 
+    rag_index = None  # loaded before stage 1, so a bad file costs no call
+    if config.rag.index_path and os.path.exists(config.rag.index_path):
+        try:
+            rag_index = VectorIndex.load(config.rag.index_path)
+        except ValueError as err:
+            raise ConfigError(
+                f"cannot use rag index {config.rag.index_path}: {err}; "
+                "rebuild it with `svagen rag build`"
+            ) from err
+
     stage1_warnings: list[str] = []
     if os.path.exists(config.paths.bank_file):
         bank = load_bank(config.paths.bank_file)
     else:
         bank, stage1_warnings = build_bank(config, backend, ledger, templates)
-
-    rag_index = None
-    if config.rag.index_path and os.path.exists(config.rag.index_path):
-        rag_index = VectorIndex.load(config.rag.index_path)
 
     signal_names = [s.verilog_name for s in bank.signals]
     if only_signal is not None:

@@ -8,6 +8,7 @@ real embedding services plug in through the Embedder protocol.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
@@ -35,8 +36,9 @@ class HashedBowEmbedder:
     """Deterministic hashed bag-of-words with L2 normalization.
 
     Token buckets come from md5, not the builtin hash(), so embeddings are
-    identical across processes and platforms. Non-empty text always embeds
-    to a non-zero vector (textless input falls back to hashing the raw
+    identical across processes and platforms; each distinct token is hashed
+    once per embedder and its bucket kept. Non-empty text always embeds to
+    a non-zero vector (textless input falls back to hashing the raw
     string).
     """
 
@@ -44,18 +46,19 @@ class HashedBowEmbedder:
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
-
-    def _bucket(self, token: str) -> int:
-        digest = hashlib.md5(token.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.dimension
+        self._buckets: dict[str, int] = {}
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
         tokens = _WORD_RE.findall(text.lower())
         if not tokens and text:
             tokens = [text]
-        for token in tokens:
-            vec[self._bucket(token)] += 1.0
+        buckets = self._buckets
+        for token in set(tokens).difference(buckets):
+            digest = hashlib.md5(token.encode("utf-8")).digest()
+            buckets[token] = int.from_bytes(digest[:8], "big") % self.dimension
+        # integer counts, so the float64 vector equals one built by += 1.0
+        counts = np.bincount([buckets[t] for t in tokens], minlength=self.dimension)
+        vec = counts.astype(np.float64)
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm
@@ -73,14 +76,6 @@ class RagChunk:
 
     def __post_init__(self) -> None:
         self.norm = np.linalg.norm(self.vector)
-
-    def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "chunk_index": self.chunk_index,
-            "text": self.text,
-            "vector": self.vector.tolist(),
-        }
 
 
 def chunk_spans(doc_text: str, size: int, overlap: int) -> list[tuple[int, int]]:
@@ -174,32 +169,62 @@ class VectorIndex:
     # -- persistence
 
     def save(self, path: str) -> None:
-        """Write the index as compact JSON: `json.dumps` without `indent`
-        runs in the C encoder. `load` reads any whitespace."""
+        """Write the index as compact JSON: the chunk texts, and all vectors
+        as one base64 little-endian float64 `count x dimension` matrix,
+        row-major. `load` reads any whitespace."""
         payload = {
             "dimension": self.dimension,
             "count": len(self.chunks),
-            "chunks": [c.to_dict() for c in self.chunks],
+            "chunks": [
+                {"doc_id": c.doc_id, "chunk_index": c.chunk_index, "text": c.text}
+                for c in self.chunks
+            ],
+            "vectors": base64.b64encode(
+                b"".join(np.asarray(c.vector, dtype="<f8").tobytes() for c in self.chunks)
+            ).decode("ascii"),
         }
         with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps(payload, sort_keys=True) + "\n")
+            # two writes: `text + "\n"` would copy the whole file once more
+            f.write(json.dumps(payload, sort_keys=True))
+            f.write("\n")
 
     @classmethod
     def load(cls, path: str) -> VectorIndex:
+        """Read a file written by `save`. ValueError when it is not one:
+        invalid JSON, a missing field (the older layout, with a `vector` per
+        chunk, has no `vectors`), or a chunk list or vector byte length that
+        does not match `count` and `dimension`."""
         with open(path, encoding="utf-8") as f:
             payload = json.load(f)
-        index = cls(dimension=payload["dimension"])
-        for c in payload["chunks"]:
-            index.chunks.append(
-                RagChunk(
-                    doc_id=c["doc_id"],
-                    chunk_index=c["chunk_index"],
-                    text=c["text"],
-                    vector=np.array(c["vector"], dtype=np.float64),
-                )
-            )
-        if len(index.chunks) != payload["count"]:
+        fields = ("dimension", "count", "chunks", "vectors")
+        if type(payload) is not dict or any(key not in payload for key in fields):
+            raise ValueError(f"index file needs the fields {', '.join(fields)}")
+        dimension, count, chunks, vectors = (payload[key] for key in fields)
+        if type(count) is not int or count < 0:
+            raise ValueError(f"index count must be a non-negative integer, not {count!r}")
+        # the first add fixes the dimension, so an index with no chunks may have none
+        if not (type(dimension) is int and dimension >= 1 or dimension is None and count == 0):
+            raise ValueError(f"index dimension must be a positive integer, not {dimension!r}")
+        if type(chunks) is not list or len(chunks) != count:
             raise ValueError("index file count does not match stored chunks")
+        if type(vectors) is not str:
+            raise ValueError("index vectors must be a base64 string")
+        raw = base64.b64decode(vectors, validate=True)
+        width = dimension or 0
+        if len(raw) != count * width * 8:
+            raise ValueError(
+                f"index vectors hold {len(raw)} bytes, not count x dimension x 8 = {count * width * 8}"
+            )
+        # one aligned native copy; each chunk's vector is a row of it
+        matrix = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(count, width)
+        index = cls(dimension=dimension)
+        try:
+            index.chunks = [
+                RagChunk(c["doc_id"], c["chunk_index"], c["text"], row)
+                for c, row in zip(chunks, matrix)
+            ]
+        except (KeyError, TypeError) as err:
+            raise ValueError(f"malformed index chunk: {err!r}") from err
         return index
 
 

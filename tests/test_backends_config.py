@@ -145,6 +145,7 @@ class TestRunConfig:
             {"checker": {"patterns": [{"severity": "error"}]}},
             {"checker": {"patterns": [{"pattern": "x", "severty": "error"}]}},
             {"checker": {"patterns": [{"pattern": "("}]}},
+            {"checker": {"kind": "external", "command_template": "jg-lint"}},
         ],
     )
     def test_invalid_value_rejected(self, data):

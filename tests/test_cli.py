@@ -3,14 +3,17 @@ failures, 2 config/stage errors)."""
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 
+import numpy as np
 import pytest
 
 from svagen.backends import ScriptedBackend
 from svagen.bank import save_bank
 from svagen.cli import main
+from svagen.rag import HashedBowEmbedder, VectorIndex
 
 from conftest import (
     VALID_BARE_ASSERT,
@@ -59,6 +62,24 @@ def one_signal_entries(signal="ack_o"):
     ]
 
 
+def write_stage_one_config(tmp_path, extra=None) -> str:
+    """A config whose run starts with stage 1 (spec and Verilog, no bank)."""
+    (tmp_path / "spec.txt").write_text("ack_o acknowledges req_i requests")
+    (tmp_path / "design.v").write_text("module m(input req_i, output ack_o); endmodule")
+    paths = {
+        "spec_file": str(tmp_path / "spec.txt"),
+        "verilog_file": str(tmp_path / "design.v"),
+        "bank_file": str(tmp_path / "bank.json"),
+        "output_dir": str(tmp_path / "out"),
+    }
+    entries = [
+        {"response": "req_i: request\nack_o: acknowledge"},
+        {"response": "[Signal Name]: req_i\n[Description]: request"},
+        {"response": "[Signal Name]: ack_o\n[Description]: acknowledge"},
+    ]
+    return write_config(tmp_path, entries, extra={"paths": paths, **(extra or {})})
+
+
 def record_backend_calls(monkeypatch) -> list:
     """Make every scripted backend append the prompts it is sent to a list."""
     calls: list = []
@@ -79,6 +100,31 @@ INVALID_SEARCH_FLAGS = [
     ["--epsilon", "0"],
     ["--score-cap", "500"],
 ]
+
+
+def bad_index_text(case: str) -> str:
+    """An index file that `VectorIndex.load` rejects, made from a valid one."""
+    if case == "invalid json":
+        return "{not json"
+    index = VectorIndex()
+    index.add("guide.txt", ["ack_o acknowledges requests"], HashedBowEmbedder())
+    payload = {
+        "dimension": index.dimension,
+        "count": 1,
+        "chunks": [{"doc_id": "guide.txt", "chunk_index": 0, "text": index.chunks[0].text}],
+        "vectors": base64.b64encode(index.chunks[0].vector.astype("<f8").tobytes()).decode(),
+    }
+    if case == "old layout":  # a `vector` list per chunk, no `vectors` field
+        del payload["vectors"]
+        payload["chunks"][0]["vector"] = index.chunks[0].vector.tolist()
+    elif case == "wrong byte length":
+        payload["vectors"] = base64.b64encode(np.zeros(511).tobytes()).decode()
+    elif case == "count mismatch":
+        payload["count"] = 2
+    return json.dumps(payload)
+
+
+BAD_INDEX = ["invalid json", "old layout", "wrong byte length", "count mismatch"]
 
 INVALID_RAG = [
     {"k": 0},
@@ -182,24 +228,32 @@ class TestRun:
 
     def test_string_parallel_fails_before_stage_one(self, tmp_path, monkeypatch, capsys):
         calls = record_backend_calls(monkeypatch)
-        (tmp_path / "spec.txt").write_text("ack_o acknowledges req_i requests")
-        (tmp_path / "design.v").write_text("module m(input req_i, output ack_o); endmodule")
-        paths = {
-            "spec_file": str(tmp_path / "spec.txt"),
-            "verilog_file": str(tmp_path / "design.v"),
-            "bank_file": str(tmp_path / "bank.json"),
-            "output_dir": str(tmp_path / "out"),
-        }
-        entries = [
-            {"response": "req_i: request\nack_o: acknowledge"},
-            {"response": "[Signal Name]: req_i\n[Description]: request"},
-            {"response": "[Signal Name]: ack_o\n[Description]: acknowledge"},
-        ]
-        config = write_config(tmp_path, entries, extra={"paths": paths, "parallel": "4"})
+        config = write_stage_one_config(tmp_path, {"parallel": "4"})
         assert main(["run", "--config", config]) == 2
         assert calls == []
         assert not os.path.exists(tmp_path / "bank.json")
         assert "parallel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", BAD_INDEX)
+    def test_bad_index_fails_before_stage_one(self, tmp_path, monkeypatch, capsys, case):
+        calls = record_backend_calls(monkeypatch)
+        index_path = tmp_path / "index.json"
+        index_path.write_text(bad_index_text(case))
+        config = write_stage_one_config(tmp_path, {"rag": {"index_path": str(index_path)}})
+        assert main(["run", "--config", config]) == 2
+        assert calls == []
+        assert not os.path.exists(tmp_path / "bank.json")
+        err = capsys.readouterr().err
+        assert str(index_path) in err and "svagen rag build" in err
+
+    def test_external_template_without_placeholder_exit_two(self, tmp_path, monkeypatch, capsys):
+        calls = record_backend_calls(monkeypatch)
+        save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
+        checker = {"kind": "external", "command_template": "jg-lint"}
+        config = write_config(tmp_path, one_signal_entries(), extra={"checker": checker})
+        assert main(["run", "--config", config]) == 2
+        assert calls == []
+        assert "{file}" in capsys.readouterr().err
 
     def test_path_like_signal_name_exit_two(self, tmp_path, monkeypatch):
         calls = record_backend_calls(monkeypatch)
@@ -286,6 +340,15 @@ class TestRagBuild:
         assert calls == []
         assert not out_path.exists()
         assert "rag." in capsys.readouterr().err
+
+    def test_invalid_dimension_exit_two(self, tmp_path, capsys):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "guide.txt").write_text("how to write assertions " * 100)
+        out_path = tmp_path / "index.json"
+        assert main(["rag", "build", str(docs), "--out", str(out_path), "--dimension", "0"]) == 2
+        assert not out_path.exists()
+        assert "--dimension" in capsys.readouterr().err
 
 
 class TestTreeShow:

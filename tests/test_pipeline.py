@@ -684,6 +684,21 @@ class TestRetrievalOncePerSignal:
         assert sorted(queries) == ["sig_a sig_a handshake output", "sig_b sig_b handshake output"]
 
 
+    def test_run_all_queries_an_index_of_another_dimension(self, tmp_path):
+        from svagen.bank import save_bank
+
+        config = config_for(tmp_path, n_rollouts=4, early_stop=False)
+        config.rag.index_path = str(tmp_path / "index.json")
+        index = VectorIndex()
+        index.add("guide.txt", [self.REFERENCE], HashedBowEmbedder(dimension=64))
+        index.save(config.rag.index_path)
+        save_bank(make_bank(["ack_o"]), config.paths.bank_file)
+        backend = PromptRecordingBackend(full_signal_script("ack_o"))
+        summary = run_all(config, backend=backend)
+        assert not summary.failed_signals
+        assert sum(self.REFERENCE in p for p in backend.prompts) == 4
+
+
 class CountingChecker:
     def __init__(self) -> None:
         self.texts: Counter[str] = Counter()

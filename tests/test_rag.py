@@ -3,7 +3,10 @@ determinism, and index queries checked against a brute-force scan."""
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +86,21 @@ class TestChunk:
         assert rebuilt == text
 
 
+def reference_embed(text: str, dimension: int) -> np.ndarray:
+    """The embedder's definition, one md5 and one += 1.0 per token."""
+    vec = np.zeros(dimension, dtype=np.float64)
+    tokens = re.findall(r"[a-z0-9_$]+", text.lower())
+    if not tokens and text:
+        tokens = [text]
+    for token in tokens:
+        digest = hashlib.md5(token.encode("utf-8")).digest()
+        vec[int.from_bytes(digest[:8], "big") % dimension] += 1.0
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
+    return vec
+
+
 class TestEmbedder:
     def test_deterministic(self):
         e1, e2 = HashedBowEmbedder(), HashedBowEmbedder()
@@ -100,6 +118,29 @@ class TestEmbedder:
 
     def test_dimension(self):
         assert HashedBowEmbedder(dimension=64).embed("x").shape == (64,)
+
+    @pytest.mark.parametrize("dimension", [1, 7, 512])
+    def test_equals_per_token_loop(self, dimension):
+        texts = [
+            "",
+            "!!! ???",  # no word tokens: the raw string is the one token
+            "ack ack ack req ACK",  # repeated tokens, case folded
+            "the reset signal rst_n is active low; rst_n deasserts after $rose(clk)",
+            "ack req",  # tokens the embedder has already bucketed
+            "!!! ???",
+        ]
+        e = HashedBowEmbedder(dimension)
+        for text in texts:
+            got = e.embed(text)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, reference_embed(text, dimension))
+
+    @given(texts=st.lists(st.text(alphabet=st.sampled_from("ab_$ 9!\nÄ"), max_size=40), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_one_embedder_equals_per_token_loop(self, texts):
+        e = HashedBowEmbedder(dimension=13)
+        for text in texts:
+            assert np.array_equal(e.embed(text), reference_embed(text, 13))
 
 
 class TestIndex:
@@ -223,12 +264,9 @@ class TestPersistence:
         e = HashedBowEmbedder(dimension=32)
         index = VectorIndex()
         index.add("doc", ["alpha", "beta"], e)
-        payload = {
-            "dimension": index.dimension,
-            "count": len(index),
-            "chunks": [c.to_dict() for c in index.chunks],
-        }
         path = tmp_path / "index.json"
+        index.save(str(path))
+        payload = json.loads(path.read_text())
         with open(path, "w") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -240,6 +278,46 @@ class TestPersistence:
         assert [(c.text, s) for c, s in loaded.query("beta", 2, e)] == [
             (c.text, s) for c, s in index.query("beta", 2, e)
         ]
+
+    def test_file_layout(self, tmp_path):
+        e = HashedBowEmbedder(dimension=16)
+        index = VectorIndex()
+        index.add("doc", ["alpha beta", "gamma"], e)
+        path = tmp_path / "index.json"
+        index.save(str(path))
+        payload = json.loads(path.read_text())
+        assert payload["count"] == 2 and payload["dimension"] == 16
+        assert payload["chunks"] == [
+            {"doc_id": "doc", "chunk_index": 0, "text": "alpha beta"},
+            {"doc_id": "doc", "chunk_index": 1, "text": "gamma"},
+        ]
+        raw = base64.b64decode(payload["vectors"])
+        assert len(raw) == 2 * 16 * 8
+        rows = np.frombuffer(raw, dtype="<f8").reshape(2, 16)  # little-endian, row-major
+        assert np.array_equal(rows, np.stack([c.vector for c in index.chunks]))
+
+    @pytest.mark.parametrize("dimension", [37, 512])
+    def test_loaded_copy_answers_queries_identically(self, tmp_path, dimension):
+        e = HashedBowEmbedder(dimension=dimension)
+        rng = np.random.default_rng(11)
+        words = ["clk", "rst_n", "ack", "req", "data", "fifo", "full", "empty", "irq", "$rose"]
+        index = VectorIndex()
+        for d in range(4):
+            texts = [" ".join(rng.choice(words, size=rng.integers(1, 9))) for _ in range(30)]
+            index.add(f"doc{d}.txt", texts, e)
+        path = str(tmp_path / "index.json")
+        index.save(path)
+        loaded = VectorIndex.load(path)
+        for query in ["ack req", "fifo full empty", "clk", "nothing matches", "", "!!!"]:
+            want = [(c.doc_id, c.chunk_index, sim) for c, sim in index.query(query, 120, e)]
+            got = [(c.doc_id, c.chunk_index, sim) for c, sim in loaded.query(query, 120, e)]
+            assert got == want
+
+    def test_empty_index_round_trip(self, tmp_path):
+        path = str(tmp_path / "index.json")
+        VectorIndex().save(path)
+        loaded = VectorIndex.load(path)
+        assert len(loaded) == 0 and loaded.dimension is None
 
     def test_build_from_dir(self, tmp_path):
         (tmp_path / "a.txt").write_text("assertion writing guide " * 50)
