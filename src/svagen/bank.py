@@ -12,6 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
+from svagen import read_text
 from svagen.backends import ChatBackend
 from svagen.prompts import DEFAULT_TEMPLATES, PromptTemplate, render_prompt
 
@@ -408,11 +409,10 @@ def save_bank(bank: InformationBank, path: str) -> None:
 
 
 def load_bank(path: str) -> InformationBank:
-    with open(path, encoding="utf-8") as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as err:
-            raise BankLoadError(f"bank: invalid JSON ({err})") from err
+    try:
+        raw = json.loads(read_text(path, "bank", BankLoadError))
+    except json.JSONDecodeError as err:
+        raise BankLoadError(f"bank: invalid JSON ({err})") from err
     if not isinstance(raw, dict):
         raise BankLoadError("bank: expected a JSON object")
     return bank_from_dict(raw)

@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+from svagen import read_text
 from svagen.agents import split_assertion_units
 from svagen.bank import BankLoadError, StageError
 from svagen.config import ConfigError, RagSettings, config_from_dict, load_config
-from svagen.pipeline import CallLedger, build_bank, run_all
+from svagen.pipeline import CallLog, build_bank, run_all
 from svagen.rag import HashedBowEmbedder, build_index_from_dir
 from svagen.sva.checker import AssertionRecord, BuiltinChecker, format_log
 from svagen.tree import ReasoningTree
@@ -83,13 +84,13 @@ def _cmd_bank_build(args: argparse.Namespace) -> int:
     )
     config = config_from_dict({"paths": paths}, load_config(args.config) if args.config else None)
     backend = config.make_backend()
-    ledger = CallLedger(config.max_api_calls_per_signal)
-    bank, warnings = build_bank(config, backend, ledger, config.load_templates())
+    log = CallLog("stage 1")
+    bank, warnings = build_bank(config, backend, log, config.load_templates())
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(
         f"bank written to {config.paths.bank_file}: {len(bank.signals)} signals, "
-        f"{len(bank.waveforms)} waveforms, {ledger.stage1_total()} calls"
+        f"{len(bank.waveforms)} waveforms, {len(log)} calls"
     )
     return 0
 
@@ -100,7 +101,10 @@ def _cmd_rag_build(args: argparse.Namespace) -> int:
         embedder = HashedBowEmbedder(**_set(dimension=args.dimension))
     except ValueError as err:
         raise ConfigError(f"--dimension: {err}") from err
-    index = build_index_from_dir(args.directory, embedder, rag.chunk_size, rag.chunk_overlap)
+    try:
+        index = build_index_from_dir(args.directory, embedder, rag.chunk_size, rag.chunk_overlap)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     index.save(args.out)
     print(f"index written to {args.out}: {len(index)} chunks, dimension {index.dimension}")
     return 0
@@ -131,8 +135,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    with open(args.file, encoding="utf-8") as f:
-        source = f.read()
+    source = read_text(args.file, "assertion", ConfigError)
     unit_texts = split_assertion_units(source)
     if not unit_texts and source.strip():
         unit_texts = [source]
@@ -164,8 +167,7 @@ def _render_tree(tree: ReasoningTree) -> str:
 
 
 def _cmd_tree_show(args: argparse.Namespace) -> int:
-    with open(args.artifact, encoding="utf-8") as f:
-        tree = ReasoningTree.loads(f.read())
+    tree = ReasoningTree.loads(read_text(args.artifact, "tree", ConfigError))
     print(_render_tree(tree))
     return 0
 

@@ -14,6 +14,7 @@ import re
 import typing
 from dataclasses import dataclass, field
 
+from svagen import read_text
 from svagen.backends import (
     ChatBackend,
     HttpBackendConfig,
@@ -159,7 +160,10 @@ class RunConfig:
                 key = name[: -len(".txt")]
                 if key not in templates:
                     raise ConfigError(f"unknown template file {name!r}")
-                templates[key] = load_template(os.path.join(self.templates_dir, name))
+                try:
+                    templates[key] = load_template(os.path.join(self.templates_dir, name))
+                except ValueError as err:
+                    raise ConfigError(f"template file {name!r}: {err}") from err
         return templates
 
 
@@ -240,10 +244,7 @@ def config_from_dict(data: dict, config: RunConfig | None = None) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except OSError as err:
-        raise ConfigError(f"cannot read config file: {err}") from err
+        data = json.loads(read_text(path, "config", ConfigError))
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file is not valid JSON: {err}") from err
     return config_from_dict(data)

@@ -7,22 +7,25 @@ feedback, critic evaluation of the new node with score suppression, and Q
 backpropagation). Stage 3 pools all tree nodes, partitions by syntax,
 corrects, and deduplicates into the final assertion set.
 
-Call accounting is enforced per signal: 2 calls for the initial node,
-4 per rollout, up to 2 for combination. The ledger raises rather than
-exceed the cap, so a blown budget is always an orchestration bug surfacing
-loudly, never silent overdraft.
+Every LLM call is charged once to a `CallLog`: one per signal, capped at
+the per-signal budget (`config.default_call_budget`), and one for stage 1.
+The ledger counts, the critique records and the summary totals are all
+read from those logs. A capped log raises rather than exceed its cap, so a
+blown budget is always an orchestration bug surfacing loudly, never silent
+overdraft.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from svagen import read_text
 from svagen.agents import (
+    CritiqueResult,
     ScoreParseError,
     correct_syntax,
     critique,
@@ -66,82 +69,65 @@ class RolloutAborted(RuntimeError):
     no budget for the retry); the tree so far is kept."""
 
 
-class CallLedger:
-    """Thread-safe call accounting.
-
-    Stage-1 analyzer calls are tracked per role at design level; stage-2/3
-    calls are tracked per signal and capped at max_per_signal, matching the
-    per-signal budget 2 + 4*n_rollouts + 2.
-    """
-
-    def __init__(self, max_per_signal: int) -> None:
-        self.max_per_signal = max_per_signal
-        self._stage1: Counter[str] = Counter()
-        self._per_signal: dict[str, Counter[str]] = {}
-        self._lock = threading.Lock()
-
-    def charge_stage1(self, role: str) -> None:
-        with self._lock:
-            self._stage1[role] += 1
-
-    def charge(self, signal: str, role: str) -> None:
-        with self._lock:
-            counter = self._per_signal.setdefault(signal, Counter())
-            if sum(counter.values()) + 1 > self.max_per_signal:
-                raise BudgetExceededError(
-                    f"signal {signal!r} would exceed {self.max_per_signal} calls"
-                )
-            counter[role] += 1
-
-    def can_charge(self, signal: str, n: int = 1) -> bool:
-        with self._lock:
-            counter = self._per_signal.get(signal, Counter())
-            return sum(counter.values()) + n <= self.max_per_signal
-
-    def signal_total(self, signal: str) -> int:
-        with self._lock:
-            return sum(self._per_signal.get(signal, Counter()).values())
-
-    def signal_slice(self, signal: str) -> dict[str, int]:
-        with self._lock:
-            return dict(sorted(self._per_signal.get(signal, Counter()).items()))
-
-    def stage1_total(self) -> int:
-        with self._lock:
-            return sum(self._stage1.values())
-
-    def total_calls(self) -> int:
-        with self._lock:
-            return sum(self._stage1.values()) + sum(
-                sum(c.values()) for c in self._per_signal.values()
-            )
-
-    def to_dict(self) -> dict:
-        with self._lock:
-            return {
-                "max_per_signal": self.max_per_signal,
-                "stage1": dict(sorted(self._stage1.items())),
-                "signals": {
-                    name: dict(sorted(counter.items()))
-                    for name, counter in sorted(self._per_signal.items())
-                },
-                "total_calls": sum(self._stage1.values())
-                + sum(sum(c.values()) for c in self._per_signal.values()),
-            }
-
-
 @dataclass
-class Stage2Result:
-    tree: ReasoningTree
-    warnings: list[str] = field(default_factory=list)
-    # every scored critic call, for post-hoc review: feedback is not fed
-    # forward during evaluation but it is kept in the run artifacts
-    critiques: list[dict] = field(default_factory=list)
+class CallEvent:
+    """One LLM call. Critic calls name the node and search phase they
+    score, and carry the critique once its score parsed."""
+
+    role: str
+    node: int | None = None
+    phase: str | None = None
+    critique: CritiqueResult | None = None
+
+
+class CallLog:
+    """The LLM calls of one signal, or of stage 1 when `cap` is None, in
+    call order. Each log has one writer thread."""
+
+    def __init__(self, name: str, cap: int | None = None) -> None:
+        self.name = name
+        self.cap = cap
+        self.events: list[CallEvent] = []
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def can_charge(self, n: int = 1) -> bool:
+        return self.cap is None or len(self.events) + n <= self.cap
+
+    def charge(self, role: str, node: int | None = None, phase: str | None = None) -> CallEvent:
+        if not self.can_charge():
+            raise BudgetExceededError(f"signal {self.name!r} would exceed {self.cap} calls")
+        event = CallEvent(role, node, phase)
+        self.events.append(event)
+        return event
+
+    def counts(self) -> dict[str, int]:
+        return dict(sorted(Counter(e.role for e in self.events).items()))
+
+    def critiques(self) -> list[dict]:
+        """Every critic call whose score parsed, for post-hoc review: the
+        feedback is not fed forward during evaluation."""
+        return [
+            {
+                "node": e.node,
+                "phase": e.phase,
+                "raw_score": e.critique.raw_score,
+                "suppressed_score": e.critique.suppressed_score,
+                "feedback": e.critique.feedback,
+            }
+            for e in self.events
+            if e.critique is not None
+        ]
 
 
 @dataclass
 class SignalRunResult:
+    """One signal's stages 2 and 3, filled in place by `run_stage2` and
+    `run_stage3`; a failed signal keeps what it produced before failing."""
+
     signal: str
+    log: CallLog
     tree: ReasoningTree | None = None
     a1: list[str] = field(default_factory=list)
     a2: list[str] = field(default_factory=list)
@@ -149,12 +135,13 @@ class SignalRunResult:
     a3: list[str] = field(default_factory=list)
     deduplicated: list[str] = field(default_factory=list)
     syntax_log: str = ""
-    critiques: list[dict] = field(default_factory=list)
-    calls: dict[str, int] = field(default_factory=dict)
-    total_calls: int = 0
     warnings: list[str] = field(default_factory=list)
     failed: bool = False
     error: str | None = None
+
+    @property
+    def total_calls(self) -> int:
+        return len(self.log)
 
     def stage3_dict(self) -> dict:
         return {
@@ -177,7 +164,7 @@ def run_stage1(
     spec_text: str,
     verilog_decls: str,
     waveform_texts: list[str],
-    ledger: CallLedger,
+    log: CallLog,
     design_summary: str = "",
     templates: dict[str, PromptTemplate] | None = None,
 ) -> tuple[InformationBank, list[str]]:
@@ -188,13 +175,13 @@ def run_stage1(
     a warning; zero mapped signals aborts the stage.
     """
     warnings: list[str] = []
-    ledger.charge_stage1("signal_mapper")
+    log.charge("signal_mapper")
     pairs, map_warnings = map_signals(backend, spec_text, verilog_decls, templates)
     warnings += map_warnings
 
     signals = []
     for name, description in pairs:
-        ledger.charge_stage1("spec_analyzer")
+        log.charge("spec_analyzer")
         try:
             info = analyze_signal(backend, spec_text, name, templates)
         except StageError as err:
@@ -208,7 +195,7 @@ def run_stage1(
 
     waveforms = []
     for waveform_text in waveform_texts:
-        ledger.charge_stage1("waveform_analyzer")
+        log.charge("waveform_analyzer")
         summary, wf_warnings = analyze_waveform(backend, spec_text, waveform_text, templates)
         warnings += wf_warnings
         if summary is not None:
@@ -233,25 +220,26 @@ def run_stage2(
     config: RunConfig,
     backend: ChatBackend,
     bank: InformationBank,
-    signal_name: str,
-    ledger: CallLedger,
+    result: SignalRunResult,
     checker: SyntaxChecker,
     rag_index: VectorIndex | None = None,
     embedder=None,
     templates: dict[str, PromptTemplate] | None = None,
-) -> Stage2Result:
-    """Grow the reasoning tree for one signal.
+) -> None:
+    """Grow the reasoning tree for one signal into `result.tree`, charging
+    each call to `result.log`.
 
-    Schedule per rollout (4 calls): re-sample the selected node's score,
-    critic feedback for expansion, refinement, evaluation of the new node.
-    Plus 2 calls up front for the weak root and its evaluation. A score
-    parse failure is retried once (budget permitting), then the rollout is
-    aborted and the partial tree kept.
+    The call schedule is the one `default_call_budget` counts: the weak root
+    and its evaluation, then per rollout a re-sample of the selected node's
+    score, critic feedback for expansion, refinement, and evaluation of the
+    new node. A score parse failure is retried once (budget permitting),
+    then the rollout is aborted and the partial tree kept.
 
     Retrieval runs once per signal: its query text depends only on the
     signal, so the first rollout to reach the refine step queries
     `rag_index` and later rollouts reuse the context.
     """
+    signal_name = result.signal
     try:
         signal = bank.signal(signal_name)
     except KeyError as err:
@@ -259,8 +247,7 @@ def run_stage2(
     params = config.search
     workflow = bank.workflow_info
     excerpt = signal.describe()
-    warnings: list[str] = []
-    critiques: list[dict] = []
+    log, warnings = result.log, result.warnings
     if embedder is None and rag_index is not None:
         # queries embed in the index's dimension; an index with no chunks has none yet
         embedder = HashedBowEmbedder(rag_index.dimension or DEFAULT_DIMENSION)
@@ -268,32 +255,23 @@ def run_stage2(
 
     def scored_critique(node_id: int, phase: str, answer: AnswerContent, syntax_log: str):
         def one_call():
-            ledger.charge(signal_name, "critic")
-            return critique(
+            event = log.charge("critic", node_id, phase)
+            event.critique = critique(
                 backend, signal, excerpt, answer, syntax_log, params, workflow, templates
             )
+            return event.critique
 
         try:
-            result = one_call()
+            return one_call()
         except ScoreParseError as err:
-            if not ledger.can_charge(signal_name):
+            if not log.can_charge():
                 raise RolloutAborted(
                     f"critic score unparseable and no budget left to retry: {err}"
                 ) from err
             try:
-                result = one_call()
+                return one_call()
             except ScoreParseError as err2:
                 raise RolloutAborted(f"critic score unparseable twice: {err2}") from err2
-        critiques.append(
-            {
-                "node": node_id,
-                "phase": phase,
-                "raw_score": result.raw_score,
-                "suppressed_score": result.suppressed_score,
-                "feedback": result.feedback,
-            }
-        )
-        return result
 
     def evaluate(node_id: int, phase: str) -> None:
         node = tree.node(node_id)
@@ -301,19 +279,19 @@ def run_stage2(
         for record in records:
             record.apply_check(checker.check(record.text))
         node.answer.syntax_log = format_log(records)
-        result = scored_critique(node_id, phase, node.answer, node.answer.syntax_log)
-        tree.record_reward(node_id, result.suppressed_score, params)
+        scored = scored_critique(node_id, phase, node.answer, node.answer.syntax_log)
+        tree.record_reward(node_id, scored.suppressed_score, params)
         tree.backpropagate(node_id)
 
-    # initial node: weak answer + its evaluation (2 calls)
-    ledger.charge(signal_name, "sva")
+    # initial node: weak answer + its evaluation, the first two calls of default_call_budget
+    log.charge("sva")
     root_answer = generate_weak_answer(backend, signal, workflow, templates)
-    tree = ReasoningTree(signal_name, root_answer)
+    tree = result.tree = ReasoningTree(signal_name, root_answer)
     try:
         evaluate(tree.root, "root-evaluation")
     except RolloutAborted as err:
         warnings.append(f"root evaluation failed, search skipped: {err}")
-        return Stage2Result(tree, warnings, critiques)
+        return
 
     for rollout in range(1, params.n_rollouts + 1):
         try:
@@ -339,7 +317,7 @@ def run_stage2(
                     if not hits:
                         warnings.append("rag index is empty; refining without reference context")
                 rag_context = format_context(hits)
-            ledger.charge(signal_name, "sva")
+            log.charge("sva")
             new_answer = refine(
                 backend,
                 signal,
@@ -366,8 +344,6 @@ def run_stage2(
                 f"early stop after rollout {rollout}: best node passes all syntax checks"
             )
             break
-
-    return Stage2Result(tree, warnings, critiques)
 
 
 def _early_stop_reached(tree: ReasoningTree, checker: SyntaxChecker, config: RunConfig) -> bool:
@@ -410,36 +386,34 @@ def pool_assertions(tree: ReasoningTree) -> list[tuple[str, int]]:
 def run_stage3(
     config: RunConfig,
     backend: ChatBackend,
-    tree: ReasoningTree,
     bank: InformationBank,
-    signal_name: str,
-    ledger: CallLedger,
+    result: SignalRunResult,
     checker: SyntaxChecker,
     templates: dict[str, PromptTemplate] | None = None,
-) -> SignalRunResult:
-    """Combine all tree nodes into the final assertion set.
+) -> None:
+    """Combine all nodes of `result.tree` into the final assertion set,
+    charging each call to `result.log`.
 
-    At most two calls: syntax correction (skipped when nothing failed) and
-    deduplication (skipped for pools of one or fewer). Corrected texts are
-    re-checked; still-failing ones are dropped with a warning.
+    Two calls at most, the last two that `default_call_budget` counts:
+    syntax correction (skipped when nothing failed) and deduplication
+    (skipped for pools of one or fewer). Corrected texts are re-checked;
+    still-failing ones are dropped with a warning.
     """
-    signal = bank.signal(signal_name)
-    excerpt = signal.describe()
-    warnings: list[str] = []
+    signal_name, log, warnings = result.signal, result.log, result.warnings
+    excerpt = bank.signal(signal_name).describe()
 
     records = [
         AssertionRecord(text=text, signal=signal_name, node_id=node_id)
-        for text, node_id in pool_assertions(tree)
+        for text, node_id in pool_assertions(result.tree)
     ]
     a1_records, a2_records = partition(records, checker)
-    syntax_log = format_log(records)
-    a1 = [r.text for r in a1_records]
-    a2 = [r.text for r in a2_records]
+    result.syntax_log = format_log(records)
+    result.a1 = [r.text for r in a1_records]
+    result.a2 = [r.text for r in a2_records]
 
-    a2_prime: list[str] = []
     if a2_records:
-        if ledger.can_charge(signal_name):
-            ledger.charge(signal_name, "syntax_correction")
+        if log.can_charge():
+            log.charge("syntax_correction")
             corrected = correct_syntax(backend, a2_records, excerpt, signal_name, templates)
             for text in corrected:
                 if any(d.severity == "error" for d in checker.check(text)):
@@ -447,37 +421,23 @@ def run_stage3(
                         f"corrected assertion still fails the checker, dropped: {text[:60]!r}"
                     )
                 else:
-                    a2_prime.append(text)
+                    result.a2_prime.append(text)
         else:
             warnings.append("syntax correction skipped: per-signal call budget exhausted")
 
-    a3 = a1 + a2_prime
-    dedup_input = merge_normalized(a3)
+    result.a3 = result.a1 + result.a2_prime
+    dedup_input = merge_normalized(result.a3)
     if len(dedup_input) <= 1:
-        deduplicated = dedup_input
-    elif ledger.can_charge(signal_name):
-        ledger.charge(signal_name, "deduplication")
-        deduplicated, dedup_warnings = deduplicate(
+        result.deduplicated = dedup_input
+    elif log.can_charge():
+        log.charge("deduplication")
+        result.deduplicated, dedup_warnings = deduplicate(
             backend, dedup_input, excerpt, signal_name, templates
         )
         warnings += dedup_warnings
     else:
-        deduplicated = dedup_input
+        result.deduplicated = dedup_input
         warnings.append("deduplication skipped: per-signal call budget exhausted")
-
-    return SignalRunResult(
-        signal=signal_name,
-        tree=tree,
-        a1=a1,
-        a2=a2,
-        a2_prime=a2_prime,
-        a3=a3,
-        deduplicated=deduplicated,
-        syntax_log=syntax_log,
-        calls=ledger.signal_slice(signal_name),
-        total_calls=ledger.signal_total(signal_name),
-        warnings=warnings,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -488,15 +448,21 @@ def run_stage3(
 class RunSummary:
     design_name: str
     results: list[SignalRunResult]
-    ledger: CallLedger
-    max_api_calls: int
+    stage1: CallLog
+    max_per_signal: int
     stage1_warnings: list[str] = field(default_factory=list)
 
     @property
     def failed_signals(self) -> list[str]:
         return [r.signal for r in self.results if r.failed]
 
+    @property
+    def max_api_calls(self) -> int:
+        return len(self.results) * self.max_per_signal
+
     def to_dict(self) -> dict:
+        results = sorted(self.results, key=lambda r: r.signal)
+        total_calls = len(self.stage1) + sum(r.total_calls for r in results)
         return {
             "design_name": self.design_name,
             "signals": {
@@ -508,49 +474,50 @@ class RunSummary:
                     "failed": r.failed,
                     "error": r.error,
                 }
-                for r in sorted(self.results, key=lambda r: r.signal)
+                for r in results
             },
             "totals": {
-                "signals": len(self.results),
-                "assertions": sum(len(r.deduplicated) for r in self.results),
+                "signals": len(results),
+                "assertions": sum(len(r.deduplicated) for r in results),
                 "failed_signals": len(self.failed_signals),
                 "max_api_calls": self.max_api_calls,
-                "total_llm_calls": self.ledger.total_calls(),
-                "stage1_calls": self.ledger.stage1_total(),
+                "total_llm_calls": total_calls,
+                "stage1_calls": len(self.stage1),
             },
             "stage1_warnings": self.stage1_warnings,
-            "ledger": self.ledger.to_dict(),
+            "ledger": {
+                "max_per_signal": self.max_per_signal,
+                "stage1": self.stage1.counts(),
+                "signals": {r.signal: r.log.counts() for r in results if r.total_calls},
+                "total_calls": total_calls,
+            },
         }
-
-
-def _read(path: str, what: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
-    except OSError as err:
-        raise StageError(f"cannot read {what} file {path!r}: {err}") from err
 
 
 def build_bank(
     config: RunConfig,
     backend: ChatBackend,
-    ledger: CallLedger,
+    log: CallLog,
     templates: dict[str, PromptTemplate] | None = None,
 ) -> tuple[InformationBank, list[str]]:
     """Stage 1 from the input files named in config.paths (specification,
     Verilog declarations, waveforms, design summary); StageError before any
-    call when a required path is unset or a file cannot be read."""
+    call when a required path is unset or a file cannot be read as UTF-8."""
     paths = config.paths
     if not paths.spec_file or not paths.verilog_file:
         raise StageError("stage 1 needs paths.spec_file and paths.verilog_file")
-    spec_text = _read(paths.spec_file, "specification")
-    verilog_decls = _read(paths.verilog_file, "Verilog declarations")
-    waveform_texts = [_read(p, "waveform") for p in paths.waveform_files]
+
+    def read(path: str, what: str) -> str:
+        return read_text(path, what, StageError)
+
+    spec_text = read(paths.spec_file, "specification")
+    verilog_decls = read(paths.verilog_file, "Verilog declarations")
+    waveform_texts = [read(p, "waveform") for p in paths.waveform_files]
     design_summary = (
-        _read(paths.design_summary_file, "design summary") if paths.design_summary_file else ""
+        read(paths.design_summary_file, "design summary") if paths.design_summary_file else ""
     )
     return run_stage1(
-        config, backend, spec_text, verilog_decls, waveform_texts, ledger,
+        config, backend, spec_text, verilog_decls, waveform_texts, log,
         design_summary, templates,
     )
 
@@ -560,34 +527,21 @@ def run_signal(
     backend: ChatBackend,
     bank: InformationBank,
     signal_name: str,
-    ledger: CallLedger,
     checker: SyntaxChecker,
     rag_index: VectorIndex | None = None,
     templates: dict[str, PromptTemplate] | None = None,
 ) -> SignalRunResult:
-    """Stages 2 and 3 for one signal; failures are captured, not raised."""
-    stage2: Stage2Result | None = None
+    """Stages 2 and 3 for one signal, with its own capped call log.
+    Failures are captured, not raised: a failed signal keeps its tree,
+    stage-3 lists, warnings and calls as far as they got."""
+    result = SignalRunResult(signal_name, CallLog(signal_name, config.max_api_calls_per_signal))
     try:
-        stage2 = run_stage2(
-            config, backend, bank, signal_name, ledger, checker, rag_index,
-            templates=templates,
-        )
-        result = run_stage3(
-            config, backend, stage2.tree, bank, signal_name, ledger, checker, templates
-        )
-        result.warnings = stage2.warnings + result.warnings
-        result.critiques = stage2.critiques
-        return result
+        run_stage2(config, backend, bank, result, checker, rag_index, templates=templates)
+        run_stage3(config, backend, bank, result, checker, templates)
     except Exception as err:  # isolation: one signal's failure never spreads
-        return SignalRunResult(
-            signal=signal_name,
-            tree=stage2.tree if stage2 is not None else None,
-            critiques=stage2.critiques if stage2 is not None else [],
-            calls=ledger.signal_slice(signal_name),
-            total_calls=ledger.signal_total(signal_name),
-            failed=True,
-            error=f"{type(err).__name__}: {err}",
-        )
+        result.failed = True
+        result.error = f"{type(err).__name__}: {err}"
+    return result
 
 
 def run_all(
@@ -608,7 +562,7 @@ def run_all(
     backend = backend if backend is not None else config.make_backend()
     checker = MemoChecker(checker if checker is not None else config.make_checker())
     templates = config.load_templates()
-    ledger = CallLedger(config.max_api_calls_per_signal)
+    stage1 = CallLog("stage 1")
 
     rag_index = None  # loaded before stage 1, so a bad file costs no call
     if config.rag.index_path and os.path.exists(config.rag.index_path):
@@ -624,7 +578,7 @@ def run_all(
     if os.path.exists(config.paths.bank_file):
         bank = load_bank(config.paths.bank_file)
     else:
-        bank, stage1_warnings = build_bank(config, backend, ledger, templates)
+        bank, stage1_warnings = build_bank(config, backend, stage1, templates)
 
     signal_names = [s.verilog_name for s in bank.signals]
     if only_signal is not None:
@@ -633,7 +587,7 @@ def run_all(
         signal_names = [only_signal]
 
     def work(name: str) -> SignalRunResult:
-        return run_signal(config, backend, bank, name, ledger, checker, rag_index, templates)
+        return run_signal(config, backend, bank, name, checker, rag_index, templates)
 
     if config.parallel > 1:
         with ThreadPoolExecutor(max_workers=config.parallel) as pool:
@@ -644,8 +598,8 @@ def run_all(
     summary = RunSummary(
         design_name=config.design_name,
         results=results,
-        ledger=ledger,
-        max_api_calls=len(signal_names) * config.max_api_calls_per_signal,
+        stage1=stage1,
+        max_per_signal=config.max_api_calls_per_signal,
         stage1_warnings=stage1_warnings,
     )
     write_artifacts(config.paths.output_dir, summary)
@@ -659,9 +613,10 @@ def _dump_json(path: str, payload: dict) -> None:
 
 
 def write_artifacts(output_dir: str, summary: RunSummary) -> None:
-    """One directory per signal (tree dump, stage-3 lists, syntax log,
-    ledger slice) plus a design-level summary file. Layout and field names
-    are fixed so runs are diffable."""
+    """One directory per signal (tree dump, stage-3 lists, syntax log, and
+    the critiques and per-role counts read from its call log) plus a
+    design-level summary file. Layout and field names are fixed so runs are
+    diffable."""
     os.makedirs(output_dir, exist_ok=True)
     for result in summary.results:
         signal_dir = os.path.join(output_dir, "signals", result.signal)
@@ -670,10 +625,12 @@ def write_artifacts(output_dir: str, summary: RunSummary) -> None:
             with open(os.path.join(signal_dir, "tree.json"), "w", encoding="utf-8") as f:
                 f.write(result.tree.dumps())
         _dump_json(os.path.join(signal_dir, "stage3.json"), result.stage3_dict())
-        _dump_json(os.path.join(signal_dir, "critiques.json"), {"critiques": result.critiques})
+        _dump_json(
+            os.path.join(signal_dir, "critiques.json"), {"critiques": result.log.critiques()}
+        )
         _dump_json(
             os.path.join(signal_dir, "ledger.json"),
-            {"calls": result.calls, "total": result.total_calls},
+            {"calls": result.log.counts(), "total": result.total_calls},
         )
         with open(os.path.join(signal_dir, "syntax_log.txt"), "w", encoding="utf-8") as f:
             f.write(result.syntax_log)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from svagen import read_text
 from svagen.backends import Message
 
 ROLE_NAMES = (
@@ -63,9 +64,9 @@ def render_prompt(template: PromptTemplate, context: dict[str, str]) -> list[Mes
 
 
 def load_template(path: str) -> PromptTemplate:
-    """Read a template file with `[role]`, `[system]` and `[user]` sections."""
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
+    """Read a template file with `[role]`, `[system]` and `[user]` sections;
+    ValueError when it is unreadable, not UTF-8 or malformed."""
+    text = read_text(path, "template", ValueError)
     sections: dict[str, list[str]] = {}
     current: str | None = None
     role = None

@@ -18,6 +18,8 @@ from typing import Protocol
 
 import numpy as np
 
+from svagen import read_text
+
 DEFAULT_DIMENSION = 512
 DEFAULT_CHUNK_SIZE = 1200
 DEFAULT_CHUNK_OVERLAP = 200
@@ -234,15 +236,15 @@ def build_index_from_dir(
     size: int = DEFAULT_CHUNK_SIZE,
     overlap: int = DEFAULT_CHUNK_OVERLAP,
 ) -> VectorIndex:
-    """Index every .txt/.md file in `directory` (sorted, for determinism)."""
+    """Index every .txt/.md file in `directory` (sorted, for determinism);
+    ValueError naming a file that cannot be read as UTF-8."""
     embedder = embedder or HashedBowEmbedder()
     index = VectorIndex()
     names = sorted(
         f for f in os.listdir(directory) if f.endswith((".txt", ".md"))
     )
     for name in names:
-        with open(os.path.join(directory, name), encoding="utf-8") as f:
-            text = f.read()
+        text = read_text(os.path.join(directory, name), "reference", ValueError)
         if text:
             index.add(name, chunk(text, size, overlap), embedder)
     return index

@@ -10,7 +10,8 @@ import pytest
 from svagen.backends import ScriptEntry, ScriptedBackend
 from svagen.bank import InformationBank, SignalInfo
 from svagen.config import RunConfig
-from svagen.tree import SearchParams
+from svagen.pipeline import CallLog, SignalRunResult
+from svagen.tree import ReasoningTree, SearchParams
 
 # A syntactically valid assertion pair (property + assert).
 VALID_PROPERTY_UNIT = """\
@@ -145,6 +146,12 @@ def config_for(tmp_path, n_rollouts: int = 4, **kwargs) -> RunConfig:
     config.paths.bank_file = str(tmp_path / "bank.json")
     config.paths.output_dir = str(tmp_path / "out")
     return config
+
+
+def signal_result(config: RunConfig, name: str = "ack_o", tree: ReasoningTree | None = None):
+    """An empty result for one signal with its capped call log, as
+    `run_signal` makes it; `run_stage2` and `run_stage3` fill it."""
+    return SignalRunResult(name, CallLog(name, config.max_api_calls_per_signal), tree)
 
 
 def scripted(entries: list[ScriptEntry]) -> ScriptedBackend:

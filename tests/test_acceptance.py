@@ -25,7 +25,7 @@ from svagen.agents import (
     suppress_score,
 )
 from svagen.backends import ScriptedBackend, ScriptEntry
-from svagen.pipeline import CallLedger, run_all, run_stage2, run_stage3
+from svagen.pipeline import run_all, run_stage2, run_stage3
 from svagen.rag import HashedBowEmbedder, VectorIndex
 from svagen.sva.checker import BuiltinChecker
 from svagen.sva.parser import Diagnostic, parse_assertion, parse_units, units_to_token_signature
@@ -41,6 +41,7 @@ from conftest import (
     fenced,
     full_signal_script,
     make_bank,
+    signal_result,
     stage2_script,
 )
 from sva_corpus import CORPUS, TIMER_INTERRUPT_ASSERTION
@@ -135,14 +136,14 @@ def test_node_count_and_budget_laws(tmp_path):
     # single signal, n_rollouts = 4
     config = config_for(tmp_path / "one", n_rollouts=4, early_stop=False)
     backend = ScriptedBackend(full_signal_script("ack_o"))
-    ledger = CallLedger(config.max_api_calls_per_signal)
+    result = signal_result(config)
     bank = make_bank(["ack_o"])
-    tree = run_stage2(config, backend, bank, "ack_o", ledger, BuiltinChecker()).tree
-    assert len(tree) == 5
-    assert ledger.signal_total("ack_o") == 18
-    result = run_stage3(config, backend, tree, bank, "ack_o", ledger, BuiltinChecker())
+    run_stage2(config, backend, bank, result, BuiltinChecker())
+    assert len(result.tree) == 5
+    assert result.total_calls == 18
+    run_stage3(config, backend, bank, result, BuiltinChecker())
     assert not result.failed
-    assert ledger.signal_total("ack_o") <= 20
+    assert result.total_calls <= 20
 
     def design_run(tag: str, n_signals: int) -> int:
         cfg = config_for(tmp_path / tag, n_rollouts=4, early_stop=False)
@@ -262,10 +263,8 @@ def test_stage3_set_laws(tmp_path):
                 reply = "no fenced reply at all"
             script.append(ScriptEntry(response=reply))
 
-        ledger = CallLedger(config.max_api_calls_per_signal)
-        result = run_stage3(
-            config, ScriptedBackend(script), tree, bank, "ack_o", ledger, checker
-        )
+        result = signal_result(config, tree=tree)
+        run_stage3(config, ScriptedBackend(script), bank, result, checker)
         assert result.a1 == expected_a1
         assert result.a2 == [t for t in pool if "BAD" in t]
         assert result.a3 == result.a1 + result.a2_prime
@@ -273,7 +272,7 @@ def test_stage3_set_laws(tmp_path):
         assert {normalize_assertion(t) for t in result.deduplicated} <= normalized_a3
         for text in result.deduplicated:
             assert not any(d.severity == "error" for d in checker.check(text))
-        assert ledger.signal_total("ack_o") <= 2
+        assert result.total_calls <= 2
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _report("stage-3 set laws", f"200 pools, {elapsed:.3f}s")

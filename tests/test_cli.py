@@ -363,3 +363,78 @@ class TestTreeShow:
         out = capsys.readouterr().out
         assert "signal: ack_o" in out
         assert "Q=42" in out
+
+
+LATIN1 = "ack_o: réponse à la requête\n".encode("latin-1")  # not valid UTF-8
+
+
+def latin1_config(tmp_path) -> tuple[list[str], str]:
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"design_name": "d\xe9mo"}')
+    return ["run", "--config", str(path)], str(path)
+
+
+def latin1_bank(tmp_path) -> tuple[list[str], str]:
+    config = write_config(tmp_path, one_signal_entries())
+    (tmp_path / "bank.json").write_bytes(LATIN1)
+    return ["run", "--config", config], str(tmp_path / "bank.json")
+
+
+def latin1_template(tmp_path) -> tuple[list[str], str]:
+    save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
+    (tmp_path / "templates").mkdir()
+    (tmp_path / "templates" / "critic.txt").write_bytes(LATIN1)
+    config = write_config(
+        tmp_path, one_signal_entries(), extra={"templates_dir": str(tmp_path / "templates")}
+    )
+    return ["run", "--config", config], str(tmp_path / "templates" / "critic.txt")
+
+
+def latin1_spec(tmp_path) -> tuple[list[str], str]:
+    config = write_stage_one_config(tmp_path)
+    (tmp_path / "spec.txt").write_bytes(LATIN1)
+    return ["bank", "build", "--config", config], str(tmp_path / "spec.txt")
+
+
+def latin1_corpus(tmp_path) -> tuple[list[str], str]:
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "guide.txt").write_bytes(LATIN1)
+    return ["rag", "build", str(tmp_path / "docs"), "--out", str(tmp_path / "index.json")], str(
+        tmp_path / "docs" / "guide.txt"
+    )
+
+
+def latin1_check_file(tmp_path) -> tuple[list[str], str]:
+    (tmp_path / "a.sv").write_bytes(b"assert property (@(posedge clk) a |-> b); // \xe9\n")
+    return ["check", str(tmp_path / "a.sv")], str(tmp_path / "a.sv")
+
+
+def files_under(directory) -> dict[str, bytes | None]:
+    """Every path under `directory`, with the bytes of each file."""
+    return {
+        str(path.relative_to(directory)): path.read_bytes() if path.is_file() else None
+        for path in directory.rglob("*")
+    }
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            latin1_config,
+            latin1_bank,
+            latin1_template,
+            latin1_spec,
+            latin1_corpus,
+            latin1_check_file,
+        ],
+    )
+    def test_exit_two_naming_the_file(self, tmp_path, monkeypatch, capsys, make):
+        argv, bad_path = make(tmp_path)
+        calls = record_backend_calls(monkeypatch)
+        before = files_under(tmp_path)
+        assert main(argv) == 2
+        assert calls == []
+        assert files_under(tmp_path) == before
+        err = capsys.readouterr().err
+        assert bad_path in err and "utf-8" in err

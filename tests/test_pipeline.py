@@ -16,7 +16,7 @@ from svagen.backends import ScriptedBackend, ScriptEntry
 from svagen.bank import BankLoadError, StageError
 from svagen.pipeline import (
     BudgetExceededError,
-    CallLedger,
+    CallLog,
     run_all,
     run_stage1,
     run_stage2,
@@ -25,6 +25,7 @@ from svagen.pipeline import (
 from svagen.rag import HashedBowEmbedder, VectorIndex
 from svagen.sva.checker import BuiltinChecker
 from svagen.sva.parser import Diagnostic
+from svagen.tree import ReasoningTree
 
 from conftest import (
     CORRECTED_ASSERT,
@@ -37,70 +38,68 @@ from conftest import (
     fenced,
     full_signal_script,
     make_bank,
+    signal_result,
     stage2_script,
 )
 
 
 class TestCallLedger:
     def test_cap_enforced(self):
-        ledger = CallLedger(max_per_signal=2)
-        ledger.charge("s", "sva")
-        ledger.charge("s", "critic")
+        log = CallLog("s", cap=2)
+        log.charge("sva")
+        log.charge("critic")
         with pytest.raises(BudgetExceededError):
-            ledger.charge("s", "critic")
+            log.charge("critic")
 
     def test_monotone_and_isolated_per_signal(self):
-        ledger = CallLedger(max_per_signal=3)
-        ledger.charge("a", "sva")
-        ledger.charge("b", "sva")
-        assert ledger.signal_total("a") == 1
-        assert ledger.signal_total("b") == 1
-        assert ledger.total_calls() == 2
+        a, b = CallLog("a", cap=3), CallLog("b", cap=3)
+        a.charge("sva")
+        b.charge("sva")
+        assert len(a) == 1
+        assert len(b) == 1
+        assert len(a) + len(b) == 2
 
     def test_stage1_not_counted_against_signals(self):
-        ledger = CallLedger(max_per_signal=1)
+        stage1, a = CallLog("stage 1"), CallLog("a", cap=1)
         for _ in range(5):
-            ledger.charge_stage1("spec_analyzer")
-        ledger.charge("a", "sva")  # still fits
-        assert ledger.stage1_total() == 5
-        assert ledger.total_calls() == 6
+            stage1.charge("spec_analyzer")
+        a.charge("sva")  # still fits
+        assert len(stage1) == 5
+        assert len(stage1) + len(a) == 6
 
     def test_can_charge(self):
-        ledger = CallLedger(max_per_signal=2)
-        assert ledger.can_charge("s", 2)
-        assert not ledger.can_charge("s", 3)
+        log = CallLog("s", cap=2)
+        assert log.can_charge(2)
+        assert not log.can_charge(3)
 
 
 class TestStage2Schedule:
     def test_four_rollouts_five_nodes_eighteen_calls(self, tmp_path, bank):
         config = config_for(tmp_path, n_rollouts=4, early_stop=False)
         backend = ScriptedBackend(full_signal_script("ack_o"))
-        ledger = CallLedger(config.max_api_calls_per_signal)
-        stage2 = run_stage2(
-            config, backend, bank, "ack_o", ledger, BuiltinChecker()
-        )
+        stage2 = signal_result(config)
+        run_stage2(config, backend, bank, stage2, BuiltinChecker())
         assert len(stage2.tree) == 5
         assert stage2.tree.rollouts_completed == 4
-        assert ledger.signal_total("ack_o") == 18
+        assert stage2.total_calls == 18
         assert stage2.warnings == []
-        assert len(stage2.critiques) == 13  # every scored critic call retained
+        assert len(stage2.log.critiques()) == 13  # every scored critic call retained
         stage2.tree.validate()
 
     def test_call_roles_match_schedule(self, tmp_path, bank):
         config = config_for(tmp_path, n_rollouts=4, early_stop=False)
         backend = ScriptedBackend(full_signal_script("ack_o"))
-        ledger = CallLedger(config.max_api_calls_per_signal)
-        run_stage2(config, backend, bank, "ack_o", ledger, BuiltinChecker())
-        slice_ = ledger.signal_slice("ack_o")
+        result = signal_result(config)
+        run_stage2(config, backend, bank, result, BuiltinChecker())
+        slice_ = result.log.counts()
         # 1 weak answer + 4 refinements; 1 root eval + 3 critic calls/rollout
         assert slice_ == {"critic": 13, "sva": 5}
 
     def test_unknown_signal(self, tmp_path, bank):
         config = config_for(tmp_path)
         backend = ScriptedBackend([])
-        ledger = CallLedger(config.max_api_calls_per_signal)
         with pytest.raises(StageError):
-            run_stage2(config, backend, bank, "nope", ledger, BuiltinChecker())
+            run_stage2(config, backend, bank, signal_result(config, "nope"), BuiltinChecker())
 
     def test_syntax_log_attached_to_evaluated_nodes(self, tmp_path, bank):
         config = config_for(tmp_path, n_rollouts=1, early_stop=False)
@@ -111,8 +110,9 @@ class TestStage2Schedule:
             [30.0, 40.0, 50.0, 60.0],
         )
         backend = ScriptedBackend(script)
-        ledger = CallLedger(config.max_api_calls_per_signal)
-        tree = run_stage2(config, backend, bank, "ack_o", ledger, BuiltinChecker()).tree
+        result = signal_result(config)
+        run_stage2(config, backend, bank, result, BuiltinChecker())
+        tree = result.tree
         for node in tree.nodes.values():
             assert node.answer.syntax_log is not None
             assert "PASS" in node.answer.syntax_log
@@ -132,20 +132,20 @@ class TestEarlyStop:
     def test_stop_after_second_rollout(self, tmp_path, bank):
         config = config_for(tmp_path, n_rollouts=4, early_stop=True)
         backend = ScriptedBackend(self._script_with_high_score_at_rollout(2))
-        ledger = CallLedger(config.max_api_calls_per_signal)
-        stage2 = run_stage2(config, backend, bank, "ack_o", ledger, BuiltinChecker())
+        stage2 = signal_result(config)
+        run_stage2(config, backend, bank, stage2, BuiltinChecker())
         assert len(stage2.tree) == 3
         assert stage2.tree.rollouts_completed == 2
-        assert ledger.signal_total("ack_o") == 10  # 2 + 4*2
+        assert stage2.total_calls == 10  # 2 + 4*2
         assert any("early stop" in w for w in stage2.warnings)
 
     def test_no_early_stop_flag(self, tmp_path, bank):
         config = config_for(tmp_path, n_rollouts=4, early_stop=False)
         backend = ScriptedBackend(self._script_with_high_score_at_rollout(2))
-        ledger = CallLedger(config.max_api_calls_per_signal)
-        tree = run_stage2(config, backend, bank, "ack_o", ledger, BuiltinChecker()).tree
-        assert len(tree) == 5
-        assert ledger.signal_total("ack_o") == 18
+        result = signal_result(config)
+        run_stage2(config, backend, bank, result, BuiltinChecker())
+        assert len(result.tree) == 5
+        assert result.total_calls == 18
 
     def test_failing_syntax_blocks_early_stop(self, tmp_path, bank):
         # high score but the best node contains a syntactically bad assertion
@@ -154,8 +154,8 @@ class TestEarlyStop:
         scores = [30.0, 35.0, 36.0, 95.0, 35.0, 36.0, 41.0]
         config = config_for(tmp_path, n_rollouts=2, early_stop=True)
         backend = ScriptedBackend(stage2_script("ack_o", weak, answers, scores))
-        ledger = CallLedger(config.max_api_calls_per_signal)
-        stage2 = run_stage2(config, backend, bank, "ack_o", ledger, BuiltinChecker())
+        stage2 = signal_result(config)
+        run_stage2(config, backend, bank, stage2, BuiltinChecker())
         assert stage2.tree.rollouts_completed == 2
         assert not any("early stop" in w for w in stage2.warnings)
 
@@ -172,13 +172,11 @@ class TestRolloutFailurePolicy:
             ScriptEntry(response=fenced(VALID_PROPERTY_UNIT)),  # refine
             ScriptEntry(response=critic_reply(50)),           # child eval
         ]
-        ledger = CallLedger(config.max_api_calls_per_signal)
-        stage2 = run_stage2(
-            config, ScriptedBackend(script), bank, "ack_o", ledger, BuiltinChecker()
-        )
+        stage2 = signal_result(config)
+        run_stage2(config, ScriptedBackend(script), bank, stage2, BuiltinChecker())
         assert len(stage2.tree) == 2
         assert stage2.warnings == []
-        assert ledger.signal_total("ack_o") == 7  # one extra critic call
+        assert stage2.total_calls == 7  # one extra critic call
 
     def test_double_parse_failure_aborts_rollout_keeps_tree(self, tmp_path, bank):
         config = config_for(tmp_path, n_rollouts=2, early_stop=False)
@@ -188,10 +186,8 @@ class TestRolloutFailurePolicy:
             ScriptEntry(response="garbled"),           # rollout 1 re-sample fails
             ScriptEntry(response="garbled again"),     # retry fails
         ]
-        ledger = CallLedger(config.max_api_calls_per_signal)
-        stage2 = run_stage2(
-            config, ScriptedBackend(script), bank, "ack_o", ledger, BuiltinChecker()
-        )
+        stage2 = signal_result(config)
+        run_stage2(config, ScriptedBackend(script), bank, stage2, BuiltinChecker())
         assert len(stage2.tree) == 1  # partial tree kept
         assert stage2.tree.rollouts_completed == 0
         assert any("aborted" in w for w in stage2.warnings)
@@ -203,10 +199,8 @@ class TestRolloutFailurePolicy:
             ScriptEntry(response="no marker"),
             ScriptEntry(response="still no marker"),
         ]
-        ledger = CallLedger(config.max_api_calls_per_signal)
-        stage2 = run_stage2(
-            config, ScriptedBackend(script), bank, "ack_o", ledger, BuiltinChecker()
-        )
+        stage2 = signal_result(config)
+        run_stage2(config, ScriptedBackend(script), bank, stage2, BuiltinChecker())
         assert len(stage2.tree) == 1
         assert any("search skipped" in w for w in stage2.warnings)
 
@@ -229,48 +223,40 @@ class TestStage3:
             ScriptEntry(response=fenced(CORRECTED_ASSERT)),  # correction
             ScriptEntry(response=fenced(VALID_BARE_ASSERT, CORRECTED_ASSERT)),  # dedup
         ]
-        ledger = CallLedger(config.max_api_calls_per_signal)
-        result = run_stage3(
-            config, ScriptedBackend(script), tree, bank, "ack_o", ledger, BuiltinChecker()
-        )
+        result = signal_result(config, tree=tree)
+        run_stage3(config, ScriptedBackend(script), bank, result, BuiltinChecker())
         assert result.a1 == [VALID_BARE_ASSERT]
         assert result.a2 == [INVALID_ASSERT]
         assert result.a2_prime == [CORRECTED_ASSERT]
         assert result.a3 == [VALID_BARE_ASSERT, CORRECTED_ASSERT]
         assert result.deduplicated == [VALID_BARE_ASSERT, CORRECTED_ASSERT]
-        assert ledger.signal_total("ack_o") == 2
+        assert result.total_calls == 2
 
     def test_all_valid_skips_correction(self, tmp_path, bank):
         config, tree = self._tree_with_pool(
             tmp_path, bank, [VALID_BARE_ASSERT, VALID_PROPERTY_UNIT]
         )
         script = [ScriptEntry(response=fenced(VALID_BARE_ASSERT, VALID_PROPERTY_UNIT))]
-        ledger = CallLedger(config.max_api_calls_per_signal)
-        result = run_stage3(
-            config, ScriptedBackend(script), tree, bank, "ack_o", ledger, BuiltinChecker()
-        )
+        result = signal_result(config, tree=tree)
+        run_stage3(config, ScriptedBackend(script), bank, result, BuiltinChecker())
         assert result.a2 == []
-        assert ledger.signal_total("ack_o") == 1  # dedup only
+        assert result.total_calls == 1  # dedup only
 
     def test_still_failing_correction_dropped(self, tmp_path, bank):
         config, tree = self._tree_with_pool(tmp_path, bank, [INVALID_ASSERT])
         script = [ScriptEntry(response=fenced("assert property (@(posedge clk) x |-> );"))]
-        ledger = CallLedger(config.max_api_calls_per_signal)
-        result = run_stage3(
-            config, ScriptedBackend(script), tree, bank, "ack_o", ledger, BuiltinChecker()
-        )
+        result = signal_result(config, tree=tree)
+        run_stage3(config, ScriptedBackend(script), bank, result, BuiltinChecker())
         assert result.a2_prime == []
         assert result.deduplicated == []
         assert any("still fails" in w for w in result.warnings)
 
     def test_singleton_pool_skips_both_calls(self, tmp_path, bank):
         config, tree = self._tree_with_pool(tmp_path, bank, [VALID_BARE_ASSERT])
-        ledger = CallLedger(config.max_api_calls_per_signal)
-        result = run_stage3(
-            config, ScriptedBackend([]), tree, bank, "ack_o", ledger, BuiltinChecker()
-        )
+        result = signal_result(config, tree=tree)
+        run_stage3(config, ScriptedBackend([]), bank, result, BuiltinChecker())
         assert result.deduplicated == [VALID_BARE_ASSERT]
-        assert ledger.signal_total("ack_o") == 0
+        assert result.total_calls == 0
 
     def test_normalization_merges_across_nodes(self, tmp_path, bank):
         config, tree = self._tree_with_pool(tmp_path, bank, [VALID_BARE_ASSERT])
@@ -278,10 +264,8 @@ class TestStage3:
             assertions=[VALID_BARE_ASSERT + "  // same thing"]
         ))
         tree.record_reward(child, 20.0, config.search)
-        ledger = CallLedger(config.max_api_calls_per_signal)
-        result = run_stage3(
-            config, ScriptedBackend([]), tree, bank, "ack_o", ledger, BuiltinChecker()
-        )
+        result = signal_result(config, tree=tree)
+        run_stage3(config, ScriptedBackend([]), bank, result, BuiltinChecker())
         assert len(result.a1) == 1
 
 
@@ -316,10 +300,8 @@ def test_stage3_set_laws(tmp_path_factory, flags, fix_all):
         fixes = [f"assert property (fixed_{i});" for i in range(bad_count if fix_all else 1)]
         script.append(ScriptEntry(response=fenced(*fixes)))
     script.append(ScriptEntry(response="echo nothing useful"))  # dedup reply: no fences
-    ledger = CallLedger(config.max_api_calls_per_signal)
-    result = run_stage3(
-        config, ScriptedBackend(script), tree, bank, "ack_o", ledger, StubChecker()
-    )
+    result = signal_result(config, tree=tree)
+    run_stage3(config, ScriptedBackend(script), bank, result, StubChecker())
 
     # partition law: A1 and A2 split the pool, order preserved within groups
     assert result.a1 == [t for t in pool if "BAD" not in t]
@@ -337,7 +319,7 @@ def test_stage3_set_laws(tmp_path_factory, flags, fix_all):
     for text in result.deduplicated:
         assert not any(d.severity == "error" for d in StubChecker().check(text))
     # budget: at most 2 combination calls
-    assert ledger.signal_total("ack_o") <= 2
+    assert result.total_calls <= 2
 
 
 class TestStage1:
@@ -358,23 +340,23 @@ class TestStage1:
 
     def test_three_signals_one_waveform_five_calls(self, tmp_path):
         config = config_for(tmp_path)
-        ledger = CallLedger(config.max_api_calls_per_signal)
+        log = CallLog("stage 1")
         bank, warnings = run_stage1(
-            config, self._backend(), self.SPEC, self.VERILOG, ["waveform text"], ledger
+            config, self._backend(), self.SPEC, self.VERILOG, ["waveform text"], log
         )
         assert len(bank.signals) == 3
         assert len(bank.waveforms) == 1
-        assert ledger.stage1_total() == 5
+        assert len(log) == 5
         assert os.path.exists(config.paths.bank_file)
 
     def test_no_waveforms(self, tmp_path):
         config = config_for(tmp_path)
-        ledger = CallLedger(config.max_api_calls_per_signal)
+        log = CallLog("stage 1")
         bank, _ = run_stage1(
-            config, self._backend(with_waveform=False), self.SPEC, self.VERILOG, [], ledger
+            config, self._backend(with_waveform=False), self.SPEC, self.VERILOG, [], log
         )
         assert bank.waveforms == []
-        assert ledger.stage1_total() == 4
+        assert len(log) == 4
 
     def test_failed_signal_dropped(self, tmp_path):
         config = config_for(tmp_path)
@@ -384,18 +366,18 @@ class TestStage1:
             "reply that never mentions the target",  # req_i analysis fails
             self.ANALYSIS.format(n="ack_o"),
         ]
-        ledger = CallLedger(config.max_api_calls_per_signal)
+        log = CallLog("stage 1")
         bank, warnings = run_stage1(
-            config, ScriptedBackend.from_responses(responses), self.SPEC, self.VERILOG, [], ledger
+            config, ScriptedBackend.from_responses(responses), self.SPEC, self.VERILOG, [], log
         )
         assert [s.verilog_name for s in bank.signals] == ["clk_i", "ack_o"]
         assert any("req_i" in w for w in warnings)
 
     def test_workflow_info_contains_mapping(self, tmp_path):
         config = config_for(tmp_path)
-        ledger = CallLedger(config.max_api_calls_per_signal)
+        log = CallLog("stage 1")
         bank, _ = run_stage1(
-            config, self._backend(with_waveform=False), self.SPEC, self.VERILOG, [], ledger
+            config, self._backend(with_waveform=False), self.SPEC, self.VERILOG, [], log
         )
         assert "clk_i: clock" in bank.workflow_info
 
@@ -426,6 +408,37 @@ class TestRunAll:
         assert by_name["sig_b"].failed
         assert "BackendError" in by_name["sig_b"].error
         assert summary.failed_signals == ["sig_b"]
+
+    def test_failed_signal_keeps_what_it_produced(self, tmp_path):
+        config = config_for(tmp_path, n_rollouts=4, early_stop=False)
+        self._write_bank(config, ["sig_a"])
+        # weak answer, root evaluation, rollout 1, rollout 2's re-sample and
+        # feedback: rollout 2's refine call, the 9th, finds the script empty
+        backend = ScriptedBackend(full_signal_script("sig_a")[:8])
+        summary = run_all(config, backend=backend, checker=BuiltinChecker())
+        assert summary.failed_signals == ["sig_a"]
+        signal_dir = os.path.join(config.paths.output_dir, "signals", "sig_a")
+
+        def load(name):
+            with open(os.path.join(signal_dir, name)) as f:
+                return f.read() if name == "tree.json" else json.load(f)
+
+        tree = ReasoningTree.loads(load("tree.json"))
+        assert len(tree) == 2 and tree.rollouts_completed == 1
+        critiques = load("critiques.json")["critiques"]
+        assert [c["phase"] for c in critiques] == [
+            "root-evaluation", "resample", "expansion-feedback", "evaluation",
+            "resample", "expansion-feedback",
+        ]
+        assert [c["raw_score"] for c in critiques] == [30.0, 40.0, 41.0, 42.0, 43.0, 44.0]
+        assert backend.calls == 9
+        assert load("ledger.json") == {"calls": {"critic": 6, "sva": 3}, "total": 9}
+        with open(os.path.join(config.paths.output_dir, "summary.json")) as f:
+            written = json.load(f)
+        assert written["signals"]["sig_a"]["failed"] is True
+        assert "BackendError" in written["signals"]["sig_a"]["error"]
+        assert written["signals"]["sig_a"]["calls"] == 9
+        assert written["totals"]["total_llm_calls"] == 9
 
     def test_budget_reporting(self, tmp_path):
         config = config_for(tmp_path, n_rollouts=4)
@@ -466,7 +479,7 @@ class TestRunAll:
         )
         script.append(ScriptEntry(response=fenced(VALID_BARE_ASSERT, VALID_PROPERTY_UNIT)))
         summary = run_all(config, backend=ScriptedBackend(script), checker=BuiltinChecker())
-        assert summary.ledger.stage1_total() == 0  # bank existed, no stage-1 calls
+        assert len(summary.stage1) == 0  # bank existed, no stage-1 calls
 
     def test_missing_inputs_abort(self, tmp_path):
         config = config_for(tmp_path)
@@ -617,8 +630,8 @@ class TestRetrievalOncePerSignal:
     def _stage2(self, tmp_path, bank, script, index, n_rollouts=4):
         config = config_for(tmp_path, n_rollouts=n_rollouts, early_stop=False)
         backend = PromptRecordingBackend(script)
-        ledger = CallLedger(config.max_api_calls_per_signal)
-        stage2 = run_stage2(config, backend, bank, "ack_o", ledger, BuiltinChecker(), index)
+        stage2 = signal_result(config)
+        run_stage2(config, backend, bank, stage2, BuiltinChecker(), index)
         return stage2, backend
 
     def test_one_query_across_four_rollouts(self, tmp_path, bank):
