@@ -13,6 +13,8 @@ import threading
 from dataclasses import dataclass
 from typing import Protocol
 
+from svagen import read_text
+
 Message = dict[str, str]  # {"role": "system"|"user", "content": str}
 
 
@@ -50,8 +52,8 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path: str) -> ScriptedBackend:
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
+        """ValueError naming the file when it cannot be read or is not JSON."""
+        raw = json.loads(read_text(path, "backend script", ValueError))
         entries = [ScriptEntry(response=e["response"], match=e.get("match")) for e in raw]
         return cls(entries)
 

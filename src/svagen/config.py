@@ -133,7 +133,10 @@ class RunConfig:
         if b.type == "scripted":
             if not b.script_path:
                 raise ConfigError("scripted backend requires backend.script_path")
-            return ScriptedBackend.from_file(b.script_path)
+            try:
+                return ScriptedBackend.from_file(b.script_path)
+            except ValueError as err:
+                raise ConfigError(str(err)) from err
         if b.type == "http":
             if not b.endpoint or not b.model:
                 raise ConfigError("http backend requires backend.endpoint and backend.model")

@@ -507,15 +507,12 @@ def build_bank(
     if not paths.spec_file or not paths.verilog_file:
         raise StageError("stage 1 needs paths.spec_file and paths.verilog_file")
 
-    def read(path: str, what: str) -> str:
-        return read_text(path, what, StageError)
-
-    spec_text = read(paths.spec_file, "specification")
-    verilog_decls = read(paths.verilog_file, "Verilog declarations")
-    waveform_texts = [read(p, "waveform") for p in paths.waveform_files]
-    design_summary = (
-        read(paths.design_summary_file, "design summary") if paths.design_summary_file else ""
-    )
+    spec_text = read_text(paths.spec_file, "specification", StageError)
+    verilog_decls = read_text(paths.verilog_file, "Verilog declarations", StageError)
+    waveform_texts = [read_text(p, "waveform", StageError) for p in paths.waveform_files]
+    design_summary = ""
+    if paths.design_summary_file:
+        design_summary = read_text(paths.design_summary_file, "design summary", StageError)
     return run_stage1(
         config, backend, spec_text, verilog_decls, waveform_texts, log,
         design_summary, templates,

@@ -390,6 +390,13 @@ def latin1_template(tmp_path) -> tuple[list[str], str]:
     return ["run", "--config", config], str(tmp_path / "templates" / "critic.txt")
 
 
+def latin1_script(tmp_path) -> tuple[list[str], str]:
+    save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
+    config = write_config(tmp_path, one_signal_entries())
+    (tmp_path / "script.json").write_bytes(b'[{"response": "r\xe9ponse"}]')
+    return ["run", "--config", config], str(tmp_path / "script.json")
+
+
 def latin1_spec(tmp_path) -> tuple[list[str], str]:
     config = write_stage_one_config(tmp_path)
     (tmp_path / "spec.txt").write_bytes(LATIN1)
@@ -424,6 +431,7 @@ class TestNonUtf8Input:
             latin1_config,
             latin1_bank,
             latin1_template,
+            latin1_script,
             latin1_spec,
             latin1_corpus,
             latin1_check_file,

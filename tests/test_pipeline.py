@@ -17,6 +17,8 @@ from svagen.bank import BankLoadError, StageError
 from svagen.pipeline import (
     BudgetExceededError,
     CallLog,
+    RunSummary,
+    SignalRunResult,
     run_all,
     run_stage1,
     run_stage2,
@@ -57,15 +59,28 @@ class TestCallLedger:
         b.charge("sva")
         assert len(a) == 1
         assert len(b) == 1
-        assert len(a) + len(b) == 2
+        results = [SignalRunResult("a", a), SignalRunResult("b", b)]
+        summary = RunSummary("d", results, CallLog("stage 1"), max_per_signal=3)
+        assert summary.to_dict()["totals"]["total_llm_calls"] == 2
 
     def test_stage1_not_counted_against_signals(self):
-        stage1, a = CallLog("stage 1"), CallLog("a", cap=1)
+        stage1, a, idle = CallLog("stage 1"), CallLog("a", cap=1), CallLog("idle", cap=1)
         for _ in range(5):
             stage1.charge("spec_analyzer")
         a.charge("sva")  # still fits
-        assert len(stage1) == 5
-        assert len(stage1) + len(a) == 6
+        results = [SignalRunResult("idle", idle), SignalRunResult("a", a)]
+        out = RunSummary("d", results, stage1, max_per_signal=1).to_dict()
+        assert out["totals"]["total_llm_calls"] == 6
+        assert out["totals"]["stage1_calls"] == 5
+        assert out["totals"]["max_api_calls"] == 2
+        assert out["signals"]["idle"]["calls"] == 0
+        # a signal that made no call has no ledger entry
+        assert out["ledger"] == {
+            "max_per_signal": 1,
+            "stage1": {"spec_analyzer": 5},
+            "signals": {"a": {"sva": 1}},
+            "total_calls": 6,
+        }
 
     def test_can_charge(self):
         log = CallLog("s", cap=2)
