@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from svagen import read_text
+from svagen.records import decode
 
 Message = dict[str, str]  # {"role": "system"|"user", "content": str}
 
@@ -52,10 +53,12 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path: str) -> ScriptedBackend:
-        """ValueError naming the file when it cannot be read or is not JSON."""
-        raw = json.loads(read_text(path, "backend script", ValueError))
-        entries = [ScriptEntry(response=e["response"], match=e.get("match")) for e in raw]
-        return cls(entries)
+        """ValueError naming the file when it is not a JSON list of entries."""
+        text = read_text(path, "backend script", ValueError)
+        try:
+            return cls(decode(list[ScriptEntry], json.loads(text), ValueError))
+        except ValueError as err:
+            raise ValueError(f"backend script {path!r}: {err}") from err
 
     def complete(self, messages: list[Message]) -> str:
         prompt_text = "\n".join(m["content"] for m in messages)
@@ -115,7 +118,7 @@ class HttpChatBackend:
             )
         try:
             text = resp.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, ValueError) as err:
+        except (KeyError, IndexError, TypeError, ValueError) as err:
             raise BackendError(f"malformed chat completion response: {err}") from err
         if not isinstance(text, str) or not text:
             raise BackendError("chat completion response carried no text")

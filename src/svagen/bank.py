@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from svagen import read_text
 from svagen.backends import ChatBackend
 from svagen.prompts import DEFAULT_TEMPLATES, PromptTemplate, render_prompt
+from svagen.records import decode, encode
 
 
 class StageError(RuntimeError):
@@ -37,34 +38,11 @@ class SignalInfo:
     related_signals: list[str] = field(default_factory=list)
 
     def describe(self) -> str:
-        """Bank entry rendered as the per-signal prompt excerpt."""
-        parts = [f"[Signal Name]: {self.spec_name or self.verilog_name}"]
-        parts.append(f"[Verilog Name]: {self.verilog_name}")
-        if self.description:
-            parts.append(f"[Description]: {self.description}")
-        if self.definition:
-            parts.append(f"[Definition]: {self.definition}")
-        if self.functionality:
-            parts.append(f"[Functionality]: {self.functionality}")
-        if self.interconnection:
-            parts.append(f"[Interconnection]: {self.interconnection}")
-        if self.additional_info:
-            parts.append(f"[Additional Information]: {self.additional_info}")
-        if self.related_signals:
-            parts.append(f"[Related Signals]: {', '.join(self.related_signals)}")
-        return "\n".join(parts)
-
-    def to_dict(self) -> dict:
-        return {
-            "verilog_name": self.verilog_name,
-            "spec_name": self.spec_name,
-            "description": self.description,
-            "definition": self.definition,
-            "functionality": self.functionality,
-            "interconnection": self.interconnection,
-            "additional_info": self.additional_info,
-            "related_signals": list(self.related_signals),
-        }
+        """Bank entry rendered as the per-signal prompt excerpt; empty
+        sections are left out."""
+        head = [f"[Signal Name]: {self.spec_name or self.verilog_name}"]
+        head.append(f"[Verilog Name]: {self.verilog_name}")
+        return "\n".join(head + _render_sections(self, _SIGNAL_SECTIONS[1:], keep_empty=False))
 
 
 @dataclass
@@ -78,28 +56,7 @@ class WaveformSummary:
     additional_observations: str = ""
 
     def describe(self) -> str:
-        return "\n".join(
-            [
-                f"[Waveform Name]: {self.waveform_name}",
-                f"[Signals]: {', '.join(self.signals)}",
-                f"[Timing Relationship]: {self.timing_relationship}",
-                f"[Causal Dependencies]: {self.causal_dependencies}",
-                f"[State Transitions]: {self.state_transitions}",
-                f"[Protocol/Handshaking Mechanisms]: {self.protocol_mechanisms}",
-                f"[Additional Observations]: {self.additional_observations}",
-            ]
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "waveform_name": self.waveform_name,
-            "signals": list(self.signals),
-            "timing_relationship": self.timing_relationship,
-            "causal_dependencies": self.causal_dependencies,
-            "state_transitions": self.state_transitions,
-            "protocol_mechanisms": self.protocol_mechanisms,
-            "additional_observations": self.additional_observations,
-        }
+        return "\n".join(_render_sections(self, _WAVEFORM_SECTIONS, keep_empty=True))
 
 
 @dataclass
@@ -141,14 +98,6 @@ class InformationBank:
                     )
         return warnings
 
-    def to_dict(self) -> dict:
-        return {
-            "design_name": self.design_name,
-            "workflow_info": self.workflow_info,
-            "signals": [s.to_dict() for s in self.signals],
-            "waveforms": [w.to_dict() for w in self.waveforms],
-        }
-
 
 # --------------------------------------------------------------------------
 # Parsing of agent replies. All of it is forgiving: section-header anchored
@@ -163,25 +112,27 @@ _COMMENT_OR_STRING_RE = re.compile(
     r'"(?:\\.|[^"\\])*"|//[^\n]*|/\*.*?\*/', re.DOTALL
 )
 
-_SIGNAL_SECTIONS = {
-    "signal name": "spec_name",
-    "description": "description",
-    "definition": "definition",
-    "functionality": "functionality",
-    "interconnection": "interconnection",
-    "additional information": "additional_info",
-    "related signals": "related_signals",
-}
+# The [Header] sections of an analyzer reply, in the order a bank entry is
+# rendered, with the field each one fills
+_SIGNAL_SECTIONS = (
+    ("Signal Name", "spec_name"),
+    ("Description", "description"),
+    ("Definition", "definition"),
+    ("Functionality", "functionality"),
+    ("Interconnection", "interconnection"),
+    ("Additional Information", "additional_info"),
+    ("Related Signals", "related_signals"),
+)
 
-_WAVEFORM_SECTIONS = {
-    "waveform name": "waveform_name",
-    "signals": "signals",
-    "timing relationship": "timing_relationship",
-    "causal dependencies": "causal_dependencies",
-    "state transitions": "state_transitions",
-    "protocol/handshaking mechanisms": "protocol_mechanisms",
-    "additional observations": "additional_observations",
-}
+_WAVEFORM_SECTIONS = (
+    ("Waveform Name", "waveform_name"),
+    ("Signals", "signals"),
+    ("Timing Relationship", "timing_relationship"),
+    ("Causal Dependencies", "causal_dependencies"),
+    ("State Transitions", "state_transitions"),
+    ("Protocol/Handshaking Mechanisms", "protocol_mechanisms"),
+    ("Additional Observations", "additional_observations"),
+)
 
 _SECTION_RE = re.compile(r"\[([^\[\]]+)\]\s*[:;]?", re.IGNORECASE)
 
@@ -192,14 +143,25 @@ def identifier_names(verilog_text: str) -> set[str]:
     return set(_IDENT_RE.findall(cleaned))
 
 
-def _split_sections(text: str, section_map: dict[str, str]) -> dict[str, str]:
-    """Slice `text` at known [Section] headers; values are the trailing text
-    up to the next known header."""
+def _render_sections(record, sections: tuple, keep_empty: bool) -> list[str]:
+    """`[Header]: value` lines of `record`'s fields, a list joined by commas."""
+    lines = []
+    for header, name in sections:
+        value = getattr(record, name)
+        if value or keep_empty:
+            lines.append(f"[{header}]: {', '.join(value) if isinstance(value, list) else value}")
+    return lines
+
+
+def _split_sections(text: str, sections: tuple) -> dict[str, str]:
+    """Slice `text` at known [Section] headers, matched in any case; values
+    are the trailing text up to the next known header."""
+    fields = {header.lower(): name for header, name in sections}
     found: list[tuple[int, int, str]] = []
     for m in _SECTION_RE.finditer(text):
         key = m.group(1).strip().lower()
-        if key in section_map:
-            found.append((m.start(), m.end(), section_map[key]))
+        if key in fields:
+            found.append((m.start(), m.end(), fields[key]))
     out: dict[str, str] = {}
     for i, (_, body_start, name) in enumerate(found):
         body_end = found[i + 1][0] if i + 1 < len(found) else len(text)
@@ -274,16 +236,9 @@ def analyze_signal(
             f"spec analyzer reply does not mention signal {signal_name!r}"
         )
     sections = _split_sections(reply, _SIGNAL_SECTIONS)
-    return SignalInfo(
-        verilog_name=signal_name,
-        spec_name=sections.get("spec_name", signal_name) or signal_name,
-        description=sections.get("description", ""),
-        definition=sections.get("definition", ""),
-        functionality=sections.get("functionality", ""),
-        interconnection=sections.get("interconnection", ""),
-        additional_info=sections.get("additional_info", ""),
-        related_signals=_split_names(sections.get("related_signals", "")),
-    )
+    sections["spec_name"] = sections.get("spec_name") or signal_name
+    sections["related_signals"] = _split_names(sections.get("related_signals", ""))
+    return SignalInfo(verilog_name=signal_name, **sections)
 
 
 def analyze_waveform(
@@ -309,18 +264,10 @@ def analyze_waveform(
         return None, [
             f"waveform analysis skipped: no signals parsed from reply for {waveform_ref[:40]!r}"
         ]
-    summary = WaveformSummary(
-        waveform_name=sections.get("waveform_name", "").splitlines()[0].strip()
-        if sections.get("waveform_name")
-        else "unnamed",
-        signals=signals,
-        timing_relationship=sections.get("timing_relationship", ""),
-        causal_dependencies=sections.get("causal_dependencies", ""),
-        state_transitions=sections.get("state_transitions", ""),
-        protocol_mechanisms=sections.get("protocol_mechanisms", ""),
-        additional_observations=sections.get("additional_observations", ""),
-    )
-    return summary, []
+    name = sections.get("waveform_name")
+    sections["waveform_name"] = name.splitlines()[0].strip() if name else "unnamed"
+    sections["signals"] = signals
+    return WaveformSummary(**sections), []
 
 
 def build_workflow_info(
@@ -344,67 +291,10 @@ def build_workflow_info(
 # Persistence
 
 
-def _require(d: dict, key: str, kind: type, path: str):
-    if key not in d:
-        raise BankLoadError(f"{path}.{key}: missing")
-    value = d[key]
-    if not isinstance(value, kind):
-        raise BankLoadError(f"{path}.{key}: expected {kind.__name__}")
-    return value
-
-
-def bank_from_dict(d: dict) -> InformationBank:
-    design_name = _require(d, "design_name", str, "bank")
-    workflow_info = _require(d, "workflow_info", str, "bank")
-    signals_raw = _require(d, "signals", list, "bank")
-    waveforms_raw = _require(d, "waveforms", list, "bank")
-    signals = []
-    for i, s in enumerate(signals_raw):
-        path = f"signals[{i}]"
-        if not isinstance(s, dict):
-            raise BankLoadError(f"{path}: expected object")
-        signals.append(
-            SignalInfo(
-                verilog_name=_require(s, "verilog_name", str, path),
-                spec_name=_require(s, "spec_name", str, path),
-                description=_require(s, "description", str, path),
-                definition=_require(s, "definition", str, path),
-                functionality=_require(s, "functionality", str, path),
-                interconnection=_require(s, "interconnection", str, path),
-                additional_info=_require(s, "additional_info", str, path),
-                related_signals=[str(r) for r in _require(s, "related_signals", list, path)],
-            )
-        )
-    waveforms = []
-    for i, w in enumerate(waveforms_raw):
-        path = f"waveforms[{i}]"
-        if not isinstance(w, dict):
-            raise BankLoadError(f"{path}: expected object")
-        waveforms.append(
-            WaveformSummary(
-                waveform_name=_require(w, "waveform_name", str, path),
-                signals=[str(x) for x in _require(w, "signals", list, path)],
-                timing_relationship=_require(w, "timing_relationship", str, path),
-                causal_dependencies=_require(w, "causal_dependencies", str, path),
-                state_transitions=_require(w, "state_transitions", str, path),
-                protocol_mechanisms=_require(w, "protocol_mechanisms", str, path),
-                additional_observations=_require(w, "additional_observations", str, path),
-            )
-        )
-    bank = InformationBank(
-        design_name=design_name,
-        workflow_info=workflow_info,
-        signals=signals,
-        waveforms=waveforms,
-    )
-    bank.validate()
-    return bank
-
-
 def save_bank(bank: InformationBank, path: str) -> None:
     bank.validate()
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(bank.to_dict(), f, indent=2, sort_keys=True)
+        json.dump(encode(bank), f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -413,6 +303,6 @@ def load_bank(path: str) -> InformationBank:
         raw = json.loads(read_text(path, "bank", BankLoadError))
     except json.JSONDecodeError as err:
         raise BankLoadError(f"bank: invalid JSON ({err})") from err
-    if not isinstance(raw, dict):
-        raise BankLoadError("bank: expected a JSON object")
-    return bank_from_dict(raw)
+    bank = decode(InformationBank, raw, BankLoadError)
+    bank.validate()
+    return bank

@@ -2,7 +2,7 @@
 
 Subcommands: `bank build`, `rag build`, `run`, `check`, `tree show`.
 Exit codes: 0 success, 1 when per-signal failures occurred, 2 for
-configuration or stage errors.
+configuration, input, backend or stage errors.
 """
 
 from __future__ import annotations
@@ -12,12 +12,13 @@ import sys
 
 from svagen import read_text
 from svagen.agents import split_assertion_units
+from svagen.backends import BackendError
 from svagen.bank import BankLoadError, StageError
 from svagen.config import ConfigError, RagSettings, config_from_dict, load_config
 from svagen.pipeline import CallLog, build_bank, run_all
 from svagen.rag import HashedBowEmbedder, build_index_from_dir
 from svagen.sva.checker import AssertionRecord, BuiltinChecker, format_log
-from svagen.tree import ReasoningTree
+from svagen.tree import ReasoningTree, TreeError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -187,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "tree":
             return _cmd_tree_show(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, StageError, BankLoadError, OSError) as err:
+    except (ConfigError, StageError, BankLoadError, BackendError, TreeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 2

@@ -7,11 +7,9 @@ variable that holds them does.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import re
-import typing
 from dataclasses import dataclass, field
 
 from svagen import read_text
@@ -23,6 +21,7 @@ from svagen.backends import (
 )
 from svagen.prompts import DEFAULT_TEMPLATES, PromptTemplate, load_template
 from svagen.rag import DEFAULT_CHUNK_OVERLAP, DEFAULT_CHUNK_SIZE, DEFAULT_TOP_K
+from svagen.records import decode
 from svagen.sva.checker import (
     BuiltinChecker,
     DiagnosticPattern,
@@ -60,7 +59,7 @@ class BackendSettings:
 class CheckerSettings:
     kind: str = "builtin"  # builtin | external
     command_template: str = ""
-    patterns: list[dict] = field(default_factory=list)
+    patterns: list[DiagnosticPattern] = field(default_factory=list)
     timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
@@ -68,14 +67,11 @@ class CheckerSettings:
             raise ConfigError("checker.timeout_s must be positive")
         if self.command_template and "{file}" not in self.command_template:
             raise ConfigError("checker.command_template must contain a {file} placeholder")
-        for p in self.patterns:  # DiagnosticPattern fields: pattern, optional severity, code
-            keys_ok = p.keys() - {"severity", "code"} == {"pattern"}
-            if not keys_ok or any(type(v) is not str for v in p.values()):
-                raise ConfigError(f"malformed checker.patterns entry {json.dumps(p)}")
+        for p in self.patterns:
             try:
-                re.compile(p["pattern"])
+                re.compile(p.pattern)
             except re.error as err:
-                raise ConfigError(f"checker.patterns regex {p['pattern']!r}: {err}") from err
+                raise ConfigError(f"checker.patterns regex {p.pattern!r}: {err}") from err
 
 
 @dataclass
@@ -150,8 +146,7 @@ class RunConfig:
         if c.kind == "external":
             if not c.command_template:
                 raise ConfigError("external checker requires checker.command_template")
-            patterns = [DiagnosticPattern(**p) for p in c.patterns] or None
-            return ExternalChecker(c.command_template, patterns, c.timeout_s)
+            return ExternalChecker(c.command_template, c.patterns or None, c.timeout_s)
         raise ConfigError(f"unknown checker kind {c.kind!r}")
 
     def load_templates(self) -> dict[str, PromptTemplate]:
@@ -170,79 +165,15 @@ class RunConfig:
         return templates
 
 
-def _accepted(hint) -> tuple[tuple[type, ...], tuple[type, ...] | None]:
-    """(value types, list item types or None) that a field annotation
-    accepts, matched by exact type: a bool is never an int, an int is
-    accepted for a float and `X | None` accepts null."""
-    origin = typing.get_origin(hint)
-    if origin is list:
-        return (list,), _accepted(typing.get_args(hint)[0])[0]
-    if origin is not None:  # X | None
-        return tuple(t for arg in typing.get_args(hint) for t in _accepted(arg)[0]), None
-    return ((int, float) if hint is float else (hint,)), None
-
-
-def _field_table(cls) -> dict:
-    """Field name -> a section's own table, or (value types, list item
-    types, declared type)."""
-    hints = typing.get_type_hints(cls)
-    return {
-        f.name: _field_table(hints[f.name])
-        if dataclasses.is_dataclass(hints[f.name])
-        else (*_accepted(hints[f.name]), f.type)
-        for f in dataclasses.fields(cls)
-    }
-
-
-def _check(obj, name: str) -> None:
-    """Re-run the range checks of `obj` after its fields were set."""
-    post_init = getattr(obj, "__post_init__", None)
-    try:
-        if post_init is not None:
-            post_init()
-    except ConfigError:
-        raise
-    except ValueError as err:  # SearchParams lives outside config
-        raise ConfigError(f"invalid {name} parameters: {err}") from err
-
-
-def _apply(obj, data, table: dict, path: str) -> None:
-    """Set the fields of `obj` in place from the JSON object `data`,
-    checking every key and value type against `table`."""
-    if type(data) is not dict:
-        raise ConfigError(f"{path or 'config'} must be a JSON object, not {json.dumps(data)}")
-    prefix = f"{path}." if path else ""
-    for key, value in data.items():
-        spec = table.get(key)
-        if spec is None:
-            raise ConfigError(f"unknown config key {prefix}{key}")
-        if type(spec) is dict:
-            section = getattr(obj, key)
-            _apply(section, value, spec, key)
-            _check(section, key)
-            continue
-        accepted, item_types, declared = spec
-        if type(value) not in accepted or (
-            item_types and any(type(item) not in item_types for item in value)
-        ):
-            raise ConfigError(f"{prefix}{key} must be {declared}, not {json.dumps(value)}")
-        setattr(obj, key, value)
-
-
-_RUN_FIELDS = _field_table(RunConfig)  # resolved once, so loading stays cheap
-
-
 def config_from_dict(data: dict, config: RunConfig | None = None) -> RunConfig:
-    """Apply one layer of settings onto `config` (default: a fresh
-    RunConfig) in place; ConfigError on an unknown key, a wrong type or a
-    value out of range. A layer that sets search.n_rollouts but not
+    """A fresh RunConfig: the settings in `data` over `config` (default: the
+    defaults); ConfigError on an unknown key, a wrong type or a value out of
+    range. A layer that sets search.n_rollouts but not
     max_api_calls_per_signal re-derives the budget."""
-    config = config if config is not None else RunConfig()
-    _apply(config, data, _RUN_FIELDS, "")
-    if "n_rollouts" in data.get("search", ()) and "max_api_calls_per_signal" not in data:
-        config.max_api_calls_per_signal = None  # __post_init__ derives it again
-    _check(config, "run")
-    return config
+    search = data.get("search") if config is not None and type(data) is dict else None
+    if type(search) is dict and "n_rollouts" in search and "max_api_calls_per_signal" not in data:
+        data = {**data, "max_api_calls_per_signal": None}  # not the base's: derive it again
+    return decode(RunConfig, data, ConfigError, base=config)
 
 
 def load_config(path: str) -> RunConfig:

@@ -109,15 +109,7 @@ class CallLog:
         """Every critic call whose score parsed, for post-hoc review: the
         feedback is not fed forward during evaluation."""
         return [
-            {
-                "node": e.node,
-                "phase": e.phase,
-                "raw_score": e.critique.raw_score,
-                "suppressed_score": e.critique.suppressed_score,
-                "feedback": e.critique.feedback,
-            }
-            for e in self.events
-            if e.critique is not None
+            {"node": e.node, "phase": e.phase, **vars(e.critique)} for e in self.events if e.critique
         ]
 
 
@@ -144,14 +136,7 @@ class SignalRunResult:
         return len(self.log)
 
     def stage3_dict(self) -> dict:
-        return {
-            "a1": self.a1,
-            "a2": self.a2,
-            "a2_prime": self.a2_prime,
-            "a3": self.a3,
-            "deduplicated": self.deduplicated,
-            "warnings": self.warnings,
-        }
+        return {k: getattr(self, k) for k in ("a1", "a2", "a2_prime", "a3", "deduplicated", "warnings")}
 
 
 # --------------------------------------------------------------------------

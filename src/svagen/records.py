@@ -1,0 +1,137 @@
+"""One typed decoder from parsed JSON onto dataclasses, and its encoder.
+
+Every JSON record svagen reads or writes (the run config, the information
+bank, a tree dump, a scripted-backend file) is a dataclass, and `decode`
+and `encode` map it from and to JSON by the field annotations alone.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import json
+import typing
+
+_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
+          type(None): "null"}
+
+
+class _Kind:
+    """What one annotation accepts, matched by exact type: a bool is never
+    an int, an int is accepted for a float and `X | None` accepts null."""
+
+    __slots__ = ("types", "name", "item", "cls", "leaf", "fields", "required")
+
+    def __init__(self, types: tuple[type, ...], name: str, item=None, cls=None) -> None:
+        self.types, self.name = types, name  # JSON value types, and their name for messages
+        self.item, self.cls = item, cls  # a list's item kind; the dataclass of an object
+        self.leaf = types if item is None and cls is None else ()  # values taken as they are
+        if cls is not None:
+            hints, fields = typing.get_type_hints(cls), dataclasses.fields(cls)
+            self.fields = {f.name: _kind(hints[f.name]) for f in fields}
+            missing = dataclasses.MISSING
+            self.required = [f.name for f in fields if f.default is f.default_factory is missing]
+
+
+@functools.cache
+def _kind(hint) -> _Kind:
+    if dataclasses.is_dataclass(hint):
+        return _Kind((dict,), "an object", cls=hint)
+    if typing.get_origin(hint) is list:
+        return _Kind((list,), "a list", item=_kind(typing.get_args(hint)[0]))
+    if typing.get_origin(hint) is not None:  # X | None, of scalars
+        kinds = [_kind(arg) for arg in typing.get_args(hint)]
+        return _Kind(tuple(t for k in kinds for t in k.types), " or ".join(k.name for k in kinds))
+    return _Kind((int, float) if hint is float else (hint,), _NAMES[hint])
+
+
+class _Invalid(Exception):
+    """A bad value. Each enclosing object or list adds its key or index to
+    `path` as the error unwinds, so no path is built unless one is wrong."""
+
+    def __init__(self, before: str, after: str, key: str | None = None) -> None:
+        self.before, self.after = before, after  # the message around the path
+        self.path: list[str | int] = [] if key is None else [key]  # innermost first
+
+
+def decode(cls, data, error: type[Exception], path: str = "", base=None):
+    """A fresh `cls` (a dataclass, or a `list[...]` of one) from parsed JSON.
+
+    An unknown key is an error, and every value must have its field's type.
+    A missing key takes `base`'s value when a base is given, otherwise the
+    field's default; a field without a default is required. Each dataclass
+    is built once, so its `__post_init__` runs once; a plain ValueError from
+    it becomes "invalid <section> parameters". Every error is raised as
+    `error` and names the field path below `path`."""
+    try:
+        return _value(_kind(cls), data, error, base)
+    except _Invalid as bad:
+        where = path
+        for part in reversed(bad.path):
+            where += f"[{part}]" if type(part) is int else f".{part}" if where else part
+        raise error(bad.before + (where or "top level") + bad.after) from bad.__cause__
+
+
+def _value(kind: _Kind, value, error: type[Exception], base=None):
+    if type(value) not in kind.types:
+        text = json.dumps(value)
+        text = text if len(text) <= 60 else text[:57] + "..."
+        raise _Invalid("", f" must be {kind.name}, not {text}")
+    item = kind.item
+    if item is not None:
+        leaf = item.leaf
+        for v in value:
+            if type(v) not in leaf:
+                break
+        else:
+            return value
+        out = []
+        try:
+            for i, v in enumerate(value):
+                out.append(_value(item, v, error))
+        except _Invalid as bad:
+            bad.path.append(i)
+            raise
+        return out
+    if kind.cls is None:
+        return value
+    fields = kind.fields
+    kwargs = value  # copied only when a value is built or taken from base
+    for key, v in value.items():
+        sub = fields.get(key)
+        if sub is None:
+            raise _Invalid("unknown key ", "", key)
+        if type(v) in sub.leaf:
+            continue
+        if kwargs is value:
+            kwargs = dict(value)
+        try:
+            kwargs[key] = _value(sub, v, error, None if base is None else getattr(base, key))
+        except _Invalid as bad:
+            bad.path.append(key)
+            raise
+    if base is not None:
+        kwargs = {**{key: getattr(base, key) for key in fields}, **kwargs}
+    else:
+        for key in kind.required:
+            if key not in kwargs:
+                raise _Invalid("", " is missing", key)
+    try:
+        return kind.cls(**kwargs)
+    except error:
+        raise
+    except ValueError as err:  # a range check of a class defined outside the caller's module
+        raise _Invalid("invalid ", f" parameters: {err}") from err
+
+
+def encode(record) -> dict:
+    """`dataclasses.asdict(record)` through `decode`'s field table, without a deep copy."""
+    return _encode(_kind(type(record)), record)
+
+
+def _encode(kind: _Kind, value):
+    if kind.cls is not None:
+        return {name: _encode(sub, getattr(value, name)) for name, sub in kind.fields.items()}
+    if kind.item is None:
+        return value
+    return list(value) if kind.item.leaf else [_encode(kind.item, v) for v in value]

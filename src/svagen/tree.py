@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from svagen.records import decode, encode
+
 
 class TreeError(ValueError):
     """Structural or contract violation on a reasoning tree."""
@@ -51,21 +53,6 @@ class AnswerContent:
     commentary: str = ""
     syntax_log: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "assertions": list(self.assertions),
-            "commentary": self.commentary,
-            "syntax_log": self.syntax_log,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> AnswerContent:
-        return cls(
-            assertions=list(d["assertions"]),
-            commentary=d.get("commentary", ""),
-            syntax_log=d.get("syntax_log"),
-        )
-
 
 @dataclass
 class ReasoningNode:
@@ -81,28 +68,15 @@ class ReasoningNode:
     def evaluated(self) -> bool:
         return len(self.reward_samples) > 0
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "parent": self.parent,
-            "children": list(self.children),
-            "answer": self.answer.to_dict(),
-            "q_value": self.q_value,
-            "visit_count": self.visit_count,
-            "reward_samples": list(self.reward_samples),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> ReasoningNode:
-        return cls(
-            id=d["id"],
-            parent=d["parent"],
-            answer=AnswerContent.from_dict(d["answer"]),
-            children=list(d["children"]),
-            q_value=d["q_value"],
-            visit_count=d["visit_count"],
-            reward_samples=list(d["reward_samples"]),
-        )
+@dataclass
+class TreeRecord:
+    """A tree as `tree.json` holds it: nodes in id order."""
+
+    signal_name: str
+    root: int
+    rollouts_completed: int
+    nodes: list[ReasoningNode]
 
 
 def compute_uct(node: ReasoningNode, parent_visit_count: int, params: SearchParams) -> float:
@@ -243,28 +217,27 @@ class ReasoningTree:
 
     # -- persistence ---------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "signal_name": self.signal_name,
-            "root": self.root,
-            "rollouts_completed": self.rollouts_completed,
-            "nodes": [self.nodes[i].to_dict() for i in sorted(self.nodes)],
-        }
-
     def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> ReasoningTree:
-        tree = cls.__new__(cls)
-        tree.signal_name = d["signal_name"]
-        tree.root = d["root"]
-        tree.rollouts_completed = d["rollouts_completed"]
-        tree.nodes = {nd["id"]: ReasoningNode.from_dict(nd) for nd in d["nodes"]}
-        tree._next_id = max(tree.nodes) + 1 if tree.nodes else 0
-        tree.validate()
-        return tree
+        record = TreeRecord(
+            self.signal_name, self.root, self.rollouts_completed,
+            [self.nodes[i] for i in sorted(self.nodes)],
+        )
+        return json.dumps(encode(record), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def loads(cls, text: str) -> ReasoningTree:
-        return cls.from_dict(json.loads(text))
+        """TreeError naming the field path when `text` is not a tree dump."""
+        try:
+            record = decode(TreeRecord, json.loads(text), TreeError)
+        except json.JSONDecodeError as err:
+            raise TreeError(f"tree dump is not valid JSON: {err}") from err
+        tree = cls.__new__(cls)
+        tree.signal_name, tree.root = record.signal_name, record.root
+        tree.rollouts_completed, tree.nodes = record.rollouts_completed, {}
+        for i, node in enumerate(record.nodes):
+            if node.id in tree.nodes:
+                raise TreeError(f"nodes[{i}].id: duplicate {node.id}")
+            tree.nodes[node.id] = node
+        tree._next_id = max(tree.nodes) + 1 if tree.nodes else 0
+        tree.validate()
+        return tree

@@ -9,10 +9,10 @@ import os
 
 import pytest
 
-from svagen.backends import BackendError, HttpBackendConfig, HttpChatBackend
+from svagen.backends import BackendError, HttpBackendConfig, HttpChatBackend, ScriptedBackend
 from svagen.config import ConfigError, RunConfig, config_from_dict, load_config
 from svagen.prompts import DEFAULT_TEMPLATES, load_template
-from svagen.sva.checker import BuiltinChecker, ExternalChecker
+from svagen.sva.checker import BuiltinChecker, DiagnosticPattern, ExternalChecker
 
 DOCS_FORMATS = os.path.join(os.path.dirname(__file__), "..", "docs", "formats.md")
 
@@ -81,6 +81,14 @@ class TestHttpBackend:
         with pytest.raises(BackendError):
             backend.complete([{"role": "user", "content": "u"}])
 
+    @pytest.mark.parametrize(
+        "payload", [{"choices": None}, {"choices": [{"message": "x"}]}, {"choices": [None]}]
+    )
+    def test_wrongly_typed_response(self, monkeypatch, payload):
+        backend = _backend(_FakeSession(_FakeResponse(payload=payload)), monkeypatch)
+        with pytest.raises(BackendError, match="malformed"):
+            backend.complete([{"role": "user", "content": "u"}])
+
     def test_empty_text_rejected(self, monkeypatch):
         session = _FakeSession(
             _FakeResponse(payload={"choices": [{"message": {"content": ""}}]})
@@ -88,6 +96,31 @@ class TestHttpBackend:
         backend = _backend(session, monkeypatch)
         with pytest.raises(BackendError):
             backend.complete([{"role": "user", "content": "u"}])
+
+
+class TestScriptFile:
+    def test_entries_with_and_without_match_load(self, tmp_path):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps([{"response": "first"}, {"response": "keyed", "match": "K"}]))
+        backend = ScriptedBackend.from_file(str(path))
+        assert backend.complete([{"role": "user", "content": "K"}]) == "first"
+        assert backend.complete([{"role": "user", "content": "K"}]) == "keyed"
+
+    @pytest.mark.parametrize(
+        "script, message",
+        [
+            ([{"match": "K"}], r"\[0\]\.response is missing"),
+            ({"response": "r"}, "top level must be a list"),
+            ([{"response": 1}], r"\[0\]\.response must be a string, not 1"),
+            ([{"response": "r"}, {"resp": "r"}], r"unknown key \[1\]\.resp"),
+        ],
+    )
+    def test_malformed_script_names_file_and_path(self, tmp_path, script, message):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script))
+        with pytest.raises(ValueError, match=message) as err:
+            ScriptedBackend.from_file(str(path))
+        assert str(path) in str(err.value)
 
 
 class TestRunConfig:
@@ -215,6 +248,15 @@ class TestRunConfig:
             {"checker": {"kind": "external", "command_template": "lint {file}"}}
         )
         assert isinstance(config.make_checker(), ExternalChecker)
+
+    def test_checker_patterns_decoded(self):
+        pattern = {"pattern": r"E(?P<line>\d+): (?P<message>.+)", "code": "lint"}
+        config = config_from_dict(
+            {"checker": {"kind": "external", "command_template": "lint {file}", "patterns": [pattern]}}
+        )
+        assert config.make_checker().patterns == [DiagnosticPattern(**pattern)]
+        with pytest.raises(ConfigError, match=r"checker\.patterns\[0\]\.severity must be a string"):
+            config_from_dict({"checker": {"patterns": [{"pattern": "x", "severity": 1}]}})
 
     def test_external_checker_needs_command(self):
         config = config_from_dict({"checker": {"kind": "external"}})

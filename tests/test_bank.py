@@ -4,6 +4,7 @@ persistence round-trips."""
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,26 @@ class TestAnalyzeWaveform:
         assert len(warnings) == 1
 
 
+class TestDescribe:
+    """The prompt excerpts use the same section headers the analyzers parse."""
+
+    def test_signal_leaves_out_empty_sections(self):
+        info = SignalInfo("ack_o", description="d", additional_info="x", related_signals=["req_i", "clk"])
+        assert info.describe() == (
+            "[Signal Name]: ack_o\n[Verilog Name]: ack_o\n[Description]: d\n"
+            "[Additional Information]: x\n[Related Signals]: req_i, clk"
+        )
+        assert SignalInfo("ack_o", spec_name="ACK").describe() == "[Signal Name]: ACK\n[Verilog Name]: ack_o"
+
+    def test_waveform_keeps_every_section(self):
+        summary = WaveformSummary("hs", ["req_i", "ack_o"], timing_relationship="t")
+        assert summary.describe() == (
+            "[Waveform Name]: hs\n[Signals]: req_i, ack_o\n[Timing Relationship]: t\n"
+            "[Causal Dependencies]: \n[State Transitions]: \n"
+            "[Protocol/Handshaking Mechanisms]: \n[Additional Observations]: "
+        )
+
+
 class TestBankValidation:
     def test_duplicate_verilog_name_rejected(self):
         bank = InformationBank(
@@ -215,11 +236,11 @@ class TestPersistence:
         bank = self._bank()
         save_bank(bank, path)
         loaded = load_bank(path)
-        assert loaded.to_dict() == bank.to_dict()
+        assert asdict(loaded) == asdict(bank)
 
     def test_missing_field_names_path(self, tmp_path):
         path = str(tmp_path / "bank.json")
-        bank_dict = self._bank().to_dict()
+        bank_dict = asdict(self._bank())
         del bank_dict["signals"][0]["verilog_name"]
         with open(path, "w") as f:
             json.dump(bank_dict, f)
@@ -229,7 +250,7 @@ class TestPersistence:
 
     def test_duplicate_name_fails_load(self, tmp_path):
         path = str(tmp_path / "bank.json")
-        bank_dict = self._bank().to_dict()
+        bank_dict = asdict(self._bank())
         bank_dict["signals"][1]["verilog_name"] = "ack_o"
         with open(path, "w") as f:
             json.dump(bank_dict, f)
@@ -239,12 +260,38 @@ class TestPersistence:
     @pytest.mark.parametrize("name", ["../../escape", "a/b", "a\\b", ".", ".."])
     def test_path_like_name_fails_load(self, tmp_path, name):
         path = str(tmp_path / "bank.json")
-        bank_dict = self._bank().to_dict()
+        bank_dict = asdict(self._bank())
         bank_dict["signals"][0]["verilog_name"] = name
         with open(path, "w") as f:
             json.dump(bank_dict, f)
         with pytest.raises(BankLoadError, match=r"signals\[0\]\.verilog_name: .* not a file name"):
             load_bank(path)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda b: b["signals"][0].update(related_signals=[1]),
+             r"signals\[0\]\.related_signals\[0\] must be a string"),
+            (lambda b: b["waveforms"][0].update(signals="ack_o"),
+             r"waveforms\[0\]\.signals must be a list"),
+            (lambda b: b["signals"][1].update(notes="x"), r"unknown key signals\[1\]\.notes"),
+            (lambda b: b.update(version=2), r"unknown key version"),
+        ],
+    )
+    def test_wrong_type_or_unknown_key_fails_load(self, tmp_path, change, message):
+        path = str(tmp_path / "bank.json")
+        bank_dict = asdict(self._bank())
+        change(bank_dict)
+        with open(path, "w") as f:
+            json.dump(bank_dict, f)
+        with pytest.raises(BankLoadError, match=message):
+            load_bank(path)
+
+    def test_fields_with_defaults_may_be_omitted(self, tmp_path):
+        path = str(tmp_path / "bank.json")
+        with open(path, "w") as f:
+            json.dump({"design_name": "d", "signals": [{"verilog_name": "ack_o"}]}, f)
+        assert load_bank(path) == InformationBank("d", signals=[SignalInfo("ack_o")])
 
     def test_invalid_json(self, tmp_path):
         path = str(tmp_path / "bank.json")
@@ -282,4 +329,4 @@ def test_round_trip_property(tmp_path_factory, names, texts):
     )
     path = str(tmp_path_factory.mktemp("banks") / "bank.json")
     save_bank(bank, path)
-    assert load_bank(path).to_dict() == bank.to_dict()
+    assert asdict(load_bank(path)) == asdict(bank)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -257,7 +258,7 @@ class TestRun:
 
     def test_path_like_signal_name_exit_two(self, tmp_path, monkeypatch):
         calls = record_backend_calls(monkeypatch)
-        bank = make_bank(["ack_o"]).to_dict()
+        bank = asdict(make_bank(["ack_o"]))
         bank["signals"][0]["verilog_name"] = "../../escape"
         with open(tmp_path / "bank.json", "w") as f:
             json.dump(bank, f)
@@ -289,6 +290,49 @@ class TestRun:
         with open(tmp_path / "out" / "summary.json") as f:
             summary = json.load(f)
         assert summary["totals"]["max_api_calls"] == 8  # 2 + 4*1 + 2
+
+
+MALFORMED_SCRIPTS = {
+    "missing response": [{"match": "Verilog declarations:"}],
+    "top-level object": {"response": "req_i: request"},
+    "non-string response": [{"response": 1}],
+    "unknown key": [{"resp": "req_i: request"}],
+}
+
+
+class TestBackendInputErrors:
+    @pytest.mark.parametrize("case", MALFORMED_SCRIPTS)
+    def test_malformed_script_exit_two(self, tmp_path, monkeypatch, capsys, case):
+        config = write_stage_one_config(tmp_path)
+        write_script_file(tmp_path / "script.json", MALFORMED_SCRIPTS[case])
+        calls = record_backend_calls(monkeypatch)
+        assert main(["run", "--config", config]) == 2
+        assert calls == []
+        assert not os.path.exists(tmp_path / "bank.json")
+        err = capsys.readouterr().err
+        assert str(tmp_path / "script.json") in err
+
+    @pytest.mark.parametrize("command", ["run", "bank build"])
+    def test_exhausted_script_in_stage_one_exit_two(self, tmp_path, capsys, command):
+        config = write_stage_one_config(tmp_path)
+        write_script_file(tmp_path / "script.json", [])
+        assert main([*command.split(), "--config", config]) == 2
+        assert not os.path.exists(tmp_path / "bank.json")
+        assert "scripted backend exhausted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "bank build"])
+    def test_unset_api_key_in_stage_one_exit_two(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.delenv("SVAGEN_TEST_UNSET_KEY", raising=False)
+        backend = {
+            "type": "http",
+            "endpoint": "http://localhost:9/v1/chat/completions",
+            "model": "m",
+            "api_key_env": "SVAGEN_TEST_UNSET_KEY",
+        }
+        config = write_stage_one_config(tmp_path, {"backend": backend})
+        assert main([*command.split(), "--config", config]) == 2
+        assert not os.path.exists(tmp_path / "bank.json")
+        assert "SVAGEN_TEST_UNSET_KEY" in capsys.readouterr().err
 
 
 class TestBankBuild:
@@ -351,6 +395,17 @@ class TestRagBuild:
         assert "--dimension" in capsys.readouterr().err
 
 
+def tree_text(duplicate=False, **node_fields) -> str:
+    """A one-node tree dump with `node_fields` replaced; `duplicate` lists
+    the node twice."""
+    node = {
+        "id": 0, "parent": None, "children": [], "answer": {"assertions": ["assert property (x);"]},
+        "q_value": 42.0, "visit_count": 1, "reward_samples": [42.0], **node_fields,
+    }
+    nodes = [node, node] if duplicate else [node]
+    return json.dumps({"signal_name": "ack_o", "root": 0, "rollouts_completed": 0, "nodes": nodes})
+
+
 class TestTreeShow:
     def test_renders(self, tmp_path, capsys):
         from svagen.tree import AnswerContent, ReasoningTree, SearchParams
@@ -363,6 +418,26 @@ class TestTreeShow:
         out = capsys.readouterr().out
         assert "signal: ack_o" in out
         assert "Q=42" in out
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"x": 1}',
+            "[]",
+            "{nope",
+            tree_text(q_value="hi"),
+            tree_text(answer={"assertions": "abc"}),
+            tree_text(duplicate=True),
+        ],
+        ids=["unknown key", "list", "invalid json", "string q_value", "string assertions",
+             "duplicate id"],
+    )
+    def test_bad_dump_exit_two(self, tmp_path, capsys, text):
+        path = tmp_path / "tree.json"
+        path.write_text(text)
+        assert main(["tree", "show", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
 
 
 LATIN1 = "ack_o: réponse à la requête\n".encode("latin-1")  # not valid UTF-8

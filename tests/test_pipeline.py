@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -786,7 +787,7 @@ class TestSignalNamesStayInOutputDir:
     @pytest.mark.parametrize("name", ["../../escape", "../escape", "a/b", "a\\b", ".", ".."])
     def test_run_all_rejects_before_writing(self, tmp_path, name):
         config = config_for(tmp_path / "run", n_rollouts=1, early_stop=False)
-        bank = make_bank(["ack_o"]).to_dict()
+        bank = asdict(make_bank(["ack_o"]))
         bank["signals"][0]["verilog_name"] = name
         with open(config.paths.bank_file, "w") as f:
             json.dump(bank, f)

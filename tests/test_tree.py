@@ -7,6 +7,7 @@ re-derive them with local oracles rather than trusting the implementation.
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -230,6 +231,35 @@ class TestSerialization:
         assert loaded.dumps() == tree.dumps()
         assert loaded.signal_name == "wb_clk_i"
         assert loaded.nodes[child].reward_samples == [80.0]
+
+    def test_duplicate_node_id_rejected(self, params):
+        tree = new_tree()
+        tree.record_reward(0, 10.0, params)
+        data = json.loads(tree.dumps())
+        data["nodes"].append(dict(data["nodes"][0]))
+        with pytest.raises(TreeError, match=r"nodes\[1\]\.id: duplicate 0"):
+            ReasoningTree.loads(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"q_value": "hi"}, r"nodes\[0\]\.q_value must be a number"),
+            ({"answer": {"assertions": "abc"}}, r"nodes\[0\]\.answer\.assertions must be a list"),
+            ({"visit_count": 1.5}, r"nodes\[0\]\.visit_count must be an integer"),
+            ({"extra": 1}, r"unknown key nodes\[0\]\.extra"),
+        ],
+    )
+    def test_wrongly_typed_node_rejected(self, params, change, message):
+        tree = new_tree()
+        tree.record_reward(0, 10.0, params)
+        data = json.loads(tree.dumps())
+        data["nodes"][0].update(change)
+        with pytest.raises(TreeError, match=message):
+            ReasoningTree.loads(json.dumps(data))
+
+    def test_invalid_json_is_tree_error(self):
+        with pytest.raises(TreeError, match="not valid JSON"):
+            ReasoningTree.loads("{nope")
 
 
 # --------------------------------------------------------------------------
