@@ -2,7 +2,8 @@
 generation, critique with score suppression, refinement, syntax correction
 and deduplication.
 
-Everything here is stateless over a ChatBackend; the wire conventions the
+Every agent renders its prompt from the templates of a `CallLog` and sends
+it through that log, which charges the call; the wire conventions the
 models must follow are (a) assertions travel inside fenced code blocks and
 (b) the critic ends with a `[SCORE: n]` marker, of which the last occurrence
 wins so chain-of-thought preambles cannot confuse the parse.
@@ -13,9 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from svagen.backends import ChatBackend
 from svagen.bank import SignalInfo
-from svagen.prompts import DEFAULT_TEMPLATES, PromptTemplate, render_prompt
+from svagen.prompts import CallLog, render_prompt
 from svagen.sva.checker import AssertionRecord
 from svagen.tree import AnswerContent, SearchParams
 
@@ -195,43 +195,40 @@ def merge_normalized(pool: list[str]) -> list[str]:
 # Agent operations
 
 
-def generate_weak_answer(
-    backend: ChatBackend,
-    signal: SignalInfo,
-    workflow: str,
-    templates: dict[str, PromptTemplate] | None = None,
-) -> AnswerContent:
+def generate_weak_answer(log: CallLog, signal: SignalInfo, workflow: str) -> AnswerContent:
     """First, deliberately short assertion set seeding the tree root."""
     if not signal.verilog_name or not (signal.description or signal.definition or signal.functionality):
         raise ValueError("weak answer needs a named, described signal")
-    templates = templates or DEFAULT_TEMPLATES
+    template = log.templates["sva_weak"]
     messages = render_prompt(
-        templates["sva_weak"],
+        template,
         {
             "workflow_info": workflow,
             "signal_name": signal.verilog_name,
             "specification_text": signal.describe(),
         },
     )
-    return parse_answer(backend.complete(messages))
+    return parse_answer(log.complete(template.role_name, messages))
 
 
 def critique(
-    backend: ChatBackend,
+    log: CallLog,
     signal: SignalInfo,
     spec_excerpt: str,
     answer: AnswerContent,
     syntax_log: str,
     params: SearchParams,
     workflow: str = "",
-    templates: dict[str, PromptTemplate] | None = None,
+    node: int | None = None,
+    phase: str | None = None,
 ) -> CritiqueResult:
     """Score an assertion set; the returned suppressed_score is what feeds
-    the tree. Raises ScoreParseError when the reply carries no usable score.
+    the tree, and the call's event in `log` keeps the critique. Raises
+    ScoreParseError when the reply carries no usable score.
     """
-    templates = templates or DEFAULT_TEMPLATES
+    template = log.templates["critic"]
     messages = render_prompt(
-        templates["critic"],
+        template,
         {
             "workflow_info": workflow,
             "signal_name": signal.verilog_name,
@@ -240,32 +237,33 @@ def critique(
             "syntax_log": syntax_log or "(not available)",
         },
     )
-    reply = backend.complete(messages)
+    reply = log.complete(template.role_name, messages, node, phase)
     raw = parse_score(reply, params.score_min, params.score_max)
-    return CritiqueResult(
+    result = CritiqueResult(
         feedback=reply,
         raw_score=raw,
         suppressed_score=suppress_score(raw, params),
     )
+    log.events[-1].critique = result  # this call's event: a log has one writer
+    return result
 
 
 def refine(
-    backend: ChatBackend,
+    log: CallLog,
     signal: SignalInfo,
     answer: AnswerContent,
     critic_feedback: str,
     syntax_log: str,
     rag_context: str,
     workflow: str,
-    templates: dict[str, PromptTemplate] | None = None,
 ) -> AnswerContent:
     """Produce an improved assertion set from both feedback channels.
 
     The input answer is read-only; the result is a fresh AnswerContent.
     """
-    templates = templates or DEFAULT_TEMPLATES
+    template = log.templates["sva_refine"]
     messages = render_prompt(
-        templates["sva_refine"],
+        template,
         {
             "workflow_info": workflow,
             "signal_name": signal.verilog_name,
@@ -276,7 +274,7 @@ def refine(
             "rag_context": rag_context or "(none)",
         },
     )
-    return parse_answer(backend.complete(messages))
+    return parse_answer(log.complete(template.role_name, messages))
 
 
 def format_bad_assertions(records: list[AssertionRecord]) -> str:
@@ -291,16 +289,12 @@ def format_bad_assertions(records: list[AssertionRecord]) -> str:
 
 
 def correct_syntax(
-    backend: ChatBackend,
-    bad: list[AssertionRecord],
-    spec_excerpt: str,
-    signal_name: str,
-    templates: dict[str, PromptTemplate] | None = None,
+    log: CallLog, bad: list[AssertionRecord], spec_excerpt: str, signal_name: str
 ) -> list[str]:
     """Ask the correction agent to fix failing assertions.
 
     Every input record must carry diagnostics. An empty input returns empty
-    without touching the backend.
+    without a call.
     """
     if not bad:
         return []
@@ -309,24 +303,20 @@ def correct_syntax(
             raise ValueError(
                 "correction input must carry at least one diagnostic per assertion"
             )
-    templates = templates or DEFAULT_TEMPLATES
+    template = log.templates["syntax_correction"]
     messages = render_prompt(
-        templates["syntax_correction"],
+        template,
         {
             "specification_text": spec_excerpt,
             "assertions": format_bad_assertions(bad),
             "signal_name": signal_name,
         },
     )
-    return extract_assertions(backend.complete(messages))
+    return extract_assertions(log.complete(template.role_name, messages))
 
 
 def deduplicate(
-    backend: ChatBackend,
-    pool: list[str],
-    spec_excerpt: str,
-    signal_name: str,
-    templates: dict[str, PromptTemplate] | None = None,
+    log: CallLog, pool: list[str], spec_excerpt: str, signal_name: str
 ) -> tuple[list[str], list[str]]:
     """Ask the deduplication agent which pool entries to retain.
 
@@ -336,16 +326,16 @@ def deduplicate(
     """
     if len(pool) <= 1:
         return list(pool), []
-    templates = templates or DEFAULT_TEMPLATES
+    template = log.templates["deduplication"]
     messages = render_prompt(
-        templates["deduplication"],
+        template,
         {
             "specification_text": spec_excerpt,
             "assertions": "\n\n".join(pool),
             "signal_name": signal_name,
         },
     )
-    reply_assertions = extract_assertions(backend.complete(messages))
+    reply_assertions = extract_assertions(log.complete(template.role_name, messages))
     by_norm = {normalize_assertion(t): t for t in pool}
     kept_norms: list[str] = []
     for text in reply_assertions:

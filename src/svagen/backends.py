@@ -7,14 +7,12 @@ to any OpenAI-style chat-completions endpoint.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass
 from typing import Protocol
 
-from svagen import read_text
-from svagen.records import decode
+from svagen.records import load
 
 Message = dict[str, str]  # {"role": "system"|"user", "content": str}
 
@@ -54,11 +52,7 @@ class ScriptedBackend:
     @classmethod
     def from_file(cls, path: str) -> ScriptedBackend:
         """ValueError naming the file when it is not a JSON list of entries."""
-        text = read_text(path, "backend script", ValueError)
-        try:
-            return cls(decode(list[ScriptEntry], json.loads(text), ValueError))
-        except ValueError as err:
-            raise ValueError(f"backend script {path!r}: {err}") from err
+        return cls(load(list[ScriptEntry], path, "backend script", ValueError))
 
     def complete(self, messages: list[Message]) -> str:
         prompt_text = "\n".join(m["content"] for m in messages)

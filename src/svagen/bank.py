@@ -12,10 +12,8 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from svagen import read_text
-from svagen.backends import ChatBackend
-from svagen.prompts import DEFAULT_TEMPLATES, PromptTemplate, render_prompt
-from svagen.records import decode, encode
+from svagen.prompts import CallLog, render_prompt
+from svagen.records import encode, load
 
 
 class StageError(RuntimeError):
@@ -174,10 +172,7 @@ def _split_names(text: str) -> list[str]:
 
 
 def map_signals(
-    backend: ChatBackend,
-    spec_text: str,
-    verilog_decls: str,
-    templates: dict[str, PromptTemplate] | None = None,
+    log: CallLog, spec_text: str, verilog_decls: str
 ) -> tuple[list[tuple[str, str]], list[str]]:
     """Run the signal-mapping agent; returns ((verilog_name, description)
     pairs, warnings).
@@ -188,12 +183,11 @@ def map_signals(
     """
     if not spec_text.strip() or not verilog_decls.strip():
         raise StageError("signal mapping needs non-empty specification and Verilog inputs")
-    templates = templates or DEFAULT_TEMPLATES
+    template = log.templates["signal_mapper"]
     messages = render_prompt(
-        templates["signal_mapper"],
-        {"specification_text": spec_text, "verilog_declarations": verilog_decls},
+        template, {"specification_text": spec_text, "verilog_declarations": verilog_decls}
     )
-    reply = backend.complete(messages)
+    reply = log.complete(template.role_name, messages)
     known = identifier_names(verilog_decls)
     pairs: list[tuple[str, str]] = []
     warnings: list[str] = []
@@ -218,19 +212,13 @@ def map_signals(
     return pairs, warnings
 
 
-def analyze_signal(
-    backend: ChatBackend,
-    spec_text: str,
-    signal_name: str,
-    templates: dict[str, PromptTemplate] | None = None,
-) -> SignalInfo:
+def analyze_signal(log: CallLog, spec_text: str, signal_name: str) -> SignalInfo:
     """Run the specification analyzer for one mapped signal."""
-    templates = templates or DEFAULT_TEMPLATES
+    template = log.templates["spec_analyzer"]
     messages = render_prompt(
-        templates["spec_analyzer"],
-        {"specification_text": spec_text, "signal_name": signal_name},
+        template, {"specification_text": spec_text, "signal_name": signal_name}
     )
-    reply = backend.complete(messages)
+    reply = log.complete(template.role_name, messages)
     if signal_name not in reply:
         raise StageError(
             f"spec analyzer reply does not mention signal {signal_name!r}"
@@ -242,22 +230,18 @@ def analyze_signal(
 
 
 def analyze_waveform(
-    backend: ChatBackend,
-    spec_text: str,
-    waveform_ref: str,
-    templates: dict[str, PromptTemplate] | None = None,
+    log: CallLog, spec_text: str, waveform_ref: str
 ) -> tuple[WaveformSummary | None, list[str]]:
     """Run the waveform analyzer on one textual waveform description.
 
     Waveforms are optional context: an unparseable reply is skipped with a
     warning instead of failing the stage.
     """
-    templates = templates or DEFAULT_TEMPLATES
+    template = log.templates["waveform_analyzer"]
     messages = render_prompt(
-        templates["waveform_analyzer"],
-        {"specification_text": spec_text, "waveform_text": waveform_ref},
+        template, {"specification_text": spec_text, "waveform_text": waveform_ref}
     )
-    reply = backend.complete(messages)
+    reply = log.complete(template.role_name, messages)
     sections = _split_sections(reply, _WAVEFORM_SECTIONS)
     signals = _split_names(sections.get("signals", ""))
     if not signals:
@@ -299,10 +283,11 @@ def save_bank(bank: InformationBank, path: str) -> None:
 
 
 def load_bank(path: str) -> InformationBank:
-    try:
-        raw = json.loads(read_text(path, "bank", BankLoadError))
-    except json.JSONDecodeError as err:
-        raise BankLoadError(f"bank: invalid JSON ({err})") from err
-    bank = decode(InformationBank, raw, BankLoadError)
+    """BankLoadError naming the file and the field when `path` does not
+    hold a valid bank."""
+    return load(InformationBank, path, "bank", BankLoadError, _validated)
+
+
+def _validated(bank: InformationBank) -> InformationBank:
     bank.validate()
     return bank

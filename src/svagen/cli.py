@@ -15,7 +15,8 @@ from svagen.agents import split_assertion_units
 from svagen.backends import BackendError
 from svagen.bank import BankLoadError, StageError
 from svagen.config import ConfigError, RagSettings, config_from_dict, load_config
-from svagen.pipeline import CallLog, build_bank, run_all
+from svagen.pipeline import build_bank, run_all
+from svagen.prompts import CallLog
 from svagen.rag import HashedBowEmbedder, build_index_from_dir
 from svagen.sva.checker import AssertionRecord, BuiltinChecker, format_log
 from svagen.tree import ReasoningTree, TreeError
@@ -84,9 +85,8 @@ def _cmd_bank_build(args: argparse.Namespace) -> int:
         bank_file=args.out,
     )
     config = config_from_dict({"paths": paths}, load_config(args.config) if args.config else None)
-    backend = config.make_backend()
-    log = CallLog("stage 1")
-    bank, warnings = build_bank(config, backend, log, config.load_templates())
+    log = CallLog("stage 1", config.make_backend(), config.load_templates())
+    bank, warnings = build_bank(config, log)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(
@@ -168,8 +168,7 @@ def _render_tree(tree: ReasoningTree) -> str:
 
 
 def _cmd_tree_show(args: argparse.Namespace) -> int:
-    tree = ReasoningTree.loads(read_text(args.artifact, "tree", ConfigError))
-    print(_render_tree(tree))
+    print(_render_tree(ReasoningTree.load(args.artifact)))
     return 0
 
 

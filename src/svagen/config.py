@@ -7,12 +7,10 @@ variable that holds them does.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass, field
 
-from svagen import read_text
 from svagen.backends import (
     ChatBackend,
     HttpBackendConfig,
@@ -21,7 +19,7 @@ from svagen.backends import (
 )
 from svagen.prompts import DEFAULT_TEMPLATES, PromptTemplate, load_template
 from svagen.rag import DEFAULT_CHUNK_OVERLAP, DEFAULT_CHUNK_SIZE, DEFAULT_TOP_K
-from svagen.records import decode
+from svagen.records import decode, load
 from svagen.sva.checker import (
     BuiltinChecker,
     DiagnosticPattern,
@@ -159,9 +157,16 @@ class RunConfig:
                 if key not in templates:
                     raise ConfigError(f"unknown template file {name!r}")
                 try:
-                    templates[key] = load_template(os.path.join(self.templates_dir, name))
+                    template = load_template(os.path.join(self.templates_dir, name))
                 except ValueError as err:
                     raise ConfigError(f"template file {name!r}: {err}") from err
+                # the call log charges a call to its template's role
+                if template.role_name != templates[key].role_name:
+                    raise ConfigError(
+                        f"template file {name!r}: role {template.role_name!r} must be "
+                        f"{templates[key].role_name!r}"
+                    )
+                templates[key] = template
         return templates
 
 
@@ -177,8 +182,6 @@ def config_from_dict(data: dict, config: RunConfig | None = None) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    try:
-        data = json.loads(read_text(path, "config", ConfigError))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config file is not valid JSON: {err}") from err
-    return config_from_dict(data)
+    """ConfigError naming the file and the field when `path` does not hold
+    a valid config."""
+    return load(RunConfig, path, "config", ConfigError)

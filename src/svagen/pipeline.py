@@ -7,25 +7,24 @@ feedback, critic evaluation of the new node with score suppression, and Q
 backpropagation). Stage 3 pools all tree nodes, partitions by syntax,
 corrects, and deduplicates into the final assertion set.
 
-Every LLM call is charged once to a `CallLog`: one per signal, capped at
-the per-signal budget (`config.default_call_budget`), and one for stage 1.
-The ledger counts, the critique records and the summary totals are all
-read from those logs. A capped log raises rather than exceed its cap, so a
-blown budget is always an orchestration bug surfacing loudly, never silent
-overdraft.
+Every agent sends its LLM calls through a `CallLog` (`svagen.prompts`),
+which charges each call as the backend receives it: one log per signal,
+capped at the per-signal budget (`config.default_call_budget`), and one for
+stage 1. The ledger counts, the critique records and the summary totals
+are all read from those logs. A capped log raises rather than exceed its
+cap, so a blown budget is always an orchestration bug surfacing loudly,
+never silent overdraft.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from svagen import read_text
 from svagen.agents import (
-    CritiqueResult,
     ScoreParseError,
     correct_syntax,
     critique,
@@ -47,7 +46,7 @@ from svagen.bank import (
     save_bank,
 )
 from svagen.config import ConfigError, RunConfig
-from svagen.prompts import PromptTemplate
+from svagen.prompts import CallLog, PromptTemplate
 from svagen.rag import DEFAULT_DIMENSION, HashedBowEmbedder, VectorIndex, format_context
 from svagen.sva.checker import (
     AssertionRecord,
@@ -59,58 +58,9 @@ from svagen.sva.checker import (
 from svagen.tree import AnswerContent, ReasoningTree
 
 
-class BudgetExceededError(RuntimeError):
-    """A per-signal call would overdraw the budget; indicates an
-    orchestration bug since every optional call is guarded."""
-
-
 class RolloutAborted(RuntimeError):
     """The current rollout could not complete (score parse failed twice or
     no budget for the retry); the tree so far is kept."""
-
-
-@dataclass
-class CallEvent:
-    """One LLM call. Critic calls name the node and search phase they
-    score, and carry the critique once its score parsed."""
-
-    role: str
-    node: int | None = None
-    phase: str | None = None
-    critique: CritiqueResult | None = None
-
-
-class CallLog:
-    """The LLM calls of one signal, or of stage 1 when `cap` is None, in
-    call order. Each log has one writer thread."""
-
-    def __init__(self, name: str, cap: int | None = None) -> None:
-        self.name = name
-        self.cap = cap
-        self.events: list[CallEvent] = []
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def can_charge(self, n: int = 1) -> bool:
-        return self.cap is None or len(self.events) + n <= self.cap
-
-    def charge(self, role: str, node: int | None = None, phase: str | None = None) -> CallEvent:
-        if not self.can_charge():
-            raise BudgetExceededError(f"signal {self.name!r} would exceed {self.cap} calls")
-        event = CallEvent(role, node, phase)
-        self.events.append(event)
-        return event
-
-    def counts(self) -> dict[str, int]:
-        return dict(sorted(Counter(e.role for e in self.events).items()))
-
-    def critiques(self) -> list[dict]:
-        """Every critic call whose score parsed, for post-hoc review: the
-        feedback is not fed forward during evaluation."""
-        return [
-            {"node": e.node, "phase": e.phase, **vars(e.critique)} for e in self.events if e.critique
-        ]
 
 
 @dataclass
@@ -145,30 +95,26 @@ class SignalRunResult:
 
 def run_stage1(
     config: RunConfig,
-    backend: ChatBackend,
     spec_text: str,
     verilog_decls: str,
     waveform_texts: list[str],
     log: CallLog,
     design_summary: str = "",
-    templates: dict[str, PromptTemplate] | None = None,
 ) -> tuple[InformationBank, list[str]]:
     """Build and persist the information bank; returns (bank, warnings).
 
-    One backend call is charged per mapper invocation, per signal analysis
-    and per waveform analysis. A signal whose analysis fails is dropped with
-    a warning; zero mapped signals aborts the stage.
+    One call through `log` per mapper invocation, per signal analysis and
+    per waveform analysis. A signal whose analysis fails is dropped with a
+    warning; zero mapped signals aborts the stage.
     """
     warnings: list[str] = []
-    log.charge("signal_mapper")
-    pairs, map_warnings = map_signals(backend, spec_text, verilog_decls, templates)
+    pairs, map_warnings = map_signals(log, spec_text, verilog_decls)
     warnings += map_warnings
 
     signals = []
     for name, description in pairs:
-        log.charge("spec_analyzer")
         try:
-            info = analyze_signal(backend, spec_text, name, templates)
+            info = analyze_signal(log, spec_text, name)
         except StageError as err:
             warnings.append(f"signal {name!r} dropped: {err}")
             continue
@@ -180,8 +126,7 @@ def run_stage1(
 
     waveforms = []
     for waveform_text in waveform_texts:
-        log.charge("waveform_analyzer")
-        summary, wf_warnings = analyze_waveform(backend, spec_text, waveform_text, templates)
+        summary, wf_warnings = analyze_waveform(log, spec_text, waveform_text)
         warnings += wf_warnings
         if summary is not None:
             waveforms.append(summary)
@@ -203,16 +148,13 @@ def run_stage1(
 
 def run_stage2(
     config: RunConfig,
-    backend: ChatBackend,
     bank: InformationBank,
     result: SignalRunResult,
     checker: SyntaxChecker,
     rag_index: VectorIndex | None = None,
-    embedder=None,
-    templates: dict[str, PromptTemplate] | None = None,
 ) -> None:
-    """Grow the reasoning tree for one signal into `result.tree`, charging
-    each call to `result.log`.
+    """Grow the reasoning tree for one signal into `result.tree`, making
+    each call through `result.log`.
 
     The call schedule is the one `default_call_budget` counts: the weak root
     and its evaluation, then per rollout a re-sample of the selected node's
@@ -233,28 +175,19 @@ def run_stage2(
     workflow = bank.workflow_info
     excerpt = signal.describe()
     log, warnings = result.log, result.warnings
-    if embedder is None and rag_index is not None:
-        # queries embed in the index's dimension; an index with no chunks has none yet
-        embedder = HashedBowEmbedder(rag_index.dimension or DEFAULT_DIMENSION)
     rag_context: str | None = None  # set at the first refine step
 
     def scored_critique(node_id: int, phase: str, answer: AnswerContent, syntax_log: str):
-        def one_call():
-            event = log.charge("critic", node_id, phase)
-            event.critique = critique(
-                backend, signal, excerpt, answer, syntax_log, params, workflow, templates
-            )
-            return event.critique
-
+        args = (log, signal, excerpt, answer, syntax_log, params, workflow, node_id, phase)
         try:
-            return one_call()
+            return critique(*args)
         except ScoreParseError as err:
             if not log.can_charge():
                 raise RolloutAborted(
                     f"critic score unparseable and no budget left to retry: {err}"
                 ) from err
             try:
-                return one_call()
+                return critique(*args)
             except ScoreParseError as err2:
                 raise RolloutAborted(f"critic score unparseable twice: {err2}") from err2
 
@@ -269,8 +202,7 @@ def run_stage2(
         tree.backpropagate(node_id)
 
     # initial node: weak answer + its evaluation, the first two calls of default_call_budget
-    log.charge("sva")
-    root_answer = generate_weak_answer(backend, signal, workflow, templates)
+    root_answer = generate_weak_answer(log, signal, workflow)
     tree = result.tree = ReasoningTree(signal_name, root_answer)
     try:
         evaluate(tree.root, "root-evaluation")
@@ -296,22 +228,16 @@ def run_stage2(
             if rag_context is None:
                 hits = []
                 if rag_index is not None:
+                    # queries embed in the index's dimension; an index with no chunks has none
+                    embedder = HashedBowEmbedder(rag_index.dimension or DEFAULT_DIMENSION)
                     hits = rag_index.query(
                         f"{signal.verilog_name} {signal.description}", config.rag.k, embedder
                     )
                     if not hits:
                         warnings.append("rag index is empty; refining without reference context")
                 rag_context = format_context(hits)
-            log.charge("sva")
             new_answer = refine(
-                backend,
-                signal,
-                selected.answer,
-                feedback.feedback,
-                selected_log,
-                rag_context,
-                workflow,
-                templates,
+                log, signal, selected.answer, feedback.feedback, selected_log, rag_context, workflow
             )
             if not new_answer.assertions:
                 warnings.append(f"rollout {rollout} refinement produced no assertions")
@@ -354,30 +280,28 @@ def _early_stop_reached(tree: ReasoningTree, checker: SyntaxChecker, config: Run
 # Stage 3
 
 
-def pool_assertions(tree: ReasoningTree) -> list[tuple[str, int]]:
-    """All (assertion, node_id) pairs over the tree in node-id order, with
-    normalized duplicates merged (first spelling wins)."""
+def pool_assertions(tree: ReasoningTree) -> list[str]:
+    """All assertions over the tree in node-id order, with normalized
+    duplicates merged (first spelling wins)."""
     seen: set[str] = set()
-    pooled: list[tuple[str, int]] = []
+    pooled: list[str] = []
     for node_id in sorted(tree.nodes):
         for text in tree.nodes[node_id].answer.assertions:
             key = normalize_assertion(text)
             if key and key not in seen:
                 seen.add(key)
-                pooled.append((text, node_id))
+                pooled.append(text)
     return pooled
 
 
 def run_stage3(
     config: RunConfig,
-    backend: ChatBackend,
     bank: InformationBank,
     result: SignalRunResult,
     checker: SyntaxChecker,
-    templates: dict[str, PromptTemplate] | None = None,
 ) -> None:
     """Combine all nodes of `result.tree` into the final assertion set,
-    charging each call to `result.log`.
+    making each call through `result.log`.
 
     Two calls at most, the last two that `default_call_budget` counts:
     syntax correction (skipped when nothing failed) and deduplication
@@ -387,10 +311,8 @@ def run_stage3(
     signal_name, log, warnings = result.signal, result.log, result.warnings
     excerpt = bank.signal(signal_name).describe()
 
-    records = [
-        AssertionRecord(text=text, signal=signal_name, node_id=node_id)
-        for text, node_id in pool_assertions(result.tree)
-    ]
+    pooled = pool_assertions(result.tree)
+    records = [AssertionRecord(text=text, signal=signal_name) for text in pooled]
     a1_records, a2_records = partition(records, checker)
     result.syntax_log = format_log(records)
     result.a1 = [r.text for r in a1_records]
@@ -398,8 +320,7 @@ def run_stage3(
 
     if a2_records:
         if log.can_charge():
-            log.charge("syntax_correction")
-            corrected = correct_syntax(backend, a2_records, excerpt, signal_name, templates)
+            corrected = correct_syntax(log, a2_records, excerpt, signal_name)
             for text in corrected:
                 if any(d.severity == "error" for d in checker.check(text)):
                     warnings.append(
@@ -415,10 +336,7 @@ def run_stage3(
     if len(dedup_input) <= 1:
         result.deduplicated = dedup_input
     elif log.can_charge():
-        log.charge("deduplication")
-        result.deduplicated, dedup_warnings = deduplicate(
-            backend, dedup_input, excerpt, signal_name, templates
-        )
+        result.deduplicated, dedup_warnings = deduplicate(log, dedup_input, excerpt, signal_name)
         warnings += dedup_warnings
     else:
         result.deduplicated = dedup_input
@@ -479,12 +397,7 @@ class RunSummary:
         }
 
 
-def build_bank(
-    config: RunConfig,
-    backend: ChatBackend,
-    log: CallLog,
-    templates: dict[str, PromptTemplate] | None = None,
-) -> tuple[InformationBank, list[str]]:
+def build_bank(config: RunConfig, log: CallLog) -> tuple[InformationBank, list[str]]:
     """Stage 1 from the input files named in config.paths (specification,
     Verilog declarations, waveforms, design summary); StageError before any
     call when a required path is unset or a file cannot be read as UTF-8."""
@@ -498,10 +411,7 @@ def build_bank(
     design_summary = ""
     if paths.design_summary_file:
         design_summary = read_text(paths.design_summary_file, "design summary", StageError)
-    return run_stage1(
-        config, backend, spec_text, verilog_decls, waveform_texts, log,
-        design_summary, templates,
-    )
+    return run_stage1(config, spec_text, verilog_decls, waveform_texts, log, design_summary)
 
 
 def run_signal(
@@ -516,10 +426,11 @@ def run_signal(
     """Stages 2 and 3 for one signal, with its own capped call log.
     Failures are captured, not raised: a failed signal keeps its tree,
     stage-3 lists, warnings and calls as far as they got."""
-    result = SignalRunResult(signal_name, CallLog(signal_name, config.max_api_calls_per_signal))
+    log = CallLog(signal_name, backend, templates, config.max_api_calls_per_signal)
+    result = SignalRunResult(signal_name, log)
     try:
-        run_stage2(config, backend, bank, result, checker, rag_index, templates=templates)
-        run_stage3(config, backend, bank, result, checker, templates)
+        run_stage2(config, bank, result, checker, rag_index)
+        run_stage3(config, bank, result, checker)
     except Exception as err:  # isolation: one signal's failure never spreads
         result.failed = True
         result.error = f"{type(err).__name__}: {err}"
@@ -544,23 +455,20 @@ def run_all(
     backend = backend if backend is not None else config.make_backend()
     checker = MemoChecker(checker if checker is not None else config.make_checker())
     templates = config.load_templates()
-    stage1 = CallLog("stage 1")
+    stage1 = CallLog("stage 1", backend, templates)
 
     rag_index = None  # loaded before stage 1, so a bad file costs no call
     if config.rag.index_path and os.path.exists(config.rag.index_path):
         try:
             rag_index = VectorIndex.load(config.rag.index_path)
         except ValueError as err:
-            raise ConfigError(
-                f"cannot use rag index {config.rag.index_path}: {err}; "
-                "rebuild it with `svagen rag build`"
-            ) from err
+            raise ConfigError(f"cannot use rag {err}; rebuild it with `svagen rag build`") from err
 
     stage1_warnings: list[str] = []
     if os.path.exists(config.paths.bank_file):
         bank = load_bank(config.paths.bank_file)
     else:
-        bank, stage1_warnings = build_bank(config, backend, stage1, templates)
+        bank, stage1_warnings = build_bank(config, stage1)
 
     signal_names = [s.verilog_name for s in bank.signals]
     if only_signal is not None:

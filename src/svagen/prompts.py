@@ -1,4 +1,5 @@
-"""Prompt templates for the seven agent roles.
+"""Prompt templates for the seven agent roles, and the call log through
+which every agent sends its rendered prompts to a model.
 
 Rendering is pure substitution of {name} placeholders; a missing context
 key is an error naming the placeholder, and nothing else in the template is
@@ -9,10 +10,15 @@ shipped defaults.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from svagen import read_text
-from svagen.backends import Message
+from svagen.backends import ChatBackend, Message
+
+if TYPE_CHECKING:
+    from svagen.agents import CritiqueResult
 
 ROLE_NAMES = (
     "signal_mapper",
@@ -248,3 +254,69 @@ DEFAULT_TEMPLATES: dict[str, PromptTemplate] = {
     ),
     "deduplication": PromptTemplate("deduplication", _DEDUPLICATION_SYSTEM, _DEDUPLICATION_USER),
 }
+
+
+# --------------------------------------------------------------------------
+# Call log: the one call site of every agent
+
+
+class BudgetExceededError(RuntimeError):
+    """A per-signal call would overdraw the budget; indicates an
+    orchestration bug since every optional call is guarded."""
+
+
+@dataclass
+class CallEvent:
+    """One LLM call. Critic calls name the node and search phase they
+    score, and carry the critique once its score parsed."""
+
+    role: str
+    node: int | None = None
+    phase: str | None = None
+    critique: CritiqueResult | None = None
+
+
+class CallLog:
+    """The backend and templates the agents of one signal, or of stage 1
+    when `cap` is None, reach a model through, and their calls in call
+    order. Each log has one writer thread."""
+
+    def __init__(
+        self,
+        name: str,
+        backend: ChatBackend,
+        templates: dict[str, PromptTemplate] | None = None,
+        cap: int | None = None,
+    ) -> None:
+        self.name = name
+        self.backend = backend
+        self.templates = templates or DEFAULT_TEMPLATES
+        self.cap = cap
+        self.events: list[CallEvent] = []
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def can_charge(self, n: int = 1) -> bool:
+        return self.cap is None or len(self.events) + n <= self.cap
+
+    def complete(
+        self, role: str, messages: list[Message], node: int | None = None, phase: str | None = None
+    ) -> str:
+        """Charge one call to `role`, then send `messages` to the backend.
+        Nothing is charged before the prompt is rendered, so the log holds
+        exactly the calls the backend received, a failed one included."""
+        if not self.can_charge():
+            raise BudgetExceededError(f"signal {self.name!r} would exceed {self.cap} calls")
+        self.events.append(CallEvent(role, node, phase))
+        return self.backend.complete(messages)
+
+    def counts(self) -> dict[str, int]:
+        return dict(sorted(Counter(e.role for e in self.events).items()))
+
+    def critiques(self) -> list[dict]:
+        """Every critic call whose score parsed, for post-hoc review: the
+        feedback is not fed forward during evaluation."""
+        return [
+            {"node": e.node, "phase": e.phase, **vars(e.critique)} for e in self.events if e.critique
+        ]

@@ -19,6 +19,7 @@ from typing import Protocol
 import numpy as np
 
 from svagen import read_text
+from svagen.records import load
 
 DEFAULT_DIMENSION = 512
 DEFAULT_CHUNK_SIZE = 1200
@@ -192,26 +193,24 @@ class VectorIndex:
 
     @classmethod
     def load(cls, path: str) -> VectorIndex:
-        """Read a file written by `save`. ValueError when it is not one:
-        invalid JSON, a missing field (the older layout, with a `vector` per
-        chunk, has no `vectors`), or a chunk list or vector byte length that
-        does not match `count` and `dimension`."""
-        with open(path, encoding="utf-8") as f:
-            payload = json.load(f)
-        fields = ("dimension", "count", "chunks", "vectors")
-        if type(payload) is not dict or any(key not in payload for key in fields):
-            raise ValueError(f"index file needs the fields {', '.join(fields)}")
-        dimension, count, chunks, vectors = (payload[key] for key in fields)
-        if type(count) is not int or count < 0:
-            raise ValueError(f"index count must be a non-negative integer, not {count!r}")
+        """Read a file written by `save`. ValueError naming the file when it
+        is not one: invalid JSON, a missing, unknown or wrongly typed field
+        (the older layout, with a `vector` per chunk, has no `vectors`), or
+        a chunk list or vector byte length that does not match `count` and
+        `dimension`."""
+        return load(_IndexFile, path, "index", ValueError, cls._from_file)
+
+    @classmethod
+    def _from_file(cls, stored: _IndexFile) -> VectorIndex:
+        dimension, count, chunks = stored.dimension, stored.count, stored.chunks
+        if count < 0:
+            raise ValueError(f"index count must be non-negative, not {count}")
         # the first add fixes the dimension, so an index with no chunks may have none
-        if not (type(dimension) is int and dimension >= 1 or dimension is None and count == 0):
+        if not (count == 0 if dimension is None else dimension >= 1):
             raise ValueError(f"index dimension must be a positive integer, not {dimension!r}")
-        if type(chunks) is not list or len(chunks) != count:
+        if len(chunks) != count:
             raise ValueError("index file count does not match stored chunks")
-        if type(vectors) is not str:
-            raise ValueError("index vectors must be a base64 string")
-        raw = base64.b64decode(vectors, validate=True)
+        raw = base64.b64decode(stored.vectors, validate=True)
         width = dimension or 0
         if len(raw) != count * width * 8:
             raise ValueError(
@@ -220,14 +219,27 @@ class VectorIndex:
         # one aligned native copy; each chunk's vector is a row of it
         matrix = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(count, width)
         index = cls(dimension=dimension)
-        try:
-            index.chunks = [
-                RagChunk(c["doc_id"], c["chunk_index"], c["text"], row)
-                for c, row in zip(chunks, matrix)
-            ]
-        except (KeyError, TypeError) as err:
-            raise ValueError(f"malformed index chunk: {err!r}") from err
+        index.chunks = [
+            RagChunk(c.doc_id, c.chunk_index, c.text, row) for c, row in zip(chunks, matrix)
+        ]
         return index
+
+
+@dataclass
+class _IndexChunk:
+    doc_id: str
+    chunk_index: int
+    text: str
+
+
+@dataclass
+class _IndexFile:
+    """An index file as `VectorIndex.save` writes it."""
+
+    dimension: int | None
+    count: int
+    chunks: list[_IndexChunk]
+    vectors: str  # base64 of the little-endian float64 count x dimension matrix
 
 
 def build_index_from_dir(

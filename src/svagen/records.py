@@ -1,8 +1,9 @@
 """One typed decoder from parsed JSON onto dataclasses, and its encoder.
 
 Every JSON record svagen reads or writes (the run config, the information
-bank, a tree dump, a scripted-backend file) is a dataclass, and `decode`
-and `encode` map it from and to JSON by the field annotations alone.
+bank, a tree dump, a scripted-backend file, the retrieval index) is a
+dataclass, and `decode` and `encode` map it from and to JSON by the field
+annotations alone. `load` reads one from a file.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import dataclasses
 import functools
 import json
 import typing
+
+from svagen import read_text
 
 _NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
           type(None): "null"}
@@ -122,6 +125,29 @@ def _value(kind: _Kind, value, error: type[Exception], base=None):
         raise
     except ValueError as err:  # a range check of a class defined outside the caller's module
         raise _Invalid("invalid ", f" parameters: {err}") from err
+
+
+def loads(cls, text: str, error: type[Exception]):
+    """`decode(cls, ...)` of JSON `text`; text that is not JSON raises
+    `error` too."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise error(f"not valid JSON: {err}") from err
+    return decode(cls, data, error)
+
+
+def load(cls, path: str, what: str, error: type[Exception], build=None):
+    """`loads` of the UTF-8 JSON file at `path`, passed through `build` when
+    given; every error, `build`'s own included, is raised as `error` and
+    names the file."""
+    text = read_text(path, what, error)  # names the file itself
+    try:
+        record = loads(cls, text, error)
+        del text  # freed before `build` runs: an index file's text is as large as its vectors
+        return record if build is None else build(record)
+    except error as err:
+        raise error(f"{what} file {path!r}: {err}") from err
 
 
 def encode(record) -> dict:

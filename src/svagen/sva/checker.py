@@ -35,7 +35,6 @@ class SyntaxChecker(Protocol):
 class AssertionRecord:
     text: str
     signal: str = ""
-    node_id: int | None = None
     status: str = "unchecked"  # unchecked | pass | fail
     diagnostics: list[Diagnostic] = field(default_factory=list)
 

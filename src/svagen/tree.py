@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from svagen.records import decode, encode
+from svagen.records import encode, load, loads
 
 
 class TreeError(ValueError):
@@ -227,10 +227,15 @@ class ReasoningTree:
     @classmethod
     def loads(cls, text: str) -> ReasoningTree:
         """TreeError naming the field path when `text` is not a tree dump."""
-        try:
-            record = decode(TreeRecord, json.loads(text), TreeError)
-        except json.JSONDecodeError as err:
-            raise TreeError(f"tree dump is not valid JSON: {err}") from err
+        return cls._from_record(loads(TreeRecord, text, TreeError))
+
+    @classmethod
+    def load(cls, path: str) -> ReasoningTree:
+        """`loads` of a file; the error names the file too."""
+        return load(TreeRecord, path, "tree", TreeError, cls._from_record)
+
+    @classmethod
+    def _from_record(cls, record: TreeRecord) -> ReasoningTree:
         tree = cls.__new__(cls)
         tree.signal_name, tree.root = record.signal_name, record.root
         tree.rollouts_completed, tree.nodes = record.rollouts_completed, {}

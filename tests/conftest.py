@@ -10,7 +10,8 @@ import pytest
 from svagen.backends import ScriptEntry, ScriptedBackend
 from svagen.bank import InformationBank, SignalInfo
 from svagen.config import RunConfig
-from svagen.pipeline import CallLog, SignalRunResult
+from svagen.pipeline import SignalRunResult
+from svagen.prompts import CallLog
 from svagen.tree import ReasoningTree, SearchParams
 
 # A syntactically valid assertion pair (property + assert).
@@ -148,10 +149,14 @@ def config_for(tmp_path, n_rollouts: int = 4, **kwargs) -> RunConfig:
     return config
 
 
-def signal_result(config: RunConfig, name: str = "ack_o", tree: ReasoningTree | None = None):
-    """An empty result for one signal with its capped call log, as
-    `run_signal` makes it; `run_stage2` and `run_stage3` fill it."""
-    return SignalRunResult(name, CallLog(name, config.max_api_calls_per_signal), tree)
+def signal_result(
+    config: RunConfig, backend, name: str = "ack_o", tree: ReasoningTree | None = None
+):
+    """An empty result for one signal with its capped call log over
+    `backend`, as `run_signal` makes it; `run_stage2` and `run_stage3` fill
+    it."""
+    log = CallLog(name, backend, cap=config.max_api_calls_per_signal)
+    return SignalRunResult(name, log, tree)
 
 
 def scripted(entries: list[ScriptEntry]) -> ScriptedBackend:

@@ -136,12 +136,12 @@ def test_node_count_and_budget_laws(tmp_path):
     # single signal, n_rollouts = 4
     config = config_for(tmp_path / "one", n_rollouts=4, early_stop=False)
     backend = ScriptedBackend(full_signal_script("ack_o"))
-    result = signal_result(config)
+    result = signal_result(config, backend)
     bank = make_bank(["ack_o"])
-    run_stage2(config, backend, bank, result, BuiltinChecker())
+    run_stage2(config, bank, result, BuiltinChecker())
     assert len(result.tree) == 5
     assert result.total_calls == 18
-    run_stage3(config, backend, bank, result, BuiltinChecker())
+    run_stage3(config, bank, result, BuiltinChecker())
     assert not result.failed
     assert result.total_calls <= 20
 
@@ -263,8 +263,8 @@ def test_stage3_set_laws(tmp_path):
                 reply = "no fenced reply at all"
             script.append(ScriptEntry(response=reply))
 
-        result = signal_result(config, tree=tree)
-        run_stage3(config, ScriptedBackend(script), bank, result, checker)
+        result = signal_result(config, ScriptedBackend(script), tree=tree)
+        run_stage3(config, bank, result, checker)
         assert result.a1 == expected_a1
         assert result.a2 == [t for t in pool if "BAD" in t]
         assert result.a3 == result.a1 + result.a2_prime

@@ -26,7 +26,13 @@ from svagen.agents import (
     suppress_score,
 )
 from svagen.backends import BackendError, ScriptEntry, ScriptedBackend
-from svagen.prompts import DEFAULT_TEMPLATES, PromptTemplate, RenderError, render_prompt
+from svagen.prompts import (
+    DEFAULT_TEMPLATES,
+    CallLog,
+    PromptTemplate,
+    RenderError,
+    render_prompt,
+)
 from svagen.sva.checker import AssertionRecord, BuiltinChecker
 from svagen.tree import AnswerContent, SearchParams
 
@@ -239,23 +245,23 @@ class TestNormalization:
 class TestGenerateWeakAnswer:
     def test_single_assertion(self, signal):
         backend = ScriptedBackend.from_responses([fenced(VALID_BARE_ASSERT)])
-        answer = generate_weak_answer(backend, signal, workflow="w")
+        answer = generate_weak_answer(CallLog("s", backend), signal, workflow="w")
         assert answer.assertions == [VALID_BARE_ASSERT]
 
     def test_prose_reply_gives_degenerate_answer(self, signal):
         backend = ScriptedBackend.from_responses(["cannot comply"])
-        answer = generate_weak_answer(backend, signal, workflow="w")
+        answer = generate_weak_answer(CallLog("s", backend), signal, workflow="w")
         assert answer.assertions == []
         assert answer.commentary == "cannot comply"
 
     def test_exhausted_backend(self, signal):
         backend = ScriptedBackend.from_responses([])
         with pytest.raises(BackendError):
-            generate_weak_answer(backend, signal, workflow="w")
+            generate_weak_answer(CallLog("s", backend), signal, workflow="w")
 
     def test_prompt_carries_brevity_instruction(self, signal):
         backend = RecordingBackend([fenced(VALID_BARE_ASSERT)])
-        generate_weak_answer(backend, signal, workflow="w")
+        generate_weak_answer(CallLog("s", backend), signal, workflow="w")
         assert "short" in backend.prompts[0]
 
 
@@ -263,7 +269,7 @@ class TestCritique:
     def test_suppression_applied(self, signal, params):
         backend = ScriptedBackend.from_responses([critic_reply(97)])
         result = critique(
-            backend, signal, signal.describe(), AnswerContent(assertions=["a"]),
+            CallLog("s", backend), signal, signal.describe(), AnswerContent(assertions=["a"]),
             "", params,
         )
         assert isinstance(result, CritiqueResult)
@@ -273,7 +279,7 @@ class TestCritique:
     def test_in_range_score(self, signal, params):
         backend = ScriptedBackend.from_responses([critic_reply(-20)])
         result = critique(
-            backend, signal, signal.describe(), AnswerContent(assertions=["a"]),
+            CallLog("s", backend), signal, signal.describe(), AnswerContent(assertions=["a"]),
             "", params,
         )
         assert result.suppressed_score == -20.0
@@ -282,7 +288,7 @@ class TestCritique:
         backend = ScriptedBackend.from_responses(["no score at all"])
         with pytest.raises(ScoreParseError):
             critique(
-                backend, signal, signal.describe(), AnswerContent(assertions=["a"]),
+                CallLog("s", backend), signal, signal.describe(), AnswerContent(assertions=["a"]),
                 "", params,
             )
 
@@ -290,7 +296,7 @@ class TestCritique:
         reply = critic_reply(10, feedback="The reset polarity is wrong.")
         backend = ScriptedBackend.from_responses([reply])
         result = critique(
-            backend, signal, signal.describe(), AnswerContent(assertions=["a"]),
+            CallLog("s", backend), signal, signal.describe(), AnswerContent(assertions=["a"]),
             "", params,
         )
         assert result.feedback == reply
@@ -301,26 +307,26 @@ class TestRefine:
         reply = fenced(VALID_PROPERTY_UNIT, VALID_BARE_ASSERT, INVALID_ASSERT)
         backend = ScriptedBackend.from_responses([reply])
         answer = refine(
-            backend, signal, AnswerContent(assertions=["assert property (a);"]),
+            CallLog("s", backend), signal, AnswerContent(assertions=["assert property (a);"]),
             "feedback", "", "", "w",
         )
         assert len(answer.assertions) == 3
 
     def test_empty_feedback_channels_allowed(self, signal):
         backend = ScriptedBackend.from_responses([fenced(VALID_BARE_ASSERT)])
-        answer = refine(backend, signal, AnswerContent(), "", "", "", "")
+        answer = refine(CallLog("s", backend), signal, AnswerContent(), "", "", "", "")
         assert len(answer.assertions) == 1
 
     def test_prompt_contains_prior_assertions(self, signal):
         backend = RecordingBackend([fenced(VALID_BARE_ASSERT)])
         prior = AnswerContent(assertions=["assert property (q_old);"])
-        refine(backend, signal, prior, "fb", "log", "rag", "w")
+        refine(CallLog("s", backend), signal, prior, "fb", "log", "rag", "w")
         assert "assert property (q_old);" in backend.prompts[0]
 
     def test_input_answer_not_mutated(self, signal):
         backend = ScriptedBackend.from_responses([fenced(VALID_BARE_ASSERT)])
         prior = AnswerContent(assertions=["assert property (q_old);"], commentary="c")
-        refine(backend, signal, prior, "fb", "log", "rag", "w")
+        refine(CallLog("s", backend), signal, prior, "fb", "log", "rag", "w")
         assert prior.assertions == ["assert property (q_old);"]
         assert prior.commentary == "c"
 
@@ -339,19 +345,19 @@ def _bad_records() -> list[AssertionRecord]:
 class TestCorrectSyntax:
     def test_empty_input_no_backend_call(self):
         backend = ScriptedBackend.from_responses([])  # would raise if called
-        assert correct_syntax(backend, [], "spec", "s") == []
+        assert correct_syntax(CallLog("s", backend), [], "spec", "s") == []
 
     def test_two_fixed(self):
         backend = ScriptedBackend.from_responses(
             [fenced("assert property (a);", "assert property (b);")]
         )
-        fixed = correct_syntax(backend, _bad_records(), "spec", "s")
+        fixed = correct_syntax(CallLog("s", backend), _bad_records(), "spec", "s")
         assert len(fixed) == 2
 
     def test_prompt_contains_diagnostics_verbatim(self):
         backend = RecordingBackend([fenced("assert property (a);")])
         records = _bad_records()
-        correct_syntax(backend, records, "spec", "s")
+        correct_syntax(CallLog("s", backend), records, "spec", "s")
         for record in records:
             for diagnostic in record.diagnostics:
                 assert diagnostic.message in backend.prompts[0]
@@ -359,13 +365,15 @@ class TestCorrectSyntax:
     def test_record_without_diagnostics_rejected(self):
         backend = ScriptedBackend.from_responses([])
         with pytest.raises(ValueError):
-            correct_syntax(backend, [AssertionRecord(text="assert property (a);")], "spec", "s")
+            correct_syntax(
+                CallLog("s", backend), [AssertionRecord(text="assert property (a);")], "spec", "s"
+            )
 
 
 class TestDeduplicate:
     def test_singleton_skips_backend(self):
         backend = ScriptedBackend.from_responses([])
-        kept, warnings = deduplicate(backend, ["assert property (a);"], "spec", "s")
+        kept, warnings = deduplicate(CallLog("s", backend), ["assert property (a);"], "spec", "s")
         assert kept == ["assert property (a);"]
         assert warnings == []
 
@@ -374,14 +382,14 @@ class TestDeduplicate:
         backend = ScriptedBackend.from_responses(
             [fenced("assert property (c);", "assert property (a);")]
         )
-        kept, warnings = deduplicate(backend, pool, "spec", "s")
+        kept, warnings = deduplicate(CallLog("s", backend), pool, "spec", "s")
         assert kept == ["assert property (a);", "assert property (c);"]
         assert warnings == []
 
     def test_non_subset_reply_rejected(self):
         pool = ["assert property (a);", "assert property (b);"]
         backend = ScriptedBackend.from_responses([fenced("assert property (zzz);")])
-        kept, warnings = deduplicate(backend, pool, "spec", "s")
+        kept, warnings = deduplicate(CallLog("s", backend), pool, "spec", "s")
         assert kept == pool
         assert len(warnings) == 1
 
@@ -389,7 +397,7 @@ class TestDeduplicate:
         pool = ["assert property (a);  // keep me"]
         pool.append("assert property (b);")
         backend = ScriptedBackend.from_responses([fenced("assert  property (a)")])
-        kept, _ = deduplicate(backend, pool, "spec", "s")
+        kept, _ = deduplicate(CallLog("s", backend), pool, "spec", "s")
         assert kept == ["assert property (a);  // keep me"]
 
 

@@ -24,6 +24,7 @@ from svagen.bank import (
     map_signals,
     save_bank,
 )
+from svagen.prompts import CallLog
 
 SPEC_TEXT = "The ack_o output acknowledges a request. The req_i input starts one."
 VERILOG_DECLS = """\
@@ -50,7 +51,7 @@ class TestMapSignals:
     def test_three_mapped(self):
         reply = "[clk_i]: system clock\n[req_i]: request strobe\nack_o: acknowledge"
         backend = ScriptedBackend.from_responses([reply])
-        pairs, warnings = map_signals(backend, SPEC_TEXT, VERILOG_DECLS)
+        pairs, warnings = map_signals(CallLog("s", backend), SPEC_TEXT, VERILOG_DECLS)
         assert pairs == [
             ("clk_i", "system clock"),
             ("req_i", "request strobe"),
@@ -61,24 +62,24 @@ class TestMapSignals:
     def test_unknown_signal_dropped_with_warning(self):
         reply = "[clk_i]: clock\n[ghost_sig]: not in the verilog"
         backend = ScriptedBackend.from_responses([reply])
-        pairs, warnings = map_signals(backend, SPEC_TEXT, VERILOG_DECLS)
+        pairs, warnings = map_signals(CallLog("s", backend), SPEC_TEXT, VERILOG_DECLS)
         assert pairs == [("clk_i", "clock")]
         assert any("ghost_sig" in w for w in warnings)
 
     def test_prose_only_is_stage_error(self):
         backend = ScriptedBackend.from_responses(["I could not find any signals."])
         with pytest.raises(StageError):
-            map_signals(backend, SPEC_TEXT, VERILOG_DECLS)
+            map_signals(CallLog("s", backend), SPEC_TEXT, VERILOG_DECLS)
 
     def test_empty_inputs_rejected(self):
         backend = ScriptedBackend.from_responses(["x: y"])
         with pytest.raises(StageError):
-            map_signals(backend, "", VERILOG_DECLS)
+            map_signals(CallLog("s", backend), "", VERILOG_DECLS)
 
     def test_duplicate_mapping_ignored(self):
         reply = "clk_i: clock\nclk_i: clock again"
         backend = ScriptedBackend.from_responses([reply])
-        pairs, warnings = map_signals(backend, SPEC_TEXT, VERILOG_DECLS)
+        pairs, warnings = map_signals(CallLog("s", backend), SPEC_TEXT, VERILOG_DECLS)
         assert len(pairs) == 1
         assert any("duplicate" in w for w in warnings)
 
@@ -97,7 +98,7 @@ FULL_ANALYSIS = """\
 class TestAnalyzeSignal:
     def test_full_format(self):
         backend = ScriptedBackend.from_responses([FULL_ANALYSIS])
-        info = analyze_signal(backend, SPEC_TEXT, "ack_o")
+        info = analyze_signal(CallLog("s", backend), SPEC_TEXT, "ack_o")
         assert info.verilog_name == "ack_o"
         assert info.spec_name == "ack_o"
         assert "acknowledge output" in info.description
@@ -108,26 +109,26 @@ class TestAnalyzeSignal:
     def test_missing_optional_section_empty(self):
         reply = "[Signal Name]: ack_o\n[Description]: ack\n[Definition]: 1-bit"
         backend = ScriptedBackend.from_responses([reply])
-        info = analyze_signal(backend, SPEC_TEXT, "ack_o")
+        info = analyze_signal(CallLog("s", backend), SPEC_TEXT, "ack_o")
         assert info.additional_info == ""
         assert info.functionality == ""
 
     def test_reply_without_signal_name_is_stage_error(self):
         backend = ScriptedBackend.from_responses(["nothing about your signal here"])
         with pytest.raises(StageError):
-            analyze_signal(backend, SPEC_TEXT, "ack_o")
+            analyze_signal(CallLog("s", backend), SPEC_TEXT, "ack_o")
 
     def test_order_insensitive(self):
         reply = "[Functionality]: f\n[Signal Name]: ack_o\n[Description]: d"
         backend = ScriptedBackend.from_responses([reply])
-        info = analyze_signal(backend, SPEC_TEXT, "ack_o")
+        info = analyze_signal(CallLog("s", backend), SPEC_TEXT, "ack_o")
         assert info.functionality == "f" and info.description == "d"
 
     def test_twenty_three_signals(self):
         names = [f"sig_{i}" for i in range(23)]
         replies = [f"[Signal Name]: {n}\n[Description]: d{n}" for n in names]
         backend = ScriptedBackend.from_responses(replies)
-        infos = [analyze_signal(backend, SPEC_TEXT, n) for n in names]
+        infos = [analyze_signal(CallLog("s", backend), SPEC_TEXT, n) for n in names]
         assert len(infos) == 23
         assert [i.verilog_name for i in infos] == names
 
@@ -147,7 +148,7 @@ WAVEFORM_REPLY = """\
 class TestAnalyzeWaveform:
     def test_full_sections(self):
         backend = ScriptedBackend.from_responses([WAVEFORM_REPLY])
-        summary, warnings = analyze_waveform(backend, SPEC_TEXT, "figure 3 text")
+        summary, warnings = analyze_waveform(CallLog("s", backend), SPEC_TEXT, "figure 3 text")
         assert warnings == []
         assert summary.waveform_name == "handshake timing"
         assert summary.signals == ["req_i", "ack_o", "clk_i"]
@@ -156,7 +157,7 @@ class TestAnalyzeWaveform:
 
     def test_malformed_skipped_with_warning(self):
         backend = ScriptedBackend.from_responses(["no structure at all"])
-        summary, warnings = analyze_waveform(backend, SPEC_TEXT, "figure 3 text")
+        summary, warnings = analyze_waveform(CallLog("s", backend), SPEC_TEXT, "figure 3 text")
         assert summary is None
         assert len(warnings) == 1
 

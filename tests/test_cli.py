@@ -122,10 +122,24 @@ def bad_index_text(case: str) -> str:
         payload["vectors"] = base64.b64encode(np.zeros(511).tobytes()).decode()
     elif case == "count mismatch":
         payload["count"] = 2
+    elif case == "string chunk index":
+        payload["chunks"][0]["chunk_index"] = "zero"
+    elif case == "number text":
+        payload["chunks"][0]["text"] = 5
+    elif case == "unknown chunk key":
+        payload["chunks"][0]["page"] = 3
     return json.dumps(payload)
 
 
-BAD_INDEX = ["invalid json", "old layout", "wrong byte length", "count mismatch"]
+BAD_INDEX = [
+    "invalid json",
+    "old layout",
+    "wrong byte length",
+    "count mismatch",
+    "string chunk index",
+    "number text",
+    "unknown chunk key",
+]
 
 INVALID_RAG = [
     {"k": 0},
@@ -255,6 +269,21 @@ class TestRun:
         assert main(["run", "--config", config]) == 2
         assert calls == []
         assert "{file}" in capsys.readouterr().err
+
+    def test_template_of_another_role_exit_two(self, tmp_path, monkeypatch, capsys):
+        # the call log charges each call to its template's role
+        calls = record_backend_calls(monkeypatch)
+        save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
+        (tmp_path / "templates").mkdir()
+        (tmp_path / "templates" / "critic.txt").write_text(
+            "[role] sva\n[system]\ncritic\n[user]\nReview {assertions}.\n"
+        )
+        config = write_config(
+            tmp_path, one_signal_entries(), extra={"templates_dir": str(tmp_path / "templates")}
+        )
+        assert main(["run", "--config", config]) == 2
+        assert calls == []
+        assert "role 'sva' must be 'critic'" in capsys.readouterr().err
 
     def test_path_like_signal_name_exit_two(self, tmp_path, monkeypatch):
         calls = record_backend_calls(monkeypatch)
@@ -521,3 +550,45 @@ class TestNonUtf8Input:
         assert files_under(tmp_path) == before
         err = capsys.readouterr().err
         assert bad_path in err and "utf-8" in err
+
+
+def wrongly_typed_config(tmp_path) -> tuple[list[str], str]:
+    config = write_config(tmp_path, one_signal_entries(), extra={"parallel": "4"})
+    return ["run", "--config", config], config
+
+
+def bank_without_a_name(tmp_path) -> tuple[list[str], str]:
+    bank = asdict(make_bank(["ack_o"]))
+    del bank["signals"][0]["verilog_name"]
+    (tmp_path / "bank.json").write_text(json.dumps(bank))
+    return ["run", "--config", write_config(tmp_path, one_signal_entries())], str(
+        tmp_path / "bank.json"
+    )
+
+
+def bank_with_a_duplicate(tmp_path) -> tuple[list[str], str]:
+    save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
+    bank = json.loads((tmp_path / "bank.json").read_text())
+    bank["signals"].append(bank["signals"][0])
+    (tmp_path / "bank.json").write_text(json.dumps(bank))
+    return ["run", "--config", write_config(tmp_path, one_signal_entries())], str(
+        tmp_path / "bank.json"
+    )
+
+
+def tree_with_a_string_q(tmp_path) -> tuple[list[str], str]:
+    (tmp_path / "tree.json").write_text(tree_text(q_value="hi"))
+    return ["tree", "show", str(tmp_path / "tree.json")], str(tmp_path / "tree.json")
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "make",
+        [wrongly_typed_config, bank_without_a_name, bank_with_a_duplicate, tree_with_a_string_q],
+    )
+    def test_exit_two_naming_the_file(self, tmp_path, monkeypatch, capsys, make):
+        argv, bad_path = make(tmp_path)
+        calls = record_backend_calls(monkeypatch)
+        assert main(argv) == 2
+        assert calls == []
+        assert repr(bad_path) in capsys.readouterr().err

@@ -14,10 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svagen.backends import ScriptedBackend, ScriptEntry
-from svagen.bank import BankLoadError, StageError
+from svagen.bank import BankLoadError, InformationBank, SignalInfo, StageError, save_bank
 from svagen.pipeline import (
-    BudgetExceededError,
-    CallLog,
     RunSummary,
     SignalRunResult,
     run_all,
@@ -25,6 +23,7 @@ from svagen.pipeline import (
     run_stage2,
     run_stage3,
 )
+from svagen.prompts import BudgetExceededError, CallLog
 from svagen.rag import HashedBowEmbedder, VectorIndex
 from svagen.sva.checker import BuiltinChecker
 from svagen.sva.parser import Diagnostic
@@ -46,29 +45,34 @@ from conftest import (
 )
 
 
+def call_log(name: str, cap: int | None = None) -> CallLog:
+    """A call log over a backend that answers every call."""
+    return CallLog(name, ScriptedBackend.from_responses(["reply"] * 9), cap=cap)
+
+
 class TestCallLedger:
     def test_cap_enforced(self):
-        log = CallLog("s", cap=2)
-        log.charge("sva")
-        log.charge("critic")
+        log = call_log("s", cap=2)
+        log.complete("sva", [])
+        log.complete("critic", [])
         with pytest.raises(BudgetExceededError):
-            log.charge("critic")
+            log.complete("critic", [])
 
     def test_monotone_and_isolated_per_signal(self):
-        a, b = CallLog("a", cap=3), CallLog("b", cap=3)
-        a.charge("sva")
-        b.charge("sva")
+        a, b = call_log("a", cap=3), call_log("b", cap=3)
+        a.complete("sva", [])
+        b.complete("sva", [])
         assert len(a) == 1
         assert len(b) == 1
         results = [SignalRunResult("a", a), SignalRunResult("b", b)]
-        summary = RunSummary("d", results, CallLog("stage 1"), max_per_signal=3)
+        summary = RunSummary("d", results, call_log("stage 1"), max_per_signal=3)
         assert summary.to_dict()["totals"]["total_llm_calls"] == 2
 
     def test_stage1_not_counted_against_signals(self):
-        stage1, a, idle = CallLog("stage 1"), CallLog("a", cap=1), CallLog("idle", cap=1)
+        stage1, a, idle = call_log("stage 1"), call_log("a", cap=1), call_log("idle", cap=1)
         for _ in range(5):
-            stage1.charge("spec_analyzer")
-        a.charge("sva")  # still fits
+            stage1.complete("spec_analyzer", [])
+        a.complete("sva", [])  # still fits
         results = [SignalRunResult("idle", idle), SignalRunResult("a", a)]
         out = RunSummary("d", results, stage1, max_per_signal=1).to_dict()
         assert out["totals"]["total_llm_calls"] == 6
@@ -84,7 +88,7 @@ class TestCallLedger:
         }
 
     def test_can_charge(self):
-        log = CallLog("s", cap=2)
+        log = call_log("s", cap=2)
         assert log.can_charge(2)
         assert not log.can_charge(3)
 
@@ -93,8 +97,8 @@ class TestStage2Schedule:
     def test_four_rollouts_five_nodes_eighteen_calls(self, tmp_path, bank):
         config = config_for(tmp_path, n_rollouts=4, early_stop=False)
         backend = ScriptedBackend(full_signal_script("ack_o"))
-        stage2 = signal_result(config)
-        run_stage2(config, backend, bank, stage2, BuiltinChecker())
+        stage2 = signal_result(config, backend)
+        run_stage2(config, bank, stage2, BuiltinChecker())
         assert len(stage2.tree) == 5
         assert stage2.tree.rollouts_completed == 4
         assert stage2.total_calls == 18
@@ -105,8 +109,8 @@ class TestStage2Schedule:
     def test_call_roles_match_schedule(self, tmp_path, bank):
         config = config_for(tmp_path, n_rollouts=4, early_stop=False)
         backend = ScriptedBackend(full_signal_script("ack_o"))
-        result = signal_result(config)
-        run_stage2(config, backend, bank, result, BuiltinChecker())
+        result = signal_result(config, backend)
+        run_stage2(config, bank, result, BuiltinChecker())
         slice_ = result.log.counts()
         # 1 weak answer + 4 refinements; 1 root eval + 3 critic calls/rollout
         assert slice_ == {"critic": 13, "sva": 5}
@@ -115,7 +119,7 @@ class TestStage2Schedule:
         config = config_for(tmp_path)
         backend = ScriptedBackend([])
         with pytest.raises(StageError):
-            run_stage2(config, backend, bank, signal_result(config, "nope"), BuiltinChecker())
+            run_stage2(config, bank, signal_result(config, backend, "nope"), BuiltinChecker())
 
     def test_syntax_log_attached_to_evaluated_nodes(self, tmp_path, bank):
         config = config_for(tmp_path, n_rollouts=1, early_stop=False)
@@ -126,8 +130,8 @@ class TestStage2Schedule:
             [30.0, 40.0, 50.0, 60.0],
         )
         backend = ScriptedBackend(script)
-        result = signal_result(config)
-        run_stage2(config, backend, bank, result, BuiltinChecker())
+        result = signal_result(config, backend)
+        run_stage2(config, bank, result, BuiltinChecker())
         tree = result.tree
         for node in tree.nodes.values():
             assert node.answer.syntax_log is not None
@@ -148,8 +152,8 @@ class TestEarlyStop:
     def test_stop_after_second_rollout(self, tmp_path, bank):
         config = config_for(tmp_path, n_rollouts=4, early_stop=True)
         backend = ScriptedBackend(self._script_with_high_score_at_rollout(2))
-        stage2 = signal_result(config)
-        run_stage2(config, backend, bank, stage2, BuiltinChecker())
+        stage2 = signal_result(config, backend)
+        run_stage2(config, bank, stage2, BuiltinChecker())
         assert len(stage2.tree) == 3
         assert stage2.tree.rollouts_completed == 2
         assert stage2.total_calls == 10  # 2 + 4*2
@@ -158,8 +162,8 @@ class TestEarlyStop:
     def test_no_early_stop_flag(self, tmp_path, bank):
         config = config_for(tmp_path, n_rollouts=4, early_stop=False)
         backend = ScriptedBackend(self._script_with_high_score_at_rollout(2))
-        result = signal_result(config)
-        run_stage2(config, backend, bank, result, BuiltinChecker())
+        result = signal_result(config, backend)
+        run_stage2(config, bank, result, BuiltinChecker())
         assert len(result.tree) == 5
         assert result.total_calls == 18
 
@@ -170,8 +174,8 @@ class TestEarlyStop:
         scores = [30.0, 35.0, 36.0, 95.0, 35.0, 36.0, 41.0]
         config = config_for(tmp_path, n_rollouts=2, early_stop=True)
         backend = ScriptedBackend(stage2_script("ack_o", weak, answers, scores))
-        stage2 = signal_result(config)
-        run_stage2(config, backend, bank, stage2, BuiltinChecker())
+        stage2 = signal_result(config, backend)
+        run_stage2(config, bank, stage2, BuiltinChecker())
         assert stage2.tree.rollouts_completed == 2
         assert not any("early stop" in w for w in stage2.warnings)
 
@@ -188,8 +192,8 @@ class TestRolloutFailurePolicy:
             ScriptEntry(response=fenced(VALID_PROPERTY_UNIT)),  # refine
             ScriptEntry(response=critic_reply(50)),           # child eval
         ]
-        stage2 = signal_result(config)
-        run_stage2(config, ScriptedBackend(script), bank, stage2, BuiltinChecker())
+        stage2 = signal_result(config, ScriptedBackend(script))
+        run_stage2(config, bank, stage2, BuiltinChecker())
         assert len(stage2.tree) == 2
         assert stage2.warnings == []
         assert stage2.total_calls == 7  # one extra critic call
@@ -202,8 +206,8 @@ class TestRolloutFailurePolicy:
             ScriptEntry(response="garbled"),           # rollout 1 re-sample fails
             ScriptEntry(response="garbled again"),     # retry fails
         ]
-        stage2 = signal_result(config)
-        run_stage2(config, ScriptedBackend(script), bank, stage2, BuiltinChecker())
+        stage2 = signal_result(config, ScriptedBackend(script))
+        run_stage2(config, bank, stage2, BuiltinChecker())
         assert len(stage2.tree) == 1  # partial tree kept
         assert stage2.tree.rollouts_completed == 0
         assert any("aborted" in w for w in stage2.warnings)
@@ -215,8 +219,8 @@ class TestRolloutFailurePolicy:
             ScriptEntry(response="no marker"),
             ScriptEntry(response="still no marker"),
         ]
-        stage2 = signal_result(config)
-        run_stage2(config, ScriptedBackend(script), bank, stage2, BuiltinChecker())
+        stage2 = signal_result(config, ScriptedBackend(script))
+        run_stage2(config, bank, stage2, BuiltinChecker())
         assert len(stage2.tree) == 1
         assert any("search skipped" in w for w in stage2.warnings)
 
@@ -239,8 +243,8 @@ class TestStage3:
             ScriptEntry(response=fenced(CORRECTED_ASSERT)),  # correction
             ScriptEntry(response=fenced(VALID_BARE_ASSERT, CORRECTED_ASSERT)),  # dedup
         ]
-        result = signal_result(config, tree=tree)
-        run_stage3(config, ScriptedBackend(script), bank, result, BuiltinChecker())
+        result = signal_result(config, ScriptedBackend(script), tree=tree)
+        run_stage3(config, bank, result, BuiltinChecker())
         assert result.a1 == [VALID_BARE_ASSERT]
         assert result.a2 == [INVALID_ASSERT]
         assert result.a2_prime == [CORRECTED_ASSERT]
@@ -253,24 +257,24 @@ class TestStage3:
             tmp_path, bank, [VALID_BARE_ASSERT, VALID_PROPERTY_UNIT]
         )
         script = [ScriptEntry(response=fenced(VALID_BARE_ASSERT, VALID_PROPERTY_UNIT))]
-        result = signal_result(config, tree=tree)
-        run_stage3(config, ScriptedBackend(script), bank, result, BuiltinChecker())
+        result = signal_result(config, ScriptedBackend(script), tree=tree)
+        run_stage3(config, bank, result, BuiltinChecker())
         assert result.a2 == []
         assert result.total_calls == 1  # dedup only
 
     def test_still_failing_correction_dropped(self, tmp_path, bank):
         config, tree = self._tree_with_pool(tmp_path, bank, [INVALID_ASSERT])
         script = [ScriptEntry(response=fenced("assert property (@(posedge clk) x |-> );"))]
-        result = signal_result(config, tree=tree)
-        run_stage3(config, ScriptedBackend(script), bank, result, BuiltinChecker())
+        result = signal_result(config, ScriptedBackend(script), tree=tree)
+        run_stage3(config, bank, result, BuiltinChecker())
         assert result.a2_prime == []
         assert result.deduplicated == []
         assert any("still fails" in w for w in result.warnings)
 
     def test_singleton_pool_skips_both_calls(self, tmp_path, bank):
         config, tree = self._tree_with_pool(tmp_path, bank, [VALID_BARE_ASSERT])
-        result = signal_result(config, tree=tree)
-        run_stage3(config, ScriptedBackend([]), bank, result, BuiltinChecker())
+        result = signal_result(config, ScriptedBackend([]), tree=tree)
+        run_stage3(config, bank, result, BuiltinChecker())
         assert result.deduplicated == [VALID_BARE_ASSERT]
         assert result.total_calls == 0
 
@@ -280,8 +284,8 @@ class TestStage3:
             assertions=[VALID_BARE_ASSERT + "  // same thing"]
         ))
         tree.record_reward(child, 20.0, config.search)
-        result = signal_result(config, tree=tree)
-        run_stage3(config, ScriptedBackend([]), bank, result, BuiltinChecker())
+        result = signal_result(config, ScriptedBackend([]), tree=tree)
+        run_stage3(config, bank, result, BuiltinChecker())
         assert len(result.a1) == 1
 
 
@@ -316,8 +320,8 @@ def test_stage3_set_laws(tmp_path_factory, flags, fix_all):
         fixes = [f"assert property (fixed_{i});" for i in range(bad_count if fix_all else 1)]
         script.append(ScriptEntry(response=fenced(*fixes)))
     script.append(ScriptEntry(response="echo nothing useful"))  # dedup reply: no fences
-    result = signal_result(config, tree=tree)
-    run_stage3(config, ScriptedBackend(script), bank, result, StubChecker())
+    result = signal_result(config, ScriptedBackend(script), tree=tree)
+    run_stage3(config, bank, result, StubChecker())
 
     # partition law: A1 and A2 split the pool, order preserved within groups
     assert result.a1 == [t for t in pool if "BAD" not in t]
@@ -356,9 +360,9 @@ class TestStage1:
 
     def test_three_signals_one_waveform_five_calls(self, tmp_path):
         config = config_for(tmp_path)
-        log = CallLog("stage 1")
+        log = CallLog("stage 1", self._backend())
         bank, warnings = run_stage1(
-            config, self._backend(), self.SPEC, self.VERILOG, ["waveform text"], log
+            config, self.SPEC, self.VERILOG, ["waveform text"], log
         )
         assert len(bank.signals) == 3
         assert len(bank.waveforms) == 1
@@ -367,9 +371,9 @@ class TestStage1:
 
     def test_no_waveforms(self, tmp_path):
         config = config_for(tmp_path)
-        log = CallLog("stage 1")
+        log = CallLog("stage 1", self._backend(with_waveform=False))
         bank, _ = run_stage1(
-            config, self._backend(with_waveform=False), self.SPEC, self.VERILOG, [], log
+            config, self.SPEC, self.VERILOG, [], log
         )
         assert bank.waveforms == []
         assert len(log) == 4
@@ -382,18 +386,18 @@ class TestStage1:
             "reply that never mentions the target",  # req_i analysis fails
             self.ANALYSIS.format(n="ack_o"),
         ]
-        log = CallLog("stage 1")
+        log = CallLog("stage 1", ScriptedBackend.from_responses(responses))
         bank, warnings = run_stage1(
-            config, ScriptedBackend.from_responses(responses), self.SPEC, self.VERILOG, [], log
+            config, self.SPEC, self.VERILOG, [], log
         )
         assert [s.verilog_name for s in bank.signals] == ["clk_i", "ack_o"]
         assert any("req_i" in w for w in warnings)
 
     def test_workflow_info_contains_mapping(self, tmp_path):
         config = config_for(tmp_path)
-        log = CallLog("stage 1")
+        log = CallLog("stage 1", self._backend(with_waveform=False))
         bank, _ = run_stage1(
-            config, self._backend(with_waveform=False), self.SPEC, self.VERILOG, [], log
+            config, self.SPEC, self.VERILOG, [], log
         )
         assert "clk_i: clock" in bank.workflow_info
 
@@ -455,6 +459,36 @@ class TestRunAll:
         assert "BackendError" in written["signals"]["sig_a"]["error"]
         assert written["signals"]["sig_a"]["calls"] == 9
         assert written["totals"]["total_llm_calls"] == 9
+
+    def _ledger(self, config, name):
+        with open(os.path.join(config.paths.output_dir, "signals", name, "ledger.json")) as f:
+            return json.load(f)
+
+    def test_undescribed_signal_fails_without_a_call(self, tmp_path):
+        # a bank may omit every description field; the weak answer refuses
+        # such a signal before its prompt is sent
+        config = config_for(tmp_path, n_rollouts=1)
+        save_bank(InformationBank("demo", signals=[SignalInfo("ack_o")]), config.paths.bank_file)
+        backend = ScriptedBackend(full_signal_script("ack_o", n_rollouts=1))
+        summary = run_all(config, backend=backend, checker=BuiltinChecker())
+        assert summary.failed_signals == ["ack_o"]
+        assert backend.calls == 0
+        assert self._ledger(config, "ack_o") == {"calls": {}, "total": 0}
+
+    def test_unknown_placeholder_fails_without_a_call(self, tmp_path):
+        config = config_for(tmp_path, n_rollouts=1)
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        (templates / "sva_weak.txt").write_text("[role] sva\n[system]\ns\n[user]\n{no_such_key}\n")
+        config.templates_dir = str(templates)
+        self._write_bank(config, ["ack_o"])
+        backend = ScriptedBackend(full_signal_script("ack_o", n_rollouts=1))
+        summary = run_all(config, backend=backend, checker=BuiltinChecker())
+        assert summary.results[0].error == (
+            "RenderError: missing placeholder 'no_such_key' in prompt context"
+        )
+        assert backend.calls == 0
+        assert self._ledger(config, "ack_o") == {"calls": {}, "total": 0}
 
     def test_budget_reporting(self, tmp_path):
         config = config_for(tmp_path, n_rollouts=4)
@@ -646,8 +680,8 @@ class TestRetrievalOncePerSignal:
     def _stage2(self, tmp_path, bank, script, index, n_rollouts=4):
         config = config_for(tmp_path, n_rollouts=n_rollouts, early_stop=False)
         backend = PromptRecordingBackend(script)
-        stage2 = signal_result(config)
-        run_stage2(config, backend, bank, stage2, BuiltinChecker(), index)
+        stage2 = signal_result(config, backend)
+        run_stage2(config, bank, stage2, BuiltinChecker(), index)
         return stage2, backend
 
     def test_one_query_across_four_rollouts(self, tmp_path, bank):
