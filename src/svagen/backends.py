@@ -67,24 +67,26 @@ class ScriptedBackend:
         )
 
 
-@dataclass
-class HttpBackendConfig:
-    endpoint: str
-    model: str
-    api_key_env: str = "SVAGEN_API_KEY"
-    timeout_s: float = 120.0
-
-
 class HttpChatBackend:
     """OpenAI-style chat-completions client.
 
-    The API key is read from the environment variable named in the config;
+    The API key is read from the environment variable named `api_key_env`;
     it never appears in config files. Request body: {model, messages};
     response: choices[0].message.content.
     """
 
-    def __init__(self, config: HttpBackendConfig, session=None) -> None:
-        self.config = config
+    def __init__(
+        self,
+        endpoint: str,
+        model: str,
+        api_key_env: str = "SVAGEN_API_KEY",
+        timeout_s: float = 120.0,
+        session=None,
+    ) -> None:
+        self.endpoint = endpoint
+        self.model = model
+        self.api_key_env = api_key_env
+        self.timeout_s = timeout_s
         if session is None:
             import requests
 
@@ -92,17 +94,17 @@ class HttpChatBackend:
         self._session = session
 
     def complete(self, messages: list[Message]) -> str:
-        key = os.environ.get(self.config.api_key_env, "")
+        key = os.environ.get(self.api_key_env, "")
         if not key:
             raise BackendError(
-                f"API key environment variable {self.config.api_key_env} is not set"
+                f"API key environment variable {self.api_key_env} is not set"
             )
         try:
             resp = self._session.post(
-                self.config.endpoint,
-                json={"model": self.config.model, "messages": messages},
+                self.endpoint,
+                json={"model": self.model, "messages": messages},
                 headers={"Authorization": f"Bearer {key}"},
-                timeout=self.config.timeout_s,
+                timeout=self.timeout_s,
             )
         except Exception as err:  # connection errors, timeouts
             raise BackendError(f"chat completion request failed: {err}") from err

@@ -11,12 +11,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from svagen.backends import (
-    ChatBackend,
-    HttpBackendConfig,
-    HttpChatBackend,
-    ScriptedBackend,
-)
+from svagen.backends import ChatBackend, HttpChatBackend, ScriptedBackend
 from svagen.prompts import DEFAULT_TEMPLATES, PromptTemplate, load_template
 from svagen.rag import DEFAULT_CHUNK_OVERLAP, DEFAULT_CHUNK_SIZE, DEFAULT_TOP_K
 from svagen.records import decode, load
@@ -134,7 +129,7 @@ class RunConfig:
         if b.type == "http":
             if not b.endpoint or not b.model:
                 raise ConfigError("http backend requires backend.endpoint and backend.model")
-            return HttpChatBackend(HttpBackendConfig(b.endpoint, b.model, b.api_key_env, b.timeout_s))
+            return HttpChatBackend(b.endpoint, b.model, b.api_key_env, b.timeout_s)
         raise ConfigError(f"unknown backend type {b.type!r}")
 
     def make_checker(self) -> SyntaxChecker:

@@ -11,9 +11,9 @@ Every agent sends its LLM calls through a `CallLog` (`svagen.prompts`),
 which charges each call as the backend receives it: one log per signal,
 capped at the per-signal budget (`config.default_call_budget`), and one for
 stage 1. The ledger counts, the critique records and the summary totals
-are all read from those logs. A capped log raises rather than exceed its
-cap, so a blown budget is always an orchestration bug surfacing loudly,
-never silent overdraft.
+are all read from those logs. The log refuses a call past its cap; the
+search is anytime, so a refused call ends it with the tree built so far,
+and stage 3 skips the step that asked.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from svagen.bank import (
     save_bank,
 )
 from svagen.config import ConfigError, RunConfig
-from svagen.prompts import CallLog, PromptTemplate
+from svagen.prompts import BudgetExceededError, CallLog, PromptTemplate
 from svagen.rag import DEFAULT_DIMENSION, HashedBowEmbedder, VectorIndex, format_context
 from svagen.sva.checker import (
     AssertionRecord,
@@ -59,8 +59,8 @@ from svagen.tree import AnswerContent, ReasoningTree
 
 
 class RolloutAborted(RuntimeError):
-    """The current rollout could not complete (score parse failed twice or
-    no budget for the retry); the tree so far is kept."""
+    """A critic score failed to parse twice, so the rollout (or the root
+    evaluation) ends; the tree so far is kept."""
 
 
 @dataclass
@@ -159,8 +159,9 @@ def run_stage2(
     The call schedule is the one `default_call_budget` counts: the weak root
     and its evaluation, then per rollout a re-sample of the selected node's
     score, critic feedback for expansion, refinement, and evaluation of the
-    new node. A score parse failure is retried once (budget permitting),
-    then the rollout is aborted and the partial tree kept.
+    new node. A score parse failure is retried once, then the rollout is
+    aborted and the partial tree kept; a call the log refuses past the
+    budget ends the search the same way.
 
     Retrieval runs once per signal: its query text depends only on the
     signal, so the first rollout to reach the refine step queries
@@ -181,11 +182,7 @@ def run_stage2(
         args = (log, signal, excerpt, answer, syntax_log, params, workflow, node_id, phase)
         try:
             return critique(*args)
-        except ScoreParseError as err:
-            if not log.can_charge():
-                raise RolloutAborted(
-                    f"critic score unparseable and no budget left to retry: {err}"
-                ) from err
+        except ScoreParseError:
             try:
                 return critique(*args)
             except ScoreParseError as err2:
@@ -206,7 +203,7 @@ def run_stage2(
     tree = result.tree = ReasoningTree(signal_name, root_answer)
     try:
         evaluate(tree.root, "root-evaluation")
-    except RolloutAborted as err:
+    except (RolloutAborted, BudgetExceededError) as err:
         warnings.append(f"root evaluation failed, search skipped: {err}")
         return
 
@@ -246,7 +243,7 @@ def run_stage2(
             # phase 3 + 4: evaluation of the new node, backpropagation
             evaluate(child_id, "evaluation")
             tree.rollouts_completed = rollout
-        except RolloutAborted as err:
+        except (RolloutAborted, BudgetExceededError) as err:
             warnings.append(f"rollout {rollout} aborted: {err}")
             break
 
@@ -305,8 +302,9 @@ def run_stage3(
 
     Two calls at most, the last two that `default_call_budget` counts:
     syntax correction (skipped when nothing failed) and deduplication
-    (skipped for pools of one or fewer). Corrected texts are re-checked;
-    still-failing ones are dropped with a warning.
+    (skipped for pools of one or fewer); a step whose call the log refuses
+    past the budget is skipped with a warning. Corrected texts are
+    re-checked; still-failing ones are dropped with a warning.
     """
     signal_name, log, warnings = result.signal, result.log, result.warnings
     excerpt = bank.signal(signal_name).describe()
@@ -318,27 +316,23 @@ def run_stage3(
     result.a1 = [r.text for r in a1_records]
     result.a2 = [r.text for r in a2_records]
 
-    if a2_records:
-        if log.can_charge():
-            corrected = correct_syntax(log, a2_records, excerpt, signal_name)
-            for text in corrected:
-                if any(d.severity == "error" for d in checker.check(text)):
-                    warnings.append(
-                        f"corrected assertion still fails the checker, dropped: {text[:60]!r}"
-                    )
-                else:
-                    result.a2_prime.append(text)
+    try:
+        corrected = correct_syntax(log, a2_records, excerpt, signal_name)
+    except BudgetExceededError:
+        corrected = []
+        warnings.append("syntax correction skipped: per-signal call budget exhausted")
+    for text in corrected:
+        if any(d.severity == "error" for d in checker.check(text)):
+            warnings.append(f"corrected assertion still fails the checker, dropped: {text[:60]!r}")
         else:
-            warnings.append("syntax correction skipped: per-signal call budget exhausted")
+            result.a2_prime.append(text)
 
     result.a3 = result.a1 + result.a2_prime
     dedup_input = merge_normalized(result.a3)
-    if len(dedup_input) <= 1:
-        result.deduplicated = dedup_input
-    elif log.can_charge():
+    try:
         result.deduplicated, dedup_warnings = deduplicate(log, dedup_input, excerpt, signal_name)
         warnings += dedup_warnings
-    else:
+    except BudgetExceededError:
         result.deduplicated = dedup_input
         warnings.append("deduplication skipped: per-signal call budget exhausted")
 
@@ -479,11 +473,8 @@ def run_all(
     def work(name: str) -> SignalRunResult:
         return run_signal(config, backend, bank, name, checker, rag_index, templates)
 
-    if config.parallel > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel) as pool:
-            results = list(pool.map(work, signal_names))
-    else:
-        results = [work(name) for name in signal_names]
+    with ThreadPoolExecutor(max_workers=config.parallel) as pool:
+        results = list(pool.map(work, signal_names))
 
     summary = RunSummary(
         design_name=config.design_name,

@@ -261,8 +261,8 @@ DEFAULT_TEMPLATES: dict[str, PromptTemplate] = {
 
 
 class BudgetExceededError(RuntimeError):
-    """A per-signal call would overdraw the budget; indicates an
-    orchestration bug since every optional call is guarded."""
+    """The call log refused a call past its cap; nothing was sent. Stage 2
+    ends its search on it and stage 3 skips the step that asked."""
 
 
 @dataclass
@@ -297,16 +297,14 @@ class CallLog:
     def __len__(self) -> int:
         return len(self.events)
 
-    def can_charge(self, n: int = 1) -> bool:
-        return self.cap is None or len(self.events) + n <= self.cap
-
     def complete(
         self, role: str, messages: list[Message], node: int | None = None, phase: str | None = None
     ) -> str:
         """Charge one call to `role`, then send `messages` to the backend.
         Nothing is charged before the prompt is rendered, so the log holds
-        exactly the calls the backend received, a failed one included."""
-        if not self.can_charge():
+        exactly the calls the backend received, a failed one included. The
+        only budget check: a call past the cap is refused unsent."""
+        if self.cap is not None and len(self.events) >= self.cap:
             raise BudgetExceededError(f"signal {self.name!r} would exceed {self.cap} calls")
         self.events.append(CallEvent(role, node, phase))
         return self.backend.complete(messages)

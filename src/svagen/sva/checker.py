@@ -179,21 +179,18 @@ def partition(
     """
     passing: list[AssertionRecord] = []
     failing: list[AssertionRecord] = []
-    unchecked: list[AssertionRecord] = []
-    for record in records:
+    unchecked: list[str] = []  # "signal#index" of each record in `records`
+    for i, record in enumerate(records):
         try:
             record.apply_check(checker.check(record.text))
         except CheckerUnavailableError:
             record.status = "unchecked"
-            unchecked.append(record)
+            unchecked.append(f"{record.signal or '?'}#{i}")
             continue
         (passing if record.status == "pass" else failing).append(record)
     if unchecked:
-        names = ", ".join(
-            f"{r.signal or '?'}#{i}" for i, r in enumerate(unchecked)
-        )
         raise CheckerUnavailableError(
-            f"{len(unchecked)} assertion(s) could not be checked: {names}"
+            f"{len(unchecked)} assertion(s) could not be checked: {', '.join(unchecked)}"
         )
     return passing, failing
 

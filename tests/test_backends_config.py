@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from svagen.backends import BackendError, HttpBackendConfig, HttpChatBackend, ScriptedBackend
+from svagen.backends import BackendError, HttpChatBackend, ScriptedBackend
 from svagen.config import ConfigError, RunConfig, config_from_dict, load_config
 from svagen.prompts import DEFAULT_TEMPLATES, load_template
 from svagen.sva.checker import BuiltinChecker, DiagnosticPattern, ExternalChecker
@@ -43,10 +43,9 @@ def _backend(session, monkeypatch, key="sk-test"):
         monkeypatch.setenv("SVAGEN_API_KEY", key)
     else:
         monkeypatch.delenv("SVAGEN_API_KEY", raising=False)
-    config = HttpBackendConfig(
-        endpoint="https://llm.example/v1/chat/completions", model="some-model"
+    return HttpChatBackend(
+        "https://llm.example/v1/chat/completions", "some-model", session=session
     )
-    return HttpChatBackend(config, session=session)
 
 
 class TestHttpBackend:
@@ -267,6 +266,15 @@ class TestRunConfig:
         config = config_from_dict({"backend": {"type": "scripted"}})
         with pytest.raises(ConfigError):
             config.make_backend()
+
+    def test_http_backend_takes_the_settings(self):
+        settings = {"type": "http", "endpoint": "https://llm.example/v1", "model": "m",
+                    "api_key_env": "MY_KEY", "timeout_s": 5.0}
+        backend = config_from_dict({"backend": settings}).make_backend()
+        assert isinstance(backend, HttpChatBackend)
+        assert (backend.endpoint, backend.model, backend.api_key_env, backend.timeout_s) == (
+            "https://llm.example/v1", "m", "MY_KEY", 5.0
+        )
 
 
 TEMPLATE_FILE = """\

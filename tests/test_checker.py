@@ -134,6 +134,19 @@ class TestPartition:
         assert "2 assertion(s)" in str(err.value)
         assert all(r.status == "unchecked" for r in records)
 
+    def test_unavailable_names_the_record_index(self):
+        class DownForY:
+            def check(self, text):
+                if text == "y":
+                    raise CheckerUnavailableError("tool missing")
+                return []
+
+        records = [AssertionRecord(text="x", signal="s"), AssertionRecord(text="y", signal="s")]
+        with pytest.raises(CheckerUnavailableError) as err:
+            partition(records, DownForY())
+        assert str(err.value) == "1 assertion(s) could not be checked: s#1"
+        assert [r.status for r in records] == ["pass", "unchecked"]
+
     @given(
         flags=st.lists(st.booleans(), min_size=0, max_size=30),
     )

@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 
 from svagen.backends import ScriptedBackend, ScriptEntry
 from svagen.bank import BankLoadError, InformationBank, SignalInfo, StageError, save_bank
+from svagen.config import default_call_budget
 from svagen.pipeline import (
     RunSummary,
     SignalRunResult,
     run_all,
+    run_signal,
     run_stage1,
     run_stage2,
     run_stage3,
@@ -87,10 +89,14 @@ class TestCallLedger:
             "total_calls": 6,
         }
 
-    def test_can_charge(self):
-        log = call_log("s", cap=2)
-        assert log.can_charge(2)
-        assert not log.can_charge(3)
+    def test_refuses_exactly_the_call_past_the_cap(self):
+        backend = ScriptedBackend.from_responses(["reply"] * 9)
+        log = CallLog("s", backend, cap=3)
+        for _ in range(3):
+            assert log.complete("critic", []) == "reply"
+        with pytest.raises(BudgetExceededError):
+            log.complete("critic", [])
+        assert len(log) == backend.calls == 3  # the refused call was neither sent nor charged
 
 
 class TestStage2Schedule:
@@ -223,6 +229,61 @@ class TestRolloutFailurePolicy:
         run_stage2(config, bank, stage2, BuiltinChecker())
         assert len(stage2.tree) == 1
         assert any("search skipped" in w for w in stage2.warnings)
+
+
+class TestBudget:
+    """A refused call ends the search or skips the stage-3 step that asked;
+    it never fails the signal."""
+
+    @pytest.mark.parametrize("n_rollouts", [1, 2])
+    @pytest.mark.parametrize("with_bad_assertion", [True, False])
+    def test_every_cap_ends_the_search_early(self, tmp_path, bank, n_rollouts, with_bad_assertion):
+        planned = default_call_budget(n_rollouts) - (0 if with_bad_assertion else 1)
+        for cap in range(1, default_call_budget(n_rollouts) + 1):
+            config = config_for(
+                tmp_path / str(cap), n_rollouts=n_rollouts, early_stop=False,
+                max_api_calls_per_signal=cap,
+            )
+            backend = ScriptedBackend(
+                full_signal_script("ack_o", n_rollouts, with_bad_assertion=with_bad_assertion)
+            )
+            result = run_signal(config, backend, bank, "ack_o", BuiltinChecker())
+            assert not result.failed, (cap, result.error)
+            assert result.total_calls == backend.calls == min(cap, planned)
+            assert result.a1 and result.deduplicated
+            assert result.a3 == result.a1 + result.a2_prime
+            assert set(result.deduplicated) <= set(result.a3)
+            if cap < planned:
+                assert any("budget" in w or f"exceed {cap} calls" in w for w in result.warnings)
+
+    def test_score_retries_at_the_default_cap(self, tmp_path, bank):
+        config = config_for(tmp_path, n_rollouts=2, early_stop=False)
+        assert config.max_api_calls_per_signal == 12
+        script = [
+            ScriptEntry(response=fenced(VALID_BARE_ASSERT)),  # weak answer
+            ScriptEntry(response=critic_reply(30)),           # root evaluation
+            ScriptEntry(response="no score"),                 # rollout 1 re-sample
+            ScriptEntry(response=critic_reply(31)),           # its retry
+            ScriptEntry(response="no score"),                 # expansion feedback
+            ScriptEntry(response=critic_reply(32)),           # its retry
+            ScriptEntry(response=fenced(VALID_PROPERTY_UNIT)),  # refine
+            ScriptEntry(response="no score"),                 # child evaluation
+            ScriptEntry(response=critic_reply(50)),           # its retry
+            ScriptEntry(response=critic_reply(33)),           # rollout 2 re-sample
+            ScriptEntry(response=critic_reply(34)),           # expansion feedback
+            ScriptEntry(response=fenced(INVALID_ASSERT)),     # refine, the 12th call
+        ]
+        backend = ScriptedBackend(script)
+        result = run_signal(config, backend, bank, "ack_o", BuiltinChecker())
+        assert not result.failed, result.error
+        assert result.total_calls == backend.calls == 12
+        assert result.tree.rollouts_completed == 1
+        assert any(w.startswith("rollout 2 aborted: ") for w in result.warnings)
+        assert "syntax correction skipped: per-signal call budget exhausted" in result.warnings
+        assert "deduplication skipped: per-signal call budget exhausted" in result.warnings
+        assert result.a1 == [VALID_BARE_ASSERT, VALID_PROPERTY_UNIT]
+        assert result.a2 == [INVALID_ASSERT]
+        assert result.a3 == result.deduplicated == result.a1
 
 
 class TestStage3:
