@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from svagen.bank import SignalInfo
+from svagen.bank import COMMENT_OR_STRING_RE, SignalInfo
 from svagen.prompts import CallLog, render_prompt
 from svagen.sva.checker import AssertionRecord
 from svagen.tree import AnswerContent, SearchParams
@@ -92,10 +92,21 @@ def parse_answer(text: str) -> AnswerContent:
 _UNIT_START_RE = re.compile(
     r"^\s*(property\b|(?:\w+\s*:\s*)?(?:assert|assume|cover)\b)"
 )
+_ENDPROPERTY_RE = re.compile(r"\bendproperty\b")
+_NON_SPACE_RE = re.compile(r"\S")
 
 
 def split_assertion_units(code: str) -> list[str]:
+    """Split code into assertion units, each in its original text.
+
+    The boundary tests (a unit's first keyword, `;`, `endproperty`) read the
+    code with every comment and string literal blanked to spaces, so a `;`
+    or `endproperty` inside one ends nothing. Blanking keeps whitespace, so
+    both texts split into the same lines. Stray text between units
+    (comments, blank lines) is dropped.
+    """
     lines = code.splitlines()
+    blank = COMMENT_OR_STRING_RE.sub(lambda m: _NON_SPACE_RE.sub(" ", m.group(0)), code)
     units: list[str] = []
     current: list[str] = []
     in_property = False
@@ -108,47 +119,28 @@ def split_assertion_units(code: str) -> list[str]:
             units.append(unit)
         current = []
 
-    for line in lines:
-        stripped = line.strip()
-        if in_property:
-            current.append(line)
-            if re.search(r"\bendproperty\b", stripped):
-                in_property = False
-            continue
-        if in_statement:
-            current.append(line)
-            if ";" in stripped:
-                flush()
-                in_statement = False
-            continue
-        m = _UNIT_START_RE.match(line)
-        if m is None:
-            # stray text between units (comments, blank lines) is dropped
-            continue
-        if m.group(1).startswith("property"):
-            if current:
+    for line, code_line in zip(lines, blank.splitlines()):
+        if not (in_property or in_statement):
+            m = _UNIT_START_RE.match(code_line)
+            if m is None:
+                continue
+            if m.group(1).startswith("property"):
                 flush()  # property not preceded by its assert: new unit
-            current.append(line)
-            in_property = True
-            if re.search(r"\bendproperty\b", stripped):
-                in_property = False
-        else:
-            # assert statement; attaches to a pending property block
-            current.append(line)
-            if ";" in stripped:
-                flush()
+                in_property = True
             else:
-                in_statement = True
+                in_statement = True  # attaches to a pending property block
+        current.append(line)
+        if in_property:
+            in_property = _ENDPROPERTY_RE.search(code_line) is None
+        elif ";" in code_line:
+            flush()
+            in_statement = False
     flush()
     return units
 
 
 # --------------------------------------------------------------------------
 # Normalization pre-pass used before deduplication.
-
-_NORM_STRIP_RE = re.compile(
-    r'("(?:\\.|[^"\\])*")|//[^\n]*|/\*.*?\*/', re.DOTALL
-)
 
 
 def normalize_assertion(text: str) -> str:
@@ -164,7 +156,7 @@ def normalize_assertion(text: str) -> str:
             parts.append(collapsed)
 
     pos = 0
-    for m in _NORM_STRIP_RE.finditer(text):
+    for m in COMMENT_OR_STRING_RE.finditer(text):
         add_code(text[pos : m.start()])
         if m.group(1) is not None:
             parts.append(m.group(1))

@@ -106,9 +106,8 @@ _MAPPING_LINE_RE = re.compile(
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_COMMENT_OR_STRING_RE = re.compile(
-    r'"(?:\\.|[^"\\])*"|//[^\n]*|/\*.*?\*/', re.DOTALL
-)
+# A string literal (group 1), a line comment or a block comment.
+COMMENT_OR_STRING_RE = re.compile(r'("(?:\\.|[^"\\])*")|//[^\n]*|/\*.*?\*/', re.DOTALL)
 
 # The [Header] sections of an analyzer reply, in the order a bank entry is
 # rendered, with the field each one fills
@@ -137,7 +136,7 @@ _SECTION_RE = re.compile(r"\[([^\[\]]+)\]\s*[:;]?", re.IGNORECASE)
 
 def identifier_names(verilog_text: str) -> set[str]:
     """All identifier tokens in a Verilog source, comments/strings stripped."""
-    cleaned = _COMMENT_OR_STRING_RE.sub(" ", verilog_text)
+    cleaned = COMMENT_OR_STRING_RE.sub(" ", verilog_text)
     return set(_IDENT_RE.findall(cleaned))
 
 

@@ -53,6 +53,7 @@ from svagen.sva.checker import (
     MemoChecker,
     SyntaxChecker,
     format_log,
+    has_error,
     partition,
 )
 from svagen.tree import AnswerContent, ReasoningTree
@@ -268,7 +269,7 @@ def _early_stop_reached(tree: ReasoningTree, checker: SyntaxChecker, config: Run
     if best.reward_samples[-1] < config.early_stop_score:
         return False
     for text in best.answer.assertions:
-        if any(d.severity == "error" for d in checker.check(text)):
+        if has_error(checker.check(text)):
             return False
     return True
 
@@ -322,7 +323,7 @@ def run_stage3(
         corrected = []
         warnings.append("syntax correction skipped: per-signal call budget exhausted")
     for text in corrected:
-        if any(d.severity == "error" for d in checker.check(text)):
+        if has_error(checker.check(text)):
             warnings.append(f"corrected assertion still fails the checker, dropped: {text[:60]!r}")
         else:
             result.a2_prime.append(text)

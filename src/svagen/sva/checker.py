@@ -19,7 +19,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from svagen.sva.parser import Diagnostic, parse_assertion
+from svagen.sva.parser import Diagnostic, has_error, parse_assertion
 
 
 class CheckerUnavailableError(RuntimeError):
@@ -40,8 +40,7 @@ class AssertionRecord:
 
     def apply_check(self, diagnostics: list[Diagnostic]) -> None:
         self.diagnostics = diagnostics
-        has_error = any(d.severity == "error" for d in diagnostics)
-        self.status = "fail" if has_error else "pass"
+        self.status = "fail" if has_error(diagnostics) else "pass"
 
 
 class BuiltinChecker:
@@ -149,7 +148,7 @@ class ExternalChecker:
             diagnostics: list[Diagnostic] = []
             for pattern in self.patterns:
                 diagnostics.extend(pattern.match_all(output))
-            if proc.returncode != 0 and not any(d.severity == "error" for d in diagnostics):
+            if proc.returncode != 0 and not has_error(diagnostics):
                 # Failing exit without a recognizable message must not pass.
                 diagnostics.append(
                     Diagnostic(

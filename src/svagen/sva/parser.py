@@ -13,8 +13,9 @@ holds every operator's lexeme, binding power, associativity and AST shape:
 adding an operator means adding one row there.
 
 The parser is permissive where RTL context would be needed: identifier
-references are never resolved, so unknown names lint as warnings rather
-than errors. Every AST node re-serializes to the exact token stream it was
+references are never resolved, so a name the design does not declare
+passes without a diagnostic (ROADMAP item 3 plans a scope pass to flag
+it). Every AST node re-serializes to the exact token stream it was
 parsed from (checked by the round-trip tests).
 """
 
@@ -25,30 +26,11 @@ from dataclasses import dataclass, field
 from svagen.sva.operators import INFIX, PREFIX
 from svagen.sva.tokens import Token, tokenize
 
-KNOWN_SYSTEM_FUNCTIONS = frozenset(
-    {
-        "$rose",
-        "$fell",
-        "$stable",
-        "$changed",
-        "$past",
-        "$sampled",
-        "$onehot",
-        "$onehot0",
-        "$countones",
-        "$isunknown",
-        "$error",
-        "$warning",
-        "$info",
-        "$fatal",
-        "$display",
-    }
-)
-
 TokenSig = tuple[str, str]
 
-# Sampled-value and counting functions need an operand to sample.
-_MIN_CALL_ARITY = {
+# The known system functions, each with its minimum argument count: the
+# sampled-value and counting functions need an operand to sample.
+SYSTEM_FUNCTIONS = {
     "$rose": 1,
     "$fell": 1,
     "$stable": 1,
@@ -59,7 +41,15 @@ _MIN_CALL_ARITY = {
     "$onehot0": 1,
     "$countones": 1,
     "$isunknown": 1,
+    "$error": 0,
+    "$warning": 0,
+    "$info": 0,
+    "$fatal": 0,
+    "$display": 0,
 }
+
+# The keywords that start an assert statement.
+VERBS = ("assert", "assume", "cover")
 
 
 @dataclass(frozen=True)
@@ -74,6 +64,11 @@ class Diagnostic:
         return f"{self.line}:{self.column} {self.severity} [{self.code}] {self.message}"
 
 
+def has_error(diagnostics: list[Diagnostic]) -> bool:
+    """Whether any diagnostic fails the text (warnings do not)."""
+    return any(d.severity == "error" for d in diagnostics)
+
+
 def _kw(text: str) -> TokenSig:
     return ("keyword", text)
 
@@ -84,6 +79,20 @@ def _op(text: str) -> TokenSig:
 
 def _p(text: str) -> TokenSig:
     return ("punctuation", text)
+
+
+def _bound(lexeme: str) -> TokenSig:
+    """A range bound: a number, or `$` for an unbounded upper end."""
+    return ("identifier", "$") if lexeme == "$" else ("number", lexeme)
+
+
+def _comma_list(items: list) -> list[TokenSig]:
+    out: list[TokenSig] = []
+    for i, item in enumerate(items):
+        if i:
+            out.append(_p(","))
+        out += item.to_tokens()
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -178,8 +187,7 @@ class DelayBounds:
     def to_tokens(self) -> list[TokenSig]:
         if not self.ranged:
             return [("number", self.low)]
-        high = ("identifier", "$") if self.high == "$" else ("number", self.high)
-        return [_p("["), ("number", self.low), _op(":"), high, _p("]")]
+        return [_p("["), ("number", self.low), _op(":"), _bound(self.high), _p("]")]
 
 
 @dataclass
@@ -213,8 +221,7 @@ class Repetition:
         if self.low is not None:
             out.append(("number", self.low))
             if self.high is not None:
-                high = ("identifier", "$") if self.high == "$" else ("number", self.high)
-                out += [_op(":"), high]
+                out += [_op(":"), _bound(self.high)]
         out.append(_p("]"))
         return out
 
@@ -242,12 +249,7 @@ class Call:
     def to_tokens(self) -> list[TokenSig]:
         out: list[TokenSig] = [("identifier", self.name)]
         if self.parenthesized:
-            out.append(_p("("))
-            for i, a in enumerate(self.args):
-                if i:
-                    out.append(_p(","))
-                out += a.to_tokens()
-            out.append(_p(")"))
+            out += [_p("(")] + _comma_list(self.args) + [_p(")")]
         return out
 
 
@@ -256,13 +258,7 @@ class Concat:
     parts: list
 
     def to_tokens(self) -> list[TokenSig]:
-        out: list[TokenSig] = [_p("{")]
-        for i, part in enumerate(self.parts):
-            if i:
-                out.append(_p(","))
-            out += part.to_tokens()
-        out.append(_p("}"))
-        return out
+        return [_p("{")] + _comma_list(self.parts) + [_p("}")]
 
 
 @dataclass
@@ -307,27 +303,10 @@ class PropertySpec:
 
 @dataclass
 class AssertStmt:
-    kind = "assert_stmt"
     spec: PropertySpec
     label: str | None = None
     verb: str = "assert"  # assert | assume | cover
     else_action: Call | None = None
-
-    @property
-    def name(self) -> str | None:
-        return self.label
-
-    @property
-    def clocking(self) -> Clocking | None:
-        return self.spec.clocking
-
-    @property
-    def disable_expr(self):
-        return self.spec.disable_expr
-
-    @property
-    def body(self):
-        return self.spec.body
 
     def to_tokens(self) -> list[TokenSig]:
         out: list[TokenSig] = []
@@ -344,22 +323,9 @@ class AssertStmt:
 
 @dataclass
 class PropertyDecl:
-    kind = "property_decl"
     name: str
     spec: PropertySpec
     attached_assert: AssertStmt | None = None
-
-    @property
-    def clocking(self) -> Clocking | None:
-        return self.spec.clocking
-
-    @property
-    def disable_expr(self):
-        return self.spec.disable_expr
-
-    @property
-    def body(self):
-        return self.spec.body
 
     def to_tokens(self) -> list[TokenSig]:
         out: list[TokenSig] = [_kw("property"), ("identifier", self.name), _p(";")]
@@ -410,50 +376,56 @@ class _Parser:
             return False
         return lexeme is None or t.lexeme == lexeme
 
+    def at_label(self) -> bool:
+        return self.at("identifier") and self.at("operator", ":", 1)
+
+    def at_assert(self) -> bool:
+        """At an assert statement: a verb, or a label followed by ':'."""
+        t = self.peek()
+        return (t is not None and t.kind == "keyword" and t.lexeme in VERBS) or self.at_label()
+
     def take(self) -> Token:
+        """Consume the next token; an error token raises its lex-error."""
         t = self.peek()
         if t is None:
             raise self.error("parse-unexpected-eof", "unexpected end of input")
         self.pos += 1
         if t.kind == "error":
-            raise _ParseError(
-                Diagnostic("error", t.line, t.column, "lex-error", t.lexeme)
-            )
+            raise self.error("lex-error", t.lexeme, t)
         return t
+
+    def take_kind(self, kind: str, message: str, lexemes: tuple[str, ...] | None = None) -> Token:
+        """Consume the next token if it is of `kind` (and, given `lexemes`,
+        one of them); otherwise fail with `message` at it."""
+        t = self.peek()
+        if t is None or t.kind != kind or (lexemes is not None and t.lexeme not in lexemes):
+            raise self.error("parse-expected", message)
+        return self.take()
 
     def expect(self, kind: str, lexeme: str, what: str | None = None) -> Token:
         t = self.peek()
-        if t is None or t.kind == "error":
-            if t is not None:
-                self.pos += 1
-                raise _ParseError(
-                    Diagnostic("error", t.line, t.column, "lex-error", t.lexeme)
-                )
+        if t is None:
             raise self.error(
                 "parse-expected", f"expected {what or lexeme!r} but reached end of input"
             )
-        if t.kind != kind or t.lexeme != lexeme:
-            raise self.error(
-                "parse-expected",
-                f"expected {what or lexeme!r}, found {t.lexeme!r}",
-                t,
-            )
-        self.pos += 1
-        return t
+        if t.kind != "error" and (t.kind != kind or t.lexeme != lexeme):
+            raise self.error("parse-expected", f"expected {what or lexeme!r}, found {t.lexeme!r}")
+        return self.take()
 
-    def error(self, code: str, message: str, token: Token | None = None) -> _ParseError:
+    def diagnostic(self, severity: str, code: str, message: str, token: Token | None) -> Diagnostic:
+        """A diagnostic at `token`, else at the next token, else at the end
+        of input."""
         if token is None:
             token = self.peek()
-        if token is not None:
-            line, col = token.line, token.column
-        else:
-            line, col = self._eof_line, self._eof_col
-        return _ParseError(Diagnostic("error", line, col, code, message))
+        if token is None:
+            return Diagnostic(severity, self._eof_line, self._eof_col, code, message)
+        return Diagnostic(severity, token.line, token.column, code, message)
+
+    def error(self, code: str, message: str, token: Token | None = None) -> _ParseError:
+        return _ParseError(self.diagnostic("error", code, message, token))
 
     def warn(self, code: str, message: str, token: Token | None = None) -> None:
-        line = token.line if token else self._eof_line
-        col = token.column if token else self._eof_col
-        self.diagnostics.append(Diagnostic("warning", line, col, code, message))
+        self.diagnostics.append(self.diagnostic("warning", code, message, token))
 
     # -- entry points
 
@@ -474,22 +446,19 @@ class _Parser:
     def parse_unit(self) -> SvaAst:
         if self.at("keyword", "property"):
             return self.parse_property_decl()
-        if self._at_assert():
+        if self.at_assert():
             return self.parse_assert_stmt()
         t = self.peek()
         raise self.error(
             "parse-expected",
-            f"expected 'property' or an assert statement, found {t.lexeme!r}"
-            if t
-            else "expected 'property' or an assert statement",
-            t,
+            f"expected 'property' or an assert statement, found {t.lexeme!r}",
         )
 
     def _resync(self) -> None:
         """Skip ahead to a plausible unit boundary after an error."""
         while self.peek() is not None:
             t = self.peek()
-            if t.kind == "keyword" and t.lexeme in ("property", "assert", "assume", "cover"):
+            if t.kind == "keyword" and t.lexeme in ("property", *VERBS):
                 return
             self.pos += 1
             if t.kind == "punctuation" and t.lexeme == ";":
@@ -504,10 +473,7 @@ class _Parser:
 
     def parse_property_decl(self) -> PropertyDecl:
         self.expect("keyword", "property")
-        name_tok = self.peek()
-        if name_tok is None or name_tok.kind != "identifier":
-            raise self.error("parse-expected", "expected property name after 'property'")
-        self.take()
+        name = self.take_kind("identifier", "expected property name after 'property'").lexeme
         if self.at("punctuation", "("):
             raise self.error(
                 "parse-unsupported",
@@ -517,30 +483,17 @@ class _Parser:
         spec = self.parse_property_spec()
         self.expect("punctuation", ";", "';' after the property body")
         self.expect("keyword", "endproperty")
-        decl = PropertyDecl(name=name_tok.lexeme, spec=spec)
-        if self._at_assert():
+        decl = PropertyDecl(name=name, spec=spec)
+        if self.at_assert():
             decl.attached_assert = self.parse_assert_stmt()
         return decl
 
-    def _at_assert(self) -> bool:
-        """At an assert statement: a verb, or a label followed by ':'."""
-        if self.at("keyword", "assert") or self.at("keyword", "assume") or self.at("keyword", "cover"):
-            return True
-        return self.at("identifier") and self.at("operator", ":", 1)
-
     def parse_assert_stmt(self) -> AssertStmt:
         label = None
-        if self.at("identifier") and self.at("operator", ":", 1):
+        if self.at_label():
             label = self.take().lexeme
             self.take()  # ':'
-        verb_tok = self.peek()
-        if verb_tok is None or verb_tok.kind != "keyword" or verb_tok.lexeme not in (
-            "assert",
-            "assume",
-            "cover",
-        ):
-            raise self.error("parse-expected", "expected 'assert', 'assume' or 'cover'")
-        self.take()
+        verb = self.take_kind("keyword", "expected 'assert', 'assume' or 'cover'", VERBS).lexeme
         self.expect("keyword", "property", "'property' after 'assert'")
         self.expect("punctuation", "(")
         spec = self.parse_property_spec()
@@ -550,31 +503,20 @@ class _Parser:
             self.take()
             else_action = self.parse_action_call()
         self.expect("punctuation", ";", "';' terminating the assert statement")
-        return AssertStmt(spec=spec, label=label, verb=verb_tok.lexeme, else_action=else_action)
+        return AssertStmt(spec=spec, label=label, verb=verb, else_action=else_action)
 
     def parse_action_call(self) -> Call:
-        t = self.peek()
-        if t is None or t.kind != "identifier":
-            raise self.error("parse-expected", "expected a task call after 'else'")
-        self.take()
+        t = self.take_kind("identifier", "expected a task call after 'else'")
         if not t.lexeme.startswith("$"):
             self.warn(
                 "lint-action-call",
                 f"action block calls a non-system task {t.lexeme!r}",
                 t,
             )
-        args: list = []
-        parenthesized = False
-        if self.at("punctuation", "("):
-            parenthesized = True
-            self.take()
-            if not self.at("punctuation", ")"):
-                args.append(self.parse_expression())
-                while self.at("punctuation", ","):
-                    self.take()
-                    args.append(self.parse_expression())
-            self.expect("punctuation", ")")
-        return Call(name=t.lexeme, args=args, parenthesized=parenthesized)
+        if not self.at("punctuation", "("):
+            return Call(name=t.lexeme, parenthesized=False)
+        self.take()
+        return Call(name=t.lexeme, args=self.parse_list(")"))
 
     def parse_property_spec(self) -> PropertySpec:
         clocking = None
@@ -593,11 +535,9 @@ class _Parser:
     def parse_clocking(self) -> Clocking:
         self.expect("punctuation", "@")
         self.expect("punctuation", "(")
-        if not (self.at("keyword", "posedge") or self.at("keyword", "negedge")):
-            raise self.error(
-                "parse-expected", "expected 'posedge' or 'negedge' in clocking event"
-            )
-        edge = self.take().lexeme
+        edge = self.take_kind(
+            "keyword", "expected 'posedge' or 'negedge' in clocking event", ("posedge", "negedge")
+        ).lexeme
         expr = self.parse_expression()
         self.expect("punctuation", ")", "')' closing the clocking event")
         return Clocking(edge=edge, expr=expr)
@@ -643,16 +583,10 @@ class _Parser:
                 except _ParseError as err:
                     if self.pos != before:
                         raise
-                    # nothing consumable followed the implication operator
-                    d = err.diagnostic
-                    raise _ParseError(
-                        Diagnostic(
-                            "error",
-                            d.line,
-                            d.column,
-                            "parse-expected",
-                            f"expected expression after {op.lexeme}",
-                        )
+                    # nothing consumable followed the implication operator,
+                    # so the error stands at the same token
+                    raise self.error(
+                        "parse-expected", f"expected expression after {op.lexeme}"
                     ) from err
                 node = Implication(op=op.lexeme, antecedent=node, consequent=rhs)
 
@@ -661,23 +595,17 @@ class _Parser:
             return DelayBounds(low=self.take().lexeme)
         if self.at("punctuation", "["):
             self.take()
-            low_tok = self.peek()
-            if low_tok is None or low_tok.kind != "number":
-                raise self.error("parse-expected", "expected lower delay bound")
-            self.take()
+            low = self.take_kind("number", "expected lower delay bound").lexeme
             self.expect("operator", ":", "':' in delay range")
             high = self.parse_upper_bound("upper delay bound")
             self.expect("punctuation", "]")
-            return DelayBounds(low=low_tok.lexeme, high=high, ranged=True)
+            return DelayBounds(low=low, high=high, ranged=True)
         raise self.error("parse-expected", "expected delay count or '[' after '##'")
 
     def parse_upper_bound(self, what: str) -> str:
         """The upper bound of a delay or repetition range: a number or `$`."""
-        if self.at("number"):
+        if self.at("number") or self.at("identifier", "$"):
             return self.take().lexeme
-        if self.at("identifier", "$"):
-            self.take()
-            return "$"
         raise self.error("parse-expected", f"expected {what} or '$'")
 
     def parse_postfix(self):
@@ -713,9 +641,6 @@ class _Parser:
         t = self.peek()
         if t is None:
             raise self.error("parse-expected", "expected an expression")
-        if t.kind == "error":
-            self.pos += 1
-            raise _ParseError(Diagnostic("error", t.line, t.column, "lex-error", t.lexeme))
         if t.kind == "punctuation" and t.lexeme == "(":
             self.take()
             inner = self.parse_expression(_PROPERTY_BP)
@@ -723,48 +648,34 @@ class _Parser:
             return Paren(inner=inner)
         if t.kind == "punctuation" and t.lexeme == "{":
             return self.parse_concat()
+        if t.kind not in ("number", "string", "identifier", "error"):
+            raise self.error("parse-expected", f"expected an expression, found {t.lexeme!r}")
+        self.take()  # an error token raises its lex-error here
         if t.kind == "number":
-            self.take()
             return Number(text=t.lexeme)
         if t.kind == "string":
-            self.take()
             return StringLit(text=t.lexeme)
-        if t.kind == "identifier":
-            self.take()
-            if self.at("punctuation", "("):
-                if not t.lexeme.startswith("$"):
-                    # no sequence/property declarations in the subset, so an
-                    # identifier call can never resolve
-                    raise self.error(
-                        "parse-unsupported",
-                        f"call of {t.lexeme!r}: only system functions may be called",
-                        t,
-                    )
-                if t.lexeme not in KNOWN_SYSTEM_FUNCTIONS:
-                    self.warn(
-                        "lint-unknown-system-function",
-                        f"unknown system function {t.lexeme!r}",
-                        t,
-                    )
-                self.take()
-                args: list = []
-                if not self.at("punctuation", ")"):
-                    args.append(self.parse_expression())
-                    while self.at("punctuation", ","):
-                        self.take()
-                        args.append(self.parse_expression())
-                self.expect("punctuation", ")", "')' closing the call")
-                if len(args) < _MIN_CALL_ARITY.get(t.lexeme, 0):
-                    raise self.error(
-                        "parse-arity",
-                        f"{t.lexeme} expects at least {_MIN_CALL_ARITY[t.lexeme]} argument(s)",
-                        t,
-                    )
-                return Call(name=t.lexeme, args=args)
+        if not self.at("punctuation", "("):
             return Identifier(name=t.lexeme)
-        raise self.error(
-            "parse-expected", f"expected an expression, found {t.lexeme!r}", t
-        )
+        if not t.lexeme.startswith("$"):
+            # no sequence/property declarations in the subset, so an
+            # identifier call can never resolve
+            raise self.error(
+                "parse-unsupported",
+                f"call of {t.lexeme!r}: only system functions may be called",
+                t,
+            )
+        if t.lexeme not in SYSTEM_FUNCTIONS:
+            self.warn("lint-unknown-system-function", f"unknown system function {t.lexeme!r}", t)
+        self.take()
+        args = self.parse_list(")", "')' closing the call")
+        if len(args) < SYSTEM_FUNCTIONS.get(t.lexeme, 0):
+            raise self.error(
+                "parse-arity",
+                f"{t.lexeme} expects at least {SYSTEM_FUNCTIONS[t.lexeme]} argument(s)",
+                t,
+            )
+        return Call(name=t.lexeme, args=args)
 
     def parse_concat(self):
         self.expect("punctuation", "{")
@@ -773,12 +684,23 @@ class _Parser:
             inner = self.parse_concat()
             self.expect("punctuation", "}", "'}' closing the replication")
             return Replication(count=first, inner=inner)
-        parts = [first]
+        return Concat(parts=self.parse_list("}", "'}' closing the concatenation", first))
+
+    def parse_list(self, close: str, what: str | None = None, first=None) -> list:
+        """Comma-separated expressions up to and including `close`. A caller
+        that has already parsed the first item passes it as `first`;
+        without one the list may be empty."""
+        if first is None:
+            if self.at("punctuation", close):
+                self.take()
+                return []
+            first = self.parse_expression()
+        items = [first]
         while self.at("punctuation", ","):
             self.take()
-            parts.append(self.parse_expression())
-        self.expect("punctuation", "}", "'}' closing the concatenation")
-        return Concat(parts=parts)
+            items.append(self.parse_expression())
+        self.expect("punctuation", close, what)
+        return items
 
     # -- lint pass
 
@@ -825,25 +747,15 @@ def parse_assertion(source: str) -> tuple[SvaAst | None, list[Diagnostic]]:
     unit is the granularity the checker and the combination stage work at.
     """
     units, diagnostics = parse_units(source)
-    if any(d.severity == "error" for d in diagnostics):
+    if has_error(diagnostics):
         return None, diagnostics
-    if not units:
-        diagnostics = diagnostics + [
-            Diagnostic("error", 1, 1, "parse-empty", "no assertion unit found")
-        ]
-        return None, diagnostics
-    if len(units) > 1:
-        diagnostics = diagnostics + [
-            Diagnostic(
-                "error",
-                1,
-                1,
-                "parse-multiple-units",
-                f"expected a single assertion unit, found {len(units)}",
-            )
-        ]
-        return None, diagnostics
-    return units[0], diagnostics
+    if len(units) == 1:
+        return units[0], diagnostics
+    if units:
+        code, message = "parse-multiple-units", f"expected a single assertion unit, found {len(units)}"
+    else:
+        code, message = "parse-empty", "no assertion unit found"
+    return None, diagnostics + [Diagnostic("error", 1, 1, code, message)]
 
 
 def units_to_token_signature(units: list[SvaAst]) -> list[TokenSig]:

@@ -219,6 +219,23 @@ class TestExtractAssertions:
         units = split_assertion_units(VALID_PROPERTY_UNIT + "\n" + VALID_BARE_ASSERT)
         assert len(units) == 2
 
+    @pytest.mark.parametrize(
+        "unit",
+        [
+            # a ';' inside a line comment does not end the statement
+            "assert property (@(posedge clk) // wait; then check\n    req |-> ##1 ack);",
+            # an 'endproperty' inside a line comment does not close the block
+            "property p;\n  @(posedge clk) a |-> b; // endproperty follows\nendproperty\n"
+            "assert property (p);",
+            # a ';' inside a string literal does not end the statement
+            'assert property (@(posedge clk) req |-> ##1 ack)\n  else $error("a; b"\n  );',
+        ],
+    )
+    def test_boundaries_ignore_comments_and_strings(self, unit):
+        units = split_assertion_units(unit + "\n" + VALID_BARE_ASSERT)
+        assert units == [unit, VALID_BARE_ASSERT]
+        assert BuiltinChecker().check(unit) == []
+
 
 class TestNormalization:
     def test_comments_whitespace_semicolons(self):

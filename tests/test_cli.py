@@ -172,6 +172,15 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "[1]" in out and "[2]" in out
 
+    def test_semicolon_in_comment_does_not_split(self, tmp_path, capsys):
+        path = tmp_path / "commented.sv"
+        path.write_text(
+            "assert property (@(posedge clk) // wait; then check\n"
+            "    req |-> ##1 ack);\n" + VALID_BARE_ASSERT + "\n"
+        )
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == "[1] PASS\n[2] PASS\n"
+
     def test_missing_file_is_config_error(self, capsys):
         assert main(["check", "/does/not/exist.sv"]) == 2
 

@@ -73,10 +73,10 @@ class TestParseAssertion:
         assert errors_of(diagnostics) == []
         assert isinstance(ast, PropertyDecl)
         assert ast.name == "mtime_intr_p"
-        assert ast.clocking.edge == "posedge"
-        assert ast.disable_expr is not None
-        assert isinstance(ast.body, Implication)
-        assert ast.body.op == "|->"
+        assert ast.spec.clocking.edge == "posedge"
+        assert ast.spec.disable_expr is not None
+        assert isinstance(ast.spec.body, Implication)
+        assert ast.spec.body.op == "|->"
         assert ast.attached_assert is not None
 
     def test_missing_consequent(self):
@@ -129,6 +129,54 @@ class TestParseAssertion:
         err = errors_of(diagnostics)[0]
         assert err.line == 1
         assert err.column == 34  # the ';' where the consequent should be
+
+
+class TestElseAction:
+    """The action-block paths: a call with no parentheses, an empty argument
+    list, and a non-system task (a warning, not an error)."""
+
+    HEAD = "assert property (@(posedge clk) a |-> b) else "
+
+    @pytest.mark.parametrize(
+        "action", ["$fatal;", "$error();", '$error("x", a);', "my_task(1, 2);"]
+    )
+    def test_round_trip(self, action):
+        source = self.HEAD + action
+        units, diagnostics = parse_units(source)
+        assert errors_of(diagnostics) == []
+        assert units_to_token_signature(units) == token_signature(tokenize(source))
+
+    def test_call_without_parentheses(self):
+        ast, diagnostics = parse_assertion(self.HEAD + "$fatal;")
+        assert diagnostics == []
+        assert (ast.else_action.name, ast.else_action.args) == ("$fatal", [])
+        assert ast.else_action.parenthesized is False
+
+    def test_empty_argument_list(self):
+        ast, diagnostics = parse_assertion(self.HEAD + "$error();")
+        assert diagnostics == []
+        assert ast.else_action.args == []
+        assert ast.else_action.parenthesized is True
+
+    def test_non_system_task_warns(self):
+        ast, diagnostics = parse_assertion(self.HEAD + "my_task(1, 2);")
+        assert ast is not None
+        assert [d.render() for d in diagnostics] == [
+            "1:47 warning [lint-action-call] action block calls a non-system task 'my_task'"
+        ]
+
+    def test_unclosed_task_arguments(self):
+        _, diagnostics = parse_assertion(self.HEAD + "my_task(1, 2;")
+        assert [d.render() for d in diagnostics] == [
+            "1:47 warning [lint-action-call] action block calls a non-system task 'my_task'",
+            "1:59 error [parse-expected] expected ')', found ';'",
+        ]
+
+    def test_missing_task(self):
+        _, diagnostics = parse_assertion(self.HEAD + "5;")
+        assert [d.render() for d in diagnostics] == [
+            "1:47 error [parse-expected] expected a task call after 'else'"
+        ]
 
 
 class TestParseUnits:
