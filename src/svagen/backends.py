@@ -72,7 +72,9 @@ class HttpChatBackend:
 
     The API key is read from the environment variable named `api_key_env`;
     it never appears in config files. Request body: {model, messages};
-    response: choices[0].message.content.
+    response: choices[0].message.content. Without an injected `session`,
+    each calling thread gets its own `requests.Session`, since requests
+    does not document a Session as thread-safe; an injected one is shared.
     """
 
     def __init__(
@@ -87,11 +89,20 @@ class HttpChatBackend:
         self.model = model
         self.api_key_env = api_key_env
         self.timeout_s = timeout_s
-        if session is None:
-            import requests
-
-            session = requests.Session()
         self._session = session
+        self._local = threading.local()  # .session: this thread's own, when none is injected
+        if session is None:
+            import requests  # here, so a missing package fails before the first call
+
+            self._requests = requests
+
+    def _thread_session(self):
+        if self._session is not None:
+            return self._session
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = self._requests.Session()
+        return session
 
     def complete(self, messages: list[Message]) -> str:
         key = os.environ.get(self.api_key_env, "")
@@ -100,7 +111,7 @@ class HttpChatBackend:
                 f"API key environment variable {self.api_key_env} is not set"
             )
         try:
-            resp = self._session.post(
+            resp = self._thread_session().post(
                 self.endpoint,
                 json={"model": self.model, "messages": messages},
                 headers={"Authorization": f"Bearer {key}"},

@@ -1,9 +1,13 @@
 """Flat exact-cosine retrieval over chunked reference documents.
 
 Deliberately no ANN structure: corpora are a few reference texts, and an
-exact index keeps every query brute-force checkable. The default embedder
-is a hashed bag-of-words so offline runs are deterministic across platforms;
-real embedding services plug in through the Embedder protocol.
+exact index keeps every query brute-force checkable. A query is one BLAS
+product over the whole vector matrix, used only as a filter: the few chunks
+near the k-th best score are rescored one `np.dot` each and ranked by that,
+so the answer is the per-chunk scan's, bit for bit. The index file stores
+the matrix's non-zero entries. The default embedder is a hashed
+bag-of-words so offline runs are deterministic across platforms; real
+embedding services plug in through the Embedder protocol.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -25,6 +30,9 @@ DEFAULT_DIMENSION = 512
 DEFAULT_CHUNK_SIZE = 1200
 DEFAULT_CHUNK_OVERLAP = 200
 DEFAULT_TOP_K = 4
+# how far below the k-th best BLAS score a chunk may fall and still be
+# rescored exactly; BLAS and np.dot differ by about dimension x eps
+_FILTER_SLACK = 1e-9
 
 _WORD_RE = re.compile(r"[a-z0-9_$]+")
 
@@ -122,11 +130,20 @@ def chunk(doc_text: str, size: int = DEFAULT_CHUNK_SIZE, overlap: int = DEFAULT_
 
 
 class VectorIndex:
-    """Exact flat cosine index; the first add fixes the dimension."""
+    """Exact flat cosine index; the first add fixes the dimension.
+
+    The vectors live in one float64 `count x dimension` matrix, and each
+    chunk's `vector` is a row view of it. `load` decodes straight into the
+    matrix; after an `add`, the rows are stacked once, by the next query or
+    save, and the chunks' own arrays are let go.
+    """
 
     def __init__(self, dimension: int | None = None) -> None:
         self.dimension = dimension
         self.chunks: list[RagChunk] = []
+        self._matrix: np.ndarray | None = None  # None until the rows are stacked after an add
+        self._norms: np.ndarray | None = None  # the chunks' norms, once a query needs them
+        self._stack_lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.chunks)
@@ -140,11 +157,24 @@ class VectorIndex:
             raise ValueError(
                 f"embedder dimension {embedder.dimension} != index dimension {self.dimension}"
             )
+        self._matrix = self._norms = None
         self.chunks = [c for c in self.chunks if c.doc_id != doc_id]
         for i, text in enumerate(chunk_texts):
-            self.chunks.append(
-                RagChunk(doc_id=doc_id, chunk_index=i, text=text, vector=embedder.embed(text))
-            )
+            vector = np.asarray(embedder.embed(text), dtype=np.float64)
+            self.chunks.append(RagChunk(doc_id=doc_id, chunk_index=i, text=text, vector=vector))
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The vector matrix, stacked after an add, and the chunk norms."""
+        with self._stack_lock:
+            if self._matrix is None:
+                matrix = np.zeros((len(self.chunks), self.dimension or 0))
+                for c, row in zip(self.chunks, matrix):
+                    row[:] = c.vector
+                    c.vector = row
+                self._matrix = matrix
+            if self._norms is None:
+                self._norms = np.array([c.norm for c in self.chunks])
+            return self._matrix, self._norms
 
     def query(self, query_text: str, k: int, embedder: Embedder) -> list[tuple[RagChunk, float]]:
         """Top-k chunks by cosine similarity, descending; ties broken by
@@ -159,10 +189,21 @@ class VectorIndex:
             )
         q = embedder.embed(query_text)
         qn = np.linalg.norm(q)
+        chunks = self.chunks
+        if qn > 0 and k < len(chunks):
+            # Filter, then score exactly. One BLAS product scores every
+            # chunk, but may round a similarity differently in the last bits
+            # than the per-chunk np.dot below (by about dimension x eps), so
+            # it only picks candidates: every chunk within _FILTER_SLACK of the
+            # k-th best. That keeps each true top-k chunk and each chunk tied
+            # with the k-th; a zero query or k >= count keeps them all.
+            matrix, norms = self._rows()
+            denom = qn * norms
+            approx = np.divide(matrix @ q, denom, out=np.zeros(len(chunks)), where=denom > 0)
+            kth = np.partition(approx, -k)[-k]
+            chunks = [chunks[i] for i in np.flatnonzero(approx >= kth - _FILTER_SLACK)]
         scored = []
-        # one np.dot per chunk, not one matrix product: BLAS may round a
-        # product differently in the last bits, and near-ties must stay exact
-        for c in self.chunks:
+        for c in chunks:
             cn = c.norm
             sim = float(np.dot(q, c.vector) / (qn * cn)) if qn > 0 and cn > 0 else 0.0
             scored.append((c, sim))
@@ -172,9 +213,15 @@ class VectorIndex:
     # -- persistence
 
     def save(self, path: str) -> None:
-        """Write the index as compact JSON: the chunk texts, and all vectors
-        as one base64 little-endian float64 `count x dimension` matrix,
-        row-major. `load` reads any whitespace."""
+        """Write the index as compact JSON: the chunk texts, and the vector
+        matrix's non-zero entries in row-major order as three base64
+        little-endian arrays: `row_nnz` (uint32, entries per row), `columns`
+        (uint32) and `values` (float64). An entry counts as non-zero unless
+        its bits are all zero, so `load` rebuilds every row bit for bit.
+        `load` reads any whitespace."""
+        matrix, _ = self._rows()
+        stored = matrix.view(np.uint64) != 0
+        rows, columns = np.nonzero(stored)
         payload = {
             "dimension": self.dimension,
             "count": len(self.chunks),
@@ -182,9 +229,9 @@ class VectorIndex:
                 {"doc_id": c.doc_id, "chunk_index": c.chunk_index, "text": c.text}
                 for c in self.chunks
             ],
-            "vectors": base64.b64encode(
-                b"".join(np.asarray(c.vector, dtype="<f8").tobytes() for c in self.chunks)
-            ).decode("ascii"),
+            "row_nnz": _b64(np.count_nonzero(stored, axis=1), "<u4"),
+            "columns": _b64(columns, "<u4"),
+            "values": _b64(matrix[rows, columns], "<f8"),
         }
         with open(path, "w", encoding="utf-8") as f:
             # two writes: `text + "\n"` would copy the whole file once more
@@ -195,9 +242,10 @@ class VectorIndex:
     def load(cls, path: str) -> VectorIndex:
         """Read a file written by `save`. ValueError naming the file when it
         is not one: invalid JSON, a missing, unknown or wrongly typed field
-        (the older layout, with a `vector` per chunk, has no `vectors`), or
-        a chunk list or vector byte length that does not match `count` and
-        `dimension`."""
+        (an older layout, with one dense `vectors` field or a `vector` per
+        chunk, has unknown fields), a chunk list or `row_nnz` length that
+        does not match `count`, `columns` and `values` lengths that do not
+        match the sum of `row_nnz`, or a column `>= dimension`."""
         return load(_IndexFile, path, "index", ValueError, cls._from_file)
 
     @classmethod
@@ -210,19 +258,40 @@ class VectorIndex:
             raise ValueError(f"index dimension must be a positive integer, not {dimension!r}")
         if len(chunks) != count:
             raise ValueError("index file count does not match stored chunks")
-        raw = base64.b64decode(stored.vectors, validate=True)
-        width = dimension or 0
-        if len(raw) != count * width * 8:
+        row_nnz = _unb64(stored.row_nnz, "<u4", "row_nnz")
+        columns = _unb64(stored.columns, "<u4", "columns")
+        values = _unb64(stored.values, "<f8", "values")
+        if len(row_nnz) != count:
+            raise ValueError(f"index row_nnz holds {len(row_nnz)} rows, not count = {count}")
+        total = int(row_nnz.sum(dtype=np.int64))
+        if not (len(columns) == len(values) == total):
             raise ValueError(
-                f"index vectors hold {len(raw)} bytes, not count x dimension x 8 = {count * width * 8}"
+                f"index columns and values hold {len(columns)} and {len(values)} entries, "
+                f"not the row_nnz sum {total}"
             )
-        # one aligned native copy; each chunk's vector is a row of it
-        matrix = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(count, width)
+        width = dimension or 0
+        if total and int(columns.max()) >= width:
+            raise ValueError(f"index column {int(columns.max())} is not below dimension {width}")
+        matrix = np.zeros((count, width))
+        matrix[np.repeat(np.arange(count), row_nnz), columns] = values
         index = cls(dimension=dimension)
         index.chunks = [
             RagChunk(c.doc_id, c.chunk_index, c.text, row) for c, row in zip(chunks, matrix)
         ]
+        index._matrix = matrix
         return index
+
+
+def _b64(array: np.ndarray, dtype: str) -> str:
+    return base64.b64encode(array.astype(dtype).tobytes()).decode("ascii")
+
+
+def _unb64(text: str, dtype: str, name: str) -> np.ndarray:
+    raw = base64.b64decode(text, validate=True)
+    size = np.dtype(dtype).itemsize
+    if len(raw) % size:
+        raise ValueError(f"index {name} holds {len(raw)} bytes, not a multiple of {size}")
+    return np.frombuffer(raw, dtype=dtype)
 
 
 @dataclass
@@ -234,12 +303,15 @@ class _IndexChunk:
 
 @dataclass
 class _IndexFile:
-    """An index file as `VectorIndex.save` writes it."""
+    """An index file as `VectorIndex.save` writes it; each array is base64
+    of its little-endian bytes."""
 
     dimension: int | None
     count: int
     chunks: list[_IndexChunk]
-    vectors: str  # base64 of the little-endian float64 count x dimension matrix
+    row_nnz: str  # uint32 per row: how many of its entries are stored
+    columns: str  # uint32 per stored entry, row by row
+    values: str  # float64 per stored entry
 
 
 def build_index_from_dir(

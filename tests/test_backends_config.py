@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import threading
 
 import pytest
 
@@ -95,6 +96,49 @@ class TestHttpBackend:
         backend = _backend(session, monkeypatch)
         with pytest.raises(BackendError):
             backend.complete([{"role": "user", "content": "u"}])
+
+
+class TestHttpSessions:
+    def test_one_session_per_thread(self, monkeypatch):
+        import requests
+
+        made = []
+
+        class CountingSession(_FakeSession):
+            def __init__(self):
+                super().__init__(
+                    _FakeResponse(payload={"choices": [{"message": {"content": "ok"}}]})
+                )
+                made.append(self)
+
+        monkeypatch.setattr(requests, "Session", CountingSession)
+        backend = _backend(None, monkeypatch)
+        messages = [{"role": "user", "content": "u"}]
+        assert backend.complete(messages) == backend.complete(messages) == "ok"
+        assert len(made) == 1  # two calls on one thread share its session
+        threads = [threading.Thread(target=backend.complete, args=(messages,)) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert [len(s.requests) for s in made] == [2, 1, 1, 1]  # one more session per thread
+
+    def test_injected_session_is_shared(self, monkeypatch):
+        session = _FakeSession(
+            _FakeResponse(payload={"choices": [{"message": {"content": "ok"}}]})
+        )
+        backend = _backend(session, monkeypatch)
+        threads = [
+            threading.Thread(target=backend.complete, args=([{"role": "user", "content": "u"}],))
+            for _ in range(3)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert len(session.requests) == 3
 
 
 class TestScriptFile:

@@ -109,17 +109,37 @@ def bad_index_text(case: str) -> str:
         return "{not json"
     index = VectorIndex()
     index.add("guide.txt", ["ack_o acknowledges requests"], HashedBowEmbedder())
+    vector = index.chunks[0].vector
+    (columns,) = np.nonzero(vector)
+
+    def b64(values, dtype: str) -> str:
+        return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode()
+
     payload = {
         "dimension": index.dimension,
         "count": 1,
         "chunks": [{"doc_id": "guide.txt", "chunk_index": 0, "text": index.chunks[0].text}],
-        "vectors": base64.b64encode(index.chunks[0].vector.astype("<f8").tobytes()).decode(),
+        "row_nnz": b64([len(columns)], "<u4"),
+        "columns": b64(columns, "<u4"),
+        "values": b64(vector[columns], "<f8"),
     }
-    if case == "old layout":  # a `vector` list per chunk, no `vectors` field
-        del payload["vectors"]
-        payload["chunks"][0]["vector"] = index.chunks[0].vector.tolist()
+    sparse = ("row_nnz", "columns", "values")
+    if case == "old layout":  # a `vector` list per chunk
+        for name in sparse:
+            del payload[name]
+        payload["chunks"][0]["vector"] = vector.tolist()
+    elif case == "dense vectors layout":  # one dense base64 float64 matrix
+        for name in sparse:
+            del payload[name]
+        payload["vectors"] = b64(vector, "<f8")
     elif case == "wrong byte length":
-        payload["vectors"] = base64.b64encode(np.zeros(511).tobytes()).decode()
+        payload["values"] = base64.b64encode(np.zeros(len(columns)).tobytes()[:-3]).decode()
+    elif case == "column out of range":
+        payload["columns"] = b64([*columns[:-1], index.dimension], "<u4")
+    elif case == "row_nnz sum mismatch":
+        payload["row_nnz"] = b64([len(columns) + 1], "<u4")
+    elif case == "values length mismatch":
+        payload["values"] = b64(vector[columns[:-1]], "<f8")
     elif case == "count mismatch":
         payload["count"] = 2
     elif case == "string chunk index":
@@ -134,7 +154,11 @@ def bad_index_text(case: str) -> str:
 BAD_INDEX = [
     "invalid json",
     "old layout",
+    "dense vectors layout",
     "wrong byte length",
+    "column out of range",
+    "row_nnz sum mismatch",
+    "values length mismatch",
     "count mismatch",
     "string chunk index",
     "number text",

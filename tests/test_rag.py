@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import itertools
 import json
 import re
 
@@ -236,6 +237,157 @@ class TestOracleEquivalence:
             assert got == brute_force_topk(index, query, 5, e)
 
 
+def per_chunk_query(index: VectorIndex, query: str, k: int, e) -> list[tuple[str, int, float]]:
+    """The exact top-k by definition: one np.dot per chunk, sorted by
+    (-similarity, doc_id, chunk_index)."""
+    q = e.embed(query)
+    qn = np.linalg.norm(q)
+    scored = []
+    for c in index.chunks:
+        cn = np.linalg.norm(c.vector)
+        sim = float(np.dot(q, c.vector) / (qn * cn)) if qn > 0 and cn > 0 else 0.0
+        scored.append((c.doc_id, c.chunk_index, sim))
+    scored.sort(key=lambda hit: (-hit[2], hit[0], hit[1]))
+    return scored[:k]
+
+
+def hits(results) -> list[tuple[str, int, float]]:
+    return [(c.doc_id, c.chunk_index, sim) for c, sim in results]
+
+
+class DenseEmbedder:
+    """Dense, signed components seeded by the text's md5. Empty text embeds
+    to the zero vector, and a `-0` token sets a negative zero."""
+
+    def __init__(self, dimension: int) -> None:
+        self.dimension = dimension
+
+    def embed(self, text: str) -> np.ndarray:
+        if not text:
+            return np.zeros(self.dimension)
+        seed = int.from_bytes(hashlib.md5(text.encode("utf-8")).digest()[:8], "big")
+        vec = np.random.default_rng(seed).standard_normal(self.dimension)
+        if "-0" in text.split():
+            vec[0] = -0.0
+        return vec
+
+
+def colliding_tokens(dimension: int) -> tuple[str, str]:
+    """Two distinct tokens the hashed embedder puts in the same bucket."""
+    seen: dict[int, str] = {}
+    for i in range(10 * dimension):
+        token = f"sig{i}"
+        bucket = int.from_bytes(hashlib.md5(token.encode()).digest()[:8], "big") % dimension
+        if bucket in seen:
+            return seen[bucket], token
+        seen[bucket] = token
+    raise AssertionError("no collision found")
+
+
+class TestExactness:
+    """`query` equals the per-chunk loop, near-ties and edge cases included."""
+
+    def assert_exact(self, index, e, queries, ks=range(1, 11)):
+        for query in queries:
+            for k in ks:
+                assert hits(index.query(query, k, e)) == per_chunk_query(index, query, k, e)
+
+    def test_proportional_counts(self):
+        e = HashedBowEmbedder(dimension=64)
+        index = VectorIndex()
+        index.add("a.txt", ["a b", "a b a b a b", "c d", "a b a b"], e)
+        index.add("b.txt", ["b a b a", "a b c", "a a b b a b"], e)
+        self.assert_exact(index, e, ["a b", "a b a b a b", "b", "a b c d"])
+        top = index.query("a b", 5, e)
+        assert {(c.doc_id, c.chunk_index) for c, _ in top} == {
+            ("a.txt", 0), ("a.txt", 1), ("a.txt", 3), ("b.txt", 0), ("b.txt", 2)
+        }
+
+    def test_permuted_counts(self):
+        # every chunk gives the query tokens the counts 1-5 in some order, so
+        # all similarities are equal in exact arithmetic; summed in different
+        # orders they differ in the last bits, and the order there decides
+        e = HashedBowEmbedder(dimension=512)
+        tokens = ["ack", "req", "gnt", "rdy", "vld"]
+        texts = [
+            " ".join(" ".join([t] * n) for t, n in zip(tokens, counts)) + " filler filler other"
+            for counts in itertools.permutations(range(1, 6))
+        ]
+        index = VectorIndex()
+        index.add("doc", texts, e)
+        self.assert_exact(index, e, [" ".join(tokens), "ack req", "ack req gnt", "vld rdy"])
+
+    def test_duplicate_texts_in_different_docs(self):
+        e = HashedBowEmbedder(dimension=32)
+        index = VectorIndex()
+        for doc in ["d3", "d1", "d4", "d0", "d2"]:
+            index.add(doc, ["other words here", "same text"], e)
+        self.assert_exact(index, e, ["same text", "same", "other same"])
+        assert [c.doc_id for c, _ in index.query("same text", 3, e)] == ["d0", "d1", "d2"]
+
+    def test_hash_collision(self):
+        e = HashedBowEmbedder(dimension=64)
+        first, second = colliding_tokens(64)
+        assert np.array_equal(e.embed(first), e.embed(second))
+        index = VectorIndex()
+        index.add("doc", [second, "unrelated", first, f"{first} unrelated"], e)
+        self.assert_exact(index, e, [first, second, f"{second} unrelated"])
+        assert [c.chunk_index for c, _ in index.query(first, 2, e)] == [0, 2]
+
+    def test_zero_query_keeps_every_chunk(self):
+        e = HashedBowEmbedder(dimension=16)
+        index = VectorIndex()
+        index.add("b", ["x y", "z"], e)
+        index.add("a", ["y", "w w"], e)
+        assert not e.embed("").any()
+        self.assert_exact(index, e, [""])
+        assert hits(index.query("", 3, e)) == [("a", 0, 0.0), ("a", 1, 0.0), ("b", 0, 0.0)]
+
+    def test_k_at_least_count(self):
+        e = HashedBowEmbedder(dimension=16)
+        index = VectorIndex()
+        index.add("doc", ["x y", "z", "y y x"], e)
+        self.assert_exact(index, e, ["x", "y z", "q"], ks=[3, 4, 100])
+
+    def test_add_after_query_is_seen(self):
+        e = HashedBowEmbedder(dimension=32)
+        index = VectorIndex()
+        index.add("a", ["alpha", "beta"], e)
+        assert index.query("gamma", 1, e)[0][1] == 0.0
+        index.add("b", ["gamma"], e)
+        assert hits(index.query("gamma", 1, e)) == [("b", 0, 1.0)]
+        index.add("b", ["epsilon"], e)  # a re-add replaces the queried chunk
+        assert index.query("gamma", 1, e)[0][1] == 0.0
+        self.assert_exact(index, e, ["alpha", "epsilon", "gamma"])
+
+    def test_dense_signed_embedder(self):
+        e = DenseEmbedder(dimension=24)
+        rng = np.random.default_rng(5)
+        words = ["clk", "rst", "ack", "req", "-0"]
+        index = VectorIndex()
+        for d in range(4):
+            texts = [" ".join(rng.choice(words, size=rng.integers(0, 4))) for _ in range(15)]
+            index.add(f"doc{d}", texts, e)
+        assert any(sim < 0 for *_, sim in per_chunk_query(index, "clk", 60, e))
+        self.assert_exact(index, e, ["clk", "ack req", "-0 rst", "", "zzz"])
+
+    @given(
+        docs=st.lists(
+            st.lists(st.lists(st.sampled_from("abcd"), max_size=6).map(" ".join), max_size=6),
+            min_size=1,
+            max_size=4,
+        ),
+        query=st.lists(st.sampled_from("abcde"), max_size=4).map(" ".join),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_chunk_loop(self, docs, query):
+        e = HashedBowEmbedder(dimension=8)  # few buckets: many ties and collisions
+        index = VectorIndex()
+        for d, texts in enumerate(docs):
+            index.add(f"doc{d}", texts, e)
+        self.assert_exact(index, e, [query])
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         e = HashedBowEmbedder(dimension=48)
@@ -286,15 +438,78 @@ class TestPersistence:
         path = tmp_path / "index.json"
         index.save(str(path))
         payload = json.loads(path.read_text())
+        assert sorted(payload) == ["chunks", "columns", "count", "dimension", "row_nnz", "values"]
         assert payload["count"] == 2 and payload["dimension"] == 16
         assert payload["chunks"] == [
             {"doc_id": "doc", "chunk_index": 0, "text": "alpha beta"},
             {"doc_id": "doc", "chunk_index": 1, "text": "gamma"},
         ]
-        raw = base64.b64decode(payload["vectors"])
-        assert len(raw) == 2 * 16 * 8
-        rows = np.frombuffer(raw, dtype="<f8").reshape(2, 16)  # little-endian, row-major
-        assert np.array_equal(rows, np.stack([c.vector for c in index.chunks]))
+        # little-endian arrays: entries per row, then each entry's column and value, row by row
+        row_nnz = np.frombuffer(base64.b64decode(payload["row_nnz"]), dtype="<u4")
+        columns = np.frombuffer(base64.b64decode(payload["columns"]), dtype="<u4")
+        values = np.frombuffer(base64.b64decode(payload["values"]), dtype="<f8")
+        want = np.stack([c.vector for c in index.chunks])
+        assert row_nnz.tolist() == [np.count_nonzero(row) for row in want]
+        rows = np.repeat(np.arange(2), row_nnz)
+        assert np.array_equal(columns, np.nonzero(want)[1])
+        assert np.array_equal(values, want[rows, columns])
+        assert len(values) < want.size  # only the non-zero entries are stored
+
+    @pytest.mark.parametrize("dimension", [37, 512])
+    @pytest.mark.parametrize("embedder", ["hashed", "dense"])
+    def test_round_trip_rows_bit_identical(self, tmp_path, dimension, embedder):
+        e = HashedBowEmbedder(dimension) if embedder == "hashed" else DenseEmbedder(dimension)
+        rng = np.random.default_rng(dimension)
+        words = ["clk", "rst_n", "ack", "req", "data", "fifo", "full", "irq", "-0"]
+        index = VectorIndex()
+        for d in range(3):
+            texts = [" ".join(rng.choice(words, size=rng.integers(0, 7))) for _ in range(25)]
+            index.add(f"doc{d}.txt", texts, e)
+        path = str(tmp_path / "index.json")
+        index.save(path)
+        loaded = VectorIndex.load(path)
+        assert len(loaded) == len(index)
+        for got, want in zip(loaded.chunks, index.chunks, strict=True):
+            assert got.vector.dtype == np.float64
+            assert np.array_equal(got.vector.view(np.uint64), want.vector.view(np.uint64))
+            assert got.norm == want.norm
+
+    def test_rows_share_one_matrix(self, tmp_path):
+        e = HashedBowEmbedder(dimension=32)
+        index = VectorIndex()
+        index.add("a", ["alpha beta", "gamma"], e)
+        index.add("b", ["delta"], e)
+        index.query("alpha", 1, e)
+        path = str(tmp_path / "index.json")
+        index.save(path)
+        for idx in (index, VectorIndex.load(path)):
+            base = idx.chunks[0].vector.base
+            assert base is not None and base.shape == (3, 32)
+            assert all(c.vector.base is base for c in idx.chunks)
+
+    @pytest.mark.parametrize(
+        "field, values, dtype, message",
+        [
+            ("row_nnz", [1, 1], "<u4", "row_nnz holds 2 rows, not count = 1"),
+            ("row_nnz", [3], "<u4", "hold 2 and 2 entries, not the row_nnz sum 3"),
+            ("columns", [0], "<u4", "hold 1 and 2 entries, not the row_nnz sum 2"),
+            ("columns", [0, 16], "<u4", "column 16 is not below dimension 16"),
+            ("values", [1.0, 2.0, 3.0], "<f8", "hold 2 and 3 entries, not the row_nnz sum 2"),
+            ("values", [1.0], "<u4", "values holds 4 bytes, not a multiple of 8"),
+        ],
+    )
+    def test_load_rejects_inconsistent_arrays(self, tmp_path, field, values, dtype, message):
+        index = VectorIndex()
+        index.add("doc", ["alpha beta"], HashedBowEmbedder(dimension=16))
+        path = tmp_path / "index.json"
+        index.save(str(path))
+        payload = json.loads(path.read_text())
+        assert len(np.frombuffer(base64.b64decode(payload["columns"]), dtype="<u4")) == 2
+        payload[field] = base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(message)) as err:
+            VectorIndex.load(str(path))
+        assert str(path) in str(err.value)
 
     @pytest.mark.parametrize("dimension", [37, 512])
     def test_loaded_copy_answers_queries_identically(self, tmp_path, dimension):
