@@ -4,9 +4,10 @@ and deduplication.
 
 Every agent renders its prompt from the templates of a `CallLog` and sends
 it through that log, which charges the call; the wire conventions the
-models must follow are (a) assertions travel inside fenced code blocks and
-(b) the critic ends with a `[SCORE: n]` marker, of which the last occurrence
-wins so chain-of-thought preambles cannot confuse the parse.
+models must follow are (a) assertions travel inside fenced code blocks, cut
+into units on the checker's token stream (docs/formats.md, "Model
+replies"), and (b) the critic ends with a `[SCORE: n]` marker, of which the
+last occurrence wins so chain-of-thought preambles cannot confuse the parse.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 from svagen.bank import COMMENT_OR_STRING_RE, SignalInfo
 from svagen.prompts import CallLog, render_prompt
 from svagen.sva.checker import AssertionRecord
+from svagen.sva.parser import VERBS
+from svagen.sva.tokens import STOP_MESSAGES, scan
 from svagen.tree import AnswerContent, SearchParams
 
 
@@ -68,9 +71,9 @@ def suppress_score(score: float, params: SearchParams) -> float:
 def extract_assertions(text: str) -> list[str]:
     """Pull assertion units out of fenced code blocks, in order.
 
-    A unit is a `property ... endproperty` block together with the assert
-    statement that immediately follows it, or a bare
-    `assert/assume/cover property (...);` statement. No fences, no units.
+    A unit is a `property` or `sequence` declaration with the statement that
+    immediately follows it, or a bare, possibly labelled, `assert/assume/
+    cover` statement; units may share a line. No fences, no units.
     """
     units: list[str] = []
     for block in _FENCE_RE.findall(text):
@@ -89,53 +92,49 @@ def parse_answer(text: str) -> AnswerContent:
     return AnswerContent(assertions=assertions, commentary=commentary)
 
 
-_UNIT_START_RE = re.compile(
-    r"^\s*(property\b|(?:\w+\s*:\s*)?(?:assert|assume|cover)\b)"
-)
-_ENDPROPERTY_RE = re.compile(r"\bendproperty\b")
-_NON_SPACE_RE = re.compile(r"\S")
-
-
 def split_assertion_units(code: str) -> list[str]:
-    """Split code into assertion units, each in its original text.
-
-    The boundary tests (a unit's first keyword, `;`, `endproperty`) read the
-    code with every comment and string literal blanked to spaces, so a `;`
-    or `endproperty` inside one ends nothing. Blanking keeps whitespace, so
-    both texts split into the same lines. Stray text between units
-    (comments, blank lines) is dropped.
+    """Split code into assertion units, each in its original text, by the
+    rule in docs/formats.md ("Model replies"). The boundaries come from the
+    checker's lexer, so nothing inside a comment or a string starts or ends
+    a unit; stray code, comments and blank lines between units are dropped.
     """
-    lines = code.splitlines()
-    blank = COMMENT_OR_STRING_RE.sub(lambda m: _NON_SPACE_RE.sub(" ", m.group(0)), code)
-    units: list[str] = []
-    current: list[str] = []
-    in_property = False
-    in_statement = False  # inside an assert-like statement, waiting for ';'
-
-    def flush() -> None:
-        nonlocal current
-        unit = "\n".join(current).strip()
-        if unit:
-            units.append(unit)
-        current = []
-
-    for line, code_line in zip(lines, blank.splitlines()):
-        if not (in_property or in_statement):
-            m = _UNIT_START_RE.match(code_line)
-            if m is None:
-                continue
-            if m.group(1).startswith("property"):
-                flush()  # property not preceded by its assert: new unit
-                in_property = True
+    code += "\n"  # every line ends in a newline
+    spans: list[list[int]] = []  # [start, end, end of the token before]
+    ends: tuple[str, ...] | None = None  # the texts that close the open unit
+    joinable = False  # the last span is a declaration a statement may join
+    stray: list[tuple[str, str, int, int]] = []  # (kind, text, offset, end before) since the last unit
+    prev_end = -1  # end of the previous token outside a unit
+    pos = 0
+    while pos < len(code):
+        stop = len(code) - 1
+        for kind, text, offset in scan(code, pos):
+            if kind == "error" and text in STOP_MESSAGES:
+                stop = offset
+                break
+            if ends is not None:
+                if text in ends:
+                    spans[-1][1] = prev_end = offset + len(text)
+                    joinable, ends = ";" not in ends, None
+            elif text in VERBS or text == "property" or text == "sequence":
+                verb = text in VERBS
+                label = verb and len(stray) >= 2 and stray[-1][1] == ":" and stray[-2][0] == "identifier"
+                if not (verb and joinable and len(stray) == 2 * label):
+                    start, before = stray[-2][2:] if label else (offset, prev_end)
+                    spans.append([start, -1, before])
+                ends, joinable = (";",) if verb else ("endproperty", "endsequence"), False
+                stray.clear()
             else:
-                in_statement = True  # attaches to a pending property block
-        current.append(line)
-        if in_property:
-            in_property = _ENDPROPERTY_RE.search(code_line) is None
-        elif ";" in code_line:
-            flush()
-            in_statement = False
-    flush()
+                stray.append((kind, text, offset, prev_end))
+                prev_end = offset + (1 if kind == "error" else len(text))
+        if ends is not None:  # at a lexer stop or the end: to the end of that line
+            spans[-1][1], ends = stop, None
+        pos = code.find("\n", stop) + 1
+    units = []
+    for start, end, before in spans:
+        lo, hi = code.rfind("\n", 0, start) + 1, code.find("\n", end)
+        if any(text not in STOP_MESSAGES for _, text, _ in scan(code[end:hi])):
+            hi = end  # another token follows on the last line
+        units.append(code[start if before > lo else lo : hi].strip())
     return units
 
 

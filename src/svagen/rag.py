@@ -18,7 +18,7 @@ import json
 import os
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -82,11 +82,6 @@ class RagChunk:
     chunk_index: int
     text: str
     vector: np.ndarray
-    # computed once here, by add and by load alike, and read by every query
-    norm: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.norm = np.linalg.norm(self.vector)
 
 
 def chunk_spans(doc_text: str, size: int, overlap: int) -> list[tuple[int, int]]:
@@ -172,8 +167,8 @@ class VectorIndex:
                     row[:] = c.vector
                     c.vector = row
                 self._matrix = matrix
-            if self._norms is None:
-                self._norms = np.array([c.norm for c in self.chunks])
+            if self._norms is None:  # einsum: no temporary the size of the matrix
+                self._norms = np.sqrt(np.einsum("ij,ij->i", self._matrix, self._matrix))
             return self._matrix, self._norms
 
     def query(self, query_text: str, k: int, embedder: Embedder) -> list[tuple[RagChunk, float]]:
@@ -191,12 +186,13 @@ class VectorIndex:
         qn = np.linalg.norm(q)
         chunks = self.chunks
         if qn > 0 and k < len(chunks):
-            # Filter, then score exactly. One BLAS product scores every
-            # chunk, but may round a similarity differently in the last bits
-            # than the per-chunk np.dot below (by about dimension x eps), so
-            # it only picks candidates: every chunk within _FILTER_SLACK of the
-            # k-th best. That keeps each true top-k chunk and each chunk tied
-            # with the k-th; a zero query or k >= count keeps them all.
+            # Filter, then score exactly. One BLAS product and one pass of
+            # row norms score every chunk, but may round a similarity
+            # differently in the last bits than the per-chunk np.dot and norm
+            # below (by about dimension x eps), so they only pick candidates:
+            # every chunk within _FILTER_SLACK of the k-th best. That keeps
+            # each true top-k chunk and each chunk tied with the k-th; a zero
+            # query or k >= count keeps them all.
             matrix, norms = self._rows()
             denom = qn * norms
             approx = np.divide(matrix @ q, denom, out=np.zeros(len(chunks)), where=denom > 0)
@@ -204,8 +200,8 @@ class VectorIndex:
             chunks = [chunks[i] for i in np.flatnonzero(approx >= kth - _FILTER_SLACK)]
         scored = []
         for c in chunks:
-            cn = c.norm
-            sim = float(np.dot(q, c.vector) / (qn * cn)) if qn > 0 and cn > 0 else 0.0
+            cn = np.linalg.norm(c.vector) if qn > 0 else 0.0
+            sim = float(np.dot(q, c.vector) / (qn * cn)) if cn > 0 else 0.0
             scored.append((c, sim))
         scored.sort(key=lambda item: (-item[1], item[0].doc_id, item[0].chunk_index))
         return scored[:k]

@@ -8,7 +8,8 @@ the parser can report them with positions instead of aborting.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterator
+from typing import NamedTuple
 
 from svagen.sva.operators import OPERATORS
 
@@ -34,19 +35,21 @@ _SYMBOLS = sorted(
     key=lambda lexeme: (-len(lexeme), lexeme),
 )
 
-# One named group per token class, tried in this order at each position.
-# Verilog integer literals: optional size, base marker, digits; or plain
-# decimal, or unbased unsized ('0, '1, 'x, 'z). The last group takes any
-# character no other group does.
+# One named group per token class, tried in this order at each position,
+# the most frequent first (the comments must precede the operators, and a
+# string its open quote). Verilog integer literals: optional size, base
+# marker, digits; or plain decimal, or unbased unsized ('0, '1, 'x, 'z).
+# The last group takes any character no other group does.
 _TOKEN_RE = re.compile(
     "|".join(
         f"(?P<{name}>{pattern})"
         for name, pattern in (
             ("space", r"[ \t\r\n]+"),
+            ("punctuation", r"[()\[\]{};,@.]"),
+            ("identifier", r"\$?[A-Za-z_][A-Za-z0-9_$]*|\$"),
             ("comment", r"//[^\n]*|/\*[\s\S]*?\*/"),
             ("open_comment", r"/\*"),
-            ("string", r'"(?:\\.|[^"\\\n])*"'),
-            ("open_string", '"'),
+            ("operator", "|".join(map(re.escape, _SYMBOLS))),
             (
                 "number",
                 r"[0-9][0-9_]*\s*'\s*[sS]?[bodhBODH][0-9a-fA-FxzXZ_?]+"
@@ -54,22 +57,20 @@ _TOKEN_RE = re.compile(
                 r"|'[01xzXZ]"
                 r"|[0-9][0-9_]*(?:\.[0-9][0-9_]*)?",
             ),
-            ("identifier", r"\$?[A-Za-z_][A-Za-z0-9_$]*|\$"),
-            ("operator", "|".join(map(re.escape, _SYMBOLS))),
-            ("punctuation", r"[()\[\]{};,@.]"),
+            ("string", r'"(?:\\.|[^"\\\n])*"'),
+            ("open_string", '"'),
             ("error", r"[\s\S]"),
         )
     )
 )
-_SKIPPED = ("space", "comment")
 _UNTERMINATED = {
     "open_comment": "unterminated block comment",
     "open_string": "unterminated string literal",
 }
+STOP_MESSAGES = frozenset(_UNTERMINATED.values())  # the error texts a scan stops at
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):  # cheap to build: the checker makes one per token of every unit
     kind: str  # identifier | keyword | number | string | operator | punctuation | error
     lexeme: str
     line: int
@@ -79,31 +80,34 @@ class Token:
         return f"{self.kind}({self.lexeme!r}@{self.line}:{self.column})"
 
 
-def tokenize(source: str) -> list[Token]:
-    """Lex `source` into tokens; never raises.
-
-    Unterminated block comments and strings, and characters outside the
-    subset alphabet, become `error` tokens positioned at the offending text.
-    """
-    tokens: list[Token] = []
-    line = 1
-    line_start = 0  # offset of the first character of `line`
-    for m in _TOKEN_RE.finditer(source):
-        kind, text, start = m.lastgroup, m.group(), m.start()
-        column = start - line_start + 1
+def scan(source: str, pos: int = 0) -> Iterator[tuple[str, str, int]]:
+    """Yield `(kind, text, offset)` per token from `pos` on; the one lexer
+    of the parser and the unit splitter. An unterminated block comment or
+    string yields an `error` token with a text in STOP_MESSAGES, and ends it."""
+    for m in _TOKEN_RE.finditer(source, pos):
+        kind = m.lastgroup
+        if kind == "space" or kind == "comment":
+            continue
         if kind in _UNTERMINATED:
-            tokens.append(Token("error", _UNTERMINATED[kind], line, column))
-            break
+            yield "error", _UNTERMINATED[kind], m.start()
+            return
+        text = m.group()
         if kind == "identifier" and text in KEYWORDS:
-            tokens.append(Token("keyword", text, line, column))
+            kind = "keyword"
         elif kind == "error":
-            tokens.append(Token("error", f"unexpected character {text!r}", line, column))
-        elif kind not in _SKIPPED:
-            tokens.append(Token(kind, text, line, column))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = start + text.rfind("\n") + 1
+            text = f"unexpected character {text!r}"
+        yield kind, text, m.start()
+
+
+def tokenize(source: str) -> list[Token]:
+    """Lex `source` into tokens with 1-based line/column positions; never
+    raises."""
+    tokens: list[Token] = []
+    line, last = 1, 0  # last: offset of the previous token
+    for kind, text, start in scan(source):
+        line += source.count("\n", last, start)
+        last = start
+        tokens.append(Token(kind, text, line, start - source.rfind("\n", 0, start)))
     return tokens
 
 

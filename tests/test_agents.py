@@ -36,6 +36,8 @@ from svagen.prompts import (
 from svagen.sva.checker import AssertionRecord, BuiltinChecker
 from svagen.tree import AnswerContent, SearchParams
 
+from sva_corpus import CORPUS
+
 from conftest import (
     INVALID_ASSERT,
     VALID_BARE_ASSERT,
@@ -235,6 +237,54 @@ class TestExtractAssertions:
         units = split_assertion_units(unit + "\n" + VALID_BARE_ASSERT)
         assert units == [unit, VALID_BARE_ASSERT]
         assert BuiltinChecker().check(unit) == []
+
+    def test_two_asserts_on_one_line(self):
+        first = "assert property (@(posedge clk) a |-> b);"
+        second = "assert property (@(posedge clk) c |-> d);"
+        units = split_assertion_units(f"{first} {second}")
+        assert units == [first, second]
+        assert all(BuiltinChecker().check(u) == [] for u in units)
+
+    def test_declaration_after_an_assert_on_its_line(self):
+        p = "property p;\n  @(posedge clk) a |-> b;\nendproperty\nassert property (p);"
+        q = "property q;\n  @(posedge clk) c |-> d;\nendproperty\nassert property (q);"
+        units = split_assertion_units(f"{p} {q}")
+        assert units == [p, q]
+        assert all(BuiltinChecker().check(u) == [] for u in units)
+
+    def test_sequence_declaration_stays_with_its_assert(self):
+        unit = (
+            "sequence s_req_ack;\n  req ##1 ack;\nendsequence\n"
+            "assert property (@(posedge clk) s_req_ack |-> done);"
+        )
+        assert split_assertion_units(f"{unit}\n{VALID_BARE_ASSERT}") == [unit, VALID_BARE_ASSERT]
+
+    def test_assert_after_stray_code_on_its_line(self):
+        code = f"x = 1; {VALID_BARE_ASSERT}\ny = 2;"
+        assert split_assertion_units(code) == [VALID_BARE_ASSERT]
+
+    def test_label_after_stray_code_starts_the_unit(self):
+        unit = "lbl: assert property (@(posedge clk) a);"
+        assert split_assertion_units(f"x = 1; {unit}") == [unit]
+
+    @pytest.mark.parametrize("opening", ['$error("oops', "/* note"])
+    def test_lexer_stop_ends_the_unit_at_its_line(self, opening):
+        # the unterminated string or comment stops the lexer; the unit ends
+        # at the end of that line and the next line's unit still splits
+        unit = f"assert property (@(posedge clk) a |-> b)\n  else {opening}"
+        code = f"{unit}\n{VALID_BARE_ASSERT}\n{VALID_PROPERTY_UNIT}"
+        assert split_assertion_units(code) == [unit, VALID_BARE_ASSERT, VALID_PROPERTY_UNIT]
+
+    @given(
+        st.lists(st.sampled_from(CORPUS), max_size=6),
+        st.lists(st.sampled_from(["\n", "\n\n", " "]), min_size=5, max_size=5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_corpus_units_split_back(self, units, separators):
+        code = units[0] if units else ""
+        for unit, sep in zip(units[1:], separators):
+            code += sep + unit
+        assert split_assertion_units(code) == units
 
 
 class TestNormalization:

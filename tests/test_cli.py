@@ -205,6 +205,14 @@ class TestCheck:
         assert main(["check", str(path)]) == 0
         assert capsys.readouterr().out == "[1] PASS\n[2] PASS\n"
 
+    def test_two_asserts_on_one_line(self, tmp_path, capsys):
+        path = tmp_path / "one_line.sv"
+        path.write_text(
+            "assert property (@(posedge clk) a |-> b); assert property (@(posedge clk) c |-> d);\n"
+        )
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == "[1] PASS\n[2] PASS\n"
+
     def test_missing_file_is_config_error(self, capsys):
         assert main(["check", "/does/not/exist.sv"]) == 2
 

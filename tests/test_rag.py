@@ -410,7 +410,6 @@ class TestPersistence:
         loaded = VectorIndex.load(str(path))
         for got, want in zip(loaded.chunks, index.chunks, strict=True):
             assert np.array_equal(got.vector, want.vector)
-            assert got.norm == want.norm == np.linalg.norm(want.vector)
 
     def test_loads_indented_file(self, tmp_path):
         e = HashedBowEmbedder(dimension=32)
@@ -426,7 +425,6 @@ class TestPersistence:
         assert [c.text for c in loaded.chunks] == ["alpha", "beta"]
         for got, want in zip(loaded.chunks, index.chunks, strict=True):
             assert np.array_equal(got.vector, want.vector)
-            assert got.norm == want.norm
         assert [(c.text, s) for c, s in loaded.query("beta", 2, e)] == [
             (c.text, s) for c, s in index.query("beta", 2, e)
         ]
@@ -472,7 +470,6 @@ class TestPersistence:
         for got, want in zip(loaded.chunks, index.chunks, strict=True):
             assert got.vector.dtype == np.float64
             assert np.array_equal(got.vector.view(np.uint64), want.vector.view(np.uint64))
-            assert got.norm == want.norm
 
     def test_rows_share_one_matrix(self, tmp_path):
         e = HashedBowEmbedder(dimension=32)
