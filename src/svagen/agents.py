@@ -106,16 +106,18 @@ def split_assertion_units(code: str) -> list[str]:
     prev_end = -1  # end of the previous token outside a unit
     pos = 0
     while pos < len(code):
-        stop = len(code) - 1
-        for kind, text, offset in scan(code, pos):
-            if kind == "error" and text in STOP_MESSAGES:
-                stop = offset
+        tokens, stop = [], len(code) - 1
+        for token in scan(code, pos):
+            if token[0] == "error" and token[1] in STOP_MESSAGES:
+                stop = token[2]
                 break
+            tokens.append(token)
+        for i, (kind, text, offset) in enumerate(tokens):
             if ends is not None:
                 if text in ends:
                     spans[-1][1] = prev_end = offset + len(text)
                     joinable, ends = ";" not in ends, None
-            elif text in VERBS or text == "property" or text == "sequence":
+            elif _opens_unit(tokens, i):
                 verb = text in VERBS
                 label = verb and len(stray) >= 2 and stray[-1][1] == ":" and stray[-2][0] == "identifier"
                 if not (verb and joinable and len(stray) == 2 * label):
@@ -136,6 +138,20 @@ def split_assertion_units(code: str) -> list[str]:
             hi = end  # another token follows on the last line
         units.append(code[start if before > lo else lo : hi].strip())
     return units
+
+
+def _opens_unit(tokens: list[tuple[str, str, int]], i: int) -> bool:
+    """Whether `tokens[i]`, outside a unit, starts one: a verb followed by
+    `property` or `(` (or `sequence` or `final`, as in `cover sequence` and
+    `assert final`, which the checker then rejects), or `property` or
+    `sequence` followed by a name and `;` or `(`. Prose that uses these
+    words starts none."""
+    text, after = tokens[i][1], tokens[i + 1 : i + 3]
+    if text in VERBS:
+        return bool(after) and after[0][1] in ("property", "(", "sequence", "final")
+    if text == "property" or text == "sequence":
+        return len(after) == 2 and after[0][0] == "identifier" and after[1][1] in (";", "(")
+    return False
 
 
 # --------------------------------------------------------------------------

@@ -143,6 +143,9 @@ class RunConfig:
         raise ConfigError(f"unknown checker kind {c.kind!r}")
 
     def load_templates(self) -> dict[str, PromptTemplate]:
+        """The shipped templates, each overridden by `templates_dir/<key>.txt`
+        if there is one. ConfigError naming the file when its key is
+        unknown or `load_template` rejects it."""
         templates = dict(DEFAULT_TEMPLATES)
         if self.templates_dir:
             for name in sorted(os.listdir(self.templates_dir)):
@@ -151,17 +154,11 @@ class RunConfig:
                 key = name[: -len(".txt")]
                 if key not in templates:
                     raise ConfigError(f"unknown template file {name!r}")
+                path = os.path.join(self.templates_dir, name)
                 try:
-                    template = load_template(os.path.join(self.templates_dir, name))
+                    templates[key] = load_template(path, templates[key])
                 except ValueError as err:
                     raise ConfigError(f"template file {name!r}: {err}") from err
-                # the call log charges a call to its template's role
-                if template.role_name != templates[key].role_name:
-                    raise ConfigError(
-                        f"template file {name!r}: role {template.role_name!r} must be "
-                        f"{templates[key].role_name!r}"
-                    )
-                templates[key] = template
         return templates
 
 

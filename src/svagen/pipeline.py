@@ -445,7 +445,8 @@ def run_all(
     config.parallel. Per-signal failures are isolated and reported in the
     summary. The checker is memoized for this run only: each distinct
     assertion text is checked once. The retrieval index is loaded first: a
-    file that `VectorIndex.load` rejects raises ConfigError before any call.
+    missing file, or one that `VectorIndex.load` rejects, raises ConfigError
+    before any call.
     """
     backend = backend if backend is not None else config.make_backend()
     checker = MemoChecker(checker if checker is not None else config.make_checker())
@@ -453,11 +454,11 @@ def run_all(
     stage1 = CallLog("stage 1", backend, templates)
 
     rag_index = None  # loaded before stage 1, so a bad file costs no call
-    if config.rag.index_path and os.path.exists(config.rag.index_path):
+    if config.rag.index_path:
         try:
             rag_index = VectorIndex.load(config.rag.index_path)
         except ValueError as err:
-            raise ConfigError(f"cannot use rag {err}; rebuild it with `svagen rag build`") from err
+            raise ConfigError(f"rag.index_path: {err}; build it with `svagen rag build`") from err
 
     stage1_warnings: list[str] = []
     if os.path.exists(config.paths.bank_file):

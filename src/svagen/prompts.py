@@ -3,15 +3,15 @@ which every agent sends its rendered prompts to a model.
 
 Rendering is pure substitution of {name} placeholders; a missing context
 key is an error naming the placeholder, and nothing else in the template is
-transformed. Templates can be loaded from plain-text files to override the
-shipped defaults.
+transformed. A plain-text file can override the texts of a shipped
+default; the default's key fixes the role and the allowed placeholders.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from svagen import read_text
@@ -19,16 +19,6 @@ from svagen.backends import ChatBackend, Message
 
 if TYPE_CHECKING:
     from svagen.agents import CritiqueResult
-
-ROLE_NAMES = (
-    "signal_mapper",
-    "spec_analyzer",
-    "waveform_analyzer",
-    "sva",
-    "critic",
-    "syntax_correction",
-    "deduplication",
-)
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
@@ -44,10 +34,6 @@ class PromptTemplate:
     role_name: str
     system_text: str
     user_text_template: str
-
-    def __post_init__(self) -> None:
-        if self.role_name not in ROLE_NAMES:
-            raise ValueError(f"unknown agent role {self.role_name!r}")
 
     def placeholders(self) -> list[str]:
         return sorted(set(_PLACEHOLDER_RE.findall(self.user_text_template)))
@@ -69,35 +55,40 @@ def render_prompt(template: PromptTemplate, context: dict[str, str]) -> list[Mes
     ]
 
 
-def load_template(path: str) -> PromptTemplate:
-    """Read a template file with `[role]`, `[system]` and `[user]` sections;
-    ValueError when it is unreadable, not UTF-8 or malformed."""
+def load_template(path: str, default: PromptTemplate) -> PromptTemplate:
+    """`default` with the texts of a template file's `[system]` and `[user]`
+    sections; text before the first of them is ignored. The file may use
+    only placeholders that `default` uses. ValueError when it is
+    unreadable, not UTF-8, lacks a section or uses another placeholder."""
     text = read_text(path, "template", ValueError)
     sections: dict[str, list[str]] = {}
-    current: str | None = None
-    role = None
+    current: list[str] = []  # lines before the first header: dropped
     for line in text.splitlines():
         header = line.strip().lower()
         if header in ("[system]", "[user]"):
-            current = header[1:-1]
-            sections[current] = []
-        elif header.startswith("[role]"):
-            role = line.strip()[len("[role]"):].strip()
-            current = None
-        elif current is not None:
-            sections[current].append(line)
-    if role is None or "system" not in sections or "user" not in sections:
-        raise ValueError(f"template file {path} needs [role], [system] and [user] sections")
-    return PromptTemplate(
-        role_name=role,
-        system_text="\n".join(sections["system"]).strip(),
-        user_text_template="\n".join(sections["user"]).strip(),
+            current = sections[header] = []
+        else:
+            current.append(line)
+    if "[system]" not in sections or "[user]" not in sections:
+        raise ValueError("needs [system] and [user] sections")
+    template = replace(
+        default,
+        system_text="\n".join(sections["[system]"]).strip(),
+        user_text_template="\n".join(sections["[user]"]).strip(),
     )
+    allowed = default.placeholders()
+    unknown = [name for name in template.placeholders() if name not in allowed]
+    if unknown:
+        listed = ", ".join(f"{{{name}}}" for name in allowed)
+        raise ValueError(f"unknown placeholder {{{unknown[0]}}}; allowed: {listed}")
+    return template
 
 
 # --------------------------------------------------------------------------
 # Shipped defaults. The registry is keyed by template id; the `sva` role has
-# two user shapes (initial short answer vs refinement).
+# two user shapes (initial short answer vs refinement). Each default is the
+# contract of its key: the role its calls are charged to, and the
+# placeholders its agent fills.
 
 _SIGNAL_MAPPER_SYSTEM = """\
 Please act as a signal name mapping tool to link the specification file and the Verilog code.

@@ -26,6 +26,7 @@ from svagen.agents import (
     suppress_score,
 )
 from svagen.backends import BackendError, ScriptEntry, ScriptedBackend
+from svagen.bank import analyze_signal, analyze_waveform, map_signals
 from svagen.prompts import (
     DEFAULT_TEMPLATES,
     CallLog,
@@ -151,6 +152,36 @@ class TestTemplateFidelity:
         ].user_text_template
 
 
+class TestTemplateContract:
+    """The default template of each key is the one definition of the
+    placeholders its agent fills; a template file may use only those."""
+
+    def test_each_agent_fills_its_default_placeholders(self, monkeypatch, signal, params):
+        filled: dict[str, list[str]] = {}
+
+        def recording_render(template, context):
+            key = next(k for k, t in DEFAULT_TEMPLATES.items() if t is template)
+            filled[key] = sorted(context)
+            return render_prompt(template, context)
+
+        monkeypatch.setattr("svagen.agents.render_prompt", recording_render)
+        monkeypatch.setattr("svagen.bank.render_prompt", recording_render)
+        replies = ["ack_o: acknowledge", "[Signal Name]: ack_o", "[Signals]: ack_o"]
+        replies += [fenced(VALID_BARE_ASSERT), critic_reply(40)] + [fenced(VALID_BARE_ASSERT)] * 3
+        log = CallLog("s", ScriptedBackend.from_responses(replies))
+        answer = AnswerContent(assertions=[VALID_BARE_ASSERT])
+        map_signals(log, "spec", "output ack_o;")
+        analyze_signal(log, "spec", "ack_o")
+        analyze_waveform(log, "spec", "handshake")
+        generate_weak_answer(log, signal, "workflow")
+        critique(log, signal, "spec", answer, "", params)
+        refine(log, signal, answer, "feedback", "", "", "workflow")
+        correct_syntax(log, _bad_records(), "spec", "ack_o")
+        deduplicate(log, [VALID_BARE_ASSERT, VALID_PROPERTY_UNIT], "spec", "ack_o")
+        assert len(log) == 8
+        assert filled == {key: t.placeholders() for key, t in DEFAULT_TEMPLATES.items()}
+
+
 class TestParseScore:
     def test_last_marker_wins(self):
         assert parse_score("...[SCORE: 40]... [SCORE: 55]") == 55.0
@@ -257,6 +288,23 @@ class TestExtractAssertions:
             "sequence s_req_ack;\n  req ##1 ack;\nendsequence\n"
             "assert property (@(posedge clk) s_req_ack |-> done);"
         )
+        assert split_assertion_units(f"{unit}\n{VALID_BARE_ASSERT}") == [unit, VALID_BARE_ASSERT]
+
+    @pytest.mark.parametrize(
+        "prose",
+        [
+            "The property below checks the handshake",  # no name and ';' or '(' after 'property'
+            "This will cover reset; then",  # no 'property' or '(' after the verb
+        ],
+    )
+    def test_prose_with_a_unit_keyword_starts_no_unit(self, prose):
+        assert split_assertion_units(f"{prose}\n{VALID_BARE_ASSERT}") == [VALID_BARE_ASSERT]
+
+    @pytest.mark.parametrize(
+        "unit", ["cover sequence (@(posedge clk) a ##1 b);", "assert final (a == b);"]
+    )
+    def test_statement_forms_outside_the_subset_stay_units(self, unit):
+        # the checker rejects them, so they reach the correction agent
         assert split_assertion_units(f"{unit}\n{VALID_BARE_ASSERT}") == [unit, VALID_BARE_ASSERT]
 
     def test_assert_after_stray_code_on_its_line(self):

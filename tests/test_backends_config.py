@@ -322,7 +322,6 @@ class TestRunConfig:
 
 
 TEMPLATE_FILE = """\
-[role] critic
 [system]
 Custom critic system text with CORRECTNESS focus.
 [user]
@@ -334,8 +333,8 @@ class TestTemplateLoading:
     def test_load_template_file(self, tmp_path):
         path = tmp_path / "critic.txt"
         path.write_text(TEMPLATE_FILE)
-        template = load_template(str(path))
-        assert template.role_name == "critic"
+        template = load_template(str(path), DEFAULT_TEMPLATES["critic"])
+        assert template.role_name == "critic"  # from the default: the file names no role
         assert "CORRECTNESS" in template.system_text
         assert template.placeholders() == ["assertions", "signal_name"]
 
@@ -343,7 +342,7 @@ class TestTemplateLoading:
         path = tmp_path / "bad.txt"
         path.write_text("[system]\nonly system\n")
         with pytest.raises(ValueError):
-            load_template(str(path))
+            load_template(str(path), DEFAULT_TEMPLATES["critic"])
 
     def test_config_overrides_one_template(self, tmp_path):
         tdir = tmp_path / "templates"

@@ -302,6 +302,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert str(index_path) in err and "svagen rag build" in err
 
+    def test_missing_index_fails_before_stage_one(self, tmp_path, monkeypatch, capsys):
+        calls = record_backend_calls(monkeypatch)
+        index_path = tmp_path / "no-index.json"
+        config = write_stage_one_config(tmp_path, {"rag": {"index_path": str(index_path)}})
+        assert main(["run", "--config", config]) == 2
+        assert calls == []
+        assert not os.path.exists(tmp_path / "bank.json")
+        err = capsys.readouterr().err
+        assert f"cannot read index file {str(index_path)!r}" in err and "svagen rag build" in err
+
     def test_external_template_without_placeholder_exit_two(self, tmp_path, monkeypatch, capsys):
         calls = record_backend_calls(monkeypatch)
         save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
@@ -311,20 +321,50 @@ class TestRun:
         assert calls == []
         assert "{file}" in capsys.readouterr().err
 
-    def test_template_of_another_role_exit_two(self, tmp_path, monkeypatch, capsys):
-        # the call log charges each call to its template's role
+    def test_template_role_line_is_ignored(self, tmp_path, monkeypatch):
+        # the file stem fixes the role: an older file's [role] line precedes the first header
         calls = record_backend_calls(monkeypatch)
         save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
         (tmp_path / "templates").mkdir()
         (tmp_path / "templates" / "critic.txt").write_text(
-            "[role] sva\n[system]\ncritic\n[user]\nReview {assertions}.\n"
+            "[role] sva\n[system]\nstrict critic\n[user]\nReview {assertions}.\n"
         )
         config = write_config(
             tmp_path, one_signal_entries(), extra={"templates_dir": str(tmp_path / "templates")}
         )
-        assert main(["run", "--config", config]) == 2
+        assert main(["run", "--config", config]) == 0
+        with open(tmp_path / "out" / "signals" / "ack_o" / "ledger.json") as f:
+            assert json.load(f)["calls"] == {"critic": 4, "deduplication": 1, "sva": 2}
+        critic_prompts = [m for m in calls if m[0]["content"] == "strict critic"]
+        assert len(critic_prompts) == 4
+        assert "[role]" not in critic_prompts[0][1]["content"]
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("run", "signal_mapper.txt"), ("bank", "spec_analyzer.txt"), ("run", "deduplication.txt")],
+    )
+    def test_template_with_unknown_placeholder_exit_two(
+        self, tmp_path, monkeypatch, capsys, command, name
+    ):
+        calls = record_backend_calls(monkeypatch)
+        (tmp_path / "templates").mkdir()
+        (tmp_path / "templates" / name).write_text(
+            "[system]\ns\n[user]\n{specification_text} {no_such_key}\n"
+        )
+        extra = {"templates_dir": str(tmp_path / "templates")}
+        if name == "deduplication.txt":
+            save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
+            config = write_config(tmp_path, one_signal_entries(), extra=extra)
+        else:
+            config = write_stage_one_config(tmp_path, extra)
+        argv = ["run", "--config", config] if command == "run" else ["bank", "build", "--config", config]
+        before = files_under(tmp_path)
+        assert main(argv) == 2
         assert calls == []
-        assert "role 'sva' must be 'critic'" in capsys.readouterr().err
+        assert files_under(tmp_path) == before
+        err = capsys.readouterr().err
+        assert f"template file {name!r}: unknown placeholder {{no_such_key}}; allowed: " in err
+        assert "{specification_text}" in err.split("allowed: ")[1]
 
     def test_path_like_signal_name_exit_two(self, tmp_path, monkeypatch):
         calls = record_backend_calls(monkeypatch)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from svagen.backends import ScriptedBackend, ScriptEntry
 from svagen.bank import BankLoadError, InformationBank, SignalInfo, StageError, save_bank
-from svagen.config import default_call_budget
+from svagen.config import ConfigError, default_call_budget
 from svagen.pipeline import (
     RunSummary,
     SignalRunResult,
@@ -540,16 +540,14 @@ class TestRunAll:
         config = config_for(tmp_path, n_rollouts=1)
         templates = tmp_path / "templates"
         templates.mkdir()
-        (templates / "sva_weak.txt").write_text("[role] sva\n[system]\ns\n[user]\n{no_such_key}\n")
+        (templates / "sva_weak.txt").write_text("[system]\ns\n[user]\n{no_such_key}\n")
         config.templates_dir = str(templates)
         self._write_bank(config, ["ack_o"])
         backend = ScriptedBackend(full_signal_script("ack_o", n_rollouts=1))
-        summary = run_all(config, backend=backend, checker=BuiltinChecker())
-        assert summary.results[0].error == (
-            "RenderError: missing placeholder 'no_such_key' in prompt context"
-        )
+        with pytest.raises(ConfigError, match=r"'sva_weak.txt': unknown placeholder \{no_such_key\}"):
+            run_all(config, backend=backend, checker=BuiltinChecker())
         assert backend.calls == 0
-        assert self._ledger(config, "ack_o") == {"calls": {}, "total": 0}
+        assert not os.path.exists(config.paths.output_dir)
 
     def test_budget_reporting(self, tmp_path):
         config = config_for(tmp_path, n_rollouts=4)
