@@ -142,13 +142,13 @@ def split_assertion_units(code: str) -> list[str]:
 
 def _opens_unit(tokens: list[tuple[str, str, int]], i: int) -> bool:
     """Whether `tokens[i]`, outside a unit, starts one: a verb followed by
-    `property` or `(` (or `sequence` or `final`, as in `cover sequence` and
-    `assert final`, which the checker then rejects), or `property` or
-    `sequence` followed by a name and `;` or `(`. Prose that uses these
-    words starts none."""
+    `property` or `(` (or `sequence`, `final` or `#`, as in `cover
+    sequence`, `assert final` and `assert #0`, which the checker then
+    rejects), or `property` or `sequence` followed by a name and `;` or
+    `(`. Prose that uses these words starts none."""
     text, after = tokens[i][1], tokens[i + 1 : i + 3]
     if text in VERBS:
-        return bool(after) and after[0][1] in ("property", "(", "sequence", "final")
+        return bool(after) and after[0][1] in ("property", "(", "sequence", "final", "#")
     if text == "property" or text == "sequence":
         return len(after) == 2 and after[0][0] == "identifier" and after[1][1] in (";", "(")
     return False

@@ -5,7 +5,9 @@ exact index keeps every query brute-force checkable. A query is one BLAS
 product over the whole vector matrix, used only as a filter: the few chunks
 near the k-th best score are rescored one `np.dot` each and ranked by that,
 so the answer is the per-chunk scan's, bit for bit. The index file stores
-the matrix's non-zero entries. The default embedder is a hashed
+the matrix's non-zero entries. An Embedder's one method, `embed_many`,
+maps a batch of texts to one float64 row each, and an `add` embeds one
+document's chunks in one batch. The default embedder is a hashed
 bag-of-words so offline runs are deterministic across platforms; real
 embedding services plug in through the Embedder protocol.
 """
@@ -14,9 +16,9 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import itertools
 import json
 import os
-import re
 import threading
 from dataclasses import dataclass
 from typing import Protocol
@@ -34,18 +36,34 @@ DEFAULT_TOP_K = 4
 # rescored exactly; BLAS and np.dot differ by about dimension x eps
 _FILTER_SLACK = 1e-9
 
-_WORD_RE = re.compile(r"[a-z0-9_$]+")
-
 
 class Embedder(Protocol):
+    """Embeds a batch: one float64 row per text, shape `(len(texts), dimension)`."""
+
     dimension: int
 
-    def embed(self, text: str) -> np.ndarray: ...
+    def embed_many(self, texts: list[str]) -> np.ndarray: ...
+
+
+class _WordChars(dict):
+    """A `str.translate` table, filled as characters are met: each of
+    `[a-z0-9_$]` maps to itself, every other character to a space. One
+    table serves every embedder, so a new one starts with it filled."""
+
+    def __missing__(self, code: int) -> int:
+        char = chr(code)
+        kept = "a" <= char <= "z" or "0" <= char <= "9" or char in "_$"
+        self[code] = value = code if kept else ord(" ")
+        return value
+
+
+_WORD_CHARS = _WordChars()
 
 
 class HashedBowEmbedder:
     """Deterministic hashed bag-of-words with L2 normalization.
 
+    A text's tokens are the runs of `[a-z0-9_$]` in its lowercased form.
     Token buckets come from md5, not the builtin hash(), so embeddings are
     identical across processes and platforms; each distinct token is hashed
     once per embedder and its bucket kept. Non-empty text always embeds to
@@ -59,21 +77,22 @@ class HashedBowEmbedder:
         self.dimension = dimension
         self._buckets: dict[str, int] = {}
 
-    def embed(self, text: str) -> np.ndarray:
-        tokens = _WORD_RE.findall(text.lower())
-        if not tokens and text:
-            tokens = [text]
-        buckets = self._buckets
+    def embed_many(self, texts: list[str]) -> np.ndarray:
+        dimension, buckets = self.dimension, self._buckets
+        rows = [t.lower().translate(_WORD_CHARS).split() or ([t] if t else []) for t in texts]
+        tokens = list(itertools.chain.from_iterable(rows))
         for token in set(tokens).difference(buckets):
             digest = hashlib.md5(token.encode("utf-8")).digest()
-            buckets[token] = int.from_bytes(digest[:8], "big") % self.dimension
-        # integer counts, so the float64 vector equals one built by += 1.0
-        counts = np.bincount([buckets[t] for t in tokens], minlength=self.dimension)
-        vec = counts.astype(np.float64)
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-        return vec
+            buckets[token] = int.from_bytes(digest[:8], "big") % dimension
+        # one bincount over the batch, on row * dimension + bucket
+        cells = np.fromiter(map(buckets.__getitem__, tokens), np.intp, len(tokens))
+        cells += np.repeat(np.arange(len(rows)) * dimension, [len(r) for r in rows])
+        counts = np.bincount(cells, minlength=len(rows) * dimension).reshape(-1, dimension)
+        # every partial sum of squared counts is an integer below 2**53, so
+        # this is np.linalg.norm of the float row, bit for bit
+        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+        # a non-zero row's norm is at least 1, and an empty text's row stays zero
+        return counts / np.maximum(norms, 1.0)[:, None]
 
 
 @dataclass
@@ -129,8 +148,9 @@ class VectorIndex:
 
     The vectors live in one float64 `count x dimension` matrix, and each
     chunk's `vector` is a row view of it. `load` decodes straight into the
-    matrix; after an `add`, the rows are stacked once, by the next query or
-    save, and the chunks' own arrays are let go.
+    matrix. An `add` leaves each chunk's `vector` a row of its document's
+    `embed_many` batch; the next query or save stacks the rows once, and
+    the batches are let go.
     """
 
     def __init__(self, dimension: int | None = None) -> None:
@@ -139,12 +159,14 @@ class VectorIndex:
         self._matrix: np.ndarray | None = None  # None until the rows are stacked after an add
         self._norms: np.ndarray | None = None  # the chunks' norms, once a query needs them
         self._stack_lock = threading.Lock()
+        self._doc_ids: set[str] = set()  # each doc_id added: a new one needs no scan
 
     def __len__(self) -> int:
         return len(self.chunks)
 
     def add(self, doc_id: str, chunk_texts: list[str], embedder: Embedder) -> None:
-        """Embed and store chunks for one document; re-adding a doc_id
+        """Embed one document's chunks in one `embed_many` batch and store
+        them, each `vector` a row of that batch; re-adding a doc_id
         replaces its previous chunks."""
         if self.dimension is None:
             self.dimension = embedder.dimension
@@ -152,11 +174,16 @@ class VectorIndex:
             raise ValueError(
                 f"embedder dimension {embedder.dimension} != index dimension {self.dimension}"
             )
+        vectors = np.asarray(embedder.embed_many(chunk_texts), dtype=np.float64)
+        if vectors.shape != (len(chunk_texts), self.dimension):
+            raise ValueError(f"embedder returned shape {vectors.shape} for {len(chunk_texts)} texts")
         self._matrix = self._norms = None
-        self.chunks = [c for c in self.chunks if c.doc_id != doc_id]
-        for i, text in enumerate(chunk_texts):
-            vector = np.asarray(embedder.embed(text), dtype=np.float64)
-            self.chunks.append(RagChunk(doc_id=doc_id, chunk_index=i, text=text, vector=vector))
+        if doc_id in self._doc_ids:
+            self.chunks = [c for c in self.chunks if c.doc_id != doc_id]
+        self._doc_ids.add(doc_id)
+        self.chunks += [
+            RagChunk(doc_id, i, text, row) for i, (text, row) in enumerate(zip(chunk_texts, vectors))
+        ]
 
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The vector matrix, stacked after an add, and the chunk norms."""
@@ -182,7 +209,7 @@ class VectorIndex:
             raise ValueError(
                 f"embedder dimension {embedder.dimension} != index dimension {self.dimension}"
             )
-        q = embedder.embed(query_text)
+        q = embedder.embed_many([query_text])[0]
         qn = np.linalg.norm(q)
         chunks = self.chunks
         if qn > 0 and k < len(chunks):
@@ -275,6 +302,7 @@ class VectorIndex:
             RagChunk(c.doc_id, c.chunk_index, c.text, row) for c, row in zip(chunks, matrix)
         ]
         index._matrix = matrix
+        index._doc_ids = {c.doc_id for c in chunks}
         return index
 
 

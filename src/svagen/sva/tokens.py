@@ -45,7 +45,7 @@ _TOKEN_RE = re.compile(
         f"(?P<{name}>{pattern})"
         for name, pattern in (
             ("space", r"[ \t\r\n]+"),
-            ("punctuation", r"[()\[\]{};,@.]"),
+            ("punctuation", r"[()\[\]{};,@.]|#(?!#)"),  # `##` is the delay operator
             ("identifier", r"\$?[A-Za-z_][A-Za-z0-9_$]*|\$"),
             ("comment", r"//[^\n]*|/\*[\s\S]*?\*/"),
             ("open_comment", r"/\*"),

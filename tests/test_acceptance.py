@@ -300,7 +300,7 @@ def test_rag_oracle_equivalence():
     assert len(index) == 500
 
     def brute_force(query: str, k: int):
-        q = embedder.embed(query)
+        q = embedder.embed_many([query])[0]
         qn = np.linalg.norm(q)
         scored = []
         for c in index.chunks:

@@ -301,11 +301,13 @@ class TestExtractAssertions:
         assert split_assertion_units(f"{prose}\n{VALID_BARE_ASSERT}") == [VALID_BARE_ASSERT]
 
     @pytest.mark.parametrize(
-        "unit", ["cover sequence (@(posedge clk) a ##1 b);", "assert final (a == b);"]
+        "unit",
+        ["cover sequence (@(posedge clk) a ##1 b);", "assert final (a == b);", "assert #0 (a);"],
     )
     def test_statement_forms_outside_the_subset_stay_units(self, unit):
         # the checker rejects them, so they reach the correction agent
         assert split_assertion_units(f"{unit}\n{VALID_BARE_ASSERT}") == [unit, VALID_BARE_ASSERT]
+        assert any(d.severity == "error" for d in BuiltinChecker().check(unit))
 
     def test_assert_after_stray_code_on_its_line(self):
         code = f"x = 1; {VALID_BARE_ASSERT}\ny = 2;"

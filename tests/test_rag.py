@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svagen.cli import main
 from svagen.rag import (
     HashedBowEmbedder,
     VectorIndex,
@@ -102,23 +103,40 @@ def reference_embed(text: str, dimension: int) -> np.ndarray:
     return vec
 
 
+def embed_one(e, text: str) -> np.ndarray:
+    return e.embed_many([text])[0]
+
+
+def bits(array: np.ndarray) -> np.ndarray:
+    return array.view(np.uint64)
+
+
+# case folding beyond ASCII: KELVIN SIGN lowers to ASCII `k`, I WITH DOT
+# ABOVE to two characters, and SIGMA to a form that depends on its context
+TEXT_ALPHABET = "ab_$ 9!\nÄ\tAKZ\u0130\u03a3\u212a"
+
+
 class TestEmbedder:
     def test_deterministic(self):
         e1, e2 = HashedBowEmbedder(), HashedBowEmbedder()
         text = "the reset signal rst_n is active low"
-        assert np.array_equal(e1.embed(text), e2.embed(text))
+        assert np.array_equal(embed_one(e1, text), embed_one(e2, text))
 
     def test_nonzero_for_nonempty(self):
         e = HashedBowEmbedder()
-        assert np.linalg.norm(e.embed("hello")) > 0
-        assert np.linalg.norm(e.embed("!!!")) > 0  # no word tokens, still nonzero
+        assert np.linalg.norm(embed_one(e, "hello")) > 0
+        assert np.linalg.norm(embed_one(e, "!!!")) > 0  # no word tokens, still nonzero
 
     def test_unit_norm(self):
         e = HashedBowEmbedder()
-        assert np.linalg.norm(e.embed("a b c")) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(embed_one(e, "a b c")) == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension(self):
-        assert HashedBowEmbedder(dimension=64).embed("x").shape == (64,)
+        assert HashedBowEmbedder(dimension=64).embed_many(["x", "y z"]).shape == (2, 64)
+
+    def test_empty_batch(self):
+        got = HashedBowEmbedder(dimension=24).embed_many([])
+        assert got.shape == (0, 24) and got.dtype == np.float64
 
     @pytest.mark.parametrize("dimension", [1, 7, 512])
     def test_equals_per_token_loop(self, dimension):
@@ -129,19 +147,34 @@ class TestEmbedder:
             "the reset signal rst_n is active low; rst_n deasserts after $rose(clk)",
             "ack req",  # tokens the embedder has already bucketed
             "!!! ???",
+            # lowers to `key`, `i` + U+0307 + `d`, final and other sigmas, `a_b$`
+            "\u212aEY \u0130D\t\u03a3\u03a3 \u03a3 A_B$",
         ]
         e = HashedBowEmbedder(dimension)
         for text in texts:
-            got = e.embed(text)
+            got = embed_one(e, text)
             assert got.dtype == np.float64
-            assert np.array_equal(got, reference_embed(text, dimension))
+            assert np.array_equal(bits(got), bits(reference_embed(text, dimension)))
+        batch = HashedBowEmbedder(dimension).embed_many(texts)
+        assert batch.dtype == np.float64 and batch.shape == (len(texts), dimension)
+        for row, text in zip(batch, texts, strict=True):
+            assert np.array_equal(bits(row), bits(reference_embed(text, dimension)))
 
-    @given(texts=st.lists(st.text(alphabet=st.sampled_from("ab_$ 9!\nÄ"), max_size=40), max_size=8))
-    @settings(max_examples=100, deadline=None)
-    def test_one_embedder_equals_per_token_loop(self, texts):
-        e = HashedBowEmbedder(dimension=13)
-        for text in texts:
-            assert np.array_equal(e.embed(text), reference_embed(text, 13))
+    @given(
+        batches=st.lists(
+            st.lists(st.text(alphabet=st.sampled_from(TEXT_ALPHABET), max_size=40), max_size=8),
+            max_size=3,
+        ),
+        dimension=st.sampled_from([1, 13, 512]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_embedder_equals_per_token_loop(self, batches, dimension):
+        e = HashedBowEmbedder(dimension)  # one embedder: later batches reuse its buckets
+        for texts in batches:
+            got = e.embed_many(texts)
+            assert got.dtype == np.float64 and got.shape == (len(texts), dimension)
+            for row, text in zip(got, texts, strict=True):
+                assert np.array_equal(bits(row), bits(reference_embed(text, dimension)))
 
 
 class TestIndex:
@@ -155,6 +188,32 @@ class TestIndex:
         index.add("doc", ["a"], HashedBowEmbedder(dimension=32))
         with pytest.raises(ValueError):
             index.add("doc2", ["b"], HashedBowEmbedder(dimension=64))
+
+    def test_one_batch_per_document(self):
+        calls = []
+
+        class Counting(HashedBowEmbedder):
+            def embed_many(self, texts):
+                calls.append(list(texts))
+                return super().embed_many(texts)
+
+        e = Counting(dimension=32)
+        index = VectorIndex()
+        index.add("a", ["alpha", "beta", "gamma"], e)
+        index.add("b", ["delta"], e)
+        assert calls == [["alpha", "beta", "gamma"], ["delta"]]
+        # before a query stacks them, a document's vectors are rows of its batch
+        base = index.chunks[0].vector.base
+        assert base is not None and all(c.vector.base is base for c in index.chunks[:3])
+        assert index.chunks[3].vector.base is not base
+
+    def test_wrong_batch_shape_rejected(self):
+        class Short(HashedBowEmbedder):
+            def embed_many(self, texts):
+                return super().embed_many(texts)[:-1]
+
+        with pytest.raises(ValueError, match=r"shape \(1, 16\) for 2 texts"):
+            VectorIndex().add("doc", ["a", "b"], Short(dimension=16))
 
     def test_readd_replaces(self):
         e = HashedBowEmbedder()
@@ -190,7 +249,7 @@ class TestIndex:
         # verify orthogonality explicitly by brute force before relying on it
         e = HashedBowEmbedder()
         texts = ["alpha bravo", "charlie delta", "echo foxtrot"]
-        vecs = [e.embed(t) for t in texts]
+        vecs = e.embed_many(texts)
         assert float(np.dot(vecs[0], vecs[1])) == 0.0
         assert float(np.dot(vecs[0], vecs[2])) == 0.0
         index = VectorIndex()
@@ -209,7 +268,7 @@ class TestIndex:
 
 
 def brute_force_topk(index: VectorIndex, query: str, k: int, e) -> list[tuple[str, int]]:
-    q = e.embed(query)
+    q = embed_one(e, query)
     scored = []
     for c in index.chunks:
         denom = np.linalg.norm(q) * np.linalg.norm(c.vector)
@@ -240,7 +299,7 @@ class TestOracleEquivalence:
 def per_chunk_query(index: VectorIndex, query: str, k: int, e) -> list[tuple[str, int, float]]:
     """The exact top-k by definition: one np.dot per chunk, sorted by
     (-similarity, doc_id, chunk_index)."""
-    q = e.embed(query)
+    q = embed_one(e, query)
     qn = np.linalg.norm(q)
     scored = []
     for c in index.chunks:
@@ -262,14 +321,15 @@ class DenseEmbedder:
     def __init__(self, dimension: int) -> None:
         self.dimension = dimension
 
-    def embed(self, text: str) -> np.ndarray:
-        if not text:
-            return np.zeros(self.dimension)
-        seed = int.from_bytes(hashlib.md5(text.encode("utf-8")).digest()[:8], "big")
-        vec = np.random.default_rng(seed).standard_normal(self.dimension)
-        if "-0" in text.split():
-            vec[0] = -0.0
-        return vec
+    def embed_many(self, texts: list[str]) -> np.ndarray:
+        rows = np.zeros((len(texts), self.dimension))
+        for text, row in zip(texts, rows):
+            if text:
+                seed = int.from_bytes(hashlib.md5(text.encode("utf-8")).digest()[:8], "big")
+                row[:] = np.random.default_rng(seed).standard_normal(self.dimension)
+                if "-0" in text.split():
+                    row[0] = -0.0
+        return rows
 
 
 def colliding_tokens(dimension: int) -> tuple[str, str]:
@@ -328,7 +388,7 @@ class TestExactness:
     def test_hash_collision(self):
         e = HashedBowEmbedder(dimension=64)
         first, second = colliding_tokens(64)
-        assert np.array_equal(e.embed(first), e.embed(second))
+        assert np.array_equal(embed_one(e, first), embed_one(e, second))
         index = VectorIndex()
         index.add("doc", [second, "unrelated", first, f"{first} unrelated"], e)
         self.assert_exact(index, e, [first, second, f"{second} unrelated"])
@@ -339,7 +399,7 @@ class TestExactness:
         index = VectorIndex()
         index.add("b", ["x y", "z"], e)
         index.add("a", ["y", "w w"], e)
-        assert not e.embed("").any()
+        assert not embed_one(e, "").any()
         self.assert_exact(index, e, [""])
         assert hits(index.query("", 3, e)) == [("a", 0, 0.0), ("a", 1, 0.0), ("b", 0, 0.0)]
 
@@ -538,6 +598,32 @@ class TestPersistence:
         index = build_index_from_dir(str(tmp_path), size=200, overlap=40)
         docs = {c.doc_id for c in index.chunks}
         assert docs == {"a.txt", "b.md"}
+
+
+def write_golden_corpus(directory) -> None:
+    """Two indexed files and one skipped: a multi-chunk guide mixing case,
+    `_`, `$`, digits and non-ASCII letters, and a note with no word token."""
+    words = ["clk", "rst_n", "ACK", "req", "$rose", "fifo_full", "data0"]
+    words += ["\u0130rq", "\u212aelvin", "\u03a3\u0391\u03a3"]
+    body = " ".join(f"{words[i % 10]}{i % 7}" if i % 3 else words[(i * 7) % 10] for i in range(900))
+    (directory / "guide.txt").write_text("Reset: " + body + "\n", encoding="utf-8")
+    (directory / "notes.md").write_text("!!! ??? ...\n", encoding="utf-8")
+    (directory / "skip.bin").write_text("not indexed", encoding="utf-8")
+
+
+# sha256 of the index file `svagen rag build` wrote for this corpus before
+# embedding was batched; the batch embedder must write the same bytes
+GOLDEN_INDEX_SHA256 = "9b2e08f90d2b6bcd9ab15d9875204c9f8bcaba21cecfd947fb215bb7fb3f84c9"
+
+
+def test_rag_build_writes_golden_index(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_golden_corpus(corpus)
+    out = tmp_path / "index.json"
+    assert main(["rag", "build", str(corpus), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"index written to {out}: 7 chunks, dimension 512\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_INDEX_SHA256
 
 
 def test_format_context_shape():

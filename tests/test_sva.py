@@ -66,6 +66,15 @@ class TestTokenize:
         ops = [t.lexeme for t in toks if t.kind == "operator"]
         assert ops == ["|=>", "|->", "##"]
 
+    def test_lone_hash_is_punctuation(self):
+        toks = tokenize("#0 a ##1 b ### c")
+        assert [(t.kind, t.lexeme) for t in toks if "#" in t.lexeme] == [
+            ("punctuation", "#"),
+            ("operator", "##"),
+            ("operator", "##"),
+            ("punctuation", "#"),
+        ]
+
 
 class TestParseAssertion:
     def test_timer_interrupt_assertion(self):
