@@ -2,8 +2,10 @@
 stage 1 and consumed by the search and combination stages.
 
 Construction goes through three analyzer agents (signal mapping, per-signal
-specification analysis, waveform interdependence analysis); persistence is
-a JSON document that round-trips exactly.
+specification analysis, waveform interdependence analysis); the mapper
+makes its own call, and each analysis is a call to send plus a parser for
+its reply, so stage 1 can send the analyses as one batch. Persistence is a
+JSON document that round-trips exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from svagen.prompts import CallLog, render_prompt
+from svagen.backends import Message
+from svagen.prompts import CallLog, PromptTemplate, render_prompt
 from svagen.records import encode, load
 
 
@@ -211,13 +214,18 @@ def map_signals(
     return pairs, warnings
 
 
-def analyze_signal(log: CallLog, spec_text: str, signal_name: str) -> SignalInfo:
-    """Run the specification analyzer for one mapped signal."""
-    template = log.templates["spec_analyzer"]
-    messages = render_prompt(
-        template, {"specification_text": spec_text, "signal_name": signal_name}
-    )
-    reply = log.complete(template.role_name, messages)
+def spec_analysis_call(
+    templates: dict[str, PromptTemplate], spec_text: str, signal_name: str
+) -> tuple[str, list[Message]]:
+    """The specification analyzer's call for one mapped signal, as the
+    `(role, messages)` pair `CallLog.complete_many` sends."""
+    template = templates["spec_analyzer"]
+    context = {"specification_text": spec_text, "signal_name": signal_name}
+    return template.role_name, render_prompt(template, context)
+
+
+def analyze_signal(reply: str, signal_name: str) -> SignalInfo:
+    """Parse the specification analyzer's reply for one mapped signal."""
     if signal_name not in reply:
         raise StageError(
             f"spec analyzer reply does not mention signal {signal_name!r}"
@@ -228,19 +236,22 @@ def analyze_signal(log: CallLog, spec_text: str, signal_name: str) -> SignalInfo
     return SignalInfo(verilog_name=signal_name, **sections)
 
 
-def analyze_waveform(
-    log: CallLog, spec_text: str, waveform_ref: str
-) -> tuple[WaveformSummary | None, list[str]]:
-    """Run the waveform analyzer on one textual waveform description.
+def waveform_analysis_call(
+    templates: dict[str, PromptTemplate], spec_text: str, waveform_ref: str
+) -> tuple[str, list[Message]]:
+    """The waveform analyzer's call for one textual waveform description,
+    as the `(role, messages)` pair `CallLog.complete_many` sends."""
+    template = templates["waveform_analyzer"]
+    context = {"specification_text": spec_text, "waveform_text": waveform_ref}
+    return template.role_name, render_prompt(template, context)
+
+
+def analyze_waveform(reply: str, waveform_ref: str) -> tuple[WaveformSummary | None, list[str]]:
+    """Parse the waveform analyzer's reply for one waveform description.
 
     Waveforms are optional context: an unparseable reply is skipped with a
     warning instead of failing the stage.
     """
-    template = log.templates["waveform_analyzer"]
-    messages = render_prompt(
-        template, {"specification_text": spec_text, "waveform_text": waveform_ref}
-    )
-    reply = log.complete(template.role_name, messages)
     sections = _split_sections(reply, _WAVEFORM_SECTIONS)
     signals = _split_names(sections.get("signals", ""))
     if not signals:

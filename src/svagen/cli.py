@@ -56,7 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--epsilon", type=float, help="override UCT epsilon")
     run.add_argument("--score-cap", type=float, help="override score suppression cap")
     run.add_argument("--checker", choices=("builtin", "external"), help="override checker kind")
-    run.add_argument("--parallel", type=int, help="signals processed concurrently")
+    run.add_argument(
+        "--parallel",
+        type=int,
+        help="concurrent signals in stages 2-3, and concurrent analyses in stage 1",
+    )
     run.add_argument("--no-early-stop", action="store_true", help="disable early stopping")
     run.add_argument("--output", help="override output directory")
 

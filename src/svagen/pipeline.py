@@ -1,11 +1,13 @@
 """Three-stage pipeline driver.
 
-Stage 1 builds the signal-wise information bank. Stage 2 runs the
-self-refine tree search per signal: four phases per rollout (greedy UCT
-selection with reward re-sampling, expansion from critic plus syntax-log
-feedback, critic evaluation of the new node with score suppression, and Q
-backpropagation). Stage 3 pools all tree nodes, partitions by syntax,
-corrects, and deduplicates into the final assertion set.
+Stage 1 builds the signal-wise information bank: the signal mapper's
+call, then every spec and waveform analysis as one batch on up to
+`parallel` threads. Stage 2 runs the self-refine tree search per signal:
+four phases per rollout (greedy UCT selection with reward re-sampling,
+expansion from critic plus syntax-log feedback, critic evaluation of the
+new node with score suppression, and Q backpropagation). Stage 3 pools
+all tree nodes, partitions by syntax, corrects, and deduplicates into the
+final assertion set.
 
 Every agent sends its LLM calls through a `CallLog` (`svagen.prompts`),
 which charges each call as the backend receives it: one log per signal,
@@ -44,6 +46,8 @@ from svagen.bank import (
     load_bank,
     map_signals,
     save_bank,
+    spec_analysis_call,
+    waveform_analysis_call,
 )
 from svagen.config import ConfigError, RunConfig
 from svagen.prompts import BudgetExceededError, CallLog, PromptTemplate
@@ -105,17 +109,25 @@ def run_stage1(
     """Build and persist the information bank; returns (bank, warnings).
 
     One call through `log` per mapper invocation, per signal analysis and
-    per waveform analysis. A signal whose analysis fails is dropped with a
+    per waveform analysis. The analyses need only the mapper's reply, so
+    they go as one `complete_many` batch on `config.parallel` threads, and
+    stage 1 waits `1 + ceil((signals + waveforms) / parallel)` calls deep.
+    Replies are parsed in input order, so warnings and the bank do not
+    depend on `parallel`. A signal whose analysis fails is dropped with a
     warning; zero mapped signals aborts the stage.
     """
     warnings: list[str] = []
     pairs, map_warnings = map_signals(log, spec_text, verilog_decls)
     warnings += map_warnings
 
+    calls = [spec_analysis_call(log.templates, spec_text, name) for name, _ in pairs]
+    calls += [waveform_analysis_call(log.templates, spec_text, w) for w in waveform_texts]
+    replies = log.complete_many(calls, config.parallel)
+
     signals = []
-    for name, description in pairs:
+    for (name, description), reply in zip(pairs, replies):
         try:
-            info = analyze_signal(log, spec_text, name)
+            info = analyze_signal(reply, name)
         except StageError as err:
             warnings.append(f"signal {name!r} dropped: {err}")
             continue
@@ -126,8 +138,8 @@ def run_stage1(
         raise StageError("no signal survived specification analysis")
 
     waveforms = []
-    for waveform_text in waveform_texts:
-        summary, wf_warnings = analyze_waveform(log, spec_text, waveform_text)
+    for waveform_text, reply in zip(waveform_texts, replies[len(pairs) :]):
+        summary, wf_warnings = analyze_waveform(reply, waveform_text)
         warnings += wf_warnings
         if summary is not None:
             waveforms.append(summary)
@@ -441,12 +453,13 @@ def run_all(
     """Run the full pipeline and write run artifacts.
 
     Stage 1 is skipped when the configured bank file already exists
-    (resumability); stages 2-3 run per signal, in parallel up to
-    config.parallel. Per-signal failures are isolated and reported in the
-    summary. The checker is memoized for this run only: each distinct
-    assertion text is checked once. The retrieval index is loaded first: a
-    missing file, or one that `VectorIndex.load` rejects, raises ConfigError
-    before any call.
+    (resumability); otherwise its analyses after the mapper go as one
+    batch of up to config.parallel concurrent calls. Stages 2-3 run per
+    signal, in parallel up to config.parallel. Per-signal failures are
+    isolated and reported in the summary. The checker is memoized for this
+    run only: each distinct assertion text is checked once. The retrieval
+    index is loaded first: a missing file, or one that `VectorIndex.load`
+    rejects, raises ConfigError before any call.
     """
     backend = backend if backend is not None else config.make_backend()
     checker = MemoChecker(checker if checker is not None else config.make_checker())

@@ -10,7 +10,9 @@ default; the default's key fixes the role and the allowed placeholders.
 from __future__ import annotations
 
 import re
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -252,8 +254,9 @@ DEFAULT_TEMPLATES: dict[str, PromptTemplate] = {
 
 
 class BudgetExceededError(RuntimeError):
-    """The call log refused a call past its cap; nothing was sent. Stage 2
-    ends its search on it and stage 3 skips the step that asked."""
+    """The call log refused a call, or a batch, past its cap; nothing was
+    sent. Stage 2 ends its search on it and stage 3 skips the step that
+    asked."""
 
 
 @dataclass
@@ -270,7 +273,9 @@ class CallEvent:
 class CallLog:
     """The backend and templates the agents of one signal, or of stage 1
     when `cap` is None, reach a model through, and their calls in call
-    order. Each log has one writer thread."""
+    order. Each log has one writer thread: `complete_many` charges a
+    batch's events on the caller's thread before any of its calls is sent,
+    so its worker threads only wait on the backend."""
 
     def __init__(
         self,
@@ -293,12 +298,52 @@ class CallLog:
     ) -> str:
         """Charge one call to `role`, then send `messages` to the backend.
         Nothing is charged before the prompt is rendered, so the log holds
-        exactly the calls the backend received, a failed one included. The
-        only budget check: a call past the cap is refused unsent."""
-        if self.cap is not None and len(self.events) >= self.cap:
-            raise BudgetExceededError(f"signal {self.name!r} would exceed {self.cap} calls")
+        exactly the calls the backend received, a failed one included. A
+        call past the cap is refused unsent."""
+        self._admit(1)
         self.events.append(CallEvent(role, node, phase))
         return self.backend.complete(messages)
+
+    def complete_many(self, calls: list[tuple[str, list[Message]]], workers: int) -> list[str]:
+        """Charge each `(role, messages)` call in input order, send them to
+        the backend from at most `workers` threads, and return the replies
+        in input order. A pool of one sends the calls in input order. A
+        batch that would pass the cap is refused whole and unsent. When a
+        call fails, calls not yet started are not sent and their events are
+        dropped, so the log again holds exactly the calls the backend
+        received; the first failure in input order is raised."""
+        if not calls:
+            return []
+        self._admit(len(calls))
+        start = len(self.events)
+        self.events += [CallEvent(role) for role, _ in calls]
+        failed = threading.Event()
+
+        def send(messages: list[Message]) -> str | None:
+            if failed.is_set():
+                return None  # not sent
+            try:
+                return self.backend.complete(messages)
+            except BaseException:
+                failed.set()
+                raise
+
+        with ThreadPoolExecutor(max_workers=min(workers, len(calls))) as pool:
+            futures = [pool.submit(send, messages) for _, messages in calls]
+        if not failed.is_set():
+            return [f.result() for f in futures]
+        errors = [f.exception() for f in futures]
+        self.events[start:] = [
+            event
+            for event, future, error in zip(self.events[start:], futures, errors)
+            if error is not None or future.result() is not None
+        ]
+        raise next(error for error in errors if error is not None)
+
+    def _admit(self, n: int) -> None:
+        """The only budget check: calls past the cap are refused unsent."""
+        if self.cap is not None and len(self.events) + n > self.cap:
+            raise BudgetExceededError(f"signal {self.name!r} would exceed {self.cap} calls")
 
     def counts(self) -> dict[str, int]:
         return dict(sorted(Counter(e.role for e in self.events).items()))

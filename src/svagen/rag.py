@@ -185,8 +185,8 @@ class VectorIndex:
             RagChunk(doc_id, i, text, row) for i, (text, row) in enumerate(zip(chunk_texts, vectors))
         ]
 
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The vector matrix, stacked after an add, and the chunk norms."""
+    def _stacked(self) -> np.ndarray:
+        """The vector matrix, stacked once after an add."""
         with self._stack_lock:
             if self._matrix is None:
                 matrix = np.zeros((len(self.chunks), self.dimension or 0))
@@ -194,9 +194,15 @@ class VectorIndex:
                     row[:] = c.vector
                     c.vector = row
                 self._matrix = matrix
+            return self._matrix
+
+    def _chunk_norms(self, matrix: np.ndarray) -> np.ndarray:
+        """The norms of `matrix`'s rows, computed by the first query that
+        needs them; `save` never does."""
+        with self._stack_lock:
             if self._norms is None:  # einsum: no temporary the size of the matrix
-                self._norms = np.sqrt(np.einsum("ij,ij->i", self._matrix, self._matrix))
-            return self._matrix, self._norms
+                self._norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+            return self._norms
 
     def query(self, query_text: str, k: int, embedder: Embedder) -> list[tuple[RagChunk, float]]:
         """Top-k chunks by cosine similarity, descending; ties broken by
@@ -220,8 +226,8 @@ class VectorIndex:
             # every chunk within _FILTER_SLACK of the k-th best. That keeps
             # each true top-k chunk and each chunk tied with the k-th; a zero
             # query or k >= count keeps them all.
-            matrix, norms = self._rows()
-            denom = qn * norms
+            matrix = self._stacked()
+            denom = qn * self._chunk_norms(matrix)
             approx = np.divide(matrix @ q, denom, out=np.zeros(len(chunks)), where=denom > 0)
             kth = np.partition(approx, -k)[-k]
             chunks = [chunks[i] for i in np.flatnonzero(approx >= kth - _FILTER_SLACK)]
@@ -242,7 +248,7 @@ class VectorIndex:
         (uint32) and `values` (float64). An entry counts as non-zero unless
         its bits are all zero, so `load` rebuilds every row bit for bit.
         `load` reads any whitespace."""
-        matrix, _ = self._rows()
+        matrix = self._stacked()
         stored = matrix.view(np.uint64) != 0
         rows, columns = np.nonzero(stored)
         payload = {

@@ -26,7 +26,13 @@ from svagen.agents import (
     suppress_score,
 )
 from svagen.backends import BackendError, ScriptEntry, ScriptedBackend
-from svagen.bank import analyze_signal, analyze_waveform, map_signals
+from svagen.bank import (
+    analyze_signal,
+    analyze_waveform,
+    map_signals,
+    spec_analysis_call,
+    waveform_analysis_call,
+)
 from svagen.prompts import (
     DEFAULT_TEMPLATES,
     CallLog,
@@ -171,8 +177,11 @@ class TestTemplateContract:
         log = CallLog("s", ScriptedBackend.from_responses(replies))
         answer = AnswerContent(assertions=[VALID_BARE_ASSERT])
         map_signals(log, "spec", "output ack_o;")
-        analyze_signal(log, "spec", "ack_o")
-        analyze_waveform(log, "spec", "handshake")
+        calls = [spec_analysis_call(log.templates, "spec", "ack_o")]
+        calls.append(waveform_analysis_call(log.templates, "spec", "handshake"))
+        signal_reply, waveform_reply = log.complete_many(calls, 1)
+        analyze_signal(signal_reply, "ack_o")
+        analyze_waveform(waveform_reply, "handshake")
         generate_weak_answer(log, signal, "workflow")
         critique(log, signal, "spec", answer, "", params)
         refine(log, signal, answer, "feedback", "", "", "workflow")

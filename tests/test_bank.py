@@ -23,6 +23,7 @@ from svagen.bank import (
     load_bank,
     map_signals,
     save_bank,
+    spec_analysis_call,
 )
 from svagen.prompts import CallLog
 
@@ -97,8 +98,7 @@ FULL_ANALYSIS = """\
 
 class TestAnalyzeSignal:
     def test_full_format(self):
-        backend = ScriptedBackend.from_responses([FULL_ANALYSIS])
-        info = analyze_signal(CallLog("s", backend), SPEC_TEXT, "ack_o")
+        info = analyze_signal(FULL_ANALYSIS, "ack_o")
         assert info.verilog_name == "ack_o"
         assert info.spec_name == "ack_o"
         assert "acknowledge output" in info.description
@@ -108,27 +108,25 @@ class TestAnalyzeSignal:
 
     def test_missing_optional_section_empty(self):
         reply = "[Signal Name]: ack_o\n[Description]: ack\n[Definition]: 1-bit"
-        backend = ScriptedBackend.from_responses([reply])
-        info = analyze_signal(CallLog("s", backend), SPEC_TEXT, "ack_o")
+        info = analyze_signal(reply, "ack_o")
         assert info.additional_info == ""
         assert info.functionality == ""
 
     def test_reply_without_signal_name_is_stage_error(self):
-        backend = ScriptedBackend.from_responses(["nothing about your signal here"])
         with pytest.raises(StageError):
-            analyze_signal(CallLog("s", backend), SPEC_TEXT, "ack_o")
+            analyze_signal("nothing about your signal here", "ack_o")
 
     def test_order_insensitive(self):
         reply = "[Functionality]: f\n[Signal Name]: ack_o\n[Description]: d"
-        backend = ScriptedBackend.from_responses([reply])
-        info = analyze_signal(CallLog("s", backend), SPEC_TEXT, "ack_o")
+        info = analyze_signal(reply, "ack_o")
         assert info.functionality == "f" and info.description == "d"
 
     def test_twenty_three_signals(self):
         names = [f"sig_{i}" for i in range(23)]
         replies = [f"[Signal Name]: {n}\n[Description]: d{n}" for n in names]
-        backend = ScriptedBackend.from_responses(replies)
-        infos = [analyze_signal(CallLog("s", backend), SPEC_TEXT, n) for n in names]
+        log = CallLog("s", ScriptedBackend.from_responses(replies))
+        calls = [spec_analysis_call(log.templates, SPEC_TEXT, n) for n in names]
+        infos = [analyze_signal(r, n) for r, n in zip(log.complete_many(calls, 1), names)]
         assert len(infos) == 23
         assert [i.verilog_name for i in infos] == names
 
@@ -147,8 +145,7 @@ WAVEFORM_REPLY = """\
 
 class TestAnalyzeWaveform:
     def test_full_sections(self):
-        backend = ScriptedBackend.from_responses([WAVEFORM_REPLY])
-        summary, warnings = analyze_waveform(CallLog("s", backend), SPEC_TEXT, "figure 3 text")
+        summary, warnings = analyze_waveform(WAVEFORM_REPLY, "figure 3 text")
         assert warnings == []
         assert summary.waveform_name == "handshake timing"
         assert summary.signals == ["req_i", "ack_o", "clk_i"]
@@ -156,8 +153,7 @@ class TestAnalyzeWaveform:
         assert "request-acknowledge" in summary.protocol_mechanisms
 
     def test_malformed_skipped_with_warning(self):
-        backend = ScriptedBackend.from_responses(["no structure at all"])
-        summary, warnings = analyze_waveform(CallLog("s", backend), SPEC_TEXT, "figure 3 text")
+        summary, warnings = analyze_waveform("no structure at all", "figure 3 text")
         assert summary is None
         assert len(warnings) == 1
 

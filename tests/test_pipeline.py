@@ -463,6 +463,74 @@ class TestStage1:
         assert "clk_i: clock" in bank.workflow_info
 
 
+def output_files(output_dir: str) -> dict[str, bytes]:
+    """Every file under `output_dir` by relative path, with its bytes."""
+    files = {}
+    for root, _, names in os.walk(output_dir):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as f:
+                files[os.path.relpath(path, output_dir)] = f.read()
+    return files
+
+
+class TestStage1Batch:
+    """The spec and waveform analyses go as one batch of `parallel`
+    concurrent calls; with a keyed script the run is the same at any
+    `parallel`."""
+
+    SPEC = "The ack_o output acknowledges req_i on the clk_i edge."
+    VERILOG = "module m(input clk_i, input req_i, output ack_o); endmodule"
+    MAPPER_REPLY = "clk_i: clock\nreq_i: request\nack_o: acknowledge"
+    WAVEFORMS = ["waveform wf0: req_i then ack_o", "waveform wf1: noise", "waveform wf2: clk_i"]
+    KEPT = ["clk_i", "ack_o"]
+
+    def _script(self) -> list[ScriptEntry]:
+        entries = [ScriptEntry(self.MAPPER_REPLY, match="Verilog declarations:")]
+        for name in ("clk_i", "req_i", "ack_o"):
+            reply = f"[Signal Name]: {name}\n[Description]: about {name}"
+            if name == "req_i":  # names no signal: req_i is dropped
+                reply = "a reply about nothing in particular"
+            entries.append(ScriptEntry(reply, match=f"related to the {name} from the spec"))
+        for i, text in enumerate(self.WAVEFORMS):
+            reply = f"[Waveform Name]: wf{i}\n[Signals]: req_i, ack_o"
+            if i == 1:  # unparseable: wf1 is skipped
+                reply = "no structure"
+            entries.append(ScriptEntry(reply, match=text))
+        for name in self.KEPT:
+            entries += full_signal_script(name, n_rollouts=1, keyed=True)
+        return entries
+
+    def _run(self, tmp_path, parallel: int):
+        config = config_for(tmp_path, n_rollouts=1, early_stop=False, parallel=parallel)
+        paths = config.paths
+        paths.spec_file, paths.verilog_file = str(tmp_path / "spec.txt"), str(tmp_path / "m.v")
+        paths.waveform_files = [str(tmp_path / f"wf{i}.txt") for i in range(3)]
+        inputs = [paths.spec_file, paths.verilog_file, *paths.waveform_files]
+        for path, text in zip(inputs, [self.SPEC, self.VERILOG, *self.WAVEFORMS]):
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+        summary = run_all(config, backend=ScriptedBackend(self._script()), checker=BuiltinChecker())
+        with open(paths.bank_file, "rb") as f:
+            bank_bytes = f.read()
+        return summary, bank_bytes, output_files(paths.output_dir)
+
+    def test_parallel_batch_matches_one_at_a_time(self, tmp_path):
+        serial, serial_bank, serial_files = self._run(tmp_path / "p1", parallel=1)
+        batched, batched_bank, batched_files = self._run(tmp_path / "p3", parallel=3)
+        assert [w.split(":")[0] for w in serial.stage1_warnings] == [
+            "signal 'req_i' dropped",
+            "waveform analysis skipped",
+        ]
+        assert len(serial.stage1) == 1 + 3 + 3
+        assert batched.stage1_warnings == serial.stage1_warnings
+        assert len(batched.stage1) == len(serial.stage1)
+        assert batched_bank == serial_bank
+        assert batched_files == serial_files
+        assert [r.signal for r in batched.results] == self.KEPT
+        assert not batched.failed_signals
+
+
 class TestRunAll:
     def _write_bank(self, config, names):
         from svagen.bank import save_bank

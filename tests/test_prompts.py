@@ -1,0 +1,144 @@
+"""`CallLog.complete_many`: a batch is charged in input order on the
+caller's thread, sent from a bounded pool, and answered in input order; a
+failed or refused batch leaves the log holding exactly the calls the
+backend received."""
+
+from __future__ import annotations
+
+import sys
+import threading
+import time
+
+import pytest
+
+from svagen.backends import BackendError, ScriptedBackend, ScriptEntry
+from svagen.prompts import BudgetExceededError, CallLog
+
+WAIT_S = 5.0  # bound on every wait, so a broken pool fails instead of hanging
+
+
+def batch(n: int) -> list[tuple[str, list[dict[str, str]]]]:
+    return [(f"role{i}", [{"role": "user", "content": f"call {i}"}]) for i in range(n)]
+
+
+def index_of(messages) -> int:
+    return int(messages[0]["content"].split()[1])
+
+
+class ReverseBackend:
+    """Answers the last call of an n-call batch first: call i returns only
+    after call i + 1 has returned."""
+
+    def __init__(self, n: int) -> None:
+        self.returned = [threading.Event() for _ in range(n)]
+        self.return_order: list[int] = []
+        self._lock = threading.Lock()
+
+    def complete(self, messages) -> str:
+        i = index_of(messages)
+        if i + 1 < len(self.returned):
+            assert self.returned[i + 1].wait(WAIT_S)
+        with self._lock:
+            self.return_order.append(i)
+        self.returned[i].set()
+        return f"reply {i}"
+
+
+class CountingBackend:
+    """Records the most calls ever in flight at once; each group of
+    `meet` calls waits for one another, so a pool of `meet` threads
+    really has that many in flight."""
+
+    def __init__(self, meet: int) -> None:
+        self.barrier = threading.Barrier(meet, timeout=WAIT_S)
+        self.in_flight = self.most_in_flight = 0
+        self.threads: set[int] = set()
+        self._lock = threading.Lock()
+
+    def complete(self, messages) -> str:
+        with self._lock:
+            self.in_flight += 1
+            self.most_in_flight = max(self.most_in_flight, self.in_flight)
+            self.threads.add(threading.get_ident())
+        try:
+            self.barrier.wait()
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+        return f"reply {index_of(messages)}"
+
+
+class TestCompleteMany:
+    def test_replies_and_events_in_input_order_when_later_calls_answer_first(self):
+        backend = ReverseBackend(3)
+        log = CallLog("stage 1", backend)
+        replies = log.complete_many(batch(3), workers=3)
+        assert backend.return_order == [2, 1, 0]
+        assert replies == ["reply 0", "reply 1", "reply 2"]
+        assert [e.role for e in log.events] == ["role0", "role1", "role2"]
+
+    def test_one_worker_sends_in_input_order(self):
+        log = CallLog("stage 1", ScriptedBackend.from_responses(["a", "b", "c"]))
+        assert log.complete_many(batch(3), workers=1) == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_workers_calls_in_flight(self, workers):
+        backend = CountingBackend(meet=workers)
+        log = CallLog("stage 1", backend)
+        replies = log.complete_many(batch(2 * workers), workers=workers)
+        assert replies == [f"reply {i}" for i in range(2 * workers)]
+        assert backend.most_in_flight == workers
+        assert len(backend.threads) == workers
+        assert len(log) == 2 * workers
+
+    def test_empty_batch_sends_nothing(self):
+        log = CallLog("stage 1", ScriptedBackend.from_responses([]))
+        assert log.complete_many([], workers=2) == []
+        assert len(log) == 0
+
+    def test_backend_error_at_call_k_logs_exactly_k_calls(self):
+        backend = ScriptedBackend.from_responses(["a", "b", "c"])  # the fourth call fails
+        log = CallLog("stage 1", backend)
+        log.complete("role", [])  # events before the batch are kept
+        with pytest.raises(BackendError):
+            log.complete_many(batch(5), workers=1)
+        assert backend.calls == 4
+        assert len(log) == backend.calls
+        assert [e.role for e in log.events] == ["role", "role0", "role1", "role2"]
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_backend_error_log_matches_calls_received(self, workers):
+        backend = ScriptedBackend.from_responses(["a", "b"])
+        log = CallLog("stage 1", backend)
+        with pytest.raises(BackendError):
+            log.complete_many(batch(8), workers=workers)
+        assert len(log) == backend.calls
+
+    def test_capped_log_refuses_a_batch_past_the_cap_unsent(self):
+        backend = ScriptedBackend.from_responses(["a", "b", "c"])
+        log = CallLog("s", backend, cap=3)
+        log.complete("role", [])
+        with pytest.raises(BudgetExceededError):
+            log.complete_many(batch(3), workers=2)
+        assert backend.calls == 1
+        assert len(log) == 1
+        assert log.complete_many(batch(2), workers=2) == ["b", "c"]
+        with pytest.raises(BudgetExceededError):
+            log.complete("role", [])
+        assert backend.calls == len(log) == 3
+
+    def test_keyed_replies_survive_many_threads_switching_often(self):
+        n = 64
+        entries = [ScriptEntry(f"reply {i}", match=f"call {i}\n") for i in reversed(range(n))]
+        calls = [(role, [m, {"role": "user", "content": ""}]) for role, [m] in batch(n)]
+        log = CallLog("stage 1", ScriptedBackend(entries))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            began = time.perf_counter()
+            replies = log.complete_many(calls, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.perf_counter() - began < WAIT_S
+        assert replies == [f"reply {i}" for i in range(n)]
+        assert [e.role for e in log.events] == [f"role{i}" for i in range(n)]

@@ -544,6 +544,23 @@ class TestPersistence:
             assert base is not None and base.shape == (3, 32)
             assert all(c.vector.base is base for c in idx.chunks)
 
+    def test_save_computes_no_chunk_norms(self, tmp_path, monkeypatch):
+        e = HashedBowEmbedder(dimension=32)
+        index = VectorIndex()
+        index.add("a", ["alpha beta", "gamma", "delta"], e)
+        einsums = []
+        real_einsum = np.einsum
+
+        def counting_einsum(*args, **kwargs):
+            einsums.append(args[0])
+            return real_einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        index.save(str(tmp_path / "index.json"))
+        assert einsums == []
+        index.query("alpha", 1, e)  # one einsum embeds the query, one takes the chunk norms
+        assert len(einsums) == 2
+
     @pytest.mark.parametrize(
         "field, values, dtype, message",
         [
