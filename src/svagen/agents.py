@@ -19,7 +19,7 @@ from svagen.bank import COMMENT_OR_STRING_RE, SignalInfo
 from svagen.prompts import CallLog, render_prompt
 from svagen.sva.checker import AssertionRecord
 from svagen.sva.parser import VERBS
-from svagen.sva.tokens import STOP_MESSAGES, scan
+from svagen.sva.tokens import STOP_MESSAGES, Unit, scan
 from svagen.tree import AnswerContent, SearchParams
 
 
@@ -97,9 +97,13 @@ def split_assertion_units(code: str) -> list[str]:
     rule in docs/formats.md ("Model replies"). The boundaries come from the
     checker's lexer, so nothing inside a comment or a string starts or ends
     a unit; stray code, comments and blank lines between units are dropped.
+
+    Each closed unit is a `Unit` carrying its own tokens and its normal
+    form (docs/formats.md, "Normal form"); a unit still open at a lexer
+    stop or at the end of the code is a plain str.
     """
     code += "\n"  # every line ends in a newline
-    spans: list[list[int]] = []  # [start, end, end of the token before]
+    spans: list[list] = []  # [start, end, end of the token before, its tokens or None]
     ends: tuple[str, ...] | None = None  # the texts that close the open unit
     joinable = False  # the last span is a declaration a statement may join
     stray: list[tuple[str, str, int, int]] = []  # (kind, text, offset, end before) since the last unit
@@ -112,32 +116,69 @@ def split_assertion_units(code: str) -> list[str]:
                 stop = token[2]
                 break
             tokens.append(token)
+        first = 0  # index in `tokens` of the open unit's first token
         for i, (kind, text, offset) in enumerate(tokens):
             if ends is not None:
                 if text in ends:
                     spans[-1][1] = prev_end = offset + len(text)
+                    spans[-1][3] = tokens[first : i + 1]
                     joinable, ends = ";" not in ends, None
             elif _opens_unit(tokens, i):
                 verb = text in VERBS
                 label = verb and len(stray) >= 2 and stray[-1][1] == ":" and stray[-2][0] == "identifier"
                 if not (verb and joinable and len(stray) == 2 * label):
                     start, before = stray[-2][2:] if label else (offset, prev_end)
-                    spans.append([start, -1, before])
+                    first = i - 2 * label
+                    spans.append([start, -1, before, None])
                 ends, joinable = (";",) if verb else ("endproperty", "endsequence"), False
                 stray.clear()
             else:
                 stray.append((kind, text, offset, prev_end))
                 prev_end = offset + (1 if kind == "error" else len(text))
-        if ends is not None:  # at a lexer stop or the end: to the end of that line
-            spans[-1][1], ends = stop, None
+        if ends is not None:  # at a lexer stop or the end: to the end of that line, without tokens
+            spans[-1][1], spans[-1][3], ends = stop, None, None
+        stray.clear()  # nothing joins a unit across a stop
+        joinable = False
         pos = code.find("\n", stop) + 1
-    units = []
-    for start, end, before in spans:
+    units: list[str] = []
+    for start, end, before, tokens in spans:
         lo, hi = code.rfind("\n", 0, start) + 1, code.find("\n", end)
-        if any(text not in STOP_MESSAGES for _, text, _ in scan(code[end:hi])):
-            hi = end  # another token follows on the last line
-        units.append(code[start if before > lo else lo : hi].strip())
+        if before <= lo and _blank(code[lo:start]):
+            start = lo  # only whitespace and whole comments before the unit on its line
+        if tokens is None:
+            units.append(code[start:hi].strip())
+            continue
+        if end < hi and not _blank(code[end:hi]):
+            hi = end  # a token or a lexer stop follows on the last line
+        text = code[start:hi].lstrip()
+        units.append(_unit(text.rstrip(), hi - len(text), code, tokens))
     return units
+
+
+def _blank(text: str) -> bool:
+    """Whether `text` lexes to no token: whitespace and whole comments."""
+    return next(scan(text), None) is None
+
+
+def _unit(text: str, base: int, code: str, tokens: list[tuple[str, str, int]]) -> Unit:
+    """The Unit of `text`, which starts at `base` in `code` and holds
+    `tokens` (offsets into `code`). Its key is the tokens' source texts,
+    joined by one space where whitespace or a comment parts them, without
+    trailing `;`: the text rule of `normalize_assertion`, read off the tokens.
+    """
+    parts, end = [], 0
+    for kind, tok, offset in tokens:
+        if kind == "error":
+            tok = code[offset]  # the source character, not the message
+            if tok.isspace():
+                continue  # whitespace the lexer does not skip is a gap too
+        if parts and offset > end:
+            parts.append(" ")
+        end = offset + len(tok)
+        parts.append(" ".join(tok.split()) if kind == "number" else tok)  # `4  'd 7`
+    while parts and parts[-1] in (";", " "):
+        parts.pop()
+    return Unit(text, [(kind, tok, offset - base) for kind, tok, offset in tokens], "".join(parts))
 
 
 def _opens_unit(tokens: list[tuple[str, str, int]], i: int) -> bool:
@@ -159,8 +200,12 @@ def _opens_unit(tokens: list[tuple[str, str, int]], i: int) -> bool:
 
 
 def normalize_assertion(text: str) -> str:
-    """Canonical form for equality: comments stripped, whitespace collapsed
-    (string literals kept verbatim), trailing semicolons dropped."""
+    """Canonical form for equality (docs/formats.md, "Normal form"):
+    comments stripped, whitespace collapsed (string literals kept verbatim),
+    trailing semicolons dropped. A `Unit` answers with the key the splitter
+    read off its tokens, which equals this rule on its text."""
+    if isinstance(text, Unit):
+        return text.key
     parts: list[str] = []
 
     def add_code(segment: str) -> None:

@@ -503,9 +503,9 @@ def run_all(
 
 
 def _dump_json(path: str, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"  # one write: json.dump makes many
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text)
 
 
 def write_artifacts(output_dir: str, summary: RunSummary) -> None:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from svagen.sva.parser import Diagnostic, has_error, parse_assertion
+from svagen.sva.tokens import Unit
 
 
 class CheckerUnavailableError(RuntimeError):
@@ -58,7 +59,9 @@ class MemoChecker:
 
     The memo is unbounded: make one per run, not one per process. Worker
     threads may each check a text the memo does not hold yet; a pure
-    checker gives them equal results.
+    checker gives them equal results. A `Unit`'s tokens are dropped at its
+    first check here, a memo hit included, so the run keeps no unit's
+    tokens past the check that reads them.
     """
 
     def __init__(self, inner: SyntaxChecker) -> None:
@@ -69,6 +72,8 @@ class MemoChecker:
         diagnostics = self._memo.get(assertion_text)
         if diagnostics is None:
             diagnostics = self._memo[assertion_text] = self.inner.check(assertion_text)
+        if isinstance(assertion_text, Unit):
+            assertion_text.tokens = None
         return list(diagnostics)
 
 

@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from svagen.sva.operators import INFIX, PREFIX
-from svagen.sva.tokens import Token, tokenize
+from svagen.sva.tokens import Unit, scan, tokenize  # noqa: F401  tokenize: a public name here too
 
 TokenSig = tuple[str, str]
+Tok = tuple[str, str, int]  # (kind, text, offset), as `scan` yields it
 
 # The known system functions, each with its minimum argument count: the
 # sampled-value and counting functions need an operand to sample.
@@ -357,24 +358,23 @@ class _ParseError(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], source_lines: int) -> None:
+    def __init__(self, source: str, tokens: list[Tok]) -> None:
+        self.source = source
         self.tokens = tokens
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
-        self._eof_line = tokens[-1].line if tokens else max(source_lines, 1)
-        self._eof_col = tokens[-1].column + len(tokens[-1].lexeme) if tokens else 1
 
     # -- token helpers
 
-    def peek(self, offset: int = 0) -> Token | None:
+    def peek(self, offset: int = 0) -> Tok | None:
         i = self.pos + offset
         return self.tokens[i] if i < len(self.tokens) else None
 
     def at(self, kind: str, lexeme: str | None = None, offset: int = 0) -> bool:
         t = self.peek(offset)
-        if t is None or t.kind != kind:
+        if t is None or t[0] != kind:
             return False
-        return lexeme is None or t.lexeme == lexeme
+        return lexeme is None or t[1] == lexeme
 
     def at_label(self) -> bool:
         return self.at("identifier") and self.at("operator", ":", 1)
@@ -382,49 +382,61 @@ class _Parser:
     def at_assert(self) -> bool:
         """At an assert statement: a verb, or a label followed by ':'."""
         t = self.peek()
-        return (t is not None and t.kind == "keyword" and t.lexeme in VERBS) or self.at_label()
+        return (t is not None and t[0] == "keyword" and t[1] in VERBS) or self.at_label()
 
-    def take(self) -> Token:
+    def take(self) -> Tok:
         """Consume the next token; an error token raises its lex-error."""
         t = self.peek()
         if t is None:
             raise self.error("parse-unexpected-eof", "unexpected end of input")
         self.pos += 1
-        if t.kind == "error":
-            raise self.error("lex-error", t.lexeme, t)
+        if t[0] == "error":
+            raise self.error("lex-error", t[1], t)
         return t
 
-    def take_kind(self, kind: str, message: str, lexemes: tuple[str, ...] | None = None) -> Token:
+    def take_kind(self, kind: str, message: str, lexemes: tuple[str, ...] | None = None) -> Tok:
         """Consume the next token if it is of `kind` (and, given `lexemes`,
         one of them); otherwise fail with `message` at it."""
         t = self.peek()
-        if t is None or t.kind != kind or (lexemes is not None and t.lexeme not in lexemes):
+        if t is None or t[0] != kind or (lexemes is not None and t[1] not in lexemes):
             raise self.error("parse-expected", message)
         return self.take()
 
-    def expect(self, kind: str, lexeme: str, what: str | None = None) -> Token:
+    def expect(self, kind: str, lexeme: str, what: str | None = None) -> Tok:
         t = self.peek()
         if t is None:
             raise self.error(
                 "parse-expected", f"expected {what or lexeme!r} but reached end of input"
             )
-        if t.kind != "error" and (t.kind != kind or t.lexeme != lexeme):
-            raise self.error("parse-expected", f"expected {what or lexeme!r}, found {t.lexeme!r}")
+        if t[0] != "error" and (t[0] != kind or t[1] != lexeme):
+            raise self.error("parse-expected", f"expected {what or lexeme!r}, found {t[1]!r}")
         return self.take()
 
-    def diagnostic(self, severity: str, code: str, message: str, token: Token | None) -> Diagnostic:
+    def diagnostic(self, severity: str, code: str, message: str, token: Tok | None) -> Diagnostic:
         """A diagnostic at `token`, else at the next token, else at the end
         of input."""
         if token is None:
             token = self.peek()
-        if token is None:
-            return Diagnostic(severity, self._eof_line, self._eof_col, code, message)
-        return Diagnostic(severity, token.line, token.column, code, message)
+        if token is not None:
+            line, column = self._position(token[2])
+        elif self.tokens:  # just past the last token
+            last = self.tokens[-1]
+            line, column = self._position(last[2])
+            column += len(last[1])
+        else:
+            line, column = self.source.count("\n") + 1, 1
+        return Diagnostic(severity, line, column, code, message)
 
-    def error(self, code: str, message: str, token: Token | None = None) -> _ParseError:
+    def _position(self, offset: int) -> tuple[int, int]:
+        """1-based line and column of `offset` in the source, as `tokenize`
+        gives them."""
+        source = self.source
+        return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+    def error(self, code: str, message: str, token: Tok | None = None) -> _ParseError:
         return _ParseError(self.diagnostic("error", code, message, token))
 
-    def warn(self, code: str, message: str, token: Token | None = None) -> None:
+    def warn(self, code: str, message: str, token: Tok | None = None) -> None:
         self.diagnostics.append(self.diagnostic("warning", code, message, token))
 
     # -- entry points
@@ -451,29 +463,29 @@ class _Parser:
         t = self.peek()
         raise self.error(
             "parse-expected",
-            f"expected 'property' or an assert statement, found {t.lexeme!r}",
+            f"expected 'property' or an assert statement, found {t[1]!r}",
         )
 
     def _resync(self) -> None:
         """Skip ahead to a plausible unit boundary after an error."""
         while self.peek() is not None:
             t = self.peek()
-            if t.kind == "keyword" and t.lexeme in ("property", *VERBS):
+            if t[0] == "keyword" and t[1] in ("property", *VERBS):
                 return
             self.pos += 1
-            if t.kind == "punctuation" and t.lexeme == ";":
+            if t[0] == "punctuation" and t[1] == ";":
                 # swallow an endproperty closing the broken declaration
                 if self.at("keyword", "endproperty"):
                     self.pos += 1
                 return
-            if t.kind == "keyword" and t.lexeme == "endproperty":
+            if t[0] == "keyword" and t[1] == "endproperty":
                 return
 
     # -- declarations and statements
 
     def parse_property_decl(self) -> PropertyDecl:
         self.expect("keyword", "property")
-        name = self.take_kind("identifier", "expected property name after 'property'").lexeme
+        name = self.take_kind("identifier", "expected property name after 'property'")[1]
         if self.at("punctuation", "("):
             raise self.error(
                 "parse-unsupported",
@@ -491,9 +503,9 @@ class _Parser:
     def parse_assert_stmt(self) -> AssertStmt:
         label = None
         if self.at_label():
-            label = self.take().lexeme
+            label = self.take()[1]
             self.take()  # ':'
-        verb = self.take_kind("keyword", "expected 'assert', 'assume' or 'cover'", VERBS).lexeme
+        verb = self.take_kind("keyword", "expected 'assert', 'assume' or 'cover'", VERBS)[1]
         self.expect("keyword", "property", "'property' after 'assert'")
         self.expect("punctuation", "(")
         spec = self.parse_property_spec()
@@ -507,16 +519,16 @@ class _Parser:
 
     def parse_action_call(self) -> Call:
         t = self.take_kind("identifier", "expected a task call after 'else'")
-        if not t.lexeme.startswith("$"):
+        if not t[1].startswith("$"):
             self.warn(
                 "lint-action-call",
-                f"action block calls a non-system task {t.lexeme!r}",
+                f"action block calls a non-system task {t[1]!r}",
                 t,
             )
         if not self.at("punctuation", "("):
-            return Call(name=t.lexeme, parenthesized=False)
+            return Call(name=t[1], parenthesized=False)
         self.take()
-        return Call(name=t.lexeme, args=self.parse_list(")"))
+        return Call(name=t[1], args=self.parse_list(")"))
 
     def parse_property_spec(self) -> PropertySpec:
         clocking = None
@@ -537,7 +549,7 @@ class _Parser:
         self.expect("punctuation", "(")
         edge = self.take_kind(
             "keyword", "expected 'posedge' or 'negedge' in clocking event", ("posedge", "negedge")
-        ).lexeme
+        )[1]
         expr = self.parse_expression()
         self.expect("punctuation", ")", "')' closing the clocking event")
         return Clocking(edge=edge, expr=expr)
@@ -550,7 +562,7 @@ class _Parser:
         only where `min_bp` admits its level. At `_PROPERTY_BP` this parses
         a property expression; at the default, a boolean expression."""
         t = self.peek()
-        op = PREFIX.get(t.lexeme) if t is not None else None
+        op = PREFIX.get(t[1]) if t is not None else None
         if op is None or op.bp < min_bp:
             node = self.parse_postfix()
         elif op.shape == "delay":
@@ -562,7 +574,7 @@ class _Parser:
             node = Unary(op=op.lexeme, operand=self.parse_expression(op.operand_bp))
         while True:
             t = self.peek()
-            op = INFIX.get(t.lexeme) if t is not None else None
+            op = INFIX.get(t[1]) if t is not None else None
             if op is None or op.bp < min_bp:
                 return node
             self.take()
@@ -592,10 +604,10 @@ class _Parser:
 
     def parse_delay_bounds(self) -> DelayBounds:
         if self.at("number"):
-            return DelayBounds(low=self.take().lexeme)
+            return DelayBounds(low=self.take()[1])
         if self.at("punctuation", "["):
             self.take()
-            low = self.take_kind("number", "expected lower delay bound").lexeme
+            low = self.take_kind("number", "expected lower delay bound")[1]
             self.expect("operator", ":", "':' in delay range")
             high = self.parse_upper_bound("upper delay bound")
             self.expect("punctuation", "]")
@@ -605,7 +617,7 @@ class _Parser:
     def parse_upper_bound(self, what: str) -> str:
         """The upper bound of a delay or repetition range: a number or `$`."""
         if self.at("number") or self.at("identifier", "$"):
-            return self.take().lexeme
+            return self.take()[1]
         raise self.error("parse-expected", f"expected {what} or '$'")
 
     def parse_postfix(self):
@@ -630,7 +642,7 @@ class _Parser:
         low = None
         high = None
         if self.at("number"):
-            low = self.take().lexeme
+            low = self.take()[1]
             if self.at("operator", ":"):
                 self.take()
                 high = self.parse_upper_bound("repetition upper bound")
@@ -641,41 +653,41 @@ class _Parser:
         t = self.peek()
         if t is None:
             raise self.error("parse-expected", "expected an expression")
-        if t.kind == "punctuation" and t.lexeme == "(":
+        if t[0] == "punctuation" and t[1] == "(":
             self.take()
             inner = self.parse_expression(_PROPERTY_BP)
             self.expect("punctuation", ")", "')' closing the parenthesized expression")
             return Paren(inner=inner)
-        if t.kind == "punctuation" and t.lexeme == "{":
+        if t[0] == "punctuation" and t[1] == "{":
             return self.parse_concat()
-        if t.kind not in ("number", "string", "identifier", "error"):
-            raise self.error("parse-expected", f"expected an expression, found {t.lexeme!r}")
+        if t[0] not in ("number", "string", "identifier", "error"):
+            raise self.error("parse-expected", f"expected an expression, found {t[1]!r}")
         self.take()  # an error token raises its lex-error here
-        if t.kind == "number":
-            return Number(text=t.lexeme)
-        if t.kind == "string":
-            return StringLit(text=t.lexeme)
+        if t[0] == "number":
+            return Number(text=t[1])
+        if t[0] == "string":
+            return StringLit(text=t[1])
         if not self.at("punctuation", "("):
-            return Identifier(name=t.lexeme)
-        if not t.lexeme.startswith("$"):
+            return Identifier(name=t[1])
+        if not t[1].startswith("$"):
             # no sequence/property declarations in the subset, so an
             # identifier call can never resolve
             raise self.error(
                 "parse-unsupported",
-                f"call of {t.lexeme!r}: only system functions may be called",
+                f"call of {t[1]!r}: only system functions may be called",
                 t,
             )
-        if t.lexeme not in SYSTEM_FUNCTIONS:
-            self.warn("lint-unknown-system-function", f"unknown system function {t.lexeme!r}", t)
+        if t[1] not in SYSTEM_FUNCTIONS:
+            self.warn("lint-unknown-system-function", f"unknown system function {t[1]!r}", t)
         self.take()
         args = self.parse_list(")", "')' closing the call")
-        if len(args) < SYSTEM_FUNCTIONS.get(t.lexeme, 0):
+        if len(args) < SYSTEM_FUNCTIONS.get(t[1], 0):
             raise self.error(
                 "parse-arity",
-                f"{t.lexeme} expects at least {SYSTEM_FUNCTIONS[t.lexeme]} argument(s)",
+                f"{t[1]} expects at least {SYSTEM_FUNCTIONS[t[1]]} argument(s)",
                 t,
             )
-        return Call(name=t.lexeme, args=args)
+        return Call(name=t[1], args=args)
 
     def parse_concat(self):
         self.expect("punctuation", "{")
@@ -732,9 +744,13 @@ def parse_units(source: str) -> tuple[list[SvaAst], list[Diagnostic]]:
     immediately-following assert statement attached) or a bare assert
     statement. Errors never abort the parse; they land in diagnostics and the
     parser resynchronizes at the next plausible boundary.
+
+    A `Unit` that still carries the splitter's tokens is parsed from them,
+    which give the same diagnostics as lexing its text; any other text is
+    lexed here.
     """
-    tokens = tokenize(source)
-    parser = _Parser(tokens, source.count("\n") + 1)
+    tokens = source.tokens if isinstance(source, Unit) else None
+    parser = _Parser(source, tokens if tokens is not None else list(scan(source)))
     units = parser.parse_units()
     return units, parser.diagnostics
 

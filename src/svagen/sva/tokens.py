@@ -1,8 +1,10 @@
 """Lexer for the SVA subset.
 
-Produces a flat token stream with 1-based line/column positions. Comments
-and whitespace are skipped; lexical problems surface as `error` tokens so
-the parser can report them with positions instead of aborting.
+`scan` yields a flat stream of `(kind, text, offset)` tuples, which the
+parser and the unit splitter read; `tokenize` adds 1-based line/column
+positions. Comments and whitespace are skipped; lexical problems surface as
+`error` tokens so the parser can report them with positions instead of
+aborting.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ _UNTERMINATED = {
 STOP_MESSAGES = frozenset(_UNTERMINATED.values())  # the error texts a scan stops at
 
 
-class Token(NamedTuple):  # cheap to build: the checker makes one per token of every unit
+class Token(NamedTuple):  # the public view of `tokenize`; the parser reads `scan`'s tuples
     kind: str  # identifier | keyword | number | string | operator | punctuation | error
     lexeme: str
     line: int
@@ -97,6 +99,24 @@ def scan(source: str, pos: int = 0) -> Iterator[tuple[str, str, int]]:
         elif kind == "error":
             text = f"unexpected character {text!r}"
         yield kind, text, m.start()
+
+
+class Unit(str):
+    """An assertion unit's text as the splitter cut it, with the `scan`
+    tuples of that text (offsets into the unit) and its normal form, `key`.
+
+    The parser reads `tokens` instead of lexing the text again; the run's
+    memo checker sets them to None once the unit is checked, so a run does
+    not keep every unit's tokens. A Unit is equal to, and hashes as, its
+    text.
+    """
+
+    __slots__ = ("tokens", "key")
+
+    def __new__(cls, text: str, tokens: list[tuple[str, str, int]] | None, key: str) -> Unit:
+        unit = super().__new__(cls, text)
+        unit.tokens, unit.key = tokens, key
+        return unit
 
 
 def tokenize(source: str) -> list[Token]:

@@ -334,6 +334,22 @@ class TestExtractAssertions:
         code = f"{unit}\n{VALID_BARE_ASSERT}\n{VALID_PROPERTY_UNIT}"
         assert split_assertion_units(code) == [unit, VALID_BARE_ASSERT, VALID_PROPERTY_UNIT]
 
+    @pytest.mark.parametrize("rest", [" /* open", ' "open', " /* note\n   ends here */"])
+    def test_closed_unit_ends_at_its_last_token_before_an_open_comment_or_string(self, rest):
+        # the comment or string that runs past the line is not the unit's
+        units = split_assertion_units(f"{VALID_BARE_ASSERT}{rest}\n{VALID_PROPERTY_UNIT}")
+        assert units == [VALID_BARE_ASSERT, VALID_PROPERTY_UNIT]
+        assert BuiltinChecker().check(units[0]) == []
+
+    def test_comment_from_an_earlier_line_is_not_the_units(self):
+        code = f"x = 1; /* a note\n   that ends here */ {VALID_BARE_ASSERT}"
+        assert split_assertion_units(code) == [VALID_BARE_ASSERT]
+
+    def test_a_lexer_stop_parts_a_declaration_from_the_next_statement(self):
+        decl = "property p;\n  @(posedge clk) a |-> b;\nendproperty"
+        code = f"{decl} /* open\n{VALID_BARE_ASSERT}"
+        assert split_assertion_units(code) == [decl, VALID_BARE_ASSERT]
+
     @given(
         st.lists(st.sampled_from(CORPUS), max_size=6),
         st.lists(st.sampled_from(["\n", "\n\n", " "]), min_size=5, max_size=5),

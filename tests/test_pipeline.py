@@ -29,6 +29,7 @@ from svagen.prompts import BudgetExceededError, CallLog
 from svagen.rag import HashedBowEmbedder, VectorIndex
 from svagen.sva.checker import BuiltinChecker
 from svagen.sva.parser import Diagnostic
+from svagen.sva.tokens import Unit
 from svagen.tree import ReasoningTree
 
 from conftest import (
@@ -921,6 +922,19 @@ class TestCheckMemoPerRun:
             VALID_PROPERTY_UNIT, VALID_BARE_ASSERT, INVALID_ASSERT, CORRECTED_ASSERT
         }
         assert set(checker.texts.values()) == {1}
+
+    def test_no_unit_keeps_its_tokens_after_the_run(self, tmp_path):
+        # a unit's tokens are dropped at its first check, so the trees of a
+        # run do not hold every unit's tokens
+        summary = self._run(tmp_path, BuiltinChecker())
+        texts = [
+            text
+            for r in summary.results
+            for node in r.tree.nodes.values()
+            for text in node.answer.assertions + r.a1 + r.a2 + r.a2_prime + r.deduplicated
+        ]
+        assert texts and all(isinstance(t, Unit) for t in texts)
+        assert all(t.tokens is None for t in texts)
 
     def test_early_stop_check_is_a_memo_hit(self, tmp_path):
         from svagen.bank import save_bank
