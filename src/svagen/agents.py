@@ -15,11 +15,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from svagen.bank import COMMENT_OR_STRING_RE, SignalInfo
+from svagen.bank import SignalInfo
 from svagen.prompts import CallLog, render_prompt
 from svagen.sva.checker import AssertionRecord
 from svagen.sva.parser import VERBS
-from svagen.sva.tokens import STOP_MESSAGES, Unit, scan
+from svagen.sva.tokens import STOP_MESSAGES, Unit, normal_form, scan, scan_through
 from svagen.tree import AnswerContent, SearchParams
 
 
@@ -151,34 +151,15 @@ def split_assertion_units(code: str) -> list[str]:
         if end < hi and not _blank(code[end:hi]):
             hi = end  # a token or a lexer stop follows on the last line
         text = code[start:hi].lstrip()
-        units.append(_unit(text.rstrip(), hi - len(text), code, tokens))
+        base = hi - len(text)  # the unit's offset in `code`
+        tokens = [(kind, tok, offset - base) for kind, tok, offset in tokens]
+        units.append(Unit(text.rstrip(), tokens))
     return units
 
 
 def _blank(text: str) -> bool:
     """Whether `text` lexes to no token: whitespace and whole comments."""
     return next(scan(text), None) is None
-
-
-def _unit(text: str, base: int, code: str, tokens: list[tuple[str, str, int]]) -> Unit:
-    """The Unit of `text`, which starts at `base` in `code` and holds
-    `tokens` (offsets into `code`). Its key is the tokens' source texts,
-    joined by one space where whitespace or a comment parts them, without
-    trailing `;`: the text rule of `normalize_assertion`, read off the tokens.
-    """
-    parts, end = [], 0
-    for kind, tok, offset in tokens:
-        if kind == "error":
-            tok = code[offset]  # the source character, not the message
-            if tok.isspace():
-                continue  # whitespace the lexer does not skip is a gap too
-        if parts and offset > end:
-            parts.append(" ")
-        end = offset + len(tok)
-        parts.append(" ".join(tok.split()) if kind == "number" else tok)  # `4  'd 7`
-    while parts and parts[-1] in (";", " "):
-        parts.pop()
-    return Unit(text, [(kind, tok, offset - base) for kind, tok, offset in tokens], "".join(parts))
 
 
 def _opens_unit(tokens: list[tuple[str, str, int]], i: int) -> bool:
@@ -200,34 +181,12 @@ def _opens_unit(tokens: list[tuple[str, str, int]], i: int) -> bool:
 
 
 def normalize_assertion(text: str) -> str:
-    """Canonical form for equality (docs/formats.md, "Normal form"):
-    comments stripped, whitespace collapsed (string literals kept verbatim),
-    trailing semicolons dropped. A `Unit` answers with the key the splitter
-    read off its tokens, which equals this rule on its text."""
+    """Canonical form for equality (docs/formats.md, "Normal form"). A
+    `Unit` answers with the key it was built with; a plain text is lexed
+    here, through any unterminated comment or string."""
     if isinstance(text, Unit):
         return text.key
-    parts: list[str] = []
-
-    def add_code(segment: str) -> None:
-        collapsed = re.sub(r"\s+", " ", segment)
-        if parts and parts[-1].endswith(" ") and collapsed.startswith(" "):
-            collapsed = collapsed[1:]
-        if collapsed:
-            parts.append(collapsed)
-
-    pos = 0
-    for m in COMMENT_OR_STRING_RE.finditer(text):
-        add_code(text[pos : m.start()])
-        if m.group(1) is not None:
-            parts.append(m.group(1))
-        else:
-            add_code(" ")
-        pos = m.end()
-    add_code(text[pos:])
-    result = "".join(parts).strip()
-    while result.endswith(";"):
-        result = result[:-1].rstrip()
-    return result
+    return normal_form(text, scan_through(text))
 
 
 def merge_normalized(pool: list[str]) -> list[str]:

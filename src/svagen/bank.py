@@ -10,13 +10,13 @@ JSON document that round-trips exactly.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
 from svagen.backends import Message
 from svagen.prompts import CallLog, PromptTemplate, render_prompt
-from svagen.records import encode, load
+from svagen.records import dumps, encode, load
+from svagen.sva.tokens import scan_through
 
 
 class StageError(RuntimeError):
@@ -109,8 +109,6 @@ _MAPPING_LINE_RE = re.compile(
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-# A string literal (group 1), a line comment or a block comment.
-COMMENT_OR_STRING_RE = re.compile(r'("(?:\\.|[^"\\])*")|//[^\n]*|/\*.*?\*/', re.DOTALL)
 
 # The [Header] sections of an analyzer reply, in the order a bank entry is
 # rendered, with the field each one fills
@@ -138,9 +136,11 @@ _SECTION_RE = re.compile(r"\[([^\[\]]+)\]\s*[:;]?", re.IGNORECASE)
 
 
 def identifier_names(verilog_text: str) -> set[str]:
-    """All identifier tokens in a Verilog source, comments/strings stripped."""
-    cleaned = COMMENT_OR_STRING_RE.sub(" ", verilog_text)
-    return set(_IDENT_RE.findall(cleaned))
+    """The identifier and keyword tokens of a Verilog source, lexed as the
+    checker lexes it, through any unterminated comment or string: no word
+    of a comment or a string, no `hFF` of `8'hFF`, no `display` of `$display`."""
+    tokens = scan_through(verilog_text)
+    return {text for kind, text, _ in tokens if kind == "identifier" or kind == "keyword"}
 
 
 def _render_sections(record, sections: tuple, keep_empty: bool) -> list[str]:
@@ -287,9 +287,9 @@ def build_workflow_info(
 
 def save_bank(bank: InformationBank, path: str) -> None:
     bank.validate()
+    text = dumps(encode(bank))
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(encode(bank), f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text)
 
 
 def load_bank(path: str) -> InformationBank:

@@ -20,7 +20,6 @@ and stage 3 skips the step that asked.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -52,6 +51,7 @@ from svagen.bank import (
 from svagen.config import ConfigError, RunConfig
 from svagen.prompts import BudgetExceededError, CallLog, PromptTemplate
 from svagen.rag import DEFAULT_DIMENSION, HashedBowEmbedder, VectorIndex, format_context
+from svagen.records import dumps
 from svagen.sva.checker import (
     AssertionRecord,
     MemoChecker,
@@ -503,7 +503,7 @@ def run_all(
 
 
 def _dump_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"  # one write: json.dump makes many
+    text = dumps(payload)
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 

@@ -3,7 +3,8 @@
 Every JSON record svagen reads or writes (the run config, the information
 bank, a tree dump, a scripted-backend file, the retrieval index) is a
 dataclass, and `decode` and `encode` map it from and to JSON by the field
-annotations alone. `load` reads one from a file.
+annotations alone. `load` reads one from a file, and `dumps` is the one
+encoding of every JSON artifact svagen writes.
 """
 
 from __future__ import annotations
@@ -153,6 +154,12 @@ def load(cls, path: str, what: str, error: type[Exception], build=None):
 def encode(record) -> dict:
     """`dataclasses.asdict(record)` through `decode`'s field table, without a deep copy."""
     return _encode(_kind(type(record)), record)
+
+
+def dumps(data) -> str:
+    """JSON artifact text (docs/formats.md): sorted keys, two-space indent,
+    trailing newline, so identical runs write identical bytes."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def _encode(kind: _Kind, value):

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from svagen.sva.operators import INFIX, PREFIX
-from svagen.sva.tokens import Unit, scan, tokenize  # noqa: F401  tokenize: a public name here too
+# The parser does not call `tokenize`; bench/run_bench.py traces it as `parser.tokenize`.
+from svagen.sva.tokens import Unit, position, scan, tokenize  # noqa: F401
 
 TokenSig = tuple[str, str]
 Tok = tuple[str, str, int]  # (kind, text, offset), as `scan` yields it
@@ -418,20 +419,14 @@ class _Parser:
         if token is None:
             token = self.peek()
         if token is not None:
-            line, column = self._position(token[2])
+            line, column = position(self.source, token[2])
         elif self.tokens:  # just past the last token
             last = self.tokens[-1]
-            line, column = self._position(last[2])
+            line, column = position(self.source, last[2])
             column += len(last[1])
         else:
             line, column = self.source.count("\n") + 1, 1
         return Diagnostic(severity, line, column, code, message)
-
-    def _position(self, offset: int) -> tuple[int, int]:
-        """1-based line and column of `offset` in the source, as `tokenize`
-        gives them."""
-        source = self.source
-        return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
     def error(self, code: str, message: str, token: Tok | None = None) -> _ParseError:
         return _ParseError(self.diagnostic("error", code, message, token))

@@ -1,16 +1,18 @@
-"""Lexer for the SVA subset.
+"""Lexer for the SVA subset, and the one lexer of SystemVerilog in svagen.
 
 `scan` yields a flat stream of `(kind, text, offset)` tuples, which the
-parser and the unit splitter read; `tokenize` adds 1-based line/column
-positions. Comments and whitespace are skipped; lexical problems surface as
-`error` tokens so the parser can report them with positions instead of
-aborting.
+parser and the unit splitter read; `scan_through` lexes on past an
+unterminated comment or string. `normal_form` reads an assertion's normal
+form off such tuples, and `position` gives an offset's 1-based line and
+column, for `tokenize` and the parser's diagnostics. Comments and
+whitespace are skipped; lexical problems surface as `error` tokens so the
+parser can report them with positions instead of aborting.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from svagen.sva.operators import OPERATORS
@@ -101,9 +103,45 @@ def scan(source: str, pos: int = 0) -> Iterator[tuple[str, str, int]]:
         yield kind, text, m.start()
 
 
+def scan_through(source: str) -> Iterator[tuple[str, str, int]]:
+    """`scan` of all of `source`: an unterminated block comment or string
+    is its stop token, whose first character counts as an ordinary one, and
+    the lexing goes on after that character."""
+    pos = 0
+    while True:
+        for token in scan(source, pos):
+            yield token
+            if token[0] == "error" and token[1] in STOP_MESSAGES:
+                pos = token[2] + 1
+                break
+        else:
+            return
+
+
+def normal_form(source: str, tokens: Iterable[tuple[str, str, int]]) -> str:
+    """The normal form of `source` from its tokens: their source texts,
+    joined by one space where whitespace or a comment parts them and by
+    nothing where they touch, trailing `;` tokens dropped. An error token
+    stands for its source character; one that is whitespace is a gap."""
+    parts, end = [], 0
+    for kind, text, offset in tokens:
+        if kind == "error":
+            text = source[offset]  # the source character, not the message
+            if text.isspace():
+                continue
+        if parts and offset > end:
+            parts.append(" ")
+        end = offset + len(text)
+        parts.append(" ".join(text.split()) if kind == "number" else text)  # `4  'd7`
+    while parts and parts[-1] in (";", " "):
+        parts.pop()
+    return "".join(parts)
+
+
 class Unit(str):
     """An assertion unit's text as the splitter cut it, with the `scan`
-    tuples of that text (offsets into the unit) and its normal form, `key`.
+    tuples of that text (offsets into the unit) and its normal form, `key`,
+    computed from them when the Unit is built.
 
     The parser reads `tokens` instead of lexing the text again; the run's
     memo checker sets them to None once the unit is checked, so a run does
@@ -113,22 +151,21 @@ class Unit(str):
 
     __slots__ = ("tokens", "key")
 
-    def __new__(cls, text: str, tokens: list[tuple[str, str, int]] | None, key: str) -> Unit:
+    def __new__(cls, text: str, tokens: list[tuple[str, str, int]]) -> Unit:
         unit = super().__new__(cls, text)
-        unit.tokens, unit.key = tokens, key
+        unit.tokens, unit.key = tokens, normal_form(text, tokens)
         return unit
+
+
+def position(source: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of `offset` in `source`."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 def tokenize(source: str) -> list[Token]:
     """Lex `source` into tokens with 1-based line/column positions; never
     raises."""
-    tokens: list[Token] = []
-    line, last = 1, 0  # last: offset of the previous token
-    for kind, text, start in scan(source):
-        line += source.count("\n", last, start)
-        last = start
-        tokens.append(Token(kind, text, line, start - source.rfind("\n", 0, start)))
-    return tokens
+    return [Token(kind, text, *position(source, start)) for kind, text, start in scan(source)]
 
 
 def token_signature(tokens: list[Token]) -> list[tuple[str, str]]:

@@ -8,11 +8,10 @@ no agent or I/O code lives here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
-from svagen.records import encode, load, loads
+from svagen.records import dumps, encode, load, loads
 
 
 class TreeError(ValueError):
@@ -222,7 +221,7 @@ class ReasoningTree:
             self.signal_name, self.root, self.rollouts_completed,
             [self.nodes[i] for i in sorted(self.nodes)],
         )
-        return json.dumps(encode(record), indent=2, sort_keys=True) + "\n"
+        return dumps(encode(record))
 
     @classmethod
     def loads(cls, text: str) -> ReasoningTree:

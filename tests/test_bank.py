@@ -47,6 +47,18 @@ class TestIdentifierNames:
     def test_comments_ignored(self):
         assert "system" not in identifier_names("wire a; // system clock")
 
+    def test_based_numbers_and_system_names_are_not_names(self):
+        names = identifier_names(
+            "wire [7:0] a = 8'hFF;\nreg b = 1'b0;\nwire [3:0] c = 4'd10;\ninitial $display(a);\n"
+        )
+        assert {"a", "b", "c", "wire", "reg", "initial"} <= names
+        assert not names & {"hFF", "b0", "d10", "display"}
+
+    @pytest.mark.parametrize("opener", ['"', "/*"])
+    def test_names_after_an_unterminated_string_or_comment_found(self, opener):
+        names = identifier_names(f"wire a; initial $display({opener}open\nreg late_q;\n")
+        assert {"a", "late_q"} <= names
+
 
 class TestMapSignals:
     def test_three_mapped(self):
@@ -66,6 +78,14 @@ class TestMapSignals:
         pairs, warnings = map_signals(CallLog("s", backend), SPEC_TEXT, VERILOG_DECLS)
         assert pairs == [("clk_i", "clock")]
         assert any("ghost_sig" in w for w in warnings)
+
+    def test_based_number_digits_dropped_with_warning(self):
+        reply = "ack_o: acknowledge\nhFF: all ones"
+        backend = ScriptedBackend.from_responses([reply])
+        decls = VERILOG_DECLS + "localparam [7:0] ONES = 8'hFF;\n"
+        pairs, warnings = map_signals(CallLog("s", backend), SPEC_TEXT, decls)
+        assert pairs == [("ack_o", "acknowledge")]
+        assert warnings == ["mapped signal 'hFF' not found in Verilog declarations"]
 
     def test_prose_only_is_stage_error(self):
         backend = ScriptedBackend.from_responses(["I could not find any signals."])

@@ -1,10 +1,12 @@
 """A split unit carries its tokens and its normal form, so the checker and
 the deduplication steps do not read its text again. These tests hold both
-to the text paths: the key equals `normalize_assertion` of the same text as
-a plain str, the tokens equal `scan` of the text, and the checker gives the
-same diagnostics either way."""
+to the text paths: the key equals the normal form of the same text, as a
+plain str and by the reference rule below, the tokens equal `scan` of the
+text, and the checker gives the same diagnostics either way."""
 
 from __future__ import annotations
+
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,13 +22,44 @@ from test_sva_golden import corpus_and_deletions, seeded_mutants, seeded_random_
 
 CHECKER = BuiltinChecker()
 
+# The reference for the normal form, stated on the text without the lexer:
+# each run of whitespace and comments outside a string literal made one
+# space, string literals kept, the ends stripped and then trailing `;`s.
+# Its string literal may span a line break, which the lexer's never does; a
+# unit's text holds no such string, since the lexer stops at its open quote.
+COMMENT_OR_STRING_RE = re.compile(r'("(?:\\.|[^"\\])*")|//[^\n]*|/\*.*?\*/', re.DOTALL)
+
+
+def reference_normal_form(text: str) -> str:
+    parts: list[str] = []
+
+    def add_code(segment: str) -> None:
+        collapsed = re.sub(r"\s+", " ", segment)
+        if parts and parts[-1].endswith(" ") and collapsed.startswith(" "):
+            collapsed = collapsed[1:]
+        if collapsed:
+            parts.append(collapsed)
+
+    pos = 0
+    for m in COMMENT_OR_STRING_RE.finditer(text):
+        add_code(text[pos : m.start()])
+        if m.group(1) is not None:
+            parts.append(m.group(1))
+        else:
+            add_code(" ")
+        pos = m.end()
+    add_code(text[pos:])
+    result = "".join(parts).strip()
+    while result.endswith(";"):
+        result = result[:-1].rstrip()
+    return result
+
 
 def assert_unit_matches_its_text(unit: str) -> None:
     text = str(unit)
+    assert normalize_assertion(unit) == normalize_assertion(text) == reference_normal_form(text)
     if not isinstance(unit, Unit):  # still open at a lexer stop or the end: the text paths
         return
-    assert unit.key == normalize_assertion(text)
-    assert normalize_assertion(unit) == unit.key
     assert unit.tokens == list(scan(text))
     assert CHECKER.check(unit) == CHECKER.check(text)
 
@@ -59,10 +92,28 @@ def model_code(draw) -> str:
 @example("assert property (a |-> b)\n  else /* open\nassert property (c);")
 @example("property p ;endproperty/* c */assert property (/* open")
 @example("assert property (\x0c")
+@example('assert property (a) else $error("open  // c')
+@example("assert property (a) /* open  // c\n  ;")
+@example("assert property (a == 4 \t'd7 || b == 8\n  'hFF);")
 @settings(max_examples=600, deadline=None)
 def test_unit_key_tokens_and_check_equal_the_text_paths(code):
     for unit in split_assertion_units(code):
         assert_unit_matches_its_text(unit)
+
+
+def spans_a_line_as_a_string(text: str) -> bool:
+    """Whether the reference reads a string literal across a line break."""
+    return any(m.group(1) and "\n" in m.group(1) for m in COMMENT_OR_STRING_RE.finditer(text))
+
+
+@given(model_code())
+@example('a "open  // c\n b')
+@example('$error("open /* c */ x;\ny;')
+@settings(max_examples=300, deadline=None)
+def test_text_normal_form_equals_the_reference_but_for_strings_across_lines(code):
+    if spans_a_line_as_a_string(code):
+        return
+    assert normalize_assertion(code) == reference_normal_form(code)
 
 
 def golden_inputs() -> list[str]:
@@ -72,6 +123,8 @@ def golden_inputs() -> list[str]:
 def test_golden_inputs_fenced_and_split_check_as_their_text():
     units = 0
     for source in golden_inputs():
+        if not spans_a_line_as_a_string(source):
+            assert normalize_assertion(source) == reference_normal_form(source)
         for unit in extract_assertions(fenced(source)):
             assert_unit_matches_its_text(unit)
             units += isinstance(unit, Unit)
