@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from svagen.backends import ChatBackend, HttpChatBackend, ScriptedBackend
 from svagen.prompts import DEFAULT_TEMPLATES, PromptTemplate, load_template
-from svagen.rag import DEFAULT_CHUNK_OVERLAP, DEFAULT_CHUNK_SIZE, DEFAULT_TOP_K
 from svagen.records import decode, load
 from svagen.sva.checker import (
     BuiltinChecker,
@@ -22,6 +21,10 @@ from svagen.sva.checker import (
     SyntaxChecker,
 )
 from svagen.tree import SearchParams
+
+DEFAULT_TOP_K = 4
+DEFAULT_CHUNK_SIZE = 1200
+DEFAULT_CHUNK_OVERLAP = 200
 
 
 class ConfigError(ValueError):

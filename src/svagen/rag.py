@@ -1,15 +1,14 @@
 """Flat exact-cosine retrieval over chunked reference documents.
 
 Deliberately no ANN structure: corpora are a few reference texts, and an
-exact index keeps every query brute-force checkable. A query is one BLAS
-product over the whole vector matrix, used only as a filter: the few chunks
-near the k-th best score are rescored one `np.dot` each and ranked by that,
-so the answer is the per-chunk scan's, bit for bit. The index file stores
-the matrix's non-zero entries. An Embedder's one method, `embed_many`,
-maps a batch of texts to one float64 row each, and an `add` embeds one
-document's chunks in one batch. The default embedder is a hashed
-bag-of-words so offline runs are deterministic across platforms; real
-embedding services plug in through the Embedder protocol.
+exact index keeps every query brute-force checkable. The index holds each
+chunk's non-zero vector entries, as its file does. A query scores every
+chunk through per-bucket postings, used only as a filter: the few chunks
+near the k-th best score are rescored one `np.dot` each on their rebuilt
+rows, so the answer is the per-chunk scan's, bit for bit. An Embedder's
+one method, `embed_many`, maps a batch of texts to one float64 row each;
+an `add` embeds one document's chunks in one batch. The default embedder,
+a hashed bag-of-words, is deterministic across platforms.
 """
 
 from __future__ import annotations
@@ -26,14 +25,12 @@ from typing import Protocol
 import numpy as np
 
 from svagen import read_text
+from svagen.config import DEFAULT_CHUNK_OVERLAP, DEFAULT_CHUNK_SIZE
 from svagen.records import load
 
 DEFAULT_DIMENSION = 512
-DEFAULT_CHUNK_SIZE = 1200
-DEFAULT_CHUNK_OVERLAP = 200
-DEFAULT_TOP_K = 4
-# how far below the k-th best BLAS score a chunk may fall and still be
-# rescored exactly; BLAS and np.dot differ by about dimension x eps
+# how far below the k-th best filter score a chunk may fall and still be
+# rescored exactly; the two differ by about dimension x eps
 _FILTER_SLACK = 1e-9
 
 
@@ -66,9 +63,8 @@ class HashedBowEmbedder:
     A text's tokens are the runs of `[a-z0-9_$]` in its lowercased form.
     Token buckets come from md5, not the builtin hash(), so embeddings are
     identical across processes and platforms; each distinct token is hashed
-    once per embedder and its bucket kept. Non-empty text always embeds to
-    a non-zero vector (textless input falls back to hashing the raw
-    string).
+    once per embedder and its bucket kept. Non-empty text always embeds to a
+    non-zero vector (textless input falls back to hashing the raw string).
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION) -> None:
@@ -97,10 +93,21 @@ class HashedBowEmbedder:
 
 @dataclass
 class RagChunk:
+    """A chunk and its vector's entries whose bits are not all zero, by column."""
+
     doc_id: str
     chunk_index: int
     text: str
-    vector: np.ndarray
+    columns: np.ndarray  # uint32
+    values: np.ndarray  # float64
+    dimension: int
+
+    @property
+    def vector(self) -> np.ndarray:
+        """The dense row, rebuilt from the stored entries bit for bit."""
+        row = np.zeros(self.dimension)
+        row[self.columns] = self.values
+        return row
 
 
 def chunk_spans(doc_text: str, size: int, overlap: int) -> list[tuple[int, int]]:
@@ -116,8 +123,6 @@ def chunk_spans(doc_text: str, size: int, overlap: int) -> list[tuple[int, int]]
     if not (0 <= overlap < size):
         raise ValueError("require 0 <= overlap < size")
     n = len(doc_text)
-    if n == 0:
-        return []
     step = size - overlap
     tolerance = min(step - 1, max(size // 5, 0))
     spans: list[tuple[int, int]] = []
@@ -146,63 +151,67 @@ def chunk(doc_text: str, size: int = DEFAULT_CHUNK_SIZE, overlap: int = DEFAULT_
 class VectorIndex:
     """Exact flat cosine index; the first add fixes the dimension.
 
-    The vectors live in one float64 `count x dimension` matrix, and each
-    chunk's `vector` is a row view of it. `load` decodes straight into the
-    matrix. An `add` leaves each chunk's `vector` a row of its document's
-    `embed_many` batch; the next query or save stacks the rows once, and
-    the batches are let go.
+    Each chunk keeps its stored entries, slices of its document's batch after
+    an add or of the arrays `load` decodes. The first query after a change
+    builds per-bucket postings: the entries grouped by column.
     """
 
     def __init__(self, dimension: int | None = None) -> None:
         self.dimension = dimension
         self.chunks: list[RagChunk] = []
-        self._matrix: np.ndarray | None = None  # None until the rows are stacked after an add
-        self._norms: np.ndarray | None = None  # the chunks' norms, once a query needs them
-        self._stack_lock = threading.Lock()
+        self._postings: tuple[np.ndarray, ...] | None = None  # None until a query after a change
+        self._postings_lock = threading.Lock()
         self._doc_ids: set[str] = set()  # each doc_id added: a new one needs no scan
 
     def __len__(self) -> int:
         return len(self.chunks)
 
+    def _check_dimension(self, embedder: Embedder) -> None:
+        if embedder.dimension != self.dimension:
+            raise ValueError(f"embedder dimension {embedder.dimension} != index dimension {self.dimension}")
+
     def add(self, doc_id: str, chunk_texts: list[str], embedder: Embedder) -> None:
-        """Embed one document's chunks in one `embed_many` batch and store
-        them, each `vector` a row of that batch; re-adding a doc_id
-        replaces its previous chunks."""
+        """Embed one document's chunks in one `embed_many` batch and keep
+        each row's stored entries; re-adding a doc_id replaces its previous
+        chunks."""
         if self.dimension is None:
             self.dimension = embedder.dimension
-        if embedder.dimension != self.dimension:
-            raise ValueError(
-                f"embedder dimension {embedder.dimension} != index dimension {self.dimension}"
-            )
-        vectors = np.asarray(embedder.embed_many(chunk_texts), dtype=np.float64)
+        self._check_dimension(embedder)
+        vectors = np.ascontiguousarray(embedder.embed_many(chunk_texts), dtype=np.float64)
         if vectors.shape != (len(chunk_texts), self.dimension):
             raise ValueError(f"embedder returned shape {vectors.shape} for {len(chunk_texts)} texts")
-        self._matrix = self._norms = None
+        # the flat positions of the entries to store, row by row
+        stored = np.flatnonzero(vectors.view(np.uint64) != 0)
+        ends = np.searchsorted(stored, np.arange(1, len(chunk_texts) + 1) * self.dimension)
+        columns = (stored % self.dimension).astype(np.uint32)
+        entries = zip(chunk_texts, _rows(ends, columns, vectors.reshape(-1)[stored]))
+        self._postings = None
         if doc_id in self._doc_ids:
             self.chunks = [c for c in self.chunks if c.doc_id != doc_id]
         self._doc_ids.add(doc_id)
-        self.chunks += [
-            RagChunk(doc_id, i, text, row) for i, (text, row) in enumerate(zip(chunk_texts, vectors))
-        ]
+        self.chunks += [RagChunk(doc_id, i, t, *e, self.dimension) for i, (t, e) in enumerate(entries)]
 
-    def _stacked(self) -> np.ndarray:
-        """The vector matrix, stacked once after an add."""
-        with self._stack_lock:
-            if self._matrix is None:
-                matrix = np.zeros((len(self.chunks), self.dimension or 0))
-                for c, row in zip(self.chunks, matrix):
-                    row[:] = c.vector
-                    c.vector = row
-                self._matrix = matrix
-            return self._matrix
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The file's arrays: entries per row, then each entry's column and value."""
+        row_nnz = np.array([len(c.columns) for c in self.chunks], dtype=np.uint32)
+        columns = np.concatenate([np.zeros(0, np.uint32)] + [c.columns for c in self.chunks])
+        values = np.concatenate([np.zeros(0)] + [c.values for c in self.chunks])
+        return row_nnz, columns, values
 
-    def _chunk_norms(self, matrix: np.ndarray) -> np.ndarray:
-        """The norms of `matrix`'s rows, computed by the first query that
-        needs them; `save` never does."""
-        with self._stack_lock:
-            if self._norms is None:  # einsum: no temporary the size of the matrix
-                self._norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-            return self._norms
+    def _posting_lists(self) -> tuple[np.ndarray, ...]:
+        """Bucket b's entries are `rows[starts[b]:starts[b + 1]]` with their
+        `values`; `norms` are the chunks' norms from their stored values."""
+        with self._postings_lock:
+            if self._postings is None:
+                row_nnz, columns, values = self._entries()
+                entry_rows = np.repeat(np.arange(len(row_nnz), dtype=np.int32), row_nnz)
+                # a column fits in 16 bits or fewer, which numpy radix-sorts
+                order = np.argsort(columns.astype(np.min_scalar_type(self.dimension - 1)), kind="stable")
+                starts = np.zeros(self.dimension + 1, dtype=np.intp)
+                np.cumsum(np.bincount(columns, minlength=self.dimension), out=starts[1:])
+                norms = np.sqrt(np.bincount(entry_rows, values * values, minlength=len(row_nnz)))
+                self._postings = (starts, entry_rows[order], values[order], norms)
+            return self._postings
 
     def query(self, query_text: str, k: int, embedder: Embedder) -> list[tuple[RagChunk, float]]:
         """Top-k chunks by cosine similarity, descending; ties broken by
@@ -211,56 +220,45 @@ class VectorIndex:
             raise ValueError("k must be >= 1")
         if not self.chunks:
             return []
-        if embedder.dimension != self.dimension:
-            raise ValueError(
-                f"embedder dimension {embedder.dimension} != index dimension {self.dimension}"
-            )
+        self._check_dimension(embedder)
         q = embedder.embed_many([query_text])[0]
         qn = np.linalg.norm(q)
         chunks = self.chunks
         if qn > 0 and k < len(chunks):
-            # Filter, then score exactly. One BLAS product and one pass of
-            # row norms score every chunk, but may round a similarity
-            # differently in the last bits than the per-chunk np.dot and norm
-            # below (by about dimension x eps), so they only pick candidates:
-            # every chunk within _FILTER_SLACK of the k-th best. That keeps
-            # each true top-k chunk and each chunk tied with the k-th; a zero
-            # query or k >= count keeps them all.
-            matrix = self._stacked()
-            denom = qn * self._chunk_norms(matrix)
-            approx = np.divide(matrix @ q, denom, out=np.zeros(len(chunks)), where=denom > 0)
+            # Filter, then score exactly. One bincount over the postings of the
+            # query's buckets scores every chunk but may round unlike the np.dot
+            # below, so it only picks the chunks within _FILTER_SLACK of the k-th
+            # best: each true top-k chunk and each tie with the k-th.
+            starts, rows, values, norms = self._posting_lists()
+            spans = [(starts[b], starts[b + 1], q[b]) for b in np.flatnonzero(q)]
+            hit_rows = np.concatenate([rows[a:z] for a, z, _ in spans])
+            weighted = np.concatenate([values[a:z] * w for a, z, w in spans])
+            dots = np.bincount(hit_rows, weighted, len(chunks))
+            approx = np.divide(dots, qn * norms, out=np.zeros(len(chunks)), where=norms > 0)
             kth = np.partition(approx, -k)[-k]
             chunks = [chunks[i] for i in np.flatnonzero(approx >= kth - _FILTER_SLACK)]
         scored = []
         for c in chunks:
-            cn = np.linalg.norm(c.vector) if qn > 0 else 0.0
-            sim = float(np.dot(q, c.vector) / (qn * cn)) if cn > 0 else 0.0
+            cn = np.linalg.norm(vector := c.vector) if qn > 0 else 0.0
+            sim = float(np.dot(q, vector) / (qn * cn)) if cn > 0 else 0.0
             scored.append((c, sim))
         scored.sort(key=lambda item: (-item[1], item[0].doc_id, item[0].chunk_index))
         return scored[:k]
 
-    # -- persistence
-
     def save(self, path: str) -> None:
-        """Write the index as compact JSON: the chunk texts, and the vector
-        matrix's non-zero entries in row-major order as three base64
-        little-endian arrays: `row_nnz` (uint32, entries per row), `columns`
-        (uint32) and `values` (float64). An entry counts as non-zero unless
-        its bits are all zero, so `load` rebuilds every row bit for bit.
-        `load` reads any whitespace."""
-        matrix = self._stacked()
-        stored = matrix.view(np.uint64) != 0
-        rows, columns = np.nonzero(stored)
+        """Write the index as compact JSON: the chunk texts, and the stored
+        entries in row-major order as three base64 little-endian arrays:
+        `row_nnz` (uint32, entries per row), `columns` (uint32) and `values`
+        (float64). An entry is stored unless its bits are all zero, so
+        every row rebuilds bit for bit. `load` reads any whitespace."""
+        row_nnz, columns, values = self._entries()
         payload = {
             "dimension": self.dimension,
             "count": len(self.chunks),
-            "chunks": [
-                {"doc_id": c.doc_id, "chunk_index": c.chunk_index, "text": c.text}
-                for c in self.chunks
-            ],
-            "row_nnz": _b64(np.count_nonzero(stored, axis=1), "<u4"),
+            "chunks": [{"doc_id": c.doc_id, "chunk_index": c.chunk_index, "text": c.text} for c in self.chunks],
+            "row_nnz": _b64(row_nnz, "<u4"),
             "columns": _b64(columns, "<u4"),
-            "values": _b64(matrix[rows, columns], "<f8"),
+            "values": _b64(values, "<f8"),
         }
         with open(path, "w", encoding="utf-8") as f:
             # two writes: `text + "\n"` would copy the whole file once more
@@ -269,12 +267,11 @@ class VectorIndex:
 
     @classmethod
     def load(cls, path: str) -> VectorIndex:
-        """Read a file written by `save`. ValueError naming the file when it
-        is not one: invalid JSON, a missing, unknown or wrongly typed field
-        (an older layout, with one dense `vectors` field or a `vector` per
-        chunk, has unknown fields), a chunk list or `row_nnz` length that
-        does not match `count`, `columns` and `values` lengths that do not
-        match the sum of `row_nnz`, or a column `>= dimension`."""
+        """Read a file written by `save`, keeping the decoded arrays. ValueError
+        naming the file when it is not one: invalid JSON, a missing, unknown or
+        wrongly typed field (as in an older layout), a chunk list or `row_nnz`
+        length other than `count`, `columns` and `values` lengths other than
+        the `row_nnz` sum, a column `>= dimension`, or columns not ascending."""
         return load(_IndexFile, path, "index", ValueError, cls._from_file)
 
     @classmethod
@@ -301,15 +298,23 @@ class VectorIndex:
         width = dimension or 0
         if total and int(columns.max()) >= width:
             raise ValueError(f"index column {int(columns.max())} is not below dimension {width}")
-        matrix = np.zeros((count, width))
-        matrix[np.repeat(np.arange(count), row_nnz), columns] = values
+        # each row's columns ascend, so no entry is stored twice
+        falls = np.flatnonzero(columns[1:] <= columns[:-1]) + 1
+        if np.setdiff1d(falls, np.cumsum(row_nnz)).size:
+            raise ValueError("index columns do not ascend within each row")
         index = cls(dimension=dimension)
+        entries = _rows(np.cumsum(row_nnz), columns, values)
         index.chunks = [
-            RagChunk(c.doc_id, c.chunk_index, c.text, row) for c, row in zip(chunks, matrix)
+            RagChunk(c.doc_id, c.chunk_index, c.text, *e, width) for c, e in zip(chunks, entries)
         ]
-        index._matrix = matrix
         index._doc_ids = {c.doc_id for c in chunks}
         return index
+
+
+def _rows(ends: np.ndarray, columns: np.ndarray, values: np.ndarray) -> list[tuple]:
+    """Each row's `(columns, values)` slices of the entry arrays; row r ends at `ends[r]`."""
+    ends = ends.tolist()
+    return [(columns[a:b], values[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def _b64(array: np.ndarray, dtype: str) -> str:
@@ -333,8 +338,7 @@ class _IndexChunk:
 
 @dataclass
 class _IndexFile:
-    """An index file as `VectorIndex.save` writes it; each array is base64
-    of its little-endian bytes."""
+    """An index file as `VectorIndex.save` writes it; arrays are base64, little-endian."""
 
     dimension: int | None
     count: int
@@ -354,10 +358,7 @@ def build_index_from_dir(
     ValueError naming a file that cannot be read as UTF-8."""
     embedder = embedder or HashedBowEmbedder()
     index = VectorIndex()
-    names = sorted(
-        f for f in os.listdir(directory) if f.endswith((".txt", ".md"))
-    )
-    for name in names:
+    for name in sorted(f for f in os.listdir(directory) if f.endswith((".txt", ".md"))):
         text = read_text(os.path.join(directory, name), "reference", ValueError)
         if text:
             index.add(name, chunk(text, size, overlap), embedder)
@@ -366,7 +367,4 @@ def build_index_from_dir(
 
 def format_context(results: list[tuple[RagChunk, float]]) -> str:
     """Render query hits as the reference material given to the refiner."""
-    parts = []
-    for c, sim in results:
-        parts.append(f"[{c.doc_id}#{c.chunk_index} sim={sim:.3f}]\n{c.text}")
-    return "\n\n".join(parts)
+    return "\n\n".join(f"[{c.doc_id}#{c.chunk_index} sim={sim:.3f}]\n{c.text}" for c, sim in results)

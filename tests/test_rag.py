@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from svagen.cli import main
 from svagen.rag import (
     HashedBowEmbedder,
+    RagChunk,
     VectorIndex,
     build_index_from_dir,
     chunk,
@@ -202,10 +203,6 @@ class TestIndex:
         index.add("a", ["alpha", "beta", "gamma"], e)
         index.add("b", ["delta"], e)
         assert calls == [["alpha", "beta", "gamma"], ["delta"]]
-        # before a query stacks them, a document's vectors are rows of its batch
-        base = index.chunks[0].vector.base
-        assert base is not None and all(c.vector.base is base for c in index.chunks[:3])
-        assert index.chunks[3].vector.base is not base
 
     def test_wrong_batch_shape_rejected(self):
         class Short(HashedBowEmbedder):
@@ -312,6 +309,24 @@ def per_chunk_query(index: VectorIndex, query: str, k: int, e) -> list[tuple[str
 
 def hits(results) -> list[tuple[str, int, float]]:
     return [(c.doc_id, c.chunk_index, sim) for c, sim in results]
+
+
+def held_arrays(index: VectorIndex) -> list[np.ndarray]:
+    """Every array the index holds: in its attributes, its chunks, its
+    postings, and the arrays those are views of."""
+    found, todo = [], [vars(index)]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            todo.append(obj.base)
+        elif isinstance(obj, dict):
+            todo += obj.values()
+        elif isinstance(obj, (list, tuple)):
+            todo += obj
+        elif isinstance(obj, RagChunk):
+            todo.append(vars(obj))
+    return found
 
 
 class DenseEmbedder:
@@ -531,35 +546,31 @@ class TestPersistence:
             assert got.vector.dtype == np.float64
             assert np.array_equal(got.vector.view(np.uint64), want.vector.view(np.uint64))
 
-    def test_rows_share_one_matrix(self, tmp_path):
-        e = HashedBowEmbedder(dimension=32)
+    def test_holds_no_dense_matrix(self, tmp_path):
+        e = HashedBowEmbedder(dimension=512)
         index = VectorIndex()
-        index.add("a", ["alpha beta", "gamma"], e)
-        index.add("b", ["delta"], e)
-        index.query("alpha", 1, e)
+        for d in range(5):
+            index.add(f"doc{d}", [f"alpha beta {d}", "gamma", f"delta {d} {d}"] * 4, e)
         path = str(tmp_path / "index.json")
         index.save(path)
         for idx in (index, VectorIndex.load(path)):
-            base = idx.chunks[0].vector.base
-            assert base is not None and base.shape == (3, 32)
-            assert all(c.vector.base is base for c in idx.chunks)
+            idx.query("alpha gamma", 3, e)  # builds the postings
+            dense = len(idx) * idx.dimension
+            sizes = [a.size for a in held_arrays(idx)]
+            assert sizes and max(sizes) < dense // 10
 
     def test_save_computes_no_chunk_norms(self, tmp_path, monkeypatch):
         e = HashedBowEmbedder(dimension=32)
         index = VectorIndex()
         index.add("a", ["alpha beta", "gamma", "delta"], e)
-        einsums = []
-        real_einsum = np.einsum
 
-        def counting_einsum(*args, **kwargs):
-            einsums.append(args[0])
-            return real_einsum(*args, **kwargs)
+        def no_postings(self):
+            raise AssertionError("save built the postings and chunk norms")
 
-        monkeypatch.setattr(np, "einsum", counting_einsum)
-        index.save(str(tmp_path / "index.json"))
-        assert einsums == []
-        index.query("alpha", 1, e)  # one einsum embeds the query, one takes the chunk norms
-        assert len(einsums) == 2
+        with monkeypatch.context() as patched:
+            patched.setattr(VectorIndex, "_posting_lists", no_postings)
+            index.save(str(tmp_path / "index.json"))
+        assert hits(index.query("alpha", 1, e)) == [("a", 0, pytest.approx(0.5 ** 0.5))]
 
     @pytest.mark.parametrize(
         "field, values, dtype, message",
@@ -601,6 +612,30 @@ class TestPersistence:
             want = [(c.doc_id, c.chunk_index, sim) for c, sim in index.query(query, 120, e)]
             got = [(c.doc_id, c.chunk_index, sim) for c, sim in loaded.query(query, 120, e)]
             assert got == want
+
+    def test_built_readded_and_loaded_copies_agree(self, tmp_path):
+        e = HashedBowEmbedder(dimension=64)
+        rng = np.random.default_rng(3)
+        words = ["clk", "rst_n", "ack", "req", "data", "fifo", "full", "empty", "irq", "$rose"]
+        docs = {
+            f"doc{d}.txt": [" ".join(rng.choice(words, size=rng.integers(0, 9))) for _ in range(20)]
+            for d in range(5)
+        }
+        built, readded = VectorIndex(), VectorIndex()
+        for doc_id, texts in docs.items():
+            built.add(doc_id, texts, e)
+            readded.add(doc_id, texts, e)
+        readded.query("ack", 1, e)  # postings built before the re-add must be dropped
+        readded.add("doc2.txt", docs["doc2.txt"], e)
+        path = str(tmp_path / "index.json")
+        built.save(path)
+        loaded = VectorIndex.load(path)
+        queries = [" ".join(rng.choice(words, size=rng.integers(0, 5))) for _ in range(40)]
+        for query in queries + ["nothing matches", ""]:
+            for k in (1, 2, 4, 10, 100):
+                want = hits(built.query(query, k, e))
+                assert hits(readded.query(query, k, e)) == want
+                assert hits(loaded.query(query, k, e)) == want
 
     def test_empty_index_round_trip(self, tmp_path):
         path = str(tmp_path / "index.json")
