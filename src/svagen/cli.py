@@ -17,7 +17,6 @@ from svagen.bank import BankLoadError, StageError
 from svagen.config import ConfigError, RagSettings, config_from_dict, load_config
 from svagen.pipeline import build_bank, run_all
 from svagen.prompts import CallLog
-from svagen.rag import HashedBowEmbedder, build_index_from_dir
 from svagen.sva.checker import AssertionRecord, BuiltinChecker, format_log
 from svagen.tree import ReasoningTree, TreeError
 
@@ -101,6 +100,8 @@ def _cmd_bank_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_rag_build(args: argparse.Namespace) -> int:
+    from svagen.rag import HashedBowEmbedder, build_index_from_dir  # numpy: only here
+
     rag = RagSettings(**_set(chunk_size=args.chunk_size, chunk_overlap=args.chunk_overlap))
     try:
         embedder = HashedBowEmbedder(**_set(dimension=args.dimension))

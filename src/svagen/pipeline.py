@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from svagen import read_text
 from svagen.agents import (
@@ -50,7 +51,6 @@ from svagen.bank import (
 )
 from svagen.config import ConfigError, RunConfig
 from svagen.prompts import BudgetExceededError, CallLog, PromptTemplate
-from svagen.rag import DEFAULT_DIMENSION, HashedBowEmbedder, VectorIndex, format_context
 from svagen.records import dumps
 from svagen.sva.checker import (
     AssertionRecord,
@@ -61,6 +61,9 @@ from svagen.sva.checker import (
     partition,
 )
 from svagen.tree import AnswerContent, ReasoningTree
+
+if TYPE_CHECKING:  # svagen.rag (and numpy) load only where an index is loaded
+    from svagen.rag import VectorIndex
 
 
 class RolloutAborted(RuntimeError):
@@ -236,8 +239,10 @@ def run_stage2(
                 selected_id, "expansion-feedback", selected.answer, selected_log
             )
             if rag_context is None:
-                hits = []
+                rag_context = ""
                 if rag_index is not None:
+                    from svagen.rag import DEFAULT_DIMENSION, HashedBowEmbedder, format_context
+
                     # queries embed in the index's dimension; an index with no chunks has none
                     embedder = HashedBowEmbedder(rag_index.dimension or DEFAULT_DIMENSION)
                     hits = rag_index.query(
@@ -245,7 +250,7 @@ def run_stage2(
                     )
                     if not hits:
                         warnings.append("rag index is empty; refining without reference context")
-                rag_context = format_context(hits)
+                    rag_context = format_context(hits)
             new_answer = refine(
                 log, signal, selected.answer, feedback.feedback, selected_log, rag_context, workflow
             )
@@ -468,6 +473,8 @@ def run_all(
 
     rag_index = None  # loaded before stage 1, so a bad file costs no call
     if config.rag.index_path:
+        from svagen.rag import VectorIndex
+
         try:
             rag_index = VectorIndex.load(config.rag.index_path)
         except ValueError as err:

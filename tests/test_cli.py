@@ -6,6 +6,8 @@ from __future__ import annotations
 import base64
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -215,6 +217,23 @@ class TestCheck:
 
     def test_missing_file_is_config_error(self, capsys):
         assert main(["check", "/does/not/exist.sv"]) == 2
+
+    def test_check_and_pipeline_import_no_numpy(self, tmp_path):
+        # numpy comes with svagen.rag, which only building or loading an index imports
+        path = tmp_path / "ok.sv"
+        path.write_text(VALID_PROPERTY_UNIT + "\n")
+        code = (
+            "import sys\n"
+            "import svagen.cli, svagen.pipeline\n"
+            f"status = svagen.cli.main(['check', {str(path)!r}])\n"
+            "print(status, 'numpy' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.splitlines() == ["[1] PASS", "0 False"]
 
 
 class TestRun:
