@@ -412,7 +412,8 @@ class RunSummary:
 def build_bank(config: RunConfig, log: CallLog) -> tuple[InformationBank, list[str]]:
     """Stage 1 from the input files named in config.paths (specification,
     Verilog declarations, waveforms, design summary); StageError before any
-    call when a required path is unset or a file cannot be read as UTF-8."""
+    call when a required path is unset or a file cannot be read as UTF-8,
+    and OSError when the bank file's directory cannot be made."""
     paths = config.paths
     if not paths.spec_file or not paths.verilog_file:
         raise StageError("stage 1 needs paths.spec_file and paths.verilog_file")
@@ -423,6 +424,7 @@ def build_bank(config: RunConfig, log: CallLog) -> tuple[InformationBank, list[s
     design_summary = ""
     if paths.design_summary_file:
         design_summary = read_text(paths.design_summary_file, "design summary", StageError)
+    os.makedirs(os.path.dirname(os.path.abspath(paths.bank_file)), exist_ok=True)
     return run_stage1(config, spec_text, verilog_decls, waveform_texts, log, design_summary)
 
 
@@ -464,7 +466,8 @@ def run_all(
     isolated and reported in the summary. The checker is memoized for this
     run only: each distinct assertion text is checked once. The retrieval
     index is loaded first: a missing file, or one that `VectorIndex.load`
-    rejects, raises ConfigError before any call.
+    rejects, raises ConfigError before any call. The output directory is
+    made before the first call too, so one that cannot be made costs none.
     """
     backend = backend if backend is not None else config.make_backend()
     checker = MemoChecker(checker if checker is not None else config.make_checker())
@@ -481,9 +484,9 @@ def run_all(
             raise ConfigError(f"rag.index_path: {err}; build it with `svagen rag build`") from err
 
     stage1_warnings: list[str] = []
-    if os.path.exists(config.paths.bank_file):
-        bank = load_bank(config.paths.bank_file)
-    else:
+    bank = load_bank(config.paths.bank_file) if os.path.exists(config.paths.bank_file) else None
+    os.makedirs(config.paths.output_dir, exist_ok=True)
+    if bank is None:
         bank, stage1_warnings = build_bank(config, stage1)
 
     signal_names = [s.verilog_name for s in bank.signals]

@@ -396,6 +396,27 @@ class TestRun:
         assert calls == []
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("stage1", [False, True])
+    def test_uncreatable_output_dir_fails_before_any_call(
+        self, tmp_path, monkeypatch, capsys, stage1
+    ):
+        calls = record_backend_calls(monkeypatch)
+        (tmp_path / "blocker").write_text("a regular file, not a directory")
+        output = str(tmp_path / "blocker" / "out")
+        if stage1:
+            config = write_stage_one_config(tmp_path)
+            with open(config) as f:
+                payload = json.load(f)
+            payload["paths"]["output_dir"] = output
+            with open(config, "w") as f:
+                json.dump(payload, f)
+        else:
+            save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
+            config = write_config(tmp_path, one_signal_entries())
+        assert main(["run", "--config", config, "--output", output]) == 2
+        assert calls == []
+        assert "blocker" in capsys.readouterr().err
+
     def test_signal_filter(self, tmp_path, capsys):
         save_bank(make_bank(["ack_o", "req_i"]), str(tmp_path / "bank.json"))
         entries = [
@@ -488,6 +509,28 @@ class TestBankBuild:
     def test_missing_inputs_exit_two(self, tmp_path):
         config = write_config(tmp_path, [])
         assert main(["bank", "build", "--config", config]) == 2
+
+    def test_bank_file_in_a_missing_directory(self, tmp_path):
+        config = write_stage_one_config(tmp_path)
+        out = tmp_path / "new" / "dir" / "bank.json"
+        assert main(["bank", "build", "--config", config, "--out", str(out)]) == 0
+        assert out.is_file()
+
+    @pytest.mark.parametrize("command", ["run", "bank build"])
+    def test_uncreatable_bank_directory_fails_before_any_call(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        calls = record_backend_calls(monkeypatch)
+        (tmp_path / "blocker").write_text("a regular file, not a directory")
+        config = write_stage_one_config(tmp_path)
+        with open(config) as f:
+            payload = json.load(f)
+        payload["paths"]["bank_file"] = str(tmp_path / "blocker" / "bank.json")
+        with open(config, "w") as f:
+            json.dump(payload, f)
+        assert main([*command.split(), "--config", config]) == 2
+        assert calls == []
+        assert "blocker" in capsys.readouterr().err
 
 
 class TestRagBuild:
