@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from svagen.sva.operators import INFIX, PREFIX
 # The parser does not call `tokenize`; bench/run_bench.py traces it as `parser.tokenize`.
-from svagen.sva.tokens import Unit, position, scan, tokenize  # noqa: F401
+from svagen.sva.tokens import STOP_MESSAGES, Unit, position, scan, tokenize  # noqa: F401
 
 TokenSig = tuple[str, str]
 Tok = tuple[str, str, int]  # (kind, text, offset), as `scan` yields it
@@ -420,10 +420,13 @@ class _Parser:
             token = self.peek()
         if token is not None:
             line, column = position(self.source, token[2])
-        elif self.tokens:  # just past the last token
-            last = self.tokens[-1]
-            line, column = position(self.source, last[2])
-            column += len(last[1])
+        elif self.tokens:  # just past the last token's source text
+            kind, text, offset = self.tokens[-1]
+            if kind == "error":  # its text is a message: one character, or a stop's rest
+                end = len(self.source) if text in STOP_MESSAGES else offset + 1
+            else:
+                end = offset + len(text)
+            line, column = position(self.source, end)
         else:
             line, column = self.source.count("\n") + 1, 1
         return Diagnostic(severity, line, column, code, message)

@@ -43,6 +43,8 @@ _SYMBOLS = sorted(
 # the most frequent first (the comments must precede the operators, and a
 # string its open quote). Verilog integer literals: optional size, base
 # marker, digits; or plain decimal, or unbased unsized ('0, '1, 'x, 'z).
+# As in IEEE 1800-2017 5.7.1, whitespace may part the size from the `'` and
+# the base letter from the digits, never the `'` from the base (`5 'D 3`).
 # The last group takes any character no other group does.
 _TOKEN_RE = re.compile(
     "|".join(
@@ -56,8 +58,7 @@ _TOKEN_RE = re.compile(
             ("operator", "|".join(map(re.escape, _SYMBOLS))),
             (
                 "number",
-                r"[0-9][0-9_]*\s*'\s*[sS]?[bodhBODH][0-9a-fA-FxzXZ_?]+"
-                r"|'[sS]?[bodhBODH][0-9a-fA-FxzXZ_?]+"
+                r"(?:[0-9][0-9_]*\s*)?'[sS]?[bodhBODH]\s*[0-9a-fA-FxzXZ_?]+"
                 r"|'[01xzXZ]"
                 r"|[0-9][0-9_]*(?:\.[0-9][0-9_]*)?",
             ),

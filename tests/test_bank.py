@@ -54,6 +54,11 @@ class TestIdentifierNames:
         assert {"a", "b", "c", "wire", "reg", "initial"} <= names
         assert not names & {"hFF", "b0", "d10", "display"}
 
+    def test_spaced_sized_literal_is_not_names(self):
+        names = identifier_names("localparam [7:0] ONES = 8'h FF;\nwire [4:0] d = 5 'D 3;\n")
+        assert {"localparam", "ONES", "d"} <= names
+        assert not names & {"h", "FF", "D"}
+
     @pytest.mark.parametrize("opener", ['"', "/*"])
     def test_names_after_an_unterminated_string_or_comment_found(self, opener):
         names = identifier_names(f"wire a; initial $display({opener}open\nreg late_q;\n")

@@ -57,6 +57,18 @@ class TestTokenize:
         toks = tokenize("4'b01_01 8'hFF '0 \"msg\"")
         assert [t.kind for t in toks] == ["number", "number", "number", "string"]
 
+    @pytest.mark.parametrize("literal", ["8'h FF", "5 'D 3", "4'sb 1010", "'h FF", "4 'd\n 7"])
+    def test_whitespace_around_a_sized_literal_base(self, literal):
+        # IEEE 1800-2017 5.7.1: space may follow the size and the base letter
+        assert token_signature(tokenize(literal)) == [("number", literal)]
+
+    def test_no_whitespace_between_apostrophe_and_base(self):
+        assert token_signature(tokenize("8' hFF")) == [
+            ("number", "8"),
+            ("error", "unexpected character \"'\""),
+            ("identifier", "hFF"),
+        ]
+
     def test_comments_skipped(self):
         toks = tokenize("a // line\n/* block */ b")
         assert [t.lexeme for t in toks] == ["a", "b"]
@@ -200,6 +212,20 @@ class TestParseUnits:
         units, diagnostics = parse_units(source)
         assert errors_of(diagnostics)
         assert len(units) == 1  # the good one still parses
+
+    @pytest.mark.parametrize(
+        "source, where",
+        [
+            ("assert property (p); `", "1:23"),  # just past the one bad character
+            ("assert property (p); /* open", "1:29"),  # a lexer stop runs to the end
+            ('assert property (p);\n"a string', "2:10"),
+        ],
+    )
+    def test_end_of_input_after_an_error_token(self, source, where):
+        _, diagnostics = parse_units(source)
+        warning = diagnostics[-1]
+        assert warning.code == "lint-unresolved-property"
+        assert f"{warning.line}:{warning.column}" == where
 
 
 class TestCorpus:

@@ -26,7 +26,7 @@ from svagen.sva.tokens import tokenize
 from sva_corpus import CORPUS
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "sva_golden.jsonl")
-SEEDED_DIGEST = "5ee59246ea78f279db0f33ecc22e604e61f4b68019eac2d43f50cd15e33aa2a7"
+SEEDED_DIGEST = "c1c3261228c7d96acb4731090a5d136c11136236e97b8dd47661895d96de2bf1"
 MUTANT_COUNT = 2400
 RANDOM_COUNT = 1500
 EXPRESSION_COUNT = 1500
