@@ -160,6 +160,7 @@ class VectorIndex:
         self.dimension = dimension
         self.chunks: list[RagChunk] = []
         self._postings: tuple[np.ndarray, ...] | None = None  # None until a query after a change
+        self._decoded: tuple[np.ndarray, ...] | None = None  # what `load` decoded, until an add
         self._postings_lock = threading.Lock()
         self._doc_ids: set[str] = set()  # each doc_id added: a new one needs no scan
 
@@ -185,7 +186,7 @@ class VectorIndex:
         ends = np.searchsorted(stored, np.arange(1, len(chunk_texts) + 1) * self.dimension)
         columns = (stored % self.dimension).astype(np.uint32)
         entries = zip(chunk_texts, _rows(ends, columns, vectors.reshape(-1)[stored]))
-        self._postings = None
+        self._postings = self._decoded = None
         if doc_id in self._doc_ids:
             self.chunks = [c for c in self.chunks if c.doc_id != doc_id]
         self._doc_ids.add(doc_id)
@@ -193,6 +194,8 @@ class VectorIndex:
 
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The file's arrays: entries per row, then each entry's column and value."""
+        if self._decoded is not None:
+            return self._decoded
         row_nnz = np.array([len(c.columns) for c in self.chunks], dtype=np.uint32)
         columns = np.concatenate([np.zeros(0, np.uint32)] + [c.columns for c in self.chunks])
         values = np.concatenate([np.zeros(0)] + [c.values for c in self.chunks])
@@ -298,16 +301,15 @@ class VectorIndex:
         width = dimension or 0
         if total and int(columns.max()) >= width:
             raise ValueError(f"index column {int(columns.max())} is not below dimension {width}")
-        # each row's columns ascend, so no entry is stored twice
-        falls = np.flatnonzero(columns[1:] <= columns[:-1]) + 1
-        if np.setdiff1d(falls, np.cumsum(row_nnz)).size:
+        # each row's columns ascend, so no entry is stored twice: a fall starts a row
+        if np.setdiff1d(np.flatnonzero(columns[1:] <= columns[:-1]) + 1, np.cumsum(row_nnz)).size:
             raise ValueError("index columns do not ascend within each row")
         index = cls(dimension=dimension)
         entries = _rows(np.cumsum(row_nnz), columns, values)
         index.chunks = [
             RagChunk(c.doc_id, c.chunk_index, c.text, *e, width) for c, e in zip(chunks, entries)
         ]
-        index._doc_ids = {c.doc_id for c in chunks}
+        index._doc_ids, index._decoded = {c.doc_id for c in chunks}, (row_nnz, columns, values)
         return index
 
 

@@ -581,6 +581,8 @@ class TestPersistence:
             ("columns", [0, 16], "<u4", "column 16 is not below dimension 16"),
             ("values", [1.0, 2.0, 3.0], "<f8", "hold 2 and 3 entries, not the row_nnz sum 2"),
             ("values", [1.0], "<u4", "values holds 4 bytes, not a multiple of 8"),
+            ("columns", [5, 3], "<u4", "columns do not ascend within each row"),
+            ("columns", [3, 3], "<u4", "columns do not ascend within each row"),
         ],
     )
     def test_load_rejects_inconsistent_arrays(self, tmp_path, field, values, dtype, message):
@@ -630,6 +632,8 @@ class TestPersistence:
         path = str(tmp_path / "index.json")
         built.save(path)
         loaded = VectorIndex.load(path)
+        loaded.save(str(tmp_path / "again.json"))  # the decoded arrays, encoded as they are
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "index.json").read_bytes()
         queries = [" ".join(rng.choice(words, size=rng.integers(0, 5))) for _ in range(40)]
         for query in queries + ["nothing matches", ""]:
             for k in (1, 2, 4, 10, 100):
