@@ -301,8 +301,8 @@ class VectorIndex:
         width = dimension or 0
         if total and int(columns.max()) >= width:
             raise ValueError(f"index column {int(columns.max())} is not below dimension {width}")
-        # each row's columns ascend, so no entry is stored twice: a fall starts a row
-        if np.setdiff1d(np.flatnonzero(columns[1:] <= columns[:-1]) + 1, np.cumsum(row_nnz)).size:
+        keys = np.repeat(np.arange(count, dtype=np.int64) * width, row_nnz) + columns
+        if np.any(keys[1:] <= keys[:-1]):  # each row's columns ascend: no entry is stored twice
             raise ValueError("index columns do not ascend within each row")
         index = cls(dimension=dimension)
         entries = _rows(np.cumsum(row_nnz), columns, values)
