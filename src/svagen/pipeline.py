@@ -33,7 +33,8 @@ from svagen.agents import (
     deduplicate,
     generate_weak_answer,
     merge_normalized,
-    normalize_assertion,
+    # pool_assertions does not call it; bench/run_bench.py traces `pipeline.normalize_assertion`
+    normalize_assertion,  # noqa: F401
     refine,
 )
 from svagen.backends import ChatBackend
@@ -276,11 +277,8 @@ def _early_stop_reached(tree: ReasoningTree, checker: SyntaxChecker, config: Run
     """Stop when the best-Q node's assertions all pass syntax and its latest
     suppressed score clears the bar (so a trivially small correct set does
     not end the search)."""
-    best = None
-    for node_id in sorted(tree.nodes):
-        node = tree.nodes[node_id]
-        if node.evaluated and (best is None or node.q_value > best.q_value):
-            best = node
+    evaluated = [n for n in tree.nodes.values() if n.evaluated]
+    best = max(evaluated, key=lambda n: n.q_value, default=None)  # the earliest of equal Qs
     if best is None or not best.answer.assertions:
         return False
     if best.reward_samples[-1] < config.early_stop_score:
@@ -298,15 +296,7 @@ def _early_stop_reached(tree: ReasoningTree, checker: SyntaxChecker, config: Run
 def pool_assertions(tree: ReasoningTree) -> list[str]:
     """All assertions over the tree in node-id order, with normalized
     duplicates merged (first spelling wins)."""
-    seen: set[str] = set()
-    pooled: list[str] = []
-    for node_id in sorted(tree.nodes):
-        for text in tree.nodes[node_id].answer.assertions:
-            key = normalize_assertion(text)
-            if key and key not in seen:
-                seen.add(key)
-                pooled.append(text)
-    return pooled
+    return merge_normalized([t for node in tree.nodes.values() for t in node.answer.assertions])
 
 
 def run_stage3(

@@ -97,11 +97,13 @@ def compute_uct(node: ReasoningNode, parent_visit_count: int, params: SearchPara
 
 
 class ReasoningTree:
-    """A rooted tree of ReasoningNodes with sequential integer ids.
+    """A rooted tree of ReasoningNodes, grown only by appending.
 
-    Ids follow creation order, which makes "earliest created" tie-breaking
-    equal to "lowest id". Single-writer: callers must not mutate one tree
-    from multiple threads.
+    Node `i` is the `i`-th node created, and its parent was created before
+    it; `nodes` holds them in id order. So the root is node 0, "earliest
+    created" tie-breaking is "lowest id", and a walk of `nodes` meets every
+    parent before its children. Single-writer: callers must not mutate one
+    tree from multiple threads.
     """
 
     def __init__(self, signal_name: str, root_answer: AnswerContent) -> None:
@@ -110,7 +112,6 @@ class ReasoningTree:
         root = ReasoningNode(id=0, parent=None, answer=root_answer)
         self.nodes: dict[int, ReasoningNode] = {0: root}
         self.root: int = 0
-        self._next_id = 1
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -124,10 +125,9 @@ class ReasoningTree:
     def add_child(self, parent: int, answer: AnswerContent) -> int:
         """Append a fresh, unevaluated node under `parent`; returns its id."""
         parent_node = self.node(parent)
-        child = ReasoningNode(id=self._next_id, parent=parent, answer=answer)
+        child = ReasoningNode(id=len(self.nodes), parent=parent, answer=answer)
         self.nodes[child.id] = child
         parent_node.children.append(child.id)
-        self._next_id += 1
         return child.id
 
     def record_reward(self, node_id: int, reward: float, params: SearchParams) -> None:
@@ -173,53 +173,43 @@ class ReasoningTree:
         Ties go to the earliest-created node. Every node in the tree is a
         candidate (small trees, and any node may be re-expanded).
         """
-        if not self.nodes:
-            raise TreeError("cannot select from an empty tree")
-        best_id: int | None = None
-        best_score = -math.inf
-        for node_id in sorted(self.nodes):
-            n = self.nodes[node_id]
+        for n in self.nodes.values():
             if not n.evaluated:
-                raise TreeError(f"node {node_id} is unevaluated; tree not ready for selection")
-            score = compute_uct(n, self.parent_visit_count(node_id), params)
-            if score > best_score:
-                best_score = score
-                best_id = node_id
-        assert best_id is not None
-        return best_id
+                raise TreeError(f"node {n.id} is unevaluated; tree not ready for selection")
+        return max(
+            self.nodes, key=lambda i: compute_uct(self.nodes[i], self.parent_visit_count(i), params)
+        )
 
     def validate(self) -> None:
-        """Check the structural invariants: one root, mutual parent/child
-        links, acyclicity, full reachability."""
-        roots = [n for n in self.nodes.values() if n.parent is None]
-        if len(roots) != 1 or roots[0].id != self.root:
-            raise TreeError("tree must have exactly one root")
-        for n in self.nodes.values():
-            if n.parent is not None:
-                p = self.nodes.get(n.parent)
-                if p is None or n.id not in p.children:
-                    raise TreeError(f"node {n.id} not linked from its parent {n.parent}")
-            for ch in n.children:
-                c = self.nodes.get(ch)
-                if c is None or c.parent != n.id:
-                    raise TreeError(f"child {ch} of node {n.id} has inconsistent parent")
-        seen: set[int] = set()
-        stack = [self.root]
-        while stack:
-            nid = stack.pop()
-            if nid in seen:
-                raise TreeError("cycle detected")
-            seen.add(nid)
-            stack.extend(self.nodes[nid].children)
-        if seen != set(self.nodes):
-            raise TreeError("unreachable nodes present")
+        """Check the invariant that carries the structure: `root` is 0, node
+        `i` has id `i`, its parent is an earlier node (none for node 0), and
+        each `children` list names, in id order, the nodes whose parent it
+        is. An error names the field path, as `nodes[3].parent`."""
+        if self.root != 0:
+            raise TreeError(f"root: {self.root}, expected 0")
+        if not self.nodes:
+            raise TreeError("nodes: empty, expected the root at least")
+        children: list[list[int]] = []
+        for i, n in enumerate(self.nodes.values()):
+            if n.id != i:
+                raise TreeError(f"nodes[{i}].id: {n.id}, expected {i} (ids follow creation order)")
+            if i == 0 and n.parent is not None:
+                raise TreeError(f"nodes[0].parent: {n.parent}, expected null at the root")
+            if i > 0 and (n.parent is None or not 0 <= n.parent < i):
+                raise TreeError(f"nodes[{i}].parent: {n.parent}, expected an id below {i}")
+            children.append([])
+            if i > 0:
+                children[n.parent].append(i)
+        for i, (n, expected) in enumerate(zip(self.nodes.values(), children)):
+            if n.children != expected:
+                raise TreeError(f"nodes[{i}].children: {n.children}, expected {expected}")
 
     # -- persistence ---------------------------------------------------------
 
     def dumps(self) -> str:
         record = TreeRecord(
             self.signal_name, self.root, self.rollouts_completed,
-            [self.nodes[i] for i in sorted(self.nodes)],
+            list(self.nodes.values()),
         )
         return dumps(encode(record))
 
@@ -237,11 +227,7 @@ class ReasoningTree:
     def _from_record(cls, record: TreeRecord) -> ReasoningTree:
         tree = cls.__new__(cls)
         tree.signal_name, tree.root = record.signal_name, record.root
-        tree.rollouts_completed, tree.nodes = record.rollouts_completed, {}
-        for i, node in enumerate(record.nodes):
-            if node.id in tree.nodes:
-                raise TreeError(f"nodes[{i}].id: duplicate {node.id}")
-            tree.nodes[node.id] = node
-        tree._next_id = max(tree.nodes) + 1 if tree.nodes else 0
+        tree.rollouts_completed = record.rollouts_completed
+        tree.nodes = dict(enumerate(record.nodes))  # keyed by position: validate checks the ids
         tree.validate()
         return tree

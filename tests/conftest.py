@@ -3,6 +3,7 @@ deterministic full-pipeline runs."""
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -161,3 +162,32 @@ def signal_result(
 
 def scripted(entries: list[ScriptEntry]) -> ScriptedBackend:
     return ScriptedBackend(entries)
+
+
+# A tree's shape: one (id, parent, children) per node, in dump order.
+TREE_SHAPE = [(0, None, [1, 2]), (1, 0, [3]), (2, 0, []), (3, 1, [])]
+
+# (test id, shape, root, the field path the loader names), one per rule of
+# `ReasoningTree.validate`
+MALFORMED_TREES = [
+    ("empty nodes", [], 0, r"nodes: empty"),
+    ("root 1", TREE_SHAPE, 1, r"root: 1"),
+    ("root with a parent", [(0, 3, [1, 2]), *TREE_SHAPE[1:]], 0, r"nodes\[0\]\.parent"),
+    ("two roots", [(0, None, [1]), (1, 0, [3]), (2, None, []), (3, 1, [])], 0, r"nodes\[2\]\.parent"),
+    ("cycle", [(0, None, [2]), (1, 3, [3]), (2, 0, []), (3, 1, [1])], 0, r"nodes\[1\]\.parent"),
+    ("dangling child", [(0, None, [1, 2, 4]), *TREE_SHAPE[1:]], 0, r"nodes\[0\]\.children"),
+    ("parent after child", [(0, None, [2]), (1, 2, [3]), (2, 0, [1]), (3, 1, [])], 0,
+     r"nodes\[1\]\.parent"),
+    ("ids 0 1 2 5", [(0, None, [1, 2]), (1, 0, [5]), (2, 0, []), (5, 1, [])], 0, r"nodes\[3\]\.id"),
+    ("out of id order", [TREE_SHAPE[i] for i in (0, 1, 3, 2)], 0, r"nodes\[2\]\.id"),
+    ("children out of id order", [(0, None, [2, 1]), *TREE_SHAPE[1:]], 0, r"nodes\[0\]\.children"),
+]
+
+
+def tree_dump(shape: list[tuple[int, int | None, list[int]]], root: int = 0) -> str:
+    """A tree dump's text with one unevaluated node per entry of `shape`."""
+    nodes = [
+        {"id": i, "parent": parent, "children": children, "answer": {"assertions": ["assert property (x);"]}}
+        for i, parent, children in shape
+    ]
+    return json.dumps({"signal_name": "ack_o", "root": root, "rollouts_completed": 0, "nodes": nodes})

@@ -6,6 +6,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -19,11 +20,13 @@ from svagen.cli import main
 from svagen.rag import HashedBowEmbedder, VectorIndex
 
 from conftest import (
+    MALFORMED_TREES,
     VALID_BARE_ASSERT,
     VALID_PROPERTY_UNIT,
     critic_reply,
     fenced,
     make_bank,
+    tree_dump,
 )
 
 
@@ -214,6 +217,15 @@ class TestCheck:
         )
         assert main(["check", str(path)]) == 0
         assert capsys.readouterr().out == "[1] PASS\n[2] PASS\n"
+
+    def test_text_without_a_unit_is_checked_whole(self, tmp_path, capsys):
+        path = tmp_path / "prose.sv"
+        path.write_text("the request is acknowledged\n")
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "[1] FAIL\n"
+            "  1:1 error [parse-expected] expected 'property' or an assert statement, found 'the'\n"
+        )
 
     def test_missing_file_is_config_error(self, capsys):
         assert main(["check", "/does/not/exist.sv"]) == 2
@@ -584,32 +596,38 @@ class TestTreeShow:
 
         tree = ReasoningTree("ack_o", AnswerContent(assertions=["assert property (x);"]))
         tree.record_reward(0, 42.0, SearchParams())
+        tree.add_child(tree.add_child(0, AnswerContent()), AnswerContent())
+        tree.add_child(0, AnswerContent())
         path = tmp_path / "tree.json"
         path.write_text(tree.dumps())
         assert main(["tree", "show", str(path)]) == 0
         out = capsys.readouterr().out
         assert "signal: ack_o" in out
         assert "Q=42" in out
+        # children under their parent, one indent deeper per level
+        assert [line.split(" Q=")[0] for line in out.splitlines()[1:]] == ["[0]", "  [1]", "    [2]", "  [3]"]
 
     @pytest.mark.parametrize(
-        "text",
+        "text, message",
         [
-            '{"x": 1}',
-            "[]",
-            "{nope",
-            tree_text(q_value="hi"),
-            tree_text(answer={"assertions": "abc"}),
-            tree_text(duplicate=True),
-        ],
+            ('{"x": 1}', "unknown key x"),
+            ("[]", "top level"),
+            ("{nope", "not valid JSON"),
+            (tree_text(q_value="hi"), r"nodes\[0\]\.q_value"),
+            (tree_text(answer={"assertions": "abc"}), r"nodes\[0\]\.answer\.assertions"),
+            (tree_text(duplicate=True), r"nodes\[1\]\.id"),
+        ]
+        + [(tree_dump(shape, root), path) for _, shape, root, path in MALFORMED_TREES],
         ids=["unknown key", "list", "invalid json", "string q_value", "string assertions",
-             "duplicate id"],
+             "duplicate id"] + [case[0] for case in MALFORMED_TREES],
     )
-    def test_bad_dump_exit_two(self, tmp_path, capsys, text):
-        path = tmp_path / "tree.json"
-        path.write_text(text)
-        assert main(["tree", "show", str(path)]) == 2
+    def test_bad_dump_exit_two(self, tmp_path, capsys, text, message):
+        file = tmp_path / "tree.json"
+        file.write_text(text)
+        assert main(["tree", "show", str(file)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+        assert re.search(message, captured.err)
 
 
 LATIN1 = "ack_o: réponse à la requête\n".encode("latin-1")  # not valid UTF-8

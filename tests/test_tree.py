@@ -23,6 +23,8 @@ from svagen.tree import (
     compute_uct,
 )
 
+from conftest import MALFORMED_TREES, tree_dump
+
 
 def evaluated_node(q: float, visits: int, node_id: int = 0) -> ReasoningNode:
     return ReasoningNode(
@@ -231,14 +233,22 @@ class TestSerialization:
         assert loaded.dumps() == tree.dumps()
         assert loaded.signal_name == "wb_clk_i"
         assert loaded.nodes[child].reward_samples == [80.0]
+        assert loaded.add_child(0, AnswerContent()) == 2  # ids go on from the dump
 
     def test_duplicate_node_id_rejected(self, params):
         tree = new_tree()
         tree.record_reward(0, 10.0, params)
         data = json.loads(tree.dumps())
         data["nodes"].append(dict(data["nodes"][0]))
-        with pytest.raises(TreeError, match=r"nodes\[1\]\.id: duplicate 0"):
+        with pytest.raises(TreeError, match=r"nodes\[1\]\.id: 0, expected 1"):
             ReasoningTree.loads(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "shape, root, path", [case[1:] for case in MALFORMED_TREES], ids=[c[0] for c in MALFORMED_TREES]
+    )
+    def test_malformed_structure_rejected(self, shape, root, path):
+        with pytest.raises(TreeError, match=path):
+            ReasoningTree.loads(tree_dump(shape, root))
 
     @pytest.mark.parametrize(
         "change, message",
@@ -284,8 +294,7 @@ _ops = st.lists(
 def _apply_ops(tree: ReasoningTree, ops, params: SearchParams) -> None:
     tree.record_reward(tree.root, 0.0, params)
     for kind, pick, value in ops:
-        ids = sorted(tree.nodes)
-        target = ids[pick % len(ids)]
+        target = pick % len(tree.nodes)  # ids are 0 .. len - 1
         if kind == "add":
             child = tree.add_child(target, AnswerContent())
             tree.record_reward(child, value, params)
@@ -302,6 +311,8 @@ def test_tree_integrity_and_q_bounds(ops):
     tree = new_tree()
     _apply_ops(tree, ops, params)
     tree.validate()
+    assert list(tree.nodes) == list(range(len(tree)))
+    assert ReasoningTree.loads(tree.dumps()).dumps() == tree.dumps()
     for node in tree.nodes.values():
         assert -100.0 <= node.q_value <= 100.0
         assert node.visit_count == len(node.reward_samples)
