@@ -4,11 +4,12 @@ Deliberately no ANN structure: corpora are a few reference texts, and an
 exact index keeps every query brute-force checkable. The index holds each
 chunk's non-zero vector entries, as its file does. A query scores every
 chunk through per-bucket postings, used only as a filter: the few chunks
-near the k-th best score are rescored one `np.dot` each on their rebuilt
-rows, so the answer is the per-chunk scan's, bit for bit. An Embedder's
-one method, `embed_many`, maps a batch of texts to one float64 row each;
-an `add` embeds one document's chunks in one batch. The default embedder,
-a hashed bag-of-words, is deterministic across platforms.
+near the k-th best score that a posting reaches are rescored one `np.dot`
+each on their rebuilt rows, and the others score exactly 0, so the answer
+is the per-chunk scan's, bit for bit. An Embedder's one method,
+`embed_many`, maps a batch of texts to one float64 row each; an `add`
+embeds one document's chunks in one batch. The default embedder, a hashed
+bag-of-words, is deterministic across platforms.
 """
 
 from __future__ import annotations
@@ -226,24 +227,28 @@ class VectorIndex:
         self._check_dimension(embedder)
         q = embedder.embed_many([query_text])[0]
         qn = np.linalg.norm(q)
+        # Filter, then score exactly. One bincount over the postings of the
+        # query's buckets scores every chunk but may round unlike the np.dot
+        # below, so it only picks the chunks within _FILTER_SLACK of the k-th
+        # best: each true top-k chunk and each tie with the k-th. A chunk no
+        # posting reaches shares no non-zero bucket with the query, so both
+        # its scores are exactly 0 and it is not rescored.
+        starts, rows, values, norms = self._posting_lists()
+        spans = [(starts[b], starts[b + 1], q[b]) for b in np.flatnonzero(q)]
+        hit_rows = np.concatenate([rows[a:z] for a, z, _ in spans] + [rows[:0]])
+        weighted = np.concatenate([values[a:z] * w for a, z, w in spans] + [values[:0]])
         chunks = self.chunks
-        if qn > 0 and k < len(chunks):
-            # Filter, then score exactly. One bincount over the postings of the
-            # query's buckets scores every chunk but may round unlike the np.dot
-            # below, so it only picks the chunks within _FILTER_SLACK of the k-th
-            # best: each true top-k chunk and each tie with the k-th.
-            starts, rows, values, norms = self._posting_lists()
-            spans = [(starts[b], starts[b + 1], q[b]) for b in np.flatnonzero(q)]
-            hit_rows = np.concatenate([rows[a:z] for a, z, _ in spans])
-            weighted = np.concatenate([values[a:z] * w for a, z, w in spans])
-            dots = np.bincount(hit_rows, weighted, len(chunks))
-            approx = np.divide(dots, qn * norms, out=np.zeros(len(chunks)), where=norms > 0)
-            kth = np.partition(approx, -k)[-k]
-            chunks = [chunks[i] for i in np.flatnonzero(approx >= kth - _FILTER_SLACK)]
+        dots = np.bincount(hit_rows, weighted, len(chunks))
+        scale = qn * norms
+        approx = np.divide(dots, scale, out=np.zeros(len(chunks)), where=scale > 0)
+        top = min(k, len(chunks))
+        kth = np.partition(approx, -top)[-top]
+        reached = np.bincount(hit_rows, minlength=len(chunks)) > 0
         scored = []
-        for c in chunks:
-            cn = np.linalg.norm(vector := c.vector) if qn > 0 else 0.0
-            sim = float(np.dot(q, vector) / (qn * cn)) if cn > 0 else 0.0
+        for i in np.flatnonzero(approx >= kth - _FILTER_SLACK):
+            c, sim = chunks[i], 0.0
+            if reached[i] and (cn := np.linalg.norm(vector := c.vector)) > 0:
+                sim = float(np.dot(q, vector) / (qn * cn))
             scored.append((c, sim))
         scored.sort(key=lambda item: (-item[1], item[0].doc_id, item[0].chunk_index))
         return scored[:k]

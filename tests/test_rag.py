@@ -424,6 +424,24 @@ class TestExactness:
         index.add("doc", ["x y", "z", "y y x"], e)
         self.assert_exact(index, e, ["x", "y z", "q"], ks=[3, 4, 100])
 
+    def test_rebuilds_only_reached_chunks(self, monkeypatch):
+        # each query's buckets reach fewer than k chunks; the others score
+        # exactly 0 and their rows are not rebuilt
+        e = HashedBowEmbedder(dimension=512)
+        index = VectorIndex()
+        index.add("doc", [f"filler text number{i}" for i in range(50)] + ["clk rst edge"], e)
+        rebuilt = []
+        vector = RagChunk.vector.fget
+        monkeypatch.setattr(RagChunk, "vector", property(lambda c: rebuilt.append(c.chunk_index) or vector(c)))
+        for query in ["clk rst", "zzqx", ""]:
+            q = embed_one(e, query)
+            reached = [c.chunk_index for c in index.chunks if np.dot(q, vector(c)) > 0]
+            assert len(reached) < 4
+            rebuilt.clear()
+            result = hits(index.query(query, 4, e))
+            assert rebuilt == reached
+            assert result == per_chunk_query(index, query, 4, e)
+
     def test_add_after_query_is_seen(self):
         e = HashedBowEmbedder(dimension=32)
         index = VectorIndex()
