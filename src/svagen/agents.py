@@ -206,20 +206,25 @@ def merge_normalized(pool: list[str]) -> list[str]:
 # Agent operations
 
 
+def _ask(
+    log: CallLog, key: str, context: dict[str, str], node: int | None = None, phase: str | None = None
+) -> str:
+    """Render `log`'s template `key` with `context`, send it through `log`
+    under the template's role, and return the reply."""
+    template = log.templates[key]
+    return log.complete(template.role_name, render_prompt(template, context), node, phase)
+
+
 def generate_weak_answer(log: CallLog, signal: SignalInfo, workflow: str) -> AnswerContent:
     """First, deliberately short assertion set seeding the tree root."""
     if not signal.verilog_name or not (signal.description or signal.definition or signal.functionality):
         raise ValueError("weak answer needs a named, described signal")
-    template = log.templates["sva_weak"]
-    messages = render_prompt(
-        template,
-        {
-            "workflow_info": workflow,
-            "signal_name": signal.verilog_name,
-            "specification_text": signal.describe(),
-        },
-    )
-    return parse_answer(log.complete(template.role_name, messages))
+    context = {
+        "workflow_info": workflow,
+        "signal_name": signal.verilog_name,
+        "specification_text": signal.describe(),
+    }
+    return parse_answer(_ask(log, "sva_weak", context))
 
 
 def critique(
@@ -237,18 +242,14 @@ def critique(
     the tree, and the call's event in `log` keeps the critique. Raises
     ScoreParseError when the reply carries no usable score.
     """
-    template = log.templates["critic"]
-    messages = render_prompt(
-        template,
-        {
-            "workflow_info": workflow,
-            "signal_name": signal.verilog_name,
-            "specification_text": spec_excerpt,
-            "assertions": "\n\n".join(answer.assertions) or "(no assertions)",
-            "syntax_log": syntax_log or "(not available)",
-        },
-    )
-    reply = log.complete(template.role_name, messages, node, phase)
+    context = {
+        "workflow_info": workflow,
+        "signal_name": signal.verilog_name,
+        "specification_text": spec_excerpt,
+        "assertions": "\n\n".join(answer.assertions) or "(no assertions)",
+        "syntax_log": syntax_log or "(not available)",
+    }
+    reply = _ask(log, "critic", context, node, phase)
     raw = parse_score(reply, params.score_min, params.score_max)
     result = CritiqueResult(
         feedback=reply,
@@ -272,20 +273,16 @@ def refine(
 
     The input answer is read-only; the result is a fresh AnswerContent.
     """
-    template = log.templates["sva_refine"]
-    messages = render_prompt(
-        template,
-        {
-            "workflow_info": workflow,
-            "signal_name": signal.verilog_name,
-            "specification_text": signal.describe(),
-            "assertions": "\n\n".join(answer.assertions) or "(no assertions yet)",
-            "feedback": critic_feedback or "(none)",
-            "syntax_log": syntax_log or "(none)",
-            "rag_context": rag_context or "(none)",
-        },
-    )
-    return parse_answer(log.complete(template.role_name, messages))
+    context = {
+        "workflow_info": workflow,
+        "signal_name": signal.verilog_name,
+        "specification_text": signal.describe(),
+        "assertions": "\n\n".join(answer.assertions) or "(no assertions yet)",
+        "feedback": critic_feedback or "(none)",
+        "syntax_log": syntax_log or "(none)",
+        "rag_context": rag_context or "(none)",
+    }
+    return parse_answer(_ask(log, "sva_refine", context))
 
 
 def format_bad_assertions(records: list[AssertionRecord]) -> str:
@@ -314,16 +311,12 @@ def correct_syntax(
             raise ValueError(
                 "correction input must carry at least one diagnostic per assertion"
             )
-    template = log.templates["syntax_correction"]
-    messages = render_prompt(
-        template,
-        {
-            "specification_text": spec_excerpt,
-            "assertions": format_bad_assertions(bad),
-            "signal_name": signal_name,
-        },
-    )
-    return extract_assertions(log.complete(template.role_name, messages))
+    context = {
+        "specification_text": spec_excerpt,
+        "assertions": format_bad_assertions(bad),
+        "signal_name": signal_name,
+    }
+    return extract_assertions(_ask(log, "syntax_correction", context))
 
 
 def deduplicate(
@@ -337,30 +330,24 @@ def deduplicate(
     """
     if len(pool) <= 1:
         return list(pool), []
-    template = log.templates["deduplication"]
-    messages = render_prompt(
-        template,
-        {
-            "specification_text": spec_excerpt,
-            "assertions": "\n\n".join(pool),
-            "signal_name": signal_name,
-        },
-    )
-    reply_assertions = extract_assertions(log.complete(template.role_name, messages))
-    by_norm = {normalize_assertion(t): t for t in pool}
-    kept_norms: list[str] = []
+    context = {
+        "specification_text": spec_excerpt,
+        "assertions": "\n\n".join(pool),
+        "signal_name": signal_name,
+    }
+    reply_assertions = extract_assertions(_ask(log, "deduplication", context))
+    pool_norms = {normalize_assertion(t) for t in pool}
+    kept_norms: set[str] = set()
     for text in reply_assertions:
         key = normalize_assertion(text)
-        if key not in by_norm:
+        if key not in pool_norms:
             return list(pool), [
                 f"deduplication reply contained an assertion not in the pool; pool kept as-is: {text[:80]!r}"
             ]
-        if key not in kept_norms:
-            kept_norms.append(key)
+        kept_norms.add(key)
     if not kept_norms:
         return list(pool), [
             "deduplication reply contained no assertions; pool kept as-is"
         ]
     # preserve pool order, keep the pool's original spelling
-    kept_set = set(kept_norms)
-    return [t for t in pool if normalize_assertion(t) in kept_set], []
+    return [t for t in pool if normalize_assertion(t) in kept_norms], []
