@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svagen.backends import ScriptedBackend, ScriptEntry
-from svagen.bank import BankLoadError, InformationBank, SignalInfo, StageError, save_bank
+from svagen.bank import BankLoadError, InformationBank, SignalInfo, StageError, load_bank, save_bank
 from svagen.config import ConfigError, default_call_budget
 from svagen.pipeline import (
     RunSummary,
@@ -27,7 +27,7 @@ from svagen.pipeline import (
 )
 from svagen.prompts import BudgetExceededError, CallLog
 from svagen.rag import HashedBowEmbedder, VectorIndex
-from svagen.sva.checker import BuiltinChecker
+from svagen.sva.checker import BuiltinChecker, ExternalChecker
 from svagen.sva.parser import Diagnostic
 from svagen.sva.tokens import Unit
 from svagen.tree import ReasoningTree
@@ -183,6 +183,19 @@ class TestEarlyStop:
         backend = ScriptedBackend(stage2_script("ack_o", weak, answers, scores))
         stage2 = signal_result(config, backend)
         run_stage2(config, bank, stage2, BuiltinChecker())
+        assert stage2.tree.rollouts_completed == 2
+        assert not any("early stop" in w for w in stage2.warnings)
+
+
+    def test_best_node_without_assertions_blocks_early_stop(self, tmp_path, bank):
+        # the best-Q node is a refinement whose reply held no assertion
+        answers = ["No change is needed.", fenced(VALID_BARE_ASSERT)]
+        scores = [30.0, 35.0, 36.0, 95.0, 35.0, 36.0, 41.0]
+        config = config_for(tmp_path, n_rollouts=2, early_stop=True)
+        backend = ScriptedBackend(stage2_script("ack_o", fenced(VALID_BARE_ASSERT), answers, scores))
+        stage2 = signal_result(config, backend)
+        run_stage2(config, bank, stage2, BuiltinChecker())
+        assert stage2.tree.node(1).answer.assertions == []
         assert stage2.tree.rollouts_completed == 2
         assert not any("early stop" in w for w in stage2.warnings)
 
@@ -485,11 +498,14 @@ class TestStage1Batch:
     MAPPER_REPLY = "clk_i: clock\nreq_i: request\nack_o: acknowledge"
     WAVEFORMS = ["waveform wf0: req_i then ack_o", "waveform wf1: noise", "waveform wf2: clk_i"]
     KEPT = ["clk_i", "ack_o"]
+    DESIGN_SUMMARY = "A one-cycle request/acknowledge handshake."
 
     def _script(self) -> list[ScriptEntry]:
         entries = [ScriptEntry(self.MAPPER_REPLY, match="Verilog declarations:")]
         for name in ("clk_i", "req_i", "ack_o"):
             reply = f"[Signal Name]: {name}\n[Description]: about {name}"
+            if name == "clk_i":  # no description: the mapper's is kept
+                reply = f"[Signal Name]: {name}\n[Definition]: 1-bit input"
             if name == "req_i":  # names no signal: req_i is dropped
                 reply = "a reply about nothing in particular"
             entries.append(ScriptEntry(reply, match=f"related to the {name} from the spec"))
@@ -507,18 +523,31 @@ class TestStage1Batch:
         paths = config.paths
         paths.spec_file, paths.verilog_file = str(tmp_path / "spec.txt"), str(tmp_path / "m.v")
         paths.waveform_files = [str(tmp_path / f"wf{i}.txt") for i in range(3)]
-        inputs = [paths.spec_file, paths.verilog_file, *paths.waveform_files]
-        for path, text in zip(inputs, [self.SPEC, self.VERILOG, *self.WAVEFORMS]):
+        paths.design_summary_file = str(tmp_path / "summary.txt")
+        inputs = [paths.spec_file, paths.verilog_file, *paths.waveform_files, paths.design_summary_file]
+        texts = [self.SPEC, self.VERILOG, *self.WAVEFORMS, self.DESIGN_SUMMARY]
+        for path, text in zip(inputs, texts):
             with open(path, "w", encoding="utf-8") as f:
                 f.write(text)
-        summary = run_all(config, backend=ScriptedBackend(self._script()), checker=BuiltinChecker())
+        backend = PromptRecordingBackend(self._script())
+        summary = run_all(config, backend=backend, checker=BuiltinChecker())
         with open(paths.bank_file, "rb") as f:
             bank_bytes = f.read()
-        return summary, bank_bytes, output_files(paths.output_dir)
+        return summary, bank_bytes, output_files(paths.output_dir), backend.prompts
+
+    def test_design_summary_and_mapper_description_reach_stage2(self, tmp_path):
+        summary, _, _, prompts = self._run(tmp_path, parallel=1)
+        bank = load_bank(str(tmp_path / "bank.json"))
+        assert bank.workflow_info.endswith(f"\n\n[Design Summary]\n{self.DESIGN_SUMMARY}")
+        assert bank.signal("clk_i").description == "clock"
+        # each kept signal's six stage-2 prompts carry the workflow text
+        stage2 = [p for p in prompts[len(summary.stage1) :] if bank.workflow_info in p]
+        assert len(stage2) == 6 * len(self.KEPT)
+        assert sum("[Description]: clock" in p for p in stage2) == 6
 
     def test_parallel_batch_matches_one_at_a_time(self, tmp_path):
-        serial, serial_bank, serial_files = self._run(tmp_path / "p1", parallel=1)
-        batched, batched_bank, batched_files = self._run(tmp_path / "p3", parallel=3)
+        serial, serial_bank, serial_files, _ = self._run(tmp_path / "p1", parallel=1)
+        batched, batched_bank, batched_files, _ = self._run(tmp_path / "p3", parallel=3)
         assert [w.split(":")[0] for w in serial.stage1_warnings] == [
             "signal 'req_i' dropped",
             "waveform analysis skipped",
@@ -589,6 +618,14 @@ class TestRunAll:
         assert "BackendError" in written["signals"]["sig_a"]["error"]
         assert written["signals"]["sig_a"]["calls"] == 9
         assert written["totals"]["total_llm_calls"] == 9
+
+    def test_missing_checker_tool_fails_the_signal_in_stage2(self, tmp_path, bank):
+        config = config_for(tmp_path, n_rollouts=1)
+        backend = ScriptedBackend(full_signal_script("ack_o", n_rollouts=1))
+        checker = ExternalChecker("svagen-no-such-checker {file}")
+        result = run_signal(config, backend, bank, "ack_o", checker)
+        assert result.failed and "checker command not found" in result.error
+        assert len(result.tree) == 1 and result.total_calls == 1  # the root is checked before its critic call
 
     def _ledger(self, config, name):
         with open(os.path.join(config.paths.output_dir, "signals", name, "ledger.json")) as f:
