@@ -232,7 +232,8 @@ class VectorIndex:
         # below, so it only picks the chunks within _FILTER_SLACK of the k-th
         # best: each true top-k chunk and each tie with the k-th. A chunk no
         # posting reaches shares no non-zero bucket with the query, so both
-        # its scores are exactly 0 and it is not rescored.
+        # its scores are exactly 0 and it is not rescored. The empty slices
+        # serve a query with no non-zero bucket.
         starts, rows, values, norms = self._posting_lists()
         spans = [(starts[b], starts[b + 1], q[b]) for b in np.flatnonzero(q)]
         hit_rows = np.concatenate([rows[a:z] for a, z, _ in spans] + [rows[:0]])

@@ -622,9 +622,9 @@ class TestTreeShow:
              "duplicate id"] + [case[0] for case in MALFORMED_TREES],
     )
     def test_bad_dump_exit_two(self, tmp_path, capsys, text, message):
-        file = tmp_path / "tree.json"
-        file.write_text(text)
-        assert main(["tree", "show", str(file)]) == 2
+        path = tmp_path / "tree.json"
+        path.write_text(text)
+        assert main(["tree", "show", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
         assert re.search(message, captured.err)
