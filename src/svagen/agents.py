@@ -207,10 +207,13 @@ def merge_normalized(pool: list[str]) -> list[str]:
 
 
 def _ask(
-    log: CallLog, key: str, context: dict[str, str], node: int | None = None, phase: str | None = None
+    log: CallLog, key: str, signal: SignalInfo, node: int | None = None, phase: str | None = None,
+    **context: str,
 ) -> str:
-    """Render `log`'s template `key` with `context`, send it through `log`
-    under the template's role, and return the reply."""
+    """Render `log`'s template `key` with `context` plus the signal's name
+    and `describe()` text, send it through `log` under the template's role,
+    and return the reply."""
+    context.update(signal_name=signal.verilog_name, specification_text=signal.describe())
     template = log.templates[key]
     return log.complete(template.role_name, render_prompt(template, context), node, phase)
 
@@ -219,37 +222,28 @@ def generate_weak_answer(log: CallLog, signal: SignalInfo, workflow: str) -> Ans
     """First, deliberately short assertion set seeding the tree root."""
     if not signal.verilog_name or not (signal.description or signal.definition or signal.functionality):
         raise ValueError("weak answer needs a named, described signal")
-    context = {
-        "workflow_info": workflow,
-        "signal_name": signal.verilog_name,
-        "specification_text": signal.describe(),
-    }
-    return parse_answer(_ask(log, "sva_weak", context))
+    return parse_answer(_ask(log, "sva_weak", signal, workflow_info=workflow))
 
 
 def critique(
     log: CallLog,
     signal: SignalInfo,
-    spec_excerpt: str,
     answer: AnswerContent,
-    syntax_log: str,
     params: SearchParams,
     workflow: str = "",
     node: int | None = None,
     phase: str | None = None,
 ) -> CritiqueResult:
-    """Score an assertion set; the returned suppressed_score is what feeds
-    the tree, and the call's event in `log` keeps the critique. Raises
-    ScoreParseError when the reply carries no usable score.
+    """Score an assertion set with its syntax log; the returned
+    suppressed_score is what feeds the tree, and the call's event in `log`
+    keeps the critique. Raises ScoreParseError when the reply carries no
+    usable score.
     """
-    context = {
-        "workflow_info": workflow,
-        "signal_name": signal.verilog_name,
-        "specification_text": spec_excerpt,
-        "assertions": "\n\n".join(answer.assertions) or "(no assertions)",
-        "syntax_log": syntax_log or "(not available)",
-    }
-    reply = _ask(log, "critic", context, node, phase)
+    reply = _ask(
+        log, "critic", signal, node, phase, workflow_info=workflow,
+        assertions="\n\n".join(answer.assertions) or "(no assertions)",
+        syntax_log=answer.syntax_log or "(not available)",
+    )
     raw = parse_score(reply, params.score_min, params.score_max)
     result = CritiqueResult(
         feedback=reply,
@@ -264,25 +258,23 @@ def refine(
     log: CallLog,
     signal: SignalInfo,
     answer: AnswerContent,
-    critic_feedback: str,
-    syntax_log: str,
+    feedback: str,
     rag_context: str,
     workflow: str,
 ) -> AnswerContent:
-    """Produce an improved assertion set from both feedback channels.
+    """Produce an improved assertion set from both feedback channels: the
+    critic's `feedback` and the answer's syntax log.
 
     The input answer is read-only; the result is a fresh AnswerContent.
     """
-    context = {
-        "workflow_info": workflow,
-        "signal_name": signal.verilog_name,
-        "specification_text": signal.describe(),
-        "assertions": "\n\n".join(answer.assertions) or "(no assertions yet)",
-        "feedback": critic_feedback or "(none)",
-        "syntax_log": syntax_log or "(none)",
-        "rag_context": rag_context or "(none)",
-    }
-    return parse_answer(_ask(log, "sva_refine", context))
+    reply = _ask(
+        log, "sva_refine", signal, workflow_info=workflow,
+        assertions="\n\n".join(answer.assertions) or "(no assertions yet)",
+        feedback=feedback or "(none)",
+        syntax_log=answer.syntax_log or "(none)",
+        rag_context=rag_context or "(none)",
+    )
+    return parse_answer(reply)
 
 
 def format_bad_assertions(records: list[AssertionRecord]) -> str:
@@ -296,9 +288,7 @@ def format_bad_assertions(records: list[AssertionRecord]) -> str:
     return "\n\n".join(blocks)
 
 
-def correct_syntax(
-    log: CallLog, bad: list[AssertionRecord], spec_excerpt: str, signal_name: str
-) -> list[str]:
+def correct_syntax(log: CallLog, bad: list[AssertionRecord], signal: SignalInfo) -> list[str]:
     """Ask the correction agent to fix failing assertions.
 
     Every input record must carry diagnostics. An empty input returns empty
@@ -311,17 +301,11 @@ def correct_syntax(
             raise ValueError(
                 "correction input must carry at least one diagnostic per assertion"
             )
-    context = {
-        "specification_text": spec_excerpt,
-        "assertions": format_bad_assertions(bad),
-        "signal_name": signal_name,
-    }
-    return extract_assertions(_ask(log, "syntax_correction", context))
+    reply = _ask(log, "syntax_correction", signal, assertions=format_bad_assertions(bad))
+    return extract_assertions(reply)
 
 
-def deduplicate(
-    log: CallLog, pool: list[str], spec_excerpt: str, signal_name: str
-) -> tuple[list[str], list[str]]:
+def deduplicate(log: CallLog, pool: list[str], signal: SignalInfo) -> tuple[list[str], list[str]]:
     """Ask the deduplication agent which pool entries to retain.
 
     The output is constrained to be a subset of the pool under normalized
@@ -330,12 +314,7 @@ def deduplicate(
     """
     if len(pool) <= 1:
         return list(pool), []
-    context = {
-        "specification_text": spec_excerpt,
-        "assertions": "\n\n".join(pool),
-        "signal_name": signal_name,
-    }
-    reply_assertions = extract_assertions(_ask(log, "deduplication", context))
+    reply_assertions = extract_assertions(_ask(log, "deduplication", signal, assertions="\n\n".join(pool)))
     pool_norms = {normalize_assertion(t) for t in pool}
     kept_norms: set[str] = set()
     for text in reply_assertions:

@@ -18,6 +18,10 @@ from svagen.prompts import CallLog, PromptTemplate, render_prompt
 from svagen.records import dumps, encode, load
 from svagen.sva.tokens import scan_through
 
+# A Verilog simple identifier: the names the signal mapper accepts, and so
+# the names a bank may hold (each one names a directory under output_dir)
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+
 
 class StageError(RuntimeError):
     """A pipeline stage could not produce its required output."""
@@ -79,10 +83,9 @@ class InformationBank:
         for i, s in enumerate(self.signals):
             if not s.verilog_name:
                 raise BankLoadError(f"signals[{i}].verilog_name: must be non-empty")
-            # the name becomes a directory under output_dir
-            if s.verilog_name in (".", "..") or any(c in s.verilog_name for c in "/\\"):
+            if not _IDENT_RE.fullmatch(s.verilog_name):
                 raise BankLoadError(
-                    f"signals[{i}].verilog_name: {s.verilog_name!r} is not a file name"
+                    f"signals[{i}].verilog_name: {s.verilog_name!r} is not a Verilog identifier"
                 )
             if s.verilog_name in seen:
                 raise BankLoadError(
@@ -104,11 +107,7 @@ class InformationBank:
 # Parsing of agent replies. All of it is forgiving: section-header anchored
 # and order-insensitive, because model formatting drifts.
 
-_MAPPING_LINE_RE = re.compile(
-    r"^\s*(?:[-*\u2022]\s*)?\[?([A-Za-z_][A-Za-z0-9_$]*)\]?\s*:\s*(\S.*)$"
-)
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+_MAPPING_LINE_RE = re.compile(rf"^\s*(?:[-*\u2022]\s*)?\[?({_IDENT_RE.pattern})\]?\s*:\s*(\S.*)$")
 
 # The [Header] sections of an analyzer reply, in the order a bank entry is
 # rendered, with the field each one fills

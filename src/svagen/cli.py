@@ -17,7 +17,7 @@ from svagen.bank import BankLoadError, StageError
 from svagen.config import ConfigError, RagSettings, config_from_dict, load_config
 from svagen.pipeline import build_bank, run_all
 from svagen.prompts import CallLog
-from svagen.sva.checker import AssertionRecord, BuiltinChecker, format_log
+from svagen.sva.checker import BuiltinChecker, check_all, format_log
 from svagen.tree import ReasoningTree, TreeError
 
 
@@ -145,10 +145,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     unit_texts = split_assertion_units(source)
     if not unit_texts and source.strip():
         unit_texts = [source]
-    checker = BuiltinChecker()
-    records = [AssertionRecord(text=t) for t in unit_texts]
-    for record in records:
-        record.apply_check(checker.check(record.text))
+    records = check_all(unit_texts, BuiltinChecker())
     print(format_log(records))
     return 0 if all(r.status == "pass" for r in records) else 1
 

@@ -6,8 +6,10 @@ call, then every spec and waveform analysis as one batch on up to
 four phases per rollout (greedy UCT selection with reward re-sampling,
 expansion from critic plus syntax-log feedback, critic evaluation of the
 new node with score suppression, and Q backpropagation). Stage 3 pools
-all tree nodes, partitions by syntax, corrects, and deduplicates into the
-final assertion set.
+all tree nodes, splits the pool by syntax verdict, corrects the failures,
+and deduplicates into the final assertion set. Both stages check every
+assertion set through `check_all` and hand each agent the signal; the
+critic and the refiner read the node's answer with its syntax log.
 
 Every agent sends its LLM calls through a `CallLog` (`svagen.prompts`),
 which charges each call as the backend receives it: one log per signal,
@@ -53,15 +55,8 @@ from svagen.bank import (
 from svagen.config import ConfigError, RunConfig
 from svagen.prompts import BudgetExceededError, CallLog, PromptTemplate
 from svagen.records import dumps
-from svagen.sva.checker import (
-    AssertionRecord,
-    MemoChecker,
-    SyntaxChecker,
-    format_log,
-    has_error,
-    partition,
-)
-from svagen.tree import AnswerContent, ReasoningTree
+from svagen.sva.checker import MemoChecker, SyntaxChecker, check_all, format_log
+from svagen.tree import ReasoningTree
 
 if TYPE_CHECKING:  # svagen.rag (and numpy) load only where an index is loaded
     from svagen.rag import VectorIndex
@@ -191,12 +186,11 @@ def run_stage2(
         raise StageError(str(err)) from err
     params = config.search
     workflow = bank.workflow_info
-    excerpt = signal.describe()
     log, warnings = result.log, result.warnings
     rag_context: str | None = None  # set at the first refine step
 
-    def scored_critique(node_id: int, phase: str, answer: AnswerContent, syntax_log: str):
-        args = (log, signal, excerpt, answer, syntax_log, params, workflow, node_id, phase)
+    def scored_critique(node_id: int, phase: str):
+        args = (log, signal, tree.node(node_id).answer, params, workflow, node_id, phase)
         try:
             return critique(*args)
         except ScoreParseError:
@@ -206,12 +200,9 @@ def run_stage2(
                 raise RolloutAborted(f"critic score unparseable twice: {err2}") from err2
 
     def evaluate(node_id: int, phase: str) -> None:
-        node = tree.node(node_id)
-        records = [AssertionRecord(text=t, signal=signal_name) for t in node.answer.assertions]
-        for record in records:
-            record.apply_check(checker.check(record.text))
-        node.answer.syntax_log = format_log(records)
-        scored = scored_critique(node_id, phase, node.answer, node.answer.syntax_log)
+        answer = tree.node(node_id).answer
+        answer.syntax_log = format_log(check_all(answer.assertions, checker))
+        scored = scored_critique(node_id, phase)
         tree.record_reward(node_id, scored.suppressed_score, params)
         tree.backpropagate(node_id)
 
@@ -228,17 +219,12 @@ def run_stage2(
         try:
             # phase 1: selection + reward re-sampling
             selected_id = tree.select_node(params)
-            selected = tree.node(selected_id)
-            # set by evaluate() before its critic call, so every node has one
-            selected_log = selected.answer.syntax_log
-            resample = scored_critique(selected_id, "resample", selected.answer, selected_log)
+            resample = scored_critique(selected_id, "resample")
             tree.record_reward(selected_id, resample.suppressed_score, params)
             tree.backpropagate(selected_id)
 
             # phase 2: expansion: critic feedback on the stored syntax log, then refine
-            feedback = scored_critique(
-                selected_id, "expansion-feedback", selected.answer, selected_log
-            )
+            feedback = scored_critique(selected_id, "expansion-feedback")
             if rag_context is None:
                 rag_context = ""
                 if rag_index is not None:
@@ -252,9 +238,8 @@ def run_stage2(
                     if not hits:
                         warnings.append("rag index is empty; refining without reference context")
                     rag_context = format_context(hits)
-            new_answer = refine(
-                log, signal, selected.answer, feedback.feedback, selected_log, rag_context, workflow
-            )
+            selected = tree.node(selected_id).answer  # evaluate() set its syntax log
+            new_answer = refine(log, signal, selected, feedback.feedback, rag_context, workflow)
             if not new_answer.assertions:
                 warnings.append(f"rollout {rollout} refinement produced no assertions")
             child_id = tree.add_child(selected_id, new_answer)
@@ -283,10 +268,7 @@ def _early_stop_reached(tree: ReasoningTree, checker: SyntaxChecker, config: Run
         return False
     if best.reward_samples[-1] < config.early_stop_score:
         return False
-    for text in best.answer.assertions:
-        if has_error(checker.check(text)):
-            return False
-    return True
+    return all(r.status == "pass" for r in check_all(best.answer.assertions, checker))
 
 
 # --------------------------------------------------------------------------
@@ -312,33 +294,32 @@ def run_stage3(
     syntax correction (skipped when nothing failed) and deduplication
     (skipped for pools of one or fewer); a step whose call the log refuses
     past the budget is skipped with a warning. Corrected texts are
-    re-checked; still-failing ones are dropped with a warning.
+    re-checked; still-failing ones are dropped with a warning. A text the
+    checker cannot check raises CheckerUnavailableError, as in stage 2.
     """
-    signal_name, log, warnings = result.signal, result.log, result.warnings
-    excerpt = bank.signal(signal_name).describe()
+    signal, log, warnings = bank.signal(result.signal), result.log, result.warnings
 
-    pooled = pool_assertions(result.tree)
-    records = [AssertionRecord(text=text, signal=signal_name) for text in pooled]
-    a1_records, a2_records = partition(records, checker)
+    records = check_all(pool_assertions(result.tree), checker)
     result.syntax_log = format_log(records)
-    result.a1 = [r.text for r in a1_records]
-    result.a2 = [r.text for r in a2_records]
+    result.a1 = [r.text for r in records if r.status == "pass"]
+    failing = [r for r in records if r.status == "fail"]
+    result.a2 = [r.text for r in failing]
 
     try:
-        corrected = correct_syntax(log, a2_records, excerpt, signal_name)
+        corrected = correct_syntax(log, failing, signal)
     except BudgetExceededError:
         corrected = []
         warnings.append("syntax correction skipped: per-signal call budget exhausted")
-    for text in corrected:
-        if has_error(checker.check(text)):
-            warnings.append(f"corrected assertion still fails the checker, dropped: {text[:60]!r}")
+    for record in check_all(corrected, checker):
+        if record.status == "fail":
+            warnings.append(f"corrected assertion still fails the checker, dropped: {record.text[:60]!r}")
         else:
-            result.a2_prime.append(text)
+            result.a2_prime.append(record.text)
 
     result.a3 = result.a1 + result.a2_prime
     dedup_input = merge_normalized(result.a3)
     try:
-        result.deduplicated, dedup_warnings = deduplicate(log, dedup_input, excerpt, signal_name)
+        result.deduplicated, dedup_warnings = deduplicate(log, dedup_input, signal)
         warnings += dedup_warnings
     except BudgetExceededError:
         result.deduplicated = dedup_input

@@ -35,13 +35,11 @@ class SyntaxChecker(Protocol):
 @dataclass
 class AssertionRecord:
     text: str
-    signal: str = ""
-    status: str = "unchecked"  # unchecked | pass | fail
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
-    def apply_check(self, diagnostics: list[Diagnostic]) -> None:
-        self.diagnostics = diagnostics
-        self.status = "fail" if has_error(diagnostics) else "pass"
+    @property
+    def status(self) -> str:
+        return "fail" if has_error(self.diagnostics) else "pass"
 
 
 class BuiltinChecker:
@@ -172,31 +170,11 @@ class ExternalChecker:
                 pass
 
 
-def partition(
-    records: list[AssertionRecord], checker: SyntaxChecker
-) -> tuple[list[AssertionRecord], list[AssertionRecord]]:
-    """Check every record once and split into (passing, failing).
-
-    Order is preserved within each group. If the checker is unavailable for
-    any record, all records are still attempted, the failures stay marked
-    `unchecked`, and one aggregate error is raised naming them.
-    """
-    passing: list[AssertionRecord] = []
-    failing: list[AssertionRecord] = []
-    unchecked: list[str] = []  # "signal#index" of each record in `records`
-    for i, record in enumerate(records):
-        try:
-            record.apply_check(checker.check(record.text))
-        except CheckerUnavailableError:
-            record.status = "unchecked"
-            unchecked.append(f"{record.signal or '?'}#{i}")
-            continue
-        (passing if record.status == "pass" else failing).append(record)
-    if unchecked:
-        raise CheckerUnavailableError(
-            f"{len(unchecked)} assertion(s) could not be checked: {', '.join(unchecked)}"
-        )
-    return passing, failing
+def check_all(texts: list[str], checker: SyntaxChecker) -> list[AssertionRecord]:
+    """Check each text in order, one record per text. A
+    CheckerUnavailableError propagates at the first text that cannot be
+    checked; no later text is checked."""
+    return [AssertionRecord(text, checker.check(text)) for text in texts]
 
 
 def format_log(records: list[AssertionRecord]) -> str:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from svagen.sva.operators import INFIX, PREFIX
 # The parser does not call `tokenize`; bench/run_bench.py traces it as `parser.tokenize`.
-from svagen.sva.tokens import STOP_MESSAGES, Unit, position, scan, tokenize  # noqa: F401
+from svagen.sva.tokens import KEYWORDS, STOP_MESSAGES, Unit, position, scan, tokenize  # noqa: F401
 
 TokenSig = tuple[str, str]
 Tok = tuple[str, str, int]  # (kind, text, offset), as `scan` yields it
@@ -76,7 +76,9 @@ def _kw(text: str) -> TokenSig:
 
 
 def _op(text: str) -> TokenSig:
-    return ("operator", text)
+    """An operator's token: a keyword for a word operator, as the lexer
+    reads it."""
+    return ("keyword" if text in KEYWORDS else "operator", text)
 
 
 def _p(text: str) -> TokenSig:
@@ -135,23 +137,21 @@ class Paren:
 
 @dataclass
 class Unary:
-    op: str  # ! ~ - + & | ^ or keyword "not"
+    op: str  # a prefix lexeme of OPERATORS
     operand: object
 
     def to_tokens(self) -> list[TokenSig]:
-        head = _kw(self.op) if self.op == "not" else _op(self.op)
-        return [head] + self.operand.to_tokens()
+        return [_op(self.op)] + self.operand.to_tokens()
 
 
 @dataclass
 class Binary:
-    op: str  # operator lexeme, or keyword "and"/"or"
+    op: str  # an infix lexeme of OPERATORS
     left: object
     right: object
 
     def to_tokens(self) -> list[TokenSig]:
-        mid = _kw(self.op) if self.op in ("and", "or") else _op(self.op)
-        return self.left.to_tokens() + [mid] + self.right.to_tokens()
+        return self.left.to_tokens() + [_op(self.op)] + self.right.to_tokens()
 
 
 @dataclass

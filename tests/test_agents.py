@@ -40,7 +40,7 @@ from svagen.prompts import (
     RenderError,
     render_prompt,
 )
-from svagen.sva.checker import AssertionRecord, BuiltinChecker
+from svagen.sva.checker import AssertionRecord, BuiltinChecker, check_all
 from svagen.tree import AnswerContent, SearchParams
 
 from sva_corpus import CORPUS
@@ -183,10 +183,10 @@ class TestTemplateContract:
         analyze_signal(signal_reply, "ack_o")
         analyze_waveform(waveform_reply, "handshake")
         generate_weak_answer(log, signal, "workflow")
-        critique(log, signal, "spec", answer, "", params)
-        refine(log, signal, answer, "feedback", "", "", "workflow")
-        correct_syntax(log, _bad_records(), "spec", "ack_o")
-        deduplicate(log, [VALID_BARE_ASSERT, VALID_PROPERTY_UNIT], "spec", "ack_o")
+        critique(log, signal, answer, params)
+        refine(log, signal, answer, "feedback", "", "workflow")
+        correct_syntax(log, _bad_records(), signal)
+        deduplicate(log, [VALID_BARE_ASSERT, VALID_PROPERTY_UNIT], signal)
         assert len(log) == 8
         assert filled == {key: t.placeholders() for key, t in DEFAULT_TEMPLATES.items()}
 
@@ -410,38 +410,33 @@ class TestGenerateWeakAnswer:
 class TestCritique:
     def test_suppression_applied(self, signal, params):
         backend = ScriptedBackend.from_responses([critic_reply(97)])
-        result = critique(
-            CallLog("s", backend), signal, signal.describe(), AnswerContent(assertions=["a"]),
-            "", params,
-        )
+        result = critique(CallLog("s", backend), signal, AnswerContent(assertions=["a"]), params)
         assert isinstance(result, CritiqueResult)
         assert result.raw_score == 97.0
         assert result.suppressed_score == 95.0
 
     def test_in_range_score(self, signal, params):
         backend = ScriptedBackend.from_responses([critic_reply(-20)])
-        result = critique(
-            CallLog("s", backend), signal, signal.describe(), AnswerContent(assertions=["a"]),
-            "", params,
-        )
+        result = critique(CallLog("s", backend), signal, AnswerContent(assertions=["a"]), params)
         assert result.suppressed_score == -20.0
 
     def test_missing_marker(self, signal, params):
         backend = ScriptedBackend.from_responses(["no score at all"])
         with pytest.raises(ScoreParseError):
-            critique(
-                CallLog("s", backend), signal, signal.describe(), AnswerContent(assertions=["a"]),
-                "", params,
-            )
+            critique(CallLog("s", backend), signal, AnswerContent(assertions=["a"]), params)
 
     def test_feedback_is_full_reply(self, signal, params):
         reply = critic_reply(10, feedback="The reset polarity is wrong.")
         backend = ScriptedBackend.from_responses([reply])
-        result = critique(
-            CallLog("s", backend), signal, signal.describe(), AnswerContent(assertions=["a"]),
-            "", params,
-        )
+        result = critique(CallLog("s", backend), signal, AnswerContent(assertions=["a"]), params)
         assert result.feedback == reply
+
+    def test_prompt_carries_the_answers_syntax_log(self, signal, params):
+        backend = RecordingBackend([critic_reply(10)])
+        answer = AnswerContent(assertions=["a"], syntax_log="[1] FAIL\n  1:1 error [x] marked")
+        critique(CallLog("s", backend), signal, answer, params)
+        assert answer.syntax_log in backend.prompts[0]
+        assert signal.describe() in backend.prompts[0]
 
 
 class TestRefine:
@@ -450,96 +445,88 @@ class TestRefine:
         backend = ScriptedBackend.from_responses([reply])
         answer = refine(
             CallLog("s", backend), signal, AnswerContent(assertions=["assert property (a);"]),
-            "feedback", "", "", "w",
+            "feedback", "", "w",
         )
         assert len(answer.assertions) == 3
 
     def test_empty_feedback_channels_allowed(self, signal):
         backend = ScriptedBackend.from_responses([fenced(VALID_BARE_ASSERT)])
-        answer = refine(CallLog("s", backend), signal, AnswerContent(), "", "", "", "")
+        answer = refine(CallLog("s", backend), signal, AnswerContent(), "", "", "")
         assert len(answer.assertions) == 1
 
     def test_prompt_contains_prior_assertions(self, signal):
         backend = RecordingBackend([fenced(VALID_BARE_ASSERT)])
-        prior = AnswerContent(assertions=["assert property (q_old);"])
-        refine(CallLog("s", backend), signal, prior, "fb", "log", "rag", "w")
+        prior = AnswerContent(assertions=["assert property (q_old);"], syntax_log="[1] PASS")
+        refine(CallLog("s", backend), signal, prior, "fb", "rag", "w")
         assert "assert property (q_old);" in backend.prompts[0]
+        assert "[1] PASS" in backend.prompts[0]
 
     def test_input_answer_not_mutated(self, signal):
         backend = ScriptedBackend.from_responses([fenced(VALID_BARE_ASSERT)])
-        prior = AnswerContent(assertions=["assert property (q_old);"], commentary="c")
-        refine(CallLog("s", backend), signal, prior, "fb", "log", "rag", "w")
+        prior = AnswerContent(assertions=["assert property (q_old);"], commentary="c", syntax_log="log")
+        refine(CallLog("s", backend), signal, prior, "fb", "rag", "w")
         assert prior.assertions == ["assert property (q_old);"]
         assert prior.commentary == "c"
 
 
 def _bad_records() -> list[AssertionRecord]:
-    checker = BuiltinChecker()
-    records = [
-        AssertionRecord(text=INVALID_ASSERT, signal="s"),
-        AssertionRecord(text="property p; a |-> ; endproperty", signal="s"),
-    ]
-    for r in records:
-        r.apply_check(checker.check(r.text))
-    return records
+    return check_all([INVALID_ASSERT, "property p; a |-> ; endproperty"], BuiltinChecker())
 
 
 class TestCorrectSyntax:
-    def test_empty_input_no_backend_call(self):
+    def test_empty_input_no_backend_call(self, signal):
         backend = ScriptedBackend.from_responses([])  # would raise if called
-        assert correct_syntax(CallLog("s", backend), [], "spec", "s") == []
+        assert correct_syntax(CallLog("s", backend), [], signal) == []
 
-    def test_two_fixed(self):
+    def test_two_fixed(self, signal):
         backend = ScriptedBackend.from_responses(
             [fenced("assert property (a);", "assert property (b);")]
         )
-        fixed = correct_syntax(CallLog("s", backend), _bad_records(), "spec", "s")
+        fixed = correct_syntax(CallLog("s", backend), _bad_records(), signal)
         assert len(fixed) == 2
 
-    def test_prompt_contains_diagnostics_verbatim(self):
+    def test_prompt_contains_diagnostics_verbatim(self, signal):
         backend = RecordingBackend([fenced("assert property (a);")])
         records = _bad_records()
-        correct_syntax(CallLog("s", backend), records, "spec", "s")
+        correct_syntax(CallLog("s", backend), records, signal)
         for record in records:
             for diagnostic in record.diagnostics:
                 assert diagnostic.message in backend.prompts[0]
 
-    def test_record_without_diagnostics_rejected(self):
+    def test_record_without_diagnostics_rejected(self, signal):
         backend = ScriptedBackend.from_responses([])
         with pytest.raises(ValueError):
-            correct_syntax(
-                CallLog("s", backend), [AssertionRecord(text="assert property (a);")], "spec", "s"
-            )
+            correct_syntax(CallLog("s", backend), [AssertionRecord(text="assert property (a);")], signal)
 
 
 class TestDeduplicate:
-    def test_singleton_skips_backend(self):
+    def test_singleton_skips_backend(self, signal):
         backend = ScriptedBackend.from_responses([])
-        kept, warnings = deduplicate(CallLog("s", backend), ["assert property (a);"], "spec", "s")
+        kept, warnings = deduplicate(CallLog("s", backend), ["assert property (a);"], signal)
         assert kept == ["assert property (a);"]
         assert warnings == []
 
-    def test_subset_retained_in_pool_order(self):
+    def test_subset_retained_in_pool_order(self, signal):
         pool = ["assert property (a);", "assert property (b);", "assert property (c);"]
         backend = ScriptedBackend.from_responses(
             [fenced("assert property (c);", "assert property (a);")]
         )
-        kept, warnings = deduplicate(CallLog("s", backend), pool, "spec", "s")
+        kept, warnings = deduplicate(CallLog("s", backend), pool, signal)
         assert kept == ["assert property (a);", "assert property (c);"]
         assert warnings == []
 
-    def test_non_subset_reply_rejected(self):
+    def test_non_subset_reply_rejected(self, signal):
         pool = ["assert property (a);", "assert property (b);"]
         backend = ScriptedBackend.from_responses([fenced("assert property (zzz);")])
-        kept, warnings = deduplicate(CallLog("s", backend), pool, "spec", "s")
+        kept, warnings = deduplicate(CallLog("s", backend), pool, signal)
         assert kept == pool
         assert len(warnings) == 1
 
-    def test_normalized_match_keeps_pool_spelling(self):
+    def test_normalized_match_keeps_pool_spelling(self, signal):
         pool = ["assert property (a);  // keep me"]
         pool.append("assert property (b);")
         backend = ScriptedBackend.from_responses([fenced("assert  property (a)")])
-        kept, _ = deduplicate(CallLog("s", backend), pool, "spec", "s")
+        kept, _ = deduplicate(CallLog("s", backend), pool, signal)
         assert kept == ["assert property (a);  // keep me"]
 
 

@@ -1,6 +1,6 @@
 """Syntax-checker tests: the builtin checker's purity, the per-run memo,
-partition laws, log formatting, and the external-tool adapter against stub
-scripts."""
+`check_all` and the partition of a pool by its verdicts, log formatting,
+and the external-tool adapter against stub scripts."""
 
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from svagen.sva.checker import (
     DiagnosticPattern,
     ExternalChecker,
     MemoChecker,
+    check_all,
     format_log,
-    partition,
 )
 
 from conftest import INVALID_ASSERT, VALID_BARE_ASSERT, VALID_PROPERTY_UNIT
@@ -98,82 +98,65 @@ class TestMemoChecker:
         inner = StubChecker()
         memo = MemoChecker(inner)
         for _ in range(2):
-            records = [AssertionRecord(text="ok"), AssertionRecord(text="BAD")]
-            passing, failing = partition(records, memo)
-            assert [r.text for r in passing] == ["ok"]
-            assert [r.text for r in failing] == ["BAD"]
+            records = check_all(["ok", "BAD"], memo)
+            assert [(r.text, r.status) for r in records] == [("ok", "pass"), ("BAD", "fail")]
         assert inner.calls == 2
 
 
 class TestPartition:
+    """`check_all` gives one record per text, in order; its verdicts split
+    a pool into passing and failing assertions, as stage 3 does."""
+
     def test_mixed(self):
-        records = [
-            AssertionRecord(text=VALID_BARE_ASSERT, signal="a"),
-            AssertionRecord(text=INVALID_ASSERT, signal="a"),
-        ]
-        a1, a2 = partition(records, BuiltinChecker())
-        assert len(a1) == 1 and len(a2) == 1
-        assert a1[0].status == "pass" and a2[0].status == "fail"
+        records = check_all([VALID_BARE_ASSERT, INVALID_ASSERT], BuiltinChecker())
+        assert [r.text for r in records] == [VALID_BARE_ASSERT, INVALID_ASSERT]
+        assert [r.status for r in records] == ["pass", "fail"]
 
     def test_all_valid(self):
-        records = [
-            AssertionRecord(text=VALID_BARE_ASSERT),
-            AssertionRecord(text=VALID_PROPERTY_UNIT),
-        ]
-        a1, a2 = partition(records, BuiltinChecker())
-        assert len(a1) == 2 and a2 == []
+        records = check_all([VALID_BARE_ASSERT, VALID_PROPERTY_UNIT], BuiltinChecker())
+        assert [r.status for r in records] == ["pass", "pass"]
 
-    def test_checker_unavailable_aggregates(self):
-        class Broken:
-            def check(self, text):
-                raise CheckerUnavailableError("tool missing")
-
-        records = [AssertionRecord(text="x", signal="s1"), AssertionRecord(text="y", signal="s2")]
-        with pytest.raises(CheckerUnavailableError) as err:
-            partition(records, Broken())
-        assert "2 assertion(s)" in str(err.value)
-        assert all(r.status == "unchecked" for r in records)
-
-    def test_unavailable_names_the_record_index(self):
-        class DownForY:
+    def test_check_all_stops_at_the_first_unavailable_text(self):
+        class DownForY(StubChecker):
             def check(self, text):
                 if text == "y":
+                    self.calls += 1
                     raise CheckerUnavailableError("tool missing")
-                return []
+                return super().check(text)
 
-        records = [AssertionRecord(text="x", signal="s"), AssertionRecord(text="y", signal="s")]
-        with pytest.raises(CheckerUnavailableError) as err:
-            partition(records, DownForY())
-        assert str(err.value) == "1 assertion(s) could not be checked: s#1"
-        assert [r.status for r in records] == ["pass", "unchecked"]
+        checker = DownForY()
+        with pytest.raises(CheckerUnavailableError, match="^tool missing$"):
+            check_all(["x", "y", "z", "BAD"], checker)
+        assert checker.calls == 2  # "x", then "y"; no later text
+
+    def test_status_reads_the_diagnostics(self):
+        from svagen.sva.parser import Diagnostic
+
+        warning = Diagnostic("warning", 1, 1, "w", "style")
+        assert AssertionRecord("x").status == "pass"
+        assert AssertionRecord("x", [warning]).status == "pass"
+        assert AssertionRecord("x", [warning, Diagnostic("error", 1, 2, "e", "bad")]).status == "fail"
 
     @given(
         flags=st.lists(st.booleans(), min_size=0, max_size=30),
     )
     @settings(max_examples=100, deadline=None)
     def test_partition_laws(self, flags):
-        records = [
-            AssertionRecord(text=("BAD" if bad else "ok") + str(i))
-            for i, bad in enumerate(flags)
-        ]
+        texts = [("BAD" if bad else "ok") + str(i) for i, bad in enumerate(flags)]
         checker = StubChecker()
-        a1, a2 = partition(records, checker)
-        assert checker.calls == len(records)  # each checked exactly once
-        assert len(a1) + len(a2) == len(records)
-        assert set(id(r) for r in a1).isdisjoint(id(r) for r in a2)
-        assert [r for r in records if r.status == "pass"] == a1  # order preserved
-        assert [r for r in records if r.status == "fail"] == a2
+        records = check_all(texts, checker)
+        assert checker.calls == len(texts)  # each checked exactly once
+        assert [r.text for r in records] == texts  # order preserved
+        assert [r.status == "fail" for r in records] == flags
+        assert [r.diagnostics for r in records] == [StubChecker().check(t) for t in texts]
 
 
 class TestFormatLog:
     def test_pass_block(self):
-        record = AssertionRecord(text=VALID_BARE_ASSERT)
-        record.apply_check(BuiltinChecker().check(record.text))
-        assert "PASS" in format_log([record])
+        assert "PASS" in format_log(check_all([VALID_BARE_ASSERT], BuiltinChecker()))
 
     def test_fail_block_lists_positions(self):
-        record = AssertionRecord(text="property p; @(posedge clk) a |-> ; endproperty")
-        record.apply_check(BuiltinChecker().check(record.text))
+        [record] = check_all(["property p; @(posedge clk) a |-> ; endproperty"], BuiltinChecker())
         log = format_log([record])
         assert "FAIL" in log
         for d in record.diagnostics:
@@ -182,12 +165,9 @@ class TestFormatLog:
     def test_two_diagnostics_two_position_entries(self):
         from svagen.sva.parser import Diagnostic
 
-        record = AssertionRecord(text="x")
-        record.diagnostics = [
-            Diagnostic("error", 1, 2, "a", "first"),
-            Diagnostic("error", 3, 4, "b", "second"),
-        ]
-        record.status = "fail"
+        record = AssertionRecord(
+            "x", [Diagnostic("error", 1, 2, "a", "first"), Diagnostic("error", 3, 4, "b", "second")]
+        )
         log = format_log([record])
         assert "1:2" in log and "3:4" in log
 
@@ -195,10 +175,7 @@ class TestFormatLog:
         assert format_log([]) == ""
 
     def test_stable_ordering(self):
-        records = [AssertionRecord(text=VALID_BARE_ASSERT) for _ in range(3)]
-        for r in records:
-            r.apply_check(BuiltinChecker().check(r.text))
-        log = format_log(records)
+        log = format_log(check_all([VALID_BARE_ASSERT] * 3, BuiltinChecker()))
         assert log.index("[1]") < log.index("[2]") < log.index("[3]")
 
 

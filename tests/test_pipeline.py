@@ -27,7 +27,7 @@ from svagen.pipeline import (
 )
 from svagen.prompts import BudgetExceededError, CallLog
 from svagen.rag import HashedBowEmbedder, VectorIndex
-from svagen.sva.checker import BuiltinChecker, ExternalChecker
+from svagen.sva.checker import BuiltinChecker, CheckerUnavailableError, ExternalChecker
 from svagen.sva.parser import Diagnostic
 from svagen.sva.tokens import Unit
 from svagen.tree import ReasoningTree
@@ -627,6 +627,21 @@ class TestRunAll:
         assert result.failed and "checker command not found" in result.error
         assert len(result.tree) == 1 and result.total_calls == 1  # the root is checked before its critic call
 
+    def test_checker_down_at_the_corrected_text_fails_the_signal(self, tmp_path, bank):
+        class DownForCorrected(BuiltinChecker):
+            def check(self, text):
+                if text == CORRECTED_ASSERT:
+                    raise CheckerUnavailableError("checker timed out after 30.0s")
+                return super().check(text)
+
+        config = config_for(tmp_path, n_rollouts=1, early_stop=False)
+        backend = ScriptedBackend(full_signal_script("ack_o", n_rollouts=1))
+        result = run_signal(config, backend, bank, "ack_o", DownForCorrected())
+        assert result.failed
+        assert result.error == "CheckerUnavailableError: checker timed out after 30.0s"
+        assert result.a2 == [INVALID_ASSERT] and result.a2_prime == [] and result.deduplicated == []
+        assert result.total_calls == 7  # stage 2, then the correction; no deduplication call
+
     def _ledger(self, config, name):
         with open(os.path.join(config.paths.output_dir, "signals", name, "ledger.json")) as f:
             return json.load(f)
@@ -996,7 +1011,7 @@ class TestCheckMemoPerRun:
 
 
 class TestSignalNamesStayInOutputDir:
-    @pytest.mark.parametrize("name", ["../../escape", "../escape", "a/b", "a\\b", ".", ".."])
+    @pytest.mark.parametrize("name", ["../../escape", "../escape", "a/b", "a\\b", ".", "..", "a\x00b", "ack o"])
     def test_run_all_rejects_before_writing(self, tmp_path, name):
         config = config_for(tmp_path / "run", n_rollouts=1, early_stop=False)
         bank = asdict(make_bank(["ack_o"]))
@@ -1004,7 +1019,7 @@ class TestSignalNamesStayInOutputDir:
         with open(config.paths.bank_file, "w") as f:
             json.dump(bank, f)
         backend = ScriptedBackend([])
-        with pytest.raises(BankLoadError):
+        with pytest.raises(BankLoadError, match=r"verilog_name: .* is not a Verilog identifier"):
             run_all(config, backend=backend, checker=BuiltinChecker())
         assert backend.calls == 0
         assert sorted(os.listdir(tmp_path)) == ["run"]

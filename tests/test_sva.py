@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svagen.sva.operators import OPERATORS
 from svagen.sva.parser import (
     AssertStmt,
+    Binary,
+    Identifier,
     Implication,
     PropertyDecl,
+    Unary,
     parse_assertion,
     parse_units,
     units_to_token_signature,
 )
-from svagen.sva.tokens import Token, token_signature, tokenize
+from svagen.sva.tokens import Token, scan, token_signature, tokenize
 
 from sva_corpus import CORPUS, TIMER_INTERRUPT_ASSERTION
 
@@ -326,3 +330,15 @@ def test_generated_assertions_round_trip(source):
     units, diagnostics = parse_units(source)
     assert [d for d in diagnostics if d.severity == "error"] == []
     assert units_to_token_signature(units) == token_signature(tokenize(source))
+
+
+@pytest.mark.parametrize(
+    "op", [op for op in OPERATORS if op.fixity != "lexeme"], ids=lambda op: f"{op.fixity} {op.lexeme}"
+)
+def test_operator_token_kind_matches_the_lexer(op):
+    # a word operator serializes as the keyword the lexer reads, whatever its row
+    a, b = Identifier("a"), Identifier("b")
+    node = Binary(op.lexeme, a, b) if op.fixity == "infix" else Unary(op.lexeme, a)
+    [(kind, text)] = [t for t in node.to_tokens() if t[1] == op.lexeme]
+    [(lexed_kind, lexed, _)] = list(scan(op.lexeme))
+    assert (kind, text) == (lexed_kind, lexed)
