@@ -43,7 +43,9 @@ class CritiqueResult:
 
 
 _SCORE_RE = re.compile(r"\[\s*score\s*:\s*([+-]?\d+(?:\.\d+)?)\s*\]", re.IGNORECASE)
-_FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
+# a block closes at the next fence; an unclosed last block, as in a reply
+# cut at its length limit, runs to the end of the reply
+_FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)(?:```|\Z)", re.DOTALL)
 
 
 def parse_score(text: str, score_min: float = -100.0, score_max: float = 100.0) -> float:
@@ -73,7 +75,8 @@ def extract_assertions(text: str) -> list[str]:
 
     A unit is a `property` or `sequence` declaration with the statement that
     immediately follows it, or a bare, possibly labelled, `assert/assume/
-    cover` statement; units may share a line. No fences, no units.
+    cover` statement; units may share a line. No fences, no units; an
+    unclosed last fence runs to the end of the text.
     """
     units: list[str] = []
     for block in _FENCE_RE.findall(text):
@@ -82,7 +85,8 @@ def extract_assertions(text: str) -> list[str]:
 
 
 def commentary_of(text: str) -> str:
-    """Everything outside the fenced code blocks (the model's reasoning)."""
+    """Everything outside the fenced code blocks (the model's reasoning),
+    an unclosed last block included."""
     return _FENCE_RE.sub("", text).strip()
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from svagen import read_text
 from svagen.config import DEFAULT_CHUNK_OVERLAP, DEFAULT_CHUNK_SIZE
-from svagen.records import load
+from svagen.records import encode, loads
 
 DEFAULT_DIMENSION = 512
 # how far below the k-th best filter score a chunk may fall and still be
@@ -153,15 +153,15 @@ class VectorIndex:
     """Exact flat cosine index; the first add fixes the dimension.
 
     Each chunk keeps its stored entries, slices of its document's batch after
-    an add or of the arrays `load` decodes. The first query after a change
-    builds per-bucket postings: the entries grouped by column.
+    an add or of the arrays `load` decodes from its document's line. The
+    first query after a change builds per-bucket postings: the entries
+    grouped by column.
     """
 
     def __init__(self, dimension: int | None = None) -> None:
         self.dimension = dimension
         self.chunks: list[RagChunk] = []
         self._postings: tuple[np.ndarray, ...] | None = None  # None until a query after a change
-        self._decoded: tuple[np.ndarray, ...] | None = None  # what `load` decoded, until an add
         self._postings_lock = threading.Lock()
         self._doc_ids: set[str] = set()  # each doc_id added: a new one needs no scan
 
@@ -186,20 +186,25 @@ class VectorIndex:
         stored = np.flatnonzero(vectors.view(np.uint64) != 0)
         ends = np.searchsorted(stored, np.arange(1, len(chunk_texts) + 1) * self.dimension)
         columns = (stored % self.dimension).astype(np.uint32)
-        entries = zip(chunk_texts, _rows(ends, columns, vectors.reshape(-1)[stored]))
-        self._postings = self._decoded = None
         if doc_id in self._doc_ids:
             self.chunks = [c for c in self.chunks if c.doc_id != doc_id]
+        self._append(doc_id, chunk_texts, ends, columns, vectors.reshape(-1)[stored])
+
+    def _append(
+        self, doc_id: str, texts: list[str], ends: np.ndarray, columns: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Keep one document's chunks, whose row r's entries end at `ends[r]`."""
+        entries = zip(texts, _rows(ends, columns, values))
+        self._postings = None
         self._doc_ids.add(doc_id)
         self.chunks += [RagChunk(doc_id, i, t, *e, self.dimension) for i, (t, e) in enumerate(entries)]
 
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The file's arrays: entries per row, then each entry's column and value."""
-        if self._decoded is not None:
-            return self._decoded
+        """Every chunk's entries in row order: entries per row, then each
+        entry's column and value. Called only when the index holds a chunk."""
         row_nnz = np.array([len(c.columns) for c in self.chunks], dtype=np.uint32)
-        columns = np.concatenate([np.zeros(0, np.uint32)] + [c.columns for c in self.chunks])
-        values = np.concatenate([np.zeros(0)] + [c.values for c in self.chunks])
+        columns = np.concatenate([c.columns for c in self.chunks])
+        values = np.concatenate([c.values for c in self.chunks])
         return row_nnz, columns, values
 
     def _posting_lists(self) -> tuple[np.ndarray, ...]:
@@ -255,68 +260,91 @@ class VectorIndex:
         return scored[:k]
 
     def save(self, path: str) -> None:
-        """Write the index as compact JSON: the chunk texts, and the stored
-        entries in row-major order as three base64 little-endian arrays:
-        `row_nnz` (uint32, entries per row), `columns` (uint32) and `values`
-        (float64). An entry is stored unless its bits are all zero, so
-        every row rebuilds bit for bit. `load` reads any whitespace."""
-        row_nnz, columns, values = self._entries()
-        payload = {
-            "dimension": self.dimension,
-            "count": len(self.chunks),
-            "chunks": [{"doc_id": c.doc_id, "chunk_index": c.chunk_index, "text": c.text} for c in self.chunks],
-            "row_nnz": _b64(row_nnz, "<u4"),
-            "columns": _b64(columns, "<u4"),
-            "values": _b64(values, "<f8"),
-        }
+        """Write the index as JSON Lines, one document at a time: a header
+        `{"count", "dimension"}`, then one line per document in `chunks`
+        order with its chunk `texts` and their stored entries as three
+        base64 little-endian arrays: `row_nnz` (uint32, entries per row),
+        `columns` (uint32) and `values` (float64). An entry is stored unless
+        its bits are all zero, so every row rebuilds bit for bit."""
         with open(path, "w", encoding="utf-8") as f:
-            # two writes: `text + "\n"` would copy the whole file once more
-            f.write(json.dumps(payload, sort_keys=True))
-            f.write("\n")
+            _write_line(f, _Header(len(self.chunks), self.dimension))
+            # `add` keeps each document's chunks together, in chunk_index order
+            for doc_id, group in itertools.groupby(self.chunks, key=lambda c: c.doc_id):
+                rows = list(group)
+                _write_line(f, _Document(
+                    doc_id=doc_id,
+                    texts=[c.text for c in rows],
+                    row_nnz=_b64(np.array([len(c.columns) for c in rows]), "<u4"),
+                    columns=_b64(np.concatenate([c.columns for c in rows]), "<u4"),
+                    values=_b64(np.concatenate([c.values for c in rows]), "<f8"),
+                ))
 
     @classmethod
     def load(cls, path: str) -> VectorIndex:
-        """Read a file written by `save`, keeping the decoded arrays. ValueError
-        naming the file when it is not one: invalid JSON, a missing, unknown or
-        wrongly typed field (as in an older layout), a chunk list or `row_nnz`
-        length other than `count`, `columns` and `values` lengths other than
-        the `row_nnz` sum, a column `>= dimension`, or columns not ascending."""
-        return load(_IndexFile, path, "index", ValueError, cls._from_file)
+        """Read a file written by `save` line by line. ValueError naming the
+        file and the line when it is not one: a line that is not JSON, a
+        first line that is not the header, a missing, unknown or wrongly
+        typed field (as in an older layout), a doc_id on two lines, a
+        `row_nnz` length other than the line's text count, `columns` and
+        `values` lengths other than the `row_nnz` sum, a column `>=
+        dimension`, columns not ascending, or a chunk total other than
+        `count`."""
+        number = 1  # the line an error is charged to
+        try:
+            with open(path, encoding="utf-8") as lines:
+                header = loads(_Header, lines.readline(), ValueError)
+                count, dimension = header.count, header.dimension
+                if count < 0:
+                    raise ValueError(f"count must be non-negative, not {count}")
+                # the first add fixes the dimension, so an index with no chunks may have none
+                if not (count == 0 if dimension is None else dimension >= 1):
+                    raise ValueError(f"dimension must be a positive integer, not {dimension!r}")
+                index = cls(dimension=dimension)
+                for line in lines:
+                    number += 1
+                    doc = loads(_Document, line, ValueError)
+                    del line  # freed before the arrays are decoded: a line is as large as they are
+                    index._add_stored(doc)
+                    if len(index.chunks) > count:
+                        raise ValueError(f"chunk total {len(index.chunks)} so far exceeds count = {count}")
+                number = 1  # fewer chunks than the header's count: a truncated file
+                if len(index.chunks) != count:
+                    raise ValueError(f"chunk total {len(index.chunks)} is not count = {count}")
+                return index
+        except (OSError, UnicodeDecodeError) as err:
+            raise ValueError(f"cannot read index file {path!r}: {err}") from err
+        except ValueError as err:
+            raise ValueError(f"index file {path!r}, line {number}: {err}") from err
 
-    @classmethod
-    def _from_file(cls, stored: _IndexFile) -> VectorIndex:
-        dimension, count, chunks = stored.dimension, stored.count, stored.chunks
-        if count < 0:
-            raise ValueError(f"index count must be non-negative, not {count}")
-        # the first add fixes the dimension, so an index with no chunks may have none
-        if not (count == 0 if dimension is None else dimension >= 1):
-            raise ValueError(f"index dimension must be a positive integer, not {dimension!r}")
-        if len(chunks) != count:
-            raise ValueError("index file count does not match stored chunks")
-        row_nnz = _unb64(stored.row_nnz, "<u4", "row_nnz")
-        columns = _unb64(stored.columns, "<u4", "columns")
-        values = _unb64(stored.values, "<f8", "values")
-        if len(row_nnz) != count:
-            raise ValueError(f"index row_nnz holds {len(row_nnz)} rows, not count = {count}")
+    def _add_stored(self, doc: _Document) -> None:
+        """Append one document line's chunks, after checking its arrays."""
+        if doc.doc_id in self._doc_ids:
+            raise ValueError(f"doc_id {doc.doc_id!r} is on an earlier line too")
+        row_nnz = _unb64(doc.row_nnz, "<u4", "row_nnz")
+        columns = _unb64(doc.columns, "<u4", "columns")
+        values = _unb64(doc.values, "<f8", "values")
+        if len(row_nnz) != len(doc.texts):
+            raise ValueError(f"row_nnz holds {len(row_nnz)} rows, not one per text ({len(doc.texts)})")
         total = int(row_nnz.sum(dtype=np.int64))
         if not (len(columns) == len(values) == total):
             raise ValueError(
-                f"index columns and values hold {len(columns)} and {len(values)} entries, "
+                f"columns and values hold {len(columns)} and {len(values)} entries, "
                 f"not the row_nnz sum {total}"
             )
-        width = dimension or 0
+        width = self.dimension or 0
         if total and int(columns.max()) >= width:
-            raise ValueError(f"index column {int(columns.max())} is not below dimension {width}")
-        keys = np.repeat(np.arange(count, dtype=np.int64) * width, row_nnz) + columns
+            raise ValueError(f"column {int(columns.max())} is not below dimension {width}")
+        keys = np.repeat(np.arange(len(row_nnz), dtype=np.int64) * width, row_nnz)
+        keys += columns
         if np.any(keys[1:] <= keys[:-1]):  # each row's columns ascend: no entry is stored twice
-            raise ValueError("index columns do not ascend within each row")
-        index = cls(dimension=dimension)
-        entries = _rows(np.cumsum(row_nnz), columns, values)
-        index.chunks = [
-            RagChunk(c.doc_id, c.chunk_index, c.text, *e, width) for c, e in zip(chunks, entries)
-        ]
-        index._doc_ids, index._decoded = {c.doc_id for c in chunks}, (row_nnz, columns, values)
-        return index
+            raise ValueError("columns do not ascend within each row")
+        self._append(doc.doc_id, doc.texts, np.cumsum(row_nnz), columns, values)
+
+
+def _write_line(f, record) -> None:
+    """One compact JSON line with sorted keys."""
+    f.write(json.dumps(encode(record), sort_keys=True))
+    f.write("\n")
 
 
 def _rows(ends: np.ndarray, columns: np.ndarray, values: np.ndarray) -> list[tuple]:
@@ -326,32 +354,33 @@ def _rows(ends: np.ndarray, columns: np.ndarray, values: np.ndarray) -> list[tup
 
 
 def _b64(array: np.ndarray, dtype: str) -> str:
-    return base64.b64encode(array.astype(dtype).tobytes()).decode("ascii")
+    return base64.b64encode(np.ascontiguousarray(array, dtype=dtype)).decode("ascii")
 
 
 def _unb64(text: str, dtype: str, name: str) -> np.ndarray:
     raw = base64.b64decode(text, validate=True)
     size = np.dtype(dtype).itemsize
     if len(raw) % size:
-        raise ValueError(f"index {name} holds {len(raw)} bytes, not a multiple of {size}")
+        raise ValueError(f"{name} holds {len(raw)} bytes, not a multiple of {size}")
     return np.frombuffer(raw, dtype=dtype)
 
 
 @dataclass
-class _IndexChunk:
-    doc_id: str
-    chunk_index: int
-    text: str
+class _Header:
+    """An index file's first line."""
+
+    count: int  # the chunks in the whole file
+    dimension: int | None
 
 
 @dataclass
-class _IndexFile:
-    """An index file as `VectorIndex.save` writes it; arrays are base64, little-endian."""
+class _Document:
+    """One document's line: its chunks, in chunk_index order, and their
+    stored entries; arrays are base64, little-endian."""
 
-    dimension: int | None
-    count: int
-    chunks: list[_IndexChunk]
-    row_nnz: str  # uint32 per row: how many of its entries are stored
+    doc_id: str
+    texts: list[str]
+    row_nnz: str  # uint32 per text: how many of its row's entries are stored
     columns: str  # uint32 per stored entry, row by row
     values: str  # float64 per stored entry
 

@@ -3,8 +3,9 @@
 Every JSON record svagen reads or writes (the run config, the information
 bank, a tree dump, a scripted-backend file, the retrieval index) is a
 dataclass, and `decode` and `encode` map it from and to JSON by the field
-annotations alone. `load` reads one from a file, and `dumps` is the one
-encoding of every JSON artifact svagen writes.
+annotations alone. `load` reads one from a file (the index is read one line,
+and one record, at a time), and `dumps` is the one encoding of every JSON
+artifact svagen writes but the index.
 """
 
 from __future__ import annotations
@@ -145,7 +146,6 @@ def load(cls, path: str, what: str, error: type[Exception], build=None):
     text = read_text(path, what, error)  # names the file itself
     try:
         record = loads(cls, text, error)
-        del text  # freed before `build` runs: an index file's text is as large as its vectors
         return record if build is None else build(record)
     except error as err:
         raise error(f"{what} file {path!r}: {err}") from err

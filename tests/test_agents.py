@@ -12,6 +12,7 @@ from svagen.agents import (
     CritiqueResult,
     ScoreParseError,
     ScoreRangeError,
+    commentary_of,
     correct_syntax,
     critique,
     deduplicate,
@@ -41,6 +42,7 @@ from svagen.prompts import (
     render_prompt,
 )
 from svagen.sva.checker import AssertionRecord, BuiltinChecker, check_all
+from svagen.sva.tokens import Unit
 from svagen.tree import AnswerContent, SearchParams
 
 from sva_corpus import CORPUS
@@ -239,6 +241,37 @@ class TestExtractAssertions:
 
     def test_no_fences(self):
         assert extract_assertions("just prose, no code") == []
+
+    def test_unclosed_last_fence_runs_to_the_end(self):
+        unit = "assert property (@(posedge clk) a |-> b);"
+        reply = "ok\n```sv\n" + unit + "\n"
+        assert extract_assertions(reply) == [unit]
+        answer = parse_answer("before\n" + fenced("assert property (c);") + "\nafter\n```sv\n" + unit)
+        assert answer.assertions == ["assert property (c);", unit]
+        assert answer.commentary == "before\n\nafter"
+
+    def test_unit_cut_inside_an_unclosed_fence_is_kept_as_written(self):
+        reply = "```sv\nassert property (a);\nassert property (@(posedge clk) b |->"
+        units = extract_assertions(reply)
+        assert units == ["assert property (a);", "assert property (@(posedge clk) b |->"]
+        assert type(units[0]) is Unit and type(units[1]) is str  # open at the end: the checker reports it
+
+    def test_closed_fences_are_unchanged(self):
+        reply = "x\n```sv\nassert property (a);\n```\ny\n```\nassert property (b);\n```\nz ```assert property (q);```"
+        assert extract_assertions(reply) == ["assert property (a);", "assert property (b);"]
+        assert commentary_of(reply) == "x\n\ny\n\nz ```assert property (q);```"
+
+    def test_every_statement_complete_at_a_cut_is_a_unit_of_the_reply(self):
+        reply = (
+            "Two checks.\n```systemverilog\nassert property (@(posedge clk) req |-> ##[1:3] ack);\n"
+            "a_2: assert property (@(posedge clk) $rose(ack) |-> !req); // then\n```\n"
+            "And one more:\n```sv\ncover property (@(posedge clk) req ##1 ack); assert property (x);\n```\n"
+        )
+        keys = {u.key for u in extract_assertions(reply)}
+        assert len(keys) == 4
+        for cut in range(len(reply) + 1):
+            complete = [u for u in extract_assertions(reply[:cut]) if isinstance(u, Unit)]
+            assert {u.key for u in complete} <= keys, cut
 
     def test_multiline_assert_statement(self):
         unit = "assert property (@(posedge clk)\n  a |-> b);"

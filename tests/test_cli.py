@@ -109,66 +109,83 @@ INVALID_SEARCH_FLAGS = [
 
 
 def bad_index_text(case: str) -> str:
-    """An index file that `VectorIndex.load` rejects, made from a valid one."""
+    """An index file that `VectorIndex.load` rejects, made from a valid one:
+    a header line, then one line per document."""
     if case == "invalid json":
         return "{not json"
     index = VectorIndex()
     index.add("guide.txt", ["ack_o acknowledges requests"], HashedBowEmbedder())
+    index.add("notes.md", ["rst_n is active low"], HashedBowEmbedder())
     vector = index.chunks[0].vector
     (columns,) = np.nonzero(vector)
 
     def b64(values, dtype: str) -> str:
         return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode()
 
-    payload = {
-        "dimension": index.dimension,
-        "count": 1,
-        "chunks": [{"doc_id": "guide.txt", "chunk_index": 0, "text": index.chunks[0].text}],
+    header = {"count": 2, "dimension": index.dimension}
+    guide = {
+        "doc_id": "guide.txt",
+        "texts": [index.chunks[0].text],
         "row_nnz": b64([len(columns)], "<u4"),
         "columns": b64(columns, "<u4"),
         "values": b64(vector[columns], "<f8"),
     }
-    sparse = ("row_nnz", "columns", "values")
-    if case == "old layout":  # a `vector` list per chunk
-        for name in sparse:
-            del payload[name]
-        payload["chunks"][0]["vector"] = vector.tolist()
-    elif case == "dense vectors layout":  # one dense base64 float64 matrix
-        for name in sparse:
-            del payload[name]
-        payload["vectors"] = b64(vector, "<f8")
+    notes = {**guide, "doc_id": "notes.md", "texts": [index.chunks[1].text]}
+    lines = [header, guide, notes]
+    chunks = [{"doc_id": c.doc_id, "chunk_index": 0, "text": c.text} for c in index.chunks]
+    if case == "old layout":  # one object, a `vector` list per chunk
+        lines = [{**header, "chunks": [{**c, "vector": vector.tolist()} for c in chunks]}]
+    elif case == "dense vectors layout":  # one object, one dense base64 float64 matrix
+        lines = [{**header, "chunks": chunks, "vectors": b64([vector, vector], "<f8")}]
+    elif case == "old single-object layout":  # one object, the entries of every row in three arrays
+        entries = {k: b64(np.tile(np.frombuffer(base64.b64decode(guide[k]), d), 2), d)
+                   for k, d in [("row_nnz", "<u4"), ("columns", "<u4"), ("values", "<f8")]}
+        lines = [{**header, "chunks": chunks, **entries}]
     elif case == "wrong byte length":
-        payload["values"] = base64.b64encode(np.zeros(len(columns)).tobytes()[:-3]).decode()
+        guide["values"] = base64.b64encode(np.zeros(len(columns)).tobytes()[:-3]).decode()
     elif case == "column out of range":
-        payload["columns"] = b64([*columns[:-1], index.dimension], "<u4")
+        guide["columns"] = b64([*columns[:-1], index.dimension], "<u4")
     elif case == "row_nnz sum mismatch":
-        payload["row_nnz"] = b64([len(columns) + 1], "<u4")
+        guide["row_nnz"] = b64([len(columns) + 1], "<u4")
     elif case == "values length mismatch":
-        payload["values"] = b64(vector[columns[:-1]], "<f8")
+        guide["values"] = b64(vector[columns[:-1]], "<f8")
     elif case == "count mismatch":
-        payload["count"] = 2
-    elif case == "string chunk index":
-        payload["chunks"][0]["chunk_index"] = "zero"
+        header["count"] = 3
+    elif case == "missing document line":
+        lines.pop()
+    elif case == "doc_id on two lines":
+        notes["doc_id"] = "guide.txt"
+    elif case == "header not first":
+        lines[:2] = [guide, header]
+    elif case == "string chunk index":  # chunks keyed by a string index, not listed
+        guide["texts"] = {"0": guide["texts"][0]}
     elif case == "number text":
-        payload["chunks"][0]["text"] = 5
+        guide["texts"] = [5]
     elif case == "unknown chunk key":
-        payload["chunks"][0]["page"] = 3
-    return json.dumps(payload)
+        guide["page"] = 3
+    text = "".join(json.dumps(line) + "\n" for line in lines)
+    return text[:-10] if case == "torn last line" else text
 
 
-BAD_INDEX = [
-    "invalid json",
-    "old layout",
-    "dense vectors layout",
-    "wrong byte length",
-    "column out of range",
-    "row_nnz sum mismatch",
-    "values length mismatch",
-    "count mismatch",
-    "string chunk index",
-    "number text",
-    "unknown chunk key",
-]
+# each case, and what the error names after the file
+BAD_INDEX = {
+    "invalid json": "line 1: not valid JSON",
+    "old layout": "line 1: unknown key chunks",
+    "dense vectors layout": "line 1: unknown key chunks",
+    "old single-object layout": "line 1: unknown key chunks",
+    "wrong byte length": "line 2: values holds 21 bytes, not a multiple of 8",
+    "column out of range": "line 2: column 512 is not below dimension 512",
+    "row_nnz sum mismatch": "line 2: columns and values hold 3 and 3 entries, not the row_nnz sum 4",
+    "values length mismatch": "line 2: columns and values hold 3 and 2 entries, not the row_nnz sum 3",
+    "count mismatch": "line 1: chunk total 2 is not count = 3",
+    "missing document line": "line 1: chunk total 1 is not count = 2",
+    "torn last line": "line 3: not valid JSON",
+    "doc_id on two lines": "line 3: doc_id 'guide.txt' is on an earlier line too",
+    "header not first": "line 1: unknown key doc_id",
+    "string chunk index": "line 2: texts must be a list",
+    "number text": "line 2: texts[0] must be a string, not 5",
+    "unknown chunk key": "line 2: unknown key page",
+}
 
 INVALID_RAG = [
     {"k": 0},
@@ -331,7 +348,12 @@ class TestRun:
         assert calls == []
         assert not os.path.exists(tmp_path / "bank.json")
         err = capsys.readouterr().err
-        assert str(index_path) in err and "svagen rag build" in err
+        assert f"index file {str(index_path)!r}, {BAD_INDEX[case]}" in err and "svagen rag build" in err
+
+    def test_bad_index_cases_start_from_a_loadable_index(self, tmp_path):
+        index_path = tmp_path / "index.json"
+        index_path.write_text(bad_index_text("none"))
+        assert [c.doc_id for c in VectorIndex.load(str(index_path)).chunks] == ["guide.txt", "notes.md"]
 
     def test_missing_index_fails_before_stage_one(self, tmp_path, monkeypatch, capsys):
         calls = record_backend_calls(monkeypatch)

@@ -11,7 +11,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svagen.tree import (
@@ -350,6 +350,7 @@ def test_selection_is_greedy(ops):
     child_q=st.floats(min_value=-100, max_value=100, allow_nan=False),
 )
 @settings(max_examples=100, deadline=None)
+@example(parent_q=-100.0, child_q=-99.99999999999999)  # adjacent floats: the mean rounds to one of them
 def test_monotone_attraction(parent_q, child_q):
     params = _PARAMS
     tree = new_tree()
@@ -360,5 +361,6 @@ def test_monotone_attraction(parent_q, child_q):
     tree.backpropagate(child)
     after = tree.nodes[0].q_value
     if child_q > parent_q:
-        assert after > before
+        # strictly higher, unless no float lies strictly between the two
+        assert after > before or math.nextafter(parent_q, math.inf) == child_q
     assert -100.0 <= after <= 100.0
