@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from svagen.bank import SignalInfo
-from svagen.prompts import CallLog, render_prompt
+from svagen.prompts import Call, CallLog, render_prompt
 from svagen.sva.checker import AssertionRecord
 from svagen.sva.parser import VERBS
 from svagen.sva.tokens import STOP_MESSAGES, Unit, normal_form, scan, scan_through
@@ -210,23 +210,19 @@ def merge_normalized(pool: list[str]) -> list[str]:
 # Agent operations
 
 
-def _ask(
-    log: CallLog, key: str, signal: SignalInfo, node: int | None = None, phase: str | None = None,
-    **context: str,
-) -> str:
+def _call(log: CallLog, key: str, signal: SignalInfo, **context: str) -> Call:
     """Render `log`'s template `key` with `context` plus the signal's name
-    and `describe()` text, send it through `log` under the template's role,
-    and return the reply."""
+    and `describe()` text, as the `(role, messages)` call `log` sends."""
     context.update(signal_name=signal.verilog_name, specification_text=signal.describe())
     template = log.templates[key]
-    return log.complete(template.role_name, render_prompt(template, context), node, phase)
+    return template.role_name, render_prompt(template, context)
 
 
 def generate_weak_answer(log: CallLog, signal: SignalInfo, workflow: str) -> AnswerContent:
     """First, deliberately short assertion set seeding the tree root."""
     if not signal.verilog_name or not (signal.description or signal.definition or signal.functionality):
         raise ValueError("weak answer needs a named, described signal")
-    return parse_answer(_ask(log, "sva_weak", signal, workflow_info=workflow))
+    return parse_answer(log.complete(*_call(log, "sva_weak", signal, workflow_info=workflow)))
 
 
 def critique(
@@ -237,24 +233,26 @@ def critique(
     workflow: str = "",
     node: int | None = None,
     phase: str | None = None,
+    then: Call | None = None,
 ) -> CritiqueResult:
     """Score an assertion set with its syntax log; the returned
     suppressed_score is what feeds the tree, and the call's event in `log`
-    keeps the critique. Raises ScoreParseError when the reply carries no
-    usable score.
+    keeps the critique. `then` goes with the call (`CallLog.complete`).
+    Raises ScoreParseError when the reply carries no usable score.
     """
-    reply = _ask(
-        log, "critic", signal, node, phase, workflow_info=workflow,
+    event = len(log)  # this call's event, charged before `then`'s: a log has one writer
+    reply = log.complete(*_call(
+        log, "critic", signal, workflow_info=workflow,
         assertions="\n\n".join(answer.assertions) or "(no assertions)",
         syntax_log=answer.syntax_log or "(not available)",
-    )
+    ), node, phase, then)
     raw = parse_score(reply, params.score_min, params.score_max)
     result = CritiqueResult(
         feedback=reply,
         raw_score=raw,
         suppressed_score=suppress_score(raw, params),
     )
-    log.events[-1].critique = result  # this call's event: a log has one writer
+    log.events[event].critique = result
     return result
 
 
@@ -271,13 +269,13 @@ def refine(
 
     The input answer is read-only; the result is a fresh AnswerContent.
     """
-    reply = _ask(
+    reply = log.complete(*_call(
         log, "sva_refine", signal, workflow_info=workflow,
         assertions="\n\n".join(answer.assertions) or "(no assertions yet)",
         feedback=feedback or "(none)",
         syntax_log=answer.syntax_log or "(none)",
         rag_context=rag_context or "(none)",
-    )
+    ))
     return parse_answer(reply)
 
 
@@ -292,21 +290,24 @@ def format_bad_assertions(records: list[AssertionRecord]) -> str:
     return "\n\n".join(blocks)
 
 
-def correct_syntax(log: CallLog, bad: list[AssertionRecord], signal: SignalInfo) -> list[str]:
-    """Ask the correction agent to fix failing assertions.
+def correction_call(log: CallLog, bad: list[AssertionRecord], signal: SignalInfo) -> Call | None:
+    """The call `correct_syntax` sends for `bad`; None for an empty input.
+    Every input record must carry diagnostics."""
+    if not all(record.diagnostics for record in bad):
+        raise ValueError("correction input must carry at least one diagnostic per assertion")
+    return _call(log, "syntax_correction", signal, assertions=format_bad_assertions(bad)) if bad else None
 
-    Every input record must carry diagnostics. An empty input returns empty
-    without a call.
-    """
-    if not bad:
-        return []
-    for record in bad:
-        if not record.diagnostics:
-            raise ValueError(
-                "correction input must carry at least one diagnostic per assertion"
-            )
-    reply = _ask(log, "syntax_correction", signal, assertions=format_bad_assertions(bad))
-    return extract_assertions(reply)
+
+def correct_syntax(log: CallLog, bad: list[AssertionRecord], signal: SignalInfo) -> list[str]:
+    """Ask the correction agent to fix failing assertions (`correction_call`).
+    An empty input returns empty without a call."""
+    call = correction_call(log, bad, signal)
+    return extract_assertions(log.complete(*call)) if call else []
+
+
+def deduplication_call(log: CallLog, pool: list[str], signal: SignalInfo) -> Call | None:
+    """The call `deduplicate` sends for `pool`; None for a pool of one or fewer."""
+    return _call(log, "deduplication", signal, assertions="\n\n".join(pool)) if len(pool) > 1 else None
 
 
 def deduplicate(log: CallLog, pool: list[str], signal: SignalInfo) -> tuple[list[str], list[str]]:
@@ -316,9 +317,10 @@ def deduplicate(log: CallLog, pool: list[str], signal: SignalInfo) -> tuple[list
     equality; a reply that modifies or invents assertions is rejected and
     the whole pool kept, with a warning. Returns (assertions, warnings).
     """
-    if len(pool) <= 1:
+    call = deduplication_call(log, pool, signal)
+    if call is None:
         return list(pool), []
-    reply_assertions = extract_assertions(_ask(log, "deduplication", signal, assertions="\n\n".join(pool)))
+    reply_assertions = extract_assertions(log.complete(*call))
     pool_norms = {normalize_assertion(t) for t in pool}
     kept_norms: set[str] = set()
     for text in reply_assertions:

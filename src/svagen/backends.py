@@ -37,8 +37,11 @@ class ScriptedBackend:
     Responses are consumed in order; an entry with a `match` substring is
     only eligible when the rendered prompt contains it, which lets one
     script serve interleaved per-signal calls. Raises BackendError when no
-    entry is eligible (script exhausted or mismatched).
+    entry is eligible (script exhausted or mismatched). It is `serial`
+    (`CallLog`), so one signal's calls arrive as at `parallel` 1.
     """
+
+    serial = True
 
     def __init__(self, entries: list[ScriptEntry]) -> None:
         self._entries = list(entries)

@@ -31,8 +31,10 @@ from svagen import read_text
 from svagen.agents import (
     ScoreParseError,
     correct_syntax,
+    correction_call,
     critique,
     deduplicate,
+    deduplication_call,
     generate_weak_answer,
     merge_normalized,
     # pool_assertions does not call it; bench/run_bench.py traces `pipeline.normalize_assertion`
@@ -42,6 +44,7 @@ from svagen.agents import (
 from svagen.backends import ChatBackend
 from svagen.bank import (
     InformationBank,
+    SignalInfo,
     StageError,
     analyze_signal,
     analyze_waveform,
@@ -173,7 +176,9 @@ def run_stage2(
     score, critic feedback for expansion, refinement, and evaluation of the
     new node. A score parse failure is retried once, then the rollout is
     aborted and the partial tree kept; a call the log refuses past the
-    budget ends the search the same way.
+    budget ends the search the same way. At `parallel > 1` stage 3's first
+    call may go beside the last child evaluation, which nothing in stage 3
+    reads (docs/formats.md, "Run configuration").
 
     Retrieval runs once per signal: its query text depends only on the
     signal, so the first rollout to reach the refine step queries
@@ -189,20 +194,20 @@ def run_stage2(
     log, warnings = result.log, result.warnings
     rag_context: str | None = None  # set at the first refine step
 
-    def scored_critique(node_id: int, phase: str):
+    def scored_critique(node_id: int, phase: str, then=None):
         args = (log, signal, tree.node(node_id).answer, params, workflow, node_id, phase)
         try:
-            return critique(*args)
+            return critique(*args, then=then)
         except ScoreParseError:
             try:
                 return critique(*args)
             except ScoreParseError as err2:
                 raise RolloutAborted(f"critic score unparseable twice: {err2}") from err2
 
-    def evaluate(node_id: int, phase: str) -> None:
+    def evaluate(node_id: int, phase: str, last: bool = False) -> None:
         answer = tree.node(node_id).answer
         answer.syntax_log = format_log(check_all(answer.assertions, checker))
-        scored = scored_critique(node_id, phase)
+        scored = scored_critique(node_id, phase, _stage3_first_call(result, signal, checker) if last else None)
         tree.record_reward(node_id, scored.suppressed_score, params)
         tree.backpropagate(node_id)
 
@@ -244,8 +249,10 @@ def run_stage2(
                 warnings.append(f"rollout {rollout} refinement produced no assertions")
             child_id = tree.add_child(selected_id, new_answer)
 
-            # phase 3 + 4: evaluation of the new node, backpropagation
-            evaluate(child_id, "evaluation")
+            # phase 3 + 4: evaluation of the new node, backpropagation; stage 3's
+            # first call goes with the last one if the log has room for a retry too
+            last = rollout == params.n_rollouts and config.parallel > 1 and len(log) + 3 <= log.cap
+            evaluate(child_id, "evaluation", last)
             tree.rollouts_completed = rollout
         except (RolloutAborted, BudgetExceededError) as err:
             warnings.append(f"rollout {rollout} aborted: {err}")
@@ -281,6 +288,15 @@ def pool_assertions(tree: ReasoningTree) -> list[str]:
     return merge_normalized([t for node in tree.nodes.values() for t in node.answer.assertions])
 
 
+def _stage3_first_call(result: SignalRunResult, signal: SignalInfo, checker: SyntaxChecker):
+    """The call `run_stage3` makes first on `result.tree`: the correction,
+    or the deduplication when nothing fails; None when it makes neither."""
+    records = check_all(pool_assertions(result.tree), checker)
+    failing = [r for r in records if r.status == "fail"]
+    passing = merge_normalized([r.text for r in records if r.status == "pass"])
+    return correction_call(result.log, failing, signal) or deduplication_call(result.log, passing, signal)
+
+
 def run_stage3(
     config: RunConfig,
     bank: InformationBank,
@@ -293,9 +309,11 @@ def run_stage3(
     Two calls at most, the last two that `default_call_budget` counts:
     syntax correction (skipped when nothing failed) and deduplication
     (skipped for pools of one or fewer); a step whose call the log refuses
-    past the budget is skipped with a warning. Corrected texts are
-    re-checked; still-failing ones are dropped with a warning. A text the
-    checker cannot check raises CheckerUnavailableError, as in stage 2.
+    past the budget is skipped with a warning. The first of them may have
+    gone with stage 2's last evaluation; `result.log` then answers it
+    without sending it again. Corrected texts are re-checked; still-failing
+    ones are dropped with a warning. A text the checker cannot check raises
+    CheckerUnavailableError, as in stage 2.
     """
     signal, log, warnings = bank.signal(result.signal), result.log, result.warnings
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -270,12 +270,16 @@ class CallEvent:
     critique: CritiqueResult | None = None
 
 
+Call = tuple[str, list[Message]]  # (role, messages), as `CallLog` sends it
+
+
 class CallLog:
     """The backend and templates the agents of one signal, or of stage 1
     when `cap` is None, reach a model through, and their calls in call
-    order. Each log has one writer thread: `complete_many` charges a
-    batch's events on the caller's thread before any of its calls is sent,
-    so its worker threads only wait on the backend."""
+    order. Each log has one writer thread: a batch's events are charged on
+    the caller's thread before any of its calls is sent, so its worker
+    threads only wait on the backend. A backend that sets `serial` has no
+    latency to overlap, and gets every call in the `parallel` 1 order."""
 
     def __init__(
         self,
@@ -289,29 +293,46 @@ class CallLog:
         self.templates = templates or DEFAULT_TEMPLATES
         self.cap = cap
         self.events: list[CallEvent] = []
+        self._ahead: tuple[list[Message], Future] | None = None  # sent with an earlier call
 
     def __len__(self) -> int:
         return len(self.events)
 
     def complete(
-        self, role: str, messages: list[Message], node: int | None = None, phase: str | None = None
+        self, role: str, messages: list[Message], node: int | None = None, phase: str | None = None,
+        then: Call | None = None,
     ) -> str:
         """Charge one call to `role`, then send `messages` to the backend.
         Nothing is charged before the prompt is rendered, so the log holds
         exactly the calls the backend received, a failed one included. A
-        call past the cap is refused unsent."""
-        self._admit(1)
-        self.events.append(CallEvent(role, node, phase))
-        return self.backend.complete(messages)
+        call past the cap is refused unsent.
 
-    def complete_many(self, calls: list[tuple[str, list[Message]]], workers: int) -> list[str]:
+        `then`, a call that needs no reply of this one, is charged after it
+        and sent beside it (not to a `serial` backend); a later `complete`
+        of its messages returns its reply, or raises its error, without
+        sending it again."""
+        if self._ahead is not None and self._ahead[0] == messages:
+            future, self._ahead = self._ahead[1], None
+            return future.result()
+        if then is None or getattr(self.backend, "serial", False):
+            self._admit(1)
+            self.events.append(CallEvent(role, node, phase))
+            return self.backend.complete(messages)
+        self._admit(2)
+        self.events += [CallEvent(role, node, phase), CallEvent(then[0])]
+        with ThreadPoolExecutor(max_workers=1) as pool:  # this call stays on the caller's thread
+            self._ahead = (then[1], pool.submit(self.backend.complete, then[1]))
+            return self.backend.complete(messages)
+
+    def complete_many(self, calls: list[Call], workers: int) -> list[str]:
         """Charge each `(role, messages)` call in input order, send them to
         the backend from at most `workers` threads, and return the replies
-        in input order. A pool of one sends the calls in input order. A
-        batch that would pass the cap is refused whole and unsent. When a
-        call fails, calls not yet started are not sent and their events are
-        dropped, so the log again holds exactly the calls the backend
-        received; the first failure in input order is raised."""
+        in input order. A pool of one, as for a `serial` backend, sends the
+        calls in input order. A batch that would pass the cap is refused
+        whole and unsent. When a call fails, calls not yet started are not
+        sent and their events are dropped, so the log again holds exactly
+        the calls the backend received; the first failure in input order is
+        raised."""
         if not calls:
             return []
         self._admit(len(calls))
@@ -328,7 +349,8 @@ class CallLog:
                 failed.set()
                 raise
 
-        with ThreadPoolExecutor(max_workers=min(workers, len(calls))) as pool:
+        workers = 1 if getattr(self.backend, "serial", False) else min(workers, len(calls))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(send, messages) for _, messages in calls]
         if not failed.is_set():
             return [f.result() for f in futures]

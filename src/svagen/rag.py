@@ -154,8 +154,8 @@ class VectorIndex:
 
     Each chunk keeps its stored entries, slices of its document's batch after
     an add or of the arrays `load` decodes from its document's line. The
-    first query after a change builds per-bucket postings: the entries
-    grouped by column.
+    first query after a change builds per-bucket postings from those
+    per-document arrays: the entries grouped by column.
     """
 
     def __init__(self, dimension: int | None = None) -> None:
@@ -163,7 +163,8 @@ class VectorIndex:
         self.chunks: list[RagChunk] = []
         self._postings: tuple[np.ndarray, ...] | None = None  # None until a query after a change
         self._postings_lock = threading.Lock()
-        self._doc_ids: set[str] = set()  # each doc_id added: a new one needs no scan
+        # doc_id -> the columns and values its chunks slice, in `chunks` order
+        self._docs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.chunks)
@@ -186,7 +187,7 @@ class VectorIndex:
         stored = np.flatnonzero(vectors.view(np.uint64) != 0)
         ends = np.searchsorted(stored, np.arange(1, len(chunk_texts) + 1) * self.dimension)
         columns = (stored % self.dimension).astype(np.uint32)
-        if doc_id in self._doc_ids:
+        if self._docs.pop(doc_id, None) is not None:  # a new doc_id needs no scan
             self.chunks = [c for c in self.chunks if c.doc_id != doc_id]
         self._append(doc_id, chunk_texts, ends, columns, vectors.reshape(-1)[stored])
 
@@ -196,15 +197,15 @@ class VectorIndex:
         """Keep one document's chunks, whose row r's entries end at `ends[r]`."""
         entries = zip(texts, _rows(ends, columns, values))
         self._postings = None
-        self._doc_ids.add(doc_id)
+        self._docs[doc_id] = (columns, values)
         self.chunks += [RagChunk(doc_id, i, t, *e, self.dimension) for i, (t, e) in enumerate(entries)]
 
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every chunk's entries in row order: entries per row, then each
         entry's column and value. Called only when the index holds a chunk."""
         row_nnz = np.array([len(c.columns) for c in self.chunks], dtype=np.uint32)
-        columns = np.concatenate([c.columns for c in self.chunks])
-        values = np.concatenate([c.values for c in self.chunks])
+        columns = np.concatenate([columns for columns, _ in self._docs.values()])
+        values = np.concatenate([values for _, values in self._docs.values()])
         return row_nnz, columns, values
 
     def _posting_lists(self) -> tuple[np.ndarray, ...]:
@@ -318,7 +319,7 @@ class VectorIndex:
 
     def _add_stored(self, doc: _Document) -> None:
         """Append one document line's chunks, after checking its arrays."""
-        if doc.doc_id in self._doc_ids:
+        if doc.doc_id in self._docs:
             raise ValueError(f"doc_id {doc.doc_id!r} is on an earlier line too")
         row_nnz = _unb64(doc.row_nnz, "<u4", "row_nnz")
         columns = _unb64(doc.columns, "<u4", "columns")

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import json
 import os
+import threading
+import time
 from collections import Counter
 from dataclasses import asdict
 
@@ -799,6 +801,108 @@ class TestReplayDeterminism:
             with open(os.path.join(out2, rel), "rb") as f:
                 b2 = f.read()
             assert b1 == b2, f"artifact differs: {rel}"
+
+
+class LiveBackend:
+    """A keyed script behind a backend with no `serial` flag, as a live
+    model is, so `CallLog` sends a batch's calls from two threads. Each
+    call sleeps `sleep_s` and is recorded as (prompt, start, end)."""
+
+    def __init__(self, entries, sleep_s: float = 0.0) -> None:
+        self.inner = ScriptedBackend(entries)
+        self.sleep_s = sleep_s
+        self.records: list[tuple[str, float, float]] = []
+        self._lock = threading.Lock()
+
+    def complete(self, messages):
+        start = time.perf_counter()
+        try:
+            time.sleep(self.sleep_s)
+            return self.inner.complete(messages)
+        finally:
+            with self._lock:
+                self.records.append((messages[1]["content"], start, time.perf_counter()))
+
+
+class TestLastEvaluationBatch:
+    """At `parallel > 1` the last rollout's child evaluation and stage 3's
+    first call go as one batch; every artifact equals the `parallel` 1
+    run's."""
+
+    N_ROLLOUTS = 2
+    LAST_EVALUATION = 1 + 4 * N_ROLLOUTS  # its index in full_signal_script
+
+    def _script(self, bad: bool, retry: bool, stage3: bool = True) -> list[ScriptEntry]:
+        entries = full_signal_script("ack_o", self.N_ROLLOUTS, keyed=True, with_bad_assertion=bad)
+        if retry:  # the last evaluation's score fails to parse; its retry gets the scripted one
+            entries.insert(self.LAST_EVALUATION, ScriptEntry("no score", match="Signal name: ack_o"))
+        return entries if stage3 else entries[: self.LAST_EVALUATION + 1 + retry]
+
+    def _run(self, tmp_path, parallel: int, backend, cap: int | None = None):
+        config = config_for(
+            tmp_path, n_rollouts=self.N_ROLLOUTS, early_stop=False, parallel=parallel,
+            max_api_calls_per_signal=cap,
+        )
+        save_bank(make_bank(["ack_o"]), config.paths.bank_file)
+        summary = run_all(config, backend=backend, checker=BuiltinChecker())
+        return summary.results[0], output_files(config.paths.output_dir)
+
+    @pytest.mark.parametrize("bad", [True, False], ids=["correction", "deduplication"])
+    @pytest.mark.parametrize("retry", [False, True], ids=["no-retry", "retry"])
+    def test_every_cap_gives_the_serial_artifacts(self, tmp_path, bad, retry):
+        for cap in range(1, default_call_budget(self.N_ROLLOUTS) + 1):
+            _, serial = self._run(tmp_path / f"{cap}-p1", 1, LiveBackend(self._script(bad, retry)), cap)
+            _, batched = self._run(tmp_path / f"{cap}-p2", 2, LiveBackend(self._script(bad, retry)), cap)
+            assert batched == serial, cap
+
+    @pytest.mark.parametrize("retry", [False, True], ids=["no-retry", "retry"])
+    def test_each_critique_keeps_its_own_event(self, tmp_path, retry):
+        _, serial = self._run(tmp_path / "p1", 1, LiveBackend(self._script(True, retry)), cap=13)
+        batched_result, batched = self._run(tmp_path / "p2", 2, LiveBackend(self._script(True, retry)), cap=13)
+        assert batched == serial
+        roles = [e.role for e in batched_result.log.events[self.LAST_EVALUATION :]]
+        assert roles == ["critic", "syntax_correction"] + ["critic"] * retry + ["deduplication"]
+        critiques = json.loads(batched["signals/ack_o/critiques.json"])["critiques"]
+        assert len(critiques) == 3 * self.N_ROLLOUTS + 1
+        assert critiques[-1]["node"] == self.N_ROLLOUTS and critiques[-1]["phase"] == "evaluation"
+
+    def test_stage3_call_starts_before_the_evaluation_returns(self, tmp_path):
+        backend = LiveBackend(self._script(True, False), sleep_s=0.05)
+        result, _ = self._run(tmp_path, 2, backend)
+        assert not result.failed, result.error
+        # only the last child holds the invalid unit, and the correction fixes it
+        [(_, _, evaluation_end)] = [
+            r for r in backend.records if "Signal name: ack_o" in r[0] and INVALID_ASSERT in r[0]
+        ]
+        [(_, correction_start, _)] = [r for r in backend.records if "corrected assertions for ack_o" in r[0]]
+        assert correction_start < evaluation_end
+
+    def test_failed_stage3_call_after_a_good_evaluation(self, tmp_path):
+        serial_result, serial = self._run(tmp_path / "p1", 1, LiveBackend(self._script(True, False, stage3=False)))
+        result, batched = self._run(tmp_path / "p2", 2, LiveBackend(self._script(True, False, stage3=False)))
+        assert result.failed and "BackendError" in result.error
+        assert batched == serial
+        tree = ReasoningTree.loads(batched["signals/ack_o/tree.json"].decode())
+        assert tree.rollouts_completed == self.N_ROLLOUTS
+        assert tree.node(len(tree) - 1).reward_samples == [42.0 + 3 * (self.N_ROLLOUTS - 1)]
+
+    def test_failed_last_evaluation_counts_the_stage3_call(self, tmp_path):
+        script = self._script(True, False)
+        del script[self.LAST_EVALUATION]
+        backend = LiveBackend(script)
+        result, _ = self._run(tmp_path, 2, backend)
+        assert result.failed and "BackendError" in result.error
+        assert [e.role for e in result.log.events[self.LAST_EVALUATION :]] == ["critic", "syntax_correction"]
+        assert len(backend.records) == len(result.log)
+
+    def test_serial_backend_replays_an_unkeyed_script_at_parallel_2(self, tmp_path):
+        def unkeyed():
+            return ScriptedBackend([ScriptEntry(e.response) for e in self._script(True, True)])
+
+        _, serial = self._run(tmp_path / "p1", 1, unkeyed())
+        result, batched = self._run(tmp_path / "p2", 2, unkeyed())
+        assert not result.failed, result.error
+        assert batched == serial
 
 
 @given(stop_after=st.integers(min_value=0, max_value=4))

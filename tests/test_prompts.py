@@ -1,7 +1,8 @@
 """`CallLog.complete_many`: a batch is charged in input order on the
 caller's thread, sent from a bounded pool, and answered in input order; a
 failed or refused batch leaves the log holding exactly the calls the
-backend received."""
+backend received. `CallLog.complete` with `then`: a call sent beside
+another is charged after it and answered later without being sent again."""
 
 from __future__ import annotations
 
@@ -68,6 +69,13 @@ class CountingBackend:
         return f"reply {index_of(messages)}"
 
 
+class Threaded:
+    """`inner` without its `serial` flag, so batches reach it on threads."""
+
+    def __init__(self, inner) -> None:
+        self.complete = inner.complete
+
+
 class TestCompleteMany:
     def test_replies_and_events_in_input_order_when_later_calls_answer_first(self):
         backend = ReverseBackend(3)
@@ -131,7 +139,7 @@ class TestCompleteMany:
         n = 64
         entries = [ScriptEntry(f"reply {i}", match=f"call {i}\n") for i in reversed(range(n))]
         calls = [(role, [m, {"role": "user", "content": ""}]) for role, [m] in batch(n)]
-        log = CallLog("stage 1", ScriptedBackend(entries))
+        log = CallLog("stage 1", Threaded(ScriptedBackend(entries)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -142,3 +150,57 @@ class TestCompleteMany:
         assert time.perf_counter() - began < WAIT_S
         assert replies == [f"reply {i}" for i in range(n)]
         assert [e.role for e in log.events] == [f"role{i}" for i in range(n)]
+
+    def test_serial_backend_gets_a_batch_in_input_order_on_one_thread(self):
+        threads = set()
+
+        class Recording(ScriptedBackend):
+            def complete(self, messages):
+                threads.add(threading.get_ident())
+                return super().complete(messages)
+
+        log = CallLog("stage 1", Recording.from_responses(["a", "b", "c", "d"]))
+        assert log.complete_many(batch(4), workers=4) == ["a", "b", "c", "d"]
+        assert len(threads) == 1
+
+
+class TestCompleteThen:
+    def test_then_is_charged_after_and_answered_without_a_second_send(self):
+        backend = ReverseBackend(2)  # call 0 returns only after call 1 has returned
+        log = CallLog("s", Threaded(backend), cap=2)
+        [(role0, messages0), (role1, messages1)] = batch(2)
+        assert log.complete(role0, messages0, node=3, phase="evaluation", then=(role1, messages1)) == "reply 0"
+        assert [(e.role, e.node, e.phase) for e in log.events] == [
+            ("role0", 3, "evaluation"), ("role1", None, None),
+        ]
+        assert backend.return_order == [1, 0]
+        assert log.complete(role1, messages1) == "reply 1"
+        assert len(log) == 2 and backend.return_order == [1, 0]
+
+    def test_a_failed_then_call_raises_where_its_reply_is_asked(self):
+        backend = ScriptedBackend([ScriptEntry("first", match="call 0")])
+        log = CallLog("s", Threaded(backend))
+        [(role0, messages0), (role1, messages1)] = batch(2)
+        assert log.complete(role0, messages0, then=(role1, messages1)) == "first"
+        with pytest.raises(BackendError):
+            log.complete(role1, messages1)
+        assert backend.calls == len(log) == 2
+
+    def test_another_call_between_is_sent_alone(self):
+        backend = Threaded(ScriptedBackend([ScriptEntry(f"reply {i}", match=f"call {i}") for i in range(3)]))
+        log = CallLog("s", backend)
+        [(role0, messages0), (role1, messages1), (role2, messages2)] = batch(3)
+        log.complete(role0, messages0, then=(role1, messages1))
+        assert log.complete(role2, messages2) == "reply 2"
+        assert log.complete(role1, messages1) == "reply 1"
+        assert [e.role for e in log.events] == ["role0", "role1", "role2"]
+
+    def test_serial_backend_gets_then_where_it_is_asked(self):
+        backend = ScriptedBackend.from_responses(["a", "b", "c"])
+        log = CallLog("s", backend)
+        [(role0, messages0), (role1, messages1), (role2, messages2)] = batch(3)
+        assert log.complete(role0, messages0, then=(role1, messages1)) == "a"
+        assert backend.calls == len(log) == 1
+        assert log.complete(role2, messages2) == "b"
+        assert log.complete(role1, messages1) == "c"
+        assert [e.role for e in log.events] == ["role0", "role2", "role1"]
