@@ -878,13 +878,13 @@ class TestLastEvaluationBatch:
         assert correction_start < evaluation_end
 
     def test_failed_stage3_call_after_a_good_evaluation(self, tmp_path):
-        serial_result, serial = self._run(tmp_path / "p1", 1, LiveBackend(self._script(True, False, stage3=False)))
+        _, serial = self._run(tmp_path / "p1", 1, LiveBackend(self._script(True, False, stage3=False)))
         result, batched = self._run(tmp_path / "p2", 2, LiveBackend(self._script(True, False, stage3=False)))
         assert result.failed and "BackendError" in result.error
         assert batched == serial
         tree = ReasoningTree.loads(batched["signals/ack_o/tree.json"].decode())
         assert tree.rollouts_completed == self.N_ROLLOUTS
-        assert tree.node(len(tree) - 1).reward_samples == [42.0 + 3 * (self.N_ROLLOUTS - 1)]
+        assert tree.node(len(tree) - 1).reward_samples == [40.0 + 3 * self.N_ROLLOUTS - 1]  # its scripted score
 
     def test_failed_last_evaluation_counts_the_stage3_call(self, tmp_path):
         script = self._script(True, False)
