@@ -7,6 +7,7 @@ to any OpenAI-style chat-completions endpoint.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from dataclasses import dataclass
@@ -76,8 +77,11 @@ class HttpChatBackend:
     The API key is read from the environment variable named `api_key_env`;
     it never appears in config files. Request body: {model, messages};
     response: choices[0].message.content. Without an injected `session`,
-    each calling thread gets its own `requests.Session`, since requests
-    does not document a Session as thread-safe; an injected one is shared.
+    each call takes an idle `requests.Session`, or makes one, and gives it
+    back when it returns, since requests does not document a Session as
+    thread-safe: no session serves two calls at once, there are as many as
+    the most calls ever in flight together, and a later batch's calls reuse
+    their connections. An injected session is shared.
     """
 
     def __init__(
@@ -93,19 +97,28 @@ class HttpChatBackend:
         self.api_key_env = api_key_env
         self.timeout_s = timeout_s
         self._session = session
-        self._local = threading.local()  # .session: this thread's own, when none is injected
+        self._idle: list = []  # the sessions no call holds, when none is injected
+        self._idle_lock = threading.Lock()
         if session is None:
             import requests  # here, so a missing package fails before the first call
 
             self._requests = requests
 
-    def _thread_session(self):
+    @contextlib.contextmanager
+    def _call_session(self):
+        """The injected session, or one no other call holds while this one does."""
         if self._session is not None:
-            return self._session
-        session = getattr(self._local, "session", None)
+            yield self._session
+            return
+        with self._idle_lock:
+            session = self._idle.pop() if self._idle else None
         if session is None:
-            session = self._local.session = self._requests.Session()
-        return session
+            session = self._requests.Session()
+        try:
+            yield session
+        finally:
+            with self._idle_lock:
+                self._idle.append(session)
 
     def complete(self, messages: list[Message]) -> str:
         key = os.environ.get(self.api_key_env, "")
@@ -114,12 +127,13 @@ class HttpChatBackend:
                 f"API key environment variable {self.api_key_env} is not set"
             )
         try:
-            resp = self._thread_session().post(
-                self.endpoint,
-                json={"model": self.model, "messages": messages},
-                headers={"Authorization": f"Bearer {key}"},
-                timeout=self.timeout_s,
-            )
+            with self._call_session() as session:
+                resp = session.post(
+                    self.endpoint,
+                    json={"model": self.model, "messages": messages},
+                    headers={"Authorization": f"Bearer {key}"},
+                    timeout=self.timeout_s,
+                )
         except Exception as err:  # connection errors, timeouts
             raise BackendError(f"chat completion request failed: {err}") from err
         if resp.status_code != 200:

@@ -15,6 +15,7 @@ bag-of-words, is deterministic across platforms.
 from __future__ import annotations
 
 import base64
+import bisect
 import hashlib
 import itertools
 import json
@@ -33,6 +34,11 @@ DEFAULT_DIMENSION = 512
 # how far below the k-th best filter score a chunk may fall and still be
 # rescored exactly; the two differ by about dimension x eps
 _FILTER_SLACK = 1e-9
+# the postings build sorts the entries in blocks of whole rows holding at
+# most this many entries each (a longer row is a block alone)
+_BLOCK_ENTRIES = 1 << 13
+# `save` encodes an array's base64 this many bytes at a time (a multiple of 3)
+_B64_PIECE = 3 << 12
 
 
 class Embedder(Protocol):
@@ -155,7 +161,8 @@ class VectorIndex:
     Each chunk keeps its stored entries, slices of its document's batch after
     an add or of the arrays `load` decodes from its document's line. The
     first query after a change builds per-bucket postings from those
-    per-document arrays: the entries grouped by column.
+    per-document arrays, one block of rows at a time: the entries grouped
+    by column.
     """
 
     def __init__(self, dimension: int | None = None) -> None:
@@ -200,28 +207,67 @@ class VectorIndex:
         self._docs[doc_id] = (columns, values)
         self.chunks += [RagChunk(doc_id, i, t, *e, self.dimension) for i, (t, e) in enumerate(entries)]
 
-    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every chunk's entries in row order: entries per row, then each
-        entry's column and value. Called only when the index holds a chunk."""
-        row_nnz = np.array([len(c.columns) for c in self.chunks], dtype=np.uint32)
-        columns = np.concatenate([columns for columns, _ in self._docs.values()])
-        values = np.concatenate([values for _, values in self._docs.values()])
-        return row_nnz, columns, values
-
     def _posting_lists(self) -> tuple[np.ndarray, ...]:
         """Bucket b's entries are `rows[starts[b]:starts[b + 1]]` with their
-        `values`; `norms` are the chunks' norms from their stored values."""
+        `values`, in row order; `norms` are the chunks' norms from their
+        stored values. Called only when the index holds a chunk.
+
+        A counting inversion (Zobel & Moffat 2006), built in place: the
+        column counts fix where each bucket starts, then each block of
+        whole rows, in row order, sorts its entries by column and puts each
+        after its column's entries already placed. So the build holds the
+        postings and one block beyond the index, and its arrays are one
+        stable argsort of all the entries by column, bit for bit."""
         with self._postings_lock:
-            if self._postings is None:
-                row_nnz, columns, values = self._entries()
-                entry_rows = np.repeat(np.arange(len(row_nnz), dtype=np.int32), row_nnz)
-                # a column fits in 16 bits or fewer, which numpy radix-sorts
-                order = np.argsort(columns.astype(np.min_scalar_type(self.dimension - 1)), kind="stable")
-                starts = np.zeros(self.dimension + 1, dtype=np.intp)
-                np.cumsum(np.bincount(columns, minlength=self.dimension), out=starts[1:])
-                norms = np.sqrt(np.bincount(entry_rows, values * values, minlength=len(row_nnz)))
-                self._postings = (starts, entry_rows[order], values[order], norms)
+            if self._postings is not None:
+                return self._postings
+            dimension, blocks = self.dimension, self._blocks()
+            doc_columns, doc_values = zip(*self._docs.values())
+            # document d holds entries bounds[d]..bounds[d + 1] of the index
+            bounds = [0, *itertools.accumulate(map(len, doc_columns))]
+            starts = np.zeros(dimension + 1, dtype=np.intp)
+            for _, _, a, z in blocks:
+                starts[1:] += np.bincount(_span(doc_columns, bounds, a, z), minlength=dimension)
+            np.cumsum(starts, out=starts)
+            rows, values = np.empty(starts[-1], dtype=np.int32), np.empty(starts[-1])
+            norms = np.zeros(len(self.chunks))  # a row that stores no entry keeps norm 0
+            free = starts[:-1].copy()  # each bucket's next free slot
+            # a column fits in 16 bits or fewer, which numpy radix-sorts
+            narrow = np.min_scalar_type(dimension - 1)
+            for first, row_nnz, a, z in blocks:
+                block_columns = _span(doc_columns, bounds, a, z)
+                block_values = _span(doc_values, bounds, a, z)
+                block_rows = np.repeat(np.arange(len(row_nnz), dtype=np.int32), row_nnz)
+                squares = np.bincount(block_rows, block_values * block_values, minlength=len(row_nnz))
+                norms[first : first + len(row_nnz)] = np.sqrt(squares)
+                order = np.argsort(block_columns.astype(narrow), kind="stable")
+                counts = np.bincount(block_columns, minlength=dimension)
+                # a column's entries in the block go to its next free slots, in order
+                slots = np.repeat(free - np.cumsum(counts) + counts, counts)
+                slots += np.arange(len(slots))
+                block_rows += first
+                rows[slots] = block_rows[order]
+                values[slots] = block_values[order]
+                free += counts
+            self._postings = (starts, rows, values, norms)
             return self._postings
+
+    def _blocks(self) -> list[tuple[int, np.ndarray, int, int]]:
+        """The stored entries in row order, cut into blocks of whole rows
+        that hold at most _BLOCK_ENTRIES entries (a longer row is a block
+        alone) and at least one: each block's first row, its entries per
+        row, and the span a..z of the index's entries it holds."""
+        row_nnz = np.array([len(c.columns) for c in self.chunks], dtype=np.intp)
+        row_ends = np.cumsum(row_nnz)
+        blocks, first = [], 0
+        while first < len(row_nnz):
+            a = int(row_ends[first] - row_nnz[first])
+            last = max(int(np.searchsorted(row_ends, a + _BLOCK_ENTRIES, side="right")), first + 1)
+            z = int(row_ends[last - 1])
+            if z > a:
+                blocks.append((first, row_nnz[first:last], a, z))
+            first = last
+        return blocks
 
     def query(self, query_text: str, k: int, embedder: Embedder) -> list[tuple[RagChunk, float]]:
         """Top-k chunks by cosine similarity, descending; ties broken by
@@ -268,17 +314,10 @@ class VectorIndex:
         `columns` (uint32) and `values` (float64). An entry is stored unless
         its bits are all zero, so every row rebuilds bit for bit."""
         with open(path, "w", encoding="utf-8") as f:
-            _write_line(f, _Header(len(self.chunks), self.dimension))
+            f.write(json.dumps(encode(_Header(len(self.chunks), self.dimension)), sort_keys=True) + "\n")
             # `add` keeps each document's chunks together, in chunk_index order
             for doc_id, group in itertools.groupby(self.chunks, key=lambda c: c.doc_id):
-                rows = list(group)
-                _write_line(f, _Document(
-                    doc_id=doc_id,
-                    texts=[c.text for c in rows],
-                    row_nnz=_b64(np.array([len(c.columns) for c in rows]), "<u4"),
-                    columns=_b64(np.concatenate([c.columns for c in rows]), "<u4"),
-                    values=_b64(np.concatenate([c.values for c in rows]), "<f8"),
-                ))
+                _write_document(f, doc_id, list(group), *self._docs[doc_id])
 
     @classmethod
     def load(cls, path: str) -> VectorIndex:
@@ -342,10 +381,30 @@ class VectorIndex:
         self._append(doc.doc_id, doc.texts, np.cumsum(row_nnz), columns, values)
 
 
-def _write_line(f, record) -> None:
-    """One compact JSON line with sorted keys."""
-    f.write(json.dumps(encode(record), sort_keys=True))
-    f.write("\n")
+def _write_document(f, doc_id: str, rows: list[RagChunk], columns: np.ndarray, values: np.ndarray) -> None:
+    """One document's line, the bytes `json.dumps` gives its `_Document` with
+    sorted keys, written one field at a time and the texts one at a time, so
+    no two fields are held at once. A base64 string needs no JSON escape."""
+    f.write('{"columns": "')
+    _write_b64(f, columns, "<u4")
+    f.write(f'", "doc_id": {json.dumps(doc_id)}, "row_nnz": "')
+    _write_b64(f, np.array([len(c.columns) for c in rows]), "<u4")
+    f.write('", "texts": [')
+    for i, c in enumerate(rows):
+        f.write(", " if i else "")
+        f.write(json.dumps(c.text))
+    f.write('], "values": "')
+    _write_b64(f, values, "<f8")
+    f.write('"}\n')
+
+
+def _span(arrays: tuple[np.ndarray, ...], bounds: list[int], a: int, z: int) -> np.ndarray:
+    """Entries a..z (z > a) of `arrays` laid end to end, where array d holds
+    entries `bounds[d]..bounds[d + 1]`."""
+    lo, hi = bisect.bisect_right(bounds, a) - 1, bisect.bisect_left(bounds, z) - 1
+    if lo == hi:
+        return arrays[lo][a - bounds[lo] : z - bounds[lo]]
+    return np.concatenate([arrays[lo][a - bounds[lo] :], *arrays[lo + 1 : hi], arrays[hi][: z - bounds[hi]]])
 
 
 def _rows(ends: np.ndarray, columns: np.ndarray, values: np.ndarray) -> list[tuple]:
@@ -354,8 +413,12 @@ def _rows(ends: np.ndarray, columns: np.ndarray, values: np.ndarray) -> list[tup
     return [(columns[a:b], values[a:b]) for a, b in zip([0, *ends], ends)]
 
 
-def _b64(array: np.ndarray, dtype: str) -> str:
-    return base64.b64encode(np.ascontiguousarray(array, dtype=dtype)).decode("ascii")
+def _write_b64(f, array: np.ndarray, dtype: str) -> None:
+    """Write the base64 of `array`'s bytes as `dtype`, a piece at a time:
+    pieces whose lengths are multiples of 3 encode to the whole's base64."""
+    raw = np.ascontiguousarray(array, dtype=dtype).view(np.uint8)
+    for at in range(0, len(raw), _B64_PIECE):
+        f.write(base64.b64encode(raw[at : at + _B64_PIECE]).decode("ascii"))
 
 
 def _unb64(text: str, dtype: str, name: str) -> np.ndarray:

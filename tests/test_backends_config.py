@@ -99,7 +99,10 @@ class TestHttpBackend:
 
 
 class TestHttpSessions:
-    def test_one_session_per_thread(self, monkeypatch):
+    @staticmethod
+    def _sessions(monkeypatch, barrier=None):
+        """The sessions the backend makes, each of whose posts first waits
+        on `barrier` when one is given."""
         import requests
 
         made = []
@@ -111,18 +114,97 @@ class TestHttpSessions:
                 )
                 made.append(self)
 
+            def post(self, url, **kwargs):
+                if barrier is not None:
+                    barrier.wait(timeout=10)
+                return super().post(url, **kwargs)
+
         monkeypatch.setattr(requests, "Session", CountingSession)
-        backend = _backend(None, monkeypatch)
-        messages = [{"role": "user", "content": "u"}]
-        assert backend.complete(messages) == backend.complete(messages) == "ok"
-        assert len(made) == 1  # two calls on one thread share its session
-        threads = [threading.Thread(target=backend.complete, args=(messages,)) for _ in range(3)]
+        return made
+
+    @staticmethod
+    def _run(threads):
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=10)
             assert not t.is_alive()
-        assert [len(s.requests) for s in made] == [2, 1, 1, 1]  # one more session per thread
+
+    def test_calls_one_after_another_share_one_session(self, monkeypatch):
+        made = self._sessions(monkeypatch)
+        backend = _backend(None, monkeypatch)
+        messages = [{"role": "user", "content": "u"}]
+        assert backend.complete(messages) == backend.complete(messages) == "ok"
+        for _ in range(3):  # a new thread for each call, as each batch starts its own
+            self._run([threading.Thread(target=backend.complete, args=(messages,))])
+        assert [len(s.requests) for s in made] == [5]
+
+    def test_calls_held_open_at_once_use_one_session_each(self, monkeypatch):
+        made = self._sessions(monkeypatch, threading.Barrier(2))
+        backend = _backend(None, monkeypatch)
+        messages = [{"role": "user", "content": "u"}]
+        replies = []
+        # each post waits until the other is in flight too
+        self._run([
+            threading.Thread(target=lambda: replies.append(backend.complete(messages)))
+            for _ in range(2)
+        ])
+        assert replies == ["ok", "ok"]
+        assert [len(s.requests) for s in made] == [1, 1]
+
+    def test_no_session_serves_two_calls_at_once_under_contention(self, monkeypatch):
+        import sys
+        import time
+
+        overlaps = []
+
+        class Guarded(_FakeSession):
+            def __init__(self):
+                super().__init__(
+                    _FakeResponse(payload={"choices": [{"message": {"content": "ok"}}]})
+                )
+                self.busy = False
+
+            def post(self, url, **kwargs):
+                overlaps.append(self.busy)
+                self.busy = True
+                time.sleep(0.0005)
+                self.busy = False
+                return super().post(url, **kwargs)
+
+        import requests
+
+        monkeypatch.setattr(requests, "Session", Guarded)
+        backend = _backend(None, monkeypatch)
+        messages = [{"role": "user", "content": "u"}]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self._run([
+                threading.Thread(target=lambda: [backend.complete(messages) for _ in range(40)])
+                for _ in range(8)
+            ])
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(overlaps) == 320 and not any(overlaps)
+        assert 1 <= len(backend._idle) <= 8  # every session is idle again
+        assert sum(len(s.requests) for s in backend._idle) == 320
+
+    def test_a_failed_call_gives_its_session_back(self, monkeypatch):
+        made = self._sessions(monkeypatch)
+        backend = _backend(None, monkeypatch)
+        messages = [{"role": "user", "content": "u"}]
+        backend.complete(messages)
+        made[0].response = _FakeResponse(status_code=503)
+        with pytest.raises(BackendError, match="HTTP 503"):
+            backend.complete(messages)
+        made[0].post = lambda url, **kwargs: 1 / 0
+        with pytest.raises(BackendError, match="request failed"):
+            backend.complete(messages)
+        del made[0].post
+        made[0].response = _FakeResponse(payload={"choices": [{"message": {"content": "ok"}}]})
+        assert backend.complete(messages) == "ok"
+        assert [len(s.requests) for s in made] == [3]
 
     def test_injected_session_is_shared(self, monkeypatch):
         session = _FakeSession(

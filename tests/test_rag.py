@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from svagen.cli import main
 from svagen.rag import (
+    _BLOCK_ENTRIES,
     HashedBowEmbedder,
     RagChunk,
     VectorIndex,
@@ -491,6 +492,109 @@ class TestExactness:
         self.assert_exact(index, e, [query])
 
 
+def reference_postings(index: VectorIndex) -> tuple[np.ndarray, ...]:
+    """The postings as one stable argsort of all the entries builds them:
+    every entry in row order, sorted by column, with one bincount of the
+    squared values for the norms."""
+    row_nnz = [len(c.columns) for c in index.chunks]
+    columns = np.concatenate([c.columns for c in index.chunks])
+    values = np.concatenate([c.values for c in index.chunks])
+    entry_rows = np.repeat(np.arange(len(row_nnz), dtype=np.int32), row_nnz)
+    order = np.argsort(columns, kind="stable")
+    starts = np.zeros(index.dimension + 1, dtype=np.intp)
+    np.cumsum(np.bincount(columns, minlength=index.dimension), out=starts[1:])
+    norms = np.sqrt(np.bincount(entry_rows, values * values, minlength=len(row_nnz)))
+    return starts, entry_rows[order], values[order], norms
+
+
+def words_index(docs: int, chunks: int, words: int, seed: int = 7) -> VectorIndex:
+    e = HashedBowEmbedder(dimension=512)
+    rng = np.random.default_rng(seed)
+    vocabulary = [f"{w}{i}" for w in ["clk", "rst_n", "ack", "req", "data", "fifo", "irq"] for i in range(40)]
+    index = VectorIndex()
+    for d in range(docs):
+        index.add(f"doc{d:04}.txt", [" ".join(rng.choice(vocabulary, size=words)) for _ in range(chunks)], e)
+    return index
+
+
+class TestPostings:
+    """The postings built one block of rows at a time equal one stable
+    argsort of all the entries, bit for bit and dtype for dtype."""
+
+    @staticmethod
+    def readded():
+        index = words_index(5, 20, 12)
+        index.query("ack0", 1, HashedBowEmbedder(512))
+        texts = [c.text for c in index.chunks if c.doc_id == "doc0002.txt"]
+        index.add("doc0002.txt", texts[::-1], HashedBowEmbedder(512))
+        return index
+
+    @staticmethod
+    def dense(texts_per_doc, dimension=24):
+        e = DenseEmbedder(dimension)
+        index = VectorIndex()
+        for d, texts in enumerate(texts_per_doc):
+            index.add(f"doc{d}", texts, e)
+        return index
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "built",
+            "readded",
+            "loaded",
+            "negative zero",
+            "chunks storing no entry",
+            "3000 one-chunk documents",
+            "a document longer than a block",
+            "rows longer than a block",
+        ],
+    )
+    def test_equal_one_stable_argsort(self, tmp_path, case):
+        if case == "built":
+            index = words_index(6, 25, 20)
+        elif case == "readded":
+            index = self.readded()
+        elif case == "loaded":
+            words_index(6, 25, 20).save(str(tmp_path / "index.json"))
+            index = VectorIndex.load(str(tmp_path / "index.json"))
+        elif case == "negative zero":
+            index = self.dense([["-0 clk", "ack", "-0"], ["req -0 ack"]])
+            assert any((c.values == 0).any() for c in index.chunks)  # a stored -0.0
+        elif case == "chunks storing no entry":
+            index = self.dense([["", "clk", ""], [""], ["ack", "", "req"], ["", ""]])
+            assert sum(len(c.columns) == 0 for c in index.chunks) == 6
+        elif case == "3000 one-chunk documents":
+            index = words_index(3000, 1, 12)
+        elif case == "a document longer than a block":
+            index = words_index(1, 3 * _BLOCK_ENTRIES // 20, 30)
+            assert len(index._docs["doc0000.txt"][0]) > 2 * _BLOCK_ENTRIES
+        else:  # a row longer than a block is a block alone; blocks of empty rows store nothing
+            index = self.dense([["", "clk", "", ""], ["ack req", ""]], dimension=_BLOCK_ENTRIES + 100)
+            assert [len(c.columns) > _BLOCK_ENTRIES for c in index.chunks] == [0, 1, 0, 0, 1, 0]
+        for got, want in zip(index._posting_lists(), reference_postings(index), strict=True):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_first_query_after_load_holds_the_postings_and_one_block(self, tmp_path):
+        e = HashedBowEmbedder(dimension=512)
+        path = str(tmp_path / "index.json")
+        words_index(40, 50, 40, seed=5).save(path)
+        loaded = VectorIndex.load(path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loaded.query("ack0 req1 data3", 5, e)
+            above = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        postings = sum(a.nbytes for a in loaded._posting_lists())
+        assert len(loaded._posting_lists()[1]) > 8 * _BLOCK_ENTRIES
+        # a block's arrays, and the query's own, hold under 64 bytes a block entry
+        assert above < postings + 64 * _BLOCK_ENTRIES
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         e = HashedBowEmbedder(dimension=48)
@@ -704,6 +808,24 @@ class TestPersistence:
         # what save or load holds beyond the index is about one document's line
         assert save_above < size / 10
         assert peak - retained < size / 10
+
+    def test_save_of_one_large_document_holds_less_than_its_line(self, tmp_path):
+        index = words_index(1, 100, 40, seed=5)
+        path = tmp_path / "index.json"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            index.save(str(path))
+            above = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 80_000 and len(index_lines(path)) == 2
+        # beyond the index, save holds a few base64 pieces and one text, not the whole line
+        assert above < size
+        # the line is written field by field, as json.dumps writes it whole
+        assert path.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in index_lines(path))
 
     @pytest.mark.parametrize("dimension", [37, 512])
     def test_loaded_copy_answers_queries_identically(self, tmp_path, dimension):
