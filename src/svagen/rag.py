@@ -98,16 +98,19 @@ class HashedBowEmbedder:
         return counts / np.maximum(norms, 1.0)[:, None]
 
 
-@dataclass
+@dataclass(slots=True)
 class RagChunk:
     """A chunk and its vector's entries whose bits are not all zero, by column."""
 
     doc_id: str
     chunk_index: int
     text: str
-    columns: np.ndarray  # uint32
-    values: np.ndarray  # float64
     dimension: int
+    entries: tuple[np.ndarray, np.ndarray]  # its document's columns and float64 values
+    start: int  # the chunk's row is entries start..end
+    end: int
+    columns = property(lambda c: c.entries[0][c.start : c.end])  # views, made on access
+    values = property(lambda c: c.entries[1][c.start : c.end])
 
     @property
     def vector(self) -> np.ndarray:
@@ -158,11 +161,11 @@ def chunk(doc_text: str, size: int = DEFAULT_CHUNK_SIZE, overlap: int = DEFAULT_
 class VectorIndex:
     """Exact flat cosine index; the first add fixes the dimension.
 
-    Each chunk keeps its stored entries, slices of its document's batch after
-    an add or of the arrays `load` decodes from its document's line. The
-    first query after a change builds per-bucket postings from those
-    per-document arrays, one block of rows at a time: the entries grouped
-    by column.
+    Each chunk is a row of its document's stored entries, its batch after an
+    add or the arrays `load` decodes from its line; columns, like the
+    postings' rows, take the narrowest unsigned type. The first query after
+    a change builds per-bucket postings from those per-document arrays, one
+    block of rows at a time: the entries grouped by column.
     """
 
     def __init__(self, dimension: int | None = None) -> None:
@@ -193,7 +196,7 @@ class VectorIndex:
         # the flat positions of the entries to store, row by row
         stored = np.flatnonzero(vectors.view(np.uint64) != 0)
         ends = np.searchsorted(stored, np.arange(1, len(chunk_texts) + 1) * self.dimension)
-        columns = (stored % self.dimension).astype(np.uint32)
+        columns = (stored % self.dimension).astype(np.min_scalar_type(self.dimension - 1))
         if self._docs.pop(doc_id, None) is not None:  # a new doc_id needs no scan
             self.chunks = [c for c in self.chunks if c.doc_id != doc_id]
         self._append(doc_id, chunk_texts, ends, columns, vectors.reshape(-1)[stored])
@@ -202,10 +205,11 @@ class VectorIndex:
         self, doc_id: str, texts: list[str], ends: np.ndarray, columns: np.ndarray, values: np.ndarray
     ) -> None:
         """Keep one document's chunks, whose row r's entries end at `ends[r]`."""
-        entries = zip(texts, _rows(ends, columns, values))
         self._postings = None
-        self._docs[doc_id] = (columns, values)
-        self.chunks += [RagChunk(doc_id, i, t, *e, self.dimension) for i, (t, e) in enumerate(entries)]
+        self._docs[doc_id] = entries = (columns, values)
+        ends = ends.tolist()  # row r + 1 starts at the int that ends row r
+        rows = enumerate(zip(texts, [0, *ends], ends))
+        self.chunks += [RagChunk(doc_id, i, t, self.dimension, entries, a, z) for i, (t, a, z) in rows]
 
     def _posting_lists(self) -> tuple[np.ndarray, ...]:
         """Bucket b's entries are `rows[starts[b]:starts[b + 1]]` with their
@@ -229,18 +233,17 @@ class VectorIndex:
             for _, _, a, z in blocks:
                 starts[1:] += np.bincount(_span(doc_columns, bounds, a, z), minlength=dimension)
             np.cumsum(starts, out=starts)
-            rows, values = np.empty(starts[-1], dtype=np.int32), np.empty(starts[-1])
+            row_type = np.min_scalar_type(len(self.chunks) - 1)
+            rows, values = np.empty(starts[-1], dtype=row_type), np.empty(starts[-1])
             norms = np.zeros(len(self.chunks))  # a row that stores no entry keeps norm 0
             free = starts[:-1].copy()  # each bucket's next free slot
-            # a column fits in 16 bits or fewer, which numpy radix-sorts
-            narrow = np.min_scalar_type(dimension - 1)
             for first, row_nnz, a, z in blocks:
                 block_columns = _span(doc_columns, bounds, a, z)
                 block_values = _span(doc_values, bounds, a, z)
-                block_rows = np.repeat(np.arange(len(row_nnz), dtype=np.int32), row_nnz)
+                block_rows = np.repeat(np.arange(len(row_nnz), dtype=row_type), row_nnz)
                 squares = np.bincount(block_rows, block_values * block_values, minlength=len(row_nnz))
                 norms[first : first + len(row_nnz)] = np.sqrt(squares)
-                order = np.argsort(block_columns.astype(narrow), kind="stable")
+                order = np.argsort(block_columns, kind="stable")  # 16-bit columns or fewer: a radix sort
                 counts = np.bincount(block_columns, minlength=dimension)
                 # a column's entries in the block go to its next free slots, in order
                 slots = np.repeat(free - np.cumsum(counts) + counts, counts)
@@ -257,7 +260,7 @@ class VectorIndex:
         that hold at most _BLOCK_ENTRIES entries (a longer row is a block
         alone) and at least one: each block's first row, its entries per
         row, and the span a..z of the index's entries it holds."""
-        row_nnz = np.array([len(c.columns) for c in self.chunks], dtype=np.intp)
+        row_nnz = np.array([c.end - c.start for c in self.chunks], dtype=np.intp)
         row_ends = np.cumsum(row_nnz)
         blocks, first = [], 0
         while first < len(row_nnz):
@@ -378,6 +381,7 @@ class VectorIndex:
         keys += columns
         if np.any(keys[1:] <= keys[:-1]):  # each row's columns ascend: no entry is stored twice
             raise ValueError("columns do not ascend within each row")
+        columns = columns.astype(np.min_scalar_type(max(width - 1, 0)))  # checked, so narrowed
         self._append(doc.doc_id, doc.texts, np.cumsum(row_nnz), columns, values)
 
 
@@ -388,7 +392,7 @@ def _write_document(f, doc_id: str, rows: list[RagChunk], columns: np.ndarray, v
     f.write('{"columns": "')
     _write_b64(f, columns, "<u4")
     f.write(f'", "doc_id": {json.dumps(doc_id)}, "row_nnz": "')
-    _write_b64(f, np.array([len(c.columns) for c in rows]), "<u4")
+    _write_b64(f, np.array([c.end - c.start for c in rows]), "<u4")
     f.write('", "texts": [')
     for i, c in enumerate(rows):
         f.write(", " if i else "")
@@ -407,18 +411,12 @@ def _span(arrays: tuple[np.ndarray, ...], bounds: list[int], a: int, z: int) -> 
     return np.concatenate([arrays[lo][a - bounds[lo] :], *arrays[lo + 1 : hi], arrays[hi][: z - bounds[hi]]])
 
 
-def _rows(ends: np.ndarray, columns: np.ndarray, values: np.ndarray) -> list[tuple]:
-    """Each row's `(columns, values)` slices of the entry arrays; row r ends at `ends[r]`."""
-    ends = ends.tolist()
-    return [(columns[a:b], values[a:b]) for a, b in zip([0, *ends], ends)]
-
-
 def _write_b64(f, array: np.ndarray, dtype: str) -> None:
-    """Write the base64 of `array`'s bytes as `dtype`, a piece at a time:
-    pieces whose lengths are multiples of 3 encode to the whole's base64."""
-    raw = np.ascontiguousarray(array, dtype=dtype).view(np.uint8)
-    for at in range(0, len(raw), _B64_PIECE):
-        f.write(base64.b64encode(raw[at : at + _B64_PIECE]).decode("ascii"))
+    """Write the base64 of `array`'s bytes as `dtype`, converting _B64_PIECE bytes at a
+    time: pieces whose lengths are multiples of 3 encode to the whole's base64."""
+    step = _B64_PIECE // np.dtype(dtype).itemsize
+    for at in range(0, len(array), step):
+        f.write(base64.b64encode(array[at : at + step].astype(dtype)).decode("ascii"))
 
 
 def _unb64(text: str, dtype: str, name: str) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import typing
 
 from svagen import read_text
@@ -23,14 +24,16 @@ _NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or 
 
 class _Kind:
     """What one annotation accepts, matched by exact type: a bool is never
-    an int, an int is accepted for a float and `X | None` accepts null."""
+    an int, an int is accepted for a float and `X | None` accepts null. A
+    number must be finite."""
 
     __slots__ = ("types", "name", "item", "cls", "leaf", "fields", "required")
 
     def __init__(self, types: tuple[type, ...], name: str, item=None, cls=None) -> None:
         self.types, self.name = types, name  # JSON value types, and their name for messages
         self.item, self.cls = item, cls  # a list's item kind; the dataclass of an object
-        self.leaf = types if item is None and cls is None else ()  # values taken as they are
+        # values taken as they are; never a float, so `_value` checks each is finite
+        self.leaf = tuple(t for t in types if t is not float) if item is None and cls is None else ()
         if cls is not None:
             hints, fields = typing.get_type_hints(cls), dataclasses.fields(cls)
             self.fields = {f.name: _kind(hints[f.name]) for f in fields}
@@ -82,6 +85,8 @@ def _value(kind: _Kind, value, error: type[Exception], base=None):
         text = json.dumps(value)
         text = text if len(text) <= 60 else text[:57] + "..."
         raise _Invalid("", f" must be {kind.name}, not {text}")
+    if type(value) is float and not math.isfinite(value):
+        raise _Invalid("", f" must be a finite number, not {json.dumps(value)}")
     item = kind.item
     if item is not None:
         leaf = item.leaf

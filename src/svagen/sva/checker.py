@@ -128,26 +128,22 @@ class ExternalChecker:
     def check(self, assertion_text: str) -> list[Diagnostic]:
         fd, path = tempfile.mkstemp(suffix=".sv", prefix="svagen_")
         try:
-            with os.fdopen(fd, "w") as f:
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
                 f.write(assertion_text)
             argv = [
                 part.replace("{file}", path)
                 for part in shlex.split(self.command_template)
             ]
             try:
-                proc = subprocess.run(
-                    argv,
-                    capture_output=True,
-                    text=True,
-                    timeout=self.timeout_s,
-                )
+                proc = subprocess.run(argv, capture_output=True, timeout=self.timeout_s)
             except FileNotFoundError as err:
                 raise CheckerUnavailableError(f"checker command not found: {argv[0]}") from err
             except subprocess.TimeoutExpired as err:
                 raise CheckerUnavailableError(
                     f"checker timed out after {self.timeout_s}s"
                 ) from err
-            output = proc.stdout + proc.stderr
+            # a byte that is not UTF-8 is replaced, not raised
+            output = (proc.stdout + proc.stderr).decode("utf-8", errors="replace")
             diagnostics: list[Diagnostic] = []
             for pattern in self.patterns:
                 diagnostics.extend(pattern.match_all(output))

@@ -235,6 +235,22 @@ class TestExternalChecker:
         with pytest.raises(ValueError):
             ExternalChecker("lint --fast")
 
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    def test_output_byte_not_utf8_is_replaced(self, tmp_path, stream):
+        redirect = " >&2" if stream == "stderr" else ""
+        script = _write_script(
+            tmp_path / "latin1.sh", f"printf 'ERROR (line 1): bad \\377 byte\\n'{redirect}\nexit 1\n"
+        )
+        diags = ExternalChecker(f"{script} {{file}}").check("assert property (x);")
+        assert [(d.severity, d.line, d.message) for d in diags] == [("error", 1, "bad \ufffd byte")]
+
+    def test_temp_file_is_utf8(self, tmp_path):
+        copy = tmp_path / "seen.sv"
+        script = _write_script(tmp_path / "copier.sh", f'cp "$1" {copy}\nexit 0\n')
+        text = "assert property (@(posedge clk) a |-> b); // \u00e9t\u00e9 \u2192 \u03a3"
+        assert ExternalChecker(f"{script} {{file}}").check(text) == []
+        assert copy.read_bytes() == text.encode("utf-8")
+
     def test_assertion_written_to_temp_file(self, tmp_path):
         # the tool sees exactly the assertion text
         script = _write_script(

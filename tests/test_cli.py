@@ -4,11 +4,14 @@ failures, 2 config/stage errors)."""
 from __future__ import annotations
 
 import base64
+import dataclasses
+import functools
 import json
 import os
 import re
 import subprocess
 import sys
+import typing
 from dataclasses import asdict
 
 import numpy as np
@@ -17,6 +20,7 @@ import pytest
 from svagen.backends import ScriptedBackend
 from svagen.bank import save_bank
 from svagen.cli import main
+from svagen.config import RunConfig
 from svagen.rag import HashedBowEmbedder, VectorIndex
 
 from conftest import (
@@ -265,6 +269,22 @@ class TestCheck:
         assert result.stdout.splitlines() == ["[1] PASS", "0 False"]
 
 
+def float_fields(cls=RunConfig, prefix: str = "") -> list[str]:
+    """The dotted path of every float field of `cls` and of its sections."""
+    hints, paths = typing.get_type_hints(cls), []
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            paths += float_fields(hints[f.name], f"{prefix}{f.name}.")
+        elif hints[f.name] is float:
+            paths.append(prefix + f.name)
+    return paths
+
+
+FLOAT_FIELDS = float_fields()
+FLOAT_FLAGS = {"search.c": "--c", "search.epsilon": "--epsilon", "search.score_cap": "--score-cap"}
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
 class TestRun:
     def test_successful_run(self, tmp_path, capsys):
         save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
@@ -304,6 +324,39 @@ class TestRun:
         assert main(["run", "--config", config, *flags]) == 2
         assert calls == []
         assert "invalid search parameters" in capsys.readouterr().err
+
+    def test_every_float_field_is_listed(self):
+        named = {"search.c", "search.epsilon", "backend.timeout_s", "checker.timeout_s", "early_stop_score"}
+        assert named <= set(FLOAT_FIELDS)
+        assert set(FLOAT_FLAGS) <= set(FLOAT_FIELDS)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_non_finite_float_config_exit_two(self, tmp_path, monkeypatch, capsys, field, value):
+        calls = record_backend_calls(monkeypatch)
+        save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
+        config = write_config(tmp_path, one_signal_entries())
+        with open(config) as f:
+            data = json.load(f)
+        *sections, key = field.split(".")
+        functools.reduce(lambda d, section: d.setdefault(section, {}), sections, data)[key] = value
+        with open(config, "w") as f:
+            json.dump(data, f)  # NaN, Infinity and -Infinity, as Python's json reads them
+        assert main(["run", "--config", config]) == 2
+        assert calls == []
+        assert f"{field} must be a finite number, not {json.dumps(value)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity"])
+    @pytest.mark.parametrize("field", FLOAT_FLAGS)
+    def test_non_finite_float_override_exit_two(self, tmp_path, monkeypatch, capsys, field, value):
+        calls = record_backend_calls(monkeypatch)
+        save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
+        config = write_config(tmp_path, one_signal_entries())
+        assert main(["run", "--config", config, f"{FLOAT_FLAGS[field]}={value}"]) == 2
+        assert calls == []
+        assert f"{field} must be a finite number, not " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("rag", INVALID_RAG)
     def test_invalid_rag_config_exit_two(self, tmp_path, monkeypatch, capsys, rag):

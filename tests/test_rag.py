@@ -4,10 +4,12 @@ determinism, and index queries checked against a brute-force scan."""
 from __future__ import annotations
 
 import base64
+import dataclasses
 import hashlib
 import itertools
 import json
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -335,8 +337,8 @@ def held_arrays(index: VectorIndex) -> list[np.ndarray]:
             todo += obj.values()
         elif isinstance(obj, (list, tuple)):
             todo += obj
-        elif isinstance(obj, RagChunk):
-            todo.append(vars(obj))
+        elif isinstance(obj, RagChunk):  # slotted: no __dict__
+            todo += [getattr(obj, f.name) for f in dataclasses.fields(obj)]
     return found
 
 
@@ -495,7 +497,8 @@ class TestExactness:
 def reference_postings(index: VectorIndex) -> tuple[np.ndarray, ...]:
     """The postings as one stable argsort of all the entries builds them:
     every entry in row order, sorted by column, with one bincount of the
-    squared values for the norms."""
+    squared values for the norms; rows in the narrowest type for the chunk
+    count."""
     row_nnz = [len(c.columns) for c in index.chunks]
     columns = np.concatenate([c.columns for c in index.chunks])
     values = np.concatenate([c.values for c in index.chunks])
@@ -504,7 +507,7 @@ def reference_postings(index: VectorIndex) -> tuple[np.ndarray, ...]:
     starts = np.zeros(index.dimension + 1, dtype=np.intp)
     np.cumsum(np.bincount(columns, minlength=index.dimension), out=starts[1:])
     norms = np.sqrt(np.bincount(entry_rows, values * values, minlength=len(row_nnz)))
-    return starts, entry_rows[order], values[order], norms
+    return starts, entry_rows[order].astype(np.min_scalar_type(len(row_nnz) - 1)), values[order], norms
 
 
 def words_index(docs: int, chunks: int, words: int, seed: int = 7) -> VectorIndex:
@@ -593,6 +596,78 @@ class TestPostings:
         assert len(loaded._posting_lists()[1]) > 8 * _BLOCK_ENTRIES
         # a block's arrays, and the query's own, hold under 64 bytes a block entry
         assert above < postings + 64 * _BLOCK_ENTRIES
+
+
+def u4_file(docs: dict[str, list[str]], e) -> str:
+    """The index file for `docs` in the `<u4` layout, as `json.dumps` writes
+    each line whole, with every array taken from the embedder's dense rows."""
+
+    def b64(array, dtype: str) -> str:
+        return base64.b64encode(np.asarray(array, dtype=dtype).tobytes()).decode()
+
+    count = sum(map(len, docs.values()))
+    lines = [json.dumps({"count": count, "dimension": e.dimension}, sort_keys=True)]
+    for doc_id, texts in docs.items():
+        dense = e.embed_many(texts)
+        stored = dense.view(np.uint64) != 0
+        rows, columns = np.nonzero(stored)
+        record = {"columns": b64(columns, "<u4"), "doc_id": doc_id, "row_nnz": b64(stored.sum(axis=1), "<u4")}
+        record |= {"texts": texts, "values": b64(dense[rows, columns], "<f8")}
+        lines.append(json.dumps(record, sort_keys=True))
+    return "".join(line + "\n" for line in lines)
+
+
+class TestNarrowTypes:
+    """Entry columns take the narrowest unsigned type for the dimension, and
+    the postings' rows the narrowest for the chunk count."""
+
+    @pytest.mark.parametrize(
+        "chunks, dimension, row_type, column_type",
+        [
+            (256, 24, np.uint8, np.uint8),
+            (257, 24, np.uint16, np.uint8),
+            (40, 256, np.uint8, np.uint8),
+            (40, 257, np.uint8, np.uint16),
+        ],
+    )
+    def test_types_at_their_boundaries(self, tmp_path, chunks, dimension, row_type, column_type):
+        e = DenseEmbedder(dimension)
+        texts = [f"clk{i} ack" if i % 7 else "" for i in range(chunks)]  # every 7th row stores no entry
+        docs = {"b.txt": texts[: chunks // 3], "a.txt": texts[chunks // 3 :]}
+        index = VectorIndex()
+        for doc_id, part in docs.items():
+            index.add(doc_id, part, e)
+        path = tmp_path / "index.json"
+        index.save(str(path))
+        assert path.read_text() == u4_file(docs, e)
+        loaded = VectorIndex.load(str(path))
+        loaded.save(str(tmp_path / "again.json"))
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        for idx in (index, loaded):
+            assert {c.columns.dtype for c in idx.chunks} == {np.dtype(column_type)}
+            assert max(int(c.columns.max()) for c in idx.chunks if c.end > c.start) == dimension - 1
+            rows = idx._posting_lists()[1]
+            assert rows.dtype == row_type and int(rows.max()) == chunks - 1
+            for query in ["clk3 ack", "ack", "-0 clk", ""]:
+                for k in (1, 5, chunks):
+                    assert hits(idx.query(query, k, e)) == per_chunk_query(idx, query, k, e)
+
+    def test_loaded_index_holds_little_per_chunk_beyond_texts_and_entries(self, tmp_path):
+        path = tmp_path / "index.json"
+        words_index(4, 500, 30).save(str(path))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = VectorIndex.load(str(path))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        texts = sum(sys.getsizeof(c.text) for c in loaded.chunks)
+        entries = sum(a.nbytes for arrays in loaded._docs.values() for a in arrays)
+        assert {a.dtype.char for arrays in loaded._docs.values() for a in arrays} == {"H", "d"}  # uint16, float64
+        # a slotted chunk, its row's offsets and its list slot: about 140 bytes;
+        # a chunk with a __dict__ and two array views held about 380
+        assert (held - texts - entries) / len(loaded) < 192
 
 
 class TestPersistence:

@@ -3,6 +3,7 @@ over a base, and error paths."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import pytest
@@ -74,6 +75,24 @@ class TestDecode:
         with pytest.raises(RecordError) as err:
             decode(Outer, data, RecordError)
         assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "shape, path",
+        [
+            (lambda v: {"name": "n", "inner": {"ratio": v}}, "inner.ratio"),  # a leaf beside the others
+            (lambda v: {"name": "n", "items": [{}, {"ratio": v, "size": 2}]}, "items[1].ratio"),
+        ],
+    )
+    def test_non_finite_float_names_the_path(self, shape, path, value):
+        with pytest.raises(RecordError) as err:
+            decode(Outer, shape(value), RecordError)
+        assert str(err.value) == f"{path} must be a finite number, not {json.dumps(value)}"
+
+    def test_finite_floats_in_a_list_are_kept(self):
+        assert decode(list[float], [1.5, 2, -0.0], RecordError) == [1.5, 2, -0.0]
+        with pytest.raises(RecordError, match=r"^\[2\] must be a finite number, not NaN$"):
+            decode(list[float], [1.5, 2, float("nan")], RecordError)
 
     def test_path_prefix(self):
         with pytest.raises(RecordError, match=r"^unknown key cfg\.inner\.x$"):
