@@ -39,7 +39,7 @@ class ScriptedBackend:
     only eligible when the rendered prompt contains it, which lets one
     script serve interleaved per-signal calls. Raises BackendError when no
     entry is eligible (script exhausted or mismatched). It is `serial`
-    (`CallLog`), so one signal's calls arrive as at `parallel` 1.
+    (`CallLog`), so one signal's calls arrive one at a time, in call order.
     """
 
     serial = True

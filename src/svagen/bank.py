@@ -13,8 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from svagen.backends import Message
-from svagen.prompts import CallLog, PromptTemplate, render_prompt
+from svagen.prompts import Call, CallLog, render_prompt
 from svagen.records import dumps, encode, load
 from svagen.sva.tokens import scan_through
 
@@ -172,6 +171,14 @@ def _split_names(text: str) -> list[str]:
     return [t for t in re.split(r"[,\s]+", text) if _IDENT_RE.fullmatch(t)]
 
 
+def analyzer_call(log: CallLog, key: str, spec_text: str, **context: str) -> Call:
+    """Render `log`'s stage-1 template `key` (the signal mapper, the spec
+    analyzer or the waveform analyzer) with the specification and
+    `context`, as the `(role, messages)` call `log` sends."""
+    template = log.templates[key]
+    return template.role_name, render_prompt(template, {"specification_text": spec_text, **context})
+
+
 def map_signals(
     log: CallLog, spec_text: str, verilog_decls: str
 ) -> tuple[list[tuple[str, str]], list[str]]:
@@ -184,11 +191,8 @@ def map_signals(
     """
     if not spec_text.strip() or not verilog_decls.strip():
         raise StageError("signal mapping needs non-empty specification and Verilog inputs")
-    template = log.templates["signal_mapper"]
-    messages = render_prompt(
-        template, {"specification_text": spec_text, "verilog_declarations": verilog_decls}
-    )
-    reply = log.complete(template.role_name, messages)
+    call = analyzer_call(log, "signal_mapper", spec_text, verilog_declarations=verilog_decls)
+    reply = log.complete(*call)
     known = identifier_names(verilog_decls)
     pairs: list[tuple[str, str]] = []
     warnings: list[str] = []
@@ -213,16 +217,6 @@ def map_signals(
     return pairs, warnings
 
 
-def spec_analysis_call(
-    templates: dict[str, PromptTemplate], spec_text: str, signal_name: str
-) -> tuple[str, list[Message]]:
-    """The specification analyzer's call for one mapped signal, as the
-    `(role, messages)` pair `CallLog.complete_many` sends."""
-    template = templates["spec_analyzer"]
-    context = {"specification_text": spec_text, "signal_name": signal_name}
-    return template.role_name, render_prompt(template, context)
-
-
 def analyze_signal(reply: str, signal_name: str) -> SignalInfo:
     """Parse the specification analyzer's reply for one mapped signal."""
     if signal_name not in reply:
@@ -233,16 +227,6 @@ def analyze_signal(reply: str, signal_name: str) -> SignalInfo:
     sections["spec_name"] = sections.get("spec_name") or signal_name
     sections["related_signals"] = _split_names(sections.get("related_signals", ""))
     return SignalInfo(verilog_name=signal_name, **sections)
-
-
-def waveform_analysis_call(
-    templates: dict[str, PromptTemplate], spec_text: str, waveform_ref: str
-) -> tuple[str, list[Message]]:
-    """The waveform analyzer's call for one textual waveform description,
-    as the `(role, messages)` pair `CallLog.complete_many` sends."""
-    template = templates["waveform_analyzer"]
-    context = {"specification_text": spec_text, "waveform_text": waveform_ref}
-    return template.role_name, render_prompt(template, context)
 
 
 def analyze_waveform(reply: str, waveform_ref: str) -> tuple[WaveformSummary | None, list[str]]:

@@ -142,10 +142,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     source = read_text(args.file, "assertion", ConfigError)
-    unit_texts = split_assertion_units(source)
-    if not unit_texts and source.strip():
-        unit_texts = [source]
-    records = check_all(unit_texts, BuiltinChecker())
+    records = check_all(split_assertion_units(source) or [source], BuiltinChecker())
     print(format_log(records))
     return 0 if all(r.status == "pass" for r in records) else 1
 

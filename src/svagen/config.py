@@ -117,6 +117,11 @@ class RunConfig:
             raise ConfigError("max_api_calls_per_signal must be positive")
         if self.parallel < 1:
             raise ConfigError("parallel must be at least 1")
+        if self.early_stop and self.early_stop_score > self.search.score_cap:
+            raise ConfigError(  # it is compared with a suppressed score, never above the cap
+                f"early_stop_score {self.early_stop_score:g} is above search.score_cap "
+                f"{self.search.score_cap:g}, so the early stop could never fire"
+            )
 
     # -- factories
 

@@ -48,12 +48,11 @@ from svagen.bank import (
     StageError,
     analyze_signal,
     analyze_waveform,
+    analyzer_call,
     build_workflow_info,
     load_bank,
     map_signals,
     save_bank,
-    spec_analysis_call,
-    waveform_analysis_call,
 )
 from svagen.config import ConfigError, RunConfig
 from svagen.prompts import BudgetExceededError, CallLog, PromptTemplate
@@ -122,8 +121,8 @@ def run_stage1(
     pairs, map_warnings = map_signals(log, spec_text, verilog_decls)
     warnings += map_warnings
 
-    calls = [spec_analysis_call(log.templates, spec_text, name) for name, _ in pairs]
-    calls += [waveform_analysis_call(log.templates, spec_text, w) for w in waveform_texts]
+    calls = [analyzer_call(log, "spec_analyzer", spec_text, signal_name=name) for name, _ in pairs]
+    calls += [analyzer_call(log, "waveform_analyzer", spec_text, waveform_text=w) for w in waveform_texts]
     replies = log.complete_many(calls, config.parallel)
 
     signals = []
@@ -176,9 +175,9 @@ def run_stage2(
     score, critic feedback for expansion, refinement, and evaluation of the
     new node. A score parse failure is retried once, then the rollout is
     aborted and the partial tree kept; a call the log refuses past the
-    budget ends the search the same way. At `parallel > 1` stage 3's first
-    call may go beside the last child evaluation, which nothing in stage 3
-    reads (docs/formats.md, "Run configuration").
+    budget ends the search the same way. Stage 3's first call goes beside
+    the last child evaluation, which nothing in stage 3 reads, unless the
+    backend is `serial` (docs/formats.md, "Run configuration").
 
     Retrieval runs once per signal: its query text depends only on the
     signal, so the first rollout to reach the refine step queries
@@ -251,14 +250,14 @@ def run_stage2(
 
             # phase 3 + 4: evaluation of the new node, backpropagation; stage 3's
             # first call goes with the last one if the log has room for a retry too
-            last = rollout == params.n_rollouts and config.parallel > 1 and len(log) + 3 <= log.cap
+            last = rollout == params.n_rollouts and len(log) + 3 <= log.cap
             evaluate(child_id, "evaluation", last)
             tree.rollouts_completed = rollout
         except (RolloutAborted, BudgetExceededError) as err:
             warnings.append(f"rollout {rollout} aborted: {err}")
             break
 
-        if config.early_stop and _early_stop_reached(tree, checker, config):
+        if config.early_stop and rollout < params.n_rollouts and _early_stop_reached(tree, checker, config):
             warnings.append(
                 f"early stop after rollout {rollout}: best node passes all syntax checks"
             )
@@ -309,11 +308,12 @@ def run_stage3(
     Two calls at most, the last two that `default_call_budget` counts:
     syntax correction (skipped when nothing failed) and deduplication
     (skipped for pools of one or fewer); a step whose call the log refuses
-    past the budget is skipped with a warning. The first of them may have
-    gone with stage 2's last evaluation; `result.log` then answers it
-    without sending it again. Corrected texts are re-checked; still-failing
-    ones are dropped with a warning. A text the checker cannot check raises
-    CheckerUnavailableError, as in stage 2.
+    past the budget is skipped with a warning. The first of them went with
+    stage 2's last evaluation unless the backend is `serial` or the log had
+    no room; `result.log` then answers it without sending it again.
+    Corrected texts are re-checked; still-failing ones are dropped with a
+    warning. A text the checker cannot check raises CheckerUnavailableError,
+    as in stage 2.
     """
     signal, log, warnings = bank.signal(result.signal), result.log, result.warnings
 

@@ -279,7 +279,7 @@ class CallLog:
     order. Each log has one writer thread: a batch's events are charged on
     the caller's thread before any of its calls is sent, so its worker
     threads only wait on the backend. A backend that sets `serial` has no
-    latency to overlap, and gets every call in the `parallel` 1 order."""
+    latency to overlap, and gets every call one at a time, in call order."""
 
     def __init__(
         self,

@@ -30,9 +30,8 @@ from svagen.backends import BackendError, ScriptEntry, ScriptedBackend
 from svagen.bank import (
     analyze_signal,
     analyze_waveform,
+    analyzer_call,
     map_signals,
-    spec_analysis_call,
-    waveform_analysis_call,
 )
 from svagen.prompts import (
     DEFAULT_TEMPLATES,
@@ -179,8 +178,8 @@ class TestTemplateContract:
         log = CallLog("s", ScriptedBackend.from_responses(replies))
         answer = AnswerContent(assertions=[VALID_BARE_ASSERT])
         map_signals(log, "spec", "output ack_o;")
-        calls = [spec_analysis_call(log.templates, "spec", "ack_o")]
-        calls.append(waveform_analysis_call(log.templates, "spec", "handshake"))
+        calls = [analyzer_call(log, "spec_analyzer", "spec", signal_name="ack_o")]
+        calls.append(analyzer_call(log, "waveform_analyzer", "spec", waveform_text="handshake"))
         signal_reply, waveform_reply = log.complete_many(calls, 1)
         analyze_signal(signal_reply, "ack_o")
         analyze_waveform(waveform_reply, "handshake")

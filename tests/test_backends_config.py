@@ -323,6 +323,12 @@ class TestRunConfig:
         assert type(config.search.c) is int
         assert config.max_api_calls_per_signal == 20  # null: derived
 
+    def test_early_stop_score_at_most_the_score_cap(self):
+        assert config_from_dict({"search": {"score_cap": 90}}).early_stop_score == 90  # equal: reachable
+        assert not config_from_dict({"early_stop": False, "early_stop_score": 99}).early_stop
+        with pytest.raises(ConfigError, match="early_stop_score 99 is above search.score_cap 95"):
+            config_from_dict({"early_stop_score": 99})
+
     def test_layer_with_rollouts_rederives_budget(self):
         base = config_from_dict({"search": {"c": 2.0}, "max_api_calls_per_signal": 99})
         config = config_from_dict({"search": {"n_rollouts": 1}}, base)

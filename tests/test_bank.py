@@ -19,11 +19,11 @@ from svagen.bank import (
     WaveformSummary,
     analyze_signal,
     analyze_waveform,
+    analyzer_call,
     identifier_names,
     load_bank,
     map_signals,
     save_bank,
-    spec_analysis_call,
 )
 from svagen.prompts import CallLog
 
@@ -150,7 +150,7 @@ class TestAnalyzeSignal:
         names = [f"sig_{i}" for i in range(23)]
         replies = [f"[Signal Name]: {n}\n[Description]: d{n}" for n in names]
         log = CallLog("s", ScriptedBackend.from_responses(replies))
-        calls = [spec_analysis_call(log.templates, SPEC_TEXT, n) for n in names]
+        calls = [analyzer_call(log, "spec_analyzer", SPEC_TEXT, signal_name=n) for n in names]
         infos = [analyze_signal(r, n) for r, n in zip(log.complete_many(calls, 1), names)]
         assert len(infos) == 23
         assert [i.verilog_name for i in infos] == names

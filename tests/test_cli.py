@@ -248,6 +248,15 @@ class TestCheck:
             "  1:1 error [parse-expected] expected 'property' or an assert statement, found 'the'\n"
         )
 
+    @pytest.mark.parametrize(
+        "text", ["", "  \n\t\n", "// only a comment\n"], ids=["empty", "blank", "comment"]
+    )
+    def test_file_without_a_unit_fails(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.sv"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().out == "[1] FAIL\n  1:1 error [parse-empty] no assertion unit found\n"
+
     def test_missing_file_is_config_error(self, capsys):
         assert main(["check", "/does/not/exist.sv"]) == 2
 
@@ -324,6 +333,24 @@ class TestRun:
         assert main(["run", "--config", config, *flags]) == 2
         assert calls == []
         assert "invalid search parameters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("layer", ["file", "flag"])
+    def test_early_stop_above_the_score_cap_exit_two(self, tmp_path, monkeypatch, capsys, layer):
+        calls = record_backend_calls(monkeypatch)
+        save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
+        search = {"n_rollouts": 1, "score_cap": 85} if layer == "file" else {"n_rollouts": 1}
+        config = write_config(tmp_path, one_signal_entries(), extra={"early_stop": True, "search": search})
+        flags = ["--score-cap", "85"] if layer == "flag" else []
+        assert main(["run", "--config", config, *flags]) == 2
+        assert calls == []
+        assert not os.path.exists(tmp_path / "out")
+        err = capsys.readouterr().err
+        assert "early_stop_score 90 is above search.score_cap 85" in err
+
+    def test_score_cap_below_the_early_stop_score_without_early_stop(self, tmp_path):
+        save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
+        config = write_config(tmp_path, one_signal_entries(), extra={"early_stop": True})
+        assert main(["run", "--config", config, "--score-cap", "85", "--no-early-stop"]) == 0
 
     def test_every_float_field_is_listed(self):
         named = {"search.c", "search.epsilon", "backend.timeout_s", "checker.timeout_s", "early_stop_score"}

@@ -188,6 +188,14 @@ class TestEarlyStop:
         assert stage2.tree.rollouts_completed == 2
         assert not any("early stop" in w for w in stage2.warnings)
 
+    def test_no_early_stop_after_the_last_rollout(self, tmp_path, bank):
+        config = config_for(tmp_path, n_rollouts=2, early_stop=True)
+        backend = ScriptedBackend(self._script_with_high_score_at_rollout(2, n_rollouts=2))
+        result = signal_result(config, backend)
+        run_stage2(config, bank, result, BuiltinChecker())
+        assert result.tree.rollouts_completed == 2
+        assert result.tree.node(2).reward_samples == [95.0]
+        assert not any("early stop" in w for w in result.warnings)
 
     def test_best_node_without_assertions_blocks_early_stop(self, tmp_path, bank):
         # the best-Q node is a refinement whose reply held no assertion
@@ -824,10 +832,17 @@ class LiveBackend:
                 self.records.append((messages[1]["content"], start, time.perf_counter()))
 
 
+class SerialLiveBackend(LiveBackend):
+    """The same keyed script behind a `serial` backend, which `CallLog`
+    sends every call alone, in call order: the reference run."""
+
+    serial = True
+
+
 class TestLastEvaluationBatch:
-    """At `parallel > 1` the last rollout's child evaluation and stage 3's
-    first call go as one batch; every artifact equals the `parallel` 1
-    run's."""
+    """On a backend that is not `serial` the last rollout's child evaluation
+    and stage 3's first call go as one batch, at any `parallel`; every
+    artifact equals that of a serial run of the same keyed script."""
 
     N_ROLLOUTS = 2
     LAST_EVALUATION = 1 + 4 * N_ROLLOUTS  # its index in full_signal_script
@@ -838,7 +853,7 @@ class TestLastEvaluationBatch:
             entries.insert(self.LAST_EVALUATION, ScriptEntry("no score", match="Signal name: ack_o"))
         return entries if stage3 else entries[: self.LAST_EVALUATION + 1 + retry]
 
-    def _run(self, tmp_path, parallel: int, backend, cap: int | None = None):
+    def _run(self, tmp_path, backend, parallel: int = 1, cap: int | None = None):
         config = config_for(
             tmp_path, n_rollouts=self.N_ROLLOUTS, early_stop=False, parallel=parallel,
             max_api_calls_per_signal=cap,
@@ -851,35 +866,49 @@ class TestLastEvaluationBatch:
     @pytest.mark.parametrize("retry", [False, True], ids=["no-retry", "retry"])
     def test_every_cap_gives_the_serial_artifacts(self, tmp_path, bad, retry):
         for cap in range(1, default_call_budget(self.N_ROLLOUTS) + 1):
-            _, serial = self._run(tmp_path / f"{cap}-p1", 1, LiveBackend(self._script(bad, retry)), cap)
-            _, batched = self._run(tmp_path / f"{cap}-p2", 2, LiveBackend(self._script(bad, retry)), cap)
-            assert batched == serial, cap
+            _, serial = self._run(tmp_path / f"{cap}-serial", SerialLiveBackend(self._script(bad, retry)), cap=cap)
+            for parallel in (1, 2):
+                backend = LiveBackend(self._script(bad, retry))
+                _, batched = self._run(tmp_path / f"{cap}-p{parallel}", backend, parallel, cap)
+                assert batched == serial, (cap, parallel)
 
     @pytest.mark.parametrize("retry", [False, True], ids=["no-retry", "retry"])
     def test_each_critique_keeps_its_own_event(self, tmp_path, retry):
-        _, serial = self._run(tmp_path / "p1", 1, LiveBackend(self._script(True, retry)), cap=13)
-        batched_result, batched = self._run(tmp_path / "p2", 2, LiveBackend(self._script(True, retry)), cap=13)
+        serial_result, serial = self._run(tmp_path / "serial", SerialLiveBackend(self._script(True, retry)), cap=13)
+        batched_result, batched = self._run(tmp_path / "live", LiveBackend(self._script(True, retry)), cap=13)
         assert batched == serial
         roles = [e.role for e in batched_result.log.events[self.LAST_EVALUATION :]]
         assert roles == ["critic", "syntax_correction"] + ["critic"] * retry + ["deduplication"]
+        serial_roles = [e.role for e in serial_result.log.events[self.LAST_EVALUATION :]]
+        assert serial_roles == ["critic"] * (1 + retry) + ["syntax_correction", "deduplication"]
         critiques = json.loads(batched["signals/ack_o/critiques.json"])["critiques"]
         assert len(critiques) == 3 * self.N_ROLLOUTS + 1
         assert critiques[-1]["node"] == self.N_ROLLOUTS and critiques[-1]["phase"] == "evaluation"
 
     def test_stage3_call_starts_before_the_evaluation_returns(self, tmp_path):
-        backend = LiveBackend(self._script(True, False), sleep_s=0.05)
-        result, _ = self._run(tmp_path, 2, backend)
-        assert not result.failed, result.error
-        # only the last child holds the invalid unit, and the correction fixes it
-        [(_, _, evaluation_end)] = [
-            r for r in backend.records if "Signal name: ack_o" in r[0] and INVALID_ASSERT in r[0]
-        ]
-        [(_, correction_start, _)] = [r for r in backend.records if "corrected assertions for ack_o" in r[0]]
-        assert correction_start < evaluation_end
+        def last_evaluation_and_correction(backend, parallel: int):
+            result, _ = self._run(tmp_path / f"{type(backend).__name__}-p{parallel}", backend, parallel)
+            assert not result.failed, result.error
+            # only the last child holds the invalid unit, and the correction fixes it
+            [(_, _, evaluation_end)] = [
+                r for r in backend.records if "Signal name: ack_o" in r[0] and INVALID_ASSERT in r[0]
+            ]
+            [(_, correction_start, _)] = [r for r in backend.records if "corrected assertions for ack_o" in r[0]]
+            return evaluation_end, correction_start
+
+        for parallel in (1, 2):
+            evaluation_end, correction_start = last_evaluation_and_correction(
+                LiveBackend(self._script(True, False), sleep_s=0.05), parallel
+            )
+            assert correction_start < evaluation_end, parallel
+        evaluation_end, correction_start = last_evaluation_and_correction(
+            SerialLiveBackend(self._script(True, False), sleep_s=0.05), 2
+        )
+        assert correction_start >= evaluation_end
 
     def test_failed_stage3_call_after_a_good_evaluation(self, tmp_path):
-        _, serial = self._run(tmp_path / "p1", 1, LiveBackend(self._script(True, False, stage3=False)))
-        result, batched = self._run(tmp_path / "p2", 2, LiveBackend(self._script(True, False, stage3=False)))
+        _, serial = self._run(tmp_path / "serial", SerialLiveBackend(self._script(True, False, stage3=False)))
+        result, batched = self._run(tmp_path / "live", LiveBackend(self._script(True, False, stage3=False)))
         assert result.failed and "BackendError" in result.error
         assert batched == serial
         tree = ReasoningTree.loads(batched["signals/ack_o/tree.json"].decode())
@@ -890,7 +919,7 @@ class TestLastEvaluationBatch:
         script = self._script(True, False)
         del script[self.LAST_EVALUATION]
         backend = LiveBackend(script)
-        result, _ = self._run(tmp_path, 2, backend)
+        result, _ = self._run(tmp_path, backend)
         assert result.failed and "BackendError" in result.error
         assert [e.role for e in result.log.events[self.LAST_EVALUATION :]] == ["critic", "syntax_correction"]
         assert len(backend.records) == len(result.log)
@@ -899,8 +928,8 @@ class TestLastEvaluationBatch:
         def unkeyed():
             return ScriptedBackend([ScriptEntry(e.response) for e in self._script(True, True)])
 
-        _, serial = self._run(tmp_path / "p1", 1, unkeyed())
-        result, batched = self._run(tmp_path / "p2", 2, unkeyed())
+        _, serial = self._run(tmp_path / "p1", unkeyed())
+        result, batched = self._run(tmp_path / "p2", unkeyed(), 2)
         assert not result.failed, result.error
         assert batched == serial
 
