@@ -13,6 +13,7 @@ last occurrence wins so chain-of-thought preambles cannot confuse the parse.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from svagen.bank import SignalInfo
@@ -233,12 +234,13 @@ def critique(
     workflow: str = "",
     node: int | None = None,
     phase: str | None = None,
-    then: Call | None = None,
+    then: Callable[[], Call | None] | None = None,
 ) -> CritiqueResult:
     """Score an assertion set with its syntax log; the returned
     suppressed_score is what feeds the tree, and the call's event in `log`
-    keeps the critique. `then` goes with the call (`CallLog.complete`).
-    Raises ScoreParseError when the reply carries no usable score.
+    keeps the critique. `then` builds a call the log may send beside this
+    one (`CallLog.complete`). Raises ScoreParseError when the reply carries
+    no usable score.
     """
     event = len(log)  # this call's event, charged before `then`'s: a log has one writer
     reply = log.complete(*_call(

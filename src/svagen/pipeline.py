@@ -175,9 +175,9 @@ def run_stage2(
     score, critic feedback for expansion, refinement, and evaluation of the
     new node. A score parse failure is retried once, then the rollout is
     aborted and the partial tree kept; a call the log refuses past the
-    budget ends the search the same way. Stage 3's first call goes beside
-    the last child evaluation, which nothing in stage 3 reads, unless the
-    backend is `serial` (docs/formats.md, "Run configuration").
+    budget ends the search the same way. The last child evaluation, whose
+    reply nothing in stage 3 reads, may carry stage 3's first call, as
+    `CallLog.complete` decides (docs/formats.md, "Run configuration").
 
     Retrieval runs once per signal: its query text depends only on the
     signal, so the first rollout to reach the refine step queries
@@ -206,7 +206,8 @@ def run_stage2(
     def evaluate(node_id: int, phase: str, last: bool = False) -> None:
         answer = tree.node(node_id).answer
         answer.syntax_log = format_log(check_all(answer.assertions, checker))
-        scored = scored_critique(node_id, phase, _stage3_first_call(result, signal, checker) if last else None)
+        then = (lambda: _stage3_first_call(result, signal, checker)) if last else None
+        scored = scored_critique(node_id, phase, then)
         tree.record_reward(node_id, scored.suppressed_score, params)
         tree.backpropagate(node_id)
 
@@ -248,10 +249,9 @@ def run_stage2(
                 warnings.append(f"rollout {rollout} refinement produced no assertions")
             child_id = tree.add_child(selected_id, new_answer)
 
-            # phase 3 + 4: evaluation of the new node, backpropagation; stage 3's
-            # first call goes with the last one if the log has room for a retry too
-            last = rollout == params.n_rollouts and len(log) + 3 <= log.cap
-            evaluate(child_id, "evaluation", last)
+            # phase 3 + 4: evaluation of the new node, backpropagation; the last
+            # one offers stage 3's first call to the log (`CallLog.complete`)
+            evaluate(child_id, "evaluation", rollout == params.n_rollouts)
             tree.rollouts_completed = rollout
         except (RolloutAborted, BudgetExceededError) as err:
             warnings.append(f"rollout {rollout} aborted: {err}")
@@ -308,9 +308,9 @@ def run_stage3(
     Two calls at most, the last two that `default_call_budget` counts:
     syntax correction (skipped when nothing failed) and deduplication
     (skipped for pools of one or fewer); a step whose call the log refuses
-    past the budget is skipped with a warning. The first of them went with
-    stage 2's last evaluation unless the backend is `serial` or the log had
-    no room; `result.log` then answers it without sending it again.
+    past the budget is skipped with a warning. The first of them may have
+    gone with stage 2's last evaluation, as `CallLog.complete` decides;
+    `result.log` then answers it without sending it again.
     Corrected texts are re-checked; still-failing ones are dropped with a
     warning. A text the checker cannot check raises CheckerUnavailableError,
     as in stage 2.

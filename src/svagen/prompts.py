@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import Counter
+from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -300,28 +301,32 @@ class CallLog:
 
     def complete(
         self, role: str, messages: list[Message], node: int | None = None, phase: str | None = None,
-        then: Call | None = None,
+        then: Callable[[], Call | None] | None = None,
     ) -> str:
         """Charge one call to `role`, then send `messages` to the backend.
         Nothing is charged before the prompt is rendered, so the log holds
         exactly the calls the backend received, a failed one included. A
         call past the cap is refused unsent.
 
-        `then`, a call that needs no reply of this one, is charged after it
-        and sent beside it (not to a `serial` backend); a later `complete`
-        of its messages returns its reply, or raises its error, without
-        sending it again."""
+        `then` builds a call that needs no reply of this one, or None. The
+        log alone decides whether to send it beside this call: only when
+        the backend is not `serial` and the log has room for both calls and
+        a retry of this one, and only then is `then` called. The call is
+        charged after this one, and a later `complete` of its messages
+        returns its reply, or raises its error, without sending it again."""
         if self._ahead is not None and self._ahead[0] == messages:
             future, self._ahead = self._ahead[1], None
             return future.result()
-        if then is None or getattr(self.backend, "serial", False):
+        serial = getattr(self.backend, "serial", False)
+        room = self.cap is None or len(self.events) + 3 <= self.cap
+        ahead = then() if then is not None and not serial and room else None
+        if ahead is None:
             self._admit(1)
             self.events.append(CallEvent(role, node, phase))
             return self.backend.complete(messages)
-        self._admit(2)
-        self.events += [CallEvent(role, node, phase), CallEvent(then[0])]
+        self.events += [CallEvent(role, node, phase), CallEvent(ahead[0])]
         with ThreadPoolExecutor(max_workers=1) as pool:  # this call stays on the caller's thread
-            self._ahead = (then[1], pool.submit(self.backend.complete, then[1]))
+            self._ahead = (ahead[1], pool.submit(self.backend.complete, ahead[1]))
             return self.backend.complete(messages)
 
     def complete_many(self, calls: list[Call], workers: int) -> list[str]:

@@ -361,21 +361,25 @@ class _ParseError(Exception):
 class _Parser:
     def __init__(self, source: str, tokens: list[Tok]) -> None:
         self.source = source
-        self.tokens = tokens
+        end = 0
+        if tokens:  # just past the last token's source text
+            kind, text, offset = tokens[-1]
+            if kind == "error":  # its text is a message: one character, or a stop's rest
+                end = len(source) if text in STOP_MESSAGES else offset + 1
+            else:
+                end = offset + len(text)
+        self.tokens = tokens + [("end", "", end)]  # a look one token ahead follows a real token
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
 
     # -- token helpers
 
-    def peek(self, offset: int = 0) -> Tok | None:
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else None
+    def peek(self) -> Tok:
+        return self.tokens[self.pos]
 
     def at(self, kind: str, lexeme: str | None = None, offset: int = 0) -> bool:
-        t = self.peek(offset)
-        if t is None or t[0] != kind:
-            return False
-        return lexeme is None or t[1] == lexeme
+        t = self.tokens[self.pos + offset]
+        return t[0] == kind and (lexeme is None or t[1] == lexeme)
 
     def at_label(self) -> bool:
         return self.at("identifier") and self.at("operator", ":", 1)
@@ -383,12 +387,12 @@ class _Parser:
     def at_assert(self) -> bool:
         """At an assert statement: a verb, or a label followed by ':'."""
         t = self.peek()
-        return (t is not None and t[0] == "keyword" and t[1] in VERBS) or self.at_label()
+        return (t[0] == "keyword" and t[1] in VERBS) or self.at_label()
 
     def take(self) -> Tok:
         """Consume the next token; an error token raises its lex-error."""
         t = self.peek()
-        if t is None:
+        if t[0] == "end":
             raise self.error("parse-unexpected-eof", "unexpected end of input")
         self.pos += 1
         if t[0] == "error":
@@ -399,13 +403,13 @@ class _Parser:
         """Consume the next token if it is of `kind` (and, given `lexemes`,
         one of them); otherwise fail with `message` at it."""
         t = self.peek()
-        if t is None or t[0] != kind or (lexemes is not None and t[1] not in lexemes):
+        if t[0] != kind or (lexemes is not None and t[1] not in lexemes):
             raise self.error("parse-expected", message)
         return self.take()
 
     def expect(self, kind: str, lexeme: str, what: str | None = None) -> Tok:
         t = self.peek()
-        if t is None:
+        if t[0] == "end":
             raise self.error(
                 "parse-expected", f"expected {what or lexeme!r} but reached end of input"
             )
@@ -414,21 +418,9 @@ class _Parser:
         return self.take()
 
     def diagnostic(self, severity: str, code: str, message: str, token: Tok | None) -> Diagnostic:
-        """A diagnostic at `token`, else at the next token, else at the end
-        of input."""
-        if token is None:
-            token = self.peek()
-        if token is not None:
-            line, column = position(self.source, token[2])
-        elif self.tokens:  # just past the last token's source text
-            kind, text, offset = self.tokens[-1]
-            if kind == "error":  # its text is a message: one character, or a stop's rest
-                end = len(self.source) if text in STOP_MESSAGES else offset + 1
-            else:
-                end = offset + len(text)
-            line, column = position(self.source, end)
-        else:
-            line, column = self.source.count("\n") + 1, 1
+        """A diagnostic at `token`, else at the next token (which may be
+        the end of input)."""
+        line, column = position(self.source, (token or self.peek())[2])
         return Diagnostic(severity, line, column, code, message)
 
     def error(self, code: str, message: str, token: Tok | None = None) -> _ParseError:
@@ -441,7 +433,7 @@ class _Parser:
 
     def parse_units(self) -> list[SvaAst]:
         units: list[SvaAst] = []
-        while self.peek() is not None:
+        while not self.at("end"):
             start = self.pos
             try:
                 units.append(self.parse_unit())
@@ -466,7 +458,7 @@ class _Parser:
 
     def _resync(self) -> None:
         """Skip ahead to a plausible unit boundary after an error."""
-        while self.peek() is not None:
+        while not self.at("end"):
             t = self.peek()
             if t[0] == "keyword" and t[1] in ("property", *VERBS):
                 return
@@ -559,8 +551,7 @@ class _Parser:
         least as tightly as `min_bp`. A prefix operator starts the operand
         only where `min_bp` admits its level. At `_PROPERTY_BP` this parses
         a property expression; at the default, a boolean expression."""
-        t = self.peek()
-        op = PREFIX.get(t[1]) if t is not None else None
+        op = PREFIX.get(self.peek()[1])
         if op is None or op.bp < min_bp:
             node = self.parse_postfix()
         elif op.shape == "delay":
@@ -571,8 +562,7 @@ class _Parser:
             self.take()
             node = Unary(op=op.lexeme, operand=self.parse_expression(op.operand_bp))
         while True:
-            t = self.peek()
-            op = INFIX.get(t[1]) if t is not None else None
+            op = INFIX.get(self.peek()[1])
             if op is None or op.bp < min_bp:
                 return node
             self.take()
@@ -649,7 +639,7 @@ class _Parser:
 
     def parse_primary(self):
         t = self.peek()
-        if t is None:
+        if t[0] == "end":
             raise self.error("parse-expected", "expected an expression")
         if t[0] == "punctuation" and t[1] == "(":
             self.take()

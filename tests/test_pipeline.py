@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import svagen.agents as agents
 from svagen.backends import ScriptedBackend, ScriptEntry
 from svagen.bank import BankLoadError, InformationBank, SignalInfo, StageError, load_bank, save_bank
 from svagen.config import ConfigError, default_call_budget
@@ -27,7 +28,7 @@ from svagen.pipeline import (
     run_stage2,
     run_stage3,
 )
-from svagen.prompts import BudgetExceededError, CallLog
+from svagen.prompts import BudgetExceededError, CallLog, render_prompt
 from svagen.rag import HashedBowEmbedder, VectorIndex
 from svagen.sva.checker import BuiltinChecker, CheckerUnavailableError, ExternalChecker
 from svagen.sva.parser import Diagnostic
@@ -923,6 +924,22 @@ class TestLastEvaluationBatch:
         assert result.failed and "BackendError" in result.error
         assert [e.role for e in result.log.events[self.LAST_EVALUATION :]] == ["critic", "syntax_correction"]
         assert len(backend.records) == len(result.log)
+
+    def test_serial_backend_renders_the_stage3_call_once(self, tmp_path, monkeypatch):
+        renders = Counter()
+
+        def counting_render(template, context):
+            renders[template.role_name] += 1
+            return render_prompt(template, context)
+
+        monkeypatch.setattr(agents, "render_prompt", counting_render)
+        script = self._script(True, False)
+        for backend, builds in ((ScriptedBackend(script), 0), (LiveBackend(script), 1)):
+            renders.clear()
+            result, _ = self._run(tmp_path / type(backend).__name__, backend)
+            assert not result.failed, result.error
+            assert result.log.counts()["syntax_correction"] == 1
+            assert renders["syntax_correction"] == 1 + builds  # the live backend's early build, then stage 3's
 
     def test_serial_backend_replays_an_unkeyed_script_at_parallel_2(self, tmp_path):
         def unkeyed():

@@ -1,8 +1,10 @@
 """`CallLog.complete_many`: a batch is charged in input order on the
 caller's thread, sent from a bounded pool, and answered in input order; a
 failed or refused batch leaves the log holding exactly the calls the
-backend received. `CallLog.complete` with `then`: a call sent beside
-another is charged after it and answered later without being sent again."""
+backend received. `CallLog.complete` with `then`: the log alone decides
+whether to build and send a call beside another, from the backend and its
+room; such a call is charged after the other and answered later without
+being sent again."""
 
 from __future__ import annotations
 
@@ -164,43 +166,90 @@ class TestCompleteMany:
         assert len(threads) == 1
 
 
+class Builder:
+    """A `then` builder that returns `call` and counts how often it ran."""
+
+    def __init__(self, call) -> None:
+        self.call = call
+        self.runs = 0
+
+    def __call__(self):
+        self.runs += 1
+        return self.call
+
+
 class TestCompleteThen:
     def test_then_is_charged_after_and_answered_without_a_second_send(self):
         backend = ReverseBackend(2)  # call 0 returns only after call 1 has returned
-        log = CallLog("s", Threaded(backend), cap=2)
-        [(role0, messages0), (role1, messages1)] = batch(2)
-        assert log.complete(role0, messages0, node=3, phase="evaluation", then=(role1, messages1)) == "reply 0"
+        log = CallLog("s", Threaded(backend), cap=3)  # room for both calls and a retry
+        [(role0, messages0), call1] = batch(2)
+        assert log.complete(role0, messages0, node=3, phase="evaluation", then=lambda: call1) == "reply 0"
         assert [(e.role, e.node, e.phase) for e in log.events] == [
             ("role0", 3, "evaluation"), ("role1", None, None),
         ]
         assert backend.return_order == [1, 0]
-        assert log.complete(role1, messages1) == "reply 1"
+        assert log.complete(*call1) == "reply 1"
         assert len(log) == 2 and backend.return_order == [1, 0]
 
     def test_a_failed_then_call_raises_where_its_reply_is_asked(self):
         backend = ScriptedBackend([ScriptEntry("first", match="call 0")])
         log = CallLog("s", Threaded(backend))
-        [(role0, messages0), (role1, messages1)] = batch(2)
-        assert log.complete(role0, messages0, then=(role1, messages1)) == "first"
+        [(role0, messages0), call1] = batch(2)
+        assert log.complete(role0, messages0, then=lambda: call1) == "first"
         with pytest.raises(BackendError):
-            log.complete(role1, messages1)
+            log.complete(*call1)
         assert backend.calls == len(log) == 2
 
     def test_another_call_between_is_sent_alone(self):
         backend = Threaded(ScriptedBackend([ScriptEntry(f"reply {i}", match=f"call {i}") for i in range(3)]))
         log = CallLog("s", backend)
-        [(role0, messages0), (role1, messages1), (role2, messages2)] = batch(3)
-        log.complete(role0, messages0, then=(role1, messages1))
+        [(role0, messages0), call1, (role2, messages2)] = batch(3)
+        log.complete(role0, messages0, then=lambda: call1)
         assert log.complete(role2, messages2) == "reply 2"
-        assert log.complete(role1, messages1) == "reply 1"
+        assert log.complete(*call1) == "reply 1"
         assert [e.role for e in log.events] == ["role0", "role1", "role2"]
 
     def test_serial_backend_gets_then_where_it_is_asked(self):
         backend = ScriptedBackend.from_responses(["a", "b", "c"])
         log = CallLog("s", backend)
-        [(role0, messages0), (role1, messages1), (role2, messages2)] = batch(3)
-        assert log.complete(role0, messages0, then=(role1, messages1)) == "a"
+        [(role0, messages0), call1, (role2, messages2)] = batch(3)
+        assert log.complete(role0, messages0, then=lambda: call1) == "a"
         assert backend.calls == len(log) == 1
         assert log.complete(role2, messages2) == "b"
-        assert log.complete(role1, messages1) == "c"
+        assert log.complete(*call1) == "c"
         assert [e.role for e in log.events] == ["role0", "role2", "role1"]
+
+    @pytest.mark.parametrize("cap", [None, 3, 1])
+    def test_serial_backend_never_calls_the_builder(self, cap):
+        backend = ScriptedBackend.from_responses(["a"])
+        log = CallLog("s", backend, cap=cap)
+        [(role0, messages0), call1] = batch(2)
+        build = Builder(call1)
+        assert log.complete(role0, messages0, then=build) == "a"
+        assert build.runs == 0
+        assert backend.calls == len(log) == 1
+
+    @pytest.mark.parametrize("spent", [0, 1])
+    def test_no_room_for_a_retry_sends_the_call_alone(self, spent):
+        backend = ScriptedBackend([ScriptEntry(f"reply {i}", match=f"call {i}") for i in range(4)])
+        log = CallLog("s", Threaded(backend), cap=spent + 2)  # room for both calls, not a retry
+        calls = batch(4)
+        for role, messages in calls[:spent]:
+            log.complete(role, messages)
+        build = Builder(calls[spent + 1])
+        assert log.complete(*calls[spent], then=build) == f"reply {spent}"
+        assert build.runs == 0
+        assert backend.calls == len(log) == spent + 1
+        assert log.complete(*calls[spent + 1]) == f"reply {spent + 1}"  # sent now, within the cap
+        assert backend.calls == len(log) == spent + 2
+
+    def test_a_builder_returning_none_sends_the_call_alone(self):
+        backend = ScriptedBackend([ScriptEntry(f"reply {i}", match=f"call {i}") for i in range(2)])
+        log = CallLog("s", Threaded(backend))
+        [(role0, messages0), call1] = batch(2)
+        build = Builder(None)
+        assert log.complete(role0, messages0, then=build) == "reply 0"
+        assert build.runs == 1
+        assert backend.calls == len(log) == 1
+        assert log.complete(*call1) == "reply 1"
+        assert [e.role for e in log.events] == ["role0", "role1"]
