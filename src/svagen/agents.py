@@ -20,7 +20,7 @@ from svagen.bank import SignalInfo
 from svagen.prompts import Call, CallLog, render_prompt
 from svagen.sva.checker import AssertionRecord
 from svagen.sva.parser import VERBS
-from svagen.sva.tokens import STOP_MESSAGES, Unit, normal_form, scan, scan_through
+from svagen.sva.tokens import STOP_MESSAGES, Unit, normal_form, rescan, scan, scan_through
 from svagen.tree import AnswerContent, SearchParams
 
 
@@ -79,22 +79,23 @@ def extract_assertions(text: str) -> list[str]:
     cover` statement; units may share a line. No fences, no units; an
     unclosed last fence runs to the end of the text.
     """
-    units: list[str] = []
-    for block in _FENCE_RE.findall(text):
-        units.extend(split_assertion_units(block))
-    return units
-
-
-def commentary_of(text: str) -> str:
-    """Everything outside the fenced code blocks (the model's reasoning),
-    an unclosed last block included."""
-    return _FENCE_RE.sub("", text).strip()
+    return parse_answer(text).assertions
 
 
 def parse_answer(text: str) -> AnswerContent:
-    assertions = extract_assertions(text)
-    commentary = text.strip() if not assertions else commentary_of(text)
-    return AnswerContent(assertions=assertions, commentary=commentary)
+    """The assertion units of `text`'s fenced code blocks (`extract_assertions`)
+    and its commentary: everything outside those blocks, an unclosed last
+    block included, or all of `text` when it holds no unit."""
+    units: list[str] = []
+    outside: list[str] = []
+    pos = 0
+    for m in _FENCE_RE.finditer(text):
+        outside.append(text[pos : m.start()])
+        pos = m.end()
+        units.extend(split_assertion_units(m.group(1)))
+    outside.append(text[pos:])
+    commentary = "".join(outside) if units else text
+    return AnswerContent(assertions=units, commentary=commentary.strip())
 
 
 def split_assertion_units(code: str) -> list[str]:
@@ -103,9 +104,11 @@ def split_assertion_units(code: str) -> list[str]:
     checker's lexer, so nothing inside a comment or a string starts or ends
     a unit; stray code, comments and blank lines between units are dropped.
 
-    Each closed unit is a `Unit` carrying its own tokens and its normal
-    form (docs/formats.md, "Normal form"); a unit still open at a lexer
-    stop or at the end of the code is a plain str.
+    Each closed unit is a `Unit` carrying the code's tokens of its text and
+    its normal form (docs/formats.md, "Normal form"); a unit still open at
+    a lexer stop or at the end of the code is a plain str. The code is
+    lexed once, through its lexer stops, and again after a stop only where
+    `rescan` must.
     """
     code += "\n"  # every line ends in a newline
     spans: list[list] = []  # [start, end, end of the token before, its tokens or None]
@@ -113,16 +116,15 @@ def split_assertion_units(code: str) -> list[str]:
     joinable = False  # the last span is a declaration a statement may join
     stray: list[tuple[str, str, int, int]] = []  # (kind, text, offset, end before) since the last unit
     prev_end = -1  # end of the previous token outside a unit
-    pos = 0
-    while pos < len(code):
-        tokens, stop = [], len(code) - 1
-        for token in scan(code, pos):
-            if token[0] == "error" and token[1] in STOP_MESSAGES:
-                stop = token[2]
+    tokens, i = scan_through(code), 0
+    while True:
+        stop = len(code) - 1
+        first = i  # index in `tokens` of the open unit's first token
+        while i < len(tokens):
+            kind, text, offset = tokens[i]
+            if kind == "error" and text in STOP_MESSAGES:
+                stop = offset
                 break
-            tokens.append(token)
-        first = 0  # index in `tokens` of the open unit's first token
-        for i, (kind, text, offset) in enumerate(tokens):
             if ends is not None:
                 if text in ends:
                     spans[-1][1] = prev_end = offset + len(text)
@@ -140,11 +142,14 @@ def split_assertion_units(code: str) -> list[str]:
             else:
                 stray.append((kind, text, offset, prev_end))
                 prev_end = offset + (1 if kind == "error" else len(text))
+            i += 1
         if ends is not None:  # at a lexer stop or the end: to the end of that line, without tokens
             spans[-1][1], spans[-1][3], ends = stop, None, None
+        if i == len(tokens):
+            break
         stray.clear()  # nothing joins a unit across a stop
         joinable = False
-        pos = code.find("\n", stop) + 1
+        tokens, i = rescan(code, tokens, i, code.find("\n", stop) + 1)
     units: list[str] = []
     for start, end, before, tokens in spans:
         lo, hi = code.rfind("\n", 0, start) + 1, code.find("\n", end)
@@ -156,15 +161,13 @@ def split_assertion_units(code: str) -> list[str]:
         if end < hi and not _blank(code[end:hi]):
             hi = end  # a token or a lexer stop follows on the last line
         text = code[start:hi].lstrip()
-        base = hi - len(text)  # the unit's offset in `code`
-        tokens = [(kind, tok, offset - base) for kind, tok, offset in tokens]
-        units.append(Unit(text.rstrip(), tokens))
+        units.append(Unit(text.rstrip(), tokens, hi - len(text)))
     return units
 
 
 def _blank(text: str) -> bool:
     """Whether `text` lexes to no token: whitespace and whole comments."""
-    return next(scan(text), None) is None
+    return not scan(text)
 
 
 def _opens_unit(tokens: list[tuple[str, str, int]], i: int) -> bool:

@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 
 from svagen.sva.operators import INFIX, PREFIX
 # The parser does not call `tokenize`; bench/run_bench.py traces it as `parser.tokenize`.
-from svagen.sva.tokens import KEYWORDS, STOP_MESSAGES, Unit, position, scan, tokenize  # noqa: F401
+from svagen.sva.tokens import KEYWORDS, STOP_MESSAGES, Tok, Unit, position, scan, tokenize  # noqa: F401
 
 TokenSig = tuple[str, str]
-Tok = tuple[str, str, int]  # (kind, text, offset), as `scan` yields it
 
 # The known system functions, each with its minimum argument count: the
 # sampled-value and counting functions need an operand to sample.
@@ -103,7 +102,7 @@ def _comma_list(items: list) -> list[TokenSig]:
 # AST nodes. Each node serializes back to tokens via to_tokens().
 
 
-@dataclass
+@dataclass(slots=True)
 class Identifier:
     name: str
 
@@ -111,7 +110,7 @@ class Identifier:
         return [("identifier", self.name)]
 
 
-@dataclass
+@dataclass(slots=True)
 class Number:
     text: str
 
@@ -119,7 +118,7 @@ class Number:
         return [("number", self.text)]
 
 
-@dataclass
+@dataclass(slots=True)
 class StringLit:
     text: str  # includes the quotes
 
@@ -127,7 +126,7 @@ class StringLit:
         return [("string", self.text)]
 
 
-@dataclass
+@dataclass(slots=True)
 class Paren:
     inner: object
 
@@ -135,7 +134,7 @@ class Paren:
         return [_p("(")] + self.inner.to_tokens() + [_p(")")]
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary:
     op: str  # a prefix lexeme of OPERATORS
     operand: object
@@ -144,7 +143,7 @@ class Unary:
         return [_op(self.op)] + self.operand.to_tokens()
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary:
     op: str  # an infix lexeme of OPERATORS
     left: object
@@ -154,7 +153,7 @@ class Binary:
         return self.left.to_tokens() + [_op(self.op)] + self.right.to_tokens()
 
 
-@dataclass
+@dataclass(slots=True)
 class Ternary:
     cond: object
     if_true: object
@@ -170,7 +169,7 @@ class Ternary:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Implication:
     op: str  # "|->" | "|=>"
     antecedent: object
@@ -180,7 +179,7 @@ class Implication:
         return self.antecedent.to_tokens() + [_op(self.op)] + self.consequent.to_tokens()
 
 
-@dataclass
+@dataclass(slots=True)
 class DelayBounds:
     low: str  # number lexeme
     high: str | None = None  # number lexeme or "$"; None for a plain ##N
@@ -192,7 +191,7 @@ class DelayBounds:
         return [_p("["), ("number", self.low), _op(":"), _bound(self.high), _p("]")]
 
 
-@dataclass
+@dataclass(slots=True)
 class Delay:
     """Sequence delay: `lhs ##bounds rhs`; lhs is None for a leading delay."""
 
@@ -210,7 +209,7 @@ class Delay:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class Repetition:
     """Consecutive repetition suffix: expr[*], expr[*n], expr[*m:n]."""
 
@@ -228,7 +227,7 @@ class Repetition:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class Index:
     base: object
     low: object
@@ -242,7 +241,7 @@ class Index:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class Call:
     name: str
     args: list = field(default_factory=list)
@@ -255,7 +254,7 @@ class Call:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class Concat:
     parts: list
 
@@ -263,7 +262,7 @@ class Concat:
         return [_p("{")] + _comma_list(self.parts) + [_p("}")]
 
 
-@dataclass
+@dataclass(slots=True)
 class Replication:
     count: object
     inner: Concat
@@ -272,7 +271,7 @@ class Replication:
         return [_p("{")] + self.count.to_tokens() + self.inner.to_tokens() + [_p("}")]
 
 
-@dataclass
+@dataclass(slots=True)
 class Clocking:
     edge: str  # "posedge" | "negedge"; the subset requires an explicit edge
     expr: object
@@ -285,7 +284,7 @@ class Clocking:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class PropertySpec:
     clocking: Clocking | None
     disable_expr: object | None
@@ -303,7 +302,7 @@ class PropertySpec:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class AssertStmt:
     spec: PropertySpec
     label: str | None = None
@@ -323,7 +322,7 @@ class AssertStmt:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class PropertyDecl:
     name: str
     spec: PropertySpec
@@ -359,13 +358,17 @@ class _ParseError(Exception):
 
 
 class _Parser:
-    def __init__(self, source: str, tokens: list[Tok]) -> None:
+    """Parses `source` from its `tokens`, whose offsets exceed their
+    positions in `source` by `base` (a `Unit`'s tokens are its block's)."""
+
+    def __init__(self, source: str, tokens: list[Tok], base: int = 0) -> None:
         self.source = source
-        end = 0
+        self.base = base
+        end = base
         if tokens:  # just past the last token's source text
             kind, text, offset = tokens[-1]
             if kind == "error":  # its text is a message: one character, or a stop's rest
-                end = len(source) if text in STOP_MESSAGES else offset + 1
+                end = base + len(source) if text in STOP_MESSAGES else offset + 1
             else:
                 end = offset + len(text)
         self.tokens = tokens + [("end", "", end)]  # a look one token ahead follows a real token
@@ -391,13 +394,14 @@ class _Parser:
 
     def take(self) -> Tok:
         """Consume the next token; an error token raises its lex-error."""
-        t = self.peek()
+        t = self.tokens[self.pos]
+        if t[0] != "end" and t[0] != "error":
+            self.pos += 1
+            return t
         if t[0] == "end":
             raise self.error("parse-unexpected-eof", "unexpected end of input")
         self.pos += 1
-        if t[0] == "error":
-            raise self.error("lex-error", t[1], t)
-        return t
+        raise self.error("lex-error", t[1], t)
 
     def take_kind(self, kind: str, message: str, lexemes: tuple[str, ...] | None = None) -> Tok:
         """Consume the next token if it is of `kind` (and, given `lexemes`,
@@ -408,7 +412,10 @@ class _Parser:
         return self.take()
 
     def expect(self, kind: str, lexeme: str, what: str | None = None) -> Tok:
-        t = self.peek()
+        t = self.tokens[self.pos]
+        if t[1] == lexeme and t[0] == kind:
+            self.pos += 1
+            return t
         if t[0] == "end":
             raise self.error(
                 "parse-expected", f"expected {what or lexeme!r} but reached end of input"
@@ -420,7 +427,7 @@ class _Parser:
     def diagnostic(self, severity: str, code: str, message: str, token: Tok | None) -> Diagnostic:
         """A diagnostic at `token`, else at the next token (which may be
         the end of input)."""
-        line, column = position(self.source, (token or self.peek())[2])
+        line, column = position(self.source, (token or self.peek())[2] - self.base)
         return Diagnostic(severity, line, column, code, message)
 
     def error(self, code: str, message: str, token: Tok | None = None) -> _ParseError:
@@ -551,21 +558,21 @@ class _Parser:
         least as tightly as `min_bp`. A prefix operator starts the operand
         only where `min_bp` admits its level. At `_PROPERTY_BP` this parses
         a property expression; at the default, a boolean expression."""
-        op = PREFIX.get(self.peek()[1])
+        op = PREFIX.get(self.tokens[self.pos][1])
         if op is None or op.bp < min_bp:
             node = self.parse_postfix()
         elif op.shape == "delay":
-            self.take()
+            self.pos += 1
             bounds = self.parse_delay_bounds()
             node = Delay(lhs=None, bounds=bounds, rhs=self.parse_expression(op.operand_bp))
         else:
-            self.take()
+            self.pos += 1
             node = Unary(op=op.lexeme, operand=self.parse_expression(op.operand_bp))
         while True:
-            op = INFIX.get(self.peek()[1])
+            op = INFIX.get(self.tokens[self.pos][1])
             if op is None or op.bp < min_bp:
                 return node
-            self.take()
+            self.pos += 1  # only an operator's token spells an operator's lexeme
             if op.shape == "binary":
                 node = Binary(op=op.lexeme, left=node, right=self.parse_expression(op.operand_bp))
             elif op.shape == "delay":
@@ -610,7 +617,7 @@ class _Parser:
 
     def parse_postfix(self):
         node = self.parse_primary()
-        while self.at("punctuation", "["):
+        while self.tokens[self.pos][1] == "[" and self.tokens[self.pos][0] == "punctuation":
             if self.at("operator", "*", 1):
                 node = self.parse_repetition(node)
                 continue
@@ -638,24 +645,30 @@ class _Parser:
         return Repetition(operand=operand, low=low, high=high)
 
     def parse_primary(self):
-        t = self.peek()
-        if t[0] == "end":
-            raise self.error("parse-expected", "expected an expression")
-        if t[0] == "punctuation" and t[1] == "(":
-            self.take()
+        t = self.tokens[self.pos]
+        kind = t[0]
+        if kind == "number":
+            self.pos += 1
+            return Number(text=t[1])
+        if kind == "string":
+            self.pos += 1
+            return StringLit(text=t[1])
+        if kind == "punctuation" and t[1] == "(":
+            self.pos += 1
             inner = self.parse_expression(_PROPERTY_BP)
             self.expect("punctuation", ")", "')' closing the parenthesized expression")
             return Paren(inner=inner)
-        if t[0] == "punctuation" and t[1] == "{":
+        if kind == "punctuation" and t[1] == "{":
             return self.parse_concat()
-        if t[0] not in ("number", "string", "identifier", "error"):
+        if kind != "identifier":
+            if kind == "end":
+                raise self.error("parse-expected", "expected an expression")
+            if kind == "error":
+                self.take()  # raises its lex-error
             raise self.error("parse-expected", f"expected an expression, found {t[1]!r}")
-        self.take()  # an error token raises its lex-error here
-        if t[0] == "number":
-            return Number(text=t[1])
-        if t[0] == "string":
-            return StringLit(text=t[1])
-        if not self.at("punctuation", "("):
+        self.pos += 1
+        after = self.tokens[self.pos]
+        if after[1] != "(" or after[0] != "punctuation":
             return Identifier(name=t[1])
         if not t[1].startswith("$"):
             # no sequence/property declarations in the subset, so an
@@ -733,12 +746,15 @@ def parse_units(source: str) -> tuple[list[SvaAst], list[Diagnostic]]:
     statement. Errors never abort the parse; they land in diagnostics and the
     parser resynchronizes at the next plausible boundary.
 
-    A `Unit` that still carries the splitter's tokens is parsed from them,
-    which give the same diagnostics as lexing its text; any other text is
-    lexed here.
+    A `Unit` that still carries the splitter's tokens, a slice of its code
+    block's, is parsed from them; the parser subtracts the unit's `base`
+    from their offsets, so the diagnostics are those of lexing its text.
+    Any other text is lexed here.
     """
-    tokens = source.tokens if isinstance(source, Unit) else None
-    parser = _Parser(source, tokens if tokens is not None else list(scan(source)))
+    if isinstance(source, Unit) and source.tokens is not None:
+        parser = _Parser(source, source.tokens, source.base)
+    else:
+        parser = _Parser(source, scan(source))
     units = parser.parse_units()
     return units, parser.diagnostics
 

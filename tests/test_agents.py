@@ -4,6 +4,9 @@ scripted backend."""
 
 from __future__ import annotations
 
+import gc
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,6 @@ from svagen.agents import (
     CritiqueResult,
     ScoreParseError,
     ScoreRangeError,
-    commentary_of,
     correct_syntax,
     critique,
     deduplicate,
@@ -258,7 +260,7 @@ class TestExtractAssertions:
     def test_closed_fences_are_unchanged(self):
         reply = "x\n```sv\nassert property (a);\n```\ny\n```\nassert property (b);\n```\nz ```assert property (q);```"
         assert extract_assertions(reply) == ["assert property (a);", "assert property (b);"]
-        assert commentary_of(reply) == "x\n\ny\n\nz ```assert property (q);```"
+        assert parse_answer(reply).commentary == "x\n\ny\n\nz ```assert property (q);```"
 
     def test_every_statement_complete_at_a_cut_is_a_unit_of_the_reply(self):
         reply = (
@@ -365,6 +367,27 @@ class TestExtractAssertions:
         unit = f"assert property (@(posedge clk) a |-> b)\n  else {opening}"
         code = f"{unit}\n{VALID_BARE_ASSERT}\n{VALID_PROPERTY_UNIT}"
         assert split_assertion_units(code) == [unit, VALID_BARE_ASSERT, VALID_PROPERTY_UNIT]
+
+    def test_splitting_stays_linear_across_lexer_stops(self):
+        # each line stops the lexer; the tokens after each stop come from
+        # the one lexing of the block, so 8x the lines take about 8x as long
+        line = 'assert property (a) else $error("open'
+
+        def seconds_to_split(n: int) -> float:
+            code = f"{line}\n" * n
+            start = time.perf_counter()
+            units = split_assertion_units(code)
+            seconds = time.perf_counter() - start
+            assert units == [line] * n
+            return seconds
+
+        gc.collect()
+        gc.disable()
+        try:  # best of three, the two sizes taking turns
+            small, large = zip(*[(seconds_to_split(500), seconds_to_split(4000)) for _ in range(3)])
+        finally:
+            gc.enable()
+        assert min(large) < 12 * min(small)
 
     @pytest.mark.parametrize("rest", [" /* open", ' "open', " /* note\n   ends here */"])
     def test_closed_unit_ends_at_its_last_token_before_an_open_comment_or_string(self, rest):

@@ -1,8 +1,10 @@
 """A split unit carries its tokens and its normal form, so the checker and
 the deduplication steps do not read its text again. These tests hold both
 to the text paths: the key equals the normal form of the same text, as a
-plain str and by the reference rule below, the tokens equal `scan` of the
-text, and the checker gives the same diagnostics either way."""
+plain str and by the reference rule below, the tokens, which are a slice
+of the code block's, equal `scan` of the text once shifted by the unit's
+offset in the block, and the checker gives the same diagnostics either
+way."""
 
 from __future__ import annotations
 
@@ -60,7 +62,7 @@ def assert_unit_matches_its_text(unit: str) -> None:
     assert normalize_assertion(unit) == normalize_assertion(text) == reference_normal_form(text)
     if not isinstance(unit, Unit):  # still open at a lexer stop or the end: the text paths
         return
-    assert unit.tokens == list(scan(text))
+    assert [(kind, tok, offset - unit.base) for kind, tok, offset in unit.tokens] == scan(text)
     assert CHECKER.check(unit) == CHECKER.check(text)
 
 
@@ -95,6 +97,9 @@ def model_code(draw) -> str:
 @example('assert property (a) else $error("open  // c')
 @example("assert property (a) /* open  // c\n  ;")
 @example("assert property (a == 4 \t'd7 || b == 8\n  'hFF);")
+@example("assert property (a);  assert property (é b |-> );")
+@example("x = 1; assert property (@(posedge clk) a ##);")
+@example("/* note\n */ assert property (\x0c c ##); /* c */ cover property (d é);")
 @settings(max_examples=600, deadline=None)
 def test_unit_key_tokens_and_check_equal_the_text_paths(code):
     for unit in split_assertion_units(code):
