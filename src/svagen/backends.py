@@ -74,14 +74,15 @@ class ScriptedBackend:
 class HttpChatBackend:
     """OpenAI-style chat-completions client.
 
-    The API key is read from the environment variable named `api_key_env`;
-    it never appears in config files. Request body: {model, messages};
-    response: choices[0].message.content. Without an injected `session`,
-    each call takes an idle `requests.Session`, or makes one, and gives it
+    The API key is read once, when the backend is made, from the environment
+    variable named `api_key_env`; it never appears in config files, and an
+    unset or empty variable raises BackendError naming it before any call.
+    Request body: {model, messages}; response: choices[0].message.content.
+    Each call takes an idle `requests.Session`, or makes one, and gives it
     back when it returns, since requests does not document a Session as
     thread-safe: no session serves two calls at once, there are as many as
     the most calls ever in flight together, and a later batch's calls reuse
-    their connections. An injected session is shared.
+    their connections.
     """
 
     def __init__(
@@ -90,26 +91,23 @@ class HttpChatBackend:
         model: str,
         api_key_env: str = "SVAGEN_API_KEY",
         timeout_s: float = 120.0,
-        session=None,
     ) -> None:
+        key = os.environ.get(api_key_env, "")
+        if not key:
+            raise BackendError(f"API key environment variable {api_key_env} is not set")
+        import requests  # here, not at module level: a scripted run never loads it
+
+        self._requests = requests
         self.endpoint = endpoint
         self.model = model
-        self.api_key_env = api_key_env
         self.timeout_s = timeout_s
-        self._session = session
-        self._idle: list = []  # the sessions no call holds, when none is injected
+        self._headers = {"Authorization": f"Bearer {key}"}
+        self._idle: list = []  # the sessions no call holds
         self._idle_lock = threading.Lock()
-        if session is None:
-            import requests  # here, so a missing package fails before the first call
-
-            self._requests = requests
 
     @contextlib.contextmanager
     def _call_session(self):
-        """The injected session, or one no other call holds while this one does."""
-        if self._session is not None:
-            yield self._session
-            return
+        """A session no other call holds while this one does."""
         with self._idle_lock:
             session = self._idle.pop() if self._idle else None
         if session is None:
@@ -121,17 +119,12 @@ class HttpChatBackend:
                 self._idle.append(session)
 
     def complete(self, messages: list[Message]) -> str:
-        key = os.environ.get(self.api_key_env, "")
-        if not key:
-            raise BackendError(
-                f"API key environment variable {self.api_key_env} is not set"
-            )
         try:
             with self._call_session() as session:
                 resp = session.post(
                     self.endpoint,
                     json={"model": self.model, "messages": messages},
-                    headers={"Authorization": f"Bearer {key}"},
+                    headers=self._headers,
                     timeout=self.timeout_s,
                 )
         except Exception as err:  # connection errors, timeouts

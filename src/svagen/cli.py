@@ -174,22 +174,18 @@ def _cmd_tree_show(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command = {  # argparse's required subparsers admit no other command
+        "bank": _cmd_bank_build,
+        "rag": _cmd_rag_build,
+        "run": _cmd_run,
+        "check": _cmd_check,
+        "tree": _cmd_tree_show,
+    }[args.command]
     try:
-        if args.command == "bank":
-            return _cmd_bank_build(args)
-        if args.command == "rag":
-            return _cmd_rag_build(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "tree":
-            return _cmd_tree_show(args)
-        parser.error(f"unknown command {args.command!r}")
+        return command(args)
     except (ConfigError, StageError, BankLoadError, BackendError, TreeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from svagen.backends import ChatBackend, HttpChatBackend, ScriptedBackend
+from svagen.backends import BackendError, ChatBackend, HttpChatBackend, ScriptedBackend
 from svagen.prompts import DEFAULT_TEMPLATES, PromptTemplate, load_template
 from svagen.records import decode, load
 from svagen.sva.checker import (
@@ -137,7 +137,10 @@ class RunConfig:
         if b.type == "http":
             if not b.endpoint or not b.model:
                 raise ConfigError("http backend requires backend.endpoint and backend.model")
-            return HttpChatBackend(b.endpoint, b.model, b.api_key_env, b.timeout_s)
+            try:
+                return HttpChatBackend(b.endpoint, b.model, b.api_key_env, b.timeout_s)
+            except BackendError as err:
+                raise ConfigError(str(err)) from err
         raise ConfigError(f"unknown backend type {b.type!r}")
 
     def make_checker(self) -> SyntaxChecker:

@@ -453,10 +453,12 @@ def run_all(
     batch of up to config.parallel concurrent calls. Stages 2-3 run per
     signal, in parallel up to config.parallel. Per-signal failures are
     isolated and reported in the summary. The checker is memoized for this
-    run only: each distinct assertion text is checked once. The retrieval
-    index is loaded first: a missing file, or one that `VectorIndex.load`
-    rejects, raises ConfigError before any call. The output directory is
-    made before the first call too, so one that cannot be made costs none.
+    run only: each distinct assertion text is checked once. The backend is
+    made first: an unset API key raises ConfigError before any call. The
+    retrieval index is loaded next: a missing file, or one that
+    `VectorIndex.load` rejects, raises ConfigError before any call. The
+    output directory is made before the first call too, so one that cannot
+    be made costs none.
     """
     backend = backend if backend is not None else config.make_backend()
     checker = MemoChecker(checker if checker is not None else config.make_checker())

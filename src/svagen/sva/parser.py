@@ -393,15 +393,13 @@ class _Parser:
         return (t[0] == "keyword" and t[1] in VERBS) or self.at_label()
 
     def take(self) -> Tok:
-        """Consume the next token; an error token raises its lex-error."""
+        """Consume the next token; an error token raises its lex-error. Every
+        caller has first seen that the next token is not the end token."""
         t = self.tokens[self.pos]
-        if t[0] != "end" and t[0] != "error":
-            self.pos += 1
-            return t
-        if t[0] == "end":
-            raise self.error("parse-unexpected-eof", "unexpected end of input")
         self.pos += 1
-        raise self.error("lex-error", t[1], t)
+        if t[0] == "error":
+            raise self.error("lex-error", t[1], t)
+        return t
 
     def take_kind(self, kind: str, message: str, lexemes: tuple[str, ...] | None = None) -> Tok:
         """Consume the next token if it is of `kind` (and, given `lexemes`,

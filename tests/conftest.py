@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -14,6 +15,8 @@ from svagen.config import RunConfig
 from svagen.pipeline import SignalRunResult
 from svagen.prompts import CallLog
 from svagen.tree import ReasoningTree, SearchParams
+
+from chat_server import ChatServer
 
 # A syntactically valid assertion pair (property + assert).
 VALID_PROPERTY_UNIT = """\
@@ -140,6 +143,24 @@ def bank() -> InformationBank:
 @pytest.fixture
 def params() -> SearchParams:
     return SearchParams()
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    """A `ChatServer` served from a thread for the test, which `requests`
+    reaches directly: the test clears every proxy variable."""
+    for name in [n for n in os.environ if n.lower().endswith("_proxy")]:
+        monkeypatch.delenv(name)
+    server = ChatServer()
+    # it looks for shutdown every 10 ms, not every 0.5 s, so teardown is quick
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), name="chat-server")
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
 
 
 def config_for(tmp_path, n_rollouts: int = 4, **kwargs) -> RunConfig:

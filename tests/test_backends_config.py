@@ -1,5 +1,6 @@
-"""HTTP backend wire-shape tests (against a stub session) and run-config
-loading, overrides, and factory tests."""
+"""HTTP backend wire-shape tests (over a loopback chat server), its session
+pool (against stub sessions), and run-config loading, overrides, and
+factory tests."""
 
 from __future__ import annotations
 
@@ -39,63 +40,76 @@ class _FakeSession:
         return self.response
 
 
-def _backend(session, monkeypatch, key="sk-test"):
-    if key is not None:
-        monkeypatch.setenv("SVAGEN_API_KEY", key)
-    else:
-        monkeypatch.delenv("SVAGEN_API_KEY", raising=False)
-    return HttpChatBackend(
-        "https://llm.example/v1/chat/completions", "some-model", session=session
-    )
+def _backend(monkeypatch, endpoint="https://llm.example/v1/chat/completions"):
+    monkeypatch.setenv("SVAGEN_API_KEY", "sk-test")
+    return HttpChatBackend(endpoint, "some-model")
+
+
+MESSAGES = [{"role": "user", "content": "u"}]
 
 
 class TestHttpBackend:
-    def test_request_and_response_shape(self, monkeypatch):
-        session = _FakeSession(
-            _FakeResponse(payload={"choices": [{"message": {"content": "hello"}}]})
-        )
-        backend = _backend(session, monkeypatch)
-        out = backend.complete(
-            [{"role": "system", "content": "s"}, {"role": "user", "content": "u"}]
-        )
-        assert out == "hello"
-        request = session.requests[0]
-        assert request["url"] == "https://llm.example/v1/chat/completions"
-        assert request["json"]["model"] == "some-model"
-        assert request["json"]["messages"][1] == {"role": "user", "content": "u"}
+    def test_request_and_response_shape(self, chat_server, monkeypatch):
+        chat_server.backend = ScriptedBackend.from_responses(["hello"])
+        backend = _backend(monkeypatch, chat_server.url)
+        messages = [{"role": "system", "content": "s"}, {"role": "user", "content": "u"}]
+        assert backend.complete(messages) == "hello"
+        (request,) = chat_server.requests
+        assert request["path"] == "/v1/chat/completions"
+        assert request["json"] == {"model": "some-model", "messages": messages}
         assert request["headers"]["Authorization"] == "Bearer sk-test"
 
     def test_missing_api_key(self, monkeypatch):
-        backend = _backend(_FakeSession(_FakeResponse()), monkeypatch, key=None)
-        with pytest.raises(BackendError) as err:
-            backend.complete([{"role": "user", "content": "u"}])
-        assert "SVAGEN_API_KEY" in str(err.value)
+        monkeypatch.delenv("SVAGEN_API_KEY", raising=False)
+        with pytest.raises(BackendError, match="SVAGEN_API_KEY"):
+            HttpChatBackend("https://llm.example/v1/chat/completions", "some-model")
+        monkeypatch.setenv("SVAGEN_API_KEY", "")
+        with pytest.raises(BackendError, match="SVAGEN_API_KEY"):
+            HttpChatBackend("https://llm.example/v1/chat/completions", "some-model")
 
-    def test_http_error_status(self, monkeypatch):
-        backend = _backend(_FakeSession(_FakeResponse(status_code=500)), monkeypatch)
-        with pytest.raises(BackendError):
-            backend.complete([{"role": "user", "content": "u"}])
+    def test_key_is_read_once_when_made(self, chat_server, monkeypatch):
+        chat_server.backend = ScriptedBackend.from_responses(["a", "b"])
+        backend = _backend(monkeypatch, chat_server.url)
+        assert backend.complete(MESSAGES) == "a"
+        monkeypatch.delenv("SVAGEN_API_KEY")
+        assert backend.complete(MESSAGES) == "b"
+        assert [r["headers"]["Authorization"] for r in chat_server.requests] == [
+            "Bearer sk-test"
+        ] * 2
 
-    def test_malformed_response(self, monkeypatch):
-        backend = _backend(_FakeSession(_FakeResponse(payload={"weird": 1})), monkeypatch)
-        with pytest.raises(BackendError):
-            backend.complete([{"role": "user", "content": "u"}])
+    def test_http_error_status(self, chat_server, monkeypatch):
+        chat_server.status, chat_server.payload = 500, {}
+        backend = _backend(monkeypatch, chat_server.url)
+        with pytest.raises(BackendError, match="HTTP 500"):
+            backend.complete(MESSAGES)
+
+    def test_malformed_response(self, chat_server, monkeypatch):
+        chat_server.payload = {"weird": 1}
+        backend = _backend(monkeypatch, chat_server.url)
+        with pytest.raises(BackendError, match="malformed"):
+            backend.complete(MESSAGES)
 
     @pytest.mark.parametrize(
         "payload", [{"choices": None}, {"choices": [{"message": "x"}]}, {"choices": [None]}]
     )
-    def test_wrongly_typed_response(self, monkeypatch, payload):
-        backend = _backend(_FakeSession(_FakeResponse(payload=payload)), monkeypatch)
+    def test_wrongly_typed_response(self, chat_server, monkeypatch, payload):
+        chat_server.payload = payload
+        backend = _backend(monkeypatch, chat_server.url)
         with pytest.raises(BackendError, match="malformed"):
-            backend.complete([{"role": "user", "content": "u"}])
+            backend.complete(MESSAGES)
 
-    def test_empty_text_rejected(self, monkeypatch):
-        session = _FakeSession(
-            _FakeResponse(payload={"choices": [{"message": {"content": ""}}]})
-        )
-        backend = _backend(session, monkeypatch)
-        with pytest.raises(BackendError):
-            backend.complete([{"role": "user", "content": "u"}])
+    def test_empty_text_rejected(self, chat_server, monkeypatch):
+        chat_server.payload = {"choices": [{"message": {"content": ""}}]}
+        backend = _backend(monkeypatch, chat_server.url)
+        with pytest.raises(BackendError, match="no text"):
+            backend.complete(MESSAGES)
+
+    def test_refused_connection(self, chat_server, monkeypatch):
+        backend = _backend(monkeypatch, chat_server.url)
+        chat_server.shutdown()
+        chat_server.server_close()  # nothing listens on the port now
+        with pytest.raises(BackendError, match="request failed"):
+            backend.complete(MESSAGES)
 
 
 class TestHttpSessions:
@@ -132,7 +146,7 @@ class TestHttpSessions:
 
     def test_calls_one_after_another_share_one_session(self, monkeypatch):
         made = self._sessions(monkeypatch)
-        backend = _backend(None, monkeypatch)
+        backend = _backend(monkeypatch)
         messages = [{"role": "user", "content": "u"}]
         assert backend.complete(messages) == backend.complete(messages) == "ok"
         for _ in range(3):  # a new thread for each call, as each batch starts its own
@@ -141,7 +155,7 @@ class TestHttpSessions:
 
     def test_calls_held_open_at_once_use_one_session_each(self, monkeypatch):
         made = self._sessions(monkeypatch, threading.Barrier(2))
-        backend = _backend(None, monkeypatch)
+        backend = _backend(monkeypatch)
         messages = [{"role": "user", "content": "u"}]
         replies = []
         # each post waits until the other is in flight too
@@ -175,7 +189,7 @@ class TestHttpSessions:
         import requests
 
         monkeypatch.setattr(requests, "Session", Guarded)
-        backend = _backend(None, monkeypatch)
+        backend = _backend(monkeypatch)
         messages = [{"role": "user", "content": "u"}]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -192,7 +206,7 @@ class TestHttpSessions:
 
     def test_a_failed_call_gives_its_session_back(self, monkeypatch):
         made = self._sessions(monkeypatch)
-        backend = _backend(None, monkeypatch)
+        backend = _backend(monkeypatch)
         messages = [{"role": "user", "content": "u"}]
         backend.complete(messages)
         made[0].response = _FakeResponse(status_code=503)
@@ -205,22 +219,6 @@ class TestHttpSessions:
         made[0].response = _FakeResponse(payload={"choices": [{"message": {"content": "ok"}}]})
         assert backend.complete(messages) == "ok"
         assert [len(s.requests) for s in made] == [3]
-
-    def test_injected_session_is_shared(self, monkeypatch):
-        session = _FakeSession(
-            _FakeResponse(payload={"choices": [{"message": {"content": "ok"}}]})
-        )
-        backend = _backend(session, monkeypatch)
-        threads = [
-            threading.Thread(target=backend.complete, args=([{"role": "user", "content": "u"}],))
-            for _ in range(3)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-            assert not t.is_alive()
-        assert len(session.requests) == 3
 
 
 class TestScriptFile:
@@ -394,19 +392,48 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             config.make_checker()
 
+    def test_unknown_checker_kind(self):
+        config = config_from_dict({"checker": {"kind": "verible"}})
+        with pytest.raises(ConfigError, match="unknown checker kind 'verible'"):
+            config.make_checker()
+
     def test_scripted_backend_needs_script(self):
         config = config_from_dict({"backend": {"type": "scripted"}})
         with pytest.raises(ConfigError):
             config.make_backend()
 
-    def test_http_backend_takes_the_settings(self):
-        settings = {"type": "http", "endpoint": "https://llm.example/v1", "model": "m",
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"type": "grpc"}, "unknown backend type 'grpc'"),
+            ({"type": "http", "model": "m"}, "requires backend.endpoint and backend.model"),
+            ({"type": "http", "endpoint": "https://llm.example/v1"}, "requires backend.endpoint"),
+        ],
+    )
+    def test_backend_settings_rejected(self, settings, message):
+        config = config_from_dict({"backend": settings})
+        with pytest.raises(ConfigError, match=message):
+            config.make_backend()
+
+    def test_http_backend_takes_the_settings(self, chat_server, monkeypatch):
+        monkeypatch.setenv("MY_KEY", "sk-mine")
+        chat_server.backend = ScriptedBackend.from_responses(["ok"])
+        settings = {"type": "http", "endpoint": chat_server.url, "model": "m",
                     "api_key_env": "MY_KEY", "timeout_s": 5.0}
         backend = config_from_dict({"backend": settings}).make_backend()
         assert isinstance(backend, HttpChatBackend)
-        assert (backend.endpoint, backend.model, backend.api_key_env, backend.timeout_s) == (
-            "https://llm.example/v1", "m", "MY_KEY", 5.0
-        )
+        assert (backend.endpoint, backend.model, backend.timeout_s) == (chat_server.url, "m", 5.0)
+        assert backend.complete([{"role": "user", "content": "u"}]) == "ok"
+        (request,) = chat_server.requests
+        assert request["json"]["model"] == "m"
+        assert request["headers"]["Authorization"] == "Bearer sk-mine"
+
+    def test_http_backend_with_the_key_unset(self, monkeypatch):
+        monkeypatch.delenv("MY_KEY", raising=False)
+        settings = {"type": "http", "endpoint": "https://llm.example/v1", "model": "m",
+                    "api_key_env": "MY_KEY"}
+        with pytest.raises(ConfigError, match="MY_KEY"):
+            config_from_dict({"backend": settings}).make_backend()
 
 
 TEMPLATE_FILE = """\
@@ -441,6 +468,15 @@ class TestTemplateLoading:
         assert "Custom critic system text" in templates["critic"].system_text
         # others untouched
         assert templates["sva_weak"] == DEFAULT_TEMPLATES["sva_weak"]
+
+    def test_files_other_than_txt_are_skipped(self, tmp_path):
+        tdir = tmp_path / "templates"
+        tdir.mkdir()
+        (tdir / "critic.txt").write_text(TEMPLATE_FILE)
+        (tdir / "mystery.md").write_text("not a template")
+        templates = config_from_dict({"templates_dir": str(tdir)}).load_templates()
+        assert sorted(templates) == sorted(DEFAULT_TEMPLATES)
+        assert "Custom critic system text" in templates["critic"].system_text
 
     def test_unknown_template_file_rejected(self, tmp_path):
         tdir = tmp_path / "templates"

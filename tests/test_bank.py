@@ -92,6 +92,13 @@ class TestMapSignals:
         assert pairs == [("ack_o", "acknowledge")]
         assert warnings == ["mapped signal 'hFF' not found in Verilog declarations"]
 
+    def test_numbered_line_warned_as_unparseable(self):
+        reply = "ack_o: acknowledge\n1. foo: bar"
+        backend = ScriptedBackend.from_responses([reply])
+        pairs, warnings = map_signals(CallLog("s", backend), SPEC_TEXT, VERILOG_DECLS)
+        assert pairs == [("ack_o", "acknowledge")]
+        assert warnings == ["unparseable mapping line: '1. foo: bar'"]
+
     def test_prose_only_is_stage_error(self):
         backend = ScriptedBackend.from_responses(["I could not find any signals."])
         with pytest.raises(StageError):
@@ -277,6 +284,15 @@ class TestPersistence:
         with open(path, "w") as f:
             json.dump(bank_dict, f)
         with pytest.raises(BankLoadError):
+            load_bank(path)
+
+    def test_empty_name_fails_load(self, tmp_path):
+        path = str(tmp_path / "bank.json")
+        bank_dict = asdict(self._bank())
+        bank_dict["signals"][1]["verilog_name"] = ""
+        with open(path, "w") as f:
+            json.dump(bank_dict, f)
+        with pytest.raises(BankLoadError, match=r"signals\[1\]\.verilog_name: must be non-empty"):
             load_bank(path)
 
     @pytest.mark.parametrize("name", ["../../escape", "a/b", "a\\b", ".", "..", "a\x00b", "ack o"])

@@ -208,6 +208,12 @@ class TestExternalChecker:
         with pytest.raises(CheckerUnavailableError):
             checker.check("assert property (x);")
 
+    def test_tool_past_its_timeout(self, tmp_path):
+        script = _write_script(tmp_path / "slow.sh", "exec sleep 10\n")  # exec: the kill reaches sleep
+        checker = ExternalChecker(f"{script} {{file}}", timeout_s=0.2)
+        with pytest.raises(CheckerUnavailableError, match=r"timed out after 0\.2s"):
+            checker.check("assert property (x);")
+
     def test_nonzero_exit_without_match_still_fails(self, tmp_path):
         script = _write_script(tmp_path / "odd.sh", "echo 'unrecognized noise'\nexit 7\n")
         checker = ExternalChecker(f"{script} {{file}}")

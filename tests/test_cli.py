@@ -585,18 +585,84 @@ class TestBackendInputErrors:
         assert "scripted backend exhausted" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "bank build"])
-    def test_unset_api_key_in_stage_one_exit_two(self, tmp_path, monkeypatch, capsys, command):
+    def test_unset_api_key_in_stage_one_exit_two(
+        self, tmp_path, monkeypatch, capsys, chat_server, command
+    ):
         monkeypatch.delenv("SVAGEN_TEST_UNSET_KEY", raising=False)
         backend = {
             "type": "http",
-            "endpoint": "http://localhost:9/v1/chat/completions",
+            "endpoint": chat_server.url,
             "model": "m",
             "api_key_env": "SVAGEN_TEST_UNSET_KEY",
         }
         config = write_stage_one_config(tmp_path, {"backend": backend})
         assert main([*command.split(), "--config", config]) == 2
+        assert chat_server.requests == []
         assert not os.path.exists(tmp_path / "bank.json")
+        assert not os.path.exists(tmp_path / "out")
         assert "SVAGEN_TEST_UNSET_KEY" in capsys.readouterr().err
+
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+# one key per prompt kind of the README demo's script, in its order: each
+# matches its own template, so the end-of-signal batch, where the last
+# evaluation and the deduplication are in flight together, cannot swap them
+README_SCRIPT_KEYS = [
+    "Write a first set",  # weak answer
+    "SVAs under review",  # root evaluation
+    "SVAs under review",  # rollout 1: re-sample
+    "SVAs under review",  # rollout 1: expansion feedback
+    "Improve the SVAs",  # rollout 1: refined assertion set
+    "SVAs under review",  # rollout 1: evaluation of the new node
+    "Extract all unique",  # stage 3: deduplication
+]
+
+
+def write_readme_demo() -> None:
+    """Write the README offline demo's bank.json, config.json and a keyed
+    script.json in the working directory."""
+    with open(README, encoding="utf-8") as f:
+        section = f.read().split("### Offline demo", 1)[1]
+    code = re.search(r"<<'EOF'\n(.*?)^EOF$", section, re.DOTALL | re.MULTILINE).group(1)
+    subprocess.run([sys.executable, "-c", code], check=True)
+    with open("script.json", encoding="utf-8") as f:
+        script = json.load(f)
+    assert len(script) == len(README_SCRIPT_KEYS)
+    for entry, key in zip(script, README_SCRIPT_KEYS):
+        entry["match"] = key
+    write_script_file("script.json", script)
+
+
+class TestHttpRun:
+    """The README demo through `HttpChatBackend`, over a loopback chat
+    server that answers from the demo's script."""
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_writes_what_the_scripted_run_writes(
+        self, tmp_path, monkeypatch, chat_server, parallel
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_readme_demo()
+        assert main(["run", "--config", "config.json", "--output", "scripted",
+                     "--parallel", parallel]) == 0
+        chat_server.backend = ScriptedBackend.from_file("script.json")
+        with open("config.json", encoding="utf-8") as f:
+            config = json.load(f)
+        config["backend"] = {"type": "http", "endpoint": chat_server.url, "model": "demo-model",
+                             "api_key_env": "SVAGEN_TEST_KEY"}
+        with open("http.json", "w", encoding="utf-8") as f:
+            json.dump(config, f)
+        monkeypatch.setenv("SVAGEN_TEST_KEY", "sk-loopback")
+        assert main(["run", "--config", "http.json", "--output", "http",
+                     "--parallel", parallel]) == 0
+        assert files_under(tmp_path / "http") == files_under(tmp_path / "scripted")
+        with open("http/summary.json", encoding="utf-8") as f:
+            calls = json.load(f)["totals"]["total_llm_calls"]
+        assert calls == len(chat_server.requests) == len(README_SCRIPT_KEYS)
+        for request in chat_server.requests:
+            assert request["headers"]["Authorization"] == "Bearer sk-loopback"
+            assert request["json"]["model"] == "demo-model"
 
 
 class TestBankBuild:

@@ -479,6 +479,14 @@ class TestStage1:
         assert [s.verilog_name for s in bank.signals] == ["clk_i", "ack_o"]
         assert any("req_i" in w for w in warnings)
 
+    def test_no_signal_surviving_is_stage_error(self, tmp_path):
+        config = config_for(tmp_path)
+        responses = [self.MAPPER_REPLY] + ["reply that never mentions the target"] * 3
+        log = CallLog("stage 1", ScriptedBackend.from_responses(responses))
+        with pytest.raises(StageError, match="no signal survived specification analysis"):
+            run_stage1(config, self.SPEC, self.VERILOG, [], log)
+        assert not os.path.exists(config.paths.bank_file)
+
     def test_workflow_info_contains_mapping(self, tmp_path):
         config = config_for(tmp_path)
         log = CallLog("stage 1", self._backend(with_waveform=False))

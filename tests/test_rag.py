@@ -817,6 +817,9 @@ class TestPersistence:
             ("blank line", 2, "not valid JSON"),
             ("empty file", 1, "not valid JSON"),
             ("old single-object layout", 1, "unknown key chunks"),
+            ("negative count", 1, "count must be non-negative, not -1"),
+            ("dimension 0", 1, "dimension must be a positive integer, not 0"),
+            ("no dimension", 1, "dimension must be a positive integer, not None"),
         ],
     )
     def test_load_rejects_a_bad_line_naming_it(self, tmp_path, case, line, message):
@@ -845,6 +848,12 @@ class TestPersistence:
             chunks = [{"doc_id": c.doc_id, "chunk_index": c.chunk_index, "text": c.text} for c in index.chunks]
             payload = {k: first[k] for k in ("row_nnz", "columns", "values")}
             write_lines(path, [{**header, "chunks": chunks, **payload}])
+        elif case == "negative count":
+            write_lines(path, [{**header, "count": -1}, first, second])
+        elif case == "dimension 0":
+            write_lines(path, [{**header, "dimension": 0}, first, second])
+        elif case == "no dimension":
+            write_lines(path, [{**header, "dimension": None}, first, second])
         with pytest.raises(ValueError, match=re.escape(message)) as err:
             VectorIndex.load(str(path))
         assert str(err.value).startswith(f"index file {str(path)!r}, line {line}: ")

@@ -282,6 +282,8 @@ def _leaf() -> st.SearchStrategy[str]:
         _number,
         st.builds(lambda f, a: f"{f}({a})", st.sampled_from(["$rose", "$fell", "$stable", "$past"]), _ident),
         st.builds(lambda b, i: f"{b}[{i}]", _ident, st.sampled_from(["0", "3", "7"])),
+        st.builds(lambda a, b: f"{{{a}, {b}}}", _ident, _ident),
+        st.builds(lambda n, a: f"{{{n}{{{a}}}}}", st.sampled_from(["2", "4"]), _ident),
     )
 
 
