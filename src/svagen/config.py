@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from svagen.backends import BackendError, ChatBackend, HttpChatBackend, ScriptedBackend
 from svagen.prompts import DEFAULT_TEMPLATES, PromptTemplate, load_template
-from svagen.records import decode, load
+from svagen.records import decode, encode, load
 from svagen.sva.checker import (
     BuiltinChecker,
     DiagnosticPattern,
@@ -174,14 +174,26 @@ class RunConfig:
 
 
 def config_from_dict(data: dict, config: RunConfig | None = None) -> RunConfig:
-    """A fresh RunConfig: the settings in `data` over `config` (default: the
-    defaults); ConfigError on an unknown key, a wrong type or a value out of
-    range. A layer that sets search.n_rollouts but not
-    max_api_calls_per_signal re-derives the budget."""
-    search = data.get("search") if config is not None and type(data) is dict else None
-    if type(search) is dict and "n_rollouts" in search and "max_api_calls_per_signal" not in data:
-        data = {**data, "max_api_calls_per_signal": None}  # not the base's: derive it again
-    return decode(RunConfig, data, ConfigError, base=config)
+    """A fresh RunConfig: the settings in `data` merged as JSON over those of
+    `config` (default: the defaults) and decoded once, so it shares no
+    section or list with `config`; ConfigError on an unknown key, a wrong
+    type or a value out of range. A layer that sets search.n_rollouts but
+    not max_api_calls_per_signal re-derives the budget."""
+    if config is not None and type(data) is dict:
+        search = data.get("search")
+        if type(search) is dict and "n_rollouts" in search and "max_api_calls_per_signal" not in data:
+            data = {**data, "max_api_calls_per_signal": None}  # not the base's: derive it again
+        data = _merge(encode(config), data)
+    return decode(RunConfig, data, ConfigError)
+
+
+def _merge(base: dict, layer: dict) -> dict:
+    """`layer` over `base`: an object over an object merges key by key."""
+    out = dict(base)
+    for key, value in layer.items():
+        below = out.get(key)
+        out[key] = _merge(below, value) if type(value) is dict and type(below) is dict else value
+    return out
 
 
 def load_config(path: str) -> RunConfig:

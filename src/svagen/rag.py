@@ -456,7 +456,7 @@ def build_index_from_dir(
     """Index every .txt/.md file in `directory` (sorted, for determinism);
     ValueError naming a file that cannot be read as UTF-8."""
     embedder = embedder or HashedBowEmbedder()
-    index = VectorIndex()
+    index = VectorIndex(embedder.dimension)
     for name in sorted(f for f in os.listdir(directory) if f.endswith((".txt", ".md"))):
         text = read_text(os.path.join(directory, name), "reference", ValueError)
         if text:

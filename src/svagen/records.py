@@ -3,9 +3,11 @@
 Every JSON record svagen reads or writes (the run config, the information
 bank, a tree dump, a scripted-backend file, the retrieval index) is a
 dataclass, and `decode` and `encode` map it from and to JSON by the field
-annotations alone. `load` reads one from a file (the index is read one line,
-and one record, at a time), and `dumps` is the one encoding of every JSON
-artifact svagen writes but the index.
+annotations alone: a scalar as it is, a list item by item, a record field
+by field, so a decoded record shares no list or record with another (a
+config layer is merged as JSON and decoded once). `load` reads one from a
+file (the index is read one line, and one record, at a time), and `dumps`
+is the one encoding of every JSON artifact svagen writes but the index.
 """
 
 from __future__ import annotations
@@ -27,13 +29,11 @@ class _Kind:
     an int, an int is accepted for a float and `X | None` accepts null. A
     number must be finite."""
 
-    __slots__ = ("types", "name", "item", "cls", "leaf", "fields", "required")
+    __slots__ = ("types", "name", "item", "cls", "fields", "required")
 
     def __init__(self, types: tuple[type, ...], name: str, item=None, cls=None) -> None:
         self.types, self.name = types, name  # JSON value types, and their name for messages
         self.item, self.cls = item, cls  # a list's item kind; the dataclass of an object
-        # values taken as they are; never a float, so `_value` checks each is finite
-        self.leaf = tuple(t for t in types if t is not float) if item is None and cls is None else ()
         if cls is not None:
             hints, fields = typing.get_type_hints(cls), dataclasses.fields(cls)
             self.fields = {f.name: _kind(hints[f.name]) for f in fields}
@@ -62,70 +62,55 @@ class _Invalid(Exception):
         self.path: list[str | int] = [] if key is None else [key]  # innermost first
 
 
-def decode(cls, data, error: type[Exception], path: str = "", base=None):
+def decode(cls, data, error: type[Exception]):
     """A fresh `cls` (a dataclass, or a `list[...]` of one) from parsed JSON.
 
     An unknown key is an error, and every value must have its field's type.
-    A missing key takes `base`'s value when a base is given, otherwise the
-    field's default; a field without a default is required. Each dataclass
-    is built once, so its `__post_init__` runs once; a plain ValueError from
-    it becomes "invalid <section> parameters". Every error is raised as
-    `error` and names the field path below `path`."""
+    A missing key takes the field's default; a field without a default is
+    required. Every list and record is built anew, and each dataclass once,
+    so its `__post_init__` runs once; a plain ValueError from it becomes
+    "invalid <section> parameters". Every error is raised as `error` and
+    names the field path."""
     try:
-        return _value(_kind(cls), data, error, base)
+        return _value(_kind(cls), data, error)
     except _Invalid as bad:
-        where = path
+        where = ""
         for part in reversed(bad.path):
             where += f"[{part}]" if type(part) is int else f".{part}" if where else part
         raise error(bad.before + (where or "top level") + bad.after) from bad.__cause__
 
 
-def _value(kind: _Kind, value, error: type[Exception], base=None):
+def _value(kind: _Kind, value, error: type[Exception]):
     if type(value) not in kind.types:
         text = json.dumps(value)
         text = text if len(text) <= 60 else text[:57] + "..."
         raise _Invalid("", f" must be {kind.name}, not {text}")
     if type(value) is float and not math.isfinite(value):
         raise _Invalid("", f" must be a finite number, not {json.dumps(value)}")
-    item = kind.item
-    if item is not None:
-        leaf = item.leaf
-        for v in value:
-            if type(v) not in leaf:
-                break
-        else:
-            return value
+    if kind.item is not None:
         out = []
         try:
             for i, v in enumerate(value):
-                out.append(_value(item, v, error))
+                out.append(_value(kind.item, v, error))
         except _Invalid as bad:
             bad.path.append(i)
             raise
         return out
     if kind.cls is None:
         return value
-    fields = kind.fields
-    kwargs = value  # copied only when a value is built or taken from base
+    fields, kwargs = kind.fields, {}
     for key, v in value.items():
         sub = fields.get(key)
         if sub is None:
             raise _Invalid("unknown key ", "", key)
-        if type(v) in sub.leaf:
-            continue
-        if kwargs is value:
-            kwargs = dict(value)
         try:
-            kwargs[key] = _value(sub, v, error, None if base is None else getattr(base, key))
+            kwargs[key] = _value(sub, v, error)
         except _Invalid as bad:
             bad.path.append(key)
             raise
-    if base is not None:
-        kwargs = {**{key: getattr(base, key) for key in fields}, **kwargs}
-    else:
-        for key in kind.required:
-            if key not in kwargs:
-                raise _Invalid("", " is missing", key)
+    for key in kind.required:
+        if key not in kwargs:
+            raise _Invalid("", " is missing", key)
     try:
         return kind.cls(**kwargs)
     except error:
@@ -172,4 +157,4 @@ def _encode(kind: _Kind, value):
         return {name: _encode(sub, getattr(value, name)) for name, sub in kind.fields.items()}
     if kind.item is None:
         return value
-    return list(value) if kind.item.leaf else [_encode(kind.item, v) for v in value]
+    return [_encode(kind.item, v) for v in value]

@@ -338,6 +338,21 @@ class TestRunConfig:
         config = config_from_dict({"parallel": 2}, base)
         assert (config.max_api_calls_per_signal, config.parallel) == (99, 2)
 
+    def test_layer_shares_nothing_with_its_base(self):
+        base = config_from_dict({"paths": {"waveform_files": ["a.txt"]},
+                                 "checker": {"patterns": [{"pattern": "x"}]}})
+        config = config_from_dict({"parallel": 2}, base)
+        for name in ("search", "backend", "checker", "rag", "paths"):
+            assert getattr(config, name) is not getattr(base, name)
+            assert getattr(config, name) == getattr(base, name)
+        assert config.paths.waveform_files is not base.paths.waveform_files
+        assert config.checker.patterns[0] is not base.checker.patterns[0]
+        config.paths.waveform_files.append("b.txt")
+        config.checker.patterns.clear()
+        config.search.c = 0.5
+        assert base == config_from_dict({"paths": {"waveform_files": ["a.txt"]},
+                                         "checker": {"patterns": [{"pattern": "x"}]}})
+
     def test_docs_example_names_every_field_and_loads(self):
         """The example under "Run configuration" in docs/formats.md loads
         and names every config field, so a new field must be documented."""

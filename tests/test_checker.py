@@ -257,6 +257,13 @@ class TestExternalChecker:
         assert ExternalChecker(f"{script} {{file}}").check(text) == []
         assert copy.read_bytes() == text.encode("utf-8")
 
+    def test_tool_that_deletes_its_input_keeps_its_verdict(self, tmp_path):
+        script = _write_script(
+            tmp_path / "eater.sh", 'rm "$1"\necho "ERROR (line 2): gone"\nexit 1\n'
+        )
+        diags = ExternalChecker(f"{script} {{file}}").check("assert property (x);")
+        assert [(d.severity, d.line, d.message) for d in diags] == [("error", 2, "gone")]
+
     def test_assertion_written_to_temp_file(self, tmp_path):
         # the tool sees exactly the assertion text
         script = _write_script(

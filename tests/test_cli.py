@@ -686,6 +686,25 @@ class TestBankBuild:
         assert "2 signals" in out
         assert os.path.exists(tmp_path / "bank.json")
 
+    def test_unknown_mapped_signal_warns_on_stderr(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("ack_o acknowledges each request")
+        verilog = tmp_path / "design.v"
+        verilog.write_text("module m(input clk, output ack_o); endmodule")
+        entries = [
+            {"response": "ack_o: acknowledge\nghost_o: not declared"},
+            {"response": "[Signal Name]: ack_o\n[Description]: acknowledge"},
+        ]
+        config = write_config(tmp_path, entries)
+        rc = main([
+            "bank", "build", "--config", config,
+            "--spec", str(spec), "--verilog", str(verilog),
+        ])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: mapped signal 'ghost_o' not found in Verilog declarations\n"
+        assert "1 signals, 0 waveforms, 2 calls" in captured.out
+
     def test_missing_inputs_exit_two(self, tmp_path):
         config = write_config(tmp_path, [])
         assert main(["bank", "build", "--config", config]) == 2
@@ -736,6 +755,18 @@ class TestRagBuild:
         assert calls == []
         assert not out_path.exists()
         assert "rag." in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, dimension", [([], 512), (["--dimension", "64"], 64)])
+    def test_empty_corpus_keeps_the_dimension(self, tmp_path, capsys, flags, dimension):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "skip.bin").write_text("not indexed")
+        out_path = tmp_path / "index.json"
+        assert main(["rag", "build", str(docs), "--out", str(out_path), *flags]) == 0
+        assert capsys.readouterr().out == f"index written to {out_path}: 0 chunks, dimension {dimension}\n"
+        assert json.loads(out_path.read_text().splitlines()[0]) == {"count": 0, "dimension": dimension}
+        loaded = VectorIndex.load(str(out_path))
+        assert (len(loaded), loaded.dimension) == (0, dimension)
 
     def test_invalid_dimension_exit_two(self, tmp_path, capsys):
         docs = tmp_path / "docs"

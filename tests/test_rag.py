@@ -46,6 +46,11 @@ class TestChunk:
         with pytest.raises(ValueError):
             chunk("abc", size=10, overlap=10)
 
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_size_below_one_rejected(self, size):
+        with pytest.raises(ValueError, match="chunk size must be positive"):
+            chunk("abc", size=size, overlap=0)
+
     def test_negative_overlap_rejected(self):
         with pytest.raises(ValueError):
             chunk("abc", size=10, overlap=-1)

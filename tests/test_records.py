@@ -1,5 +1,5 @@
-"""The JSON record decoder: exact types, unknown and missing keys, layering
-over a base, and error paths."""
+"""The JSON record decoder: exact types, unknown and missing keys, fresh
+lists and records, and error paths."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from svagen.backends import ScriptEntry
-from svagen.records import decode
+from svagen.records import decode, encode
 
 
 class RecordError(ValueError):
@@ -94,9 +94,14 @@ class TestDecode:
         with pytest.raises(RecordError, match=r"^\[2\] must be a finite number, not NaN$"):
             decode(list[float], [1.5, 2, float("nan")], RecordError)
 
-    def test_path_prefix(self):
-        with pytest.raises(RecordError, match=r"^unknown key cfg\.inner\.x$"):
-            decode(Outer, {"name": "n", "inner": {"x": 1}}, RecordError, "cfg")
+    def test_lists_are_built_anew(self):
+        data = {"name": "n", "tags": ["a"]}
+        record = decode(Outer, data, RecordError)
+        assert record.tags == ["a"] and record.tags is not data["tags"]
+        record.tags.append("b")
+        assert data["tags"] == ["a"]  # the parsed JSON is left as it was
+        encoded = encode(record)
+        assert encoded["tags"] == ["a", "b"] and encoded["tags"] is not record.tags
 
     def test_callers_error_passes_through(self):
         @dataclass
@@ -122,12 +127,6 @@ class TestDecode:
 
         decode(list[Counted], [{"n": 1}, {"n": 2}], RecordError)
         assert built == [1, 2]
-
-    def test_base_fills_missing_keys(self):
-        base = Outer("base", Inner(5, 0.25, "x"), tags=["t"], flag=True)
-        record = decode(Outer, {"inner": {"size": 7}}, RecordError, base=base)
-        assert record == Outer("base", Inner(7, 0.25, "x"), tags=["t"], flag=True)
-        assert base.inner.size == 5  # the base is left as it was
 
     def test_list_of_records(self):
         entries = decode(list[ScriptEntry], [{"response": "a"}, {"response": "b", "match": "m"}],

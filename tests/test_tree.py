@@ -220,6 +220,15 @@ class TestBackpropagate:
         with pytest.raises(TreeError):
             tree.backpropagate(42)
 
+    def test_from_unevaluated_node_rejected(self, params):
+        tree = new_tree()
+        tree.record_reward(0, 50.0, params)
+        child = tree.add_child(0, AnswerContent())
+        before = tree.dumps()
+        with pytest.raises(TreeError, match=f"node {child} has not been evaluated"):
+            tree.backpropagate(child)
+        assert tree.dumps() == before
+
 
 class TestSerialization:
     def test_round_trip(self, params):
