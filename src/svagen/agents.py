@@ -21,19 +21,15 @@ from svagen.prompts import Call, CallLog, render_prompt
 from svagen.sva.checker import AssertionRecord
 from svagen.sva.parser import VERBS
 from svagen.sva.tokens import STOP_MESSAGES, Unit, normal_form, rescan, scan, scan_through
-from svagen.tree import AnswerContent, SearchParams
+from svagen.tree import SCORE_MAX, SCORE_MIN, AnswerContent, SearchParams
 
 
 class ScoreParseError(ValueError):
-    """No usable score marker in the critic's reply."""
+    """No usable score in the critic's reply: no marker, or one off the scale."""
 
     def __init__(self, message: str, raw_text: str) -> None:
         super().__init__(message)
         self.raw_text = raw_text
-
-
-class ScoreRangeError(ScoreParseError):
-    """Score marker present but outside the legal range."""
 
 
 @dataclass(frozen=True)
@@ -49,16 +45,15 @@ _SCORE_RE = re.compile(r"\[\s*score\s*:\s*([+-]?\d+(?:\.\d+)?)\s*\]", re.IGNOREC
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)(?:```|\Z)", re.DOTALL)
 
 
-def parse_score(text: str, score_min: float = -100.0, score_max: float = 100.0) -> float:
-    """Extract the last `[SCORE: n]` marker; value must lie in range."""
+def parse_score(text: str) -> float:
+    """The value of the last `[SCORE: n]` marker, which must lie on the
+    critic's scale [SCORE_MIN, SCORE_MAX]; ScoreParseError otherwise."""
     matches = _SCORE_RE.findall(text)
     if not matches:
         raise ScoreParseError("no [SCORE: n] marker found in critic reply", text)
     value = float(matches[-1])
-    if not (score_min <= value <= score_max):
-        raise ScoreRangeError(
-            f"score {value} outside [{score_min}, {score_max}]", text
-        )
+    if not (SCORE_MIN <= value <= SCORE_MAX):
+        raise ScoreParseError(f"score {value} outside [{SCORE_MIN}, {SCORE_MAX}]", text)
     return value
 
 
@@ -242,16 +237,24 @@ def critique(
     """Score an assertion set with its syntax log; the returned
     suppressed_score is what feeds the tree, and the call's event in `log`
     keeps the critique. `then` builds a call the log may send beside this
-    one (`CallLog.complete`). Raises ScoreParseError when the reply carries
-    no usable score.
+    one (`CallLog.complete`). A reply with no usable score (`parse_score`)
+    is asked again once, with the same messages and no `then`; a second
+    such reply raises ScoreParseError holding it.
     """
-    event = len(log)  # this call's event, charged before `then`'s: a log has one writer
-    reply = log.complete(*_call(
+    role, messages = _call(
         log, "critic", signal, workflow_info=workflow,
         assertions="\n\n".join(answer.assertions) or "(no assertions)",
         syntax_log=answer.syntax_log or "(not available)",
-    ), node, phase, then)
-    raw = parse_score(reply, params.score_min, params.score_max)
+    )
+    for attempt in range(2):
+        event = len(log)  # this call's event, charged before `then`'s: a log has one writer
+        reply = log.complete(role, messages, node, phase, None if attempt else then)
+        try:
+            raw = parse_score(reply)
+            break
+        except ScoreParseError as err:
+            if attempt:
+                raise ScoreParseError(f"critic score unparseable twice: {err}", reply) from err
     result = CritiqueResult(
         feedback=reply,
         raw_score=raw,

@@ -148,21 +148,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _render_tree(tree: ReasoningTree) -> str:
+    """One header line, then one line per node in pre-order, indented by
+    depth; an explicit stack, so a deep chain does not exhaust Python's."""
     lines = [
         f"signal: {tree.signal_name}  nodes: {len(tree)}  rollouts: {tree.rollouts_completed}"
     ]
-
-    def walk(node_id: int, depth: int) -> None:
+    stack = [(tree.root, 0)]
+    while stack:
+        node_id, depth = stack.pop()
         node = tree.nodes[node_id]
         samples = ", ".join(f"{s:g}" for s in node.reward_samples)
         lines.append(
             f"{'  ' * depth}[{node.id}] Q={node.q_value:g} N={node.visit_count} "
             f"assertions={len(node.answer.assertions)} rewards=[{samples}]"
         )
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(tree.root, 0)
+        stack += [(child, depth + 1) for child in reversed(node.children)]
     return "\n".join(lines)
 
 

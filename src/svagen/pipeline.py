@@ -64,11 +64,6 @@ if TYPE_CHECKING:  # svagen.rag (and numpy) load only where an index is loaded
     from svagen.rag import VectorIndex
 
 
-class RolloutAborted(RuntimeError):
-    """A critic score failed to parse twice, so the rollout (or the root
-    evaluation) ends; the tree so far is kept."""
-
-
 @dataclass
 class SignalRunResult:
     """One signal's stages 2 and 3, filled in place by `run_stage2` and
@@ -173,9 +168,10 @@ def run_stage2(
     The call schedule is the one `default_call_budget` counts: the weak root
     and its evaluation, then per rollout a re-sample of the selected node's
     score, critic feedback for expansion, refinement, and evaluation of the
-    new node. A score parse failure is retried once, then the rollout is
-    aborted and the partial tree kept; a call the log refuses past the
-    budget ends the search the same way. The last child evaluation, whose
+    new node. `critique` asks again once for a reply with no usable score;
+    when the second reply has none either, the rollout (or the root
+    evaluation) ends with the tree so far, and a call the log refuses past
+    the budget ends the search the same way. The last child evaluation, whose
     reply nothing in stage 3 reads, may carry stage 3's first call, as
     `CallLog.complete` decides (docs/formats.md, "Run configuration").
 
@@ -194,21 +190,14 @@ def run_stage2(
     rag_context: str | None = None  # set at the first refine step
 
     def scored_critique(node_id: int, phase: str, then=None):
-        args = (log, signal, tree.node(node_id).answer, params, workflow, node_id, phase)
-        try:
-            return critique(*args, then=then)
-        except ScoreParseError:
-            try:
-                return critique(*args)
-            except ScoreParseError as err2:
-                raise RolloutAborted(f"critic score unparseable twice: {err2}") from err2
+        return critique(log, signal, tree.node(node_id).answer, params, workflow, node_id, phase, then)
 
     def evaluate(node_id: int, phase: str, last: bool = False) -> None:
         answer = tree.node(node_id).answer
         answer.syntax_log = format_log(check_all(answer.assertions, checker))
         then = (lambda: _stage3_first_call(result, signal, checker)) if last else None
         scored = scored_critique(node_id, phase, then)
-        tree.record_reward(node_id, scored.suppressed_score, params)
+        tree.record_reward(node_id, scored.suppressed_score)
         tree.backpropagate(node_id)
 
     # initial node: weak answer + its evaluation, the first two calls of default_call_budget
@@ -216,7 +205,7 @@ def run_stage2(
     tree = result.tree = ReasoningTree(signal_name, root_answer)
     try:
         evaluate(tree.root, "root-evaluation")
-    except (RolloutAborted, BudgetExceededError) as err:
+    except (ScoreParseError, BudgetExceededError) as err:
         warnings.append(f"root evaluation failed, search skipped: {err}")
         return
 
@@ -225,7 +214,7 @@ def run_stage2(
             # phase 1: selection + reward re-sampling
             selected_id = tree.select_node(params)
             resample = scored_critique(selected_id, "resample")
-            tree.record_reward(selected_id, resample.suppressed_score, params)
+            tree.record_reward(selected_id, resample.suppressed_score)
             tree.backpropagate(selected_id)
 
             # phase 2: expansion: critic feedback on the stored syntax log, then refine
@@ -253,7 +242,7 @@ def run_stage2(
             # one offers stage 3's first call to the log (`CallLog.complete`)
             evaluate(child_id, "evaluation", rollout == params.n_rollouts)
             tree.rollouts_completed = rollout
-        except (RolloutAborted, BudgetExceededError) as err:
+        except (ScoreParseError, BudgetExceededError) as err:
             warnings.append(f"rollout {rollout} aborted: {err}")
             break
 

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 from svagen import read_text
 from svagen.backends import ChatBackend, Message
+from svagen.tree import SCORE_MAX, SCORE_MIN
 
 if TYPE_CHECKING:
     from svagen.agents import CritiqueResult
@@ -60,9 +61,10 @@ def render_prompt(template: PromptTemplate, context: dict[str, str]) -> list[Mes
 
 def load_template(path: str, default: PromptTemplate) -> PromptTemplate:
     """`default` with the texts of a template file's `[system]` and `[user]`
-    sections; text before the first of them is ignored. The file may use
-    only placeholders that `default` uses. ValueError when it is
-    unreadable, not UTF-8, lacks a section or uses another placeholder."""
+    sections; text before the first of them is ignored. The `[user]` text
+    may use only placeholders that `default` uses, and the `[system]` text,
+    sent as written, none. ValueError when the file is unreadable, not
+    UTF-8, lacks a section or uses a placeholder it may not."""
     text = read_text(path, "template", ValueError)
     sections: dict[str, list[str]] = {}
     current: list[str] = []  # lines before the first header: dropped
@@ -79,6 +81,9 @@ def load_template(path: str, default: PromptTemplate) -> PromptTemplate:
         system_text="\n".join(sections["[system]"]).strip(),
         user_text_template="\n".join(sections["[user]"]).strip(),
     )
+    in_system = _PLACEHOLDER_RE.search(template.system_text)
+    if in_system:
+        raise ValueError(f"placeholder {in_system.group()} in [system], which is sent as written")
     allowed = default.placeholders()
     unknown = [name for name in template.placeholders() if name not in allowed]
     if unknown:
@@ -148,11 +153,11 @@ Waveform description:
 
 Extract information in specified format."""
 
-_CRITIC_SYSTEM = """\
+_CRITIC_SYSTEM = f"""\
 Please act as a critic to a professional VLSI verification engineer. You will be provided with a specification and workflow information.
 Along with that, you will be provided with a signal name, its specification, and the SVAs generated by a professional VLSI verification engineer for that signal.
 Analyze the SVAs strictly and criticize everything possible. You are not allowed to create new signal names apart from the specification.
-Point out every possible flaw and give a score from -100 to 100. Also focus on Clock Cycle Misinterpretations, and nested if-else and long conditions.
+Point out every possible flaw and give a score from {SCORE_MIN:g} to {SCORE_MAX:g}. Also focus on Clock Cycle Misinterpretations, and nested if-else and long conditions.
 Be very strict, ensure CORRECTNESS, CONSISTENCY, and COMPLETENESS of the SVAs. Focus on these three things while grading the SVAs and providing feedback.
 Let's think step by step.
 End your reply with the final score on its own line in the exact form [SCORE: <number>]."""

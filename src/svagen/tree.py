@@ -18,20 +18,21 @@ class TreeError(ValueError):
     """Structural or contract violation on a reasoning tree."""
 
 
+SCORE_MIN, SCORE_MAX = -100.0, 100.0  # the critic's fixed scale (MCTSr); its prompt states it
+
+
 @dataclass
 class SearchParams:
     """Knobs of the selection/evaluation loop.
 
-    score_cap is the suppression threshold applied by the critic layer;
-    rewards arriving here must already lie in [score_min, score_max].
+    score_cap is the suppression threshold the critic applies to scores on
+    its fixed scale: SCORE_MIN < score_cap <= SCORE_MAX.
     """
 
     c: float = 1.4
     epsilon: float = 1e-6
     n_rollouts: int = 4
     score_cap: float = 95.0
-    score_min: float = -100.0
-    score_max: float = 100.0
 
     def __post_init__(self) -> None:
         if self.c < 0:
@@ -40,8 +41,8 @@ class SearchParams:
             raise ValueError("epsilon must be positive")
         if self.n_rollouts < 1:
             raise ValueError("n_rollouts must be positive")
-        if not (self.score_min < self.score_cap <= self.score_max):
-            raise ValueError("require score_min < score_cap <= score_max")
+        if not (SCORE_MIN < self.score_cap <= SCORE_MAX):
+            raise ValueError(f"require {SCORE_MIN:g} < score_cap <= {SCORE_MAX:g}")
 
 
 @dataclass
@@ -130,16 +131,14 @@ class ReasoningTree:
         parent_node.children.append(child.id)
         return child.id
 
-    def record_reward(self, node_id: int, reward: float, params: SearchParams) -> None:
+    def record_reward(self, node_id: int, reward: float) -> None:
         """Append a reward sample and refresh Q as the mean of all samples.
 
-        Rewards must already be suppressed/validated upstream; out-of-range
-        values are rejected here rather than clamped.
+        Rewards must already be suppressed upstream; a value off the
+        critic's scale is rejected here rather than clamped.
         """
-        if not (params.score_min <= reward <= params.score_max):
-            raise TreeError(
-                f"reward {reward} outside [{params.score_min}, {params.score_max}]"
-            )
+        if not (SCORE_MIN <= reward <= SCORE_MAX):
+            raise TreeError(f"reward {reward} outside [{SCORE_MIN}, {SCORE_MAX}]")
         n = self.node(node_id)
         n.reward_samples.append(float(reward))
         n.visit_count += 1

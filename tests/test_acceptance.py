@@ -93,19 +93,18 @@ def test_uct_oracle_suite():
 def test_backprop_oracle_suite():
     """100 random trees (<= 8 nodes) vs a bottom-up recurrence on plain dicts."""
     start = time.perf_counter()
-    params = SearchParams()
     rng = random.Random(97)
     for trial in range(100):
         size = rng.randint(1, 8)
         parents = {0: None}
         tree = ReasoningTree("s", AnswerContent())
-        tree.record_reward(0, round(rng.uniform(-100, 100), 3), params)
+        tree.record_reward(0, round(rng.uniform(-100, 100), 3))
         for i in range(1, size):
             parent = rng.randrange(i)
             node_id = tree.add_child(parent, AnswerContent())
             assert node_id == i
             parents[i] = parent
-            tree.record_reward(i, round(rng.uniform(-100, 100), 3), params)
+            tree.record_reward(i, round(rng.uniform(-100, 100), 3))
         start_node = rng.randrange(size)
 
         # independent oracle over plain dicts
@@ -246,7 +245,7 @@ def test_stage3_set_laws(tmp_path):
             for i, bad in enumerate(flags)
         ]
         tree = ReasoningTree("ack_o", AnswerContent(assertions=pool))
-        tree.record_reward(0, 10.0, config.search)
+        tree.record_reward(0, 10.0)
 
         n_bad = sum(flags)
         fixes = [f"assert property (fixed_{trial}_{i});" for i in range(n_bad)]

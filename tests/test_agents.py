@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from svagen.agents import (
     CritiqueResult,
     ScoreParseError,
-    ScoreRangeError,
     correct_syntax,
     critique,
     deduplicate,
@@ -202,8 +201,9 @@ class TestParseScore:
         assert parse_score("[score: -100]") == -100.0
 
     def test_out_of_range(self):
-        with pytest.raises(ScoreRangeError):
+        with pytest.raises(ScoreParseError, match=r"score 150\.0 outside \[-100\.0, 100\.0\]") as err:
             parse_score("[SCORE: 150]")
+        assert err.value.raw_text == "[SCORE: 150]"
 
     def test_no_marker(self):
         with pytest.raises(ScoreParseError) as err:
@@ -476,9 +476,36 @@ class TestCritique:
         assert result.suppressed_score == -20.0
 
     def test_missing_marker(self, signal, params):
-        backend = ScriptedBackend.from_responses(["no score at all"])
+        backend = ScriptedBackend.from_responses(["no score at all", "no score again"])
         with pytest.raises(ScoreParseError):
             critique(CallLog("s", backend), signal, AnswerContent(assertions=["a"]), params)
+
+    def test_unusable_score_is_asked_again_once(self, monkeypatch, signal, params):
+        renders = []
+
+        def counting_render(template, context):
+            renders.append(template.role_name)
+            return render_prompt(template, context)
+
+        monkeypatch.setattr("svagen.agents.render_prompt", counting_render)
+        backend = RecordingBackend(["no score at all", critic_reply(40)])
+        log = CallLog("s", backend)
+        result = critique(log, signal, AnswerContent(assertions=["a"]), params, node=3, phase="resample")
+        assert result.raw_score == 40.0 and result.feedback == critic_reply(40)
+        assert [(e.role, e.node, e.phase) for e in log.events] == [("critic", 3, "resample")] * 2
+        assert [e.critique for e in log.events] == [None, result]
+        assert renders == ["critic"]  # rendered once, sent twice
+        assert backend.prompts[0] == backend.prompts[1]
+
+    def test_second_unusable_score_raises_with_the_second_reply(self, signal, params):
+        backend = ScriptedBackend.from_responses(["no score at all", "[SCORE: 150]"])
+        log = CallLog("s", backend)
+        with pytest.raises(ScoreParseError) as err:
+            critique(log, signal, AnswerContent(assertions=["a"]), params)
+        assert str(err.value).startswith("critic score unparseable twice: ")
+        assert str(err.value).endswith("score 150.0 outside [-100.0, 100.0]")
+        assert err.value.raw_text == "[SCORE: 150]"
+        assert len(log) == 2 and log.critiques() == []
 
     def test_feedback_is_full_reply(self, signal, params):
         reply = critic_reply(10, feedback="The reset polarity is wrong.")

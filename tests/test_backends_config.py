@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import threading
 
 import pytest
@@ -327,6 +328,16 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="early_stop_score 99 is above search.score_cap 95"):
             config_from_dict({"early_stop_score": 99})
 
+    @pytest.mark.parametrize("key", ["score_min", "score_max"])
+    def test_removed_score_range_key_rejected(self, tmp_path, key):
+        # the critic's scale is fixed (svagen.tree.SCORE_MIN/SCORE_MAX), not a knob
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"search": {"n_rollouts": 1, key: 100}}))
+        with pytest.raises(ConfigError, match=rf"unknown key search\.{key}"):
+            load_config(str(path))
+        with pytest.raises(ConfigError, match=rf"unknown key search\.{key}"):
+            config_from_dict({"search": {key: -100}}, config_from_dict({}))
+
     def test_layer_with_rollouts_rederives_budget(self):
         base = config_from_dict({"search": {"c": 2.0}, "max_api_calls_per_signal": 99})
         config = config_from_dict({"search": {"n_rollouts": 1}}, base)
@@ -467,6 +478,20 @@ class TestTemplateLoading:
         assert template.role_name == "critic"  # from the default: the file names no role
         assert "CORRECTNESS" in template.system_text
         assert template.placeholders() == ["assertions", "signal_name"]
+
+    def test_placeholder_in_system_section_rejected(self, tmp_path):
+        tdir = tmp_path / "templates"
+        tdir.mkdir()
+        (tdir / "critic.txt").write_text("[system]\nCritic of {signal_name}.\n[user]\nReview {assertions}.\n")
+        with pytest.raises(ValueError, match=r"placeholder \{signal_name\} in \[system\]"):
+            load_template(str(tdir / "critic.txt"), DEFAULT_TEMPLATES["critic"])
+        with pytest.raises(ConfigError, match=r"'critic.txt': placeholder \{signal_name\} in \[system\]"):
+            config_from_dict({"templates_dir": str(tdir)}).load_templates()
+
+    def test_shipped_system_texts_hold_no_placeholder(self):
+        for key, template in DEFAULT_TEMPLATES.items():
+            assert not re.search(r"\{[a-z_]+\}", template.system_text), key
+        assert "give a score from -100 to 100." in DEFAULT_TEMPLATES["critic"].system_text
 
     def test_missing_sections_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -347,6 +347,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert "early_stop_score 90 is above search.score_cap 85" in err
 
+    @pytest.mark.parametrize("key", ["score_min", "score_max"])
+    def test_removed_score_range_key_exit_two(self, tmp_path, monkeypatch, capsys, key):
+        calls = record_backend_calls(monkeypatch)
+        save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
+        config = write_config(tmp_path, one_signal_entries(), extra={"search": {"n_rollouts": 1, key: 100}})
+        assert main(["run", "--config", config]) == 2
+        assert calls == []
+        assert not os.path.exists(tmp_path / "out")
+        assert f"unknown key search.{key}" in capsys.readouterr().err
+
     def test_score_cap_below_the_early_stop_score_without_early_stop(self, tmp_path):
         save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
         config = write_config(tmp_path, one_signal_entries(), extra={"early_stop": True})
@@ -498,6 +508,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"template file {name!r}: unknown placeholder {{no_such_key}}; allowed: " in err
         assert "{specification_text}" in err.split("allowed: ")[1]
+
+    def test_template_with_placeholder_in_system_exit_two(self, tmp_path, monkeypatch, capsys):
+        calls = record_backend_calls(monkeypatch)
+        save_bank(make_bank(["ack_o"]), str(tmp_path / "bank.json"))
+        (tmp_path / "templates").mkdir()
+        (tmp_path / "templates" / "critic.txt").write_text(
+            "[system]\nStrict critic of {signal_name}.\n[user]\nReview {assertions}.\n"
+        )
+        config = write_config(
+            tmp_path, one_signal_entries(), extra={"templates_dir": str(tmp_path / "templates")}
+        )
+        assert main(["run", "--config", config]) == 2
+        assert calls == []
+        assert not os.path.exists(tmp_path / "out")
+        err = capsys.readouterr().err
+        assert "template file 'critic.txt': placeholder {signal_name} in [system]" in err
 
     def test_path_like_signal_name_exit_two(self, tmp_path, monkeypatch):
         calls = record_backend_calls(monkeypatch)
@@ -791,10 +817,10 @@ def tree_text(duplicate=False, **node_fields) -> str:
 
 class TestTreeShow:
     def test_renders(self, tmp_path, capsys):
-        from svagen.tree import AnswerContent, ReasoningTree, SearchParams
+        from svagen.tree import AnswerContent, ReasoningTree
 
         tree = ReasoningTree("ack_o", AnswerContent(assertions=["assert property (x);"]))
-        tree.record_reward(0, 42.0, SearchParams())
+        tree.record_reward(0, 42.0)
         tree.add_child(tree.add_child(0, AnswerContent()), AnswerContent())
         tree.add_child(0, AnswerContent())
         path = tmp_path / "tree.json"
@@ -805,6 +831,20 @@ class TestTreeShow:
         assert "Q=42" in out
         # children under their parent, one indent deeper per level
         assert [line.split(" Q=")[0] for line in out.splitlines()[1:]] == ["[0]", "  [1]", "    [2]", "  [3]"]
+
+    def test_deep_chain(self, tmp_path, capsys):
+        from svagen.tree import AnswerContent, ReasoningTree
+
+        tree = ReasoningTree("ack_o", AnswerContent())
+        node = tree.root
+        for _ in range(2999):
+            node = tree.add_child(node, AnswerContent())
+        path = tmp_path / "tree.json"
+        path.write_text(tree.dumps())
+        assert main(["tree", "show", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3001
+        assert lines[-1] == " " * (2 * 2999) + "[2999] Q=0 N=0 assertions=0 rewards=[]"
 
     @pytest.mark.parametrize(
         "text, message",

@@ -318,7 +318,7 @@ class TestStage3:
         from svagen.tree import AnswerContent, ReasoningTree
 
         tree = ReasoningTree("ack_o", AnswerContent(assertions=list(pool_units)))
-        tree.record_reward(0, 10.0, config.search)
+        tree.record_reward(0, 10.0)
         return config, tree
 
     def test_mixed_pool_corrected(self, tmp_path, bank):
@@ -369,7 +369,7 @@ class TestStage3:
         child = tree.add_child(0, __import__("svagen.tree", fromlist=["AnswerContent"]).AnswerContent(
             assertions=[VALID_BARE_ASSERT + "  // same thing"]
         ))
-        tree.record_reward(child, 20.0, config.search)
+        tree.record_reward(child, 20.0)
         result = signal_result(config, ScriptedBackend([]), tree=tree)
         run_stage3(config, bank, result, BuiltinChecker())
         assert len(result.a1) == 1
@@ -398,7 +398,7 @@ def test_stage3_set_laws(tmp_path_factory, flags, fix_all):
     bank = make_bank()
     config = config_for(tmp_path)
     tree = ReasoningTree("ack_o", AnswerContent(assertions=pool))
-    tree.record_reward(0, 10.0, config.search)
+    tree.record_reward(0, 10.0)
 
     bad_count = sum(flags)
     script = []

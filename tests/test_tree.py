@@ -7,6 +7,7 @@ re-derive them with local oracles rather than trusting the implementation.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -15,6 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svagen.tree import (
+    SCORE_MAX,
+    SCORE_MIN,
     AnswerContent,
     ReasoningNode,
     ReasoningTree,
@@ -48,7 +51,8 @@ class TestSearchParams:
         assert params.epsilon == 1e-6
         assert params.n_rollouts == 4
         assert params.score_cap == 95.0
-        assert (params.score_min, params.score_max) == (-100.0, 100.0)
+        assert (SCORE_MIN, SCORE_MAX) == (-100.0, 100.0)
+        assert [f.name for f in dataclasses.fields(SearchParams)] == ["c", "epsilon", "n_rollouts", "score_cap"]
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):
@@ -60,7 +64,12 @@ class TestSearchParams:
         with pytest.raises(ValueError):
             SearchParams(score_cap=101.0)
         with pytest.raises(ValueError):
-            SearchParams(score_min=0.0, score_cap=-1.0)
+            SearchParams(score_cap=-101.0)
+
+    def test_score_cap_lies_on_the_critics_scale(self):
+        assert SearchParams(score_cap=100).score_cap == 100  # the top of the scale: no suppression
+        with pytest.raises(ValueError, match="-100 < score_cap <= 100"):
+            SearchParams(score_cap=-100)  # every score would be suppressed to the floor
 
 
 class TestComputeUct:
@@ -93,20 +102,20 @@ class TestComputeUct:
 class TestSelectNode:
     def test_single_node(self, params):
         tree = new_tree()
-        tree.record_reward(0, 10.0, params)
+        tree.record_reward(0, 10.0)
         assert tree.select_node(params) == 0
 
     def test_less_visited_child_wins_on_equal_q(self, params):
         tree = new_tree()
         for _ in range(3):
-            tree.record_reward(0, 50.0, params)
+            tree.record_reward(0, 50.0)
         child = tree.add_child(0, AnswerContent())
-        tree.record_reward(child, 50.0, params)
+        tree.record_reward(child, 50.0)
         assert tree.select_node(params) == child
 
     def test_q_dominates_at_equal_visits(self, params):
         tree = new_tree()
-        tree.record_reward(0, 10.0, params)
+        tree.record_reward(0, 10.0)
         a = tree.add_child(0, AnswerContent())
         b = tree.add_child(0, AnswerContent())
         # avoid backprop so the configured Q values stay put
@@ -120,7 +129,7 @@ class TestSelectNode:
 
     def test_tie_breaks_to_earliest_node(self, params):
         tree = new_tree()
-        tree.record_reward(0, 60.0, params)
+        tree.record_reward(0, 60.0)
         child = tree.add_child(0, AnswerContent())
         tree.nodes[child].reward_samples = [60.0]
         tree.nodes[child].q_value = 60.0
@@ -130,7 +139,7 @@ class TestSelectNode:
 
     def test_unevaluated_node_fails_selection(self, params):
         tree = new_tree()
-        tree.record_reward(0, 10.0, params)
+        tree.record_reward(0, 10.0)
         tree.add_child(0, AnswerContent())
         with pytest.raises(TreeError):
             tree.select_node(params)
@@ -161,30 +170,30 @@ class TestAddChild:
 
 
 class TestRecordReward:
-    def test_first_reward(self, params):
+    def test_first_reward(self):
         tree = new_tree()
-        tree.record_reward(0, 60.0, params)
+        tree.record_reward(0, 60.0)
         assert tree.nodes[0].q_value == 60.0
         assert tree.nodes[0].visit_count == 1
 
-    def test_mean_of_two(self, params):
+    def test_mean_of_two(self):
         tree = new_tree()
-        tree.record_reward(0, 60.0, params)
-        tree.record_reward(0, 20.0, params)
+        tree.record_reward(0, 60.0)
+        tree.record_reward(0, 20.0)
         assert tree.nodes[0].q_value == 40.0
 
-    def test_out_of_range_rejected(self, params):
+    def test_out_of_range_rejected(self):
         tree = new_tree()
         with pytest.raises(TreeError):
-            tree.record_reward(0, 150.0, params)
+            tree.record_reward(0, 150.0)
         with pytest.raises(TreeError):
-            tree.record_reward(0, -100.5, params)
+            tree.record_reward(0, -100.5)
 
 
 class TestBackpropagate:
-    def test_parent_update(self, params):
+    def test_parent_update(self):
         tree = new_tree()
-        tree.record_reward(0, 50.0, params)
+        tree.record_reward(0, 50.0)
         a = tree.add_child(0, AnswerContent())
         b = tree.add_child(0, AnswerContent())
         tree.nodes[a].reward_samples = [40.0]
@@ -194,9 +203,9 @@ class TestBackpropagate:
         tree.backpropagate(b)
         assert tree.nodes[0].q_value == 60.0
 
-    def test_chain_propagation(self, params):
+    def test_chain_propagation(self):
         tree = new_tree()
-        tree.record_reward(0, 0.0, params)
+        tree.record_reward(0, 0.0)
         mid = tree.add_child(0, AnswerContent())
         tree.nodes[mid].reward_samples = [10.0]
         tree.nodes[mid].q_value = 10.0
@@ -208,9 +217,9 @@ class TestBackpropagate:
         assert tree.nodes[0].q_value == 27.5
         assert tree.nodes[leaf].q_value == 100.0  # starting node untouched
 
-    def test_from_root_is_noop(self, params):
+    def test_from_root_is_noop(self):
         tree = new_tree()
-        tree.record_reward(0, 33.0, params)
+        tree.record_reward(0, 33.0)
         before = tree.dumps()
         tree.backpropagate(0)
         assert tree.dumps() == before
@@ -220,9 +229,9 @@ class TestBackpropagate:
         with pytest.raises(TreeError):
             tree.backpropagate(42)
 
-    def test_from_unevaluated_node_rejected(self, params):
+    def test_from_unevaluated_node_rejected(self):
         tree = new_tree()
-        tree.record_reward(0, 50.0, params)
+        tree.record_reward(0, 50.0)
         child = tree.add_child(0, AnswerContent())
         before = tree.dumps()
         with pytest.raises(TreeError, match=f"node {child} has not been evaluated"):
@@ -231,11 +240,11 @@ class TestBackpropagate:
 
 
 class TestSerialization:
-    def test_round_trip(self, params):
+    def test_round_trip(self):
         tree = new_tree("wb_clk_i")
-        tree.record_reward(0, 12.5, params)
+        tree.record_reward(0, 12.5)
         child = tree.add_child(0, AnswerContent(assertions=["assert property (x);"]))
-        tree.record_reward(child, 80.0, params)
+        tree.record_reward(child, 80.0)
         tree.backpropagate(child)
         tree.rollouts_completed = 1
         loaded = ReasoningTree.loads(tree.dumps())
@@ -244,9 +253,9 @@ class TestSerialization:
         assert loaded.nodes[child].reward_samples == [80.0]
         assert loaded.add_child(0, AnswerContent()) == 2  # ids go on from the dump
 
-    def test_duplicate_node_id_rejected(self, params):
+    def test_duplicate_node_id_rejected(self):
         tree = new_tree()
-        tree.record_reward(0, 10.0, params)
+        tree.record_reward(0, 10.0)
         data = json.loads(tree.dumps())
         data["nodes"].append(dict(data["nodes"][0]))
         with pytest.raises(TreeError, match=r"nodes\[1\]\.id: 0, expected 1"):
@@ -268,9 +277,9 @@ class TestSerialization:
             ({"extra": 1}, r"unknown key nodes\[0\]\.extra"),
         ],
     )
-    def test_wrongly_typed_node_rejected(self, params, change, message):
+    def test_wrongly_typed_node_rejected(self, change, message):
         tree = new_tree()
-        tree.record_reward(0, 10.0, params)
+        tree.record_reward(0, 10.0)
         data = json.loads(tree.dumps())
         data["nodes"][0].update(change)
         with pytest.raises(TreeError, match=message):
@@ -300,15 +309,15 @@ _ops = st.lists(
 )
 
 
-def _apply_ops(tree: ReasoningTree, ops, params: SearchParams) -> None:
-    tree.record_reward(tree.root, 0.0, params)
+def _apply_ops(tree: ReasoningTree, ops) -> None:
+    tree.record_reward(tree.root, 0.0)
     for kind, pick, value in ops:
         target = pick % len(tree.nodes)  # ids are 0 .. len - 1
         if kind == "add":
             child = tree.add_child(target, AnswerContent())
-            tree.record_reward(child, value, params)
+            tree.record_reward(child, value)
         elif kind == "reward":
-            tree.record_reward(target, value, params)
+            tree.record_reward(target, value)
         else:
             tree.backpropagate(target)
 
@@ -316,9 +325,8 @@ def _apply_ops(tree: ReasoningTree, ops, params: SearchParams) -> None:
 @given(ops=_ops)
 @settings(max_examples=150, deadline=None)
 def test_tree_integrity_and_q_bounds(ops):
-    params = _PARAMS
     tree = new_tree()
-    _apply_ops(tree, ops, params)
+    _apply_ops(tree, ops)
     tree.validate()
     assert list(tree.nodes) == list(range(len(tree)))
     assert ReasoningTree.loads(tree.dumps()).dumps() == tree.dumps()
@@ -330,10 +338,9 @@ def test_tree_integrity_and_q_bounds(ops):
 @given(ops=_ops)
 @settings(max_examples=75, deadline=None)
 def test_determinism_bit_identical(ops):
-    params = _PARAMS
     t1, t2 = new_tree(), new_tree()
-    _apply_ops(t1, ops, params)
-    _apply_ops(t2, ops, params)
+    _apply_ops(t1, ops)
+    _apply_ops(t2, ops)
     assert t1.dumps() == t2.dumps()
 
 
@@ -342,7 +349,7 @@ def test_determinism_bit_identical(ops):
 def test_selection_is_greedy(ops):
     params = _PARAMS
     tree = new_tree()
-    _apply_ops(tree, ops, params)
+    _apply_ops(tree, ops)
     chosen = tree.select_node(params)
     chosen_uct = compute_uct(
         tree.nodes[chosen], tree.parent_visit_count(chosen), params
@@ -361,11 +368,10 @@ def test_selection_is_greedy(ops):
 @settings(max_examples=100, deadline=None)
 @example(parent_q=-100.0, child_q=-99.99999999999999)  # adjacent floats: the mean rounds to one of them
 def test_monotone_attraction(parent_q, child_q):
-    params = _PARAMS
     tree = new_tree()
-    tree.record_reward(0, parent_q, params)
+    tree.record_reward(0, parent_q)
     child = tree.add_child(0, AnswerContent())
-    tree.record_reward(child, child_q, params)
+    tree.record_reward(child, child_q)
     before = tree.nodes[0].q_value
     tree.backpropagate(child)
     after = tree.nodes[0].q_value
