@@ -34,6 +34,11 @@ class ScoreParseError(ValueError):
 
 @dataclass(frozen=True)
 class CritiqueResult:
+    """A critic call whose score parsed: the node and search phase it scored,
+    its reply, and its raw and suppressed scores."""
+
+    node: int | None
+    phase: str | None
     feedback: str
     raw_score: float
     suppressed_score: float
@@ -255,11 +260,7 @@ def critique(
         except ScoreParseError as err:
             if attempt:
                 raise ScoreParseError(f"critic score unparseable twice: {err}", reply) from err
-    result = CritiqueResult(
-        feedback=reply,
-        raw_score=raw,
-        suppressed_score=suppress_score(raw, params),
-    )
+    result = CritiqueResult(node, phase, reply, raw, suppress_score(raw, params))
     log.events[event].critique = result
     return result
 

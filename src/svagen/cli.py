@@ -15,8 +15,9 @@ from svagen.agents import split_assertion_units
 from svagen.backends import BackendError
 from svagen.bank import BankLoadError, StageError
 from svagen.config import ConfigError, RagSettings, config_from_dict, load_config
-from svagen.pipeline import build_bank, run_all
+from svagen.pipeline import SignalRecord, build_bank, run_all
 from svagen.prompts import CallLog
+from svagen.records import load
 from svagen.sva.checker import BuiltinChecker, check_all, format_log
 from svagen.tree import ReasoningTree, TreeError
 
@@ -68,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tree = sub.add_parser("tree", help="tree artifact operations")
     tree_sub = tree.add_subparsers(dest="tree_command", required=True)
-    tree_show = tree_sub.add_parser("show", help="pretty-print a tree dump")
-    tree_show.add_argument("artifact", help="tree.json produced by a run")
+    tree_show = tree_sub.add_parser("show", help="pretty-print a signal's reasoning tree")
+    tree_show.add_argument("artifact", help="signal record signals/<name>.json written by a run")
 
     return parser
 
@@ -166,8 +167,15 @@ def _render_tree(tree: ReasoningTree) -> str:
     return "\n".join(lines)
 
 
+def _tree_of(record: SignalRecord) -> ReasoningTree:
+    try:
+        return ReasoningTree.from_record(record.tree)
+    except TreeError as err:  # its path is within the tree
+        raise TreeError(f"tree.{err}") from err
+
+
 def _cmd_tree_show(args: argparse.Namespace) -> int:
-    print(_render_tree(ReasoningTree.load(args.artifact)))
+    print(_render_tree(load(SignalRecord, args.artifact, "signal record", TreeError, _tree_of)))
     return 0
 
 

@@ -63,11 +63,15 @@ class CheckerSettings:
             raise ConfigError("checker.timeout_s must be positive")
         if self.command_template and "{file}" not in self.command_template:
             raise ConfigError("checker.command_template must contain a {file} placeholder")
-        for p in self.patterns:
+        for i, p in enumerate(self.patterns):
             try:
                 re.compile(p.pattern)
             except re.error as err:
                 raise ConfigError(f"checker.patterns regex {p.pattern!r}: {err}") from err
+            if p.severity not in ("error", "warning"):  # any other would never fail an assertion
+                raise ConfigError(
+                    f"checker.patterns[{i}].severity must be error or warning, not {p.severity!r}"
+                )
 
 
 @dataclass

@@ -14,10 +14,10 @@ critic and the refiner read the node's answer with its syntax log.
 Every agent sends its LLM calls through a `CallLog` (`svagen.prompts`),
 which charges each call as the backend receives it: one log per signal,
 capped at the per-signal budget (`config.default_call_budget`), and one for
-stage 1. The ledger counts, the critique records and the summary totals
-are all read from those logs. The log refuses a call past its cap; the
-search is anytime, so a refused call ends it with the tree built so far,
-and stage 3 skips the step that asked.
+stage 1. The ledger counts, each signal record's critiques and the
+summary totals are all read from those logs. The log refuses a call past
+its cap; the search is anytime, so a refused call ends it with the tree
+built so far, and stage 3 skips the step that asked.
 """
 
 from __future__ import annotations
@@ -25,10 +25,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from svagen import read_text
 from svagen.agents import (
+    CritiqueResult,
     ScoreParseError,
     correct_syntax,
     correction_call,
@@ -56,9 +58,9 @@ from svagen.bank import (
 )
 from svagen.config import ConfigError, RunConfig
 from svagen.prompts import BudgetExceededError, CallLog, PromptTemplate
-from svagen.records import dumps
+from svagen.records import dumps, encode
 from svagen.sva.checker import MemoChecker, SyntaxChecker, check_all, format_log
-from svagen.tree import ReasoningTree
+from svagen.tree import ReasoningTree, TreeRecord
 
 if TYPE_CHECKING:  # svagen.rag (and numpy) load only where an index is loaded
     from svagen.rag import VectorIndex
@@ -86,8 +88,28 @@ class SignalRunResult:
     def total_calls(self) -> int:
         return len(self.log)
 
-    def stage3_dict(self) -> dict:
-        return {k: getattr(self, k) for k in ("a1", "a2", "a2_prime", "a3", "deduplicated", "warnings")}
+    def record(self) -> SignalRecord:
+        """What `signals/<name>.json` holds of this result; it needs the tree."""
+        return SignalRecord(
+            self.tree.record(), self.a1, self.a2, self.a2_prime, self.a3, self.deduplicated,
+            self.warnings, [e.critique for e in self.log.events if e.critique], self.syntax_log,
+        )
+
+
+@dataclass
+class SignalRecord:
+    """`signals/<name>.json`: what `summary.json` lacks of one signal (its
+    calls, `failed` and `error` are there; docs/formats.md, "Run artifacts")."""
+
+    tree: TreeRecord
+    a1: list[str]
+    a2: list[str]
+    a2_prime: list[str]
+    a3: list[str]
+    deduplicated: list[str]
+    warnings: list[str]
+    critiques: list[CritiqueResult]  # in call order
+    syntax_log: str
 
 
 # --------------------------------------------------------------------------
@@ -492,34 +514,19 @@ def run_all(
     return summary
 
 
-def _dump_json(path: str, payload: dict) -> None:
-    text = dumps(payload)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-
-
 def write_artifacts(output_dir: str, summary: RunSummary) -> None:
-    """One directory per signal (tree dump, stage-3 lists, syntax log, and
-    the critiques and per-role counts read from its call log) plus a
-    design-level summary file. Layout and field names are fixed so runs are
-    diffable."""
-    os.makedirs(output_dir, exist_ok=True)
-    for result in summary.results:
-        signal_dir = os.path.join(output_dir, "signals", result.signal)
-        os.makedirs(signal_dir, exist_ok=True)
-        if result.tree is not None:
-            with open(os.path.join(signal_dir, "tree.json"), "w", encoding="utf-8") as f:
-                f.write(result.tree.dumps())
-        _dump_json(os.path.join(signal_dir, "stage3.json"), result.stage3_dict())
-        _dump_json(
-            os.path.join(signal_dir, "critiques.json"), {"critiques": result.log.critiques()}
-        )
-        _dump_json(
-            os.path.join(signal_dir, "ledger.json"),
-            {"calls": result.log.counts(), "total": result.total_calls},
-        )
-        with open(os.path.join(signal_dir, "syntax_log.txt"), "w", encoding="utf-8") as f:
-            f.write(result.syntax_log)
-            if result.syntax_log:
-                f.write("\n")
-    _dump_json(os.path.join(output_dir, "summary.json"), summary.to_dict())
+    """`summary.json`, and one `signals/<name>.json` record per signal
+    that has a tree (docs/formats.md, "Run artifacts"); keys are sorted, so
+    identical runs write identical bytes."""
+    os.makedirs(os.path.join(output_dir, "signals"), exist_ok=True)
+    for r in summary.results:
+        path = os.path.join(output_dir, "signals", f"{r.signal}.json")
+        if r.tree is None and os.path.exists(path):
+            os.remove(path)  # an earlier run's record: this run has no tree for the signal
+    # one record at a time: a run holds no more than one encoded record
+    records = (
+        (f"signals/{r.signal}.json", encode(r.record())) for r in summary.results if r.tree is not None
+    )
+    for name, payload in chain(records, [("summary.json", summary.to_dict())]):
+        with open(os.path.join(output_dir, name), "w", encoding="utf-8") as f:
+            f.write(dumps(payload))

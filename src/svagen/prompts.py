@@ -379,10 +379,3 @@ class CallLog:
 
     def counts(self) -> dict[str, int]:
         return dict(sorted(Counter(e.role for e in self.events).items()))
-
-    def critiques(self) -> list[dict]:
-        """Every critic call whose score parsed, for post-hoc review: the
-        feedback is not fed forward during evaluation."""
-        return [
-            {"node": e.node, "phase": e.phase, **vars(e.critique)} for e in self.events if e.critique
-        ]

@@ -1,7 +1,7 @@
 """One typed decoder from parsed JSON onto dataclasses, and its encoder.
 
 Every JSON record svagen reads or writes (the run config, the information
-bank, a tree dump, a scripted-backend file, the retrieval index) is a
+bank, a signal record, a scripted-backend file, the retrieval index) is a
 dataclass, and `decode` and `encode` map it from and to JSON by the field
 annotations alone: a scalar as it is, a list item by item, a record field
 by field, so a decoded record shares no list or record with another (a

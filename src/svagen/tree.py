@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from svagen.records import dumps, encode, load, loads
-
 
 class TreeError(ValueError):
     """Structural or contract violation on a reasoning tree."""
@@ -71,7 +69,7 @@ class ReasoningNode:
 
 @dataclass
 class TreeRecord:
-    """A tree as `tree.json` holds it: nodes in id order."""
+    """A tree as a signal record's `tree` holds it: nodes in id order."""
 
     signal_name: str
     root: int
@@ -205,25 +203,13 @@ class ReasoningTree:
 
     # -- persistence ---------------------------------------------------------
 
-    def dumps(self) -> str:
-        record = TreeRecord(
-            self.signal_name, self.root, self.rollouts_completed,
-            list(self.nodes.values()),
-        )
-        return dumps(encode(record))
+    def record(self) -> TreeRecord:
+        """The tree as it is written; it shares its nodes with the tree."""
+        return TreeRecord(self.signal_name, self.root, self.rollouts_completed, list(self.nodes.values()))
 
     @classmethod
-    def loads(cls, text: str) -> ReasoningTree:
-        """TreeError naming the field path when `text` is not a tree dump."""
-        return cls._from_record(loads(TreeRecord, text, TreeError))
-
-    @classmethod
-    def load(cls, path: str) -> ReasoningTree:
-        """`loads` of a file; the error names the file too."""
-        return load(TreeRecord, path, "tree", TreeError, cls._from_record)
-
-    @classmethod
-    def _from_record(cls, record: TreeRecord) -> ReasoningTree:
+    def from_record(cls, record: TreeRecord) -> ReasoningTree:
+        """The tree `record` holds; TreeError when it breaks `validate`'s invariant."""
         tree = cls.__new__(cls)
         tree.signal_name, tree.root = record.signal_name, record.root
         tree.rollouts_completed = record.rollouts_completed

@@ -212,3 +212,10 @@ def tree_dump(shape: list[tuple[int, int | None, list[int]]], root: int = 0) -> 
         for i, parent, children in shape
     ]
     return json.dumps({"signal_name": "ack_o", "root": root, "rollouts_completed": 0, "nodes": nodes})
+
+
+def record_text(tree_text: str) -> str:
+    """A signal record's text (`signals/<name>.json`) holding the tree
+    whose JSON is `tree_text`, with empty lists and no critiques."""
+    lists = ("a1", "a2", "a2_prime", "a3", "deduplicated", "warnings", "critiques")
+    return json.dumps({"tree": json.loads(tree_text), **{k: [] for k in lists}, "syntax_log": ""})

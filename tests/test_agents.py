@@ -505,7 +505,7 @@ class TestCritique:
         assert str(err.value).startswith("critic score unparseable twice: ")
         assert str(err.value).endswith("score 150.0 outside [-100.0, 100.0]")
         assert err.value.raw_text == "[SCORE: 150]"
-        assert len(log) == 2 and log.critiques() == []
+        assert len(log) == 2 and [e.critique for e in log.events] == [None, None]
 
     def test_feedback_is_full_reply(self, signal, params):
         reply = critic_reply(10, feedback="The reset polarity is wrong.")

@@ -413,6 +413,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=r"checker\.patterns\[0\]\.severity must be a string"):
             config_from_dict({"checker": {"patterns": [{"pattern": "x", "severity": 1}]}})
 
+    @pytest.mark.parametrize("severity", ["Error", "ERROR", "warn", "fatal", ""])
+    def test_misspelled_pattern_severity_rejected(self, severity):
+        # a pattern whose severity is not "error" could never fail an assertion
+        patterns = [{"pattern": "W", "severity": "warning"}, {"pattern": "E", "severity": severity}]
+        message = r"checker\.patterns\[1\]\.severity must be error or warning, not "
+        with pytest.raises(ConfigError, match=message + re.escape(repr(severity))):
+            config_from_dict({"checker": {"patterns": patterns}})
+
     def test_external_checker_needs_command(self):
         config = config_from_dict({"checker": {"kind": "external"}})
         with pytest.raises(ConfigError):

@@ -22,6 +22,7 @@ from svagen.bank import save_bank
 from svagen.cli import main
 from svagen.config import RunConfig
 from svagen.rag import HashedBowEmbedder, VectorIndex
+from svagen.records import dumps, encode
 
 from conftest import (
     MALFORMED_TREES,
@@ -30,6 +31,7 @@ from conftest import (
     critic_reply,
     fenced,
     make_bank,
+    record_text,
     tree_dump,
 )
 
@@ -476,8 +478,8 @@ class TestRun:
             tmp_path, one_signal_entries(), extra={"templates_dir": str(tmp_path / "templates")}
         )
         assert main(["run", "--config", config]) == 0
-        with open(tmp_path / "out" / "signals" / "ack_o" / "ledger.json") as f:
-            assert json.load(f)["calls"] == {"critic": 4, "deduplication": 1, "sva": 2}
+        with open(tmp_path / "out" / "summary.json") as f:
+            assert json.load(f)["ledger"]["signals"]["ack_o"] == {"critic": 4, "deduplication": 1, "sva": 2}
         critic_prompts = [m for m in calls if m[0]["content"] == "strict critic"]
         assert len(critic_prompts) == 4
         assert "[role]" not in critic_prompts[0][1]["content"]
@@ -823,8 +825,8 @@ class TestTreeShow:
         tree.record_reward(0, 42.0)
         tree.add_child(tree.add_child(0, AnswerContent()), AnswerContent())
         tree.add_child(0, AnswerContent())
-        path = tmp_path / "tree.json"
-        path.write_text(tree.dumps())
+        path = tmp_path / "ack_o.json"
+        path.write_text(record_text(dumps(encode(tree.record()))))
         assert main(["tree", "show", str(path)]) == 0
         out = capsys.readouterr().out
         assert "signal: ack_o" in out
@@ -839,8 +841,8 @@ class TestTreeShow:
         node = tree.root
         for _ in range(2999):
             node = tree.add_child(node, AnswerContent())
-        path = tmp_path / "tree.json"
-        path.write_text(tree.dumps())
+        path = tmp_path / "ack_o.json"
+        path.write_text(record_text(dumps(encode(tree.record()))))
         assert main(["tree", "show", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3001
@@ -852,16 +854,17 @@ class TestTreeShow:
             ('{"x": 1}', "unknown key x"),
             ("[]", "top level"),
             ("{nope", "not valid JSON"),
-            (tree_text(q_value="hi"), r"nodes\[0\]\.q_value"),
-            (tree_text(answer={"assertions": "abc"}), r"nodes\[0\]\.answer\.assertions"),
-            (tree_text(duplicate=True), r"nodes\[1\]\.id"),
+            (record_text(tree_text(q_value="hi")), r"tree\.nodes\[0\]\.q_value"),
+            (record_text(tree_text(answer={"assertions": "abc"})), r"tree\.nodes\[0\]\.answer\.assertions"),
+            (record_text(tree_text(duplicate=True)), r"tree\.nodes\[1\]\.id"),
+            (tree_text(), "unknown key signal_name"),  # a bare tree dump
         ]
-        + [(tree_dump(shape, root), path) for _, shape, root, path in MALFORMED_TREES],
+        + [(record_text(tree_dump(shape, root)), r"tree\." + path) for _, shape, root, path in MALFORMED_TREES],
         ids=["unknown key", "list", "invalid json", "string q_value", "string assertions",
-             "duplicate id"] + [case[0] for case in MALFORMED_TREES],
+             "duplicate id", "bare tree"] + [case[0] for case in MALFORMED_TREES],
     )
     def test_bad_dump_exit_two(self, tmp_path, capsys, text, message):
-        path = tmp_path / "tree.json"
+        path = tmp_path / "ack_o.json"
         path.write_text(text)
         assert main(["tree", "show", str(path)]) == 2
         captured = capsys.readouterr()
@@ -977,8 +980,8 @@ def bank_with_a_duplicate(tmp_path) -> tuple[list[str], str]:
 
 
 def tree_with_a_string_q(tmp_path) -> tuple[list[str], str]:
-    (tmp_path / "tree.json").write_text(tree_text(q_value="hi"))
-    return ["tree", "show", str(tmp_path / "tree.json")], str(tmp_path / "tree.json")
+    (tmp_path / "ack_o.json").write_text(record_text(tree_text(q_value="hi")))
+    return ["tree", "show", str(tmp_path / "ack_o.json")], str(tmp_path / "ack_o.json")
 
 
 class TestMalformedInput:

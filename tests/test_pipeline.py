@@ -21,6 +21,7 @@ from svagen.bank import BankLoadError, InformationBank, SignalInfo, StageError, 
 from svagen.config import ConfigError, default_call_budget
 from svagen.pipeline import (
     RunSummary,
+    SignalRecord,
     SignalRunResult,
     run_all,
     run_signal,
@@ -30,6 +31,7 @@ from svagen.pipeline import (
 )
 from svagen.prompts import BudgetExceededError, CallLog, render_prompt
 from svagen.rag import HashedBowEmbedder, VectorIndex
+from svagen.records import load, loads
 from svagen.sva.checker import BuiltinChecker, CheckerUnavailableError, ExternalChecker
 from svagen.sva.parser import Diagnostic
 from svagen.sva.tokens import Unit
@@ -113,7 +115,7 @@ class TestStage2Schedule:
         assert stage2.tree.rollouts_completed == 4
         assert stage2.total_calls == 18
         assert stage2.warnings == []
-        assert len(stage2.log.critiques()) == 13  # every scored critic call retained
+        assert len(stage2.record().critiques) == 13  # every scored critic call retained
         stage2.tree.validate()
 
     def test_call_roles_match_schedule(self, tmp_path, bank):
@@ -496,6 +498,26 @@ class TestStage1:
         assert "clk_i: clock" in bank.workflow_info
 
 
+def read_record(output_dir: str, name: str) -> SignalRecord:
+    path = os.path.join(output_dir, "signals", f"{name}.json")
+    return load(SignalRecord, path, "signal record", ValueError)
+
+
+def assert_record_holds(output_dir: str, result: SignalRunResult) -> None:
+    """The decoded `signals/<name>.json` holds exactly `result`'s tree,
+    lists, warnings, critiques (every critic call whose score parsed, in
+    call order) and syntax log."""
+    record = read_record(output_dir, result.signal)
+    assert ReasoningTree.from_record(record.tree).record() == result.tree.record()
+    fields = ("a1", "a2", "a2_prime", "a3", "deduplicated", "warnings", "syntax_log")
+    assert {k: getattr(record, k) for k in fields} == {k: getattr(result, k) for k in fields}
+    assert [(c.node, c.phase, c.feedback, c.raw_score, c.suppressed_score) for c in record.critiques] == [
+        (e.node, e.phase, e.critique.feedback, e.critique.raw_score, e.critique.suppressed_score)
+        for e in result.log.events
+        if e.critique is not None
+    ]
+
+
 def output_files(output_dir: str) -> dict[str, bytes]:
     """Every file under `output_dir` by relative path, with its bytes."""
     files = {}
@@ -615,24 +637,19 @@ class TestRunAll:
         backend = ScriptedBackend(full_signal_script("sig_a")[:8])
         summary = run_all(config, backend=backend, checker=BuiltinChecker())
         assert summary.failed_signals == ["sig_a"]
-        signal_dir = os.path.join(config.paths.output_dir, "signals", "sig_a")
-
-        def load(name):
-            with open(os.path.join(signal_dir, name)) as f:
-                return f.read() if name == "tree.json" else json.load(f)
-
-        tree = ReasoningTree.loads(load("tree.json"))
-        assert len(tree) == 2 and tree.rollouts_completed == 1
-        critiques = load("critiques.json")["critiques"]
-        assert [c["phase"] for c in critiques] == [
+        assert_record_holds(config.paths.output_dir, summary.results[0])
+        record = read_record(config.paths.output_dir, "sig_a")
+        assert len(record.tree.nodes) == 2 and record.tree.rollouts_completed == 1
+        assert [c.phase for c in record.critiques] == [
             "root-evaluation", "resample", "expansion-feedback", "evaluation",
             "resample", "expansion-feedback",
         ]
-        assert [c["raw_score"] for c in critiques] == [30.0, 40.0, 41.0, 42.0, 43.0, 44.0]
+        assert [c.raw_score for c in record.critiques] == [30.0, 40.0, 41.0, 42.0, 43.0, 44.0]
+        assert record.a1 == record.deduplicated == [] and record.syntax_log == ""  # stage 3 never ran
         assert backend.calls == 9
-        assert load("ledger.json") == {"calls": {"critic": 6, "sva": 3}, "total": 9}
         with open(os.path.join(config.paths.output_dir, "summary.json")) as f:
             written = json.load(f)
+        assert written["ledger"]["signals"]["sig_a"] == {"critic": 6, "sva": 3}
         assert written["signals"]["sig_a"]["failed"] is True
         assert "BackendError" in written["signals"]["sig_a"]["error"]
         assert written["signals"]["sig_a"]["calls"] == 9
@@ -661,10 +678,6 @@ class TestRunAll:
         assert result.a2 == [INVALID_ASSERT] and result.a2_prime == [] and result.deduplicated == []
         assert result.total_calls == 7  # stage 2, then the correction; no deduplication call
 
-    def _ledger(self, config, name):
-        with open(os.path.join(config.paths.output_dir, "signals", name, "ledger.json")) as f:
-            return json.load(f)
-
     def test_undescribed_signal_fails_without_a_call(self, tmp_path):
         # a bank may omit every description field; the weak answer refuses
         # such a signal before its prompt is sent
@@ -674,7 +687,21 @@ class TestRunAll:
         summary = run_all(config, backend=backend, checker=BuiltinChecker())
         assert summary.failed_signals == ["ack_o"]
         assert backend.calls == 0
-        assert self._ledger(config, "ack_o") == {"calls": {}, "total": 0}
+        assert os.listdir(os.path.join(config.paths.output_dir, "signals")) == []  # no tree, no record
+        with open(os.path.join(config.paths.output_dir, "summary.json")) as f:
+            written = json.load(f)["signals"]["ack_o"]
+        assert written["calls"] == 0 and written["failed"] is True
+        assert written["error"] == "ValueError: weak answer needs a named, described signal"
+
+    def test_signal_without_a_tree_drops_an_earlier_record(self, tmp_path):
+        config = config_for(tmp_path, n_rollouts=1)
+        self._write_bank(config, ["ack_o"])
+        run_all(config, backend=ScriptedBackend(full_signal_script("ack_o", n_rollouts=1)), checker=BuiltinChecker())
+        assert os.listdir(os.path.join(config.paths.output_dir, "signals")) == ["ack_o.json"]
+        save_bank(InformationBank("demo", signals=[SignalInfo("ack_o")]), config.paths.bank_file)
+        summary = run_all(config, backend=ScriptedBackend([]), checker=BuiltinChecker())
+        assert summary.failed_signals == ["ack_o"] and summary.results[0].tree is None
+        assert os.listdir(os.path.join(config.paths.output_dir, "signals")) == []
 
     def test_unknown_placeholder_fails_without_a_call(self, tmp_path):
         config = config_for(tmp_path, n_rollouts=1)
@@ -711,10 +738,11 @@ class TestRunAll:
             [30.0, 31.0, 32.0, 50.0],
         )
         script.append(ScriptEntry(response=fenced(VALID_BARE_ASSERT, VALID_PROPERTY_UNIT)))
-        run_all(config, backend=ScriptedBackend(script), checker=BuiltinChecker())
+        [result] = run_all(config, backend=ScriptedBackend(script), checker=BuiltinChecker()).results
+        assert not result.failed and len(result.deduplicated) == 2 and result.syntax_log
         out = config.paths.output_dir
-        for name in ("tree.json", "stage3.json", "ledger.json", "syntax_log.txt"):
-            assert os.path.exists(os.path.join(out, "signals", "sig_a", name))
+        assert sorted(output_files(out)) == ["signals/sig_a.json", "summary.json"]
+        assert_record_holds(out, result)
         with open(os.path.join(out, "summary.json")) as f:
             summary = json.load(f)
         assert summary["totals"]["signals"] == 1
@@ -890,7 +918,7 @@ class TestLastEvaluationBatch:
         assert roles == ["critic", "syntax_correction"] + ["critic"] * retry + ["deduplication"]
         serial_roles = [e.role for e in serial_result.log.events[self.LAST_EVALUATION :]]
         assert serial_roles == ["critic"] * (1 + retry) + ["syntax_correction", "deduplication"]
-        critiques = json.loads(batched["signals/ack_o/critiques.json"])["critiques"]
+        critiques = json.loads(batched["signals/ack_o.json"])["critiques"]
         assert len(critiques) == 3 * self.N_ROLLOUTS + 1
         assert critiques[-1]["node"] == self.N_ROLLOUTS and critiques[-1]["phase"] == "evaluation"
 
@@ -920,7 +948,8 @@ class TestLastEvaluationBatch:
         result, batched = self._run(tmp_path / "live", LiveBackend(self._script(True, False, stage3=False)))
         assert result.failed and "BackendError" in result.error
         assert batched == serial
-        tree = ReasoningTree.loads(batched["signals/ack_o/tree.json"].decode())
+        record = loads(SignalRecord, batched["signals/ack_o.json"].decode(), ValueError)
+        tree = ReasoningTree.from_record(record.tree)
         assert tree.rollouts_completed == self.N_ROLLOUTS
         assert tree.node(len(tree) - 1).reward_samples == [40.0 + 3 * self.N_ROLLOUTS - 1]  # its scripted score
 

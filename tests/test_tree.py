@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from svagen.records import dumps, encode, loads
 from svagen.tree import (
     SCORE_MAX,
     SCORE_MIN,
@@ -23,10 +24,21 @@ from svagen.tree import (
     ReasoningTree,
     SearchParams,
     TreeError,
+    TreeRecord,
     compute_uct,
 )
 
 from conftest import MALFORMED_TREES, tree_dump
+
+
+def dump(tree: ReasoningTree) -> str:
+    """The tree's JSON text, as a signal record's `tree` field holds it."""
+    return dumps(encode(tree.record()))
+
+
+def undump(text: str) -> ReasoningTree:
+    """The tree `text` holds, through `from_record`'s validation."""
+    return ReasoningTree.from_record(loads(TreeRecord, text, TreeError))
 
 
 def evaluated_node(q: float, visits: int, node_id: int = 0) -> ReasoningNode:
@@ -220,9 +232,9 @@ class TestBackpropagate:
     def test_from_root_is_noop(self):
         tree = new_tree()
         tree.record_reward(0, 33.0)
-        before = tree.dumps()
+        before = dump(tree)
         tree.backpropagate(0)
-        assert tree.dumps() == before
+        assert dump(tree) == before
 
     def test_unknown_node(self):
         tree = new_tree()
@@ -233,10 +245,10 @@ class TestBackpropagate:
         tree = new_tree()
         tree.record_reward(0, 50.0)
         child = tree.add_child(0, AnswerContent())
-        before = tree.dumps()
+        before = dump(tree)
         with pytest.raises(TreeError, match=f"node {child} has not been evaluated"):
             tree.backpropagate(child)
-        assert tree.dumps() == before
+        assert dump(tree) == before
 
 
 class TestSerialization:
@@ -247,8 +259,8 @@ class TestSerialization:
         tree.record_reward(child, 80.0)
         tree.backpropagate(child)
         tree.rollouts_completed = 1
-        loaded = ReasoningTree.loads(tree.dumps())
-        assert loaded.dumps() == tree.dumps()
+        loaded = undump(dump(tree))
+        assert dump(loaded) == dump(tree)
         assert loaded.signal_name == "wb_clk_i"
         assert loaded.nodes[child].reward_samples == [80.0]
         assert loaded.add_child(0, AnswerContent()) == 2  # ids go on from the dump
@@ -256,17 +268,17 @@ class TestSerialization:
     def test_duplicate_node_id_rejected(self):
         tree = new_tree()
         tree.record_reward(0, 10.0)
-        data = json.loads(tree.dumps())
+        data = json.loads(dump(tree))
         data["nodes"].append(dict(data["nodes"][0]))
         with pytest.raises(TreeError, match=r"nodes\[1\]\.id: 0, expected 1"):
-            ReasoningTree.loads(json.dumps(data))
+            undump(json.dumps(data))
 
     @pytest.mark.parametrize(
         "shape, root, path", [case[1:] for case in MALFORMED_TREES], ids=[c[0] for c in MALFORMED_TREES]
     )
     def test_malformed_structure_rejected(self, shape, root, path):
         with pytest.raises(TreeError, match=path):
-            ReasoningTree.loads(tree_dump(shape, root))
+            undump(tree_dump(shape, root))
 
     @pytest.mark.parametrize(
         "change, message",
@@ -280,14 +292,14 @@ class TestSerialization:
     def test_wrongly_typed_node_rejected(self, change, message):
         tree = new_tree()
         tree.record_reward(0, 10.0)
-        data = json.loads(tree.dumps())
+        data = json.loads(dump(tree))
         data["nodes"][0].update(change)
         with pytest.raises(TreeError, match=message):
-            ReasoningTree.loads(json.dumps(data))
+            undump(json.dumps(data))
 
     def test_invalid_json_is_tree_error(self):
         with pytest.raises(TreeError, match="not valid JSON"):
-            ReasoningTree.loads("{nope")
+            undump("{nope")
 
 
 # --------------------------------------------------------------------------
@@ -329,7 +341,7 @@ def test_tree_integrity_and_q_bounds(ops):
     _apply_ops(tree, ops)
     tree.validate()
     assert list(tree.nodes) == list(range(len(tree)))
-    assert ReasoningTree.loads(tree.dumps()).dumps() == tree.dumps()
+    assert dump(undump(dump(tree))) == dump(tree)
     for node in tree.nodes.values():
         assert -100.0 <= node.q_value <= 100.0
         assert node.visit_count == len(node.reward_samples)
@@ -341,7 +353,7 @@ def test_determinism_bit_identical(ops):
     t1, t2 = new_tree(), new_tree()
     _apply_ops(t1, ops)
     _apply_ops(t2, ops)
-    assert t1.dumps() == t2.dumps()
+    assert dump(t1) == dump(t2)
 
 
 @given(ops=_ops)
