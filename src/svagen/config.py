@@ -8,7 +8,6 @@ variable that holds them does.
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass, field
 
 from svagen.backends import BackendError, ChatBackend, HttpChatBackend, ScriptedBackend
@@ -59,19 +58,11 @@ class CheckerSettings:
     timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.timeout_s <= 0:
-            raise ConfigError("checker.timeout_s must be positive")
-        if self.command_template and "{file}" not in self.command_template:
-            raise ConfigError("checker.command_template must contain a {file} placeholder")
-        for i, p in enumerate(self.patterns):
-            try:
-                re.compile(p.pattern)
-            except re.error as err:
-                raise ConfigError(f"checker.patterns regex {p.pattern!r}: {err}") from err
-            if p.severity not in ("error", "warning"):  # any other would never fail an assertion
-                raise ConfigError(
-                    f"checker.patterns[{i}].severity must be error or warning, not {p.severity!r}"
-                )
+        # the rules are ExternalChecker's; an unset template is make_checker's error
+        try:
+            ExternalChecker(self.command_template or "{file}", self.patterns, self.timeout_s)
+        except ValueError as err:
+            raise ConfigError(f"checker.{err}") from err
 
 
 @dataclass

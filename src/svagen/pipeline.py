@@ -39,7 +39,7 @@ from svagen.agents import (
     deduplication_call,
     generate_weak_answer,
     merge_normalized,
-    # pool_assertions does not call it; bench/run_bench.py traces `pipeline.normalize_assertion`
+    # _checked_pool does not call it; bench/run_bench.py traces `pipeline.normalize_assertion`
     normalize_assertion,  # noqa: F401
     refine,
 )
@@ -292,18 +292,18 @@ def _early_stop_reached(tree: ReasoningTree, checker: SyntaxChecker, config: Run
 # Stage 3
 
 
-def pool_assertions(tree: ReasoningTree) -> list[str]:
-    """All assertions over the tree in node-id order, with normalized
-    duplicates merged (first spelling wins)."""
-    return merge_normalized([t for node in tree.nodes.values() for t in node.answer.assertions])
+def _checked_pool(tree: ReasoningTree, checker: SyntaxChecker):
+    """Stage 3's pool, every assertion over the tree in node-id order with
+    normalized duplicates merged (first spelling wins), checked: its
+    records, the passing texts (A1) and the failing records (A2's)."""
+    records = check_all(merge_normalized([t for n in tree.nodes.values() for t in n.answer.assertions]), checker)
+    return records, [r.text for r in records if r.status == "pass"], [r for r in records if r.status == "fail"]
 
 
 def _stage3_first_call(result: SignalRunResult, signal: SignalInfo, checker: SyntaxChecker):
     """The call `run_stage3` makes first on `result.tree`: the correction,
-    or the deduplication when nothing fails; None when it makes neither."""
-    records = check_all(pool_assertions(result.tree), checker)
-    failing = [r for r in records if r.status == "fail"]
-    passing = merge_normalized([r.text for r in records if r.status == "pass"])
+    or the deduplication of A1 when nothing fails; None when it makes neither."""
+    _, passing, failing = _checked_pool(result.tree, checker)
     return correction_call(result.log, failing, signal) or deduplication_call(result.log, passing, signal)
 
 
@@ -328,10 +328,8 @@ def run_stage3(
     """
     signal, log, warnings = bank.signal(result.signal), result.log, result.warnings
 
-    records = check_all(pool_assertions(result.tree), checker)
+    records, result.a1, failing = _checked_pool(result.tree, checker)
     result.syntax_log = format_log(records)
-    result.a1 = [r.text for r in records if r.status == "pass"]
-    failing = [r for r in records if r.status == "fail"]
     result.a2 = [r.text for r in failing]
 
     try:

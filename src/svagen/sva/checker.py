@@ -110,7 +110,9 @@ class ExternalChecker:
     """Adapter around an external syntax tool.
 
     `command_template` must contain `{file}`, replaced with the path of a
-    temp file holding the assertion text.
+    temp file holding the assertion text. ValueError naming the field
+    unless `timeout_s` is positive and every pattern compiles with severity
+    error or warning; `CheckerSettings` checks a config by these rules.
     """
 
     def __init__(
@@ -119,8 +121,17 @@ class ExternalChecker:
         patterns: list[DiagnosticPattern] | None = None,
         timeout_s: float = 30.0,
     ) -> None:
+        if not timeout_s > 0:
+            raise ValueError("timeout_s must be positive")
         if "{file}" not in command_template:
             raise ValueError("command_template must contain a {file} placeholder")
+        for i, p in enumerate(patterns or ()):
+            try:
+                re.compile(p.pattern)
+            except re.error as err:
+                raise ValueError(f"patterns regex {p.pattern!r}: {err}") from err
+            if p.severity not in ("error", "warning"):  # any other would never fail an assertion
+                raise ValueError(f"patterns[{i}].severity must be error or warning, not {p.severity!r}")
         self.command_template = command_template
         self.patterns = patterns if patterns is not None else list(DEFAULT_EXTERNAL_PATTERNS)
         self.timeout_s = timeout_s

@@ -421,6 +421,26 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=message + re.escape(repr(severity))):
             config_from_dict({"checker": {"patterns": patterns}})
 
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            {"timeout_s": 0},
+            {"command_template": "lint --fast"},
+            {"patterns": [{"pattern": "x("}]},
+            {"patterns": [{"pattern": "W", "severity": "warning"}, {"pattern": "E", "severity": "Error"}]},
+        ],
+        ids=["timeout", "template", "regex", "severity"],
+    )
+    def test_checker_rule_message_is_the_checkers(self, broken):
+        # the config reports a rule exactly as a checker made in code does, under `checker.`
+        section = {"command_template": "lint {file}", **broken}
+        patterns = [DiagnosticPattern(**p) for p in section.get("patterns", [])]
+        with pytest.raises(ValueError) as made:
+            ExternalChecker(section["command_template"], patterns, section.get("timeout_s", 30.0))
+        with pytest.raises(ConfigError) as loaded:
+            config_from_dict({"checker": section})
+        assert str(loaded.value) == "checker." + str(made.value)
+
     def test_external_checker_needs_command(self):
         config = config_from_dict({"checker": {"kind": "external"}})
         with pytest.raises(ConfigError):

@@ -241,6 +241,21 @@ class TestExternalChecker:
         with pytest.raises(ValueError):
             ExternalChecker("lint --fast")
 
+    def test_misspelled_severity_rejected_when_made(self):
+        # an "Error" pattern would match and yet never fail an assertion
+        pattern = DiagnosticPattern("ERROR: (?P<message>.+)", severity="Error")
+        message = r"^patterns\[0\]\.severity must be error or warning, not 'Error'$"
+        with pytest.raises(ValueError, match=message):
+            ExternalChecker("sh -c 'echo ERROR: bad; exit 0' {file}", [pattern])
+
+    @pytest.mark.parametrize("timeout_s", [-1.0, float("nan")])
+    def test_timeout_must_be_positive(self, timeout_s):
+        with pytest.raises(ValueError, match=r"^timeout_s must be positive$"):
+            ExternalChecker("lint {file}", timeout_s=timeout_s)
+
+    def test_explicit_empty_patterns_mean_none(self):
+        assert ExternalChecker("lint {file}", []).patterns == []
+
     @pytest.mark.parametrize("stream", ["stdout", "stderr"])
     def test_output_byte_not_utf8_is_replaced(self, tmp_path, stream):
         redirect = " >&2" if stream == "stderr" else ""

@@ -4,6 +4,8 @@ the once-per-signal retrieval and once-per-run checks."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import threading
@@ -1011,6 +1013,109 @@ def test_budget_law_under_random_early_stop(tmp_path_factory, stop_after):
     assert result.total_calls <= 20
     expected_rollouts = stop_after if stop_after else 4
     assert result.tree.rollouts_completed == expected_rollouts
+
+
+# Units for the pipeline fuzz: good, bad, and left open by an unterminated
+# comment or string.
+FUZZ_UNITS = [
+    VALID_PROPERTY_UNIT,
+    VALID_BARE_ASSERT,
+    CORRECTED_ASSERT,
+    INVALID_ASSERT,
+    "assert property (@(posedge clk_i) req_i |-> ack_o); /* left open",
+    'assert property (@(posedge clk_i) req_i) else $error("left open',
+]
+FUZZ_SIGNALS = ["ack_o", "req_q", "cnt_r"]
+
+
+def _mostly(usual, *rare):
+    """`usual` seven times in eight, else one of `rare`."""
+    return st.integers(0, 7).flatmap(lambda k: usual if k else st.one_of(*rare))
+
+
+def _with_crlf(replies):
+    return st.tuples(replies, st.booleans()).map(lambda r: r[0].replace("\n", "\r\n") if r[1] else r[0])
+
+
+_answer_replies = _with_crlf(
+    _mostly(
+        st.lists(st.sampled_from(FUZZ_UNITS), min_size=1, max_size=3).map(lambda units: fenced(*units)),
+        st.lists(st.sampled_from(FUZZ_UNITS), min_size=1, max_size=2).map("\n".join),
+        st.sampled_from(["The request is acknowledged one cycle later.", "", fenced()]),
+    )
+)
+_critic_replies = _with_crlf(
+    _mostly(
+        st.one_of(st.integers(-100, 100), st.sampled_from([90, 95, 100])).map(critic_reply),  # in range
+        st.sampled_from([-101.0, 100.5, 250.0]).map(critic_reply),  # out of range
+        st.sampled_from(["Fine as it is, no score.", ""]),  # missing
+    )
+)
+
+
+@st.composite
+def _signal_replies(draw, n_rollouts: int) -> list[str]:
+    """Replies in the slots of the full schedule (answer, critic, four per
+    rollout, correction, deduplication) and a few past it; a retry shifts
+    every later reply, and some scripts are cut short of the run."""
+    slots = [_answer_replies, _critic_replies]
+    slots += [_critic_replies, _critic_replies, _answer_replies, _critic_replies] * n_rollouts
+    slots += [_answer_replies, _answer_replies]
+    replies = [draw(slot) for slot in slots] + draw(st.lists(st.one_of(_answer_replies, _critic_replies), max_size=3))
+    return replies[: draw(_mostly(st.none(), st.integers(0, len(replies))))]
+
+
+@st.composite
+def _fuzz_runs(draw):
+    n_rollouts = draw(st.integers(1, 3))
+    budget = default_call_budget(n_rollouts)
+    cap = draw(_mostly(st.just(budget), st.integers(1, budget)))
+    replies = {name: draw(_signal_replies(n_rollouts)) for name in FUZZ_SIGNALS}
+    return n_rollouts, cap, draw(st.booleans()), replies
+
+
+@given(run=_fuzz_runs())
+@settings(max_examples=100, deadline=None)
+def test_run_all_keeps_its_laws_under_generated_replies(tmp_path_factory, run):
+    """`run_all` over generated replies, keyed per signal: no exception
+    escapes it, the logs keep their caps and the backend's count, the set
+    laws hold by normal form, every final assertion passes the checker,
+    every record loads through `svagen tree show`, and `parallel` 1 and 3
+    write the same bytes."""
+    from svagen.cli import main
+
+    n_rollouts, cap, early_stop, replies = run
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    outputs = []
+    for parallel in (1, 3):
+        config = config_for(
+            tmp_path / f"p{parallel}", n_rollouts=n_rollouts, early_stop=early_stop, parallel=parallel,
+            max_api_calls_per_signal=cap,
+        )
+        save_bank(make_bank(FUZZ_SIGNALS), config.paths.bank_file)
+        # each signal's prompts, and no other's, hold its bank entry's name line
+        backend = ScriptedBackend(
+            [ScriptEntry(r, match=f"[Verilog Name]: {name}\n") for name, rs in replies.items() for r in rs]
+        )
+        summary = run_all(config, backend=backend, checker=BuiltinChecker())
+
+        assert backend.calls == len(summary.stage1) + sum(len(r.log) for r in summary.results)
+        for result in summary.results:
+            assert len(result.log) <= cap
+            if result.tree is None:
+                continue
+            norm = agents.normalize_assertion
+            pool = {norm(t) for node in result.tree.nodes.values() for t in node.answer.assertions}
+            assert {norm(t) for t in result.a1 + result.a2} <= pool
+            assert {norm(t) for t in result.deduplicated} <= {norm(t) for t in result.a3}
+            for text in result.deduplicated:
+                assert not any(d.severity == "error" for d in BuiltinChecker().check(text)), text
+        outputs.append(output_files(config.paths.output_dir))
+        for name in outputs[-1]:
+            if name.startswith("signals" + os.sep):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["tree", "show", os.path.join(config.paths.output_dir, name)]) == 0, name
+    assert outputs[0] == outputs[1]
 
 
 class CountingIndex(VectorIndex):

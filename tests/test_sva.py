@@ -57,6 +57,9 @@ class TestTokenize:
         assert (toks[0].line, toks[0].column) == (1, 1)
         assert (toks[1].line, toks[1].column) == (2, 3)
 
+    def test_repr_is_kind_lexeme_and_position(self):
+        assert repr(tokenize("a\n  b")) == "[identifier('a'@1:1), identifier('b'@2:3)]"
+
     def test_sized_literals_and_strings(self):
         toks = tokenize("4'b01_01 8'hFF '0 \"msg\"")
         assert [t.kind for t in toks] == ["number", "number", "number", "string"]
