@@ -240,11 +240,10 @@ def critique(
     then: Callable[[], Call | None] | None = None,
 ) -> CritiqueResult:
     """Score an assertion set with its syntax log; the returned
-    suppressed_score is what feeds the tree, and the call's event in `log`
-    keeps the critique. `then` builds a call the log may send beside this
-    one (`CallLog.complete`). A reply with no usable score (`parse_score`)
-    is asked again once, with the same messages and no `then`; a second
-    such reply raises ScoreParseError holding it.
+    suppressed_score is what feeds the tree. `then` builds a call the log
+    may send beside this one (`CallLog.complete`). A reply with no usable
+    score (`parse_score`) is asked again once, with the same messages and
+    no `then`; a second such reply raises ScoreParseError holding it.
     """
     role, messages = _call(
         log, "critic", signal, workflow_info=workflow,
@@ -252,7 +251,6 @@ def critique(
         syntax_log=answer.syntax_log or "(not available)",
     )
     for attempt in range(2):
-        event = len(log)  # this call's event, charged before `then`'s: a log has one writer
         reply = log.complete(role, messages, node, phase, None if attempt else then)
         try:
             raw = parse_score(reply)
@@ -260,9 +258,7 @@ def critique(
         except ScoreParseError as err:
             if attempt:
                 raise ScoreParseError(f"critic score unparseable twice: {err}", reply) from err
-    result = CritiqueResult(node, phase, reply, raw, suppress_score(raw, params))
-    log.events[event].critique = result
-    return result
+    return CritiqueResult(node, phase, reply, raw, suppress_score(raw, params))
 
 
 def refine(

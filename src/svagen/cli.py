@@ -44,8 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rag_build = rag_sub.add_parser("build", help="index a directory of reference texts")
     rag_build.add_argument("directory", help="directory of .txt/.md reference files")
     rag_build.add_argument("--out", required=True, help="index file to write")
-    rag_build.add_argument("--chunk-size", type=int, help="characters per chunk")
-    rag_build.add_argument("--chunk-overlap", type=int, help="characters shared by adjacent chunks")
+    rag_build.add_argument("--config", help="JSON config file whose rag section sets the chunking")
     rag_build.add_argument("--dimension", type=int, help="embedding dimension")
 
     run = sub.add_parser("run", help="run the full pipeline")
@@ -103,7 +102,7 @@ def _cmd_bank_build(args: argparse.Namespace) -> int:
 def _cmd_rag_build(args: argparse.Namespace) -> int:
     from svagen.rag import HashedBowEmbedder, build_index_from_dir  # numpy: only here
 
-    rag = RagSettings(**_set(chunk_size=args.chunk_size, chunk_overlap=args.chunk_overlap))
+    rag = load_config(args.config).rag if args.config else RagSettings()
     try:
         embedder = HashedBowEmbedder(**_set(dimension=args.dimension))
     except ValueError as err:

@@ -14,10 +14,11 @@ critic and the refiner read the node's answer with its syntax log.
 Every agent sends its LLM calls through a `CallLog` (`svagen.prompts`),
 which charges each call as the backend receives it: one log per signal,
 capped at the per-signal budget (`config.default_call_budget`), and one for
-stage 1. The ledger counts, each signal record's critiques and the
-summary totals are all read from those logs. The log refuses a call past
-its cap; the search is anytime, so a refused call ends it with the tree
-built so far, and stage 3 skips the step that asked.
+stage 1. The ledger counts and the summary totals are read from those
+logs, and stage 2 keeps each critique whose score parsed on the signal's
+result. The log refuses a call past its cap; the search is anytime, so a
+refused call ends it with the tree built so far, and stage 3 skips the
+step that asked.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ class SignalRunResult:
     deduplicated: list[str] = field(default_factory=list)
     syntax_log: str = ""
     warnings: list[str] = field(default_factory=list)
+    critiques: list[CritiqueResult] = field(default_factory=list)  # scored ones, in call order
     failed: bool = False
     error: str | None = None
 
@@ -92,7 +94,7 @@ class SignalRunResult:
         """What `signals/<name>.json` holds of this result; it needs the tree."""
         return SignalRecord(
             self.tree.record(), self.a1, self.a2, self.a2_prime, self.a3, self.deduplicated,
-            self.warnings, [e.critique for e in self.log.events if e.critique], self.syntax_log,
+            self.warnings, self.critiques, self.syntax_log,
         )
 
 
@@ -212,7 +214,9 @@ def run_stage2(
     rag_context: str | None = None  # set at the first refine step
 
     def scored_critique(node_id: int, phase: str, then=None):
-        return critique(log, signal, tree.node(node_id).answer, params, workflow, node_id, phase, then)
+        scored = critique(log, signal, tree.node(node_id).answer, params, workflow, node_id, phase, then)
+        result.critiques.append(scored)
+        return scored
 
     def evaluate(node_id: int, phase: str, last: bool = False) -> None:
         answer = tree.node(node_id).answer
@@ -244,16 +248,9 @@ def run_stage2(
             if rag_context is None:
                 rag_context = ""
                 if rag_index is not None:
-                    from svagen.rag import DEFAULT_DIMENSION, HashedBowEmbedder, format_context
-
-                    # queries embed in the index's dimension; an index with no chunks has none
-                    embedder = HashedBowEmbedder(rag_index.dimension or DEFAULT_DIMENSION)
-                    hits = rag_index.query(
-                        f"{signal.verilog_name} {signal.description}", config.rag.k, embedder
-                    )
-                    if not hits:
+                    rag_context = rag_index.context(f"{signal.verilog_name} {signal.description}", config.rag.k)
+                    if not rag_context:
                         warnings.append("rag index is empty; refining without reference context")
-                    rag_context = format_context(hits)
             selected = tree.node(selected_id).answer  # evaluate() set its syntax log
             new_answer = refine(log, signal, selected, feedback.feedback, rag_context, workflow)
             if not new_answer.assertions:

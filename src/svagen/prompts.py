@@ -15,14 +15,10 @@ from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 from svagen import read_text
 from svagen.backends import ChatBackend, Message
 from svagen.tree import SCORE_MAX, SCORE_MIN
-
-if TYPE_CHECKING:
-    from svagen.agents import CritiqueResult
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
@@ -267,13 +263,11 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass
 class CallEvent:
-    """One LLM call. Critic calls name the node and search phase they
-    score, and carry the critique once its score parsed."""
+    """One LLM call. Critic calls name the node and search phase they score."""
 
     role: str
     node: int | None = None
     phase: str | None = None
-    critique: CritiqueResult | None = None
 
 
 Call = tuple[str, list[Message]]  # (role, messages), as `CallLog` sends it

@@ -309,6 +309,12 @@ class VectorIndex:
         scored.sort(key=lambda item: (-item[1], item[0].doc_id, item[0].chunk_index))
         return scored[:k]
 
+    def context(self, query_text: str, k: int) -> str:
+        """The top-k chunks for `query_text` as `format_context` renders
+        them, the query embedded as svagen builds every index: hashed
+        bag-of-words at the index's dimension. An empty index gives ""."""
+        return format_context(self.query(query_text, k, HashedBowEmbedder(self.dimension or DEFAULT_DIMENSION)))
+
     def save(self, path: str) -> None:
         """Write the index as JSON Lines, one document at a time: a header
         `{"count", "dimension"}`, then one line per document in `chunks`

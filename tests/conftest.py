@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 
 import pytest
@@ -89,6 +90,34 @@ def stage2_script(
             ScriptEntry(response=critic_reply(evaluation), match=match),
         ]
     return entries
+
+
+# One letter per step of a signal's call schedule, by its event's (role, phase).
+_STEP_LETTERS = {
+    ("sva", None): "A",  # the weak answer, or a refinement
+    ("critic", "root-evaluation"): "R",
+    ("critic", "resample"): "S",
+    ("critic", "expansion-feedback"): "F",
+    ("critic", "evaluation"): "E",
+    ("syntax_correction", None): "C",
+    ("deduplication", None): "D",
+}
+
+
+def fits_schedule(events, n_rollouts: int, serial: bool = True) -> bool:
+    """Whether a signal log's (role, phase) events follow the call schedule:
+    the weak answer and the root evaluation, at most `n_rollouts` rollouts
+    of resample, expansion feedback, refine and evaluation, then an
+    optional correction and an optional deduplication. Each critic step may
+    take one retry, and a run may stop after any step. On a backend that is
+    not `serial`, stage 3's first call may sit between the last evaluation
+    and that evaluation's retry."""
+    letters = "".join(_STEP_LETTERS.get((e.role, e.phase), "?") for e in events)
+    steps = ["A", "RR?"] + ["SS?", "FF?", "A", "EE?"] * n_rollouts
+    pattern = "EE?C?D?" if serial else "E(?:E?C?D?|CE?D?|DE?)"  # the last step, then stage 3
+    for step in reversed(steps[:-1]):
+        pattern = f"{step}(?:{pattern}|C?D?)"  # a stop after `step` goes to stage 3
+    return re.fullmatch(f"(?:{pattern})?", letters) is not None
 
 
 def correction_entry(signal: str, response: str, keyed: bool = False) -> ScriptEntry:

@@ -491,9 +491,9 @@ class TestCritique:
         backend = RecordingBackend(["no score at all", critic_reply(40)])
         log = CallLog("s", backend)
         result = critique(log, signal, AnswerContent(assertions=["a"]), params, node=3, phase="resample")
-        assert result.raw_score == 40.0 and result.feedback == critic_reply(40)
+        assert (result.node, result.phase, result.raw_score) == (3, "resample", 40.0)
+        assert result.feedback == critic_reply(40)
         assert [(e.role, e.node, e.phase) for e in log.events] == [("critic", 3, "resample")] * 2
-        assert [e.critique for e in log.events] == [None, result]
         assert renders == ["critic"]  # rendered once, sent twice
         assert backend.prompts[0] == backend.prompts[1]
 
@@ -505,7 +505,7 @@ class TestCritique:
         assert str(err.value).startswith("critic score unparseable twice: ")
         assert str(err.value).endswith("score 150.0 outside [-100.0, 100.0]")
         assert err.value.raw_text == "[SCORE: 150]"
-        assert len(log) == 2 and [e.critique for e in log.events] == [None, None]
+        assert [(e.role, e.node, e.phase) for e in log.events] == [("critic", None, None)] * 2
 
     def test_feedback_is_full_reply(self, signal, params):
         reply = critic_reply(10, feedback="The reset polarity is wrong.")

@@ -21,7 +21,7 @@ from svagen.backends import ScriptedBackend
 from svagen.bank import save_bank
 from svagen.cli import main
 from svagen.config import RunConfig
-from svagen.rag import HashedBowEmbedder, VectorIndex
+from svagen.rag import HashedBowEmbedder, VectorIndex, build_index_from_dir
 from svagen.records import dumps, encode
 
 from conftest import (
@@ -761,28 +761,50 @@ class TestBankBuild:
 
 
 class TestRagBuild:
-    def test_builds_index(self, tmp_path, capsys):
+    @staticmethod
+    def _docs(tmp_path):
         docs = tmp_path / "docs"
         docs.mkdir()
         (docs / "guide.txt").write_text("how to write assertions " * 100)
+        return docs
+
+    def test_builds_index(self, tmp_path, capsys):
+        docs = self._docs(tmp_path)
         out_path = tmp_path / "index.json"
         assert main(["rag", "build", str(docs), "--out", str(out_path)]) == 0
         assert out_path.exists()
         assert "chunks" in capsys.readouterr().out
 
+    def test_help_lists_config_and_dimension(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["rag", "build", "--help"])
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--out", "--config", "--dimension"}
+
+    def test_config_sets_the_chunking(self, tmp_path, capsys):
+        docs = self._docs(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rag": {"chunk_size": 200, "chunk_overlap": 40}}))
+        out_path, expected = tmp_path / "index.json", tmp_path / "expected.json"
+        assert main(["rag", "build", str(docs), "--out", str(out_path), "--config", str(config)]) == 0
+        build_index_from_dir(str(docs), size=200, overlap=40).save(str(expected))
+        assert out_path.read_bytes() == expected.read_bytes()
+
     @pytest.mark.parametrize(
-        "flags", [["--chunk-size", "0"], ["--chunk-size", "100", "--chunk-overlap", "100"]]
+        "rag, field",
+        [({"chunk_size": 0}, "rag.chunk_size"), ({"chunk_size": 100, "chunk_overlap": 100}, "rag.chunk_overlap")],
+        ids=["chunk_size", "chunk_overlap"],
     )
-    def test_invalid_chunking_exit_two(self, tmp_path, monkeypatch, capsys, flags):
-        calls = record_backend_calls(monkeypatch)
-        docs = tmp_path / "docs"
-        docs.mkdir()
-        (docs / "guide.txt").write_text("how to write assertions " * 100)
+    def test_invalid_chunking_exit_two(self, tmp_path, monkeypatch, capsys, rag, field):
+        reads = []
+        monkeypatch.setattr("svagen.rag.read_text", lambda *args: reads.append(args))
+        docs = self._docs(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rag": rag}))
         out_path = tmp_path / "index.json"
-        assert main(["rag", "build", str(docs), "--out", str(out_path), *flags]) == 2
-        assert calls == []
+        assert main(["rag", "build", str(docs), "--out", str(out_path), "--config", str(config)]) == 2
+        assert reads == []  # refused before the corpus is read
         assert not out_path.exists()
-        assert "rag." in capsys.readouterr().err
+        assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, dimension", [([], 512), (["--dimension", "64"], 64)])
     def test_empty_corpus_keeps_the_dimension(self, tmp_path, capsys, flags, dimension):

@@ -31,7 +31,7 @@ from svagen.pipeline import (
     run_stage2,
     run_stage3,
 )
-from svagen.prompts import BudgetExceededError, CallLog, render_prompt
+from svagen.prompts import BudgetExceededError, CallEvent, CallLog, render_prompt
 from svagen.rag import HashedBowEmbedder, VectorIndex
 from svagen.records import load, loads
 from svagen.sva.checker import BuiltinChecker, CheckerUnavailableError, ExternalChecker
@@ -48,6 +48,7 @@ from conftest import (
     critic_reply,
     dedup_entry,
     fenced,
+    fits_schedule,
     full_signal_script,
     make_bank,
     signal_result,
@@ -513,11 +514,10 @@ def assert_record_holds(output_dir: str, result: SignalRunResult) -> None:
     assert ReasoningTree.from_record(record.tree).record() == result.tree.record()
     fields = ("a1", "a2", "a2_prime", "a3", "deduplicated", "warnings", "syntax_log")
     assert {k: getattr(record, k) for k in fields} == {k: getattr(result, k) for k in fields}
-    assert [(c.node, c.phase, c.feedback, c.raw_score, c.suppressed_score) for c in record.critiques] == [
-        (e.node, e.phase, e.critique.feedback, e.critique.raw_score, e.critique.suppressed_score)
-        for e in result.log.events
-        if e.critique is not None
-    ]
+    assert record.critiques == result.critiques
+    # each critique is a critic call's, in call order
+    calls = iter((e.node, e.phase) for e in result.log.events if e.role == "critic")
+    assert all((c.node, c.phase) in calls for c in result.critiques)
 
 
 def output_files(output_dir: str) -> dict[str, bytes]:
@@ -899,6 +899,8 @@ class TestLastEvaluationBatch:
         )
         save_bank(make_bank(["ack_o"]), config.paths.bank_file)
         summary = run_all(config, backend=backend, checker=BuiltinChecker())
+        events = summary.results[0].log.events
+        assert fits_schedule(events, self.N_ROLLOUTS, getattr(backend, "serial", False)), events
         return summary.results[0], output_files(config.paths.output_dir)
 
     @pytest.mark.parametrize("bad", [True, False], ids=["correction", "deduplication"])
@@ -1080,8 +1082,8 @@ def test_run_all_keeps_its_laws_under_generated_replies(tmp_path_factory, run):
     """`run_all` over generated replies, keyed per signal: no exception
     escapes it, the logs keep their caps and the backend's count, the set
     laws hold by normal form, every final assertion passes the checker,
-    every record loads through `svagen tree show`, and `parallel` 1 and 3
-    write the same bytes."""
+    every log fits the call schedule, every record loads through `svagen
+    tree show`, and `parallel` 1 and 3 write the same bytes."""
     from svagen.cli import main
 
     n_rollouts, cap, early_stop, replies = run
@@ -1102,6 +1104,7 @@ def test_run_all_keeps_its_laws_under_generated_replies(tmp_path_factory, run):
         assert backend.calls == len(summary.stage1) + sum(len(r.log) for r in summary.results)
         for result in summary.results:
             assert len(result.log) <= cap
+            assert fits_schedule(result.log.events, n_rollouts, backend.serial), result.log.events
             if result.tree is None:
                 continue
             norm = agents.normalize_assertion
@@ -1116,6 +1119,35 @@ def test_run_all_keeps_its_laws_under_generated_replies(tmp_path_factory, run):
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert main(["tree", "show", os.path.join(config.paths.output_dir, name)]) == 0, name
     assert outputs[0] == outputs[1]
+
+
+ROOT_CALLS = [("sva", None), ("critic", "root-evaluation")]
+ROLLOUT_CALLS = [("critic", "resample"), ("critic", "expansion-feedback"), ("sva", None), ("critic", "evaluation")]
+CORRECTION, DEDUPLICATION = ("syntax_correction", None), ("deduplication", None)
+
+
+@pytest.mark.parametrize(
+    "calls, serial, fits",
+    [
+        (ROOT_CALLS + ROLLOUT_CALLS + [CORRECTION, DEDUPLICATION], True, True),
+        (ROOT_CALLS + ROLLOUT_CALLS + ROLLOUT_CALLS[3:] + [CORRECTION, DEDUPLICATION], True, True),
+        (ROOT_CALLS + ROLLOUT_CALLS[:1] * 2 + [DEDUPLICATION], True, True),
+        (ROOT_CALLS + ROLLOUT_CALLS + [CORRECTION, ROLLOUT_CALLS[3], DEDUPLICATION], False, True),
+        (ROOT_CALLS + ROLLOUT_CALLS + [CORRECTION, ROLLOUT_CALLS[3], DEDUPLICATION], True, False),
+        (ROOT_CALLS + [ROLLOUT_CALLS[1], ROLLOUT_CALLS[0], *ROLLOUT_CALLS[2:]], True, False),
+        (ROOT_CALLS[:1] + ROOT_CALLS + ROLLOUT_CALLS, True, False),
+        (ROOT_CALLS + ROLLOUT_CALLS + [DEDUPLICATION, CORRECTION], False, False),
+        (ROOT_CALLS + ROLLOUT_CALLS * 2, True, False),
+    ],
+    ids=[
+        "full", "evaluation-retry", "stop-after-resample", "batched-stage3-call",
+        "batched-on-serial", "feedback-before-resample", "second-weak-answer",
+        "deduplication-before-correction", "rollout-past-n",
+    ],
+)
+def test_schedule_matcher(calls, serial, fits):
+    """`fits_schedule` over hand-built one-rollout logs."""
+    assert fits_schedule([CallEvent(role, phase=phase) for role, phase in calls], 1, serial) is fits
 
 
 class CountingIndex(VectorIndex):

@@ -1008,3 +1008,22 @@ def test_format_context_shape():
     out = format_context(index.query("disable iff", 1, e))
     assert "guide.txt#0" in out
     assert "use disable iff for resets" in out
+
+
+@pytest.mark.parametrize("dimension", [512, 64])
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_context_embeds_the_query_at_the_index_dimension(tmp_path, dimension, loaded):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_golden_corpus(corpus)
+    index = build_index_from_dir(str(corpus), HashedBowEmbedder(dimension), size=200, overlap=40)
+    if loaded:
+        index.save(str(tmp_path / "index.json"))
+        index = VectorIndex.load(str(tmp_path / "index.json"))
+    for query, k in [("rst_n ack", 4), ("clk3 $rose data0", 2)]:
+        expected = format_context(index.query(query, k, HashedBowEmbedder(dimension)))
+        assert expected and index.context(query, k) == expected
+
+
+def test_empty_index_context_is_empty():
+    assert VectorIndex().context("x", 4) == ""
