@@ -2,12 +2,13 @@
 generation, critique with score suppression, refinement, syntax correction
 and deduplication.
 
-Every agent renders its prompt from the templates of a `CallLog` and sends
-it through that log, which charges the call; the wire conventions the
-models must follow are (a) assertions travel inside fenced code blocks, cut
-into units on the checker's token stream (docs/formats.md, "Model
-replies"), and (b) the critic ends with a `[SCORE: n]` marker, of which the
-last occurrence wins so chain-of-thought preambles cannot confuse the parse.
+Every agent renders its prompt from the templates and the context of a
+`CallLog` and sends it through that log, which charges the call; the wire
+conventions the models must follow are (a) assertions travel inside fenced
+code blocks, cut into units on the checker's token stream (docs/formats.md,
+"Model replies"), and (b) the critic ends with a `[SCORE: n]` marker, of
+which the last occurrence wins so chain-of-thought preambles cannot confuse
+the parse.
 """
 
 from __future__ import annotations
@@ -214,27 +215,31 @@ def merge_normalized(pool: list[str]) -> list[str]:
 # Agent operations
 
 
-def _call(log: CallLog, key: str, signal: SignalInfo, **context: str) -> Call:
-    """Render `log`'s template `key` with `context` plus the signal's name
-    and `describe()` text, as the `(role, messages)` call `log` sends."""
-    context.update(signal_name=signal.verilog_name, specification_text=signal.describe())
-    template = log.templates[key]
-    return template.role_name, render_prompt(template, context)
-
-
-def generate_weak_answer(log: CallLog, signal: SignalInfo, workflow: str) -> AnswerContent:
-    """First, deliberately short assertion set seeding the tree root."""
+def signal_context(signal: SignalInfo, workflow: str) -> dict[str, str]:
+    """A signal's name, bank entry (`describe()`) and workflow information:
+    the `CallLog.context` of its stage-2/3 prompts. ValueError for a signal
+    the weak answer cannot start from, unnamed or undescribed."""
     if not signal.verilog_name or not (signal.description or signal.definition or signal.functionality):
         raise ValueError("weak answer needs a named, described signal")
-    return parse_answer(log.complete(*_call(log, "sva_weak", signal, workflow_info=workflow)))
+    return {"signal_name": signal.verilog_name, "specification_text": signal.describe(), "workflow_info": workflow}
+
+
+def _call(log: CallLog, key: str, **values: str) -> Call:
+    """Render `log`'s template `key` with the log's context and this call's
+    `values`, as the `(role, messages)` call `log` sends."""
+    template = log.templates[key]
+    return template.role_name, render_prompt(template, {**log.context, **values})
+
+
+def generate_weak_answer(log: CallLog) -> AnswerContent:
+    """First, deliberately short assertion set seeding the tree root."""
+    return parse_answer(log.complete(*_call(log, "sva_weak")))
 
 
 def critique(
     log: CallLog,
-    signal: SignalInfo,
     answer: AnswerContent,
     params: SearchParams,
-    workflow: str = "",
     node: int | None = None,
     phase: str | None = None,
     then: Callable[[], Call | None] | None = None,
@@ -246,7 +251,7 @@ def critique(
     no `then`; a second such reply raises ScoreParseError holding it.
     """
     role, messages = _call(
-        log, "critic", signal, workflow_info=workflow,
+        log, "critic",
         assertions="\n\n".join(answer.assertions) or "(no assertions)",
         syntax_log=answer.syntax_log or "(not available)",
     )
@@ -261,21 +266,14 @@ def critique(
     return CritiqueResult(node, phase, reply, raw, suppress_score(raw, params))
 
 
-def refine(
-    log: CallLog,
-    signal: SignalInfo,
-    answer: AnswerContent,
-    feedback: str,
-    rag_context: str,
-    workflow: str,
-) -> AnswerContent:
+def refine(log: CallLog, answer: AnswerContent, feedback: str, rag_context: str) -> AnswerContent:
     """Produce an improved assertion set from both feedback channels: the
     critic's `feedback` and the answer's syntax log.
 
     The input answer is read-only; the result is a fresh AnswerContent.
     """
     reply = log.complete(*_call(
-        log, "sva_refine", signal, workflow_info=workflow,
+        log, "sva_refine",
         assertions="\n\n".join(answer.assertions) or "(no assertions yet)",
         feedback=feedback or "(none)",
         syntax_log=answer.syntax_log or "(none)",
@@ -295,34 +293,34 @@ def format_bad_assertions(records: list[AssertionRecord]) -> str:
     return "\n\n".join(blocks)
 
 
-def correction_call(log: CallLog, bad: list[AssertionRecord], signal: SignalInfo) -> Call | None:
+def correction_call(log: CallLog, bad: list[AssertionRecord]) -> Call | None:
     """The call `correct_syntax` sends for `bad`; None for an empty input.
     Every input record must carry diagnostics."""
     if not all(record.diagnostics for record in bad):
         raise ValueError("correction input must carry at least one diagnostic per assertion")
-    return _call(log, "syntax_correction", signal, assertions=format_bad_assertions(bad)) if bad else None
+    return _call(log, "syntax_correction", assertions=format_bad_assertions(bad)) if bad else None
 
 
-def correct_syntax(log: CallLog, bad: list[AssertionRecord], signal: SignalInfo) -> list[str]:
+def correct_syntax(log: CallLog, bad: list[AssertionRecord]) -> list[str]:
     """Ask the correction agent to fix failing assertions (`correction_call`).
     An empty input returns empty without a call."""
-    call = correction_call(log, bad, signal)
+    call = correction_call(log, bad)
     return extract_assertions(log.complete(*call)) if call else []
 
 
-def deduplication_call(log: CallLog, pool: list[str], signal: SignalInfo) -> Call | None:
+def deduplication_call(log: CallLog, pool: list[str]) -> Call | None:
     """The call `deduplicate` sends for `pool`; None for a pool of one or fewer."""
-    return _call(log, "deduplication", signal, assertions="\n\n".join(pool)) if len(pool) > 1 else None
+    return _call(log, "deduplication", assertions="\n\n".join(pool)) if len(pool) > 1 else None
 
 
-def deduplicate(log: CallLog, pool: list[str], signal: SignalInfo) -> tuple[list[str], list[str]]:
+def deduplicate(log: CallLog, pool: list[str]) -> tuple[list[str], list[str]]:
     """Ask the deduplication agent which pool entries to retain.
 
     The output is constrained to be a subset of the pool under normalized
     equality; a reply that modifies or invents assertions is rejected and
     the whole pool kept, with a warning. Returns (assertions, warnings).
     """
-    call = deduplication_call(log, pool, signal)
+    call = deduplication_call(log, pool)
     if call is None:
         return list(pool), []
     reply_assertions = extract_assertions(log.complete(*call))

@@ -18,7 +18,7 @@ from svagen.records import dumps, encode, load
 from svagen.sva.tokens import scan_through
 
 # A Verilog simple identifier: the names the signal mapper accepts, and so
-# the names a bank may hold (each one names a directory under output_dir)
+# the names a bank may hold (each one names a record, signals/<name>.json)
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 
 

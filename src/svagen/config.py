@@ -14,6 +14,7 @@ from svagen.backends import BackendError, ChatBackend, HttpChatBackend, Scripted
 from svagen.prompts import DEFAULT_TEMPLATES, PromptTemplate, load_template
 from svagen.records import decode, encode, load
 from svagen.sva.checker import (
+    DEFAULT_EXTERNAL_PATTERNS,
     BuiltinChecker,
     DiagnosticPattern,
     ExternalChecker,
@@ -54,7 +55,7 @@ class BackendSettings:
 class CheckerSettings:
     kind: str = "builtin"  # builtin | external
     command_template: str = ""
-    patterns: list[DiagnosticPattern] = field(default_factory=list)
+    patterns: list[DiagnosticPattern] = field(default_factory=lambda: list(DEFAULT_EXTERNAL_PATTERNS))
     timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
@@ -145,7 +146,7 @@ class RunConfig:
         if c.kind == "external":
             if not c.command_template:
                 raise ConfigError("external checker requires checker.command_template")
-            return ExternalChecker(c.command_template, c.patterns or None, c.timeout_s)
+            return ExternalChecker(c.command_template, c.patterns, c.timeout_s)
         raise ConfigError(f"unknown checker kind {c.kind!r}")
 
     def load_templates(self) -> dict[str, PromptTemplate]:

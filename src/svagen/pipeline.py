@@ -8,8 +8,9 @@ expansion from critic plus syntax-log feedback, critic evaluation of the
 new node with score suppression, and Q backpropagation). Stage 3 pools
 all tree nodes, splits the pool by syntax verdict, corrects the failures,
 and deduplicates into the final assertion set. Both stages check every
-assertion set through `check_all` and hand each agent the signal; the
-critic and the refiner read the node's answer with its syntax log.
+assertion set through `check_all`, and every agent renders from the call
+log's signal context; the critic and refiner read the node's answer and
+its syntax log.
 
 Every agent sends its LLM calls through a `CallLog` (`svagen.prompts`),
 which charges each call as the backend receives it: one log per signal,
@@ -43,11 +44,11 @@ from svagen.agents import (
     # _checked_pool does not call it; bench/run_bench.py traces `pipeline.normalize_assertion`
     normalize_assertion,  # noqa: F401
     refine,
+    signal_context,
 )
 from svagen.backends import ChatBackend
 from svagen.bank import (
     InformationBank,
-    SignalInfo,
     StageError,
     analyze_signal,
     analyze_waveform,
@@ -187,7 +188,7 @@ def run_stage2(
     rag_index: VectorIndex | None = None,
 ) -> None:
     """Grow the reasoning tree for one signal into `result.tree`, making
-    each call through `result.log`.
+    each call through `result.log`, after setting its `signal_context`.
 
     The call schedule is the one `default_call_budget` counts: the weak root
     and its evaluation, then per rollout a re-sample of the selected node's
@@ -209,25 +210,25 @@ def run_stage2(
     except KeyError as err:
         raise StageError(str(err)) from err
     params = config.search
-    workflow = bank.workflow_info
     log, warnings = result.log, result.warnings
+    log.context = signal_context(signal, bank.workflow_info)
     rag_context: str | None = None  # set at the first refine step
 
     def scored_critique(node_id: int, phase: str, then=None):
-        scored = critique(log, signal, tree.node(node_id).answer, params, workflow, node_id, phase, then)
+        scored = critique(log, tree.node(node_id).answer, params, node_id, phase, then)
         result.critiques.append(scored)
         return scored
 
     def evaluate(node_id: int, phase: str, last: bool = False) -> None:
         answer = tree.node(node_id).answer
         answer.syntax_log = format_log(check_all(answer.assertions, checker))
-        then = (lambda: _stage3_first_call(result, signal, checker)) if last else None
+        then = (lambda: _stage3_first_call(result, checker)) if last else None
         scored = scored_critique(node_id, phase, then)
         tree.record_reward(node_id, scored.suppressed_score)
         tree.backpropagate(node_id)
 
     # initial node: weak answer + its evaluation, the first two calls of default_call_budget
-    root_answer = generate_weak_answer(log, signal, workflow)
+    root_answer = generate_weak_answer(log)
     tree = result.tree = ReasoningTree(signal_name, root_answer)
     try:
         evaluate(tree.root, "root-evaluation")
@@ -237,11 +238,9 @@ def run_stage2(
 
     for rollout in range(1, params.n_rollouts + 1):
         try:
-            # phase 1: selection + reward re-sampling
+            # phase 1: selection + reward re-sampling, an evaluation of the selected node
             selected_id = tree.select_node(params)
-            resample = scored_critique(selected_id, "resample")
-            tree.record_reward(selected_id, resample.suppressed_score)
-            tree.backpropagate(selected_id)
+            evaluate(selected_id, "resample")
 
             # phase 2: expansion: critic feedback on the stored syntax log, then refine
             feedback = scored_critique(selected_id, "expansion-feedback")
@@ -252,7 +251,7 @@ def run_stage2(
                     if not rag_context:
                         warnings.append("rag index is empty; refining without reference context")
             selected = tree.node(selected_id).answer  # evaluate() set its syntax log
-            new_answer = refine(log, signal, selected, feedback.feedback, rag_context, workflow)
+            new_answer = refine(log, selected, feedback.feedback, rag_context)
             if not new_answer.assertions:
                 warnings.append(f"rollout {rollout} refinement produced no assertions")
             child_id = tree.add_child(selected_id, new_answer)
@@ -297,21 +296,16 @@ def _checked_pool(tree: ReasoningTree, checker: SyntaxChecker):
     return records, [r.text for r in records if r.status == "pass"], [r for r in records if r.status == "fail"]
 
 
-def _stage3_first_call(result: SignalRunResult, signal: SignalInfo, checker: SyntaxChecker):
+def _stage3_first_call(result: SignalRunResult, checker: SyntaxChecker):
     """The call `run_stage3` makes first on `result.tree`: the correction,
     or the deduplication of A1 when nothing fails; None when it makes neither."""
     _, passing, failing = _checked_pool(result.tree, checker)
-    return correction_call(result.log, failing, signal) or deduplication_call(result.log, passing, signal)
+    return correction_call(result.log, failing) or deduplication_call(result.log, passing)
 
 
-def run_stage3(
-    config: RunConfig,
-    bank: InformationBank,
-    result: SignalRunResult,
-    checker: SyntaxChecker,
-) -> None:
+def run_stage3(result: SignalRunResult, checker: SyntaxChecker) -> None:
     """Combine all nodes of `result.tree` into the final assertion set,
-    making each call through `result.log`.
+    making each call through `result.log`, whose context stage 2 set.
 
     Two calls at most, the last two that `default_call_budget` counts:
     syntax correction (skipped when nothing failed) and deduplication
@@ -323,14 +317,14 @@ def run_stage3(
     warning. A text the checker cannot check raises CheckerUnavailableError,
     as in stage 2.
     """
-    signal, log, warnings = bank.signal(result.signal), result.log, result.warnings
+    log, warnings = result.log, result.warnings
 
     records, result.a1, failing = _checked_pool(result.tree, checker)
     result.syntax_log = format_log(records)
     result.a2 = [r.text for r in failing]
 
     try:
-        corrected = correct_syntax(log, failing, signal)
+        corrected = correct_syntax(log, failing)
     except BudgetExceededError:
         corrected = []
         warnings.append("syntax correction skipped: per-signal call budget exhausted")
@@ -343,7 +337,7 @@ def run_stage3(
     result.a3 = result.a1 + result.a2_prime
     dedup_input = merge_normalized(result.a3)
     try:
-        result.deduplicated, dedup_warnings = deduplicate(log, dedup_input, signal)
+        result.deduplicated, dedup_warnings = deduplicate(log, dedup_input)
         warnings += dedup_warnings
     except BudgetExceededError:
         result.deduplicated = dedup_input
@@ -439,7 +433,7 @@ def run_signal(
     result = SignalRunResult(signal_name, log)
     try:
         run_stage2(config, bank, result, checker, rag_index)
-        run_stage3(config, bank, result, checker)
+        run_stage3(result, checker)
     except Exception as err:  # isolation: one signal's failure never spreads
         result.failed = True
         result.error = f"{type(err).__name__}: {err}"

@@ -274,12 +274,13 @@ Call = tuple[str, list[Message]]  # (role, messages), as `CallLog` sends it
 
 
 class CallLog:
-    """The backend and templates the agents of one signal, or of stage 1
-    when `cap` is None, reach a model through, and their calls in call
-    order. Each log has one writer thread: a batch's events are charged on
-    the caller's thread before any of its calls is sent, so its worker
-    threads only wait on the backend. A backend that sets `serial` has no
-    latency to overlap, and gets every call one at a time, in call order."""
+    """The backend, templates and shared prompt `context` (set by stage 2)
+    the agents of one signal, or of stage 1 when `cap` is None, reach a
+    model through, and their calls in call order. Each log has one writer
+    thread: a batch's events are charged on the caller's thread before any
+    of its calls is sent, so its worker threads only wait on the backend. A
+    backend that sets `serial` has no latency to overlap, and gets every
+    call one at a time, in call order."""
 
     def __init__(
         self,
@@ -292,6 +293,7 @@ class CallLog:
         self.backend = backend
         self.templates = templates or DEFAULT_TEMPLATES
         self.cap = cap
+        self.context: dict[str, str] = {}
         self.events: list[CallEvent] = []
         self._ahead: tuple[list[Message], Future] | None = None  # sent with an earlier call
 

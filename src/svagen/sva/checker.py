@@ -110,9 +110,10 @@ class ExternalChecker:
     """Adapter around an external syntax tool.
 
     `command_template` must contain `{file}`, replaced with the path of a
-    temp file holding the assertion text. ValueError naming the field
-    unless `timeout_s` is positive and every pattern compiles with severity
-    error or warning; `CheckerSettings` checks a config by these rules.
+    temp file holding the assertion text; omitted `patterns` are the
+    defaults, and `[]` none. ValueError naming the field unless `timeout_s`
+    is positive and every pattern compiles with severity error or warning;
+    `CheckerSettings` checks a config by these rules.
     """
 
     def __init__(
@@ -129,7 +130,7 @@ class ExternalChecker:
             try:
                 re.compile(p.pattern)
             except re.error as err:
-                raise ValueError(f"patterns regex {p.pattern!r}: {err}") from err
+                raise ValueError(f"patterns[{i}].pattern {p.pattern!r} does not compile: {err}") from err
             if p.severity not in ("error", "warning"):  # any other would never fail an assertion
                 raise ValueError(f"patterns[{i}].severity must be error or warning, not {p.severity!r}")
         self.command_template = command_template

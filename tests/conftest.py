@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from svagen.agents import signal_context
 from svagen.backends import ScriptEntry, ScriptedBackend
 from svagen.bank import InformationBank, SignalInfo
 from svagen.config import RunConfig
@@ -201,12 +202,16 @@ def config_for(tmp_path, n_rollouts: int = 4, **kwargs) -> RunConfig:
 
 
 def signal_result(
-    config: RunConfig, backend, name: str = "ack_o", tree: ReasoningTree | None = None
+    config: RunConfig, backend, name: str = "ack_o", tree: ReasoningTree | None = None,
+    bank: InformationBank | None = None,
 ):
     """An empty result for one signal with its capped call log over
     `backend`, as `run_signal` makes it; `run_stage2` and `run_stage3` fill
-    it."""
+    it. With `bank`, the log already carries the signal's prompt context,
+    as `run_stage2` leaves it for `run_stage3`."""
     log = CallLog(name, backend, cap=config.max_api_calls_per_signal)
+    if bank is not None:
+        log.context = signal_context(bank.signal(name), bank.workflow_info)
     return SignalRunResult(name, log, tree)
 
 

@@ -140,7 +140,7 @@ def test_node_count_and_budget_laws(tmp_path):
     run_stage2(config, bank, result, BuiltinChecker())
     assert len(result.tree) == 5
     assert result.total_calls == 18
-    run_stage3(config, bank, result, BuiltinChecker())
+    run_stage3(result, BuiltinChecker())
     assert not result.failed
     assert result.total_calls <= 20
 
@@ -262,8 +262,8 @@ def test_stage3_set_laws(tmp_path):
                 reply = "no fenced reply at all"
             script.append(ScriptEntry(response=reply))
 
-        result = signal_result(config, ScriptedBackend(script), tree=tree)
-        run_stage3(config, bank, result, checker)
+        result = signal_result(config, ScriptedBackend(script), tree=tree, bank=bank)
+        run_stage3(result, checker)
         assert result.a1 == expected_a1
         assert result.a2 == [t for t in pool if "BAD" in t]
         assert result.a3 == result.a1 + result.a2_prime

@@ -24,11 +24,13 @@ from svagen.agents import (
     parse_answer,
     parse_score,
     refine,
+    signal_context,
     split_assertion_units,
     suppress_score,
 )
 from svagen.backends import BackendError, ScriptEntry, ScriptedBackend
 from svagen.bank import (
+    SignalInfo,
     analyze_signal,
     analyze_waveform,
     analyzer_call,
@@ -73,6 +75,14 @@ class RecordingBackend:
     def complete(self, messages):
         self.prompts.append("\n".join(m["content"] for m in messages))
         return self._inner.complete(messages)
+
+
+def signal_log(backend, signal, workflow: str = "w") -> CallLog:
+    """A call log over `backend` carrying `signal`'s prompt context, as
+    stage 2 leaves a signal's log."""
+    log = CallLog("s", backend)
+    log.context = signal_context(signal, workflow)
+    return log
 
 
 class TestRenderPrompt:
@@ -184,13 +194,19 @@ class TestTemplateContract:
         signal_reply, waveform_reply = log.complete_many(calls, 1)
         analyze_signal(signal_reply, "ack_o")
         analyze_waveform(waveform_reply, "handshake")
-        generate_weak_answer(log, signal, "workflow")
-        critique(log, signal, answer, params)
-        refine(log, signal, answer, "feedback", "", "workflow")
-        correct_syntax(log, _bad_records(), signal)
-        deduplicate(log, [VALID_BARE_ASSERT, VALID_PROPERTY_UNIT], signal)
+        log.context = signal_context(signal, "workflow")
+        generate_weak_answer(log)
+        critique(log, answer, params)
+        refine(log, answer, "feedback", "")
+        correct_syntax(log, _bad_records())
+        deduplicate(log, [VALID_BARE_ASSERT, VALID_PROPERTY_UNIT])
         assert len(log) == 8
-        assert filled == {key: t.placeholders() for key, t in DEFAULT_TEMPLATES.items()}
+        # stages 2 and 3 render with the log's whole context, whose workflow
+        # the correction and deduplication templates leave out
+        expected = {key: t.placeholders() for key, t in DEFAULT_TEMPLATES.items()}
+        for key in ("syntax_correction", "deduplication"):
+            expected[key] = sorted(expected[key] + ["workflow_info"])
+        assert filled == expected
 
 
 class TestParseScore:
@@ -439,46 +455,58 @@ class TestNormalization:
         assert merge_normalized(pool) == ["assert property (x);"]
 
 
+class TestSignalContext:
+    def test_name_bank_entry_and_workflow(self, signal):
+        assert signal_context(signal, "w") == {
+            "signal_name": "ack_o", "specification_text": signal.describe(), "workflow_info": "w",
+        }
+
+    @pytest.mark.parametrize("info", [SignalInfo("ack_o"), SignalInfo("", description="ack")], ids=["undescribed", "unnamed"])
+    def test_signal_the_weak_answer_cannot_start_from(self, info):
+        with pytest.raises(ValueError, match="^weak answer needs a named, described signal$"):
+            signal_context(info, "w")
+
+
 class TestGenerateWeakAnswer:
     def test_single_assertion(self, signal):
         backend = ScriptedBackend.from_responses([fenced(VALID_BARE_ASSERT)])
-        answer = generate_weak_answer(CallLog("s", backend), signal, workflow="w")
+        answer = generate_weak_answer(signal_log(backend, signal))
         assert answer.assertions == [VALID_BARE_ASSERT]
 
     def test_prose_reply_gives_degenerate_answer(self, signal):
         backend = ScriptedBackend.from_responses(["cannot comply"])
-        answer = generate_weak_answer(CallLog("s", backend), signal, workflow="w")
+        answer = generate_weak_answer(signal_log(backend, signal))
         assert answer.assertions == []
         assert answer.commentary == "cannot comply"
 
     def test_exhausted_backend(self, signal):
         backend = ScriptedBackend.from_responses([])
         with pytest.raises(BackendError):
-            generate_weak_answer(CallLog("s", backend), signal, workflow="w")
+            generate_weak_answer(signal_log(backend, signal))
 
     def test_prompt_carries_brevity_instruction(self, signal):
         backend = RecordingBackend([fenced(VALID_BARE_ASSERT)])
-        generate_weak_answer(CallLog("s", backend), signal, workflow="w")
+        generate_weak_answer(signal_log(backend, signal))
         assert "short" in backend.prompts[0]
 
 
 class TestCritique:
     def test_suppression_applied(self, signal, params):
         backend = ScriptedBackend.from_responses([critic_reply(97)])
-        result = critique(CallLog("s", backend), signal, AnswerContent(assertions=["a"]), params)
+        result = critique(signal_log(backend, signal), AnswerContent(assertions=["a"]), params)
         assert isinstance(result, CritiqueResult)
         assert result.raw_score == 97.0
         assert result.suppressed_score == 95.0
 
     def test_in_range_score(self, signal, params):
         backend = ScriptedBackend.from_responses([critic_reply(-20)])
-        result = critique(CallLog("s", backend), signal, AnswerContent(assertions=["a"]), params)
+        result = critique(signal_log(backend, signal), AnswerContent(assertions=["a"]), params)
         assert result.suppressed_score == -20.0
 
     def test_missing_marker(self, signal, params):
         backend = ScriptedBackend.from_responses(["no score at all", "no score again"])
         with pytest.raises(ScoreParseError):
-            critique(CallLog("s", backend), signal, AnswerContent(assertions=["a"]), params)
+            critique(signal_log(backend, signal), AnswerContent(assertions=["a"]), params)
 
     def test_unusable_score_is_asked_again_once(self, monkeypatch, signal, params):
         renders = []
@@ -489,8 +517,8 @@ class TestCritique:
 
         monkeypatch.setattr("svagen.agents.render_prompt", counting_render)
         backend = RecordingBackend(["no score at all", critic_reply(40)])
-        log = CallLog("s", backend)
-        result = critique(log, signal, AnswerContent(assertions=["a"]), params, node=3, phase="resample")
+        log = signal_log(backend, signal)
+        result = critique(log, AnswerContent(assertions=["a"]), params, node=3, phase="resample")
         assert (result.node, result.phase, result.raw_score) == (3, "resample", 40.0)
         assert result.feedback == critic_reply(40)
         assert [(e.role, e.node, e.phase) for e in log.events] == [("critic", 3, "resample")] * 2
@@ -499,9 +527,9 @@ class TestCritique:
 
     def test_second_unusable_score_raises_with_the_second_reply(self, signal, params):
         backend = ScriptedBackend.from_responses(["no score at all", "[SCORE: 150]"])
-        log = CallLog("s", backend)
+        log = signal_log(backend, signal)
         with pytest.raises(ScoreParseError) as err:
-            critique(log, signal, AnswerContent(assertions=["a"]), params)
+            critique(log, AnswerContent(assertions=["a"]), params)
         assert str(err.value).startswith("critic score unparseable twice: ")
         assert str(err.value).endswith("score 150.0 outside [-100.0, 100.0]")
         assert err.value.raw_text == "[SCORE: 150]"
@@ -510,13 +538,13 @@ class TestCritique:
     def test_feedback_is_full_reply(self, signal, params):
         reply = critic_reply(10, feedback="The reset polarity is wrong.")
         backend = ScriptedBackend.from_responses([reply])
-        result = critique(CallLog("s", backend), signal, AnswerContent(assertions=["a"]), params)
+        result = critique(signal_log(backend, signal), AnswerContent(assertions=["a"]), params)
         assert result.feedback == reply
 
     def test_prompt_carries_the_answers_syntax_log(self, signal, params):
         backend = RecordingBackend([critic_reply(10)])
         answer = AnswerContent(assertions=["a"], syntax_log="[1] FAIL\n  1:1 error [x] marked")
-        critique(CallLog("s", backend), signal, answer, params)
+        critique(signal_log(backend, signal), answer, params)
         assert answer.syntax_log in backend.prompts[0]
         assert signal.describe() in backend.prompts[0]
 
@@ -525,28 +553,25 @@ class TestRefine:
     def test_three_assertions(self, signal):
         reply = fenced(VALID_PROPERTY_UNIT, VALID_BARE_ASSERT, INVALID_ASSERT)
         backend = ScriptedBackend.from_responses([reply])
-        answer = refine(
-            CallLog("s", backend), signal, AnswerContent(assertions=["assert property (a);"]),
-            "feedback", "", "w",
-        )
+        answer = refine(signal_log(backend, signal), AnswerContent(assertions=["assert property (a);"]), "feedback", "")
         assert len(answer.assertions) == 3
 
     def test_empty_feedback_channels_allowed(self, signal):
         backend = ScriptedBackend.from_responses([fenced(VALID_BARE_ASSERT)])
-        answer = refine(CallLog("s", backend), signal, AnswerContent(), "", "", "")
+        answer = refine(signal_log(backend, signal, ""), AnswerContent(), "", "")
         assert len(answer.assertions) == 1
 
     def test_prompt_contains_prior_assertions(self, signal):
         backend = RecordingBackend([fenced(VALID_BARE_ASSERT)])
         prior = AnswerContent(assertions=["assert property (q_old);"], syntax_log="[1] PASS")
-        refine(CallLog("s", backend), signal, prior, "fb", "rag", "w")
+        refine(signal_log(backend, signal), prior, "fb", "rag")
         assert "assert property (q_old);" in backend.prompts[0]
         assert "[1] PASS" in backend.prompts[0]
 
     def test_input_answer_not_mutated(self, signal):
         backend = ScriptedBackend.from_responses([fenced(VALID_BARE_ASSERT)])
         prior = AnswerContent(assertions=["assert property (q_old);"], commentary="c", syntax_log="log")
-        refine(CallLog("s", backend), signal, prior, "fb", "rag", "w")
+        refine(signal_log(backend, signal), prior, "fb", "rag")
         assert prior.assertions == ["assert property (q_old);"]
         assert prior.commentary == "c"
 
@@ -558,19 +583,19 @@ def _bad_records() -> list[AssertionRecord]:
 class TestCorrectSyntax:
     def test_empty_input_no_backend_call(self, signal):
         backend = ScriptedBackend.from_responses([])  # would raise if called
-        assert correct_syntax(CallLog("s", backend), [], signal) == []
+        assert correct_syntax(signal_log(backend, signal), []) == []
 
     def test_two_fixed(self, signal):
         backend = ScriptedBackend.from_responses(
             [fenced("assert property (a);", "assert property (b);")]
         )
-        fixed = correct_syntax(CallLog("s", backend), _bad_records(), signal)
+        fixed = correct_syntax(signal_log(backend, signal), _bad_records())
         assert len(fixed) == 2
 
     def test_prompt_contains_diagnostics_verbatim(self, signal):
         backend = RecordingBackend([fenced("assert property (a);")])
         records = _bad_records()
-        correct_syntax(CallLog("s", backend), records, signal)
+        correct_syntax(signal_log(backend, signal), records)
         for record in records:
             for diagnostic in record.diagnostics:
                 assert diagnostic.message in backend.prompts[0]
@@ -578,13 +603,13 @@ class TestCorrectSyntax:
     def test_record_without_diagnostics_rejected(self, signal):
         backend = ScriptedBackend.from_responses([])
         with pytest.raises(ValueError):
-            correct_syntax(CallLog("s", backend), [AssertionRecord(text="assert property (a);")], signal)
+            correct_syntax(signal_log(backend, signal), [AssertionRecord(text="assert property (a);")])
 
 
 class TestDeduplicate:
     def test_singleton_skips_backend(self, signal):
         backend = ScriptedBackend.from_responses([])
-        kept, warnings = deduplicate(CallLog("s", backend), ["assert property (a);"], signal)
+        kept, warnings = deduplicate(signal_log(backend, signal), ["assert property (a);"])
         assert kept == ["assert property (a);"]
         assert warnings == []
 
@@ -593,14 +618,14 @@ class TestDeduplicate:
         backend = ScriptedBackend.from_responses(
             [fenced("assert property (c);", "assert property (a);")]
         )
-        kept, warnings = deduplicate(CallLog("s", backend), pool, signal)
+        kept, warnings = deduplicate(signal_log(backend, signal), pool)
         assert kept == ["assert property (a);", "assert property (c);"]
         assert warnings == []
 
     def test_non_subset_reply_rejected(self, signal):
         pool = ["assert property (a);", "assert property (b);"]
         backend = ScriptedBackend.from_responses([fenced("assert property (zzz);")])
-        kept, warnings = deduplicate(CallLog("s", backend), pool, signal)
+        kept, warnings = deduplicate(signal_log(backend, signal), pool)
         assert kept == pool
         assert len(warnings) == 1
 
@@ -608,7 +633,7 @@ class TestDeduplicate:
         pool = ["assert property (a);  // keep me"]
         pool.append("assert property (b);")
         backend = ScriptedBackend.from_responses([fenced("assert  property (a)")])
-        kept, _ = deduplicate(CallLog("s", backend), pool, signal)
+        kept, _ = deduplicate(signal_log(backend, signal), pool)
         assert kept == ["assert property (a);  // keep me"]
 
 

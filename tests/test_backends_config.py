@@ -15,7 +15,7 @@ import pytest
 from svagen.backends import BackendError, HttpChatBackend, ScriptedBackend
 from svagen.config import ConfigError, RunConfig, config_from_dict, load_config
 from svagen.prompts import DEFAULT_TEMPLATES, load_template
-from svagen.sva.checker import BuiltinChecker, DiagnosticPattern, ExternalChecker
+from svagen.sva.checker import DEFAULT_EXTERNAL_PATTERNS, BuiltinChecker, DiagnosticPattern, ExternalChecker
 
 DOCS_FORMATS = os.path.join(os.path.dirname(__file__), "..", "docs", "formats.md")
 
@@ -422,16 +422,19 @@ class TestRunConfig:
             config_from_dict({"checker": {"patterns": patterns}})
 
     @pytest.mark.parametrize(
-        "broken",
+        "broken, field",
         [
-            {"timeout_s": 0},
-            {"command_template": "lint --fast"},
-            {"patterns": [{"pattern": "x("}]},
-            {"patterns": [{"pattern": "W", "severity": "warning"}, {"pattern": "E", "severity": "Error"}]},
+            ({"timeout_s": 0}, "timeout_s"),
+            ({"command_template": "lint --fast"}, "command_template"),
+            ({"patterns": [{"pattern": "ok"}, {"pattern": "(bad"}]}, "patterns[1].pattern"),
+            (
+                {"patterns": [{"pattern": "W", "severity": "warning"}, {"pattern": "E", "severity": "Error"}]},
+                "patterns[1].severity",
+            ),
         ],
         ids=["timeout", "template", "regex", "severity"],
     )
-    def test_checker_rule_message_is_the_checkers(self, broken):
+    def test_checker_rule_message_is_the_checkers(self, broken, field):
         # the config reports a rule exactly as a checker made in code does, under `checker.`
         section = {"command_template": "lint {file}", **broken}
         patterns = [DiagnosticPattern(**p) for p in section.get("patterns", [])]
@@ -440,6 +443,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as loaded:
             config_from_dict({"checker": section})
         assert str(loaded.value) == "checker." + str(made.value)
+        assert str(made.value).startswith(field + " ")
+
+    def test_omitted_patterns_are_the_defaults_and_empty_means_none(self):
+        # one meaning in a config and in code: no key, the defaults; [], no pattern
+        command = """sh -c 'echo "ERROR (line 1): looks bad"' {file}"""
+        section = {"kind": "external", "command_template": command}
+        omitted = config_from_dict({"checker": section}).make_checker()
+        empty = config_from_dict({"checker": {**section, "patterns": []}}).make_checker()
+        assert omitted.patterns == ExternalChecker(command).patterns == DEFAULT_EXTERNAL_PATTERNS
+        assert empty.patterns == ExternalChecker(command, []).patterns == []
+        assert [d.message for d in omitted.check("assert property (a);")] == ["looks bad"]
+        assert empty.check("assert property (a);") == []  # the tool exits 0
 
     def test_external_checker_needs_command(self):
         config = config_from_dict({"checker": {"kind": "external"}})

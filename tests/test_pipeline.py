@@ -45,6 +45,7 @@ from conftest import (
     VALID_BARE_ASSERT,
     VALID_PROPERTY_UNIT,
     config_for,
+    correction_entry,
     critic_reply,
     dedup_entry,
     fenced,
@@ -334,8 +335,8 @@ class TestStage3:
             ScriptEntry(response=fenced(CORRECTED_ASSERT)),  # correction
             ScriptEntry(response=fenced(VALID_BARE_ASSERT, CORRECTED_ASSERT)),  # dedup
         ]
-        result = signal_result(config, ScriptedBackend(script), tree=tree)
-        run_stage3(config, bank, result, BuiltinChecker())
+        result = signal_result(config, ScriptedBackend(script), tree=tree, bank=bank)
+        run_stage3(result, BuiltinChecker())
         assert result.a1 == [VALID_BARE_ASSERT]
         assert result.a2 == [INVALID_ASSERT]
         assert result.a2_prime == [CORRECTED_ASSERT]
@@ -348,24 +349,24 @@ class TestStage3:
             tmp_path, bank, [VALID_BARE_ASSERT, VALID_PROPERTY_UNIT]
         )
         script = [ScriptEntry(response=fenced(VALID_BARE_ASSERT, VALID_PROPERTY_UNIT))]
-        result = signal_result(config, ScriptedBackend(script), tree=tree)
-        run_stage3(config, bank, result, BuiltinChecker())
+        result = signal_result(config, ScriptedBackend(script), tree=tree, bank=bank)
+        run_stage3(result, BuiltinChecker())
         assert result.a2 == []
         assert result.total_calls == 1  # dedup only
 
     def test_still_failing_correction_dropped(self, tmp_path, bank):
         config, tree = self._tree_with_pool(tmp_path, bank, [INVALID_ASSERT])
         script = [ScriptEntry(response=fenced("assert property (@(posedge clk) x |-> );"))]
-        result = signal_result(config, ScriptedBackend(script), tree=tree)
-        run_stage3(config, bank, result, BuiltinChecker())
+        result = signal_result(config, ScriptedBackend(script), tree=tree, bank=bank)
+        run_stage3(result, BuiltinChecker())
         assert result.a2_prime == []
         assert result.deduplicated == []
         assert any("still fails" in w for w in result.warnings)
 
     def test_singleton_pool_skips_both_calls(self, tmp_path, bank):
         config, tree = self._tree_with_pool(tmp_path, bank, [VALID_BARE_ASSERT])
-        result = signal_result(config, ScriptedBackend([]), tree=tree)
-        run_stage3(config, bank, result, BuiltinChecker())
+        result = signal_result(config, ScriptedBackend([]), tree=tree, bank=bank)
+        run_stage3(result, BuiltinChecker())
         assert result.deduplicated == [VALID_BARE_ASSERT]
         assert result.total_calls == 0
 
@@ -375,8 +376,8 @@ class TestStage3:
             assertions=[VALID_BARE_ASSERT + "  // same thing"]
         ))
         tree.record_reward(child, 20.0)
-        result = signal_result(config, ScriptedBackend([]), tree=tree)
-        run_stage3(config, bank, result, BuiltinChecker())
+        result = signal_result(config, ScriptedBackend([]), tree=tree, bank=bank)
+        run_stage3(result, BuiltinChecker())
         assert len(result.a1) == 1
 
 
@@ -411,8 +412,8 @@ def test_stage3_set_laws(tmp_path_factory, flags, fix_all):
         fixes = [f"assert property (fixed_{i});" for i in range(bad_count if fix_all else 1)]
         script.append(ScriptEntry(response=fenced(*fixes)))
     script.append(ScriptEntry(response="echo nothing useful"))  # dedup reply: no fences
-    result = signal_result(config, ScriptedBackend(script), tree=tree)
-    run_stage3(config, bank, result, StubChecker())
+    result = signal_result(config, ScriptedBackend(script), tree=tree, bank=bank)
+    run_stage3(result, StubChecker())
 
     # partition law: A1 and A2 split the pool, order preserved within groups
     assert result.a1 == [t for t in pool if "BAD" not in t]
@@ -1076,35 +1077,61 @@ def _fuzz_runs(draw):
     return n_rollouts, cap, draw(st.booleans()), replies
 
 
+def _keyed_by_stage(replies: dict[str, list[str]], n_rollouts: int) -> list[ScriptEntry]:
+    """Each signal's replies keyed as `full_signal_script(keyed=True)` keys
+    them: the stage-2 slots, and the replies past the schedule that only a
+    retry reaches, by `Signal name: <sig>`; the correction slot and the
+    deduplication slot by their own keys. So the two calls of the batch at
+    the end of a signal each find their own entries."""
+    n = 2 + 4 * n_rollouts  # stage 2's slots
+    entries = []
+    for name, rs in replies.items():
+        entries += [ScriptEntry(r, match=f"Signal name: {name}\n") for r in rs[:n] + rs[n + 2 :]]
+        entries += [correction_entry(name, r, keyed=True) for r in rs[n : n + 1]]
+        entries += [dedup_entry(name, r, keyed=True) for r in rs[n + 1 : n + 2]]
+    return entries
+
+
 @given(run=_fuzz_runs())
 @settings(max_examples=100, deadline=None)
 def test_run_all_keeps_its_laws_under_generated_replies(tmp_path_factory, run):
     """`run_all` over generated replies, keyed per signal: no exception
     escapes it, the logs keep their caps and the backend's count, the set
     laws hold by normal form, every final assertion passes the checker,
-    every log fits the call schedule, every record loads through `svagen
-    tree show`, and `parallel` 1 and 3 write the same bytes."""
+    every log fits the call schedule and every record loads through `svagen
+    tree show`. Keyed by each signal's bank entry, `parallel` 1 and 3 write
+    the same bytes. Keyed by stage, a backend that is not `serial` at
+    `parallel` 3, which sends stage 3's first call beside the last
+    evaluation, writes the bytes of a `serial` one, unless a signal failed
+    in either run (a last evaluation that fails at the backend has charged
+    that call already)."""
     from svagen.cli import main
 
     n_rollouts, cap, early_stop, replies = run
     tmp_path = tmp_path_factory.mktemp("fuzz")
-    outputs = []
-    for parallel in (1, 3):
+    # each signal's prompts, and no other's, hold its bank entry's name line
+    by_name = [ScriptEntry(r, match=f"[Verilog Name]: {name}\n") for name, rs in replies.items() for r in rs]
+    by_stage = _keyed_by_stage(replies, n_rollouts)
+    runs = {
+        "p1": (ScriptedBackend(by_name), 1),
+        "p3": (ScriptedBackend(by_name), 3),
+        "staged-serial": (ScriptedBackend(by_stage), 1),
+        "staged-live": (LiveBackend(by_stage), 3),
+    }
+    outputs, failed = {}, {}
+    for tag, (backend, parallel) in runs.items():
         config = config_for(
-            tmp_path / f"p{parallel}", n_rollouts=n_rollouts, early_stop=early_stop, parallel=parallel,
+            tmp_path / tag, n_rollouts=n_rollouts, early_stop=early_stop, parallel=parallel,
             max_api_calls_per_signal=cap,
         )
         save_bank(make_bank(FUZZ_SIGNALS), config.paths.bank_file)
-        # each signal's prompts, and no other's, hold its bank entry's name line
-        backend = ScriptedBackend(
-            [ScriptEntry(r, match=f"[Verilog Name]: {name}\n") for name, rs in replies.items() for r in rs]
-        )
         summary = run_all(config, backend=backend, checker=BuiltinChecker())
 
-        assert backend.calls == len(summary.stage1) + sum(len(r.log) for r in summary.results)
+        scripted = getattr(backend, "inner", backend)
+        assert scripted.calls == len(summary.stage1) + sum(len(r.log) for r in summary.results)
         for result in summary.results:
             assert len(result.log) <= cap
-            assert fits_schedule(result.log.events, n_rollouts, backend.serial), result.log.events
+            assert fits_schedule(result.log.events, n_rollouts, getattr(backend, "serial", False)), result.log.events
             if result.tree is None:
                 continue
             norm = agents.normalize_assertion
@@ -1113,12 +1140,14 @@ def test_run_all_keeps_its_laws_under_generated_replies(tmp_path_factory, run):
             assert {norm(t) for t in result.deduplicated} <= {norm(t) for t in result.a3}
             for text in result.deduplicated:
                 assert not any(d.severity == "error" for d in BuiltinChecker().check(text)), text
-        outputs.append(output_files(config.paths.output_dir))
-        for name in outputs[-1]:
+        outputs[tag], failed[tag] = output_files(config.paths.output_dir), summary.failed_signals
+        for name in outputs[tag]:
             if name.startswith("signals" + os.sep):
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert main(["tree", "show", os.path.join(config.paths.output_dir, name)]) == 0, name
-    assert outputs[0] == outputs[1]
+    assert outputs["p1"] == outputs["p3"]
+    if not failed["staged-serial"] and not failed["staged-live"]:
+        assert outputs["staged-serial"] == outputs["staged-live"]
 
 
 ROOT_CALLS = [("sva", None), ("critic", "root-evaluation")]

@@ -4,10 +4,14 @@ failed or refused batch leaves the log holding exactly the calls the
 backend received. `CallLog.complete` with `then`: the log alone decides
 whether to build and send a call beside another, from the backend and its
 room; such a call is charged after the other and answered later without
-being sent again."""
+being sent again. Every prompt of a scripted run keeps the bytes pinned in
+`prompt_digests.txt`."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 import sys
 import threading
 import time
@@ -15,7 +19,12 @@ import time
 import pytest
 
 from svagen.backends import BackendError, ScriptedBackend, ScriptEntry
+from svagen.pipeline import run_all
 from svagen.prompts import BudgetExceededError, CallLog
+from svagen.rag import HashedBowEmbedder, VectorIndex
+from svagen.sva.checker import BuiltinChecker
+
+from conftest import config_for, full_signal_script
 
 WAIT_S = 5.0  # bound on every wait, so a broken pool fails instead of hanging
 
@@ -253,3 +262,70 @@ class TestCompleteThen:
         assert backend.calls == len(log) == 1
         assert log.complete(*call1) == "reply 1"
         assert [e.role for e in log.events] == ["role0", "role1"]
+
+
+PROMPT_DIGESTS = os.path.join(os.path.dirname(__file__), "prompt_digests.txt")
+
+
+class RecordingBackend(ScriptedBackend):
+    """A scripted backend that keeps every message list it is sent."""
+
+    def __init__(self, entries) -> None:
+        super().__init__(entries)
+        self.sent: list[list[dict[str, str]]] = []
+
+    def complete(self, messages):
+        self.sent.append(messages)
+        return super().complete(messages)
+
+
+def prompt_digest_lines(tmp_path) -> list[str]:
+    """One `role sha256` line per call of a scripted run, in call order:
+    stage 1 from a spec, a waveform and a design summary, then `ack_o`
+    through two rollouts with retrieval, a critic retry, a correction and
+    a deduplication. The digest is of the call's messages as sorted JSON."""
+    config = config_for(tmp_path, n_rollouts=2, early_stop=False, max_api_calls_per_signal=13)  # room for the retry
+    paths = config.paths
+    inputs = {
+        "spec.txt": "The ack_o output acknowledges req_i one cycle later, on the clk_i edge.",
+        "m.v": "module m(input clk_i, input req_i, output reg ack_o); endmodule",
+        "wf0.txt": "waveform wf0: req_i rises, ack_o rises one cycle later",
+        "summary.txt": "A one-cycle request/acknowledge handshake.",
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    paths.spec_file, paths.verilog_file = str(tmp_path / "spec.txt"), str(tmp_path / "m.v")
+    paths.waveform_files = [str(tmp_path / "wf0.txt")]
+    paths.design_summary_file = str(tmp_path / "summary.txt")
+    index = VectorIndex()
+    index.add("guide.txt", ["Reset ack_o with disable iff (rst_i) around the handshake."], HashedBowEmbedder())
+    index.save(str(tmp_path / "index.jsonl"))
+    config.rag.index_path = str(tmp_path / "index.jsonl")
+
+    script = [
+        ScriptEntry("ack_o: acknowledge output"),
+        ScriptEntry("[Signal Name]: ack_o\n[Description]: acknowledge output\n[Functionality]: rises after req_i"),
+        ScriptEntry("[Waveform Name]: wf0\n[Signals]: req_i, ack_o\n[Timing Relationship]: ack_o one cycle later"),
+    ]
+    signal_script = full_signal_script("ack_o", n_rollouts=2)
+    signal_script.insert(1, ScriptEntry("no score yet"))  # the root evaluation asks again
+    backend = RecordingBackend(script + signal_script)
+    summary = run_all(config, backend=backend, checker=BuiltinChecker())
+
+    assert [(r.signal, r.failed) for r in summary.results] == [("ack_o", False)]
+    events = summary.stage1.events + summary.results[0].log.events
+    assert len(events) == len(backend.sent) == backend.calls
+    return [
+        f"{event.role} {hashlib.sha256(json.dumps(messages, sort_keys=True).encode()).hexdigest()}"
+        for event, messages in zip(events, backend.sent)
+    ]
+
+
+def test_every_rendered_prompt_keeps_its_bytes(tmp_path):
+    """Every message list of a scripted run, stage 1 to deduplication,
+    hashes as pinned in `prompt_digests.txt`."""
+    lines = prompt_digest_lines(tmp_path)
+    with open(PROMPT_DIGESTS, encoding="utf-8") as f:
+        pinned = f.read().splitlines()
+    assert [line.split()[0] for line in lines] == [line.split()[0] for line in pinned]
+    assert lines == pinned
