@@ -15,8 +15,9 @@ adding an operator means adding one row there.
 The parser is permissive where RTL context would be needed: identifier
 references are never resolved, so a name the design does not declare
 passes without a diagnostic (ROADMAP item 3 plans a scope pass to flag
-it). Every AST node re-serializes to the exact token stream it was
-parsed from (checked by the round-trip tests).
+it). The AST is plain data: `tokens` in the tests' `sva_tokens.py`
+re-serializes any node to the exact token stream it was parsed from, and
+the round-trip tests check that it does.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from dataclasses import dataclass, field
 
 from svagen.sva.operators import INFIX, PREFIX
 # The parser does not call `tokenize`; bench/run_bench.py traces it as `parser.tokenize`.
-from svagen.sva.tokens import KEYWORDS, STOP_MESSAGES, Tok, Unit, position, scan, tokenize  # noqa: F401
-
-TokenSig = tuple[str, str]
+from svagen.sva.tokens import STOP_MESSAGES, Tok, Unit, position, scan, tokenize  # noqa: F401
 
 # The known system functions, each with its minimum argument count: the
 # sampled-value and counting functions need an operand to sample.
@@ -70,77 +69,34 @@ def has_error(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity == "error" for d in diagnostics)
 
 
-def _kw(text: str) -> TokenSig:
-    return ("keyword", text)
-
-
-def _op(text: str) -> TokenSig:
-    """An operator's token: a keyword for a word operator, as the lexer
-    reads it."""
-    return ("keyword" if text in KEYWORDS else "operator", text)
-
-
-def _p(text: str) -> TokenSig:
-    return ("punctuation", text)
-
-
-def _bound(lexeme: str) -> TokenSig:
-    """A range bound: a number, or `$` for an unbounded upper end."""
-    return ("identifier", "$") if lexeme == "$" else ("number", lexeme)
-
-
-def _comma_list(items: list) -> list[TokenSig]:
-    out: list[TokenSig] = []
-    for i, item in enumerate(items):
-        if i:
-            out.append(_p(","))
-        out += item.to_tokens()
-    return out
-
-
 # --------------------------------------------------------------------------
-# AST nodes. Each node serializes back to tokens via to_tokens().
+# AST nodes: plain data, compared field by field.
 
 
 @dataclass(slots=True)
 class Identifier:
     name: str
 
-    def to_tokens(self) -> list[TokenSig]:
-        return [("identifier", self.name)]
-
 
 @dataclass(slots=True)
 class Number:
     text: str
-
-    def to_tokens(self) -> list[TokenSig]:
-        return [("number", self.text)]
 
 
 @dataclass(slots=True)
 class StringLit:
     text: str  # includes the quotes
 
-    def to_tokens(self) -> list[TokenSig]:
-        return [("string", self.text)]
-
 
 @dataclass(slots=True)
 class Paren:
     inner: object
-
-    def to_tokens(self) -> list[TokenSig]:
-        return [_p("(")] + self.inner.to_tokens() + [_p(")")]
 
 
 @dataclass(slots=True)
 class Unary:
     op: str  # a prefix lexeme of OPERATORS
     operand: object
-
-    def to_tokens(self) -> list[TokenSig]:
-        return [_op(self.op)] + self.operand.to_tokens()
 
 
 @dataclass(slots=True)
@@ -149,24 +105,12 @@ class Binary:
     left: object
     right: object
 
-    def to_tokens(self) -> list[TokenSig]:
-        return self.left.to_tokens() + [_op(self.op)] + self.right.to_tokens()
-
 
 @dataclass(slots=True)
 class Ternary:
     cond: object
     if_true: object
     if_false: object
-
-    def to_tokens(self) -> list[TokenSig]:
-        return (
-            self.cond.to_tokens()
-            + [_op("?")]
-            + self.if_true.to_tokens()
-            + [_op(":")]
-            + self.if_false.to_tokens()
-        )
 
 
 @dataclass(slots=True)
@@ -175,20 +119,12 @@ class Implication:
     antecedent: object
     consequent: object
 
-    def to_tokens(self) -> list[TokenSig]:
-        return self.antecedent.to_tokens() + [_op(self.op)] + self.consequent.to_tokens()
-
 
 @dataclass(slots=True)
 class DelayBounds:
     low: str  # number lexeme
     high: str | None = None  # number lexeme or "$"; None for a plain ##N
     ranged: bool = False
-
-    def to_tokens(self) -> list[TokenSig]:
-        if not self.ranged:
-            return [("number", self.low)]
-        return [_p("["), ("number", self.low), _op(":"), _bound(self.high), _p("]")]
 
 
 @dataclass(slots=True)
@@ -199,15 +135,6 @@ class Delay:
     bounds: DelayBounds
     rhs: object
 
-    def to_tokens(self) -> list[TokenSig]:
-        out: list[TokenSig] = []
-        if self.lhs is not None:
-            out += self.lhs.to_tokens()
-        out.append(_op("##"))
-        out += self.bounds.to_tokens()
-        out += self.rhs.to_tokens()
-        return out
-
 
 @dataclass(slots=True)
 class Repetition:
@@ -217,28 +144,12 @@ class Repetition:
     low: str | None = None
     high: str | None = None  # number lexeme or "$"
 
-    def to_tokens(self) -> list[TokenSig]:
-        out = self.operand.to_tokens() + [_p("["), _op("*")]
-        if self.low is not None:
-            out.append(("number", self.low))
-            if self.high is not None:
-                out += [_op(":"), _bound(self.high)]
-        out.append(_p("]"))
-        return out
-
 
 @dataclass(slots=True)
 class Index:
     base: object
     low: object
     high: object | None = None  # part-select when present
-
-    def to_tokens(self) -> list[TokenSig]:
-        out = self.base.to_tokens() + [_p("[")] + self.low.to_tokens()
-        if self.high is not None:
-            out += [_op(":")] + self.high.to_tokens()
-        out.append(_p("]"))
-        return out
 
 
 @dataclass(slots=True)
@@ -247,19 +158,10 @@ class Call:
     args: list = field(default_factory=list)
     parenthesized: bool = True  # $fatal; is a call without parens
 
-    def to_tokens(self) -> list[TokenSig]:
-        out: list[TokenSig] = [("identifier", self.name)]
-        if self.parenthesized:
-            out += [_p("(")] + _comma_list(self.args) + [_p(")")]
-        return out
-
 
 @dataclass(slots=True)
 class Concat:
     parts: list
-
-    def to_tokens(self) -> list[TokenSig]:
-        return [_p("{")] + _comma_list(self.parts) + [_p("}")]
 
 
 @dataclass(slots=True)
@@ -267,21 +169,11 @@ class Replication:
     count: object
     inner: Concat
 
-    def to_tokens(self) -> list[TokenSig]:
-        return [_p("{")] + self.count.to_tokens() + self.inner.to_tokens() + [_p("}")]
-
 
 @dataclass(slots=True)
 class Clocking:
     edge: str  # "posedge" | "negedge"; the subset requires an explicit edge
     expr: object
-
-    def to_tokens(self) -> list[TokenSig]:
-        return (
-            [_p("@"), _p("("), _kw(self.edge)]
-            + self.expr.to_tokens()
-            + [_p(")")]
-        )
 
 
 @dataclass(slots=True)
@@ -289,17 +181,6 @@ class PropertySpec:
     clocking: Clocking | None
     disable_expr: object | None
     body: object
-
-    def to_tokens(self) -> list[TokenSig]:
-        out: list[TokenSig] = []
-        if self.clocking is not None:
-            out += self.clocking.to_tokens()
-        if self.disable_expr is not None:
-            out += [_kw("disable"), _kw("iff"), _p("(")]
-            out += self.disable_expr.to_tokens()
-            out.append(_p(")"))
-        out += self.body.to_tokens()
-        return out
 
 
 @dataclass(slots=True)
@@ -309,33 +190,12 @@ class AssertStmt:
     verb: str = "assert"  # assert | assume | cover
     else_action: Call | None = None
 
-    def to_tokens(self) -> list[TokenSig]:
-        out: list[TokenSig] = []
-        if self.label:
-            out += [("identifier", self.label), _op(":")]
-        out += [_kw(self.verb), _kw("property"), _p("(")]
-        out += self.spec.to_tokens()
-        out.append(_p(")"))
-        if self.else_action is not None:
-            out += [_kw("else")] + self.else_action.to_tokens()
-        out.append(_p(";"))
-        return out
-
 
 @dataclass(slots=True)
 class PropertyDecl:
     name: str
     spec: PropertySpec
     attached_assert: AssertStmt | None = None
-
-    def to_tokens(self) -> list[TokenSig]:
-        out: list[TokenSig] = [_kw("property"), ("identifier", self.name), _p(";")]
-        out += self.spec.to_tokens()
-        out.append(_p(";"))
-        out.append(_kw("endproperty"))
-        if self.attached_assert is not None:
-            out += self.attached_assert.to_tokens()
-        return out
 
 
 SvaAst = PropertyDecl | AssertStmt
@@ -775,9 +635,3 @@ def parse_assertion(source: str) -> tuple[SvaAst | None, list[Diagnostic]]:
         code, message = "parse-empty", "no assertion unit found"
     return None, diagnostics + [Diagnostic("error", 1, 1, code, message)]
 
-
-def units_to_token_signature(units: list[SvaAst]) -> list[TokenSig]:
-    out: list[TokenSig] = []
-    for u in units:
-        out += u.to_tokens()
-    return out

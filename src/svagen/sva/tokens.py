@@ -222,8 +222,3 @@ def tokenize(source: str) -> list[Token]:
     """Lex `source` into tokens with 1-based line/column positions; never
     raises."""
     return [Token(kind, text, *position(source, start)) for kind, text, start in scan(source)]
-
-
-def token_signature(tokens: list[Token]) -> list[tuple[str, str]]:
-    """Position-free view of a token stream, used for round-trip checks."""
-    return [(t.kind, t.lexeme) for t in tokens]

@@ -28,8 +28,8 @@ from svagen.backends import ScriptedBackend, ScriptEntry
 from svagen.pipeline import run_all, run_stage2, run_stage3
 from svagen.rag import HashedBowEmbedder, VectorIndex
 from svagen.sva.checker import BuiltinChecker
-from svagen.sva.parser import Diagnostic, parse_assertion, parse_units, units_to_token_signature
-from svagen.sva.tokens import token_signature, tokenize
+from svagen.sva.parser import Diagnostic, parse_assertion, parse_units
+from svagen.sva.tokens import tokenize
 from svagen.tree import AnswerContent, ReasoningNode, ReasoningTree, SearchParams
 
 from conftest import (
@@ -45,6 +45,7 @@ from conftest import (
     stage2_script,
 )
 from sva_corpus import CORPUS, TIMER_INTERRUPT_ASSERTION
+from sva_tokens import lexed, tokens
 
 
 def _report(name: str, detail: str = "") -> None:
@@ -201,7 +202,7 @@ def test_sva_parser_corpus():
     for source in CORPUS:
         units, diags = parse_units(source)
         assert [d for d in diags if d.severity == "error"] == [], source
-        assert units_to_token_signature(units) == token_signature(tokenize(source))
+        assert tokens(units) == lexed(source)
 
     caught = 0
     total = 0

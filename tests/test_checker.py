@@ -237,6 +237,15 @@ class TestExternalChecker:
         diags = checker.check("assert property (x);")
         assert diags[0].line == 5 and diags[0].column == 9 and diags[0].code == "E42"
 
+    def test_pattern_without_position_groups_reports_1_1(self):
+        [d] = DiagnosticPattern(r"lint: (?P<message>.+)").match_all("ok\nlint: bad delay\n")
+        assert d.render() == "1:1 error [external-tool] bad delay"
+
+    def test_pattern_without_message_group_reports_the_whole_match_stripped(self):
+        pattern = DiagnosticPattern(r"\s*E42 at line (?P<line>\d+)\s*", severity="warning", code="E42")
+        [d] = pattern.match_all("  E42 at line 5  \nnext")
+        assert d.render() == "5:1 warning [E42] E42 at line 5"
+
     def test_template_requires_file_placeholder(self):
         with pytest.raises(ValueError):
             ExternalChecker("lint --fast")

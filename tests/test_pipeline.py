@@ -1040,11 +1040,19 @@ def _with_crlf(replies):
     return st.tuples(replies, st.booleans()).map(lambda r: r[0].replace("\n", "\r\n") if r[1] else r[0])
 
 
+def _at_any_offset(replies, edit):
+    """`edit(reply, k)` of each reply at an offset `k` drawn within it."""
+    return replies.flatmap(lambda r: st.integers(0, len(r)).map(lambda k: edit(r, k)))
+
+
+_fenced_replies = st.lists(st.sampled_from(FUZZ_UNITS), min_size=1, max_size=3).map(lambda units: fenced(*units))
 _answer_replies = _with_crlf(
     _mostly(
-        st.lists(st.sampled_from(FUZZ_UNITS), min_size=1, max_size=3).map(lambda units: fenced(*units)),
+        _fenced_replies,
         st.lists(st.sampled_from(FUZZ_UNITS), min_size=1, max_size=2).map("\n".join),
         st.sampled_from(["The request is acknowledged one cycle later.", "", fenced()]),
+        _at_any_offset(_fenced_replies, lambda r, k: r[:k]),  # cut short
+        _at_any_offset(_fenced_replies, lambda r, k: r[:k] + "\0" + r[k:]),  # a NUL byte
     )
 )
 _critic_replies = _with_crlf(

@@ -1,27 +1,47 @@
 """Tokenizer and parser tests: worked examples, the corpus round-trip law,
-and mutation sensitivity via single-token deletion."""
+mutation sensitivity via single-token deletion, and assertions generated
+from the operator table that must parse back to the tree they print."""
 
 from __future__ import annotations
+
+import dataclasses
+import functools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svagen.sva.operators import OPERATORS
+from svagen.sva import parser
+from svagen.sva.checker import BuiltinChecker
+from svagen.sva.operators import INFIX, OPERATORS, PREFIX
 from svagen.sva.parser import (
     AssertStmt,
     Binary,
+    Call,
+    Clocking,
+    Concat,
+    Delay,
+    DelayBounds,
+    Diagnostic,
     Identifier,
     Implication,
+    Index,
+    Number,
+    Paren,
     PropertyDecl,
+    PropertySpec,
+    Repetition,
+    Replication,
+    Ternary,
     Unary,
+    has_error,
     parse_assertion,
     parse_units,
-    units_to_token_signature,
 )
-from svagen.sva.tokens import Token, scan, token_signature, tokenize
+from svagen.sva.tokens import Token, scan, tokenize
 
 from sva_corpus import CORPUS, TIMER_INTERRUPT_ASSERTION
+from sva_tokens import lexed, tokens
 
 
 def errors_of(diagnostics):
@@ -67,10 +87,10 @@ class TestTokenize:
     @pytest.mark.parametrize("literal", ["8'h FF", "5 'D 3", "4'sb 1010", "'h FF", "4 'd\n 7"])
     def test_whitespace_around_a_sized_literal_base(self, literal):
         # IEEE 1800-2017 5.7.1: space may follow the size and the base letter
-        assert token_signature(tokenize(literal)) == [("number", literal)]
+        assert lexed(literal) == [("number", literal)]
 
     def test_no_whitespace_between_apostrophe_and_base(self):
-        assert token_signature(tokenize("8' hFF")) == [
+        assert lexed("8' hFF") == [
             ("number", "8"),
             ("error", "unexpected character \"'\""),
             ("identifier", "hFF"),
@@ -164,15 +184,14 @@ class TestElseAction:
     list, and a non-system task (a warning, not an error)."""
 
     HEAD = "assert property (@(posedge clk) a |-> b) else "
+    ACTIONS = ["$fatal;", "$error();", '$error("x", a);', "my_task(1, 2);"]
 
-    @pytest.mark.parametrize(
-        "action", ["$fatal;", "$error();", '$error("x", a);', "my_task(1, 2);"]
-    )
+    @pytest.mark.parametrize("action", ACTIONS)
     def test_round_trip(self, action):
         source = self.HEAD + action
         units, diagnostics = parse_units(source)
         assert errors_of(diagnostics) == []
-        assert units_to_token_signature(units) == token_signature(tokenize(source))
+        assert tokens(units) == lexed(source)
 
     def test_call_without_parentheses(self):
         ast, diagnostics = parse_assertion(self.HEAD + "$fatal;")
@@ -247,7 +266,7 @@ class TestCorpus:
         source = CORPUS[idx]
         units, diagnostics = parse_units(source)
         assert errors_of(diagnostics) == []
-        assert units_to_token_signature(units) == token_signature(tokenize(source))
+        assert tokens(units) == lexed(source)
 
 
 def mutation_rate(corpus: list[str]) -> tuple[int, int]:
@@ -272,78 +291,252 @@ def test_single_token_deletion_sensitivity():
 
 
 # --------------------------------------------------------------------------
-# Generator-based round trip: random grammar-valid assertions must
-# re-serialize to their own token stream.
+# The table-driven generator: ASTs at the three levels of IEEE 1800-2017
+# §16, each operator row drawn from OPERATORS, printed through `tokens` with
+# the parentheses the rows' bp and assoc columns need and no others. The
+# parser must give back exactly the drawn tree, its Paren nodes included.
+#
+# The levels keep each operand legal SVA: a boolean operand is never a
+# sequence or a property, an implication's antecedent is a sequence, and
+# `$` is only a range bound. So the checker's false accepts, such as
+# `(a |-> b) && c` or `$past(a) == a[*2]`, are never drawn.
 
-_ident = st.sampled_from(["clk", "rst_n", "req", "ack", "data", "busy", "sel"])
-_number = st.sampled_from(["1", "3", "4'd7", "8'hFF", "2'b01"])
+_BOOLEAN_BP = INFIX["?"].bp  # a boolean operand is parsed at the level of ?:
+ROWS = [op for op in OPERATORS if op.fixity != "lexeme"]
+BOOLEAN_ROWS = [op for op in ROWS if op.bp >= _BOOLEAN_BP]
+SEQUENCE_ROWS = [op for op in ROWS if op.bp < _BOOLEAN_BP and op.shape in ("delay", "binary")]
+PROPERTY_ROWS = [op for op in ROWS if op.bp < _BOOLEAN_BP and op.shape in ("unary", "implication", "binary")]
+
+_NAMES = ["clk", "rst_n", "req", "ack", "data", "busy", "sel"]
+LEAVES = [
+    *map(Identifier, _NAMES),
+    *map(Number, ["1", "3", "4'd7", "8'hFF", "2'b01"]),
+    *(Call(f, [Identifier("req")]) for f in ("$rose", "$fell", "$stable", "$past")),
+    *(Index(Identifier("data"), Number(i)) for i in ("0", "3", "7")),
+    Concat([Identifier("req"), Identifier("ack")]),
+    *(Replication(Number(n), Concat([Identifier("sel")])) for n in ("2", "4")),
+]
+DELAY_BOUNDS = [  # ##n, ##[m:n], ##[m:$]
+    DelayBounds("1"),
+    DelayBounds("2"),
+    DelayBounds("0", "2", ranged=True),
+    DelayBounds("1", "3", ranged=True),
+    DelayBounds("1", "$", ranged=True),
+]
+REPETITION_COUNTS = [(None, None), ("3", None), ("1", "3"), ("2", "$")]  # [*], [*n], [*m:n], [*m:$]
 
 
-def _leaf() -> st.SearchStrategy[str]:
-    return st.one_of(
-        _ident,
-        _number,
-        st.builds(lambda f, a: f"{f}({a})", st.sampled_from(["$rose", "$fell", "$stable", "$past"]), _ident),
-        st.builds(lambda b, i: f"{b}[{i}]", _ident, st.sampled_from(["0", "3", "7"])),
-        st.builds(lambda a, b: f"{{{a}, {b}}}", _ident, _ident),
-        st.builds(lambda n, a: f"{{{n}{{{a}}}}}", st.sampled_from(["2", "4"]), _ident),
+def _arity(op) -> int:
+    return 1 if op.fixity == "prefix" else 3 if op.shape == "ternary" else 2
+
+
+def _node(op, operands, bounds=DELAY_BOUNDS[0]):
+    """The node the parser builds for row `op` over `operands`, left to
+    right."""
+    if op.shape == "delay":
+        return Delay(operands[0] if op.fixity == "infix" else None, bounds, operands[-1])
+    if op.shape == "ternary":
+        return Ternary(*operands)
+    if op.fixity == "prefix":
+        return Unary(op.lexeme, *operands)
+    return (Implication if op.shape == "implication" else Binary)(op.lexeme, *operands)
+
+
+def _row(node):
+    """The row whose parse built `node`; None for an operand that is not an
+    operator expression."""
+    match node:
+        case Unary(op):
+            return PREFIX[op]
+        case Binary(op) | Implication(op):
+            return INFIX[op]
+        case Ternary():
+            return INFIX["?"]
+        case Delay(lhs):
+            return PREFIX["##"] if lhs is None else INFIX["##"]
+    return None
+
+
+def _takes(node, op) -> bool:
+    """Whether `node`, printed left of the infix row `op`, would take `op`
+    into its right end: a row on its right spine binds more loosely than
+    `op`, or as tightly and to the right (`not a ##1 b` is `not (a ##1 b)`)."""
+    row = _row(node)
+    if row is None:
+        return False
+    if op.bp > row.bp or (op.bp == row.bp and row.assoc == "right"):
+        return True
+    match node:
+        case Unary(_, last) | Binary(_, _, last) | Implication(_, _, last) | Ternary(_, _, last) | Delay(_, _, last):
+            return _takes(last, op)
+
+
+def _loose(node, op) -> bool:
+    """Whether `node`, read as an operand right of row `op`, binds more
+    loosely than `op` admits there: at a lower level, or at the same level
+    of a left-associative `op`."""
+    row = _row(node)
+    return row is not None and (row.bp < op.bp or (row.bp == op.bp and op.assoc == "left"))
+
+
+def parenthesized(node):
+    """`node` with a Paren around each operand the parser would otherwise
+    read into another tree, decided from the bp and assoc columns alone. A
+    repetition suffix binds tighter than every row."""
+    p = parenthesized
+    row = _row(node)
+
+    def left(x):
+        return Paren(x) if _takes(x, row) else x
+
+    def right(x):
+        return Paren(x) if _loose(x, row) else x
+
+    match node:
+        case Unary(op, operand):
+            return Unary(op, right(p(operand)))
+        case Binary(op, lhs, rhs) | Implication(op, lhs, rhs):
+            return type(node)(op, left(p(lhs)), right(p(rhs)))
+        case Ternary(cond, if_true, if_false):
+            return Ternary(left(p(cond)), right(p(if_true)), right(p(if_false)))
+        case Delay(lhs, bounds, rhs):
+            return Delay(None if lhs is None else left(p(lhs)), bounds, right(p(rhs)))
+        case Repetition(operand, low, high):
+            operand = p(operand)
+            return Repetition(operand if _row(operand) is None else Paren(operand), low, high)
+    return node
+
+
+def _over(op, operand, antecedent):
+    """Row `op`'s node over operands drawn from `operand`; an implication's
+    antecedent from `antecedent`."""
+    first = antecedent if op.shape == "implication" else operand
+    rest = [operand] * (_arity(op) - 1)
+    return st.builds(lambda bounds, *xs: _node(op, xs, bounds), st.sampled_from(DELAY_BOUNDS), first, *rest)
+
+
+def _rows(rows, operand, antecedent=None):
+    return st.sampled_from(rows).flatmap(lambda op: _over(op, operand, antecedent))
+
+
+@functools.cache
+def _booleans(depth: int):
+    if depth == 0:
+        return st.sampled_from(LEAVES)
+    return st.one_of(st.sampled_from(LEAVES), _rows(BOOLEAN_ROWS, _booleans(depth - 1)))
+
+
+@functools.cache
+def _sequences(depth: int):
+    """A boolean, a sequence row, or a repetition of a boolean or a
+    sequence row (IEEE 1800-2017 repeats a sequence only in parentheses,
+    so never a repetition directly)."""
+    if depth == 0:
+        return _booleans(2)
+    rows = _rows(SEQUENCE_ROWS, _sequences(depth - 1))
+    repeated = st.builds(
+        lambda operand, count: Repetition(operand, *count),
+        st.one_of(_booleans(2), rows),
+        st.sampled_from(REPETITION_COUNTS),
     )
+    return st.one_of(_booleans(2), repeated, rows)
 
 
-def _bool_expr(depth: int) -> st.SearchStrategy[str]:
-    if depth <= 0:
-        return _leaf()
-    sub = _bool_expr(depth - 1)
-    return st.one_of(
-        _leaf(),
-        st.builds(lambda a: f"(!{a})", sub),
-        st.builds(
-            lambda a, op, b: f"({a} {op} {b})",
-            sub,
-            st.sampled_from(["&&", "||", "==", "!=", "<", ">=", "+", "&", "|"]),
-            sub,
-        ),
-    )
+@functools.cache
+def _properties(depth: int):
+    """A sequence or a property row; an implication's antecedent is a
+    sequence."""
+    if depth == 0:
+        return _sequences(2)
+    return st.one_of(_sequences(2), _rows(PROPERTY_ROWS, _properties(depth - 1), _sequences(2)))
 
 
-def _seq_expr(depth: int) -> st.SearchStrategy[str]:
-    base = _bool_expr(depth)
-    return st.one_of(
-        base,
-        st.builds(lambda a, n, b: f"{a} ##{n} {b}", base, st.sampled_from(["1", "2"]), base),
-        st.builds(lambda a, m, n: f"({a})[*{m}:{n}]", base, st.sampled_from(["1", "2"]), st.sampled_from(["3", "$"])),
-    )
+def assert_prints_back(body, disable=None, edge="posedge"):
+    """Parenthesize `body` (and `disable`), print the assertion through
+    `tokens` joined by spaces, and check that the checker passes the text,
+    the parser gives back exactly that tree and the text lexes to its
+    tokens."""
+    disable = None if disable is None else parenthesized(disable)
+    spec = PropertySpec(Clocking(edge, Identifier("clk")), disable, parenthesized(body))
+    stmt = AssertStmt(spec)
+    text = " ".join(lexeme for _, lexeme in tokens(stmt))
+    assert not has_error(BuiltinChecker().check(text)), text
+    assert parse_units(text)[0] == [stmt], text
+    assert lexed(text) == tokens(stmt)
+    return stmt
 
 
-_assertions = st.builds(
-    lambda edge, dis, ante, op, cons: (
-        f"assert property (@({edge} clk) "
-        + (f"disable iff ({dis}) " if dis else "")
-        + f"{ante} {op} {cons});"
-    ),
-    st.sampled_from(["posedge", "negedge"]),
-    st.one_of(st.none(), _bool_expr(1)),
-    _seq_expr(2),
-    st.sampled_from(["|->", "|=>"]),
-    _seq_expr(2),
+@given(
+    body=_properties(2),
+    disable=st.one_of(st.none(), _booleans(1)),
+    edge=st.sampled_from(["posedge", "negedge"]),
 )
-
-
-@given(source=_assertions)
 @settings(max_examples=200, deadline=None)
-def test_generated_assertions_round_trip(source):
-    units, diagnostics = parse_units(source)
-    assert [d for d in diagnostics if d.severity == "error"] == []
-    assert units_to_token_signature(units) == token_signature(tokenize(source))
+def test_generated_assertions_round_trip(body, disable, edge):
+    assert_prints_back(body, disable, edge)
 
 
-@pytest.mark.parametrize(
-    "op", [op for op in OPERATORS if op.fixity != "lexeme"], ids=lambda op: f"{op.fixity} {op.lexeme}"
-)
+def test_the_levels_cover_every_row():
+    assert {*BOOLEAN_ROWS, *SEQUENCE_ROWS, *PROPERTY_ROWS} == set(ROWS)
+
+
+def _row_case(op):
+    """Row `op` over leaves, with its own node again as the last operand,
+    so its associativity decides the parentheses."""
+    leaves = LEAVES[2 : 2 + _arity(op)]
+    return _node(op, [*leaves[:-1], _node(op, leaves)])
+
+
+@pytest.mark.parametrize("op", ROWS, ids=lambda op: f"{op.fixity} {op.lexeme}")
+def test_each_row_prints_back(op):
+    assert_prints_back(_row_case(op))
+
+
+FORM_CASES = [
+    *LEAVES,
+    *(Delay(LEAVES[2], bounds, LEAVES[3]) for bounds in DELAY_BOUNDS),
+    *(Repetition(LEAVES[2], *count) for count in REPETITION_COUNTS),
+]
+
+
+@pytest.mark.parametrize("form", FORM_CASES, ids=lambda form: " ".join(lexeme for _, lexeme in tokens(form)))
+def test_each_form_prints_back(form):
+    assert_prints_back(form)
+
+
+def _classes(node) -> set[type]:
+    """The classes of `node` and of every node under it."""
+    if isinstance(node, list):
+        return set().union(*map(_classes, node))
+    if not dataclasses.is_dataclass(node):
+        return set()
+    return {type(node)}.union(*(_classes(getattr(node, f.name)) for f in dataclasses.fields(node)))
+
+
+def test_round_trips_reach_every_ast_class():
+    # the corpus, the else-action cases and the generator's fixed cases
+    sources = CORPUS + [TestElseAction.HEAD + action for action in TestElseAction.ACTIONS]
+    reached = _classes([parse_units(source)[0] for source in sources])
+    reached |= _classes([assert_prints_back(case) for case in [*map(_row_case, ROWS), *FORM_CASES]])
+    ast_classes = {
+        value
+        for value in vars(parser).values()
+        if dataclasses.is_dataclass(value) and value.__module__ == parser.__name__
+    }
+    assert reached == ast_classes - {Diagnostic}
+
+
+@pytest.mark.parametrize("stranger", [object(), Diagnostic("error", 1, 1, "x", "y"), "a"])
+def test_tokens_rejects_what_it_does_not_know(stranger):
+    with pytest.raises(TypeError, match=type(stranger).__name__):
+        tokens(stranger)
+
+
+@pytest.mark.parametrize("op", ROWS, ids=lambda op: f"{op.fixity} {op.lexeme}")
 def test_operator_token_kind_matches_the_lexer(op):
     # a word operator serializes as the keyword the lexer reads, whatever its row
     a, b = Identifier("a"), Identifier("b")
     node = Binary(op.lexeme, a, b) if op.fixity == "infix" else Unary(op.lexeme, a)
-    [(kind, text)] = [t for t in node.to_tokens() if t[1] == op.lexeme]
-    [(lexed_kind, lexed, _)] = list(scan(op.lexeme))
-    assert (kind, text) == (lexed_kind, lexed)
+    [(kind, text)] = [t for t in tokens(node) if t[1] == op.lexeme]
+    [(lexed_kind, lexed_text, _)] = list(scan(op.lexeme))
+    assert (kind, text) == (lexed_kind, lexed_text)
