@@ -18,7 +18,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from svagen.bank import SignalInfo
-from svagen.prompts import Call, CallLog, render_prompt
+from svagen.prompts import CRITIC_ATTEMPTS, Call, CallLog, render_prompt
 from svagen.sva.checker import AssertionRecord
 from svagen.sva.parser import VERBS
 from svagen.sva.tokens import STOP_MESSAGES, Unit, normal_form, rescan, scan, scan_through
@@ -87,15 +87,8 @@ def parse_answer(text: str) -> AnswerContent:
     """The assertion units of `text`'s fenced code blocks (`extract_assertions`)
     and its commentary: everything outside those blocks, an unclosed last
     block included, or all of `text` when it holds no unit."""
-    units: list[str] = []
-    outside: list[str] = []
-    pos = 0
-    for m in _FENCE_RE.finditer(text):
-        outside.append(text[pos : m.start()])
-        pos = m.end()
-        units.extend(split_assertion_units(m.group(1)))
-    outside.append(text[pos:])
-    commentary = "".join(outside) if units else text
+    units = [unit for m in _FENCE_RE.finditer(text) for unit in split_assertion_units(m.group(1))]
+    commentary = _FENCE_RE.sub("", text) if units else text
     return AnswerContent(assertions=units, commentary=commentary.strip())
 
 
@@ -109,18 +102,16 @@ def split_assertion_units(code: str) -> list[str]:
     its normal form (docs/formats.md, "Normal form"); a unit still open at
     a lexer stop or at the end of the code is a plain str. The code is
     lexed once, through its lexer stops, and again after a stop only where
-    `rescan` must.
+    `rescan` must; labels, joins and line starts are read off its tokens.
     """
     code += "\n"  # every line ends in a newline
-    spans: list[list] = []  # [start, end, end of the token before, its tokens or None]
+    spans: list[list] = []  # [start, end, its tokens or None]
     ends: tuple[str, ...] | None = None  # the texts that close the open unit
     joinable = False  # the last span is a declaration a statement may join
-    stray: list[tuple[str, str, int, int]] = []  # (kind, text, offset, end before) since the last unit
-    prev_end = -1  # end of the previous token outside a unit
     tokens, i = scan_through(code), 0
     while True:
         stop = len(code) - 1
-        first = i  # index in `tokens` of the open unit's first token
+        after = i  # index in `tokens` of the first token outside a unit since the last one closed or a stop
         while i < len(tokens):
             kind, text, offset = tokens[i]
             if kind == "error" and text in STOP_MESSAGES:
@@ -128,34 +119,29 @@ def split_assertion_units(code: str) -> list[str]:
                 break
             if ends is not None:
                 if text in ends:
-                    spans[-1][1] = prev_end = offset + len(text)
-                    spans[-1][3] = tokens[first : i + 1]
-                    joinable, ends = ";" not in ends, None
+                    spans[-1][1:] = offset + len(text), tokens[first : i + 1]
+                    joinable, ends, after = ";" not in ends, None, i + 1
             elif _opens_unit(tokens, i):
                 verb = text in VERBS
-                label = verb and len(stray) >= 2 and stray[-1][1] == ":" and stray[-2][0] == "identifier"
-                if not (verb and joinable and len(stray) == 2 * label):
-                    start, before = stray[-2][2:] if label else (offset, prev_end)
-                    first = i - 2 * label
-                    spans.append([start, -1, before, None])
+                label = verb and i - after >= 2 and tokens[i - 1][1] == ":" and tokens[i - 2][0] == "identifier"
+                if not (verb and joinable and i - after == 2 * label):
+                    first = i - 2 * label  # index in `tokens` of the unit's first token
+                    start = tokens[first][2]
+                    lo = code.rfind("\n", 0, start) + 1
+                    if (not first or tokens[first - 1][2] < lo) and _blank(code[lo:start]):
+                        start = lo  # no token before the unit on its line, only whitespace and whole comments
+                    spans.append([start, -1, None])
                 ends, joinable = (";",) if verb else ("endproperty", "endsequence"), False
-                stray.clear()
-            else:
-                stray.append((kind, text, offset, prev_end))
-                prev_end = offset + (1 if kind == "error" else len(text))
             i += 1
         if ends is not None:  # at a lexer stop or the end: to the end of that line, without tokens
-            spans[-1][1], spans[-1][3], ends = stop, None, None
+            spans[-1][1:], ends = (stop, None), None
         if i == len(tokens):
             break
-        stray.clear()  # nothing joins a unit across a stop
-        joinable = False
+        joinable = False  # nothing joins a unit across a stop
         tokens, i = rescan(code, tokens, i, code.find("\n", stop) + 1)
     units: list[str] = []
-    for start, end, before, tokens in spans:
-        lo, hi = code.rfind("\n", 0, start) + 1, code.find("\n", end)
-        if before <= lo and _blank(code[lo:start]):
-            start = lo  # only whitespace and whole comments before the unit on its line
+    for start, end, tokens in spans:
+        hi = code.find("\n", end)
         if tokens is None:
             units.append(code[start:hi].strip())
             continue
@@ -247,21 +233,21 @@ def critique(
     """Score an assertion set with its syntax log; the returned
     suppressed_score is what feeds the tree. `then` builds a call the log
     may send beside this one (`CallLog.complete`). A reply with no usable
-    score (`parse_score`) is asked again once, with the same messages and
-    no `then`; a second such reply raises ScoreParseError holding it.
+    score (`parse_score`) is asked again, with the same messages and no
+    `then`, up to `CRITIC_ATTEMPTS` calls; ScoreParseError holds the last.
     """
     role, messages = _call(
         log, "critic",
         assertions="\n\n".join(answer.assertions) or "(no assertions)",
         syntax_log=answer.syntax_log or "(not available)",
     )
-    for attempt in range(2):
+    for attempt in range(CRITIC_ATTEMPTS):
         reply = log.complete(role, messages, node, phase, None if attempt else then)
         try:
             raw = parse_score(reply)
             break
         except ScoreParseError as err:
-            if attempt:
+            if attempt == CRITIC_ATTEMPTS - 1:
                 raise ScoreParseError(f"critic score unparseable twice: {err}", reply) from err
     return CritiqueResult(node, phase, reply, raw, suppress_score(raw, params))
 

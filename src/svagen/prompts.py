@@ -271,6 +271,7 @@ class CallEvent:
 
 
 Call = tuple[str, list[Message]]  # (role, messages), as `CallLog` sends it
+CRITIC_ATTEMPTS = 2  # calls per critique at most: one more when a reply holds no usable score
 
 
 class CallLog:
@@ -311,15 +312,15 @@ class CallLog:
 
         `then` builds a call that needs no reply of this one, or None. The
         log alone decides whether to send it beside this call: only when
-        the backend is not `serial` and the log has room for both calls and
-        a retry of this one, and only then is `then` called. The call is
-        charged after this one, and a later `complete` of its messages
+        the backend is not `serial` and the log has room for that call and
+        `CRITIC_ATTEMPTS` of this one, and only then is `then` called. It
+        is charged after this one, and a later `complete` of its messages
         returns its reply, or raises its error, without sending it again."""
         if self._ahead is not None and self._ahead[0] == messages:
             future, self._ahead = self._ahead[1], None
             return future.result()
         serial = getattr(self.backend, "serial", False)
-        room = self.cap is None or len(self.events) + 3 <= self.cap
+        room = self.cap is None or len(self.events) + CRITIC_ATTEMPTS + 1 <= self.cap
         ahead = then() if then is not None and not serial and room else None
         if ahead is None:
             self._admit(1)

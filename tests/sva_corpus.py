@@ -89,3 +89,59 @@ assert property (p_commit);""",
 ]
 
 assert len(CORPUS) == 30
+
+# ROADMAP item 3's probes, by the IEEE 1800-2017 §16 construct each holds.
+# The built-in checker passes each level false accept, none of which is
+# legal SVA: a property or a sequence as a boolean operand, a bare `$`, a
+# sequence repeated without parentheses.
+LEVEL_FALSE_ACCEPTS = {
+    "property-as-boolean": "assert property (@(posedge clk) (a |-> b) && c);",
+    "property-in-comparison": "assert property (@(posedge clk) a == (b |-> c));",
+    "sequence-as-boolean": "assert property (@(posedge clk) $past(a) == a[*2]);",
+    "bare-dollar": "assert property (@(posedge clk) $);",
+    "repeated-repetition": "assert property (@(posedge clk) a[*2][*3]);",
+}
+
+# It rejects each of these legal constructs, and accepts the known-good
+# forms beside them.
+FALSE_REJECTS = {
+    "goto-repetition": "assert property (@(posedge clk) req |-> ##1 ack[->1]);",
+    "nonconsecutive-repetition": "assert property (@(posedge clk) req |-> ##1 ack[=2]);",
+    "throughout": "assert property (@(posedge clk) req |-> busy throughout (##[1:3] ack));",
+    "within": "assert property (@(posedge clk) req |-> (a ##1 b) within (c ##[1:5] d));",
+    "intersect": "assert property (@(posedge clk) req |-> (a ##[1:3] b) intersect (c ##2 d));",
+    "until": "assert property (@(posedge clk) req |-> busy until ack);",
+    "s_until_with": "assert property (@(posedge clk) req |-> busy s_until_with ack);",
+    "implies": "assert property (@(posedge clk) (req |-> ack) implies (gnt |-> done));",
+    "iff": "assert property (@(posedge clk) (req |-> ack) iff (gnt |-> done));",
+    "always": "assert property (@(posedge clk) req |-> always ack);",
+    "s_eventually": "assert property (@(posedge clk) req |-> s_eventually ack);",
+    "nexttime": "assert property (@(posedge clk) req |-> nexttime ack);",
+    "inside": "assert property (@(posedge clk) valid |-> state inside {1, 2});",
+    "first_match": "assert property (@(posedge clk) first_match(req ##[1:3] gnt) |-> ack);",
+    "strong": "assert property (@(posedge clk) req |-> strong(##[1:$] ack));",
+    "sync_accept_on": "assert property (@(posedge clk) sync_accept_on (flush) req |-> ##1 ack);",
+    "if-else": "assert property (@(posedge clk) mode |-> if (fast) ack else ##2 ack);",
+    "sequence-declaration": """\
+sequence s_req;
+  req ##1 gnt;
+endsequence
+assert property (@(posedge clk) s_req |-> ack);""",
+    "property-ports": """\
+property p_resp(a, b);
+  @(posedge clk) a |-> ##1 b;
+endproperty
+assert property (p_resp(req, ack));""",
+    "triggered": "assert property (@(posedge clk) s_req.triggered |-> ack);",
+    "local-variable": """\
+property p_data;
+  logic [7:0] v;
+  @(posedge clk) (valid, v = data) |-> ##1 (out == v);
+endproperty
+assert property (p_data);""",
+    "multi-clock": "assert property (@(posedge clk) req |=> @(posedge clk2) ack);",
+}
+KNOWN_GOOD = {
+    "disable-unbounded-part-select": "assert property (@(posedge clk) disable iff (!rst_n) req |-> ##[0:$] data[7:4] == 4'h0);",
+    "past-onehot0": "assert property (@(posedge clk) $past(sel) |-> $onehot0(grant));",
+}

@@ -44,7 +44,7 @@ from svagen.prompts import (
     render_prompt,
 )
 from svagen.sva.checker import AssertionRecord, BuiltinChecker, check_all
-from svagen.sva.tokens import Unit
+from svagen.sva.tokens import Unit, scan
 from svagen.tree import AnswerContent, SearchParams
 
 from sva_corpus import CORPUS
@@ -420,6 +420,39 @@ class TestExtractAssertions:
         decl = "property p;\n  @(posedge clk) a |-> b;\nendproperty"
         code = f"{decl} /* open\n{VALID_BARE_ASSERT}"
         assert split_assertion_units(code) == [decl, VALID_BARE_ASSERT]
+
+    DECL = "property p;\n  @(posedge clk) a |-> b;\nendproperty"
+
+    @pytest.mark.parametrize(
+        "code, units",
+        [
+            # a label is the identifier and `:` right before the verb, comments between
+            (f"lbl /* c */ : {VALID_BARE_ASSERT}", [f"lbl /* c */ : {VALID_BARE_ASSERT}"]),
+            (f"lbl:\n  {VALID_BARE_ASSERT}", [f"lbl:\n  {VALID_BARE_ASSERT}"]),
+            # a statement right after `endproperty` joins it, label and all
+            (f"{DECL}\nlbl: assert property (p);", [f"{DECL}\nlbl: assert property (p);"]),
+            # any other token between them parts the two
+            (f"{DECL}\nx = 1;\nlbl: assert property (p);", [DECL, "lbl: assert property (p);"]),
+            (f"{DECL} x\nassert property (p);", [DECL, "assert property (p);"]),
+            # a sized literal that spans a line break is a token before the unit on its line
+            (f"8'h\nFF {VALID_BARE_ASSERT}", [VALID_BARE_ASSERT]),
+            # a block comment from an earlier line is not the unit's
+            (f"/* a\n   note */ {VALID_BARE_ASSERT}", [VALID_BARE_ASSERT]),
+            # nor is a token after it, though the line from its start lexes as a comment
+            (f"/* a\n// */ x {VALID_BARE_ASSERT}", [VALID_BARE_ASSERT]),
+            (f"/* a\n/*/ x */ {VALID_BARE_ASSERT}", [VALID_BARE_ASSERT]),
+        ],
+        ids=[
+            "label-comment-colon", "label-line-above", "labelled-join", "stray-code-parts",
+            "stray-token-parts", "literal-across-lines", "comment-from-earlier-line",
+            "token-after-comment-tail-line-comment", "token-after-comment-tail-block-comment",
+        ],
+    )
+    def test_labels_joins_and_line_starts(self, code, units):
+        split = split_assertion_units(code)
+        assert split == units
+        for unit in split:  # each closed, holding the tokens of its text
+            assert [(kind, text, offset - unit.base) for kind, text, offset in unit.tokens] == scan(unit)
 
     @given(
         st.lists(st.sampled_from(CORPUS), max_size=6),

@@ -40,7 +40,7 @@ from svagen.sva.parser import (
 )
 from svagen.sva.tokens import Token, scan, tokenize
 
-from sva_corpus import CORPUS, TIMER_INTERRUPT_ASSERTION
+from sva_corpus import CORPUS, FALSE_REJECTS, KNOWN_GOOD, LEVEL_FALSE_ACCEPTS, TIMER_INTERRUPT_ASSERTION
 from sva_tokens import lexed, tokens
 
 
@@ -288,6 +288,25 @@ def test_single_token_deletion_sensitivity():
     caught, total = mutation_rate(CORPUS)
     assert total > 500
     assert caught / total >= 0.95, f"only {caught}/{total} mutants caught"
+
+
+# The checker's known wrong verdicts, each an expected failure until the
+# grammar gets it right; a probe that starts passing fails the run.
+_ITEM_3 = pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+
+
+@pytest.mark.parametrize("source", [pytest.param(s, id=k, marks=_ITEM_3) for k, s in LEVEL_FALSE_ACCEPTS.items()])
+def test_operand_at_the_wrong_level_is_rejected(source):
+    assert errors_of(BuiltinChecker().check(source))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [pytest.param(s, id=k, marks=_ITEM_3) for k, s in FALSE_REJECTS.items()]
+    + [pytest.param(s, id=k) for k, s in KNOWN_GOOD.items()],
+)
+def test_legal_construct_is_accepted(source):
+    assert errors_of(BuiltinChecker().check(source)) == []
 
 
 # --------------------------------------------------------------------------
