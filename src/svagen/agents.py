@@ -87,8 +87,9 @@ def parse_answer(text: str) -> AnswerContent:
     """The assertion units of `text`'s fenced code blocks (`extract_assertions`)
     and its commentary: everything outside those blocks, an unclosed last
     block included, or all of `text` when it holds no unit."""
-    units = [unit for m in _FENCE_RE.finditer(text) for unit in split_assertion_units(m.group(1))]
-    commentary = _FENCE_RE.sub("", text) if units else text
+    parts = _FENCE_RE.split(text)  # the text outside the blocks, each block's code between
+    units = [unit for code in parts[1::2] for unit in split_assertion_units(code)]
+    commentary = "".join(parts[::2]) if units else text
     return AnswerContent(assertions=units, commentary=commentary.strip())
 
 
@@ -102,7 +103,8 @@ def split_assertion_units(code: str) -> list[str]:
     its normal form (docs/formats.md, "Normal form"); a unit still open at
     a lexer stop or at the end of the code is a plain str. The code is
     lexed once, through its lexer stops, and again after a stop only where
-    `rescan` must; labels, joins and line starts are read off its tokens.
+    `rescan` must; labels and joins are read off its tokens, and a unit's
+    text starts at its first token.
     """
     code += "\n"  # every line ends in a newline
     spans: list[list] = []  # [start, end, its tokens or None]
@@ -126,11 +128,7 @@ def split_assertion_units(code: str) -> list[str]:
                 label = verb and i - after >= 2 and tokens[i - 1][1] == ":" and tokens[i - 2][0] == "identifier"
                 if not (verb and joinable and i - after == 2 * label):
                     first = i - 2 * label  # index in `tokens` of the unit's first token
-                    start = tokens[first][2]
-                    lo = code.rfind("\n", 0, start) + 1
-                    if (not first or tokens[first - 1][2] < lo) and _blank(code[lo:start]):
-                        start = lo  # no token before the unit on its line, only whitespace and whole comments
-                    spans.append([start, -1, None])
+                    spans.append([tokens[first][2], -1, None])
                 ends, joinable = (";",) if verb else ("endproperty", "endsequence"), False
             i += 1
         if ends is not None:  # at a lexer stop or the end: to the end of that line, without tokens
@@ -142,19 +140,11 @@ def split_assertion_units(code: str) -> list[str]:
     units: list[str] = []
     for start, end, tokens in spans:
         hi = code.find("\n", end)
-        if tokens is None:
-            units.append(code[start:hi].strip())
-            continue
-        if end < hi and not _blank(code[end:hi]):
+        if tokens is not None and end < hi and scan(code[end:hi]):
             hi = end  # a token or a lexer stop follows on the last line
-        text = code[start:hi].lstrip()
-        units.append(Unit(text.rstrip(), tokens, hi - len(text)))
+        text = code[start:hi].rstrip()
+        units.append(text if tokens is None else Unit(text, tokens))
     return units
-
-
-def _blank(text: str) -> bool:
-    """Whether `text` lexes to no token: whitespace and whole comments."""
-    return not scan(text)
 
 
 def _opens_unit(tokens: list[tuple[str, str, int]], i: int) -> bool:

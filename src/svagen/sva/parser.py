@@ -605,12 +605,12 @@ def parse_units(source: str) -> tuple[list[SvaAst], list[Diagnostic]]:
     parser resynchronizes at the next plausible boundary.
 
     A `Unit` that still carries the splitter's tokens, a slice of its code
-    block's, is parsed from them; the parser subtracts the unit's `base`
-    from their offsets, so the diagnostics are those of lexing its text.
-    Any other text is lexed here.
+    block's, is parsed from them; the parser subtracts the first token's
+    offset, where the unit's text starts, from their offsets, so the
+    diagnostics are those of lexing its text. Any other text is lexed here.
     """
     if isinstance(source, Unit) and source.tokens is not None:
-        parser = _Parser(source, source.tokens, source.base)
+        parser = _Parser(source, source.tokens, source.tokens[0][2])
     else:
         parser = _Parser(source, scan(source))
     units = parser.parse_units()

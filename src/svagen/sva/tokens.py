@@ -196,8 +196,9 @@ class Unit(str):
     tuples of that text and its normal form, `key`, computed from them when
     the Unit is built. The tuples are a slice of the tokens of the code
     block the unit was cut from, so their offsets count from the block's
-    start; `base` is the unit's offset in the block, which the parser and
-    `normal_form` subtract where they need a position in the unit.
+    start; the text starts at the first of them, so the parser and
+    `normal_form` subtract that one's offset where they need a position in
+    the unit.
 
     The parser reads `tokens` instead of lexing the text again; the run's
     memo checker sets them to None once the unit is checked, so a run does
@@ -205,11 +206,11 @@ class Unit(str):
     text.
     """
 
-    __slots__ = ("tokens", "base", "key")
+    __slots__ = ("tokens", "key")
 
-    def __new__(cls, text: str, tokens: list[Tok], base: int) -> Unit:
+    def __new__(cls, text: str, tokens: list[Tok]) -> Unit:
         unit = super().__new__(cls, text)
-        unit.tokens, unit.base, unit.key = tokens, base, normal_form(text, tokens, base)
+        unit.tokens, unit.key = tokens, normal_form(text, tokens, tokens[0][2])
         return unit
 
 

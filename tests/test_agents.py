@@ -441,18 +441,24 @@ class TestExtractAssertions:
             # nor is a token after it, though the line from its start lexes as a comment
             (f"/* a\n// */ x {VALID_BARE_ASSERT}", [VALID_BARE_ASSERT]),
             (f"/* a\n/*/ x */ {VALID_BARE_ASSERT}", [VALID_BARE_ASSERT]),
+            # a unit starts at its first token, whatever ends before it on its line
+            ("/* a\n// x */ assert property (p);", ["assert property (p);"]),
+            ("/* a\n/* x */ assert property (p);", ["assert property (p);"]),
+            ("/* note */ assert property (p); // done", ["assert property (p); // done"]),
         ],
         ids=[
             "label-comment-colon", "label-line-above", "labelled-join", "stray-code-parts",
             "stray-token-parts", "literal-across-lines", "comment-from-earlier-line",
             "token-after-comment-tail-line-comment", "token-after-comment-tail-block-comment",
+            "comment-tail-like-line-comment", "comment-tail-like-block-comment",
+            "comment-before-on-its-line",
         ],
     )
     def test_labels_joins_and_line_starts(self, code, units):
         split = split_assertion_units(code)
         assert split == units
         for unit in split:  # each closed, holding the tokens of its text
-            assert [(kind, text, offset - unit.base) for kind, text, offset in unit.tokens] == scan(unit)
+            assert [(kind, text, offset - unit.tokens[0][2]) for kind, text, offset in unit.tokens] == scan(unit)
 
     @given(
         st.lists(st.sampled_from(CORPUS), max_size=6),

@@ -495,6 +495,60 @@ def test_generated_assertions_round_trip(body, disable, edge):
     assert_prints_back(body, disable, edge)
 
 
+# A second oracle, free of the bp and assoc columns: every operand printed
+# in parentheses leaves the parser no choice of tree, so the parse gives back
+# the drawn tree once the Paren nodes of both are removed.
+
+
+def fully_parenthesized(node):
+    """`node` with a Paren around every operand of every operator node and
+    around every repetition operand."""
+
+    def p(x):
+        return Paren(fully_parenthesized(x))
+
+    match node:
+        case Unary(op, operand):
+            return Unary(op, p(operand))
+        case Binary(op, lhs, rhs) | Implication(op, lhs, rhs):
+            return type(node)(op, p(lhs), p(rhs))
+        case Ternary(cond, if_true, if_false):
+            return Ternary(p(cond), p(if_true), p(if_false))
+        case Delay(lhs, bounds, rhs):
+            return Delay(None if lhs is None else p(lhs), bounds, p(rhs))
+        case Repetition(operand, low, high):
+            return Repetition(p(operand), low, high)
+    return node
+
+
+def without_parens(node):
+    """`node` with each Paren replaced by the node it holds."""
+    if isinstance(node, Paren):
+        return without_parens(node.inner)
+    if isinstance(node, list):
+        return [without_parens(x) for x in node]
+    if not dataclasses.is_dataclass(node):
+        return node
+    return dataclasses.replace(node, **{f.name: without_parens(getattr(node, f.name)) for f in dataclasses.fields(node)})
+
+
+@given(
+    body=_properties(2),
+    disable=st.one_of(st.none(), _booleans(1)),
+    edge=st.sampled_from(["posedge", "negedge"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_fully_parenthesized_assertions_parse_back(body, disable, edge):
+    clocking = Clocking(edge, Identifier("clk"))
+    printed = AssertStmt(
+        PropertySpec(clocking, None if disable is None else fully_parenthesized(disable), fully_parenthesized(body))
+    )
+    text = " ".join(lexeme for _, lexeme in tokens(printed))
+    assert not has_error(BuiltinChecker().check(text)), text
+    drawn = AssertStmt(PropertySpec(clocking, disable, body))
+    assert without_parens(parse_units(text)[0]) == [without_parens(drawn)], text
+
+
 def test_the_levels_cover_every_row():
     assert {*BOOLEAN_ROWS, *SEQUENCE_ROWS, *PROPERTY_ROWS} == set(ROWS)
 

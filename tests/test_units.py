@@ -62,13 +62,14 @@ def assert_unit_matches_its_text(unit: str) -> None:
     assert normalize_assertion(unit) == normalize_assertion(text) == reference_normal_form(text)
     if not isinstance(unit, Unit):  # still open at a lexer stop or the end: the text paths
         return
-    assert [(kind, tok, offset - unit.base) for kind, tok, offset in unit.tokens] == scan(text)
+    assert [(kind, tok, offset - unit.tokens[0][2]) for kind, tok, offset in unit.tokens] == scan(text)
     assert CHECKER.check(unit) == CHECKER.check(text)
 
 
 # Pieces of model output: unit openers and closers, operands, sized literals
 # with inner whitespace, string literals, comments, `\r\n`, characters the
-# lexer rejects (some of them whitespace to `str.split`), and lexer stops.
+# lexer rejects (some of them whitespace to `str.split`), lexer stops, and
+# block comments whose last line alone lexes as a comment.
 PIECES = (
     "assert property (", "assume property (", "cover property (", "lbl :", "property p ;",
     "endproperty", "sequence s ;", "endsequence", "@(posedge clk)", "disable iff (rst)",
@@ -76,6 +77,7 @@ PIECES = (
     "4  'd 7", "8'h FF", "'0", "1_000", "3.5", '"msg"', '"a;  b"', '"esc \\" q"',
     "/* c */", "/**/", "// note\n", "/* multi\nline */", "\r\n", "\n", "\t",
     "é", "`", "\\", "\x0b", "\x0c", "\xa0", " ", "/* open", '"open',
+    "/* a\n// b */", "/* a\n/* b */",
 )
 SEPARATORS = ("", " ", "  ", "\n", "\r\n", "/* c */", "// c\n", "\x0c")
 
@@ -100,10 +102,13 @@ def model_code(draw) -> str:
 @example("assert property (a);  assert property (é b |-> );")
 @example("x = 1; assert property (@(posedge clk) a ##);")
 @example("/* note\n */ assert property (\x0c c ##); /* c */ cover property (d é);")
+@example("/* a\n// b */ assert property (c);")
 @settings(max_examples=600, deadline=None)
 def test_unit_key_tokens_and_check_equal_the_text_paths(code):
     for unit in split_assertion_units(code):
         assert_unit_matches_its_text(unit)
+        if isinstance(unit, Unit):  # its text starts at its first token
+            assert (code + "\n")[unit.tokens[0][2] :].startswith(unit)
 
 
 def spans_a_line_as_a_string(text: str) -> bool:
