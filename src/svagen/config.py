@@ -7,11 +7,12 @@ variable that holds them does.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
 from svagen.backends import BackendError, ChatBackend, HttpChatBackend, ScriptedBackend
-from svagen.prompts import DEFAULT_TEMPLATES, PromptTemplate, load_template
+from svagen.prompts import DEFAULT_TEMPLATES, ROLLOUT_STEPS, ROOT_STEPS, STAGE3_STEPS, PromptTemplate, load_template
 from svagen.records import decode, encode, load
 from svagen.sva.checker import (
     DEFAULT_EXTERNAL_PATTERNS,
@@ -32,9 +33,8 @@ class ConfigError(ValueError):
 
 
 def default_call_budget(n_rollouts: int) -> int:
-    """Per-signal LLM call budget: 2 for the initial node, 4 per rollout,
-    2 for combination."""
-    return 2 + 4 * n_rollouts + 2
+    """Per-signal LLM call budget: every step of the call schedule, 2 + 4 * n_rollouts + 2."""
+    return len(ROOT_STEPS) + len(ROLLOUT_STEPS) * n_rollouts + len(STAGE3_STEPS)
 
 
 @dataclass
@@ -47,8 +47,8 @@ class BackendSettings:
     timeout_s: float = 120.0
 
     def __post_init__(self) -> None:
-        if self.timeout_s <= 0:
-            raise ConfigError("backend.timeout_s must be positive")
+        if not 0 < self.timeout_s < math.inf:
+            raise ConfigError("backend.timeout_s must be finite and positive")
 
 
 @dataclass

@@ -2,24 +2,18 @@
 
 Stage 1 builds the signal-wise information bank: the signal mapper's
 call, then every spec and waveform analysis as one batch on up to
-`parallel` threads. Stage 2 runs the self-refine tree search per signal:
-four phases per rollout (greedy UCT selection with reward re-sampling,
-expansion from critic plus syntax-log feedback, critic evaluation of the
-new node with score suppression, and Q backpropagation). Stage 3 pools
-all tree nodes, splits the pool by syntax verdict, corrects the failures,
-and deduplicates into the final assertion set. Both stages check every
-assertion set through `check_all`, and every agent renders from the call
-log's signal context; the critic and refiner read the node's answer and
-its syntax log.
+`parallel` threads. Stage 2 grows each signal's self-refine tree, and
+stage 3 corrects and deduplicates the tree's pooled assertions into the
+final set; their calls follow the one schedule in `svagen.prompts`
+(`fits_schedule`). Both stages check every assertion set through
+`check_all`, and every agent renders from the call log's signal context.
 
 Every agent sends its LLM calls through a `CallLog` (`svagen.prompts`),
 which charges each call as the backend receives it: one log per signal,
-capped at the per-signal budget (`config.default_call_budget`), and one for
-stage 1. The ledger counts and the summary totals are read from those
-logs, and stage 2 keeps each critique whose score parsed on the signal's
-result. The log refuses a call past its cap; the search is anytime, so a
-refused call ends it with the tree built so far, and stage 3 skips the
-step that asked.
+capped at the per-signal budget (`config.default_call_budget`), and one
+for stage 1; the ledger and the summary totals are read from them. The
+search is anytime: a call the log refuses ends it with the tree built so
+far, and stage 3 skips the step that asked.
 """
 
 from __future__ import annotations
@@ -59,7 +53,7 @@ from svagen.bank import (
     save_bank,
 )
 from svagen.config import ConfigError, RunConfig
-from svagen.prompts import BudgetExceededError, CallLog, PromptTemplate
+from svagen.prompts import BudgetExceededError, CallLog, PromptTemplate, Stop
 from svagen.records import dumps, encode
 from svagen.sva.checker import MemoChecker, SyntaxChecker, check_all, format_log
 from svagen.tree import ReasoningTree, TreeRecord
@@ -84,6 +78,7 @@ class SignalRunResult:
     syntax_log: str = ""
     warnings: list[str] = field(default_factory=list)
     critiques: list[CritiqueResult] = field(default_factory=list)  # scored ones, in call order
+    stop: Stop = "done"  # why stage 2 ended, set by the branch that ends it early
     failed: bool = False
     error: str | None = None
 
@@ -102,7 +97,7 @@ class SignalRunResult:
 @dataclass
 class SignalRecord:
     """`signals/<name>.json`: what `summary.json` lacks of one signal (its
-    calls, `failed` and `error` are there; docs/formats.md, "Run artifacts")."""
+    calls, `stop`, `failed` and `error` are there; docs/formats.md)."""
 
     tree: TreeRecord
     a1: list[str]
@@ -190,19 +185,14 @@ def run_stage2(
     """Grow the reasoning tree for one signal into `result.tree`, making
     each call through `result.log`, after setting its `signal_context`.
 
-    The call schedule is the one `default_call_budget` counts: the weak root
-    and its evaluation, then per rollout a re-sample of the selected node's
-    score, critic feedback for expansion, refinement, and evaluation of the
-    new node. `critique` asks again once for a reply with no usable score;
-    when the second reply has none either, the rollout (or the root
-    evaluation) ends with the tree so far, and a call the log refuses past
-    the budget ends the search the same way. The last child evaluation, whose
-    reply nothing in stage 3 reads, may carry stage 3's first call, as
-    `CallLog.complete` decides (docs/formats.md, "Run configuration").
+    The calls follow stage 2's part of `prompts.fits_schedule`, and
+    `result.stop` says why the search ended: a critic step with no usable
+    score (`unscored`) and a call the log refuses (`budget`) end it with
+    the tree so far. The last child evaluation may carry stage 3's first
+    call, as `CallLog.complete` decides (docs/formats.md, "Run configuration").
 
-    Retrieval runs once per signal: its query text depends only on the
-    signal, so the first rollout to reach the refine step queries
-    `rag_index` and later rollouts reuse the context.
+    Retrieval runs once per signal, as its query depends only on the signal:
+    the first refine step queries `rag_index`, and later ones reuse it.
     """
     signal_name = result.signal
     try:
@@ -227,17 +217,11 @@ def run_stage2(
         tree.record_reward(node_id, scored.suppressed_score)
         tree.backpropagate(node_id)
 
-    # initial node: weak answer + its evaluation, the first two calls of default_call_budget
-    root_answer = generate_weak_answer(log)
-    tree = result.tree = ReasoningTree(signal_name, root_answer)
+    tree = result.tree = ReasoningTree(signal_name, generate_weak_answer(log))
+    rollout = 0
     try:
         evaluate(tree.root, "root-evaluation")
-    except (ScoreParseError, BudgetExceededError) as err:
-        warnings.append(f"root evaluation failed, search skipped: {err}")
-        return
-
-    for rollout in range(1, params.n_rollouts + 1):
-        try:
+        for rollout in range(1, params.n_rollouts + 1):
             # phase 1: selection + reward re-sampling, an evaluation of the selected node
             selected_id = tree.select_node(params)
             evaluate(selected_id, "resample")
@@ -260,15 +244,14 @@ def run_stage2(
             # one offers stage 3's first call to the log (`CallLog.complete`)
             evaluate(child_id, "evaluation", rollout == params.n_rollouts)
             tree.rollouts_completed = rollout
-        except (ScoreParseError, BudgetExceededError) as err:
-            warnings.append(f"rollout {rollout} aborted: {err}")
-            break
-
-        if config.early_stop and rollout < params.n_rollouts and _early_stop_reached(tree, checker, config):
-            warnings.append(
-                f"early stop after rollout {rollout}: best node passes all syntax checks"
-            )
-            break
+            if config.early_stop and rollout < params.n_rollouts and _early_stop_reached(tree, checker, config):
+                result.stop = "early-stop"
+                warnings.append(f"early stop after rollout {rollout}: best node passes all syntax checks")
+                break
+    except (ScoreParseError, BudgetExceededError) as err:
+        result.stop = "budget" if isinstance(err, BudgetExceededError) else "unscored"
+        warnings.append(f"rollout {rollout} aborted: {err}" if rollout else
+                        f"root evaluation failed, search skipped: {err}")
 
 
 def _early_stop_reached(tree: ReasoningTree, checker: SyntaxChecker, config: RunConfig) -> bool:
@@ -277,9 +260,7 @@ def _early_stop_reached(tree: ReasoningTree, checker: SyntaxChecker, config: Run
     not end the search)."""
     evaluated = [n for n in tree.nodes.values() if n.evaluated]
     best = max(evaluated, key=lambda n: n.q_value, default=None)  # the earliest of equal Qs
-    if best is None or not best.answer.assertions:
-        return False
-    if best.reward_samples[-1] < config.early_stop_score:
+    if best is None or not best.answer.assertions or best.reward_samples[-1] < config.early_stop_score:
         return False
     return all(r.status == "pass" for r in check_all(best.answer.assertions, checker))
 
@@ -307,12 +288,11 @@ def run_stage3(result: SignalRunResult, checker: SyntaxChecker) -> None:
     """Combine all nodes of `result.tree` into the final assertion set,
     making each call through `result.log`, whose context stage 2 set.
 
-    Two calls at most, the last two that `default_call_budget` counts:
-    syntax correction (skipped when nothing failed) and deduplication
-    (skipped for pools of one or fewer); a step whose call the log refuses
-    past the budget is skipped with a warning. The first of them may have
-    gone with stage 2's last evaluation, as `CallLog.complete` decides;
-    `result.log` then answers it without sending it again.
+    Stage 3's part of `prompts.fits_schedule`: syntax correction (skipped
+    when nothing failed) and deduplication (skipped for pools of one or
+    fewer); a step whose call the log refuses is skipped with a warning,
+    and `result.stop` stays stage 2's. A first call that went with stage
+    2's last evaluation is answered by `result.log` without a resend.
     Corrected texts are re-checked; still-failing ones are dropped with a
     warning. A text the checker cannot check raises CheckerUnavailableError,
     as in stage 2.
@@ -377,6 +357,7 @@ class RunSummary:
                     "calls": r.total_calls,
                     "failed": r.failed,
                     "error": r.error,
+                    "stop": r.stop,
                 }
                 for r in results
             },
@@ -435,7 +416,7 @@ def run_signal(
         run_stage2(config, bank, result, checker, rag_index)
         run_stage3(result, checker)
     except Exception as err:  # isolation: one signal's failure never spreads
-        result.failed = True
+        result.failed, result.stop = True, "failed"
         result.error = f"{type(err).__name__}: {err}"
     return result
 

@@ -15,6 +15,8 @@ from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import groupby
+from typing import Literal
 
 from svagen import read_text
 from svagen.backends import ChatBackend, Message
@@ -272,6 +274,37 @@ class CallEvent:
 
 Call = tuple[str, list[Message]]  # (role, messages), as `CallLog` sends it
 CRITIC_ATTEMPTS = 2  # calls per critique at most: one more when a reply holds no usable score
+
+# One signal's call schedule (MCTSr): each step is the (role, phase) of its `CallEvent`.
+ROOT_STEPS = [("sva", None), ("critic", "root-evaluation")]
+ROLLOUT_STEPS = [("critic", "resample"), ("critic", "expansion-feedback"), ("sva", None), ("critic", "evaluation")]
+STAGE3_STEPS = [("syntax_correction", None), ("deduplication", None)]
+Stop = Literal["done", "early-stop", "budget", "unscored", "failed"]  # why a signal's stage 2 ended
+
+
+def fits_schedule(events: list[CallEvent], n_rollouts: int, stop: Stop, serial: bool, cap: int | None = None) -> bool:
+    """Whether a signal's log follows the schedule of `n_rollouts` to `stop`
+    (docs/formats.md, "Run artifacts"): stage 2's steps in order, a critic step
+    asked up to `CRITIC_ATTEMPTS` times, then stage 3's, each optional; on a
+    backend that is not `serial`, stage 3's first call may precede the last evaluation's retry."""
+    calls = [(e.role, e.phase) for e in events]
+    stage2, stage3 = [c for c in calls if c not in STAGE3_STEPS], [c for c in calls if c in STAGE3_STEPS]
+    runs = [(step, len(list(asks))) for step, asks in groupby(stage2)]  # a step and its retries
+    planned = ROOT_STEPS + ROLLOUT_STEPS * n_rollouts
+    ends = {
+        "done": len(runs) == len(planned),
+        "early-stop": len(runs) in range(len(ROOT_STEPS + ROLLOUT_STEPS), len(planned), len(ROLLOUT_STEPS)),
+        "budget": len(calls) == cap,  # the log refused a call
+        "unscored": bool(runs) and runs[-1][1] == CRITIC_ATTEMPTS,  # a critic step's last attempt
+        "failed": True,  # an exception may end the log at any call
+    }
+    beside = stage2[:-1] + stage3[:1] + stage2[-1:] + stage3[1:]
+    return (
+        ends[stop] and [step for step, _ in runs] == planned[: len(runs)]
+        and all(n <= (CRITIC_ATTEMPTS if role == "critic" else 1) for (role, _), n in runs)
+        and stage3 == [step for step in STAGE3_STEPS if step in stage3]
+        and (calls == stage2 + stage3 or not serial and ends["done"] and runs[-1][1] > 1 and calls == beside)
+    )
 
 
 class CallLog:

@@ -33,10 +33,10 @@ class SearchParams:
     score_cap: float = 95.0
 
     def __post_init__(self) -> None:
-        if self.c < 0:
-            raise ValueError("exploration constant c must be non-negative")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 <= self.c < math.inf:
+            raise ValueError("exploration constant c must be finite and non-negative")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
         if self.n_rollouts < 1:
             raise ValueError("n_rollouts must be positive")
         if not (SCORE_MIN < self.score_cap <= SCORE_MAX):

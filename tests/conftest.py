@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import threading
 
 import pytest
@@ -15,7 +14,7 @@ from svagen.backends import ScriptEntry, ScriptedBackend
 from svagen.bank import InformationBank, SignalInfo
 from svagen.config import RunConfig
 from svagen.pipeline import SignalRunResult
-from svagen.prompts import CallLog
+from svagen.prompts import ROLLOUT_STEPS, ROOT_STEPS, CallLog
 from svagen.tree import ReasoningTree, SearchParams
 
 from chat_server import ChatServer
@@ -71,54 +70,18 @@ def stage2_script(
     scores: list[float],
     keyed: bool = False,
 ) -> list[ScriptEntry]:
-    """Script for one signal's stage 2.
-
-    `scores` holds 1 + 3 * len(rollout_answers) values: the root evaluation,
-    then per rollout (re-sample, expansion feedback, child evaluation).
-    """
-    assert len(scores) == 1 + 3 * len(rollout_answers)
+    """Script for one signal's stage 2: one reply per step of the call
+    schedule (`ROOT_STEPS`, then `ROLLOUT_STEPS` per rollout answer, in
+    `svagen.prompts`), the answers in order for the `sva` steps and a
+    critic reply with the next of `scores` for each critic step."""
+    steps = ROOT_STEPS + ROLLOUT_STEPS * len(rollout_answers)
+    assert len(scores) == sum(role == "critic" for role, _ in steps)
+    answers, scores = iter([weak_answer, *rollout_answers]), iter(scores)
     match = f"Signal name: {signal}" if keyed else None
-    entries = [
-        ScriptEntry(response=weak_answer, match=match),
-        ScriptEntry(response=critic_reply(scores[0]), match=match),
+    return [
+        ScriptEntry(critic_reply(next(scores)) if role == "critic" else next(answers), match=match)
+        for role, _ in steps
     ]
-    for i, answer in enumerate(rollout_answers):
-        resample, feedback, evaluation = scores[1 + 3 * i : 4 + 3 * i]
-        entries += [
-            ScriptEntry(response=critic_reply(resample), match=match),
-            ScriptEntry(response=critic_reply(feedback), match=match),
-            ScriptEntry(response=answer, match=match),
-            ScriptEntry(response=critic_reply(evaluation), match=match),
-        ]
-    return entries
-
-
-# One letter per step of a signal's call schedule, by its event's (role, phase).
-_STEP_LETTERS = {
-    ("sva", None): "A",  # the weak answer, or a refinement
-    ("critic", "root-evaluation"): "R",
-    ("critic", "resample"): "S",
-    ("critic", "expansion-feedback"): "F",
-    ("critic", "evaluation"): "E",
-    ("syntax_correction", None): "C",
-    ("deduplication", None): "D",
-}
-
-
-def fits_schedule(events, n_rollouts: int, serial: bool = True) -> bool:
-    """Whether a signal log's (role, phase) events follow the call schedule:
-    the weak answer and the root evaluation, at most `n_rollouts` rollouts
-    of resample, expansion feedback, refine and evaluation, then an
-    optional correction and an optional deduplication. Each critic step may
-    take one retry, and a run may stop after any step. On a backend that is
-    not `serial`, stage 3's first call may sit between the last evaluation
-    and that evaluation's retry."""
-    letters = "".join(_STEP_LETTERS.get((e.role, e.phase), "?") for e in events)
-    steps = ["A", "RR?"] + ["SS?", "FF?", "A", "EE?"] * n_rollouts
-    pattern = "EE?C?D?" if serial else "E(?:E?C?D?|CE?D?|DE?)"  # the last step, then stage 3
-    for step in reversed(steps[:-1]):
-        pattern = f"{step}(?:{pattern}|C?D?)"  # a stop after `step` goes to stage 3
-    return re.fullmatch(f"(?:{pattern})?", letters) is not None
 
 
 def correction_entry(signal: str, response: str, keyed: bool = False) -> ScriptEntry:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import re
 import threading
@@ -13,7 +14,7 @@ import threading
 import pytest
 
 from svagen.backends import BackendError, HttpChatBackend, ScriptedBackend
-from svagen.config import ConfigError, RunConfig, config_from_dict, load_config
+from svagen.config import BackendSettings, ConfigError, RunConfig, config_from_dict, load_config
 from svagen.prompts import DEFAULT_TEMPLATES, load_template
 from svagen.sva.checker import DEFAULT_EXTERNAL_PATTERNS, BuiltinChecker, DiagnosticPattern, ExternalChecker
 
@@ -308,6 +309,11 @@ class TestRunConfig:
     def test_invalid_value_rejected(self, data):
         with pytest.raises(ConfigError):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0], ids=str)
+    def test_backend_timeout_made_in_code_is_finite_and_positive(self, value):
+        with pytest.raises(ConfigError, match=r"^backend\.timeout_s must be finite and positive$"):
+            BackendSettings(timeout_s=value)
 
     def test_non_object_config_rejected(self):
         with pytest.raises(ConfigError):

@@ -25,13 +25,14 @@ from svagen.pipeline import (
     RunSummary,
     SignalRecord,
     SignalRunResult,
+    _early_stop_reached,
     run_all,
     run_signal,
     run_stage1,
     run_stage2,
     run_stage3,
 )
-from svagen.prompts import BudgetExceededError, CallEvent, CallLog, render_prompt
+from svagen.prompts import BudgetExceededError, CallEvent, CallLog, fits_schedule, render_prompt
 from svagen.rag import HashedBowEmbedder, VectorIndex
 from svagen.records import load, loads
 from svagen.sva.checker import BuiltinChecker, CheckerUnavailableError, ExternalChecker
@@ -49,7 +50,6 @@ from conftest import (
     critic_reply,
     dedup_entry,
     fenced,
-    fits_schedule,
     full_signal_script,
     make_bank,
     signal_result,
@@ -174,6 +174,7 @@ class TestEarlyStop:
         assert stage2.tree.rollouts_completed == 2
         assert stage2.total_calls == 10  # 2 + 4*2
         assert any("early stop" in w for w in stage2.warnings)
+        assert stage2.stop == "early-stop"
 
     def test_no_early_stop_flag(self, tmp_path, bank):
         config = config_for(tmp_path, n_rollouts=4, early_stop=False)
@@ -182,6 +183,7 @@ class TestEarlyStop:
         run_stage2(config, bank, result, BuiltinChecker())
         assert len(result.tree) == 5
         assert result.total_calls == 18
+        assert result.stop == "done"
 
     def test_failing_syntax_blocks_early_stop(self, tmp_path, bank):
         # high score but the best node contains a syntactically bad assertion
@@ -248,6 +250,7 @@ class TestRolloutFailurePolicy:
         assert len(stage2.tree) == 1  # partial tree kept
         assert stage2.tree.rollouts_completed == 0
         assert any("aborted" in w for w in stage2.warnings)
+        assert stage2.stop == "unscored"
 
     def test_root_eval_failure_returns_degenerate_tree(self, tmp_path, bank):
         config = config_for(tmp_path, n_rollouts=2, early_stop=False)
@@ -260,6 +263,7 @@ class TestRolloutFailurePolicy:
         run_stage2(config, bank, stage2, BuiltinChecker())
         assert len(stage2.tree) == 1
         assert any("search skipped" in w for w in stage2.warnings)
+        assert stage2.stop == "unscored"
 
 
 class TestBudget:
@@ -286,6 +290,7 @@ class TestBudget:
             assert set(result.deduplicated) <= set(result.a3)
             if cap < planned:
                 assert any("budget" in w or f"exceed {cap} calls" in w for w in result.warnings)
+            assert result.stop == ("budget" if cap < 2 + 4 * n_rollouts else "done"), cap
 
     def test_score_retries_at_the_default_cap(self, tmp_path, bank):
         config = config_for(tmp_path, n_rollouts=2, early_stop=False)
@@ -310,6 +315,7 @@ class TestBudget:
         assert result.total_calls == backend.calls == 12
         assert result.tree.rollouts_completed == 1
         assert any(w.startswith("rollout 2 aborted: ") for w in result.warnings)
+        assert result.stop == "budget"
         assert "syntax correction skipped: per-signal call budget exhausted" in result.warnings
         assert "deduplication skipped: per-signal call budget exhausted" in result.warnings
         assert result.a1 == [VALID_BARE_ASSERT, VALID_PROPERTY_UNIT]
@@ -900,9 +906,10 @@ class TestLastEvaluationBatch:
         )
         save_bank(make_bank(["ack_o"]), config.paths.bank_file)
         summary = run_all(config, backend=backend, checker=BuiltinChecker())
-        events = summary.results[0].log.events
-        assert fits_schedule(events, self.N_ROLLOUTS, getattr(backend, "serial", False)), events
-        return summary.results[0], output_files(config.paths.output_dir)
+        result = summary.results[0]
+        serial = getattr(backend, "serial", False)
+        assert fits_schedule(result.log.events, self.N_ROLLOUTS, result.stop, serial, result.log.cap), result.log.events
+        return result, output_files(config.paths.output_dir)
 
     @pytest.mark.parametrize("bad", [True, False], ids=["correction", "deduplication"])
     @pytest.mark.parametrize("retry", [False, True], ids=["no-retry", "retry"])
@@ -952,6 +959,7 @@ class TestLastEvaluationBatch:
         _, serial = self._run(tmp_path / "serial", SerialLiveBackend(self._script(True, False, stage3=False)))
         result, batched = self._run(tmp_path / "live", LiveBackend(self._script(True, False, stage3=False)))
         assert result.failed and "BackendError" in result.error
+        assert result.stop == "failed"
         assert batched == serial
         record = loads(SignalRecord, batched["signals/ack_o.json"].decode(), ValueError)
         tree = ReasoningTree.from_record(record.tree)
@@ -1016,6 +1024,9 @@ def test_budget_law_under_random_early_stop(tmp_path_factory, stop_after):
     assert result.total_calls <= 20
     expected_rollouts = stop_after if stop_after else 4
     assert result.tree.rollouts_completed == expected_rollouts
+    with open(os.path.join(config.paths.output_dir, "summary.json"), encoding="utf-8") as f:
+        stop = json.load(f)["signals"]["sig_a"]["stop"]
+    assert stop == result.stop == ("early-stop" if 0 < stop_after < 4 else "done")
 
 
 # Units for the pipeline fuzz: good, bad, and left open by an unterminated
@@ -1106,8 +1117,9 @@ def test_run_all_keeps_its_laws_under_generated_replies(tmp_path_factory, run):
     """`run_all` over generated replies, keyed per signal: no exception
     escapes it, the logs keep their caps and the backend's count, the set
     laws hold by normal form, every final assertion passes the checker,
-    every log fits the call schedule and every record loads through `svagen
-    tree show`. Keyed by each signal's bank entry, `parallel` 1 and 3 write
+    every log fits the call schedule to its own stop, an early stop only
+    where the best node meets the bar, and every record loads through
+    `svagen tree show`. Keyed by each signal's bank entry, `parallel` 1 and 3 write
     the same bytes. Keyed by stage, a backend that is not `serial` at
     `parallel` 3, which sends stage 3's first call beside the last
     evaluation, writes the bytes of a `serial` one, unless a signal failed
@@ -1137,11 +1149,14 @@ def test_run_all_keeps_its_laws_under_generated_replies(tmp_path_factory, run):
 
         scripted = getattr(backend, "inner", backend)
         assert scripted.calls == len(summary.stage1) + sum(len(r.log) for r in summary.results)
+        serial = getattr(backend, "serial", False)
         for result in summary.results:
             assert len(result.log) <= cap
-            assert fits_schedule(result.log.events, n_rollouts, getattr(backend, "serial", False)), result.log.events
+            assert fits_schedule(result.log.events, n_rollouts, result.stop, serial, cap), (result.stop, result.log.events)
             if result.tree is None:
                 continue
+            if result.stop == "early-stop":
+                assert _early_stop_reached(result.tree, BuiltinChecker(), config)
             norm = agents.normalize_assertion
             pool = {norm(t) for node in result.tree.nodes.values() for t in node.answer.assertions}
             assert {norm(t) for t in result.a1 + result.a2} <= pool
@@ -1161,30 +1176,61 @@ def test_run_all_keeps_its_laws_under_generated_replies(tmp_path_factory, run):
 ROOT_CALLS = [("sva", None), ("critic", "root-evaluation")]
 ROLLOUT_CALLS = [("critic", "resample"), ("critic", "expansion-feedback"), ("sva", None), ("critic", "evaluation")]
 CORRECTION, DEDUPLICATION = ("syntax_correction", None), ("deduplication", None)
+ONE_ROLLOUT_CAP = 8  # default_call_budget(1)
 
 
 @pytest.mark.parametrize(
-    "calls, serial, fits",
+    "calls, stop, serial, fits",
     [
-        (ROOT_CALLS + ROLLOUT_CALLS + [CORRECTION, DEDUPLICATION], True, True),
-        (ROOT_CALLS + ROLLOUT_CALLS + ROLLOUT_CALLS[3:] + [CORRECTION, DEDUPLICATION], True, True),
-        (ROOT_CALLS + ROLLOUT_CALLS[:1] * 2 + [DEDUPLICATION], True, True),
-        (ROOT_CALLS + ROLLOUT_CALLS + [CORRECTION, ROLLOUT_CALLS[3], DEDUPLICATION], False, True),
-        (ROOT_CALLS + ROLLOUT_CALLS + [CORRECTION, ROLLOUT_CALLS[3], DEDUPLICATION], True, False),
-        (ROOT_CALLS + [ROLLOUT_CALLS[1], ROLLOUT_CALLS[0], *ROLLOUT_CALLS[2:]], True, False),
-        (ROOT_CALLS[:1] + ROOT_CALLS + ROLLOUT_CALLS, True, False),
-        (ROOT_CALLS + ROLLOUT_CALLS + [DEDUPLICATION, CORRECTION], False, False),
-        (ROOT_CALLS + ROLLOUT_CALLS * 2, True, False),
+        (ROOT_CALLS + ROLLOUT_CALLS + [CORRECTION, DEDUPLICATION], "done", True, True),
+        (ROOT_CALLS + ROLLOUT_CALLS + ROLLOUT_CALLS[3:] + [CORRECTION, DEDUPLICATION], "done", True, True),
+        (ROOT_CALLS + ROLLOUT_CALLS + ROLLOUT_CALLS[3:] + [DEDUPLICATION], "unscored", True, True),
+        (ROOT_CALLS + ROLLOUT_CALLS[:1] * 2 + [DEDUPLICATION], "unscored", True, True),
+        (ROOT_CALLS[:1] + ROOT_CALLS[1:] * 2 + ROLLOUT_CALLS[:1] * 2 + ROLLOUT_CALLS[1:2] * 2 + ROLLOUT_CALLS[2:3],
+         "budget", True, True),
+        (ROOT_CALLS + ROLLOUT_CALLS[:3], "failed", True, True),
+        (ROOT_CALLS + ROLLOUT_CALLS + [CORRECTION], "failed", False, True),
+        (ROOT_CALLS + ROLLOUT_CALLS + [CORRECTION, ROLLOUT_CALLS[3], DEDUPLICATION], "done", False, True),
+        (ROOT_CALLS + ROLLOUT_CALLS + [DEDUPLICATION, ROLLOUT_CALLS[3]], "unscored", False, True),
+        (ROOT_CALLS + ROLLOUT_CALLS + [CORRECTION, ROLLOUT_CALLS[3], DEDUPLICATION], "done", True, False),
+        (ROOT_CALLS + [ROLLOUT_CALLS[1], ROLLOUT_CALLS[0], *ROLLOUT_CALLS[2:]], "failed", True, False),
+        (ROOT_CALLS[:1] + ROOT_CALLS + ROLLOUT_CALLS, "failed", True, False),
+        (ROOT_CALLS + ROLLOUT_CALLS + [DEDUPLICATION, CORRECTION], "failed", False, False),
+        (ROOT_CALLS + ROLLOUT_CALLS * 2, "failed", True, False),
+        (ROOT_CALLS + ROLLOUT_CALLS[:1] * 3, "failed", True, False),
+        (ROOT_CALLS + ROLLOUT_CALLS[:2] + ROLLOUT_CALLS[2:3] * 2, "failed", True, False),
+        (ROOT_CALLS + ROLLOUT_CALLS[:2] + [CORRECTION] + ROLLOUT_CALLS[2:], "failed", False, False),
+        (ROOT_CALLS + [DEDUPLICATION], "done", True, False),
+        (ROOT_CALLS + ROLLOUT_CALLS[:3], "budget", True, False),
+        (ROOT_CALLS + ROLLOUT_CALLS[:1] + [DEDUPLICATION], "unscored", True, False),
+        (ROOT_CALLS + ROLLOUT_CALLS + [CORRECTION, DEDUPLICATION], "early-stop", True, False),
     ],
     ids=[
-        "full", "evaluation-retry", "stop-after-resample", "batched-stage3-call",
-        "batched-on-serial", "feedback-before-resample", "second-weak-answer",
-        "deduplication-before-correction", "rollout-past-n",
+        "full", "evaluation-retry", "unscored-evaluation", "stop-after-resample", "budget-at-the-cap",
+        "failed-mid-rollout", "failed-beside-the-evaluation", "batched-stage3-call", "batched-unscored",
+        "batched-on-serial", "feedback-before-resample", "second-weak-answer", "deduplication-before-correction",
+        "rollout-past-n", "third-attempt", "refine-retried", "stage3-mid-rollout",
+        "done-with-a-rollout-missing", "budget-under-the-cap", "unscored-without-a-retry",
+        "early-stop-with-every-rollout",
     ],
 )
-def test_schedule_matcher(calls, serial, fits):
-    """`fits_schedule` over hand-built one-rollout logs."""
-    assert fits_schedule([CallEvent(role, phase=phase) for role, phase in calls], 1, serial) is fits
+def test_schedule_matcher(calls, stop, serial, fits):
+    """`fits_schedule` over hand-built one-rollout logs capped at the
+    default budget, each with the stop it claims."""
+    events = [CallEvent(role, phase=phase) for role, phase in calls]
+    assert fits_schedule(events, 1, stop, serial, ONE_ROLLOUT_CAP) is fits
+
+
+@pytest.mark.parametrize(
+    "rollouts, stop, fits",
+    [(1, "early-stop", True), (1, "done", False), (2, "early-stop", False), (2, "done", True), (0, "early-stop", False)],
+)
+def test_schedule_matcher_early_stop(rollouts, stop, fits):
+    """An early stop ends a two-rollout search after a complete rollout
+    short of the plan."""
+    calls = ROOT_CALLS + ROLLOUT_CALLS * rollouts + [DEDUPLICATION]
+    events = [CallEvent(role, phase=phase) for role, phase in calls]
+    assert fits_schedule(events, 2, stop, True) is fits
 
 
 class CountingIndex(VectorIndex):
@@ -1242,6 +1288,7 @@ class TestRetrievalOncePerSignal:
         ]
         stage2, _ = self._stage2(tmp_path, bank, script, index)
         assert any("search skipped" in w for w in stage2.warnings)
+        assert stage2.stop == "unscored"
         assert index.queries == []
 
     def test_no_query_when_first_rollout_aborts_before_refine(self, tmp_path, bank):
@@ -1254,6 +1301,7 @@ class TestRetrievalOncePerSignal:
         ]
         stage2, _ = self._stage2(tmp_path, bank, script, index)
         assert stage2.warnings[0].startswith("rollout 1 aborted")
+        assert stage2.stop == "unscored"
         assert index.queries == []
         assert EMPTY_INDEX_WARNING not in stage2.warnings
 

@@ -77,6 +77,12 @@ class TestSearchParams:
             SearchParams(score_cap=101.0)
         with pytest.raises(ValueError):
             SearchParams(score_cap=-101.0)
+        # made in code, a non-finite value is out of range too (a config's decoder rejects it first)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="exploration constant c must be finite and non-negative"):
+                SearchParams(c=value)
+            with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+                SearchParams(epsilon=value)
 
     def test_score_cap_lies_on_the_critics_scale(self):
         assert SearchParams(score_cap=100).score_cap == 100  # the top of the scale: no suppression
